@@ -130,6 +130,9 @@ def _gain_blocks(spec: ChannelSpec, count: int, rng: np.random.Generator) -> np.
     re = rng.standard_normal((count, m))
     im = rng.standard_normal((count, m))
     w = scale * (re + 1j * im)
+    if rho == 0.0:
+        # the recursion below is the identity; |w|^2 is bit-identical
+        return np.abs(w) ** 2
     h = np.empty((count, m), dtype=complex)
     h[:, 0] = w[:, 0]
     innov = math.sqrt(1.0 - rho * rho)

@@ -379,11 +379,22 @@ def test_criterion_7_wideband_slope():
 # ---------------------------------------------------------------------------
 
 
-def loaded_sim(theta: float, n_blocks: int, seed: int) -> SimConfig:
+def loaded_sim(theta: float, n_blocks: int, seed: int, family: str = "discrete") -> SimConfig:
+    """ON/OFF source of the family loaded at lambda*(theta) on IID10 at 0 dB:
+    discrete p11 = p22 = 0.8, fluid and MMPP alpha = 9, beta = 1."""
     ce = ce_iid(1.0, theta)
-    lam = max_avg_rate_onoff_discrete(ce, theta, 0.8, 0.8).lambda_star
+    if family == "discrete":
+        lam = max_avg_rate_onoff_discrete(ce, theta, 0.8, 0.8).lambda_star
+        source = OnOffDiscreteParams(0.8, 0.8, lam)
+    else:
+        solve, build = {
+            "fluid": (max_avg_rate_onoff_fluid, as_fluid_source),
+            "mmpp": (max_avg_rate_onoff_mmpp, as_mmpp_source),
+        }[family]
+        lam = solve(ce, theta, 9.0, 1.0).lambda_star
+        source = build(OnOffContinuousParams(9.0, 1.0, lam))
     return SimConfig(
-        source=OnOffDiscreteParams(0.8, 0.8, lam),
+        source=source,
         channel=IID10,
         snr=1.0,
         n_blocks=n_blocks,
@@ -391,8 +402,8 @@ def loaded_sim(theta: float, n_blocks: int, seed: int) -> SimConfig:
     )
 
 
-def queue_tail_errors(theta: float, n_blocks: int, seed: int):
-    report_ = simulate_queue(loaded_sim(theta, n_blocks, seed))
+def queue_tail_errors(theta: float, n_blocks: int, seed: int, family: str = "discrete"):
+    report_ = simulate_queue(loaded_sim(theta, n_blocks, seed, family))
     target_delay = theta * ce_iid(1.0, theta)
     return (
         abs(report_.theta_sim - theta) / theta,
@@ -421,12 +432,22 @@ def test_criterion_8_queue_tail():
     reason="10-minute variant; set QOSLINK_ACCEPT_FULL=1 to run",
 )
 def test_criterion_8_queue_tail_full():
+    # discrete keeps its tighter 10^7 budget; fluid and MMPP get the 0.15
+    # criterion 8 states
+    budget = {"discrete": 0.10, "fluid": 0.15, "mmpp": 0.15}
     t0 = time.perf_counter()
-    worst = 0.0
-    for theta in (0.1, 0.2):
-        worst = max(worst, *queue_tail_errors(theta, 10 ** 7, 42))
+    worst = {
+        family: max(max(queue_tail_errors(theta, 10 ** 7, 42, family)) for theta in (0.1, 0.2))
+        for family in budget
+    }
     elapsed = time.perf_counter() - t0
-    report(8, worst <= 0.10, f"n=1e7 worst rel {worst:.3f}, {elapsed:.0f}s")
+    report(
+        8,
+        all(worst[f] <= budget[f] for f in budget),
+        "n=1e7 worst rel "
+        + ", ".join(f"{f} {worst[f]:.3f}/{budget[f]}" for f in budget)
+        + f", {elapsed:.0f}s",
+    )
 
 
 # ---------------------------------------------------------------------------

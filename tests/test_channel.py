@@ -225,6 +225,22 @@ def test_sample_zero_correlation_lag_one():
     assert abs(prod.mean()) < 3.0 * se
 
 
+def test_iid_gains_match_recursion_bit_for_bit():
+    # reference: the AR(1) recursion run at rho = 0 on the same draws
+    from qoslink.channel import _gain_blocks
+
+    spec = ChannelSpec(10, 0.0, sigma_h_sq=2.0)
+    ref_rng = np.random.default_rng(8)
+    scale = math.sqrt(spec.sigma_h_sq / 2.0)
+    re = ref_rng.standard_normal((500, 10))
+    w = scale * (re + 1j * ref_rng.standard_normal((500, 10)))
+    h = np.empty_like(w)
+    h[:, 0] = w[:, 0]
+    for i in range(1, 10):
+        h[:, i] = 0.0 * h[:, i - 1] + 1.0 * w[:, i]
+    assert np.array_equal(_gain_blocks(spec, 500, np.random.default_rng(8)), np.abs(h) ** 2)
+
+
 def test_service_rate_exact_values():
     assert service_rate(np.zeros(4), 1.0) == 0.0
     assert service_rate(np.array([1.0]), 1.0) == pytest.approx(1.0)
