@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .channel import (
     ChannelSpec,
@@ -137,7 +136,9 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
 
     Each microsource is ON with probability s independently per block,
     so the state (number ON, plus one) is memoryless: every row of the
-    transition matrix is the binomial law itself.
+    transition matrix is the binomial law itself.  The law is computed in
+    exact integer arithmetic and rounded once per entry, so it neither
+    overflows nor drifts from a unit row sum at any n.
     """
     n = int(n)
     if n < 2:
@@ -148,8 +149,24 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    pi = binom.pmf(np.arange(n), n - 1, s)
-    return DiscreteMarkovSource(np.tile(pi, (n, 1)), lam * np.arange(n))
+    return DiscreteMarkovSource(np.tile(_binomial_pmf(n - 1, s), (n, 1)), lam * np.arange(n))
+
+
+def _binomial_pmf(trials: int, s: float) -> np.ndarray:
+    """P(k successes in ``trials``), k = 0..trials, correctly rounded."""
+    num, den = s.as_integer_ratio()  # s = num / den exactly
+    # count with the likelier outcome as failure, so its weight is nonzero
+    rare, common = sorted((num, den - num))
+    # terms[k] = comb(trials, k) rare^k common^(trials - k); each division
+    # below is exact
+    term = common ** trials
+    terms = [term]
+    for k in range(trials):
+        term = term * (trials - k) * rare // ((k + 1) * common)
+        terms.append(term)
+    total = den ** trials
+    pmf = np.array([t / total for t in terms])
+    return pmf[::-1] if num > den - num else pmf
 
 
 def build_birth_death_fluid(n: int, alpha: float, beta: float, lam: float) -> FluidMarkovSource:

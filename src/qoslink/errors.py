@@ -18,7 +18,7 @@ class NoUniqueStationary(QoslinkError):
 
 
 class NonConvergence(QoslinkError):
-    """Power iteration failed to converge within the iteration cap."""
+    """The eigenvalue solver failed, or a spectral radius collapsed to zero."""
 
 
 class DegenerateEstimate(QoslinkError):

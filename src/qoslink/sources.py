@@ -4,8 +4,11 @@ Three matrix-based source families are supported: a discrete-time Markov
 source (per-block state transitions, deterministic rate per state), a
 continuous-time Markov fluid source, and a Markov-modulated Poisson
 process (MMPP).  Two-state ON/OFF parameterizations of each family have
-closed-form effective bandwidths; the general n-state forms go through a
-spectral-radius / dominant-eigenvalue computation by power iteration.
+closed-form effective bandwidths; the general n-state forms take the
+Perron root of a nonnegative or Metzler matrix from one dense
+eigen-decomposition.  Those forms are kernels on raw arrays
+(``_ebw_discrete``, ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that
+scales the rates can call them without building a source at each step.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -33,8 +36,6 @@ from .errors import NonConvergence, NoUniqueStationary, ValidationError
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
-_POWER_ITER_REL_TOL = 1e-13
-_POWER_ITER_CAP = 10 ** 5
 
 
 def _check_theta(theta: float) -> float:
@@ -71,13 +72,11 @@ def _terminal_components(adjacency: np.ndarray):
 
 def _component_period(adjacency: np.ndarray, members: np.ndarray) -> int:
     """Period (gcd of cycle lengths) of one strongly connected component."""
-    index = {int(s): k for k, s in enumerate(members)}
     sub = adjacency[np.ix_(members, members)]
     n = len(members)
     depth = np.full(n, -1, dtype=int)
     depth[0] = 0
     frontier = [0]
-    order = [0]
     while frontier:
         nxt = []
         for u in frontier:
@@ -85,7 +84,6 @@ def _component_period(adjacency: np.ndarray, members: np.ndarray) -> int:
                 if depth[v] < 0:
                     depth[v] = depth[u] + 1
                     nxt.append(int(v))
-                    order.append(int(v))
         frontier = nxt
     g = 0
     for u in range(n):
@@ -390,30 +388,35 @@ def _(src: OnOffContinuousParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _perron_root(B: np.ndarray) -> float:
-    """Dominant eigenvalue of an entrywise-nonnegative matrix.
+def _perron_root(M: np.ndarray) -> float:
+    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0).
 
-    Power iteration from a positive start vector; converges when
-    successive Rayleigh-quotient estimates differ by less than
-    ``_POWER_ITER_REL_TOL`` relative, capped at ``_POWER_ITER_CAP``
-    iterations.
+    By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
+    a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
+    larger real part, so the largest real part of the dense spectrum is
+    the root itself.
     """
-    n = B.shape[0]
-    x = np.full(n, 1.0 / math.sqrt(n))
-    lam_prev = math.inf
-    for _ in range(_POWER_ITER_CAP):
-        y = B @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        lam = float(x @ y)
-        x = y / norm
-        if abs(lam - lam_prev) <= _POWER_ITER_REL_TOL * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-    raise NonConvergence(
-        f"power iteration did not converge within {_POWER_ITER_CAP} iterations"
-    )
+    try:
+        return float(np.max(np.linalg.eigvals(M).real))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
+
+
+def _ebw_discrete(transition_probs: np.ndarray, rates: np.ndarray, theta: float) -> float:
+    lam_max = float(np.max(rates))
+    # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]
+    sp = _perron_root(np.exp(theta * (rates - lam_max))[:, None] * transition_probs)
+    if sp <= 0.0:
+        raise NonConvergence("spectral radius collapsed to zero")
+    return lam_max + math.log(sp) / theta
+
+
+def _ebw_fluid(generator: np.ndarray, rates: np.ndarray, theta: float) -> float:
+    return _perron_root(np.diag(rates) + generator / theta)
+
+
+def _ebw_mmpp(generator: np.ndarray, intensities: np.ndarray, theta: float) -> float:
+    return _perron_root(math.expm1(theta) * np.diag(intensities) + generator) / theta
 
 
 def effective_bandwidth_discrete(
@@ -422,17 +425,9 @@ def effective_bandwidth_discrete(
     """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block.
 
     The spectral radius is taken after scaling out e^{theta*max(rates)}
-    so the iteration never overflows for large theta*rate products.
+    so it never overflows for large theta*rate products.
     """
-    theta = _check_theta(theta)
-    rates = src.rates
-    lam_max = float(np.max(rates))
-    # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]
-    B = np.exp(theta * (rates - lam_max))[:, None] * src.transition_probs
-    sp = _perron_root(B)
-    if sp <= 0.0:
-        raise NonConvergence("spectral radius collapsed to zero")
-    return lam_max + math.log(sp) / theta
+    return _ebw_discrete(src.transition_probs, src.rates, _check_theta(theta))
 
 
 def effective_bandwidth_onoff_discrete(
@@ -462,19 +457,9 @@ def effective_bandwidth_onoff_discrete(
     return 0.5 * lam + 0.5 * math.log1p(-p11) / theta
 
 
-def _max_real_eigen_metzler(M: np.ndarray) -> float:
-    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0):
-    shift the diagonal to nonnegativity, take the Perron root, un-shift."""
-    c = float(np.max(np.abs(np.diag(M)))) + 1.0
-    sp = _perron_root(M + c * np.eye(M.shape[0]))
-    return sp - c
-
-
 def effective_bandwidth_fluid(src: FluidMarkovSource, theta: QosExponent) -> float:
     """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
-    theta = _check_theta(theta)
-    M = np.diag(src.rates) + src.generator / theta
-    return _max_real_eigen_metzler(M)
+    return _ebw_fluid(src.generator, src.rates, _check_theta(theta))
 
 
 def _stable_quadratic_root(x: float, y: float) -> float:
@@ -502,9 +487,7 @@ def effective_bandwidth_onoff_fluid(
 
 def effective_bandwidth_mmpp(src: MmppSource, theta: QosExponent) -> float:
     """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
-    theta = _check_theta(theta)
-    M = math.expm1(theta) * np.diag(src.intensities) + src.generator
-    return _max_real_eigen_metzler(M) / theta
+    return _ebw_mmpp(src.generator, src.intensities, _check_theta(theta))
 
 
 def effective_bandwidth_onoff_mmpp(
@@ -584,9 +567,7 @@ def source_from_json(doc) -> AnySource:
         params = OnOffContinuousParams(alpha, beta, lam)
     except ValueError as exc:
         raise ValidationError("alpha", str(exc)) from exc
-    if kind == "onoff-fluid":
-        return params
-    return params  # onoff-mmpp shares the parameter type
+    return params  # onoff-fluid and onoff-mmpp share the parameter type
 
 
 def _field_number(doc: dict, name: str) -> float:

@@ -5,8 +5,9 @@ solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources have
 closed forms; for general n-state sources the per-state rate scale is
-found by bisection.  Asymptotic behavior at theta -> 0 (ergodic limit
-and first derivative) and at high snr (rate prelog) is also exposed.
+found by Brent's method on the raw-array effective-bandwidth kernels.
+Asymptotic behavior at theta -> 0 (ergodic limit and first derivative)
+and at high snr (rate prelog) is also exposed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .channel import ChannelSpec, ergodic_capacity, log_rate_cov_sum
 from .errors import BracketFailure, InvalidRegime
@@ -24,9 +26,9 @@ from .sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
-    effective_bandwidth_discrete,
-    effective_bandwidth_fluid,
-    effective_bandwidth_mmpp,
+    _ebw_discrete,
+    _ebw_fluid,
+    _ebw_mmpp,
     stationary_distribution_discrete,
     stationary_distribution_fluid,
 )
@@ -34,8 +36,11 @@ from .sources import (
 LN2 = math.log(2.0)
 
 _BRACKET_CAP_DOUBLINGS = 60
-_LAMBDA_WIDTH_TOL = 1e-12
-_RESIDUAL_REL_TOL = 1e-9
+# the smallest relative tolerance brentq accepts; it needs a positive
+# absolute one too, and the smallest normal float leaves the relative
+# one in charge
+_SCALE_REL_TOL = 4.0 * np.finfo(float).eps
+_SCALE_ABS_TOL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,8 @@ class ThroughputResult:
     theta: float
     effective_capacity: float
     method: str  # closed_form | root_find
+    iterations: int = 0  # effective-bandwidth evaluations, bracket included
+    residual: float = 0.0  # |a*(theta; lambda_star) - C_E| / C_E
 
 
 @dataclass(frozen=True)
@@ -136,56 +143,51 @@ def max_avg_rate_onoff_mmpp(
 
 
 def _scaled_bandwidth(src, theta: float):
-    """(shape coefficients, stationary mean of shape, EB-at-scale callable)."""
+    """(stationary mean of the shape, scale -> a*(theta; scale * shape))."""
     if isinstance(src, DiscreteMarkovSource):
-        shape = src.rates
+        matrix, shape, kernel = src.transition_probs, src.rates, _ebw_discrete
         pi = stationary_distribution_discrete(src)
-
-        def eb(t):
-            return effective_bandwidth_discrete(
-                DiscreteMarkovSource(src.transition_probs, t * shape), theta
-            )
-
     elif isinstance(src, FluidMarkovSource):
-        shape = src.rates
+        matrix, shape, kernel = src.generator, src.rates, _ebw_fluid
         pi = stationary_distribution_fluid(src.generator)
-
-        def eb(t):
-            return effective_bandwidth_fluid(
-                FluidMarkovSource(src.generator, t * shape), theta
-            )
-
     elif isinstance(src, MmppSource):
-        shape = src.intensities
+        matrix, shape, kernel = src.generator, src.intensities, _ebw_mmpp
         pi = stationary_distribution_fluid(src.generator)
-
-        def eb(t):
-            return effective_bandwidth_mmpp(
-                MmppSource(src.generator, t * shape), theta
-            )
-
     else:
         raise TypeError(f"unsupported source type: {type(src).__name__}")
-    return shape, float(pi @ shape), eb
+    return float(pi @ shape), lambda scale: kernel(matrix, scale * shape, theta)
 
 
 def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
-    """Bisection solver for sources whose rates are shape * scale.
+    """Brent solver for sources whose rates are shape * scale.
 
     The rate vector of ``src`` is read as the shape coefficients c_i
     (build the source with unit rate scale); the solver finds the scale
     lambda* with a*(theta; lambda* c) = C_E, using that the effective
-    bandwidth is monotone in the scale.  Stops when the bracket is
-    narrower than 1e-12 or the residual is below 1e-9 relative.
+    bandwidth is monotone in the scale.  The source is validated once;
+    each step calls the effective-bandwidth kernel on raw arrays.  The
+    bracket doubles from C_E until it encloses the root, then Brent's
+    method narrows it to a relative width of 4 machine epsilons.  The
+    result reports the evaluations made and the relative residual.
     """
     ce = _check_ce(ce)
     theta = _check_theta(theta)
-    shape, mean_shape, eb = _scaled_bandwidth(src, theta)
+    mean_shape, eb = _scaled_bandwidth(src, theta)
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
+    # every evaluation, keyed by scale: brentq evaluates both bracket ends
+    # again, and returns one of its evaluated points.  Zero rates give
+    # a* = 0 exactly.
+    excess = {0.0: -ce}
+
+    def f(scale):
+        if scale not in excess:
+            excess[scale] = eb(scale) - ce
+        return excess[scale]
+
     hi = ce
     doublings = 0
-    while eb(hi) < ce:
+    while f(hi) < 0.0:
         hi *= 2.0
         doublings += 1
         if doublings > _BRACKET_CAP_DOUBLINGS:
@@ -193,18 +195,12 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
                 "effective bandwidth never reaches the target capacity; "
                 "the source has no usable rate states"
             )
-    lo = 0.0
-    lam = hi
-    while hi - lo > _LAMBDA_WIDTH_TOL:
-        lam = 0.5 * (lo + hi)
-        resid = eb(lam) - ce
-        if abs(resid) <= _RESIDUAL_REL_TOL * max(1.0, ce):
-            break
-        if resid < 0.0:
-            lo = lam
-        else:
-            hi = lam
-    return ThroughputResult(lam * mean_shape, lam, theta, ce, "root_find")
+    lo = 0.5 * hi if doublings else 0.0
+    lam = brentq(f, lo, hi, xtol=_SCALE_ABS_TOL, rtol=_SCALE_REL_TOL)
+    return ThroughputResult(
+        lam * mean_shape, lam, theta, ce, "root_find",
+        iterations=len(excess) - 1, residual=abs(excess[lam]) / ce,
+    )
 
 
 def low_theta_asymptotics(

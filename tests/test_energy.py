@@ -1,7 +1,11 @@
 """Energy metrics: floors, slope orderings, builders, numeric route."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import qoslink
 from qoslink.channel import ChannelSpec
 from qoslink.energy import (
     EbN0CurvePoint,
@@ -23,6 +28,11 @@ from qoslink.energy import (
 )
 from qoslink.sources import (
     MmppSource,
+    OnOffContinuousParams,
+    OnOffDiscreteParams,
+    as_discrete_source,
+    as_fluid_source,
+    as_mmpp_source,
     average_rate,
     stationary_distribution_discrete,
     stationary_distribution_fluid,
@@ -176,6 +186,24 @@ def test_binomial_builder_rank_one_rows():
     assert np.array_equal(src.rates, np.arange(7.0))
 
 
+def test_binomial_builder_large_n_matches_scipy():
+    # float(comb(1099, k)) overflows near k = 550; exact integers do not
+    src = build_binomial_discrete_source(1100, 0.3, 1.0)
+    pmf = binom.pmf(np.arange(1100), 1099, 0.3)
+    np.testing.assert_allclose(src.transition_probs[0], pmf, rtol=1e-10, atol=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of every CLI start-up
+    src_dir = str(Path(qoslink.__file__).resolve().parents[1])
+    code = "import sys, qoslink; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_binomial_all_on_collapses():
     src = build_binomial_discrete_source(10, 1.0, 2.0)
     pi = stationary_distribution_discrete(src)
@@ -293,6 +321,27 @@ def test_numeric_route_serves_nstate_sources():
     src = build_binomial_discrete_source(10, 0.5, 1.0)
     num = numeric_energy_metrics("nstate", SPEC0, 1.0, source=src)
     assert abs(num.ebn0_min_db - FLOOR_DB) < 0.05
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "source,closed",
+    [
+        (as_discrete_source(OnOffDiscreteParams(0.8, 0.7, 1.0)),
+         lambda spec: energy_metrics_onoff_discrete(spec, 0.1, 0.8, 0.7)),
+        (as_fluid_source(OnOffContinuousParams(2.0, 3.0, 1.0)),
+         lambda spec: energy_metrics_onoff_fluid(spec, 0.1, 2.0, 3.0)),
+        (as_mmpp_source(OnOffContinuousParams(2.0, 3.0, 1.0)),
+         lambda spec: energy_metrics_onoff_mmpp(spec, 0.1, 2.0, 3.0)),
+    ],
+    ids=["discrete", "fluid", "mmpp"],
+)
+def test_nstate_numeric_slope_matches_closed_form(source, closed, rho):
+    # the slope is a second difference of the solver's output at snr ~ 1e-4,
+    # so it holds only if the root is exact to near machine precision
+    spec = ChannelSpec(m=10, rho=rho)
+    num = numeric_energy_metrics("nstate", spec, 0.1, source=source)
+    assert num.wideband_slope == pytest.approx(closed(spec).wideband_slope, rel=2e-5)
 
 
 def test_numeric_route_rejects_monte_carlo():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoslink.errors import NoUniqueStationary, ValidationError
+import qoslink.sources as sources_module
+from qoslink.errors import NonConvergence, NoUniqueStationary, ValidationError
 from qoslink.sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -85,6 +86,36 @@ def test_five_state_stationary_frozen():
         0.17059210581229828,
     ]
     np.testing.assert_allclose(pi, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.9999, 0.99999, 0.999999])
+@pytest.mark.parametrize("theta", [0.01, 0.1, 1.0, 10.0])
+def test_eigen_route_exact_on_near_degenerate_chains(p, theta):
+    # slowly mixing chains: the second eigenvalue lies within 2e-4 of the root
+    params = OnOffDiscreteParams(p, p, 2.0)
+    closed = effective_bandwidth_onoff_discrete(params, theta)
+    eigen = effective_bandwidth_discrete(as_discrete_source(params), theta)
+    assert eigen == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1])
+def test_eigen_route_exact_on_stiff_generators(theta):
+    # G / theta outweighs the rates by up to 1e4
+    params = OnOffContinuousParams(50.0, 50.0, 2.0)
+    fluid = effective_bandwidth_fluid(as_fluid_source(params), theta)
+    assert fluid == pytest.approx(effective_bandwidth_onoff_fluid(params, theta), rel=1e-12)
+    mmpp = effective_bandwidth_mmpp(as_mmpp_source(params), theta)
+    assert mmpp == pytest.approx(effective_bandwidth_onoff_mmpp(params, theta), rel=1e-12)
+
+
+def test_eigen_solver_failure_is_nonconvergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sources_module.np.linalg, "eigvals", fail)
+    src = as_fluid_source(OnOffContinuousParams(2.0, 3.0, 1.0))
+    with pytest.raises(NonConvergence, match="did not converge"):
+        effective_bandwidth_fluid(src, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qoslink.sources as sources_module
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid, ergodic_capacity
 from qoslink.errors import BracketFailure
 from qoslink.sources import (
@@ -15,6 +16,9 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    effective_bandwidth_discrete,
+    effective_bandwidth_fluid,
+    effective_bandwidth_mmpp,
     effective_bandwidth_onoff_discrete,
     effective_bandwidth_onoff_fluid,
     effective_bandwidth_onoff_mmpp,
@@ -136,6 +140,45 @@ def test_nstate_matches_closed_form_fluid_and_mmpp():
     assert num_m.lambda_star == pytest.approx(ref_m.lambda_star, rel=1e-8)
 
 
+TWO_STATE_G = np.array([[-2.0, 2.0], [3.0, -3.0]])
+TWO_STATE_CASES = [
+    (DiscreteMarkovSource(np.array([[0.3, 0.7], [0.4, 0.6]]), np.array([0.0, 1.0])),
+     lambda ce, th: max_avg_rate_onoff_discrete(ce, th, 0.3, 0.6)),
+    (FluidMarkovSource(TWO_STATE_G, np.array([0.0, 1.0])),
+     lambda ce, th: max_avg_rate_onoff_fluid(ce, th, 2.0, 3.0)),
+    (MmppSource(TWO_STATE_G, np.array([0.0, 1.0])),
+     lambda ce, th: max_avg_rate_onoff_mmpp(ce, th, 2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("src,closed", TWO_STATE_CASES, ids=["discrete", "fluid", "mmpp"])
+@pytest.mark.parametrize("theta", [0.1, 1.0])
+def test_nstate_exact_at_small_capacity(src, closed, theta):
+    # the root must be exact relative to C_E, not to max(1, C_E)
+    num = max_avg_rate_nstate(src, theta, 1e-3)
+    assert num.lambda_star == pytest.approx(closed(1e-3, theta).lambda_star, rel=1e-10)
+
+
+@pytest.mark.parametrize("src,closed", TWO_STATE_CASES, ids=["discrete", "fluid", "mmpp"])
+def test_nstate_reports_evaluations_and_residual(src, closed, monkeypatch):
+    theta, ce = 0.5, 1.2
+    assert closed(ce, theta).iterations == 0 and closed(ce, theta).residual == 0.0
+    calls = []
+    perron = sources_module._perron_root
+    monkeypatch.setattr(sources_module, "_perron_root", lambda M: calls.append(1) or perron(M))
+    res = max_avg_rate_nstate(src, theta, ce)
+    monkeypatch.undo()
+    assert res.iterations == len(calls) > 0
+    eb = {DiscreteMarkovSource: effective_bandwidth_discrete,
+          FluidMarkovSource: effective_bandwidth_fluid,
+          MmppSource: effective_bandwidth_mmpp}[type(src)]
+    matrix = src.transition_probs if isinstance(src, DiscreteMarkovSource) else src.generator
+    shape = src.intensities if isinstance(src, MmppSource) else src.rates
+    at_root = eb(type(src)(matrix, res.lambda_star * shape), theta)
+    assert res.residual == abs(at_root - ce) / ce
+    assert res.residual <= 1e-12
+
+
 def test_nstate_degenerate_chain_acts_constant():
     # every row jumps straight to the top state: the source is constant
     # at the top rate, so r* equals the capacity target
@@ -158,6 +201,7 @@ def test_nstate_zero_capacity():
     src = DiscreteMarkovSource(J, np.array([0.0, 1.0]))
     res = max_avg_rate_nstate(src, 0.8, 0.0)
     assert res.r_avg_star == 0.0 and res.lambda_star == 0.0
+    assert res.iterations == 0 and res.residual == 0.0
 
 
 def test_high_snr_slope_frozen():
