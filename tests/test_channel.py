@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ive
 
 from qoslink.channel import (
     ChannelSpec,
     EffCapEstimate,
+    _gain_chain_rule,
     channel_spec_from_json,
     effective_capacity_mc,
     effective_capacity_quadrature,
@@ -32,6 +34,27 @@ IID_CASES = [
     (10000.0, 2.0, 10, 49.222939465322986),
     (1.0, 0.2, 10, 8.2471666862061463),
     (1.0, 0.1, 10, 8.4226625746964401),
+]
+
+# chain-quadrature values at intermediate correlation, recorded with the
+# kernel's Bessel factor from scipy.special.ive(0, .) over the full matrix
+INTERMEDIATE_RHO_CASES = [
+    (0.3, 10, 0.5, 0.3, 4.93656230428856),
+    (0.3, 10, 0.5, 1.3, 4.207992089587677),
+    (0.3, 10, 10.0, 0.3, 26.162260687228382),
+    (0.3, 10, 10.0, 1.3, 18.308081941487405),
+    (0.3, 100, 0.5, 0.3, 49.32653023919022),
+    (0.3, 100, 0.5, 1.3, 41.98247999914754),
+    (0.3, 100, 10.0, 0.3, 261.31991712441965),
+    (0.3, 100, 10.0, 1.3, 182.62923817331392),
+    (0.75, 10, 0.5, 0.3, 4.603992571509283),
+    (0.75, 10, 0.5, 1.3, 3.503866533478578),
+    (0.75, 10, 10.0, 0.3, 23.5272270360811),
+    (0.75, 10, 10.0, 1.3, 15.00460604350187),
+    (0.75, 100, 0.5, 0.3, 45.27180155257145),
+    (0.75, 100, 0.5, 1.3, 33.887429349990505),
+    (0.75, 100, 10.0, 0.3, 230.4624589770188),
+    (0.75, 100, 10.0, 1.3, 146.0468496418897),
 ]
 
 FULLY_CORRELATED_CASES = [
@@ -90,6 +113,44 @@ def test_quadrature_rejects_near_unit_correlation():
     # is too sharp to discretize; that must fail loudly, not quietly
     with pytest.raises(QuadratureFailure, match="mass"):
         effective_capacity_quadrature(ChannelSpec(10, 0.99999), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rho,m,snr,theta,expected", INTERMEDIATE_RHO_CASES)
+def test_quadrature_intermediate_correlation_frozen(rho, m, snr, theta, expected):
+    est = effective_capacity_quadrature(ChannelSpec(m, rho), snr, theta)
+    assert est.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.026, 0.41, 0.95])
+def test_gain_chain_kernel_matches_ive(rho):
+    z, _, K, _ = _gain_chain_rule(rho, 1.0)
+    v = 1.0 - rho * rho
+    sq = np.sqrt(z)
+    pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
+    ref = ive(0, 2.0 * rho * np.outer(sq, sq) / v) * np.exp(-pen) / v
+    assert np.all(np.abs(K - ref) <= 4e-15 * ref)
+
+
+def test_gain_chain_cache_is_bounded_and_read_only():
+    rules = [_gain_chain_rule(rho, 1.0) for rho in (0.11, 0.22, 0.33, 0.44, 0.55, 0.66)]
+    assert _gain_chain_rule.cache_info().currsize <= 4
+    assert _gain_chain_rule(0.66, 1.0) is rules[-1]
+    for arr in rules[-1]:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        rules[-1][2][0, 0] = 0.0
+
+
+def test_quadrature_long_block_does_not_underflow():
+    # at m=100, snr=1e3, theta=5 the chain's mean weight is about e^-870,
+    # below the smallest double
+    def ce(rho):
+        return effective_capacity_quadrature(ChannelSpec(100, rho), 1e3, 5.0).value
+
+    upper, lower = ce(0.0), ce(0.99)
+    vals = [ce(rho) for rho in (0.026203, 0.5, 0.9)]
+    assert all(math.isfinite(v) and lower < v < upper for v in vals)
+    assert all(hi >= lo for hi, lo in zip(vals, vals[1:]))
 
 
 def test_mc_matches_closed_form_iid():
