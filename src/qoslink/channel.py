@@ -16,7 +16,10 @@ is smooth enough in snr to support numerical differentiation at snr -> 0.
 from __future__ import annotations
 
 import math
+import os
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,10 +32,15 @@ from .errors import DegenerateEstimate, QuadratureFailure, ValidationError
 
 LN2 = math.log(2.0)
 
-# Monte Carlo runs are split into fixed-size chunks, each with its own
-# counter-derived rng stream, so any parallel fan-out over chunks
-# reproduces the serial result bit for bit.
-_MC_CHUNK = 1 << 15
+# Gain sampling (Monte Carlo C_E, var(nu), the simulator's service
+# trace) runs in chunks of this many blocks, chunk c on its own
+# counter-derived Philox stream; _gain_chunks fans the chunks out over
+# threads and returns them in order, so any worker count gives the same
+# bits.  The size is part of every seeded stream layout.
+_GAIN_CHUNK = 1 << 15
+# Blocks whose complex gains are built at a time: the complex buffer
+# stays small (0.6 MB at m = 10) next to a chunk's draws.
+_FILL_ROWS = 1 << 12
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-12, limit=300)
 
@@ -132,22 +140,43 @@ def _check_theta(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _fill_gains(spec: ChannelSpec, rng: np.random.Generator, d, w, col) -> np.ndarray:
+    """Power gains of count independent blocks, written over d[0].
+
+    d is (2, count, m) float and takes the real then the imaginary
+    draws in one call, the same stream as two (count, m) calls.  The
+    complex gains are built _FILL_ROWS blocks at a time in w, (rows, m)
+    complex, with col, (rows,) complex, as workspace.  Every value is the
+    one the expression scale * (re + 1j * im) and the AR(1) recursion
+    h_i = rho * h_{i-1} + innov * w_i give, bit for bit.
+    """
+    rng.standard_normal(out=d)
+    scale = math.sqrt(spec.sigma_h_sq / 2.0)
+    rho = spec.rho
+    innov = math.sqrt(1.0 - rho * rho)
+    z = d[0]
+    count = z.shape[0]
+    for lo in range(0, count, w.shape[0]):
+        hi = min(lo + w.shape[0], count)
+        h, c = w[: hi - lo], col[: hi - lo]
+        # (scale + 0j) * (re + 1j * im) has parts exactly scale * re, scale * im
+        np.multiply(d[0, lo:hi], scale, out=h.real)
+        np.multiply(d[1, lo:hi], scale, out=h.imag)
+        if rho != 0.0:  # at rho == 0 the recursion is the identity
+            for i in range(1, spec.m):
+                np.multiply(h[:, i - 1], rho, out=c)
+                np.multiply(h[:, i], innov, out=h[:, i])
+                np.add(c, h[:, i], out=h[:, i])
+        np.abs(h, out=z[lo:hi])
+    np.square(z, out=z)
+    return z
+
+
 def _gain_blocks(spec: ChannelSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, m) matrix of power gains; rows are independent blocks."""
-    m, rho = spec.m, spec.rho
-    scale = math.sqrt(spec.sigma_h_sq / 2.0)
-    re = rng.standard_normal((count, m))
-    im = rng.standard_normal((count, m))
-    w = scale * (re + 1j * im)
-    if rho == 0.0:
-        # the recursion below is the identity; |w|^2 is bit-identical
-        return np.abs(w) ** 2
-    h = np.empty((count, m), dtype=complex)
-    h[:, 0] = w[:, 0]
-    innov = math.sqrt(1.0 - rho * rho)
-    for i in range(1, m):
-        h[:, i] = rho * h[:, i - 1] + innov * w[:, i]
-    return np.abs(h) ** 2
+    rows = min(_FILL_ROWS, count)
+    w = np.empty((rows, spec.m), complex)
+    return _fill_gains(spec, rng, np.empty((2, count, spec.m)), w, np.empty(rows, complex))
 
 
 def sample_fading_block(spec: ChannelSpec, rng: np.random.Generator) -> FadingBlock:
@@ -164,9 +193,82 @@ def service_rate(block: FadingBlock, snr: float) -> float:
     return float(np.sum(np.log2(1.0 + snr * gains)))
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,))
+def _stream(seed: int, key: tuple) -> np.random.Generator:
+    """Philox generator of the counter-derived stream ``key`` of a seed."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+@lru_cache(maxsize=1)
+def _pool(pid: int):
+    """(executor, worker count) for the gain chunks of process ``pid``.
+
+    One thread per CPU the process may run on, started on first use and
+    never at import.  Keyed by pid so that a forked child starts its own
+    threads instead of waiting on its parent's.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="qoslink-gains"), workers
+
+
+def _gain_chunks(spec: ChannelSpec, n: int, seed: int, key: tuple, work):
+    """Yield ``work(start, z)`` for each chunk of n blocks, in chunk order.
+
+    Chunk c holds blocks [c * _GAIN_CHUNK, (c + 1) * _GAIN_CHUNK) of n,
+    drawn from ``_stream(seed, key + (c,))``; z is its (count, m) gain
+    matrix, in buffers that ``work`` may overwrite.  Chunks run on the
+    worker pool, about two per worker ahead of the consumer, and their
+    results come back in chunk order, so any worker count gives the
+    same results.  Each running chunk holds one set of buffers,
+    allocated up front in the calling thread and passed on to the next
+    chunk: temporaries allocated in the workers would stay in glibc's
+    per-thread arenas and raise the peak resident set.
+    """
+    pool, workers = _pool(os.getpid())
+    m = spec.m
+    n_chunks = -(-n // _GAIN_CHUNK)
+    size = min(_GAIN_CHUNK, n)
+    rows = min(_FILL_ROWS, size)
+    # one buffer set per chunk that can run at once; a running chunk pops
+    # one and puts it back (list pop and append are atomic)
+    spare = [
+        (np.empty(2 * size * m), np.empty((rows, m), complex), np.empty(rows, complex))
+        for _ in range(min(workers, n_chunks))
+    ]
+
+    def run(c):
+        start = c * _GAIN_CHUNK
+        count = min(_GAIN_CHUNK, n - start)
+        d, w, col = buf = spare.pop()
+        try:
+            rng = _stream(seed, key + (c,))
+            z = _fill_gains(spec, rng, d[: 2 * count * m].reshape(2, count, m), w, col)
+            return work(start, z)
+        finally:
+            spare.append(buf)
+
+    pending = deque()
+    try:
+        for c in range(n_chunks):
+            pending.append(pool.submit(run, c))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _log2_rates(z: np.ndarray, snr: float) -> np.ndarray:
+    """nu = sum_i log2(1 + snr * z_i) of each row of z, which it overwrites."""
+    np.multiply(z, snr, out=z)
+    np.add(z, 1.0, out=z)
+    np.log2(z, out=z)
+    return np.sum(z, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +294,16 @@ def effective_capacity_mc(
     n = int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
+
+    def exponents(start, z):
+        e = _log2_rates(z, snr)
+        np.multiply(e, -theta, out=e)
+        return e
+
     peak = -math.inf  # running max of the exponents
     s1 = 0.0  # sum of e^{exponent - peak}
     s2 = 0.0  # sum of squares of the same
-    done = 0
-    chunk = 0
-    while done < n:
-        take = min(_MC_CHUNK, n - done)
-        gains = _gain_blocks(spec, take, _chunk_rng(seed, chunk))
-        nu = np.sum(np.log2(1.0 + snr * gains), axis=1)
-        e = -theta * nu
+    for e in _gain_chunks(spec, n, seed, (), exponents):
         top = float(np.max(e))
         if top > peak:
             shift = math.exp(peak - top) if math.isfinite(peak) else 0.0
@@ -211,8 +313,6 @@ def effective_capacity_mc(
         d = np.exp(e - peak)
         s1 += float(np.sum(d))
         s2 += float(np.sum(d * d))
-        done += take
-        chunk += 1
     log_mean = peak + math.log(s1 / n)
     if not math.isfinite(log_mean):
         raise DegenerateEstimate("sample mean of e^{-theta*nu} underflowed to 0")
@@ -347,18 +447,16 @@ def log_rate_cov_sum(
     n = int(n_samples)
     if n < 2:
         raise ValueError("n_samples must be >= 2")
+
+    def moments(start, z):
+        nu = _log2_rates(z, snr)
+        return float(np.sum(nu)), float(np.sum(nu * nu))
+
     s1 = 0.0
     s2 = 0.0
-    done = 0
-    chunk = 0
-    while done < n:
-        take = min(_MC_CHUNK, n - done)
-        gains = _gain_blocks(spec, take, _chunk_rng(seed, chunk))
-        nu = np.sum(np.log2(1.0 + snr * gains), axis=1)
-        s1 += float(np.sum(nu))
-        s2 += float(np.sum(nu * nu))
-        done += take
-        chunk += 1
+    for m1, m2 in _gain_chunks(spec, n, seed, (), moments):
+        s1 += m1
+        s2 += m2
     return (s2 - s1 * s1 / n) / (n - 1)
 
 

@@ -29,8 +29,11 @@ every seeded output is reproducible bit for bit:
 - the path keeps the first jump that reaches the horizon, or that enters
   an absorbing state, and draws no batch after it, so the MMPP Poisson
   counts that follow on the same generator do not move;
-- the service trace draws one Philox stream per chunk of blocks; at
-  rho = 0 the gains are |w|^2 of the draws, without the AR(1) recursion.
+- the service trace draws one Philox stream per chunk of 2^15 blocks
+  (key (1, c) for chunk c); the chunks run on the channel's gain
+  threads (``channel._gain_chunks``), each filling its slice of the
+  trace, so the thread count never moves a bit; at rho = 0 the gains
+  are |w|^2 of the draws, without the AR(1) recursion.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
-from .channel import ChannelSpec, _gain_blocks
+from .channel import LN2, ChannelSpec, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue
 from .sources import (
     DiscreteMarkovSource,
@@ -56,7 +58,6 @@ from .sources import (
     stationary_distribution_fluid,
 )
 
-_SERVICE_CHUNK = 1 << 15
 _JUMP_BATCH = 4096
 _SCAN_BLOCK = 4096
 _SCAN_MAX_STATES = 5  # scan below, bisect from here; see _walk
@@ -120,15 +121,13 @@ class QueueSimReport:
     varsigma_ratio: float
 
 
-def _stream(seed: int, key: tuple) -> Generator:
-    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
-
-
 def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Queue lengths after each block, starting from an empty buffer."""
-    net = np.cumsum(arrivals - services)
-    running_min = np.minimum.accumulate(np.concatenate(([0.0], net)))
-    return net - running_min[1:]
+    net = np.empty(arrivals.shape[0] + 1)
+    net[0] = 0.0
+    np.cumsum(arrivals - services, out=net[1:])
+    low = np.minimum.accumulate(net)
+    return np.subtract(net[1:], low[1:], out=low[1:])
 
 
 def _delay_tail_mass(arrivals, cum_arrivals, departed, d, start, stop):
@@ -248,13 +247,20 @@ def _continuous_path(generator: np.ndarray, horizon, s0, rng):
         time_parts.append(times)
         s, t = int(states[-1]), float(times[-1])
     time_parts.append(np.array([max(t, horizon) + 1.0]))  # close the last dwell
-    return np.concatenate(state_parts), np.concatenate(time_parts)
+    # each list is joined once and dropped before the next is joined
+    states = np.concatenate(state_parts)
+    del state_parts
+    return states, np.concatenate(time_parts)
 
 
 def _blocked_integral(values_per_state, states, times, n):
     """Integral of the piecewise-constant state value over each unit block."""
-    rate = values_per_state[states]
-    cum = np.concatenate(([0.0], np.cumsum(rate * np.diff(times))))
+    cum = np.empty(times.shape[0])
+    cum[0] = 0.0
+    step = cum[1:]
+    np.subtract(times[1:], times[:-1], out=step)
+    np.multiply(values_per_state[states], step, out=step)
+    np.cumsum(step, out=step)
     grid = np.interp(np.arange(n + 1, dtype=float), times, cum)
     return np.diff(grid)
 
@@ -286,12 +292,16 @@ def _arrival_trace(source, n, seed):
 
 def _service_trace(spec: ChannelSpec, snr, n, seed):
     out = np.empty(n)
-    log2 = math.log(2.0)
-    for chunk, start in enumerate(range(0, n, _SERVICE_CHUNK)):
-        count = min(_SERVICE_CHUNK, n - start)
-        rng = _stream(seed, (1, chunk))
-        z = _gain_blocks(spec, count, rng)
-        out[start : start + count] = np.log1p(snr * z).sum(axis=1) / log2
+
+    def rates(start, z):
+        chunk = out[start : start + z.shape[0]]
+        np.multiply(z, snr, out=z)
+        np.log1p(z, out=z)
+        np.sum(z, axis=1, out=chunk)
+        np.divide(chunk, LN2, out=chunk)
+
+    for _ in _gain_chunks(spec, n, seed, (1,), rates):
+        pass
     return out
 
 

@@ -61,35 +61,29 @@ def _terminal_components(adjacency: np.ndarray):
     n_comp, labels = connected_components(
         csr_matrix(adjacency), directed=True, connection="strong"
     )
-    has_exit = np.zeros(n_comp, dtype=bool)
     rows, cols = np.nonzero(adjacency)
-    for i, j in zip(rows, cols):
-        if labels[i] != labels[j]:
-            has_exit[labels[i]] = True
-    terminal = [c for c in range(n_comp) if not has_exit[c]]
+    exits = labels[rows] != labels[cols]
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[labels[rows[exits]]] = True
+    terminal = np.flatnonzero(~has_exit).tolist()
     return terminal, labels
 
 
 def _component_period(adjacency: np.ndarray, members: np.ndarray) -> int:
     """Period (gcd of cycle lengths) of one strongly connected component."""
     sub = adjacency[np.ix_(members, members)]
-    n = len(members)
-    depth = np.full(n, -1, dtype=int)
+    # breadth-first depths from member 0, one level at a time
+    depth = np.full(len(members), -1)
     depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(sub[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(sub[u])[0]:
-            g = math.gcd(g, depth[u] + 1 - depth[int(v)])
-    return max(g, 1)
+    frontier = depth == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = sub[frontier].any(axis=0) & (depth < 0)
+        depth[frontier] = level
+    # the period is the gcd of depth[u] + 1 - depth[v] over the edges u -> v
+    rows, cols = np.nonzero(sub)
+    return max(int(np.gcd.reduce(np.abs(depth[rows] + 1 - depth[cols]))), 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -342,6 +344,110 @@ def test_log_rate_cov_sum_routes():
     assert full == pytest.approx(10.0 * exact, rel=1e-10)
     mid = log_rate_cov_sum(ChannelSpec(10, 0.75), 1.0, n_samples=300_000, seed=2)
     assert exact < mid < full
+
+
+# ---------------------------------------------------------------------------
+# gain sampling on the chunk workers
+# ---------------------------------------------------------------------------
+
+
+def _reference_gain_blocks(spec, count, rng):
+    # the allocating sampler the buffered path replaced
+    m, rho = spec.m, spec.rho
+    scale = math.sqrt(spec.sigma_h_sq / 2.0)
+    re = rng.standard_normal((count, m))
+    im = rng.standard_normal((count, m))
+    w = scale * (re + 1j * im)
+    if rho == 0.0:
+        return np.abs(w) ** 2
+    h = np.empty((count, m), dtype=complex)
+    h[:, 0] = w[:, 0]
+    innov = math.sqrt(1.0 - rho * rho)
+    for i in range(1, m):
+        h[:, i] = rho * h[:, i - 1] + innov * w[:, i]
+    return np.abs(h) ** 2
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 1.0])
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_buffered_gains_match_allocating_sampler(rho, m):
+    from qoslink.channel import _gain_blocks
+
+    spec = ChannelSpec(m, rho, sigma_h_sq=1.7)
+    count = 2 * (1 << 12) + 1001  # three row blocks, the last one partial
+    got = _gain_blocks(spec, count, np.random.default_rng(5))
+    ref = _reference_gain_blocks(spec, count, np.random.default_rng(5))
+    assert got.tobytes() == ref.tobytes()
+
+
+_ODD_N = 3 * (1 << 15) + 1234  # three full chunks and a partial one
+
+
+def _sampled_outputs(spec):
+    from qoslink.queuesim import _service_trace
+
+    mc = effective_capacity_mc(spec, 2.0, 0.3, n_samples=_ODD_N, seed=7)
+    return (
+        _service_trace(spec, 2.0, _ODD_N, 7).tobytes(),
+        (mc.value, mc.std_error),
+        log_rate_cov_sum(spec, 2.0, n_samples=_ODD_N, seed=7),
+    )
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+def test_gain_outputs_independent_of_worker_count(rho, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from qoslink import channel
+    from qoslink.queuesim import _service_trace
+
+    spec = ChannelSpec(10, rho)
+    outputs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+    try:
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(channel, "_pool", lambda pid: (pool, workers))
+                outputs.append(_sampled_outputs(spec))
+    finally:
+        sys.setswitchinterval(switch)
+        monkeypatch.undo()
+    assert outputs[0] == outputs[1] == _sampled_outputs(spec)
+    # the serial per-chunk loop the fan-out replaced
+    ref = np.empty(_ODD_N)
+    for c, start in enumerate(range(0, _ODD_N, 1 << 15)):
+        count = min(1 << 15, _ODD_N - start)
+        z = _reference_gain_blocks(spec, count, channel._stream(7, (1, c)))
+        ref[start : start + count] = np.log1p(2.0 * z).sum(axis=1) / math.log(2.0)
+    assert _service_trace(spec, 2.0, _ODD_N, 7).tobytes() == ref.tobytes()
+
+
+def test_import_starts_no_thread():
+    import subprocess
+    from pathlib import Path
+
+    import qoslink
+
+    src_dir = str(Path(qoslink.__file__).resolve().parents[1])
+    code = "import threading, qoslink; print(threading.active_count())"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, timeout=120,
+    )
+    assert out.stdout.strip() == "1"
+
+
+def test_chunk_failure_reaches_caller():
+    from qoslink.channel import _gain_chunks
+
+    def work(start, z):
+        if start == 2 * (1 << 15):
+            raise ArithmeticError("chunk 2")
+        return start
+
+    with pytest.raises(ArithmeticError, match="chunk 2"):
+        list(_gain_chunks(ChannelSpec(2, 0.5), _ODD_N, 0, (), work))
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,80 @@ def test_stationary_properties(seed):
     np.testing.assert_allclose(pi @ J, pi, atol=1e-12)
 
 
+def _reference_terminal_components(adjacency):
+    # the per-edge loop the vectorized helper replaced
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, labels = connected_components(
+        csr_matrix(adjacency), directed=True, connection="strong"
+    )
+    has_exit = np.zeros(n_comp, dtype=bool)
+    rows, cols = np.nonzero(adjacency)
+    for i, j in zip(rows, cols):
+        if labels[i] != labels[j]:
+            has_exit[labels[i]] = True
+    return [c for c in range(n_comp) if not has_exit[c]], labels
+
+
+def _reference_component_period(adjacency, members):
+    # per-vertex breadth-first search and a per-edge gcd
+    sub = adjacency[np.ix_(members, members)]
+    n = len(members)
+    depth = np.full(n, -1, dtype=int)
+    depth[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(sub[u])[0]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    g = 0
+    for u in range(n):
+        for v in np.nonzero(sub[u])[0]:
+            g = math.gcd(g, depth[u] + 1 - depth[int(v)])
+    return max(g, 1)
+
+
+def _random_adjacency(kind, n, rng):
+    if kind == "sparse":
+        return rng.random((n, n)) < 0.15
+    if kind == "dense":
+        return rng.random((n, n)) < 0.9
+    if kind == "periodic":
+        # edges only from cyclic class c to class c + 1 (mod k)
+        k = int(rng.integers(2, 5))
+        cls = rng.integers(0, k, size=n)
+        return ((cls[None, :] - cls[:, None]) % k == 1) & (rng.random((n, n)) < 0.7)
+    # reducible: dense diagonal blocks, sparse edges from earlier blocks to later
+    block = np.sort(rng.integers(0, 3, size=n))
+    inside = (block[:, None] == block[None, :]) & (rng.random((n, n)) < 0.6)
+    down = (block[:, None] < block[None, :]) & (rng.random((n, n)) < 0.1)
+    return inside | down
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["sparse", "dense", "periodic", "reducible"]),
+    n=st.integers(min_value=1, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_class_structure_matches_loop_reference(kind, n, seed):
+    adjacency = _random_adjacency(kind, n, np.random.default_rng(seed))
+    terminal, labels = sources_module._terminal_components(adjacency)
+    ref_terminal, ref_labels = _reference_terminal_components(adjacency)
+    assert terminal == ref_terminal
+    assert np.array_equal(labels, ref_labels)
+    for c in range(labels.max() + 1):
+        members = np.nonzero(labels == c)[0]
+        assert sources_module._component_period(adjacency, members) == (
+            _reference_component_period(adjacency, members)
+        )
+
+
 def test_fluid_stationary_accepts_raw_generator():
     G = np.array([[-2.0, 2.0], [3.0, -3.0]])
     pi = stationary_distribution_fluid(G)
