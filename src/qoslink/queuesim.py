@@ -133,11 +133,8 @@ def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 def _delay_tail_mass(arrivals, cum_arrivals, departed, d, start, stop):
     """(bit mass, block count) of arrivals in blocks [start, stop] still
     queued d blocks on."""
-    late = np.clip(
-        cum_arrivals[start : stop + 1] - departed[start + d - 1 : stop + d],
-        0.0,
-        arrivals[start : stop + 1],
-    )
+    late = cum_arrivals[start : stop + 1] - departed[start + d - 1 : stop + d]
+    np.clip(late, 0.0, arrivals[start : stop + 1], out=late)
     return float(late.sum()), int(np.count_nonzero(late))
 
 

@@ -6,9 +6,14 @@ continuous-time Markov fluid source, and a Markov-modulated Poisson
 process (MMPP).  Two-state ON/OFF parameterizations of each family have
 closed-form effective bandwidths; the general n-state forms take the
 Perron root of a nonnegative or Metzler matrix from one dense
-eigen-decomposition.  Those forms are kernels on raw arrays
-(``_ebw_discrete``, ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that
-scales the rates can call them without building a source at each step.
+eigen-decomposition.  Each matrix source decides once, when it is built,
+whether its chain satisfies detailed balance (``reversible``).  For a
+reversible chain that matrix is similar to a symmetric one, whose
+largest eigenvalue comes from the symmetric solver, faster and with a
+perfectly conditioned eigenvalue; other chains take the general dense
+spectrum.  Those forms are kernels on raw arrays (``_ebw_discrete``,
+``_ebw_fluid``, ``_ebw_mmpp``), so a solver that scales the rates can
+call them without building a source at each step.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -21,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import singledispatch
 from typing import Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import NonConvergence, NoUniqueStationary, ValidationError
 
@@ -52,16 +57,27 @@ def _frozen_array(obj, value, field):
     return arr
 
 
+def _graph(adjacency: np.ndarray):
+    """(CSR graph, edge rows, edge cols) of a dense boolean adjacency."""
+    n = adjacency.shape[0]
+    rows, cols = np.nonzero(adjacency)
+    # np.nonzero walks row-major, so its columns are already the CSR indices
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    graph = csr_matrix(
+        (np.ones(len(cols), dtype=np.int8), cols.astype(np.int32), indptr), shape=(n, n)
+    )
+    return graph, rows, cols
+
+
 def _terminal_components(adjacency: np.ndarray):
     """Strongly connected components with no outgoing edges.
 
     A finite chain has a unique stationary distribution exactly when
     there is a single such terminal (recurrent) class.
     """
-    n_comp, labels = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
-    rows, cols = np.nonzero(adjacency)
+    graph, rows, cols = _graph(adjacency)
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     exits = labels[rows] != labels[cols]
     has_exit = np.zeros(n_comp, dtype=bool)
     has_exit[labels[rows[exits]]] = True
@@ -69,21 +85,92 @@ def _terminal_components(adjacency: np.ndarray):
     return terminal, labels
 
 
+def _bfs_forest(graph) -> np.ndarray:
+    """Parent of each vertex in breadth-first trees covering the graph.
+
+    Trees grow from the lowest vertex not yet reached, vertex 0 first,
+    and a root's parent is -1.  Every tree is a shortest-path tree when
+    each vertex is reached from the root of its own class: a strongly
+    connected graph, or one with a symmetric edge set.
+    """
+    n = graph.shape[0]
+    parent = np.full(n, -1)
+    reached = np.zeros(n, dtype=bool)
+    root = 0
+    while True:
+        order, pred = breadth_first_order(
+            graph, root, directed=True, return_predecessors=True
+        )
+        new = order[~reached[order]]
+        parent[new[1:]] = pred[new[1:]]
+        reached[new] = True
+        if reached.all():
+            return parent
+        root = int(np.argmin(reached))
+
+
+def _path_sums(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Sum of ``step`` over each vertex's tree path up to, not including,
+    its root, by pointer doubling: about log2(depth) vectorized rounds.
+
+    ``step`` may carry extra trailing axes; roots contribute nothing.
+    """
+    roots = parent < 0
+    up = np.where(roots, np.arange(len(parent)), parent)  # roots point at themselves
+    total = step.copy()
+    total[roots] = 0
+    while True:
+        # total[v] sums the path from v up to, not including, up[v]
+        skip = up[up]
+        if np.array_equal(skip, up):
+            return total
+        total += total[up]
+        up = skip
+
+
 def _component_period(adjacency: np.ndarray, members: np.ndarray) -> int:
     """Period (gcd of cycle lengths) of one strongly connected component."""
-    sub = adjacency[np.ix_(members, members)]
-    # breadth-first depths from member 0, one level at a time
-    depth = np.full(len(members), -1)
-    depth[0] = 0
-    frontier = depth == 0
-    level = 0
-    while frontier.any():
-        level += 1
-        frontier = sub[frontier].any(axis=0) & (depth < 0)
-        depth[frontier] = level
+    graph, rows, cols = _graph(adjacency[np.ix_(members, members)])
+    # breadth-first depths from member 0
+    parent = _bfs_forest(graph)
+    depth = _path_sums(parent, np.ones(len(members), dtype=int))
     # the period is the gcd of depth[u] + 1 - depth[v] over the edges u -> v
-    rows, cols = np.nonzero(sub)
     return max(int(np.gcd.reduce(np.abs(depth[rows] + 1 - depth[cols]))), 1)
+
+
+def _is_reversible(Q: np.ndarray) -> bool:
+    """Whether the chain with transition probabilities or rates ``Q``
+    satisfies detailed balance, pi_i Q_ij = pi_j Q_ji for some positive pi.
+
+    pi itself is never formed: on long chains it underflows.  The edge
+    set off the diagonal must be symmetric.  Log-potentials phi (log pi
+    / 2) are summed along breadth-first trees, and every edge must then
+    meet log Q_ij - log Q_ji = 2 (phi_j - phi_i) to within a few ulps of
+    the magnitudes summed into it.
+    """
+    n = Q.shape[0]
+    support = Q > 0
+    np.fill_diagonal(support, False)
+    if not np.array_equal(support, support.T):
+        return False
+    graph, rows, cols = _graph(support)
+    parent = _bfs_forest(graph)
+    child = np.flatnonzero(parent >= 0)
+    down = np.log(Q[parent[child], child])
+    up = np.log(Q[child, parent[child]])
+    # per tree edge: the potential step and the magnitude it carries
+    step = np.zeros((n, 2))
+    step[child, 0] = 0.5 * (down - up)
+    step[child, 1] = np.abs(down) + np.abs(up)
+    phi, mag = _path_sums(parent, step).T
+    ahead = rows < cols
+    i, j = rows[ahead], cols[ahead]
+    fwd = np.log(Q[i, j])
+    back = np.log(Q[j, i])
+    resid = np.abs(fwd - back - 2.0 * (phi[j] - phi[i]))
+    # rounding of the logs and of the doubling sums, log2(n) rounds deep
+    ulps = (4.0 + 2.0 * math.log2(n)) * np.finfo(float).eps
+    return bool(np.all(resid <= ulps * (np.abs(fwd) + np.abs(back) + mag[i] + mag[j])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +179,14 @@ class DiscreteMarkovSource:
 
     ``transition_probs[i][j]`` is the probability of moving from state i
     to state j at a block boundary; ``rates[i]`` is the deterministic
-    arrival volume (bits/block) while in state i.
+    arrival volume (bits/block) while in state i.  ``reversible`` is
+    computed at construction: whether the chain satisfies detailed
+    balance.
     """
 
     transition_probs: np.ndarray
     rates: np.ndarray
+    reversible: bool = field(init=False)
 
     def __post_init__(self):
         J = _frozen_array(self, np.atleast_2d(self.transition_probs), "transition_probs")
@@ -125,6 +215,7 @@ class DiscreteMarkovSource:
         members = np.nonzero(labels == terminal[0])[0]
         if _component_period(J > 0, members) != 1:
             raise ValueError("periodic chains are not supported")
+        object.__setattr__(self, "reversible", _is_reversible(J))
 
     @property
     def n_states(self) -> int:
@@ -137,11 +228,14 @@ class FluidMarkovSource:
 
     ``generator[i][j]`` (i != j) is the transition rate from state i to
     state j in 1/block; rows sum to zero.  While in state i, fluid
-    arrives deterministically at ``rates[i]`` bits/block.
+    arrives deterministically at ``rates[i]`` bits/block.  ``reversible``
+    is computed at construction: whether the chain satisfies detailed
+    balance.
     """
 
     generator: np.ndarray
     rates: np.ndarray
+    reversible: bool = field(init=False)
 
     def __post_init__(self):
         G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
@@ -151,6 +245,7 @@ class FluidMarkovSource:
             raise ValueError("rates must be a vector matching the chain size")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValueError("rates must be finite and >= 0")
+        object.__setattr__(self, "reversible", _is_reversible(G))
 
     @property
     def n_states(self) -> int:
@@ -160,10 +255,13 @@ class FluidMarkovSource:
 @dataclass(frozen=True, eq=False)
 class MmppSource:
     """Markov-modulated Poisson process: Poisson arrivals whose intensity
-    (bits/block) is selected by a continuous-time Markov chain."""
+    (bits/block) is selected by a continuous-time Markov chain.
+    ``reversible`` is computed at construction: whether the chain
+    satisfies detailed balance."""
 
     generator: np.ndarray
     intensities: np.ndarray
+    reversible: bool = field(init=False)
 
     def __post_init__(self):
         G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
@@ -173,6 +271,7 @@ class MmppSource:
             raise ValueError("intensities must be a vector matching the chain size")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0):
             raise ValueError("intensities must be finite and >= 0")
+        object.__setattr__(self, "reversible", _is_reversible(G))
 
     @property
     def n_states(self) -> int:
@@ -387,30 +486,65 @@ def _perron_root(M: np.ndarray) -> float:
 
     By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
     a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
-    larger real part, so the largest real part of the dense spectrum is
-    the root itself.
+    larger real part.  An exactly symmetric M takes the symmetric solver
+    (``eigvalsh``), whose largest eigenvalue is the root and is perfectly
+    conditioned; any other M takes the largest real part of the dense
+    spectrum (``eigvals``).  Either solver's failure is NonConvergence.
+
+    The kernels below hand a reversible chain's matrix over symmetrized
+    (``_symmetrized``).  If the chain's edges meet detailed balance only
+    to a log-residual tau, so that the symmetrized entries are within a
+    factor e^{tau/2} of a diagonal similarity of M, Perron monotonicity
+    (applied to both matrices shifted by c I) bounds the change in the
+    root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
+    ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
     try:
+        if np.array_equal(M, M.T):
+            return float(np.linalg.eigvalsh(M)[-1])
         return float(np.max(np.linalg.eigvals(M).real))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
 
 
-def _ebw_discrete(transition_probs: np.ndarray, rates: np.ndarray, theta: float) -> float:
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    """sqrt(M_ij) sqrt(M_ji) off the diagonal and M's own diagonal.
+
+    For M of a reversible chain this is D M D^-1 for a positive diagonal
+    D, so it has M's spectrum.  Each square root is taken before the
+    product, so tiny entries do not underflow, and the product commutes,
+    so the result is exactly symmetric.
+    """
+    root = np.sqrt(np.maximum(M, 0.0))
+    A = root * root.T
+    np.fill_diagonal(A, np.diagonal(M))
+    return A
+
+
+def _ebw_discrete(
+    transition_probs: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
+) -> float:
     lam_max = float(np.max(rates))
     # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]
-    sp = _perron_root(np.exp(theta * (rates - lam_max))[:, None] * transition_probs)
+    M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
+    sp = _perron_root(_symmetrized(M) if reversible else M)
     if sp <= 0.0:
         raise NonConvergence("spectral radius collapsed to zero")
     return lam_max + math.log(sp) / theta
 
 
-def _ebw_fluid(generator: np.ndarray, rates: np.ndarray, theta: float) -> float:
-    return _perron_root(np.diag(rates) + generator / theta)
+def _ebw_fluid(
+    generator: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
+) -> float:
+    M = np.diag(rates) + generator / theta
+    return _perron_root(_symmetrized(M) if reversible else M)
 
 
-def _ebw_mmpp(generator: np.ndarray, intensities: np.ndarray, theta: float) -> float:
-    return _perron_root(math.expm1(theta) * np.diag(intensities) + generator) / theta
+def _ebw_mmpp(
+    generator: np.ndarray, intensities: np.ndarray, theta: float, reversible: bool
+) -> float:
+    M = math.expm1(theta) * np.diag(intensities) + generator
+    return _perron_root(_symmetrized(M) if reversible else M) / theta
 
 
 def effective_bandwidth_discrete(
@@ -421,7 +555,9 @@ def effective_bandwidth_discrete(
     The spectral radius is taken after scaling out e^{theta*max(rates)}
     so it never overflows for large theta*rate products.
     """
-    return _ebw_discrete(src.transition_probs, src.rates, _check_theta(theta))
+    return _ebw_discrete(
+        src.transition_probs, src.rates, _check_theta(theta), src.reversible
+    )
 
 
 def effective_bandwidth_onoff_discrete(
@@ -453,7 +589,7 @@ def effective_bandwidth_onoff_discrete(
 
 def effective_bandwidth_fluid(src: FluidMarkovSource, theta: QosExponent) -> float:
     """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
-    return _ebw_fluid(src.generator, src.rates, _check_theta(theta))
+    return _ebw_fluid(src.generator, src.rates, _check_theta(theta), src.reversible)
 
 
 def _stable_quadratic_root(x: float, y: float) -> float:
@@ -481,7 +617,9 @@ def effective_bandwidth_onoff_fluid(
 
 def effective_bandwidth_mmpp(src: MmppSource, theta: QosExponent) -> float:
     """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
-    return _ebw_mmpp(src.generator, src.intensities, _check_theta(theta))
+    return _ebw_mmpp(
+        src.generator, src.intensities, _check_theta(theta), src.reversible
+    )
 
 
 def effective_bandwidth_onoff_mmpp(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qoslink.sources as sources_module
+from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
 from qoslink.errors import NonConvergence, NoUniqueStationary, ValidationError
 from qoslink.sources import (
     DiscreteMarkovSource,
@@ -112,10 +113,148 @@ def test_eigen_solver_failure_is_nonconvergence(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(sources_module.np.linalg, "eigvals", fail)
+    # a biased 3-cycle has no detailed balance and takes the general
+    # solver; the ON/OFF source is reversible and takes the symmetric one
+    G = np.array([[-3.0, 2.0, 1.0], [1.0, -3.0, 2.0], [2.0, 1.0, -3.0]])
+    cycle = FluidMarkovSource(G, np.array([0.0, 1.0, 2.0]))
+    onoff = as_fluid_source(OnOffContinuousParams(2.0, 3.0, 1.0))
+    assert not cycle.reversible and onoff.reversible
+    for solver, src in (("eigvals", cycle), ("eigvalsh", onoff)):
+        with monkeypatch.context() as patch:
+            patch.setattr(sources_module.np.linalg, solver, fail)
+            with pytest.raises(NonConvergence, match="did not converge"):
+                effective_bandwidth_fluid(src, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# reversible chains: the symmetric eigenproblem
+# ---------------------------------------------------------------------------
+
+
+def _family_sources(P, rates):
+    """Discrete source on P, and fluid and MMPP sources on the generator
+    whose jump chain is P without its diagonal."""
+    G = P - np.diag(np.diag(P))
+    G -= np.diag(G.sum(axis=1))
+    return [
+        DiscreteMarkovSource(P, rates),
+        FluidMarkovSource(G, rates),
+        MmppSource(G, rates),
+    ]
+
+
+def _general_route(src, theta):
+    # the general dense spectrum, exactly as the kernels take it for any
+    # chain without detailed balance
+    if isinstance(src, DiscreteMarkovSource):
+        r = src.rates
+        lam_max = float(np.max(r))
+        M = np.exp(theta * (r - lam_max))[:, None] * src.transition_probs
+        return lam_max + math.log(float(np.max(np.linalg.eigvals(M).real))) / theta
+    if isinstance(src, FluidMarkovSource):
+        M = np.diag(src.rates) + src.generator / theta
+        return float(np.max(np.linalg.eigvals(M).real))
+    M = math.expm1(theta) * np.diag(src.intensities) + src.generator
+    return float(np.max(np.linalg.eigvals(M).real)) / theta
+
+
+_PUBLIC_ROUTE = {
+    DiscreteMarkovSource: effective_bandwidth_discrete,
+    FluidMarkovSource: effective_bandwidth_fluid,
+    MmppSource: effective_bandwidth_mmpp,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    theta=st.floats(min_value=0.02, max_value=5.0),
+)
+def test_random_walks_on_symmetric_weights_take_symmetric_route(n, seed, theta):
+    rng = np.random.default_rng(seed)
+    # symmetric weights over a random edge set that keeps a path through
+    # every state, plus self-loops so the discrete chain is aperiodic
+    W = np.exp(rng.uniform(-3.0, 3.0, (n, n))) * (rng.random((n, n)) < 0.5)
+    W[np.arange(n - 1), np.arange(1, n)] += 1.0
+    W = np.triu(W, 1)
+    W = W + W.T + np.diag(np.exp(rng.uniform(-3.0, 3.0, n)))
+    P = W / W.sum(axis=1, keepdims=True)
+    rates = rng.uniform(0.0, 5.0, n)
+    for src in _family_sources(P, rates):
+        assert src.reversible
+        assert _PUBLIC_ROUTE[type(src)](src, theta) == pytest.approx(
+            _general_route(src, theta), rel=1e-10
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    theta=st.floats(min_value=0.02, max_value=5.0),
+)
+def test_chains_without_detailed_balance_keep_general_route(n, seed, theta):
+    rng = np.random.default_rng(seed)
+    biased_cycle = np.array([[0.2, 0.6, 0.2], [0.2, 0.2, 0.6], [0.6, 0.2, 0.2]])
+    chains = [(random_chain(rng, n), rng.uniform(0.0, 5.0, n)),
+              (biased_cycle, rng.uniform(0.0, 5.0, 3))]
+    for P, rates in chains:
+        for src in _family_sources(P, rates):
+            assert not src.reversible
+            assert _PUBLIC_ROUTE[type(src)](src, theta) == _general_route(src, theta)
+
+
+def test_reversibility_without_the_stationary_law():
+    # pi spans 60+ decades on these chains; the decision never forms it
+    bd = build_birth_death_fluid(200, 1.0, 2.0, 1.0)
+    assert bd.reversible and MmppSource(bd.generator, bd.rates).reversible
+    assert build_binomial_discrete_source(200, 0.3, 1.0).reversible
+    # a one-way edge breaks the symmetric support
+    G = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+    assert not FluidMarkovSource(G, np.arange(3.0)).reversible
+    # two closed ON/OFF pairs: each class balances on its own
+    pair = np.array([[-2.0, 2.0], [3.0, -3.0]])
+    split = np.block([[pair, np.zeros((2, 2))], [np.zeros((2, 2)), 2 * pair]])
+    src = FluidMarkovSource(split, np.array([0.0, 1.0, 0.0, 4.0]))
+    assert src.reversible
+    assert effective_bandwidth_fluid(src, 0.7) == pytest.approx(_general_route(src, 0.7), rel=1e-12)
+
+
+def test_reversible_is_computed_and_read_only():
     src = as_fluid_source(OnOffContinuousParams(2.0, 3.0, 1.0))
-    with pytest.raises(NonConvergence, match="did not converge"):
-        effective_bandwidth_fluid(src, 1.0)
+    assert src.reversible is True
+    with pytest.raises(AttributeError):
+        src.reversible = False
+    with pytest.raises(TypeError):
+        FluidMarkovSource(src.generator, src.rates, reversible=False)
+
+
+# a*(theta) of n=30 sources from 40-digit mpmath Perron roots of the
+# unsymmetrized matrices: tests/perron_reference.py
+_MPMATH_EBW = {
+    ("fluid", 0.01): 2.656844911364930850446586,
+    ("fluid", 0.2): 25.81395024571339254865947,
+    ("fluid", 1.5): 28.14854792201557700477867,
+    ("mmpp", 0.01): 2.775345927640903667312506,
+    ("mmpp", 0.2): 28.79808148501902760364153,
+    ("mmpp", 1.5): 66.26501768736965853995024,
+    ("binomial", 0.01): 8.730490533716433874476701,
+    ("binomial", 0.2): 9.324662944492299286393,
+    ("binomial", 1.5): 13.82635993231296211941155,
+}
+
+
+@pytest.mark.parametrize("family,theta", sorted(_MPMATH_EBW))
+def test_eigen_route_matches_mpmath(family, theta):
+    fluid = build_birth_death_fluid(30, 1.0, 2.0, 1.0)
+    if family == "fluid":
+        got = effective_bandwidth_fluid(fluid, theta)
+    elif family == "mmpp":
+        got = effective_bandwidth_mmpp(MmppSource(fluid.generator, fluid.rates), theta)
+    else:
+        got = effective_bandwidth_discrete(build_binomial_discrete_source(30, 0.3, 1.0), theta)
+    assert got == pytest.approx(_MPMATH_EBW[family, theta], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
