@@ -29,6 +29,8 @@ from .energy import (
     energy_metrics_onoff_fluid,
     energy_metrics_onoff_mmpp,
     numeric_energy_metrics,
+    source_ebn0_curve,
+    source_energy_metrics,
 )
 from .errors import (
     BracketFailure,
@@ -56,6 +58,8 @@ from .sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
@@ -75,6 +79,7 @@ from .throughput import (
     ThroughputResult,
     high_snr_slope,
     low_theta_asymptotics,
+    max_avg_rate,
     max_avg_rate_nstate,
     max_avg_rate_onoff_discrete,
     max_avg_rate_onoff_fluid,

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import i0e
 
-from .errors import DegenerateEstimate, QuadratureFailure, ValidationError
+from .errors import DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta
 
 LN2 = math.log(2.0)
 
@@ -126,13 +126,6 @@ def _check_snr(snr: float) -> float:
     if not math.isfinite(snr) or snr <= 0:
         raise ValueError(f"snr must be finite and > 0 (linear), got {snr}")
     return snr
-
-
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
-    return theta
 
 
 # ---------------------------------------------------------------------------

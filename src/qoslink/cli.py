@@ -7,7 +7,9 @@ sha256.  Data files are deterministic: fixed column order, rows sorted
 by (theta, snr_db), '.' decimals, LF line endings, 17 significant
 digits, and every randomized computation demands an explicit --seed.
 dB to linear conversion happens here and only here; the library wants
-linear snr throughout.
+linear snr throughout.  The CLI only parses and formats: the source
+document becomes a typed source object, and which closed form, eigen
+route or solver applies is the library's choice, read from that type.
 
 Exit codes: 0 success, 2 invalid inputs, 3 runtime failure.
 """
@@ -32,34 +34,11 @@ from .channel import (
     effective_capacity_quadrature,
     effective_capacity_rayleigh_iid,
 )
-from .energy import (
-    ebn0_curve,
-    energy_metrics_constant,
-    energy_metrics_onoff_discrete,
-    energy_metrics_onoff_fluid,
-    energy_metrics_onoff_mmpp,
-    numeric_energy_metrics,
-)
+from .energy import source_ebn0_curve, source_energy_metrics
 from .errors import QoslinkError, ValidationError
 from .queuesim import SimConfig, simulate_queue
-from .sources import (
-    as_discrete_source,
-    as_fluid_source,
-    as_mmpp_source,
-    effective_bandwidth_discrete,
-    effective_bandwidth_fluid,
-    effective_bandwidth_mmpp,
-    effective_bandwidth_onoff_discrete,
-    effective_bandwidth_onoff_fluid,
-    effective_bandwidth_onoff_mmpp,
-    source_from_json,
-)
-from .throughput import (
-    max_avg_rate_nstate,
-    max_avg_rate_onoff_discrete,
-    max_avg_rate_onoff_fluid,
-    max_avg_rate_onoff_mmpp,
-)
+from .sources import source_from_json
+from .throughput import max_avg_rate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -230,46 +209,8 @@ def _write_manifest(out_dir, command, params, seed, started, outputs) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Source dispatch helpers
+# Capacity helpers
 # ---------------------------------------------------------------------------
-
-_MATRIX_KINDS = ("discrete", "fluid", "mmpp")
-
-
-def _bandwidth_paths(kind, src):
-    """(closed-form callable | None, eigen callable | None) for one source."""
-    if kind == "onoff-discrete":
-        return (
-            lambda th: effective_bandwidth_onoff_discrete(src, th),
-            lambda th: effective_bandwidth_discrete(as_discrete_source(src), th),
-        )
-    if kind == "onoff-fluid":
-        return (
-            lambda th: effective_bandwidth_onoff_fluid(src, th),
-            lambda th: effective_bandwidth_fluid(as_fluid_source(src), th),
-        )
-    if kind == "onoff-mmpp":
-        return (
-            lambda th: effective_bandwidth_onoff_mmpp(src, th),
-            lambda th: effective_bandwidth_mmpp(as_mmpp_source(src), th),
-        )
-    eigen = {
-        "discrete": effective_bandwidth_discrete,
-        "fluid": effective_bandwidth_fluid,
-        "mmpp": effective_bandwidth_mmpp,
-    }[kind]
-    return (lambda th: eigen(src, th), None)
-
-
-def _throughput_solver(kind, src):
-    """ce, theta -> ThroughputResult for one parsed source."""
-    if kind == "onoff-discrete":
-        return lambda ce, th: max_avg_rate_onoff_discrete(ce, th, src.p11, src.p22)
-    if kind == "onoff-fluid":
-        return lambda ce, th: max_avg_rate_onoff_fluid(ce, th, src.alpha, src.beta)
-    if kind == "onoff-mmpp":
-        return lambda ce, th: max_avg_rate_onoff_mmpp(ce, th, src.alpha, src.beta)
-    return lambda ce, th: max_avg_rate_nstate(src, th, ce)
 
 
 def _capacity_fn(method, spec, n_samples, seed):
@@ -310,16 +251,16 @@ def _cmd_ebw(args, out_dir) -> int:
     started = _utc_now()
     doc = _load_json_arg(args.source, "source")
     src = source_from_json(doc)
-    kind = doc["kind"]
     thetas = _parse_grid(args.theta, "theta", positive=True)
-    closed, eigen = _bandwidth_paths(kind, src)
+    # a matrix source is its own twin: its one route is the eigen route
+    twin = src.as_matrix()
     rows = []
     for th in thetas:
         rows.append(
             {
                 "theta": th,
-                "a_star": closed(th),
-                "a_star_eigen": eigen(th) if eigen is not None else None,
+                "a_star": src.effective_bandwidth(th),
+                "a_star_eigen": twin.effective_bandwidth(th) if twin is not src else None,
             }
         )
     data = _write_rows(out_dir, "ebw", args.format, ("theta", "a_star", "a_star_eigen"), rows)
@@ -375,7 +316,6 @@ def _cmd_throughput(args, out_dir) -> int:
         raise ValidationError("capacity", f"must be closed-iid or mc, got {args.capacity!r}")
     seed = _require_seed(args) if args.capacity == "mc" else None
     cap = _capacity_fn(args.capacity, spec, args.n_samples, seed)
-    solve = _throughput_solver(src_doc["kind"], src)
     rows = []
     for th in thetas:
         for snr_db in snr_dbs:
@@ -384,7 +324,7 @@ def _cmd_throughput(args, out_dir) -> int:
                    "method": None, "error": None}
             try:
                 ce, _ = cap(_db_to_linear(snr_db), th)
-                res = solve(ce, th)
+                res = max_avg_rate(src, ce, th)
                 row.update(
                     c_e=ce, r_avg_star=res.r_avg_star,
                     lambda_star=res.lambda_star, method=res.method,
@@ -406,24 +346,6 @@ def _cmd_throughput(args, out_dir) -> int:
     return EXIT_OK
 
 
-def _energy_kind(src_doc):
-    """CLI source JSON -> (energy kind, solver kwargs, closed-form or None)."""
-    kind = src_doc.get("kind")
-    if kind == "constant":
-        return "constant", {}, energy_metrics_constant
-    src = source_from_json(src_doc)
-    if kind == "onoff-discrete":
-        kw = {"p11": src.p11, "p22": src.p22}
-        return "discrete", kw, lambda spec, th, **k: energy_metrics_onoff_discrete(spec, th, k["p11"], k["p22"])
-    if kind == "onoff-fluid":
-        kw = {"alpha": src.alpha, "beta": src.beta}
-        return "fluid", kw, lambda spec, th, **k: energy_metrics_onoff_fluid(spec, th, k["alpha"], k["beta"])
-    if kind == "onoff-mmpp":
-        kw = {"alpha": src.alpha, "beta": src.beta}
-        return "mmpp", kw, lambda spec, th, **k: energy_metrics_onoff_mmpp(spec, th, k["alpha"], k["beta"])
-    return "nstate", {"source": src}, None
-
-
 def _cmd_energy(args, out_dir) -> int:
     _require(args, ["source", "channel", "theta", "snr-db"])
     started = _utc_now()
@@ -434,14 +356,16 @@ def _cmd_energy(args, out_dir) -> int:
     if not math.isfinite(theta) or theta <= 0:
         raise ValidationError("theta", f"must be finite and > 0, got {args.theta}")
     snr_dbs = _parse_grid(args.snr_db, "snr-db")
-    kind, solver_kw, closed_form = _energy_kind(src_doc)
+    # constant-rate arrivals are no source object: the energy layer takes None
+    src = None if src_doc.get("kind") == "constant" else source_from_json(src_doc)
+    kind, metrics, provenance = source_energy_metrics(src, spec, theta)
 
     rows = []
     for snr_db in snr_dbs:
         row = {"kind": kind, "theta": theta, "snr_db": round(snr_db, 4),
                "ebn0_db": None, "rate_per_symbol": None, "error": None}
         try:
-            pts = ebn0_curve(kind, spec, theta, [_db_to_linear(snr_db)], **solver_kw)
+            pts = source_ebn0_curve(src, spec, theta, [_db_to_linear(snr_db)])
             if not pts:
                 continue  # zero-rate point: dropped, like the library does
             row.update(ebn0_db=round(pts[0].ebn0_db, 4), rate_per_symbol=pts[0].normalized_rate)
@@ -454,12 +378,6 @@ def _cmd_energy(args, out_dir) -> int:
         col_formats={"snr_db": ".4f", "ebn0_db": ".4f"},
     )
 
-    if closed_form is not None:
-        metrics = closed_form(spec, theta, **solver_kw)
-        provenance = "closed_form"
-    else:
-        metrics = numeric_energy_metrics(kind, spec, theta, **solver_kw)
-        provenance = "numeric"
     metrics_doc = {
         "kind": kind,
         "theta": theta,
@@ -477,16 +395,6 @@ def _cmd_energy(args, out_dir) -> int:
     return EXIT_OK
 
 
-def _sim_source(doc):
-    src = source_from_json(doc)
-    kind = doc["kind"]
-    if kind == "onoff-fluid":
-        return as_fluid_source(src)
-    if kind == "onoff-mmpp":
-        return as_mmpp_source(src)
-    return src  # params or matrix forms are accepted directly
-
-
 def _cmd_simulate(args, out_dir) -> int:
     _require(args, ["sim-config"])
     started = _utc_now()
@@ -499,7 +407,7 @@ def _cmd_simulate(args, out_dir) -> int:
         raise ValidationError("seed", "simulation needs a seed (--seed or config)")
     args.seed = seed
     seed = _require_seed(args)
-    source = _sim_source(doc["source"])
+    source = source_from_json(doc["source"])
     spec = channel_spec_from_json(doc["channel"])
     try:
         cfg = SimConfig(

@@ -4,10 +4,13 @@ Closed forms cover the constant, ON/OFF discrete, ON/OFF fluid and
 ON/OFF MMPP sources; the minimum received energy per bit is log_e2 over
 the mean channel gain for the first three regardless of burstiness and
 QoS strictness, while the MMPP pays an (e^theta - 1)/theta penalty.
-Burstiness and correlation instead show up in the wideband slope.  A
-numeric route differentiates the r*(snr) curve at snr = 0 and must
-reproduce the closed forms; it also serves the n-state sources that
-have none.  Builders for the n-state reference models live here too.
+Burstiness (the source's ``burstiness``) and correlation instead show
+up in the wideband slope.  A numeric route differentiates the r*(snr)
+curve at snr = 0 and must reproduce the closed forms; it also serves the
+n-state sources that have none.  ``source_energy_metrics`` and
+``source_ebn0_curve`` take any source object (``None`` for constant-rate
+arrivals); the kind-string functions name that source by keywords.
+Builders for the n-state reference models live here too.
 """
 
 from __future__ import annotations
@@ -19,27 +22,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import (
+    LN2,
     ChannelSpec,
     effective_capacity_mc,
     effective_capacity_quadrature,
     fading_moments,
 )
-from .errors import IllConditioned
+from .errors import IllConditioned, _check_theta_nonneg
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
-    MmppSource,
-    OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
+    _param,
 )
-from .throughput import (
-    max_avg_rate_nstate,
-    max_avg_rate_onoff_discrete,
-    max_avg_rate_onoff_fluid,
-    max_avg_rate_onoff_mmpp,
-)
-
-LN2 = math.log(2.0)
+from .throughput import _onoff_source, max_avg_rate
 
 _RICHARDSON_H = 1e-4
 _RICHARDSON_REL_TOL = 1e-2
@@ -67,13 +65,6 @@ class EbN0CurvePoint:
     snr: float
 
 
-def _check_theta_nonneg(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    return theta
-
-
 def _metrics_from_coef(spec: ChannelSpec, theta: float, coef: float) -> EnergyMetrics:
     """Shared Theorem 8/9/10 shape: only the burstiness coefficient varies."""
     mom = fading_moments(spec)
@@ -92,43 +83,54 @@ def energy_metrics_constant(spec: ChannelSpec, theta: float) -> EnergyMetrics:
     return _metrics_from_coef(spec, _check_theta_nonneg(theta), 0.0)
 
 
+# the two-state sources with closed forms, and the kind each is labelled
+_CLOSED_FORM_KINDS = {
+    OnOffDiscreteParams: "discrete", OnOffFluidParams: "fluid", OnOffMmppParams: "mmpp"
+}
+
+
+def source_energy_metrics(src, spec: ChannelSpec, theta: float):
+    """(kind, metrics, provenance) of any source at one QoS exponent.
+
+    ``None`` (constant-rate arrivals) and the two-state ON/OFF sources
+    have ``closed_form`` metrics, from their burstiness; the MMPP pays
+    (e^theta - 1)/theta on the bit energy, and at theta = 0 it is the
+    fluid source.  Matrix sources take the ``numeric`` route as kind
+    ``nstate``.
+    """
+    if src is None:
+        return "constant", energy_metrics_constant(spec, theta), "closed_form"
+    kind = _CLOSED_FORM_KINDS.get(type(src))
+    if kind is None:
+        return "nstate", _numeric_metrics(src, spec, theta, "quadrature", _RICHARDSON_H), "numeric"
+    theta = _check_theta_nonneg(theta)
+    metrics = _metrics_from_coef(spec, theta, src.burstiness)
+    if isinstance(src, OnOffMmppParams) and theta != 0.0:
+        penalty = math.expm1(theta) / theta
+        ebn0 = metrics.ebn0_min_linear * penalty
+        metrics = EnergyMetrics(
+            ebn0, 10.0 * math.log10(ebn0), metrics.wideband_slope / penalty, theta
+        )
+    return kind, metrics, "closed_form"
+
+
 def energy_metrics_onoff_discrete(
     spec: ChannelSpec, theta: float, p11: float, p22: float
 ) -> EnergyMetrics:
-    theta = _check_theta_nonneg(theta)
-    params = OnOffDiscreteParams(p11, p22, 0.0)
-    if params.p11 == 1.0:
-        raise ValueError("p11 = 1 carries no traffic; energy metrics are undefined")
-    eta = (
-        (1.0 - params.p22)
-        * (params.p11 + params.p22)
-        / ((1.0 - params.p11) * (2.0 - params.p11 - params.p22))
-    )
-    return _metrics_from_coef(spec, theta, eta)
+    return source_energy_metrics(OnOffDiscreteParams(p11, p22, 0.0), spec, theta)[1]
 
 
 def energy_metrics_onoff_fluid(
     spec: ChannelSpec, theta: float, alpha: float, beta: float
 ) -> EnergyMetrics:
-    theta = _check_theta_nonneg(theta)
-    params = OnOffContinuousParams(alpha, beta, 0.0)
-    zeta = 2.0 * params.beta / (params.alpha * (params.alpha + params.beta))
-    return _metrics_from_coef(spec, theta, zeta)
+    return source_energy_metrics(OnOffFluidParams(alpha, beta, 0.0), spec, theta)[1]
 
 
 def energy_metrics_onoff_mmpp(
     spec: ChannelSpec, theta: float, alpha: float, beta: float
 ) -> EnergyMetrics:
     """MMPP pays (e^theta - 1)/theta on the bit energy; theta = 0 is fluid."""
-    theta = _check_theta_nonneg(theta)
-    base = energy_metrics_onoff_fluid(spec, theta, alpha, beta)
-    if theta == 0.0:
-        return base
-    penalty = math.expm1(theta) / theta
-    ebn0 = base.ebn0_min_linear * penalty
-    return EnergyMetrics(
-        ebn0, 10.0 * math.log10(ebn0), base.wideband_slope / penalty, theta
-    )
+    return source_energy_metrics(OnOffMmppParams(alpha, beta, 0.0), spec, theta)[1]
 
 
 def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMarkovSource:
@@ -146,9 +148,7 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
     s = float(s)
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    lam = _param("lam", lam)
     return DiscreteMarkovSource(np.tile(_binomial_pmf(n - 1, s), (n, 1)), lam * np.arange(n))
 
 
@@ -179,15 +179,9 @@ def build_birth_death_fluid(n: int, alpha: float, beta: float, lam: float) -> Fl
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    alpha = _param("alpha", alpha, positive=True)
+    beta = _param("beta", beta, positive=True)
+    lam = _param("lam", lam)
     G = np.zeros((n, n))
     G[0, 0], G[0, 1] = -alpha, alpha
     for i in range(1, n - 1):
@@ -214,27 +208,24 @@ def _capacity_at(spec, snr, theta, capacity, n_samples, seed):
     raise ValueError(f"capacity must be 'quadrature' or 'mc', got {capacity!r}")
 
 
-def _rate_solver(kind, theta, p11, p22, alpha, beta, source):
-    """Returns ce -> r_avg_star for the requested source kind."""
+def _kind_source(kind, p11, p22, alpha, beta, source):
+    """The source a kind-string call names; ``None`` is constant-rate."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if kind == "constant":
-        return lambda ce: ce
-    if kind == "discrete":
-        if p11 is None or p22 is None:
-            raise ValueError("discrete kind requires p11 and p22")
-        return lambda ce: max_avg_rate_onoff_discrete(ce, theta, p11, p22).r_avg_star
-    if kind == "fluid":
-        if alpha is None or beta is None:
-            raise ValueError("fluid kind requires alpha and beta")
-        return lambda ce: max_avg_rate_onoff_fluid(ce, theta, alpha, beta).r_avg_star
-    if kind == "mmpp":
-        if alpha is None or beta is None:
-            raise ValueError("mmpp kind requires alpha and beta")
-        return lambda ce: max_avg_rate_onoff_mmpp(ce, theta, alpha, beta).r_avg_star
+        return None
     if kind == "nstate":
         if source is None:
             raise ValueError("nstate kind requires a source object")
-        return lambda ce: max_avg_rate_nstate(source, theta, ce).r_avg_star
-    raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        return source
+    return _onoff_source(kind, p11, p22, alpha, beta)
+
+
+def _rate_solver(src, theta):
+    """ce -> r_avg_star for a source; ``None`` carries C_E itself."""
+    if src is None:
+        return lambda ce: ce
+    return lambda ce: max_avg_rate(src, ce, theta).r_avg_star
 
 
 def ebn0_curve(
@@ -252,7 +243,27 @@ def ebn0_curve(
     n_samples: int = 10 ** 6,
     seed: Optional[int] = None,
 ) -> list:
-    """Sweep snr and report (E_b/N_0, rate/symbol) operating points.
+    """Sweep snr and report (E_b/N_0, rate/symbol) operating points of
+    the source that ``kind`` and the keywords name; see
+    ``source_ebn0_curve``."""
+    src = _kind_source(kind, p11, p22, alpha, beta, source)
+    return source_ebn0_curve(
+        src, spec, theta, snr_grid, capacity=capacity, n_samples=n_samples, seed=seed
+    )
+
+
+def source_ebn0_curve(
+    src,
+    spec: ChannelSpec,
+    theta: float,
+    snr_grid: Sequence[float],
+    *,
+    capacity: str = "quadrature",
+    n_samples: int = 10 ** 6,
+    seed: Optional[int] = None,
+) -> list:
+    """Sweep snr and report (E_b/N_0, rate/symbol) operating points of
+    any source (``None`` for constant-rate arrivals).
 
     Points where the supportable rate is zero are dropped.  Capacity
     and solver failures are re-raised with the offending snr attached.
@@ -264,7 +275,7 @@ def ebn0_curve(
         raise ValueError("snr_grid entries must be finite and > 0")
     if sorted(grid) != grid:
         raise ValueError("snr_grid must be sorted ascending")
-    solver = _rate_solver(kind, theta, p11, p22, alpha, beta, source)
+    solver = _rate_solver(src, theta)
     points = []
     for snr in grid:
         try:
@@ -305,12 +316,17 @@ def numeric_energy_metrics(
     accepted: second differences amplify Monte Carlo noise far beyond
     usability.
     """
+    src = _kind_source(kind, p11, p22, alpha, beta, source)
+    return _numeric_metrics(src, spec, theta, capacity, h)
+
+
+def _numeric_metrics(src, spec, theta, capacity, h) -> EnergyMetrics:
     if capacity != "quadrature":
         raise ValueError(
             "numeric energy metrics require deterministic capacity; "
             "Monte Carlo estimates are rejected here"
         )
-    solver = _rate_solver(kind, theta, p11, p22, alpha, beta, source)
+    solver = _rate_solver(src, theta)
     h = float(h)
     if not (math.isfinite(h) and 0 < h < 0.01):
         raise ValueError(f"h must be a small positive step, got {h}")

@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types and the QoS-exponent checks shared across the package."""
+
+import math
+
+
+def _check_theta(theta: float) -> float:
+    """theta as a float, which must be finite and > 0 (1/bit)."""
+    theta = float(theta)
+    if not math.isfinite(theta) or theta <= 0:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
+    return theta
+
+
+def _check_theta_nonneg(theta: float) -> float:
+    """theta as a float, finite and >= 0: the theta -> 0 limits admit 0."""
+    theta = float(theta)
+    if not math.isfinite(theta) or theta < 0:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    return theta
 
 
 class QoslinkError(Exception):

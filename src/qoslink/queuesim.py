@@ -46,14 +46,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import LN2, ChannelSpec, _gain_chunks, _stream
+from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
-    MmppSource,
-    OnOffDiscreteParams,
-    as_discrete_source,
     stationary_distribution_discrete,
     stationary_distribution_fluid,
 )
@@ -81,10 +78,7 @@ class SimConfig:
     d_thresholds: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        snr = float(self.snr)
-        if not math.isfinite(snr) or snr <= 0:
-            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
-        object.__setattr__(self, "snr", snr)
+        object.__setattr__(self, "snr", _check_snr(self.snr))
         n = int(self.n_blocks)
         if n < _MIN_BLOCKS:
             raise ValueError(f"n_blocks must be >= {_MIN_BLOCKS}, got {n}")
@@ -263,28 +257,28 @@ def _blocked_integral(values_per_state, states, times, n):
 
 
 def _arrival_trace(source, n, seed):
+    """Arrivals per block of any typed source, sampled on its matrix twin."""
     rng = _stream(seed, (0,))
     rng_init = _stream(seed, (2,))
-    if isinstance(source, OnOffDiscreteParams):
-        source = as_discrete_source(source)
+    if not hasattr(source, "as_matrix"):
+        raise TypeError(
+            f"unsupported source type {type(source).__name__}; two-state "
+            "continuous parameters name no family: use OnOffFluidParams or "
+            "OnOffMmppParams, or convert with as_fluid_source or as_mmpp_source"
+        )
+    source = source.as_matrix()
     if isinstance(source, DiscreteMarkovSource):
         pi = stationary_distribution_discrete(source)
         s0 = rng_init.choice(len(pi), p=pi)
         states = _discrete_state_path(source, n, s0, rng)
         return source.rates[states]
-    if isinstance(source, (FluidMarkovSource, MmppSource)):
-        pi = stationary_distribution_fluid(source.generator)
-        s0 = rng_init.choice(len(pi), p=pi)
-        states, times = _continuous_path(source.generator, float(n), s0, rng)
-        if isinstance(source, FluidMarkovSource):
-            return _blocked_integral(source.rates, states, times, n)
-        mean_counts = _blocked_integral(source.intensities, states, times, n)
-        return rng.poisson(mean_counts).astype(float)
-    raise TypeError(
-        f"unsupported source type {type(source).__name__}; two-state "
-        "continuous parameters must be converted with as_fluid_source or "
-        "as_mmpp_source first"
-    )
+    pi = stationary_distribution_fluid(source.generator)
+    s0 = rng_init.choice(len(pi), p=pi)
+    states, times = _continuous_path(source.generator, float(n), s0, rng)
+    if isinstance(source, FluidMarkovSource):
+        return _blocked_integral(source.rates, states, times, n)
+    mean_counts = _blocked_integral(source.intensities, states, times, n)
+    return rng.poisson(mean_counts).astype(float)
 
 
 def _service_trace(spec: ChannelSpec, snr, n, seed):

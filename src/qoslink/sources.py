@@ -15,6 +15,11 @@ spectrum.  Those forms are kernels on raw arrays (``_ebw_discrete``,
 ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that scales the rates can
 call them without building a source at each step.
 
+A source's family is its type, decided here alone.  Every source
+answers ``effective_bandwidth(theta)`` (closed form where one exists)
+and ``as_matrix()``, its matrix twin (a matrix source is its own); the
+two-state ON/OFF sources also give their ``burstiness``, eta or zeta.
+
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
 decay requirement of exponent ``theta`` (1/bit).  a*(theta) increases
@@ -34,7 +39,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import NonConvergence, NoUniqueStationary, ValidationError
+from .errors import NonConvergence, NoUniqueStationary, ValidationError, _check_theta
 
 # QoS exponent: plain positive float, 1/bit.  theta = 0 is accepted only
 # by the limit operations that implement theta -> 0 results.
@@ -43,18 +48,28 @@ QosExponent = float
 _ROW_SUM_TOL = 1e-12
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError(f"theta must be a finite positive real, got {theta}")
-    return theta
-
-
 def _frozen_array(obj, value, field):
     arr = np.array(value, dtype=float)
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     return arr
+
+
+def _param(name: str, value, positive: bool = False) -> float:
+    """A scalar source parameter as a float: finite and >= 0, or > 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
+
+
+def _freeze_rates(obj, field: str, n_states: int) -> None:
+    """Freeze a matrix source's per-state rate vector and check it."""
+    r = _frozen_array(obj, getattr(obj, field), field)
+    if r.ndim != 1 or r.shape[0] != n_states:
+        raise ValueError(f"{field} must be a vector matching the chain size")
+    if not np.all(np.isfinite(r)) or np.any(r < 0):
+        raise ValueError(f"{field} must be finite and >= 0")
 
 
 def _graph(adjacency: np.ndarray):
@@ -171,309 +186,6 @@ def _is_reversible(Q: np.ndarray) -> bool:
     # rounding of the logs and of the doubling sums, log2(n) rounds deep
     ulps = (4.0 + 2.0 * math.log2(n)) * np.finfo(float).eps
     return bool(np.all(resid <= ulps * (np.abs(fwd) + np.abs(back) + mag[i] + mag[j])))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMarkovSource:
-    """Discrete-time Markov source: one state transition per block.
-
-    ``transition_probs[i][j]`` is the probability of moving from state i
-    to state j at a block boundary; ``rates[i]`` is the deterministic
-    arrival volume (bits/block) while in state i.  ``reversible`` is
-    computed at construction: whether the chain satisfies detailed
-    balance.
-    """
-
-    transition_probs: np.ndarray
-    rates: np.ndarray
-    reversible: bool = field(init=False)
-
-    def __post_init__(self):
-        J = _frozen_array(self, np.atleast_2d(self.transition_probs), "transition_probs")
-        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 1:
-            raise ValueError("transition_probs must be a square matrix")
-        if not np.all(np.isfinite(J)):
-            raise ValueError("transition_probs entries must be finite")
-        if np.any(J < -1e-15) or np.any(J > 1 + 1e-12):
-            raise ValueError("transition_probs entries must lie in [0, 1]")
-        row_err = np.max(np.abs(J.sum(axis=1) - 1.0))
-        if row_err > _ROW_SUM_TOL:
-            raise ValueError(
-                f"transition_probs rows must sum to 1 within {_ROW_SUM_TOL:g} "
-                f"(worst error {row_err:.3g})"
-            )
-        r = _frozen_array(self, self.rates, "rates")
-        if r.ndim != 1 or r.shape[0] != J.shape[0]:
-            raise ValueError("rates must be a vector matching the chain size")
-        if not np.all(np.isfinite(r)) or np.any(r < 0):
-            raise ValueError("rates must be finite and >= 0")
-        terminal, labels = _terminal_components(J > 0)
-        if len(terminal) != 1:
-            raise NoUniqueStationary(
-                "chain has multiple recurrent classes; stationary law is not unique"
-            )
-        members = np.nonzero(labels == terminal[0])[0]
-        if _component_period(J > 0, members) != 1:
-            raise ValueError("periodic chains are not supported")
-        object.__setattr__(self, "reversible", _is_reversible(J))
-
-    @property
-    def n_states(self) -> int:
-        return self.transition_probs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FluidMarkovSource:
-    """Markov fluid source: continuous-time chain, linear arrivals.
-
-    ``generator[i][j]`` (i != j) is the transition rate from state i to
-    state j in 1/block; rows sum to zero.  While in state i, fluid
-    arrives deterministically at ``rates[i]`` bits/block.  ``reversible``
-    is computed at construction: whether the chain satisfies detailed
-    balance.
-    """
-
-    generator: np.ndarray
-    rates: np.ndarray
-    reversible: bool = field(init=False)
-
-    def __post_init__(self):
-        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
-        _validate_generator(G)
-        r = _frozen_array(self, self.rates, "rates")
-        if r.ndim != 1 or r.shape[0] != G.shape[0]:
-            raise ValueError("rates must be a vector matching the chain size")
-        if not np.all(np.isfinite(r)) or np.any(r < 0):
-            raise ValueError("rates must be finite and >= 0")
-        object.__setattr__(self, "reversible", _is_reversible(G))
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MmppSource:
-    """Markov-modulated Poisson process: Poisson arrivals whose intensity
-    (bits/block) is selected by a continuous-time Markov chain.
-    ``reversible`` is computed at construction: whether the chain
-    satisfies detailed balance."""
-
-    generator: np.ndarray
-    intensities: np.ndarray
-    reversible: bool = field(init=False)
-
-    def __post_init__(self):
-        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
-        _validate_generator(G)
-        lam = _frozen_array(self, self.intensities, "intensities")
-        if lam.ndim != 1 or lam.shape[0] != G.shape[0]:
-            raise ValueError("intensities must be a vector matching the chain size")
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-            raise ValueError("intensities must be finite and >= 0")
-        object.__setattr__(self, "reversible", _is_reversible(G))
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.shape[0]
-
-
-def _validate_generator(G: np.ndarray) -> None:
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
-        raise ValueError("generator must be a square matrix")
-    if not np.all(np.isfinite(G)):
-        raise ValueError("generator entries must be finite")
-    off = G.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < -1e-15):
-        raise ValueError("generator off-diagonal entries must be >= 0")
-    row_err = np.max(np.abs(G.sum(axis=1)))
-    if row_err > _ROW_SUM_TOL:
-        raise ValueError(
-            f"generator rows must sum to 0 within {_ROW_SUM_TOL:g} "
-            f"(worst error {row_err:.3g})"
-        )
-
-
-@dataclass(frozen=True)
-class OnOffDiscreteParams:
-    """Two-state discrete source: OFF (silent) and ON at rate ``lam``.
-
-    ``p11`` is the probability of staying OFF, ``p22`` of staying ON.
-    """
-
-    p11: float
-    p22: float
-    lam: float
-
-    def __post_init__(self):
-        for name in ("p11", "p22"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-        if self.p11 == 1.0 and self.p22 == 1.0:
-            raise ValueError("p11 = p22 = 1 gives a disconnected (reducible) chain")
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam < 0:
-            raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        object.__setattr__(self, "lam", lam)
-        if self.p11 == 1.0:
-            warnings.warn(
-                "p11 = 1 makes OFF absorbing: effective bandwidth and "
-                "average rate are 0 by convention",
-                stacklevel=2,
-            )
-
-    @property
-    def p_on(self) -> float:
-        """Steady-state probability of the ON state."""
-        # grouped so p22 = 1 gives exactly 1.0 and p11 = 1 exactly 0.0
-        return (1.0 - self.p11) / ((1.0 - self.p11) + (1.0 - self.p22))
-
-
-@dataclass(frozen=True)
-class OnOffContinuousParams:
-    """Two-state continuous-time source shared by the fluid and MMPP
-    models: ``alpha`` is the OFF->ON rate, ``beta`` the ON->OFF rate
-    (both 1/block), ``lam`` the ON-state rate or Poisson intensity."""
-
-    alpha: float
-    beta: float
-    lam: float
-
-    def __post_init__(self):
-        a, b, lam = float(self.alpha), float(self.beta), float(self.lam)
-        if not math.isfinite(a) or a <= 0:
-            raise ValueError(f"alpha must be finite and > 0, got {a}")
-        if not math.isfinite(b) or b < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {b}")
-        if not math.isfinite(lam) or lam < 0:
-            raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def p_on(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-
-AnySource = Union[
-    DiscreteMarkovSource,
-    FluidMarkovSource,
-    MmppSource,
-    OnOffDiscreteParams,
-    OnOffContinuousParams,
-]
-
-
-def as_discrete_source(params: OnOffDiscreteParams) -> DiscreteMarkovSource:
-    """Embed ON/OFF discrete params as an explicit 2-state matrix source."""
-    J = np.array(
-        [[params.p11, 1.0 - params.p11], [1.0 - params.p22, params.p22]]
-    )
-    return DiscreteMarkovSource(J, np.array([0.0, params.lam]))
-
-
-def as_fluid_source(params: OnOffContinuousParams) -> FluidMarkovSource:
-    """Embed ON/OFF continuous params as a 2-state fluid matrix source."""
-    G = _onoff_generator(params)
-    return FluidMarkovSource(G, np.array([0.0, params.lam]))
-
-
-def as_mmpp_source(params: OnOffContinuousParams) -> MmppSource:
-    """Embed ON/OFF continuous params as a 2-state MMPP matrix source."""
-    G = _onoff_generator(params)
-    return MmppSource(G, np.array([0.0, params.lam]))
-
-
-def _onoff_generator(params: OnOffContinuousParams) -> np.ndarray:
-    a, b = params.alpha, params.beta
-    return np.array([[-a, a], [b, -b]])
-
-
-# ---------------------------------------------------------------------------
-# Stationary distributions and mean rates
-# ---------------------------------------------------------------------------
-
-
-def stationary_distribution_discrete(src: DiscreteMarkovSource) -> np.ndarray:
-    """Unique probability vector pi with pi @ J = pi."""
-    J = src.transition_probs
-    pi = _stationary_from(J.T - np.eye(J.shape[0]))
-    if np.max(np.abs(pi @ J - pi)) > 1e-10:
-        raise NoUniqueStationary("stationary equations are inconsistent")
-    return pi
-
-
-def stationary_distribution_fluid(generator) -> np.ndarray:
-    """Unique probability vector pi with pi @ G = 0."""
-    if isinstance(generator, (FluidMarkovSource, MmppSource)):
-        G = generator.generator
-    else:
-        G = np.atleast_2d(np.asarray(generator, dtype=float))
-        _validate_generator(G)
-    off = G.copy()
-    np.fill_diagonal(off, 0.0)
-    terminal, _ = _terminal_components(off > 0)
-    if len(terminal) != 1:
-        raise NoUniqueStationary(
-            "generator has multiple recurrent classes; stationary law is not unique"
-        )
-    pi = _stationary_from(G.T)
-    if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
-        raise NoUniqueStationary("stationary equations are inconsistent")
-    return pi
-
-
-def _stationary_from(A: np.ndarray) -> np.ndarray:
-    # A has one-dimensional null space and rows summing to the zero
-    # vector, so any single row may carry the normalization instead.
-    n = A.shape[0]
-    M = A.copy()
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise NoUniqueStationary(str(exc)) from exc
-    if np.any(pi < -1e-9):
-        raise NoUniqueStationary("stationary solve produced negative mass")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
-
-
-@singledispatch
-def average_rate(src) -> float:
-    """Long-run mean arrival rate of a source, bits/block."""
-    raise TypeError(f"unsupported source type: {type(src).__name__}")
-
-
-@average_rate.register
-def _(src: DiscreteMarkovSource) -> float:
-    return float(stationary_distribution_discrete(src) @ src.rates)
-
-
-@average_rate.register
-def _(src: FluidMarkovSource) -> float:
-    return float(stationary_distribution_fluid(src.generator) @ src.rates)
-
-
-@average_rate.register
-def _(src: MmppSource) -> float:
-    return float(stationary_distribution_fluid(src.generator) @ src.intensities)
-
-
-@average_rate.register
-def _(src: OnOffDiscreteParams) -> float:
-    return src.lam * src.p_on
-
-
-@average_rate.register
-def _(src: OnOffContinuousParams) -> float:
-    return src.lam * src.p_on
 
 
 # ---------------------------------------------------------------------------
@@ -636,18 +348,348 @@ def effective_bandwidth_onoff_mmpp(
     return _stable_quadratic_root(x, y) / theta
 
 
+def as_discrete_source(params: OnOffDiscreteParams) -> DiscreteMarkovSource:
+    """Embed ON/OFF discrete params as an explicit 2-state matrix source."""
+    J = np.array(
+        [[params.p11, 1.0 - params.p11], [1.0 - params.p22, params.p22]]
+    )
+    return DiscreteMarkovSource(J, np.array([0.0, params.lam]))
+
+
+def as_fluid_source(params: OnOffContinuousParams) -> FluidMarkovSource:
+    """Embed ON/OFF continuous params as a 2-state fluid matrix source."""
+    G = _onoff_generator(params)
+    return FluidMarkovSource(G, np.array([0.0, params.lam]))
+
+
+def as_mmpp_source(params: OnOffContinuousParams) -> MmppSource:
+    """Embed ON/OFF continuous params as a 2-state MMPP matrix source."""
+    G = _onoff_generator(params)
+    return MmppSource(G, np.array([0.0, params.lam]))
+
+
+def _onoff_generator(params: OnOffContinuousParams) -> np.ndarray:
+    a, b = params.alpha, params.beta
+    return np.array([[-a, a], [b, -b]])
+
+
+# ---------------------------------------------------------------------------
+# Sources: the per-family functions above are their methods
+# ---------------------------------------------------------------------------
+
+
+class _MatrixSource:
+    def as_matrix(self):
+        """A matrix source is its own matrix twin."""
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteMarkovSource(_MatrixSource):
+    """Discrete-time Markov source: one state transition per block.
+
+    ``transition_probs[i][j]`` is the probability of moving from state i
+    to state j at a block boundary; ``rates[i]`` is the deterministic
+    arrival volume (bits/block) while in state i.  ``reversible`` is
+    computed at construction: whether the chain satisfies detailed
+    balance.
+    """
+
+    transition_probs: np.ndarray
+    rates: np.ndarray
+    reversible: bool = field(init=False)
+
+    def __post_init__(self):
+        J = _frozen_array(self, np.atleast_2d(self.transition_probs), "transition_probs")
+        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 1:
+            raise ValueError("transition_probs must be a square matrix")
+        if not np.all(np.isfinite(J)):
+            raise ValueError("transition_probs entries must be finite")
+        if np.any(J < -1e-15) or np.any(J > 1 + 1e-12):
+            raise ValueError("transition_probs entries must lie in [0, 1]")
+        row_err = np.max(np.abs(J.sum(axis=1) - 1.0))
+        if row_err > _ROW_SUM_TOL:
+            raise ValueError(
+                f"transition_probs rows must sum to 1 within {_ROW_SUM_TOL:g} "
+                f"(worst error {row_err:.3g})"
+            )
+        _freeze_rates(self, "rates", J.shape[0])
+        terminal, labels = _terminal_components(J > 0)
+        if len(terminal) != 1:
+            raise NoUniqueStationary(
+                "chain has multiple recurrent classes; stationary law is not unique"
+            )
+        members = np.nonzero(labels == terminal[0])[0]
+        if _component_period(J > 0, members) != 1:
+            raise ValueError("periodic chains are not supported")
+        object.__setattr__(self, "reversible", _is_reversible(J))
+
+    @property
+    def n_states(self) -> int:
+        return self.transition_probs.shape[0]
+
+    effective_bandwidth = effective_bandwidth_discrete
+
+
+@dataclass(frozen=True, eq=False)
+class FluidMarkovSource(_MatrixSource):
+    """Markov fluid source: continuous-time chain, linear arrivals.
+
+    ``generator[i][j]`` (i != j) is the transition rate from state i to
+    state j in 1/block; rows sum to zero.  While in state i, fluid
+    arrives deterministically at ``rates[i]`` bits/block.  ``reversible``
+    is computed at construction: whether the chain satisfies detailed
+    balance.
+    """
+
+    generator: np.ndarray
+    rates: np.ndarray
+    reversible: bool = field(init=False)
+
+    def __post_init__(self):
+        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
+        _validate_generator(G)
+        _freeze_rates(self, "rates", G.shape[0])
+        object.__setattr__(self, "reversible", _is_reversible(G))
+
+    @property
+    def n_states(self) -> int:
+        return self.generator.shape[0]
+
+    effective_bandwidth = effective_bandwidth_fluid
+
+
+@dataclass(frozen=True, eq=False)
+class MmppSource(_MatrixSource):
+    """Markov-modulated Poisson process: Poisson arrivals whose intensity
+    (bits/block) is selected by a continuous-time Markov chain.
+    ``reversible`` is computed at construction: whether the chain
+    satisfies detailed balance."""
+
+    generator: np.ndarray
+    intensities: np.ndarray
+    reversible: bool = field(init=False)
+
+    def __post_init__(self):
+        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
+        _validate_generator(G)
+        _freeze_rates(self, "intensities", G.shape[0])
+        object.__setattr__(self, "reversible", _is_reversible(G))
+
+    @property
+    def n_states(self) -> int:
+        return self.generator.shape[0]
+
+    effective_bandwidth = effective_bandwidth_mmpp
+
+
+def _validate_generator(G: np.ndarray) -> None:
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
+        raise ValueError("generator must be a square matrix")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("generator entries must be finite")
+    off = G.copy()
+    np.fill_diagonal(off, 0.0)
+    if np.any(off < -1e-15):
+        raise ValueError("generator off-diagonal entries must be >= 0")
+    row_err = np.max(np.abs(G.sum(axis=1)))
+    if row_err > _ROW_SUM_TOL:
+        raise ValueError(
+            f"generator rows must sum to 0 within {_ROW_SUM_TOL:g} "
+            f"(worst error {row_err:.3g})"
+        )
+
+
+@dataclass(frozen=True)
+class OnOffDiscreteParams:
+    """Two-state discrete source: OFF (silent) and ON at rate ``lam``.
+
+    ``p11`` is the probability of staying OFF, ``p22`` of staying ON.
+    """
+
+    p11: float
+    p22: float
+    lam: float
+
+    def __post_init__(self):
+        for name in ("p11", "p22"):
+            v = float(getattr(self, name))
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, v)
+        if self.p11 == 1.0 and self.p22 == 1.0:
+            raise ValueError("p11 = p22 = 1 gives a disconnected (reducible) chain")
+        object.__setattr__(self, "lam", _param("lam", self.lam))
+        if self.p11 == 1.0:
+            warnings.warn(
+                "p11 = 1 makes OFF absorbing: effective bandwidth and "
+                "average rate are 0 by convention",
+                stacklevel=2,
+            )
+
+    @property
+    def p_on(self) -> float:
+        """Steady-state probability of the ON state."""
+        # grouped so p22 = 1 gives exactly 1.0 and p11 = 1 exactly 0.0
+        return (1.0 - self.p11) / ((1.0 - self.p11) + (1.0 - self.p22))
+
+    @property
+    def burstiness(self) -> float:
+        """eta, the chain's variance rate over its squared mean rate."""
+        p11, p22 = self.p11, self.p22
+        if p11 == 1.0:
+            raise ValueError("p11 = 1 carries no traffic; burstiness is undefined")
+        return (1.0 - p22) * (p11 + p22) / ((1.0 - p11) * (2.0 - p11 - p22))
+
+    as_matrix = as_discrete_source
+    effective_bandwidth = effective_bandwidth_onoff_discrete
+
+
+@dataclass(frozen=True)
+class OnOffContinuousParams:
+    """Two-state continuous-time parameters shared by the fluid and MMPP
+    models: ``alpha`` is the OFF->ON rate, ``beta`` the ON->OFF rate
+    (both 1/block), ``lam`` the ON-state rate or Poisson intensity.  They
+    name no family: ``OnOffFluidParams`` and ``OnOffMmppParams`` do."""
+
+    alpha: float
+    beta: float
+    lam: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _param("alpha", self.alpha, positive=True))
+        object.__setattr__(self, "beta", _param("beta", self.beta))
+        object.__setattr__(self, "lam", _param("lam", self.lam))
+
+    @property
+    def p_on(self) -> float:
+        return self.alpha / (self.alpha + self.beta)
+
+    @property
+    def burstiness(self) -> float:
+        """zeta, the chain's variance rate over its squared mean rate."""
+        return 2.0 * self.beta / (self.alpha * (self.alpha + self.beta))
+
+
+class OnOffFluidParams(OnOffContinuousParams):
+    """Two-state Markov fluid source: fluid arrives at ``lam`` while ON."""
+
+    as_matrix = as_fluid_source
+    effective_bandwidth = effective_bandwidth_onoff_fluid
+
+
+class OnOffMmppParams(OnOffContinuousParams):
+    """Two-state MMPP: Poisson arrivals of intensity ``lam`` while ON."""
+
+    as_matrix = as_mmpp_source
+    effective_bandwidth = effective_bandwidth_onoff_mmpp
+
+
+AnySource = Union[
+    DiscreteMarkovSource,
+    FluidMarkovSource,
+    MmppSource,
+    OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
+]
+
+
+# ---------------------------------------------------------------------------
+# Stationary distributions and mean rates
+# ---------------------------------------------------------------------------
+
+
+def stationary_distribution_discrete(src: DiscreteMarkovSource) -> np.ndarray:
+    """Unique probability vector pi with pi @ J = pi."""
+    J = src.transition_probs
+    pi = _stationary_from(J.T - np.eye(J.shape[0]))
+    if np.max(np.abs(pi @ J - pi)) > 1e-10:
+        raise NoUniqueStationary("stationary equations are inconsistent")
+    return pi
+
+
+def stationary_distribution_fluid(generator) -> np.ndarray:
+    """Unique probability vector pi with pi @ G = 0."""
+    if isinstance(generator, (FluidMarkovSource, MmppSource)):
+        G = generator.generator
+    else:
+        G = np.atleast_2d(np.asarray(generator, dtype=float))
+        _validate_generator(G)
+    off = G.copy()
+    np.fill_diagonal(off, 0.0)
+    terminal, _ = _terminal_components(off > 0)
+    if len(terminal) != 1:
+        raise NoUniqueStationary(
+            "generator has multiple recurrent classes; stationary law is not unique"
+        )
+    pi = _stationary_from(G.T)
+    if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
+        raise NoUniqueStationary("stationary equations are inconsistent")
+    return pi
+
+
+def _stationary_from(A: np.ndarray) -> np.ndarray:
+    # A has one-dimensional null space and rows summing to the zero
+    # vector, so any single row may carry the normalization instead.
+    n = A.shape[0]
+    M = A.copy()
+    M[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise NoUniqueStationary(str(exc)) from exc
+    if np.any(pi < -1e-9):
+        raise NoUniqueStationary("stationary solve produced negative mass")
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+@singledispatch
+def average_rate(src) -> float:
+    """Long-run mean arrival rate of a source, bits/block."""
+    raise TypeError(f"unsupported source type: {type(src).__name__}")
+
+
+@average_rate.register
+def _(src: DiscreteMarkovSource) -> float:
+    return float(stationary_distribution_discrete(src) @ src.rates)
+
+
+@average_rate.register
+def _(src: FluidMarkovSource) -> float:
+    return float(stationary_distribution_fluid(src.generator) @ src.rates)
+
+
+@average_rate.register
+def _(src: MmppSource) -> float:
+    return float(stationary_distribution_fluid(src.generator) @ src.intensities)
+
+
+@average_rate.register(OnOffDiscreteParams)
+@average_rate.register(OnOffContinuousParams)
+def _(src) -> float:
+    return src.lam * src.p_on
+
+
 # ---------------------------------------------------------------------------
 # JSON construction
 # ---------------------------------------------------------------------------
 
-_SOURCE_KINDS = (
-    "discrete",
-    "fluid",
-    "mmpp",
-    "onoff-discrete",
-    "onoff-fluid",
-    "onoff-mmpp",
-)
+# kind -> (source type, the JSON fields its constructor takes in order)
+_JSON_KINDS = {
+    "discrete": (DiscreteMarkovSource, ("transition", "rates")),
+    "fluid": (FluidMarkovSource, ("transition", "rates")),
+    "mmpp": (MmppSource, ("transition", "rates")),
+    "onoff-discrete": (OnOffDiscreteParams, ("p11", "p22", "lambda")),
+    "onoff-fluid": (OnOffFluidParams, ("alpha", "beta", "lambda")),
+    "onoff-mmpp": (OnOffMmppParams, ("alpha", "beta", "lambda")),
+}
+_SOURCE_KINDS = tuple(_JSON_KINDS)
+# constructor arguments that error messages name, by JSON field
+_JSON_NAMES = {"lam": "lambda", "intensities": "rates"}
 
 
 def source_from_json(doc) -> AnySource:
@@ -659,7 +701,8 @@ def source_from_json(doc) -> AnySource:
         {"kind": "onoff-discrete", "p11": ..., "p22": ..., "lambda": ...}
         {"kind": "onoff-fluid"|"onoff-mmpp", "alpha": ..., "beta": ..., "lambda": ...}
 
-    Raises ValidationError with the offending field path.
+    Each kind gives its own type, so the family travels with the
+    source.  Raises ValidationError with the offending field path.
     """
     if isinstance(doc, str):
         try:
@@ -673,83 +716,47 @@ def source_from_json(doc) -> AnySource:
         raise ValidationError(
             "kind", f"must be one of {', '.join(_SOURCE_KINDS)}; got {kind!r}"
         )
-    if kind in ("discrete", "fluid", "mmpp"):
+    build, fields = _JSON_KINDS[kind]
+    if fields[0] == "transition":
         mat = _field_matrix(doc, "transition")
-        rates = _field_vector(doc, "rates", len(mat))
-        try:
-            if kind == "discrete":
-                return DiscreteMarkovSource(mat, rates)
-            if kind == "fluid":
-                return FluidMarkovSource(mat, rates)
-            return MmppSource(mat, rates)
-        except (ValueError, NoUniqueStationary) as exc:
-            raise ValidationError("transition", str(exc)) from exc
-    if kind == "onoff-discrete":
-        p11 = _field_number(doc, "p11")
-        p22 = _field_number(doc, "p22")
-        lam = _field_number(doc, "lambda")
-        try:
-            return OnOffDiscreteParams(p11, p22, lam)
-        except ValueError as exc:
-            raise ValidationError("p11", str(exc)) from exc
-    alpha = _field_number(doc, "alpha")
-    beta = _field_number(doc, "beta")
-    lam = _field_number(doc, "lambda")
+        args = (mat, _numbers("rates", _field(doc, "rates"), len(mat)))
+    else:
+        args = [_number(name, _field(doc, name)) for name in fields]
     try:
-        params = OnOffContinuousParams(alpha, beta, lam)
-    except ValueError as exc:
-        raise ValidationError("alpha", str(exc)) from exc
-    return params  # onoff-fluid and onoff-mmpp share the parameter type
+        return build(*args)
+    except (ValueError, NoUniqueStationary) as exc:
+        # constructor messages open with the argument they reject; any
+        # other failure (a reducible chain, say) is the first field's
+        named = str(exc).split(" ", 1)[0]
+        named = _JSON_NAMES.get(named, named)
+        raise ValidationError(named if named in fields else fields[0], str(exc)) from exc
 
 
-def _field_number(doc: dict, name: str) -> float:
+def _field(doc: dict, name: str):
     if name not in doc:
         raise ValidationError(name, "missing required field")
-    v = doc[name]
+    return doc[name]
+
+
+def _number(path: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(name, f"must be a number, got {type(v).__name__}")
+        raise ValidationError(path, f"must be a number, got {type(v).__name__}")
     if not math.isfinite(float(v)):
-        raise ValidationError(name, "must be finite")
+        raise ValidationError(path, "must be finite")
     return float(v)
 
 
-def _field_vector(doc: dict, name: str, expect_len: int) -> np.ndarray:
-    if name not in doc:
-        raise ValidationError(name, "missing required field")
-    v = doc[name]
+def _numbers(path: str, v, expect_len: int) -> np.ndarray:
+    """The JSON list of ``expect_len`` numbers at ``path``."""
     if not isinstance(v, list):
-        raise ValidationError(name, "must be a list of numbers")
+        raise ValidationError(path, "must be a list of numbers")
     if len(v) != expect_len:
-        raise ValidationError(name, f"expected length {expect_len}, got {len(v)}")
-    out = np.empty(len(v))
-    for i, entry in enumerate(v):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValidationError(f"{name}[{i}]", "must be a number")
-        if not math.isfinite(float(entry)):
-            raise ValidationError(f"{name}[{i}]", "must be finite")
-        out[i] = float(entry)
-    return out
+        raise ValidationError(path, f"expected length {expect_len}, got {len(v)}")
+    return np.array([_number(f"{path}[{i}]", x) for i, x in enumerate(v)], dtype=float)
 
 
 def _field_matrix(doc: dict, name: str) -> np.ndarray:
-    if name not in doc:
-        raise ValidationError(name, "missing required field")
-    v = doc[name]
+    v = _field(doc, name)
     if not isinstance(v, list) or not v:
         raise ValidationError(name, "must be a non-empty list of rows")
-    n = len(v)
-    out = np.empty((n, n))
-    for i, row in enumerate(v):
-        if not isinstance(row, list):
-            raise ValidationError(f"{name}[{i}]", "must be a list of numbers")
-        if len(row) != n:
-            raise ValidationError(
-                f"{name}[{i}]", f"expected {n} entries for a square matrix, got {len(row)}"
-            )
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ValidationError(f"{name}[{i}][{j}]", "must be a number")
-            if not math.isfinite(float(entry)):
-                raise ValidationError(f"{name}[{i}][{j}]", "must be finite")
-            out[i, j] = float(entry)
-    return out
+    return np.array([_numbers(f"{name}[{i}]", row, len(v)) for i, row in enumerate(v)])

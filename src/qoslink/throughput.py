@@ -6,34 +6,35 @@ while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources have
 closed forms; for general n-state sources the per-state rate scale is
 found by Brent's method on the raw-array effective-bandwidth kernels.
-Asymptotic behavior at theta -> 0 (ergodic limit and first derivative)
-and at high snr (rate prelog) is also exposed.
+``max_avg_rate`` takes any source and picks its route from the source's
+type.  Asymptotic behavior at theta -> 0 (ergodic limit and first
+derivative) and at high snr (rate prelog) is also exposed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import singledispatch
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .channel import ChannelSpec, ergodic_capacity, log_rate_cov_sum
-from .errors import BracketFailure, InvalidRegime
+from .channel import LN2, ChannelSpec, ergodic_capacity, log_rate_cov_sum
+from .errors import BracketFailure, InvalidRegime, _check_theta, _check_theta_nonneg
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
     MmppSource,
-    OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     _ebw_discrete,
     _ebw_fluid,
     _ebw_mmpp,
     stationary_distribution_discrete,
     stationary_distribution_fluid,
 )
-
-LN2 = math.log(2.0)
 
 _BRACKET_CAP_DOUBLINGS = 60
 _EPS = float(np.finfo(float).eps)
@@ -75,13 +76,6 @@ class AsymptoticSlopes:
     high_snr_slope: float
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
-    return theta
-
-
 def _check_ce(ce: float) -> float:
     ce = float(ce)
     if not math.isfinite(ce) or ce < 0:
@@ -89,62 +83,81 @@ def _check_ce(ce: float) -> float:
     return ce
 
 
-def max_avg_rate_onoff_discrete(
-    ce: float, theta: float, p11: float, p22: float
-) -> ThroughputResult:
-    """Largest mean rate of a discrete ON/OFF source the link supports.
+def max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
+    """Largest mean arrival rate of ``src``'s kind that the link carries.
 
-    The ON-state rate achieving it satisfies a*(theta; lambda*) = C_E,
-    which solves in closed form; evaluated as
-    lambda* = C_E + (1/theta) * [log(1 - p11 e^{-theta C_E})
-              - log(p22 + (1-p11-p22) e^{-theta C_E})]
-    which is exact and overflow-free for any theta*C_E.
+    The source's effective bandwidth at theta must meet C_E.  A two-state
+    ON/OFF source solves for its ON-state rate in closed form, so its own
+    ``lam`` is not read; a matrix source is solved for the scale of its
+    rate vector by ``max_avg_rate_nstate``.
     """
-    ce = _check_ce(ce)
-    theta = _check_theta(theta)
-    params = OnOffDiscreteParams(p11, p22, 0.0)
-    if params.p11 == 1.0:
+    return _max_avg_rate(src, _check_ce(ce), _check_theta(theta))
+
+
+@singledispatch
+def _max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
+    return max_avg_rate_nstate(src, theta, ce)
+
+
+@_max_avg_rate.register
+def _(src: OnOffDiscreteParams, ce: float, theta: float) -> ThroughputResult:
+    # a*(theta; lambda*) = C_E solves as lambda* = C_E + (1/theta) *
+    # [log(1 - p11 e^{-theta C_E}) - log(p22 + (1-p11-p22) e^{-theta C_E})],
+    # exact and overflow-free for any theta*C_E
+    if src.p11 == 1.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "closed_form")
     em = math.exp(-theta * ce)
-    num = 1.0 - params.p11 * em
-    den = params.p22 + (1.0 - params.p11 - params.p22) * em
+    num = 1.0 - src.p11 * em
+    den = src.p22 + (1.0 - src.p11 - src.p22) * em
     if num <= 0.0 or den <= 0.0:
         raise InvalidRegime(
             f"log argument collapsed (num {num}, den {den}); "
             "parameters are outside the supported regime"
         )
     lam = ce + (math.log(num) - math.log(den)) / theta
-    return ThroughputResult(params.p_on * lam, lam, theta, ce, "closed_form")
+    return ThroughputResult(src.p_on * lam, lam, theta, ce, "closed_form")
+
+
+@_max_avg_rate.register
+def _onoff_fluid(src: OnOffFluidParams, ce: float, theta: float) -> ThroughputResult:
+    lam = (theta * ce + src.alpha + src.beta) / (theta * ce + src.alpha) * ce
+    return ThroughputResult(src.p_on * lam, lam, theta, ce, "closed_form")
+
+
+@_max_avg_rate.register
+def _(src: OnOffMmppParams, ce: float, theta: float) -> ThroughputResult:
+    # the fluid solution scaled by theta/(e^theta - 1): the Poisson layer
+    # adds burstiness that costs exactly that factor
+    fluid = _onoff_fluid(src, ce, theta)
+    factor = theta / float(np.expm1(theta))
+    return ThroughputResult(
+        fluid.r_avg_star * factor,
+        fluid.lambda_star * factor,
+        theta,
+        ce,
+        "closed_form",
+    )
+
+
+def max_avg_rate_onoff_discrete(
+    ce: float, theta: float, p11: float, p22: float
+) -> ThroughputResult:
+    """Largest mean rate of a discrete ON/OFF source the link supports."""
+    return max_avg_rate(OnOffDiscreteParams(p11, p22, 0.0), ce, theta)
 
 
 def max_avg_rate_onoff_fluid(
     ce: float, theta: float, alpha: float, beta: float
 ) -> ThroughputResult:
     """Largest mean rate of an ON/OFF Markov fluid source."""
-    ce = _check_ce(ce)
-    theta = _check_theta(theta)
-    params = OnOffContinuousParams(alpha, beta, 0.0)
-    lam = (theta * ce + params.alpha + params.beta) / (theta * ce + params.alpha) * ce
-    return ThroughputResult(params.p_on * lam, lam, theta, ce, "closed_form")
+    return max_avg_rate(OnOffFluidParams(alpha, beta, 0.0), ce, theta)
 
 
 def max_avg_rate_onoff_mmpp(
     ce: float, theta: float, alpha: float, beta: float
 ) -> ThroughputResult:
-    """Largest mean intensity of an ON/OFF MMPP source.
-
-    Identical to the fluid solution scaled by theta/(e^theta - 1): the
-    Poisson layer adds burstiness that costs exactly that factor.
-    """
-    fluid = max_avg_rate_onoff_fluid(ce, theta, alpha, beta)
-    factor = fluid.theta / float(np.expm1(fluid.theta))
-    return ThroughputResult(
-        fluid.r_avg_star * factor,
-        fluid.lambda_star * factor,
-        fluid.theta,
-        fluid.effective_capacity,
-        "closed_form",
-    )
+    """Largest mean intensity of an ON/OFF MMPP source."""
+    return max_avg_rate(OnOffMmppParams(alpha, beta, 0.0), ce, theta)
 
 
 def _scaled_bandwidth(src, theta: float, ce: float):
@@ -240,6 +253,17 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     )
 
 
+def _onoff_source(kind: str, p11, p22, alpha, beta):
+    """The two-state source (lam = 0) that a kind-string call names."""
+    if kind == "discrete":
+        if p11 is None or p22 is None:
+            raise ValueError("discrete kind requires p11 and p22")
+        return OnOffDiscreteParams(p11, p22, 0.0)
+    if alpha is None or beta is None:
+        raise ValueError(f"{kind} kind requires alpha and beta")
+    return (OnOffFluidParams if kind == "fluid" else OnOffMmppParams)(alpha, beta, 0.0)
+
+
 def low_theta_asymptotics(
     kind: str,
     spec: ChannelSpec,
@@ -262,26 +286,10 @@ def low_theta_asymptotics(
     ``n_samples``/``seed`` only matter for 0 < rho < 1, where the
     variance of nu has no closed form and is estimated by Monte Carlo.
     """
-    if kind == "discrete":
-        if p11 is None or p22 is None:
-            raise ValueError("discrete kind requires p11 and p22")
-        params = OnOffDiscreteParams(p11, p22, 0.0)
-        if params.p11 == 1.0:
-            raise ValueError("p11 = 1 has no throughput to expand")
-        coef = (
-            (1.0 - params.p22)
-            * (params.p11 + params.p22)
-            / ((1.0 - params.p11) * (2.0 - params.p11 - params.p22))
-        )
-        extra = 0.0
-    elif kind in ("fluid", "mmpp"):
-        if alpha is None or beta is None:
-            raise ValueError(f"{kind} kind requires alpha and beta")
-        params = OnOffContinuousParams(alpha, beta, 0.0)
-        coef = 2.0 * params.beta / (params.alpha * (params.alpha + params.beta))
-        extra = 0.5 if kind == "mmpp" else 0.0
-    else:
+    if kind not in ("discrete", "fluid", "mmpp"):
         raise ValueError(f"kind must be discrete, fluid or mmpp, got {kind!r}")
+    coef = _onoff_source(kind, p11, p22, alpha, beta).burstiness
+    extra = 0.5 if kind == "mmpp" else 0.0
     erg = ergodic_capacity(spec, snr)
     var_nu = log_rate_cov_sum(spec, snr, n_samples=n_samples, seed=seed)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
@@ -296,9 +304,7 @@ def high_snr_slope(kind: str, theta: float, p_on: float) -> float:
     """
     if kind not in ("discrete", "fluid", "mmpp"):
         raise ValueError(f"kind must be discrete, fluid or mmpp, got {kind!r}")
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    theta = _check_theta_nonneg(theta)
     p_on = float(p_on)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")

@@ -3,16 +3,22 @@
 Every test drives main() in-process and inspects the files it writes.
 """
 
+import ast
 import csv
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from qoslink.channel import effective_capacity_rayleigh_iid
+from qoslink import cli, queuesim
+from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
 from qoslink.cli import main
+from qoslink.energy import source_energy_metrics
+from qoslink.sources import source_from_json
+from qoslink.throughput import max_avg_rate
 
 ONOFF_DISC = '{"kind": "onoff-discrete", "p11": 0.8, "p22": 0.8, "lambda": 2.0}'
 ONOFF_FLUID = '{"kind": "onoff-fluid", "alpha": 50.0, "beta": 50.0, "lambda": 2.0}'
@@ -410,3 +416,114 @@ def test_bad_grid_exits_2(tmp_path):
     assert run(tmp_path, "ebw", "--source", ONOFF_DISC, "--theta", "lin:1:0:5") == 2
     assert run(tmp_path, "ebw", "--source", ONOFF_DISC, "--theta", "0,1") == 2
     assert run(tmp_path, "ebw", "--source", ONOFF_DISC, "--theta", "abc") == 2
+
+
+# ---------------------------------------------------------------------------
+# the CLI formats what the library computes, and dispatches on nothing
+# ---------------------------------------------------------------------------
+
+T3 = [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.6]]
+G3 = [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 2.5, -3.0]]
+EVERY_KIND = {
+    "onoff-discrete": {"kind": "onoff-discrete", "p11": 0.8, "p22": 0.7, "lambda": 2.0},
+    "onoff-fluid": {"kind": "onoff-fluid", "alpha": 9.0, "beta": 1.0, "lambda": 2.0},
+    "onoff-mmpp": {"kind": "onoff-mmpp", "alpha": 9.0, "beta": 1.0, "lambda": 2.0},
+    "discrete": {"kind": "discrete", "transition": T3, "rates": [0.0, 1.0, 2.0]},
+    "fluid": {"kind": "fluid", "transition": G3, "rates": [0.0, 1.0, 2.0]},
+    "mmpp": {"kind": "mmpp", "transition": G3, "rates": [0.0, 1.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_ebw_and_throughput_cells_are_the_library_values(tmp_path, kind):
+    doc = json.dumps(EVERY_KIND[kind])
+    src = source_from_json(doc)
+    twin = src.as_matrix()
+    assert run(tmp_path, "ebw", "--source", doc, "--theta", "0.01,0.3,2.0") == 0
+    rows = read_csv(tmp_path / "ebw.csv")
+    assert len(rows) == 3
+    for row in rows:
+        th = float(row["theta"])
+        assert float(row["a_star"]) == src.effective_bandwidth(th)
+        if twin is src:
+            assert row["a_star_eigen"] == ""
+        else:
+            assert float(row["a_star_eigen"]) == twin.effective_bandwidth(th)
+
+    assert run(
+        tmp_path, "throughput", "--source", doc, "--channel", CHAN_IID,
+        "--theta", "0.01,0.3,2.0", "--snr-db=-10,0,10",
+    ) == 0
+    rows = read_csv(tmp_path / "throughput.csv")
+    assert len(rows) == 9
+    for row in rows:
+        th = float(row["theta"])
+        ce = effective_capacity_rayleigh_iid(10.0 ** (float(row["snr_db"]) / 10.0), th, 10).value
+        res = max_avg_rate(src, ce, th)
+        assert row["error"] == ""
+        assert float(row["c_e"]) == ce
+        assert float(row["r_avg_star"]) == res.r_avg_star
+        assert float(row["lambda_star"]) == res.lambda_star
+        assert row["method"] == res.method
+
+
+@pytest.mark.parametrize(
+    "kind, label, provenance",
+    [
+        ("constant", "constant", "closed_form"),
+        ("onoff-discrete", "discrete", "closed_form"),
+        ("onoff-fluid", "fluid", "closed_form"),
+        ("onoff-mmpp", "mmpp", "closed_form"),
+        ("discrete", "nstate", "numeric"),
+        ("fluid", "nstate", "numeric"),
+        ("mmpp", "nstate", "numeric"),
+    ],
+)
+def test_energy_metrics_carry_the_library_kind_and_provenance(tmp_path, kind, label, provenance):
+    doc = EVERY_KIND.get(kind, {"kind": "constant"})
+    assert run(
+        tmp_path, "energy", "--source", json.dumps(doc), "--channel", CHAN_IID,
+        "--theta", "0.1", "--snr-db=-20,-10",
+    ) == 0
+    metrics = json.loads((tmp_path / "energy_metrics.json").read_text())
+    assert (metrics["kind"], metrics["provenance"]) == (label, provenance)
+    src = None if kind == "constant" else source_from_json(doc)
+    _, expected, _ = source_energy_metrics(src, ChannelSpec(m=10, rho=0.0), 0.1)
+    assert metrics["ebn0_min_linear"] == expected.ebn0_min_linear
+    assert metrics["wideband_slope"] == expected.wideband_slope
+    assert {row["kind"] for row in read_csv(tmp_path / "energy_curve.csv")} == {label}
+
+
+def test_cli_blames_the_rejected_source_field(tmp_path, capsys):
+    src = '{"kind": "onoff-fluid", "alpha": 1.0, "beta": -1.0, "lambda": 2.0}'
+    assert run(tmp_path, "ebw", "--source", src, "--theta", "1.0") == 2
+    assert capsys.readouterr().err.startswith("error: invalid beta: ")
+
+
+def _string_constants_and_imports(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    strings = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    return strings, imported
+
+
+def test_cli_and_simulator_do_no_per_family_dispatch():
+    # the source's type carries its family: the CLI may name no source
+    # kind but the energy command's {"kind": "constant"}, and neither it
+    # nor the simulator imports a per-family entry point
+    per_family = re.compile(
+        r".*_onoff_.*|as_\w+_source|effective_bandwidth_(discrete|fluid|mmpp)"
+        r"|max_avg_rate_nstate|ebn0_curve|numeric_energy_metrics|OnOff\w+"
+    )
+    strings, imported = _string_constants_and_imports(cli)
+    assert not {s for s in strings if "onoff-" in s}
+    assert not strings & {"discrete", "fluid", "mmpp", "nstate"}
+    assert not {name for name in imported if per_family.fullmatch(name)}
+    _, imported = _string_constants_and_imports(queuesim)
+    assert not {name for name in imported if per_family.fullmatch(name)}

@@ -25,6 +25,8 @@ from qoslink.sources import (
     DiscreteMarkovSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     as_fluid_source,
     as_mmpp_source,
 )
@@ -289,6 +291,24 @@ def test_continuous_sim_values_pinned(build, solve, golden):
     assert (rep.theta_sim, rep.delay_slope_sim, rep.varsigma_hat) == pytest.approx(
         golden, rel=1e-9
     )
+
+
+@pytest.mark.parametrize(
+    "typed, build",
+    [(OnOffFluidParams, as_fluid_source), (OnOffMmppParams, as_mmpp_source)],
+)
+def test_typed_continuous_sources_simulate_as_their_matrix_twins(typed, build):
+    theta = 0.1
+    ce = effective_capacity_rayleigh_iid(1.0, theta, 10).value
+    lam = max_avg_rate_onoff_fluid(ce, theta, 9.0, 1.0).lambda_star
+    reports = [
+        simulate_queue(
+            SimConfig(source=source, channel=SPEC, snr=1.0, n_blocks=20000, seed=11)
+        )
+        for source in (typed(9.0, 1.0, lam), build(OnOffContinuousParams(9.0, 1.0, lam)))
+    ]
+    assert math.isfinite(reports[0].theta_sim)
+    assert reports[0] == reports[1]
 
 
 class _TopUniform:

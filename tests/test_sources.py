@@ -15,6 +15,8 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
@@ -28,6 +30,13 @@ from qoslink.sources import (
     source_from_json,
     stationary_distribution_discrete,
     stationary_distribution_fluid,
+)
+from qoslink.throughput import (
+    max_avg_rate,
+    max_avg_rate_nstate,
+    max_avg_rate_onoff_discrete,
+    max_avg_rate_onoff_fluid,
+    max_avg_rate_onoff_mmpp,
 )
 
 
@@ -591,6 +600,123 @@ def test_source_from_json_reports_field_paths():
 
     with pytest.raises(ValidationError):
         source_from_json("not json at all {")
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"kind": "onoff-fluid", "alpha": 1.0, "beta": -1.0, "lambda": 2.0}, "beta"),
+        ({"kind": "onoff-fluid", "alpha": 0.0, "beta": 1.0, "lambda": 2.0}, "alpha"),
+        ({"kind": "onoff-mmpp", "alpha": 1.0, "beta": 1.0, "lambda": -2.0}, "lambda"),
+        ({"kind": "onoff-discrete", "p11": 0.5, "p22": 1.5, "lambda": 2.0}, "p22"),
+        ({"kind": "onoff-discrete", "p11": 0.5, "p22": 0.5, "lambda": -2.0}, "lambda"),
+        ({"kind": "onoff-discrete", "p11": 1.0, "p22": 1.0, "lambda": 2.0}, "p11"),
+        ({"kind": "discrete", "transition": [[0.5, 0.5], [0.5, 0.5]], "rates": [0, -1]}, "rates"),
+        ({"kind": "fluid", "transition": [[-1, 1], [1, -1]], "rates": [0, -1]}, "rates"),
+        ({"kind": "mmpp", "transition": [[-1, 1], [1, -1]], "rates": [0, -1]}, "rates"),
+        ({"kind": "mmpp", "transition": [[-1, 2], [1, -1]], "rates": [0, 1]}, "transition"),
+    ],
+)
+def test_source_from_json_blames_the_rejected_field(doc, path):
+    with pytest.raises(ValidationError) as err:
+        source_from_json(doc)
+    assert err.value.field_path == path
+
+
+T3 = [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.6]]
+G3 = [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 2.5, -3.0]]
+R3 = [0.0, 1.0, 2.0]
+
+# each JSON kind: its document, the type it builds, and per-family
+# references of (a*(theta) by its own route, a*(theta) of its matrix twin
+# or None, (ce, theta) -> ThroughputResult), built without the JSON path
+JSON_FAMILIES = {
+    "onoff-discrete": (
+        {"kind": "onoff-discrete", "p11": 0.8, "p22": 0.7, "lambda": 2.0},
+        OnOffDiscreteParams,
+        lambda th: effective_bandwidth_onoff_discrete(OnOffDiscreteParams(0.8, 0.7, 2.0), th),
+        lambda th: effective_bandwidth_discrete(
+            as_discrete_source(OnOffDiscreteParams(0.8, 0.7, 2.0)), th),
+        lambda ce, th: max_avg_rate_onoff_discrete(ce, th, 0.8, 0.7),
+    ),
+    "onoff-fluid": (
+        {"kind": "onoff-fluid", "alpha": 9.0, "beta": 1.0, "lambda": 2.0},
+        OnOffFluidParams,
+        lambda th: effective_bandwidth_onoff_fluid(OnOffContinuousParams(9.0, 1.0, 2.0), th),
+        lambda th: effective_bandwidth_fluid(
+            as_fluid_source(OnOffContinuousParams(9.0, 1.0, 2.0)), th),
+        lambda ce, th: max_avg_rate_onoff_fluid(ce, th, 9.0, 1.0),
+    ),
+    "onoff-mmpp": (
+        {"kind": "onoff-mmpp", "alpha": 9.0, "beta": 1.0, "lambda": 2.0},
+        OnOffMmppParams,
+        lambda th: effective_bandwidth_onoff_mmpp(OnOffContinuousParams(9.0, 1.0, 2.0), th),
+        lambda th: effective_bandwidth_mmpp(
+            as_mmpp_source(OnOffContinuousParams(9.0, 1.0, 2.0)), th),
+        lambda ce, th: max_avg_rate_onoff_mmpp(ce, th, 9.0, 1.0),
+    ),
+    "discrete": (
+        {"kind": "discrete", "transition": T3, "rates": R3},
+        DiscreteMarkovSource,
+        lambda th: effective_bandwidth_discrete(DiscreteMarkovSource(T3, R3), th),
+        None,
+        lambda ce, th: max_avg_rate_nstate(DiscreteMarkovSource(T3, R3), th, ce),
+    ),
+    "fluid": (
+        {"kind": "fluid", "transition": G3, "rates": R3},
+        FluidMarkovSource,
+        lambda th: effective_bandwidth_fluid(FluidMarkovSource(G3, R3), th),
+        None,
+        lambda ce, th: max_avg_rate_nstate(FluidMarkovSource(G3, R3), th, ce),
+    ),
+    "mmpp": (
+        {"kind": "mmpp", "transition": G3, "rates": R3},
+        MmppSource,
+        lambda th: effective_bandwidth_mmpp(MmppSource(G3, R3), th),
+        None,
+        lambda ce, th: max_avg_rate_nstate(MmppSource(G3, R3), th, ce),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_FAMILIES))
+def test_json_source_keeps_its_family(kind):
+    doc, cls, own, twin, solve = JSON_FAMILIES[kind]
+    src = source_from_json(doc)
+    assert type(src) is cls
+    matrix = src.as_matrix()
+    assert (matrix is src) == (twin is None)
+    for th in (0.01, 0.5, 3.0):
+        assert src.effective_bandwidth(th) == own(th)
+        if twin is not None:
+            assert matrix.effective_bandwidth(th) == twin(th)
+        for ce in (0.3, 4.0):
+            assert max_avg_rate(src, ce, th) == solve(ce, th)
+
+
+def test_onoff_burstiness_is_the_variance_rate_over_the_squared_mean():
+    # eta and zeta against the asymptotic variance of each chain's
+    # arrivals: discrete p(1-p)(1+r)/(1-r) lam^2 with r = p11 + p22 - 1,
+    # fluid 2 alpha beta / (alpha + beta)^3 lam^2
+    d = OnOffDiscreteParams(0.8, 0.7, 2.0)
+    r = d.p11 + d.p22 - 1.0
+    var = d.p_on * (1 - d.p_on) * (1 + r) / (1 - r) * d.lam ** 2
+    assert d.burstiness == pytest.approx(var / (d.lam * d.p_on) ** 2, rel=1e-14)
+    for cls in (OnOffFluidParams, OnOffMmppParams):
+        c = cls(9.0, 1.0, 2.0)
+        var = 2 * c.alpha * c.beta / (c.alpha + c.beta) ** 3 * c.lam ** 2
+        assert c.burstiness == pytest.approx(var / (c.lam * c.p_on) ** 2, rel=1e-14)
+    with pytest.warns(UserWarning, match="absorbing"):
+        silent = OnOffDiscreteParams(1.0, 0.5, 2.0)
+    with pytest.raises(ValueError, match="p11"):
+        silent.burstiness
+
+
+def test_family_less_continuous_params_have_no_twin():
+    params = OnOffContinuousParams(9.0, 1.0, 2.0)
+    assert not hasattr(params, "as_matrix")
+    with pytest.raises(TypeError, match="source type"):
+        max_avg_rate(params, 1.0, 0.5)
 
 
 def test_source_from_json_rejects_unstable_matrix():
