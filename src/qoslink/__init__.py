@@ -8,6 +8,7 @@ from .channel import (
     ChannelSpec,
     EffCapEstimate,
     FadingMoments,
+    capacity_function,
     channel_spec_from_json,
     effective_capacity_mc,
     effective_capacity_quadrature,
@@ -31,6 +32,7 @@ from .energy import (
     numeric_energy_metrics,
     source_ebn0_curve,
     source_energy_metrics,
+    source_kind,
 )
 from .errors import (
     BracketFailure,

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import i0e
 
 from .errors import DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta
@@ -42,8 +41,6 @@ _GAIN_CHUNK = 1 << 15
 # stays small (0.6 MB at m = 10) next to a chunk's draws.
 _FILL_ROWS = 1 << 12
 
-_QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-12, limit=300)
-
 # Panel edges (units of sigma_h_sq) for the composite Gauss-Legendre
 # rule over the gain axis.  The fine leading panels resolve the sharp
 # variation of (1+snr*z)^{-a} near z=0 at large snr; the geometric tail
@@ -54,7 +51,15 @@ _PANEL_EDGES = np.array(
        9.5, 12.0, 15.0, 19.0, 24.0, 30.0, 37.0, 45.0]
 )
 _PANEL_ORDER = 20
+_GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_ORDER)
 _KERNEL_DEFECT_TOL = 1e-9
+# The one-dimensional integrals run in x = log(1 + gamma t) over a fixed
+# composite rule: the break points log1p(j / w) below, where the factor
+# e^{-w expm1(x)} has fallen by e^{-j}, and a geometric run of
+# _LOG_AXIS_RUN panels from 1/(|s| + w + 1) up to the cutoff.
+_LOG_AXIS_BREAKS = np.array([1.0, 10.0, 100.0, 745.0])
+_LOG_AXIS_RUN = 12
+_LOG_AXIS_STEPS = np.linspace(0.0, 1.0, _LOG_AXIS_RUN + 1)
 # Gain-chain kernels kept at once (3.3 MB each): enough for a quadrature
 # sweep to revisit its last few rho values without rebuilding.
 _KERNEL_CACHE_SIZE = 4
@@ -323,34 +328,54 @@ def effective_capacity_mc(
 # ---------------------------------------------------------------------------
 
 
-def _neg_moment_exponential(gamma: float, a: float) -> float:
-    """E{(1 + gamma*t)^{-a}} for t ~ exponential(1), a > 0.
+def _log_axis_rule(w: float, s: float):
+    """Nodes x and weights g with sum(g * phi(x)) ~ int_0^X phi(x) e^{x - w expm1(x)} dx.
 
-    Equals e^w w^a Gamma(1-a, w) with w = 1/gamma; evaluated as
-    w * int_0^X exp((1-a)x - w(e^x - 1)) dx, which is smooth, finite and
-    overflow-free for every a > 0, including a >= 1 where the incomplete
-    gamma argument 1-a is nonpositive and library routines give up.
+    With x = log(1 + t/w) and t ~ exponential(1), w * sum(g * phi(x)) is
+    E{phi(log(1 + t/w))}.  The cutoff X = log1p(845/w) + 1 leaves out
+    less than e^{-2000} of the mass.  The rule is one fixed composite
+    Gauss-Legendre rule: panel edges at the break points log1p(j/w),
+    j = 1, 10, 100, 745, which follow the double-exponential fall of the
+    weight at small w, and a geometric run from 1/(|s| + w + 1) to X,
+    which resolves phi = x^k e^{(s-1)x} near x = 0.  The number of panels
+    is fixed and every edge moves smoothly with w, so the integrals do
+    too (the numeric energy route differentiates them in snr).  Against
+    40-digit mpmath, the integrals of x^k e^{(s-1)x}, k = 0, 1, 2, are
+    within 1e-15 relative for 1/w in 1e-5..1e5 and 1 - s in 1e-3..721.
+    """
+    cutoff = math.log1p(845.0 / w) + 1.0
+    start = 1.0 / (abs(s) + w + 1.0)
+    edges = np.concatenate(
+        ((0.0,), start * (cutoff / start) ** _LOG_AXIS_STEPS, np.log1p(_LOG_AXIS_BREAKS / w))
+    )
+    edges.sort()
+    half = 0.5 * np.diff(edges)
+    x = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    return x, half[:, None] * _GL_WEIGHTS * np.exp(x - w * np.expm1(x))
+
+
+def _log_neg_moment(gamma: float, a: float) -> float:
+    """log E{(1 + gamma*t)^{-a}} for t ~ exponential(1), a > 0.
+
+    The moment equals e^w w^a Gamma(1-a, w) with w = 1/gamma, and
+    w * int_0^X e^{-a x} e^{x - w(e^x - 1)} dx on the log-axis rule
+    (``_log_axis_rule``), which is smooth, finite and overflow-free for
+    every a > 0, including a >= 1 where the incomplete gamma argument 1-a
+    is nonpositive and library routines give up.  While the moment is
+    above 1/2 its log is log1p of minus the deficit w * int_0^X
+    -expm1(-a x) e^{x - w(e^x - 1)} dx, computed on the same nodes: at
+    low snr * theta the moment is within a few 1e-8 of 1, and log(moment)
+    would lose the digits that the deficit keeps.
     """
     w = 1.0 / gamma
-    s = 1.0 - a
-    X = math.log1p(845.0 / w) + 1.0
-
-    def integrand(x):
-        return math.exp(s * x - w * math.expm1(x))
-
-    pts = np.unique(
-        np.clip(
-            [math.log1p(k / w) for k in (1.0, 10.0, 100.0, 745.0)],
-            1e-9 * X,
-            (1.0 - 1e-9) * X,
-        )
-    )
-    val, err = quad(integrand, 0.0, X, points=list(pts), **_QUAD_OPTS)
-    if not math.isfinite(val) or val <= 0 or err > 1e-10 * val:
-        raise QuadratureFailure(
-            f"negative-moment integral did not converge (value {val}, err {err})"
-        )
-    return w * val
+    x, g = _log_axis_rule(w, 1.0 - a)
+    ax = -a * x
+    mean = w * float(np.sum(g * np.exp(ax)))
+    if not (math.isfinite(mean) and mean > 0.0):
+        raise QuadratureFailure(f"negative-moment integral left the positive reals ({mean})")
+    if mean < 0.5:
+        return math.log(mean)
+    return math.log1p(w * float(np.sum(g * np.expm1(ax))))
 
 
 def effective_capacity_rayleigh_iid(snr: float, theta: float, m: int) -> EffCapEstimate:
@@ -364,25 +389,17 @@ def effective_capacity_rayleigh_iid(snr: float, theta: float, m: int) -> EffCapE
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    mean = _neg_moment_exponential(snr, theta / LN2)
-    value = max(0.0, -(m / theta) * math.log(mean))
+    value = max(0.0, -(m / theta) * _log_neg_moment(snr, theta / LN2))
     return EffCapEstimate(value, 0.0, "closed_form_iid_rayleigh", 0, theta, snr)
 
 
 def ergodic_capacity(spec: ChannelSpec, snr: float) -> float:
-    """m * E{log2(1 + snr*z)} bits/block; depends on rho not at all."""
+    """m * E{log2(1 + snr*z)} bits/block; depends on rho not at all.
+
+    The expectation is the first log-rate moment (``_log_rate_moments``).
+    """
     snr = _check_snr(snr)
-    gamma = snr * spec.sigma_h_sq
-
-    def integrand(t):
-        return math.log1p(gamma * t) * math.exp(-t)
-
-    val, err = quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
-    if not math.isfinite(val) or err > 1e-10 * max(1.0, val):
-        raise QuadratureFailure(
-            f"ergodic-capacity integral did not converge (value {val}, err {err})"
-        )
-    return spec.m * val / LN2
+    return spec.m * _log_rate_moments(snr * spec.sigma_h_sq)[0]
 
 
 def fading_moments(spec: ChannelSpec) -> FadingMoments:
@@ -400,18 +417,19 @@ def fading_moments(spec: ChannelSpec) -> FadingMoments:
 
 
 def _log_rate_moments(gamma: float):
-    """E{L} and E{L^2} for L = log2(1 + gamma*t), t ~ exponential(1)."""
+    """E{L} and E{L^2} for L = log2(1 + gamma*t), t ~ exponential(1).
 
-    def first(t):
-        return math.log1p(gamma * t) * math.exp(-t)
-
-    def second(t):
-        return math.log1p(gamma * t) ** 2 * math.exp(-t)
-
-    e1, err1 = quad(first, 0.0, np.inf, **_QUAD_OPTS)
-    e2, err2 = quad(second, 0.0, np.inf, **_QUAD_OPTS)
-    if err1 > 1e-10 * max(1.0, e1) or err2 > 1e-10 * max(1.0, e2):
-        raise QuadratureFailure("log-rate moment integrals did not converge")
+    Both come from one pass of the log-axis rule (``_log_axis_rule`` at
+    s = 1): E{log(1 + gamma t)^k} = w * int_0^X x^k e^{x - w(e^x - 1)} dx
+    with w = 1/gamma.
+    """
+    w = 1.0 / gamma
+    x, g = _log_axis_rule(w, 1.0)
+    g = g * x
+    e1 = w * float(np.sum(g))
+    e2 = w * float(np.sum(g * x))
+    if not (math.isfinite(e2) and e1 > 0.0):
+        raise QuadratureFailure(f"log-rate moment integrals left the positive reals ({e1}, {e2})")
     return e1 / LN2, e2 / (LN2 * LN2)
 
 
@@ -459,12 +477,11 @@ def log_rate_cov_sum(
 
 def _gain_axis_rule(sigma_h_sq: float):
     """Nodes and weights of the composite rule for int_0^inf phi(z) dz."""
-    xg, wg = leggauss(_PANEL_ORDER)
     edges = _PANEL_EDGES * sigma_h_sq
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
-        weights.append(0.5 * (b - a) * wg)
+        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
+        weights.append(0.5 * (b - a) * _GL_WEIGHTS)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -527,12 +544,10 @@ def effective_capacity_quadrature(
     gamma = snr * spec.sigma_h_sq
     a = theta / LN2
     if spec.rho >= 1.0 - 1e-9:
-        mean = _neg_moment_exponential(gamma, spec.m * a)
-        value = max(0.0, -math.log(mean) / theta)
+        value = max(0.0, -_log_neg_moment(gamma, spec.m * a) / theta)
         return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
     if spec.rho <= 1e-12 or spec.m == 1:
-        mean = _neg_moment_exponential(gamma, a)
-        value = max(0.0, -(spec.m / theta) * math.log(mean))
+        value = max(0.0, -(spec.m / theta) * _log_neg_moment(gamma, a))
         return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
     z, W, K, mass = _gain_chain_rule(spec.rho, spec.sigma_h_sq)
     g = (1.0 + snr * z) ** (-a)
@@ -556,6 +571,33 @@ def effective_capacity_quadrature(
         log_mean = math.log(total) + log2_scale * LN2
     value = max(0.0, -log_mean / theta)
     return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
+
+
+def capacity_function(spec: ChannelSpec, method: str, *, n_samples: int = 10 ** 6,
+                      seed: int | None = None):
+    """(snr, theta) -> EffCapEstimate of the link by one named method.
+
+    ``closed-iid`` is the i.i.d. Rayleigh closed form and needs rho = 0
+    (sigma_h_sq folds into snr exactly); ``quadrature`` is the
+    deterministic route; ``mc`` is Monte Carlo over ``n_samples`` blocks
+    and needs an explicit ``seed``.  An unknown method or a missing
+    precondition raises ValueError here, before any capacity is computed.
+    """
+    if method == "closed-iid":
+        if spec.rho != 0.0:
+            raise ValueError("closed-iid requires rho = 0; use mc for rho > 0")
+        return lambda snr, theta: effective_capacity_rayleigh_iid(
+            snr * spec.sigma_h_sq, theta, spec.m
+        )
+    if method == "quadrature":
+        return lambda snr, theta: effective_capacity_quadrature(spec, snr, theta)
+    if method == "mc":
+        if seed is None:
+            raise ValueError("Monte Carlo capacity needs an explicit seed")
+        return lambda snr, theta: effective_capacity_mc(
+            spec, snr, theta, n_samples=n_samples, seed=seed
+        )
+    raise ValueError(f"unknown capacity method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (
-    channel_spec_from_json,
-    effective_capacity_mc,
-    effective_capacity_quadrature,
-    effective_capacity_rayleigh_iid,
-)
-from .energy import source_ebn0_curve, source_energy_metrics
+from .channel import capacity_function, channel_spec_from_json
+from .energy import source_ebn0_curve, source_energy_metrics, source_kind
 from .errors import QoslinkError, ValidationError
 from .queuesim import SimConfig, simulate_queue
 from .sources import source_from_json
@@ -214,31 +209,11 @@ def _write_manifest(out_dir, command, params, seed, started, outputs) -> Path:
 
 
 def _capacity_fn(method, spec, n_samples, seed):
-    """snr, theta -> (value, std_error). dB conversion already done."""
-    if method == "closed-iid":
-        if spec.rho != 0.0:
-            raise ValidationError(
-                "method", "closed-iid requires rho = 0; use mc for rho > 0"
-            )
-
-        def fn(snr, th):
-            # sigma_h_sq folds into snr exactly for i.i.d. Rayleigh
-            est = effective_capacity_rayleigh_iid(snr * spec.sigma_h_sq, th, spec.m)
-            return est.value, 0.0
-
-        return fn
-    if method == "quadrature":
-        return lambda snr, th: (effective_capacity_quadrature(spec, snr, th).value, 0.0)
-    if method == "mc":
-        if seed is None:
-            raise ValidationError("seed", "mc capacity needs an explicit --seed")
-
-        def fn(snr, th):
-            est = effective_capacity_mc(spec, snr, th, n_samples=n_samples, seed=seed)
-            return est.value, est.std_error
-
-        return fn
-    raise ValidationError("method", f"unknown capacity method {method!r}")
+    """snr, theta -> EffCapEstimate. dB conversion already done."""
+    try:
+        return capacity_function(spec, method, n_samples=n_samples, seed=seed)
+    except ValueError as exc:
+        raise ValidationError("method", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +256,13 @@ def _cmd_ecap(args, out_dir) -> int:
     rows = []
     for th in thetas:
         for snr_db in snr_dbs:
-            value, std_error = cap(_db_to_linear(snr_db), th)
+            est = cap(_db_to_linear(snr_db), th)
             rows.append(
                 {
                     "theta": th,
                     "snr_db": snr_db,
-                    "c_e": value,
-                    "std_error": std_error,
+                    "c_e": est.value,
+                    "std_error": est.std_error,
                     "method": args.method,
                 }
             )
@@ -323,7 +298,7 @@ def _cmd_throughput(args, out_dir) -> int:
                    "r_avg_star": None, "lambda_star": None,
                    "method": None, "error": None}
             try:
-                ce, _ = cap(_db_to_linear(snr_db), th)
+                ce = cap(_db_to_linear(snr_db), th).value
                 res = max_avg_rate(src, ce, th)
                 row.update(
                     c_e=ce, r_avg_star=res.r_avg_star,
@@ -358,7 +333,7 @@ def _cmd_energy(args, out_dir) -> int:
     snr_dbs = _parse_grid(args.snr_db, "snr-db")
     # constant-rate arrivals are no source object: the energy layer takes None
     src = None if src_doc.get("kind") == "constant" else source_from_json(src_doc)
-    kind, metrics, provenance = source_energy_metrics(src, spec, theta)
+    kind = source_kind(src)
 
     rows = []
     for snr_db in snr_dbs:
@@ -377,7 +352,8 @@ def _cmd_energy(args, out_dir) -> int:
         ("kind", "theta", "snr_db", "ebn0_db", "rate_per_symbol", "error"), rows,
         col_formats={"snr_db": ".4f", "ebn0_db": ".4f"},
     )
-
+    # the curve is written first: it stands even when the metrics fail
+    _, metrics, provenance = source_energy_metrics(src, spec, theta)
     metrics_doc = {
         "kind": kind,
         "theta": theta,

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import (
     LN2,
     ChannelSpec,
-    effective_capacity_mc,
+    capacity_function,
     effective_capacity_quadrature,
     fading_moments,
 )
@@ -89,6 +89,14 @@ _CLOSED_FORM_KINDS = {
 }
 
 
+def source_kind(src) -> str:
+    """The kind label of a source: ``constant`` for ``None`` (constant-rate
+    arrivals), the family of a two-state ON/OFF source, else ``nstate``."""
+    if src is None:
+        return "constant"
+    return _CLOSED_FORM_KINDS.get(type(src), "nstate")
+
+
 def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     """(kind, metrics, provenance) of any source at one QoS exponent.
 
@@ -96,13 +104,13 @@ def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     have ``closed_form`` metrics, from their burstiness; the MMPP pays
     (e^theta - 1)/theta on the bit energy, and at theta = 0 it is the
     fluid source.  Matrix sources take the ``numeric`` route as kind
-    ``nstate``.
+    ``nstate``.  The kind is ``source_kind(src)``.
     """
+    kind = source_kind(src)
     if src is None:
-        return "constant", energy_metrics_constant(spec, theta), "closed_form"
-    kind = _CLOSED_FORM_KINDS.get(type(src))
-    if kind is None:
-        return "nstate", _numeric_metrics(src, spec, theta, "quadrature", _RICHARDSON_H), "numeric"
+        return kind, energy_metrics_constant(spec, theta), "closed_form"
+    if kind == "nstate":
+        return kind, _numeric_metrics(src, spec, theta, "quadrature", _RICHARDSON_H), "numeric"
     theta = _check_theta_nonneg(theta)
     metrics = _metrics_from_coef(spec, theta, src.burstiness)
     if isinstance(src, OnOffMmppParams) and theta != 0.0:
@@ -198,16 +206,6 @@ def _reraise_at_snr(exc: Exception, snr: float):
     raise wrapped from exc
 
 
-def _capacity_at(spec, snr, theta, capacity, n_samples, seed):
-    if capacity == "quadrature":
-        return effective_capacity_quadrature(spec, snr, theta).value
-    if capacity == "mc":
-        if seed is None:
-            raise ValueError("Monte Carlo capacity needs an explicit seed")
-        return effective_capacity_mc(spec, snr, theta, n_samples=n_samples, seed=seed).value
-    raise ValueError(f"capacity must be 'quadrature' or 'mc', got {capacity!r}")
-
-
 def _kind_source(kind, p11, p22, alpha, beta, source):
     """The source a kind-string call names; ``None`` is constant-rate."""
     if kind not in _KINDS:
@@ -275,12 +273,14 @@ def source_ebn0_curve(
         raise ValueError("snr_grid entries must be finite and > 0")
     if sorted(grid) != grid:
         raise ValueError("snr_grid must be sorted ascending")
+    if capacity not in ("quadrature", "mc"):
+        raise ValueError(f"capacity must be 'quadrature' or 'mc', got {capacity!r}")
+    cap = capacity_function(spec, capacity, n_samples=n_samples, seed=seed)
     solver = _rate_solver(src, theta)
     points = []
     for snr in grid:
         try:
-            ce = _capacity_at(spec, snr, theta, capacity, n_samples, seed)
-            r_star = solver(ce)
+            r_star = solver(cap(snr, theta).value)
         except (ValueError, TypeError):
             raise
         except Exception as exc:  # numeric failures gain sweep context

@@ -44,7 +44,7 @@ class DegenerateEstimate(QoslinkError):
 
 
 class QuadratureFailure(QoslinkError):
-    """Adaptive integration did not reach the requested tolerance."""
+    """A quadrature rule gave a non-finite or out-of-range value."""
 
 
 class InvalidRegime(QoslinkError):

@@ -18,10 +18,15 @@ from dataclasses import dataclass
 from functools import singledispatch
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import LN2, ChannelSpec, ergodic_capacity, log_rate_cov_sum
-from .errors import BracketFailure, InvalidRegime, _check_theta, _check_theta_nonneg
+from .errors import (
+    BracketFailure,
+    InvalidRegime,
+    NonConvergence,
+    _check_theta,
+    _check_theta_nonneg,
+)
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -39,14 +44,16 @@ from .sources import (
 _BRACKET_CAP_DOUBLINGS = 60
 _EPS = float(np.finfo(float).eps)
 _EXP_CAP = 700.0  # keeps math.exp finite
-# brentq's relative tolerance on the scale is the kernel's noise clipped
-# to this range: 4 machine epsilons is the least brentq accepts, and the
-# cap keeps a pessimistic noise figure from costing digits.  brentq needs
-# a positive absolute tolerance too, and the smallest normal float leaves
-# the relative one in charge
+# The Brent solve's relative tolerance on the scale is the kernel's noise
+# clipped to this range: 4 machine epsilons is the least scipy's brentq
+# accepts (a step of a few ulps no longer moves the iterate), and the cap
+# keeps a pessimistic noise figure from costing digits.  The absolute
+# tolerance is the smallest normal float, which leaves the relative one
+# in charge
 _SCALE_REL_TOL = 4.0 * _EPS
 _SCALE_REL_TOL_MAX = 1e-12
-_SCALE_ABS_TOL = np.finfo(float).tiny
+_SCALE_ABS_TOL = float(np.finfo(float).tiny)
+_BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,65 @@ def _scaled_bandwidth(src, theta: float, ce: float):
     )
 
 
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method, given fa = f(xa), fb = f(xb).
+
+    A line-for-line port of the C routine behind scipy.optimize.brentq:
+    the same float operations in the same order, so the same iterates
+    and the same returned point, but the bracket values come in already
+    computed.  The step stops once half the bracket is below
+    (xtol + rtol |x|) / 2.  Ends of equal sign, or a NaN end, raise
+    BracketFailure; a NaN value on the way, or _BRENT_MAX_ITER steps
+    without convergence, raise NonConvergence.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise BracketFailure(
+            f"f({xa!r}) = {fpre!r} and f({xb!r}) = {fcur!r} do not bracket a root"
+        )
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan  # C divides to inf or NaN, and so bisects below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NonConvergence(f"the function is NaN at {xcur!r}")
+    raise NonConvergence(f"Brent's method did not converge in {_BRENT_MAX_ITER} steps")
+
+
 def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     """Brent solver for sources whose rates are shape * scale.
 
@@ -210,23 +276,23 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     lambda* with a*(theta; lambda* c) = C_E, using that the effective
     bandwidth is monotone in the scale.  The source is validated once;
     each step calls the effective-bandwidth kernel on raw arrays.  The
-    bracket doubles from C_E until it encloses the root, then Brent's
-    method narrows it to the kernel's rounding noise relative to C_E
-    (eps times the matrix norm in units of a*, at the bracket's upper
-    end), but to no less than 4 machine epsilons and no more than 1e-12.
-    Asking for less than the noise only makes brentq fall back to
-    bisection (22 evaluations instead of 8 for the two-state fluid
-    source at C_E = 1e-3, theta = 0.1).  The result reports the
-    evaluations made and the relative residual.
+    bracket doubles from C_E until it encloses the root, then ``_brent``
+    (scipy's brentq, ported so that it starts from the bracket values
+    already computed) narrows it to the kernel's rounding noise relative
+    to C_E (eps times the matrix norm in units of a*, at the bracket's
+    upper end), but to no less than 4 machine epsilons and no more than
+    1e-12.  Asking for less than the noise only makes Brent's method
+    fall back to bisection (22 evaluations instead of 8 for the
+    two-state fluid source at C_E = 1e-3, theta = 0.1).  The result
+    reports the evaluations made and the relative residual.
     """
     ce = _check_ce(ce)
     theta = _check_theta(theta)
     mean_shape, eb, norm = _scaled_bandwidth(src, theta, ce)
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
-    # every evaluation, keyed by scale: brentq evaluates both bracket ends
-    # again, and returns one of its evaluated points.  Zero rates give
-    # a* = 0 exactly.
+    # every evaluation, keyed by scale; the Brent solve returns one of
+    # them.  Zero rates give a* = 0 exactly.
     excess = {0.0: -ce}
 
     def f(scale):
@@ -246,7 +312,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
             )
     lo = 0.5 * hi if doublings else 0.0
     rtol = min(max(_EPS * norm(hi) / ce, _SCALE_REL_TOL), _SCALE_REL_TOL_MAX)
-    lam = brentq(f, lo, hi, xtol=_SCALE_ABS_TOL, rtol=rtol)
+    lam = _brent(f, lo, hi, excess[lo], excess[hi], _SCALE_ABS_TOL, rtol)
     return ThroughputResult(
         lam * mean_shape, lam, theta, ce, "root_find",
         iterations=len(excess) - 1, residual=abs(excess[lam]) / ce,

@@ -494,3 +494,109 @@ def test_estimate_is_immutable():
     assert isinstance(est, EffCapEstimate)
     with pytest.raises(AttributeError):
         est.value = 0.0
+
+
+def test_capacity_function_dispatches_each_method():
+    from qoslink.channel import capacity_function
+
+    iid = ChannelSpec(m=4, rho=0.0, sigma_h_sq=2.0)
+    corr = ChannelSpec(m=4, rho=0.5)
+    closed = capacity_function(iid, "closed-iid")(0.3, 0.7)
+    assert closed == effective_capacity_rayleigh_iid(0.6, 0.7, 4)
+    assert capacity_function(corr, "quadrature")(0.3, 0.7) == (
+        effective_capacity_quadrature(corr, 0.3, 0.7)
+    )
+    mc = capacity_function(corr, "mc", n_samples=3000, seed=5)(0.3, 0.7)
+    assert mc == effective_capacity_mc(corr, 0.3, 0.7, n_samples=3000, seed=5)
+    with pytest.raises(ValueError, match=r"^closed-iid requires rho = 0; use mc for rho > 0$"):
+        capacity_function(corr, "closed-iid")
+    with pytest.raises(ValueError, match=r"^Monte Carlo capacity needs an explicit seed$"):
+        capacity_function(corr, "mc")
+    with pytest.raises(ValueError, match=r"^unknown capacity method 'exact'$"):
+        capacity_function(corr, "exact")
+
+
+# ---------------------------------------------------------------------------
+# the log-axis rule of the one-dimensional integrals, in corners the frozen
+# values above do not reach; 40-digit values from tests/log_axis_reference.py
+# ---------------------------------------------------------------------------
+
+# Every check below is relative only (abs=0.0): pytest.approx would
+# otherwise accept any error below 1e-12 in these small values.
+
+# (gamma, a, log E{(1 + gamma t)^-a}), t ~ exponential(1)
+LOG_NEG_MOMENT_MPMATH = [
+    (1e-05, 1.4426950408889634, -0.00001442670207898518644856124),
+    (1e-05, 0.14426950408889636, -0.000001442679573585221077753177),
+    (100000.0, 1.4426950408889634, -10.70784330185399468634205),
+    (100000.0, 0.14426950408889636, -1.559281332075832887351018),
+]
+# (snr, theta, m, C_E) of i.i.d. gains at low snr * theta, where the moment
+# is within 1.5e-5 of 1 (1.5e-8 in the first case): its log cancels digits
+IID_LOW_SNR_MPMATH = [
+    (1e-05, 0.001, 10, 0.0001442680603820656602778985),
+    (0.0001, 0.01, 10, 0.001442549759962729255243011),
+    (1e-05, 1.0, 10, 0.0001442670207898518644856124),
+]
+# (snr, m, theta, C_E) at rho = 1: the exponent m theta / log 2 is about 721
+FULL_CORRELATION_MPMATH = [
+    (0.01, 100, 5.0, 0.4209413181772893774361392),
+    (1.0, 100, 5.0, 1.316224588694905572409495),
+    (100.0, 100, 5.0, 2.236983570045126458155223),
+]
+# (snr, m, ergodic capacity)
+ERGODIC_MPMATH = [
+    (0.0001, 10, 0.001442550800230122688413653),
+    (10000.0, 10, 124.5635604149445892903531),
+]
+# (gamma, E{log2(1 + gamma t)^2})
+SECOND_LOG_MOMENT_MPMATH = [
+    (0.0001, 4.161489598315765538629221e-8),
+    (1.0, 1.107144204855339256743471),
+    (10000.0, 158.5653373146279607580729),
+]
+
+
+@pytest.mark.parametrize("gamma,a,expected", LOG_NEG_MOMENT_MPMATH)
+def test_negative_moment_matches_mpmath(gamma, a, expected):
+    from qoslink.channel import _log_neg_moment
+
+    assert _log_neg_moment(gamma, a) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("snr,theta,m,expected", IID_LOW_SNR_MPMATH)
+def test_iid_capacity_keeps_its_digits_at_low_snr(snr, theta, m, expected):
+    expected = pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert effective_capacity_rayleigh_iid(snr, theta, m).value == expected
+    quad = effective_capacity_quadrature(ChannelSpec(m=m, rho=0.0), snr, theta)
+    assert quad.value == expected
+
+
+@pytest.mark.parametrize("snr,m,theta,expected", FULL_CORRELATION_MPMATH)
+def test_full_correlation_at_high_exponent_matches_mpmath(snr, m, theta, expected):
+    est = effective_capacity_quadrature(ChannelSpec(m=m, rho=1.0), snr, theta)
+    assert est.value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("snr,m,expected", ERGODIC_MPMATH)
+def test_ergodic_capacity_matches_mpmath(snr, m, expected):
+    value = ergodic_capacity(ChannelSpec(m=m, rho=0.0), snr)
+    assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma,expected", SECOND_LOG_MOMENT_MPMATH)
+def test_second_log_rate_moment_matches_mpmath(gamma, expected):
+    from qoslink.channel import _log_rate_moments
+
+    assert _log_rate_moments(gamma)[1] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_log_axis_rule_fails_loudly():
+    from qoslink.channel import _log_neg_moment, _log_rate_moments
+
+    # at gamma = 1e307 the cutoff log1p(845 gamma) + 1 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureFailure, match="positive reals"):
+            _log_rate_moments(1e307)
+        with pytest.raises(QuadratureFailure, match="positive reals"):
+            _log_neg_moment(1e307, 0.5)

@@ -17,6 +17,7 @@ from qoslink import cli, queuesim
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
 from qoslink.cli import main
 from qoslink.energy import source_energy_metrics
+from qoslink.errors import IllConditioned
 from qoslink.sources import source_from_json
 from qoslink.throughput import max_avg_rate
 
@@ -527,3 +528,66 @@ def test_cli_and_simulator_do_no_per_family_dispatch():
     assert not {name for name in imported if per_family.fullmatch(name)}
     _, imported = _string_constants_and_imports(queuesim)
     assert not {name for name in imported if per_family.fullmatch(name)}
+
+
+def test_energy_curve_is_written_when_the_metrics_fail(tmp_path, capsys, monkeypatch):
+    def fail(src, spec, theta):
+        raise IllConditioned("extrapolants disagree")
+
+    monkeypatch.setattr(cli, "source_energy_metrics", fail)
+    assert run(
+        tmp_path, "energy", "--source", ONOFF_FLUID, "--channel", CHAN_IID,
+        "--theta", "0.1", "--snr-db=-20,-10",
+    ) == 3
+    assert capsys.readouterr().err == "error: IllConditioned: extrapolants disagree\n"
+    rows = read_csv(tmp_path / "energy_curve.csv")
+    assert [row["kind"] for row in rows] == ["fluid", "fluid"]
+    assert all(row["ebn0_db"] and not row["error"] for row in rows)
+    assert not (tmp_path / "energy_metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ecap", "throughput"])
+def test_mc_capacity_without_seed_names_the_seed(tmp_path, capsys, command):
+    argv = [command, "--channel", CHAN_IID, "--theta", "1", "--snr-db", "0",
+            "--n-samples", "1000"]
+    if command == "ecap":
+        argv += ["--method", "mc"]
+    else:
+        argv += ["--source", ONOFF_DISC, "--capacity", "mc"]
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid seed: randomized commands need an explicit --seed\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["ecap", "throughput"])
+def test_closed_iid_capacity_on_a_correlated_channel_names_the_method(
+    tmp_path, capsys, command
+):
+    argv = [command, "--channel", CHAN_CORR, "--theta", "1", "--snr-db", "0"]
+    if command == "throughput":
+        argv += ["--source", ONOFF_DISC]
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid method: closed-iid requires rho = 0; use mc for rho > 0\n"
+    )
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import qoslink
+
+    src_dir = str(Path(qoslink.__file__).resolve().parents[1])
+    code = (
+        "import sys, qoslink, qoslink.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -370,3 +370,17 @@ def test_mmpp_floor_does_not_depend_on_state_count():
             "nstate", spec, 1.0, source=MmppSource(bd.generator, bd.rates)
         )
         assert abs(got.ebn0_min_db - floor) <= 0.05
+
+
+def test_curve_capacity_messages():
+    # the curve's capacity dispatch is channel.capacity_function; the
+    # library keeps its own ValueError wording
+    with pytest.raises(ValueError) as exc:
+        ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="mc")
+    assert str(exc.value) == "Monte Carlo capacity needs an explicit seed"
+    with pytest.raises(ValueError) as exc:
+        ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="closed-iid")
+    assert str(exc.value) == "capacity must be 'quadrature' or 'mc', got 'closed-iid'"
+    mc = ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="mc", n_samples=2000, seed=4)
+    quad = ebn0_curve("constant", SPEC0, 1.0, [0.1])
+    assert mc[0].normalized_rate == pytest.approx(quad[0].normalized_rate, rel=0.05)

@@ -345,3 +345,117 @@ def test_birth_death_nstate_golden():
     # the horizon bias is O(1/T); two horizons extrapolate it away
     extrap = 2.0 * horizon(400.0) - horizon(200.0)
     assert extrap == pytest.approx(eigen, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Brent port
+# ---------------------------------------------------------------------------
+
+_MONOTONE = {
+    "cubic": lambda c, k: lambda x: k * (x - c) ** 3 + 1e-3 * (x - c),
+    "sinh": lambda c, k: lambda x: k * math.sinh(x - c),
+    "exp": lambda c, k: lambda x: math.exp(x) - math.exp(c),
+    "atan": lambda c, k: lambda x: math.atan(k * (x - c)),
+    "root": lambda c, k: lambda x: math.copysign(abs(x - c) ** 0.3, x - c),
+    "step": lambda c, k: lambda x: math.tanh(k * (x - c)) + 1e-9 * (x - c),
+    "stairs": lambda c, k: lambda x: math.floor(k * (x - c)) + 0.5,
+    "plateau": lambda c, k: lambda x: max(-1.0, min(1.0, k * (x - c))),
+}
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_MONOTONE)),
+    c=st.floats(-3.0, 3.0),
+    k=st.floats(1e-3, 1e3),
+    left=st.floats(1e-3, 10.0),
+    right=st.floats(1e-3, 10.0),
+    rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-14, 1e-12]),
+    xtol=st.sampled_from([float(np.finfo(float).tiny), 2e-12]),
+    flip=st.booleans(),
+    # tiny values underflow the extrapolation's denominator to 0 (C then
+    # bisects), huge ones overflow its products to inf
+    scale=st.sampled_from([1.0, 1e-200, 1e200]),
+)
+def test_brent_matches_scipy_brentq_bit_for_bit(
+    shape, c, k, left, right, rtol, xtol, flip, scale
+):
+    from scipy.optimize import brentq
+
+    from qoslink.errors import NonConvergence
+    from qoslink.throughput import _brent
+
+    base = _MONOTONE[shape](c, k)
+    sign = -scale if flip else scale
+
+    def f(x):
+        return sign * base(x)
+
+    a, b = c - left, c + right
+    if flip:
+        a, b = b, a
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+        return  # rounding erased the bracket
+    g, ours = _recording(f)
+    h, theirs = _recording(f)
+    try:
+        expected = brentq(h, a, b, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        with pytest.raises(NonConvergence):
+            _brent(g, a, b, fa, fb, xtol, rtol)
+        return
+    root = _brent(g, a, b, fa, fb, xtol, rtol)
+    assert root.hex() == float(expected).hex()
+    # brentq evaluates both bracket ends first; after that, the same steps
+    assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]]
+
+
+def test_brent_rejects_a_non_bracket_and_nan():
+    from qoslink.errors import NonConvergence
+    from qoslink.throughput import _brent
+
+    with pytest.raises(BracketFailure):
+        _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-300, 1e-12)
+    with pytest.raises(NonConvergence, match="NaN"):
+        _brent(lambda x: math.nan, -1.0, 2.0, -1.0, 2.0, 1e-300, 1e-12)
+
+
+# max_avg_rate_nstate on the n=50 fixtures: (family, theta, C_E,
+# lambda_star, iterations, residual), recorded while the solve still ran
+# through scipy.optimize.brentq
+NSTATE_FROZEN = [
+    ("binomial", 0.1, 0.5, 0.033973190934203125, 6, 2.6645352591003757e-15),
+    ("binomial", 0.5, 2.0, 0.13293478015834978, 7, 4.440892098500626e-16),
+    ("binomial", 0.01, 7.25, 0.49234829843367256, 6, 6.370383148194002e-15),
+    ("fluid", 0.1, 0.5, 0.016477222811854195, 8, 1.9872992140790302e-14),
+    ("fluid", 0.5, 2.0, 0.04507303818362972, 7, 8.881784197001252e-16),
+    ("fluid", 0.01, 7.25, 0.21841982337686072, 8, 1.0903155772870503e-14),
+    ("mmpp", 0.1, 0.5, 0.015667090402313396, 8, 1.0880185641326534e-14),
+    ("mmpp", 0.5, 2.0, 0.034739910821010175, 7, 4.440892098500626e-16),
+    ("mmpp", 0.01, 7.25, 0.21732954442213995, 8, 2.4746488383369007e-14),
+]
+
+
+@pytest.mark.parametrize("family,theta,ce,lam,iterations,residual", NSTATE_FROZEN)
+def test_nstate_solve_is_frozen(family, theta, ce, lam, iterations, residual):
+    from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
+
+    fluid = build_birth_death_fluid(50, 1.0, 1.2, 1.0)
+    src = {
+        "binomial": build_binomial_discrete_source(50, 0.3, 1.0),
+        "fluid": fluid,
+        "mmpp": MmppSource(fluid.generator, fluid.rates),
+    }[family]
+    res = max_avg_rate_nstate(src, theta, ce)
+    assert (res.lambda_star, res.iterations, res.residual) == (lam, iterations, residual)
