@@ -287,8 +287,6 @@ def _cmd_throughput(args, out_dir) -> int:
     spec = channel_spec_from_json(ch_doc)
     thetas = _parse_grid(args.theta, "theta", positive=True)
     snr_dbs = _parse_grid(args.snr_db, "snr-db")
-    if args.capacity not in ("closed-iid", "mc"):
-        raise ValidationError("capacity", f"must be closed-iid or mc, got {args.capacity!r}")
     seed = _require_seed(args) if args.capacity == "mc" else None
     cap = _capacity_fn(args.capacity, spec, args.n_samples, seed)
     rows = []
@@ -438,14 +436,22 @@ def _cmd_simulate(args, out_dir) -> int:
 # ---------------------------------------------------------------------------
 
 
+# defaults apply after the config file, so a config value counts unless
+# its flag is given; flag and config value alike must be one of the choices
+_DEFAULTS = {"out_dir": ".", "format": "csv", "method": "closed-iid",
+             "capacity": "closed-iid", "n_samples": 10 ** 6}
+_CHOICES = {"format": ("csv", "json"), "method": ("closed-iid", "quadrature", "mc"),
+            "capacity": ("closed-iid", "mc")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qoslink",
         description="Throughput and energy analysis of QoS-constrained fading links",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--out-dir", help="directory for output files (default .)")
+    common.add_argument("--format", choices=_CHOICES["format"], help="default csv")
     common.add_argument("--config", help="JSON file of defaults; flags override it")
     common.add_argument("--seed", type=int, help="seed for randomized computations")
 
@@ -459,9 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", help="channel JSON (inline or file path)")
     p.add_argument("--theta", help="theta grid")
     p.add_argument("--snr-db", help="snr grid in dB")
-    p.add_argument("--method", choices=("closed-iid", "quadrature", "mc"),
-                   default="closed-iid")
-    p.add_argument("--n-samples", type=int, default=10 ** 6)
+    p.add_argument("--method", choices=_CHOICES["method"], help="default closed-iid")
+    p.add_argument("--n-samples", type=int, help="default 10^6")
 
     p = sub.add_parser("throughput", parents=[common],
                        help="max average arrival rate sweep")
@@ -469,8 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", help="channel JSON (inline or file path)")
     p.add_argument("--theta", help="theta grid")
     p.add_argument("--snr-db", help="snr grid in dB")
-    p.add_argument("--capacity", choices=("closed-iid", "mc"), default="closed-iid")
-    p.add_argument("--n-samples", type=int, default=10 ** 6)
+    p.add_argument("--capacity", choices=_CHOICES["capacity"], help="default closed-iid")
+    p.add_argument("--n-samples", type=int, help="default 10^6")
 
     p = sub.add_parser("energy", parents=[common],
                        help="E_b/N_0 curve and energy metrics")
@@ -488,15 +493,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> None:
-    if not args.config:
-        return
-    doc = _load_json_arg(args.config, "config")
+    """Fill the options no flag gave from the config file, then from
+    ``_DEFAULTS``; a config value must be one of its flag's choices."""
+    doc = _load_json_arg(args.config, "config") if args.config else {}
     known = set(vars(args))
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest not in known or dest in ("command", "config"):
             raise ValidationError(f"config.{key}", "unknown parameter")
+        if dest in _CHOICES and value not in _CHOICES[dest]:
+            raise ValidationError(
+                f"config.{key}", f"must be one of {', '.join(_CHOICES[dest])}; got {value!r}"
+            )
         if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    for dest, value in _DEFAULTS.items():
+        if dest in known and getattr(args, dest) is None:
             setattr(args, dest, value)
 
 

@@ -30,20 +30,22 @@ from .channel import (
 )
 from .errors import IllConditioned, _check_theta_nonneg
 from .sources import (
+    _ONOFF_KINDS,
     DiscreteMarkovSource,
     FluidMarkovSource,
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
+    _onoff_source,
     _param,
 )
-from .throughput import _onoff_source, max_avg_rate
+from .throughput import max_avg_rate
 
 _RICHARDSON_H = 1e-4
 _RICHARDSON_REL_TOL = 1e-2
 _RICHARDSON_RETRIES = 4
 
-_KINDS = ("constant", "discrete", "fluid", "mmpp", "nstate")
+_KINDS = ("constant", *_ONOFF_KINDS, "nstate")
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,12 @@ def energy_metrics_constant(spec: ChannelSpec, theta: float) -> EnergyMetrics:
     return _metrics_from_coef(spec, _check_theta_nonneg(theta), 0.0)
 
 
-# the two-state sources with closed forms, and the kind each is labelled
-_CLOSED_FORM_KINDS = {
-    OnOffDiscreteParams: "discrete", OnOffFluidParams: "fluid", OnOffMmppParams: "mmpp"
-}
-
-
 def source_kind(src) -> str:
     """The kind label of a source: ``constant`` for ``None`` (constant-rate
     arrivals), the family of a two-state ON/OFF source, else ``nstate``."""
     if src is None:
         return "constant"
-    return _CLOSED_FORM_KINDS.get(type(src), "nstate")
+    return src._kind if type(src) in _ONOFF_KINDS.values() else "nstate"
 
 
 def source_energy_metrics(src, spec: ChannelSpec, theta: float):

@@ -48,12 +48,7 @@ import numpy as np
 
 from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue
-from .sources import (
-    DiscreteMarkovSource,
-    FluidMarkovSource,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
-)
+from .sources import DiscreteMarkovSource, FluidMarkovSource
 
 _JUMP_BATCH = 4096
 _SCAN_BLOCK = 4096
@@ -267,18 +262,16 @@ def _arrival_trace(source, n, seed):
             "OnOffMmppParams, or convert with as_fluid_source or as_mmpp_source"
         )
     source = source.as_matrix()
-    if isinstance(source, DiscreteMarkovSource):
-        pi = stationary_distribution_discrete(source)
-        s0 = rng_init.choice(len(pi), p=pi)
-        states = _discrete_state_path(source, n, s0, rng)
-        return source.rates[states]
-    pi = stationary_distribution_fluid(source.generator)
+    pi = source._stationary
     s0 = rng_init.choice(len(pi), p=pi)
+    # the one family choice left here: the path sampler
+    if isinstance(source, DiscreteMarkovSource):
+        return source.rates[_discrete_state_path(source, n, s0, rng)]
     states, times = _continuous_path(source.generator, float(n), s0, rng)
+    volume = _blocked_integral(source._rates, states, times, n)
     if isinstance(source, FluidMarkovSource):
-        return _blocked_integral(source.rates, states, times, n)
-    mean_counts = _blocked_integral(source.intensities, states, times, n)
-    return rng.poisson(mean_counts).astype(float)
+        return volume
+    return rng.poisson(volume).astype(float)
 
 
 def _service_trace(spec: ChannelSpec, snr, n, seed):

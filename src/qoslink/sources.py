@@ -15,10 +15,14 @@ spectrum.  Those forms are kernels on raw arrays (``_ebw_discrete``,
 ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that scales the rates can
 call them without building a source at each step.
 
-A source's family is its type, decided here alone.  Every source
-answers ``effective_bandwidth(theta)`` (closed form where one exists)
-and ``as_matrix()``, its matrix twin (a matrix source is its own); the
-two-state ON/OFF sources also give their ``burstiness``, eta or zeta.
+A source's family is its type, decided here alone.  A matrix source
+carries its family's data: matrix, rate vector, kernel, the kernel's
+rounding-noise norm, and a stationary law solved at most once per
+source.  Every source answers ``effective_bandwidth(theta)`` (closed
+form where one exists) and ``as_matrix()``, its matrix twin (a matrix
+source is its own); the two-state ON/OFF sources also give their
+``burstiness``, eta or zeta, and carry the kind label that the
+kind-string entry points name them by.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -31,8 +35,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import singledispatch
+from dataclasses import dataclass, field, fields
+from functools import cached_property, singledispatch
 from typing import Union
 
 import numpy as np
@@ -46,12 +50,15 @@ from .errors import NonConvergence, NoUniqueStationary, ValidationError, _check_
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
+_EXP_CAP = 700.0  # keeps math.exp finite
 
 
-def _frozen_array(obj, value, field):
+def _frozen_array(obj, value, *names):
+    """``value`` as a read-only float array, stored on ``obj`` under each name."""
     arr = np.array(value, dtype=float)
     arr.setflags(write=False)
-    object.__setattr__(obj, field, arr)
+    for name in names:
+        object.__setattr__(obj, name, arr)
     return arr
 
 
@@ -61,15 +68,6 @@ def _param(name: str, value, positive: bool = False) -> float:
     if not math.isfinite(value) or value < 0 or (positive and value == 0):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
     return value
-
-
-def _freeze_rates(obj, field: str, n_states: int) -> None:
-    """Freeze a matrix source's per-state rate vector and check it."""
-    r = _frozen_array(obj, getattr(obj, field), field)
-    if r.ndim != 1 or r.shape[0] != n_states:
-        raise ValueError(f"{field} must be a vector matching the chain size")
-    if not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise ValueError(f"{field} must be finite and >= 0")
 
 
 def _graph(adjacency: np.ndarray):
@@ -236,6 +234,11 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
 def _ebw_discrete(
     transition_probs: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
 ) -> float:
+    """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block.
+
+    The spectral radius is taken after scaling out e^{theta*max(rates)}
+    so it never overflows for large theta*rate products.
+    """
     lam_max = float(np.max(rates))
     # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]
     M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
@@ -248,6 +251,7 @@ def _ebw_discrete(
 def _ebw_fluid(
     generator: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
 ) -> float:
+    """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
     M = np.diag(rates) + generator / theta
     return _perron_root(_symmetrized(M) if reversible else M)
 
@@ -255,21 +259,9 @@ def _ebw_fluid(
 def _ebw_mmpp(
     generator: np.ndarray, intensities: np.ndarray, theta: float, reversible: bool
 ) -> float:
+    """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
     M = math.expm1(theta) * np.diag(intensities) + generator
     return _perron_root(_symmetrized(M) if reversible else M) / theta
-
-
-def effective_bandwidth_discrete(
-    src: DiscreteMarkovSource, theta: QosExponent
-) -> float:
-    """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block.
-
-    The spectral radius is taken after scaling out e^{theta*max(rates)}
-    so it never overflows for large theta*rate products.
-    """
-    return _ebw_discrete(
-        src.transition_probs, src.rates, _check_theta(theta), src.reversible
-    )
 
 
 def effective_bandwidth_onoff_discrete(
@@ -299,11 +291,6 @@ def effective_bandwidth_onoff_discrete(
     return 0.5 * lam + 0.5 * math.log1p(-p11) / theta
 
 
-def effective_bandwidth_fluid(src: FluidMarkovSource, theta: QosExponent) -> float:
-    """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
-    return _ebw_fluid(src.generator, src.rates, _check_theta(theta), src.reversible)
-
-
 def _stable_quadratic_root(x: float, y: float) -> float:
     """(x + sqrt(x^2 + y)) / 2 without cancellation for x < 0, y >= 0."""
     s = math.sqrt(x * x + y)
@@ -325,13 +312,6 @@ def effective_bandwidth_onoff_fluid(
     x = theta * lam - (a + b)
     y = 4.0 * a * theta * lam
     return _stable_quadratic_root(x, y) / theta
-
-
-def effective_bandwidth_mmpp(src: MmppSource, theta: QosExponent) -> float:
-    """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
-    return _ebw_mmpp(
-        src.generator, src.intensities, _check_theta(theta), src.reversible
-    )
 
 
 def effective_bandwidth_onoff_mmpp(
@@ -379,9 +359,43 @@ def _onoff_generator(params: OnOffContinuousParams) -> np.ndarray:
 
 
 class _MatrixSource:
+    """A chain and a rate per state, the first two fields of each family
+    (kept also as ``_matrix`` and ``_rates``).  ``reversible`` is computed
+    at construction: whether the chain satisfies detailed balance.  A
+    family gives its matrix check, its raw-array ``_kernel``, that
+    kernel's rounding-noise norm and the solve of its stationary law,
+    which runs on first use, at most once per source, and is read-only.
+    """
+
+    def __post_init__(self):
+        matrix, rates = (f.name for f in fields(self)[:2])
+        M = _frozen_array(self, np.atleast_2d(getattr(self, matrix)), matrix, "_matrix")
+        self._check_matrix(M)
+        r = _frozen_array(self, getattr(self, rates), rates, "_rates")
+        if r.ndim != 1 or r.shape[0] != M.shape[0]:
+            raise ValueError(f"{rates} must be a vector matching the chain size")
+        if not np.all(np.isfinite(r)) or np.any(r < 0):
+            raise ValueError(f"{rates} must be finite and >= 0")
+        object.__setattr__(self, "reversible", _is_reversible(M))
+
+    @property
+    def n_states(self) -> int:
+        return self._matrix.shape[0]
+
+    @cached_property
+    def _stationary(self) -> np.ndarray:
+        pi = self._solve_stationary()
+        pi.setflags(write=False)
+        return pi
+
     def as_matrix(self):
         """A matrix source is its own matrix twin."""
         return self
+
+    def effective_bandwidth(self, theta: QosExponent) -> float:
+        """a*(theta) of the chain, bits/block, from its family's kernel
+        (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
+        return self._kernel(self._matrix, self._rates, _check_theta(theta), self.reversible)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,17 +404,29 @@ class DiscreteMarkovSource(_MatrixSource):
 
     ``transition_probs[i][j]`` is the probability of moving from state i
     to state j at a block boundary; ``rates[i]`` is the deterministic
-    arrival volume (bits/block) while in state i.  ``reversible`` is
-    computed at construction: whether the chain satisfies detailed
-    balance.
+    arrival volume (bits/block) while in state i.
     """
 
     transition_probs: np.ndarray
     rates: np.ndarray
     reversible: bool = field(init=False)
 
+    _kernel = staticmethod(_ebw_discrete)
+
     def __post_init__(self):
-        J = _frozen_array(self, np.atleast_2d(self.transition_probs), "transition_probs")
+        super().__post_init__()
+        J = self.transition_probs
+        terminal, labels = _terminal_components(J > 0)
+        if len(terminal) != 1:
+            raise NoUniqueStationary(
+                "chain has multiple recurrent classes; stationary law is not unique"
+            )
+        members = np.nonzero(labels == terminal[0])[0]
+        if _component_period(J > 0, members) != 1:
+            raise ValueError("periodic chains are not supported")
+
+    @staticmethod
+    def _check_matrix(J: np.ndarray) -> None:
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 1:
             raise ValueError("transition_probs must be a square matrix")
         if not np.all(np.isfinite(J)):
@@ -413,91 +439,88 @@ class DiscreteMarkovSource(_MatrixSource):
                 f"transition_probs rows must sum to 1 within {_ROW_SUM_TOL:g} "
                 f"(worst error {row_err:.3g})"
             )
-        _freeze_rates(self, "rates", J.shape[0])
-        terminal, labels = _terminal_components(J > 0)
-        if len(terminal) != 1:
-            raise NoUniqueStationary(
-                "chain has multiple recurrent classes; stationary law is not unique"
+
+    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
+        # the root sp = e^{theta (a* - peak)}, of a matrix with entries
+        # <= 1, gives a* as peak + ln(sp) / theta
+        return peak + math.exp(min(theta * (peak - ce), _EXP_CAP)) / theta
+
+    def _solve_stationary(self) -> np.ndarray:
+        J = self.transition_probs
+        pi = _stationary_from(J.T - np.eye(J.shape[0]))
+        if np.max(np.abs(pi @ J - pi)) > 1e-10:
+            raise NoUniqueStationary("stationary equations are inconsistent")
+        return pi
+
+
+class _GeneratorSource(_MatrixSource):
+    """A continuous-time chain: the fluid and MMPP families' generator."""
+
+    @staticmethod
+    def _check_matrix(G: np.ndarray) -> None:
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
+            raise ValueError("generator must be a square matrix")
+        if not np.all(np.isfinite(G)):
+            raise ValueError("generator entries must be finite")
+        off = G.copy()
+        np.fill_diagonal(off, 0.0)
+        if np.any(off < -1e-15):
+            raise ValueError("generator off-diagonal entries must be >= 0")
+        row_err = np.max(np.abs(G.sum(axis=1)))
+        if row_err > _ROW_SUM_TOL:
+            raise ValueError(
+                f"generator rows must sum to 0 within {_ROW_SUM_TOL:g} "
+                f"(worst error {row_err:.3g})"
             )
-        members = np.nonzero(labels == terminal[0])[0]
-        if _component_period(J > 0, members) != 1:
-            raise ValueError("periodic chains are not supported")
-        object.__setattr__(self, "reversible", _is_reversible(J))
 
     @property
-    def n_states(self) -> int:
-        return self.transition_probs.shape[0]
+    def _row_norm(self) -> float:
+        return float(np.max(np.sum(np.abs(self.generator), axis=1)))
 
-    effective_bandwidth = effective_bandwidth_discrete
+    def _solve_stationary(self) -> np.ndarray:
+        return _generator_law(self.generator)
 
 
 @dataclass(frozen=True, eq=False)
-class FluidMarkovSource(_MatrixSource):
+class FluidMarkovSource(_GeneratorSource):
     """Markov fluid source: continuous-time chain, linear arrivals.
 
     ``generator[i][j]`` (i != j) is the transition rate from state i to
     state j in 1/block; rows sum to zero.  While in state i, fluid
-    arrives deterministically at ``rates[i]`` bits/block.  ``reversible``
-    is computed at construction: whether the chain satisfies detailed
-    balance.
+    arrives deterministically at ``rates[i]`` bits/block.
     """
 
     generator: np.ndarray
     rates: np.ndarray
     reversible: bool = field(init=False)
 
-    def __post_init__(self):
-        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
-        _validate_generator(G)
-        _freeze_rates(self, "rates", G.shape[0])
-        object.__setattr__(self, "reversible", _is_reversible(G))
+    _kernel = staticmethod(_ebw_fluid)
 
-    @property
-    def n_states(self) -> int:
-        return self.generator.shape[0]
-
-    effective_bandwidth = effective_bandwidth_fluid
+    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
+        # the root is a* itself
+        return peak + self._row_norm / theta
 
 
 @dataclass(frozen=True, eq=False)
-class MmppSource(_MatrixSource):
+class MmppSource(_GeneratorSource):
     """Markov-modulated Poisson process: Poisson arrivals whose intensity
-    (bits/block) is selected by a continuous-time Markov chain.
-    ``reversible`` is computed at construction: whether the chain
-    satisfies detailed balance."""
+    (bits/block) is selected by a continuous-time Markov chain."""
 
     generator: np.ndarray
     intensities: np.ndarray
     reversible: bool = field(init=False)
 
-    def __post_init__(self):
-        G = _frozen_array(self, np.atleast_2d(self.generator), "generator")
-        _validate_generator(G)
-        _freeze_rates(self, "intensities", G.shape[0])
-        object.__setattr__(self, "reversible", _is_reversible(G))
+    _kernel = staticmethod(_ebw_mmpp)
 
-    @property
-    def n_states(self) -> int:
-        return self.generator.shape[0]
-
-    effective_bandwidth = effective_bandwidth_mmpp
+    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
+        # the root is theta a*
+        return (math.expm1(theta) * peak + self._row_norm) / theta
 
 
-def _validate_generator(G: np.ndarray) -> None:
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
-        raise ValueError("generator must be a square matrix")
-    if not np.all(np.isfinite(G)):
-        raise ValueError("generator entries must be finite")
-    off = G.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < -1e-15):
-        raise ValueError("generator off-diagonal entries must be >= 0")
-    row_err = np.max(np.abs(G.sum(axis=1)))
-    if row_err > _ROW_SUM_TOL:
-        raise ValueError(
-            f"generator rows must sum to 0 within {_ROW_SUM_TOL:g} "
-            f"(worst error {row_err:.3g})"
-        )
+# the per-family names of the one matrix-source method
+effective_bandwidth_discrete = DiscreteMarkovSource.effective_bandwidth
+effective_bandwidth_fluid = FluidMarkovSource.effective_bandwidth
+effective_bandwidth_mmpp = MmppSource.effective_bandwidth
 
 
 @dataclass(frozen=True)
@@ -541,6 +564,7 @@ class OnOffDiscreteParams:
             raise ValueError("p11 = 1 carries no traffic; burstiness is undefined")
         return (1.0 - p22) * (p11 + p22) / ((1.0 - p11) * (2.0 - p11 - p22))
 
+    _kind = "discrete"
     as_matrix = as_discrete_source
     effective_bandwidth = effective_bandwidth_onoff_discrete
 
@@ -574,6 +598,7 @@ class OnOffContinuousParams:
 class OnOffFluidParams(OnOffContinuousParams):
     """Two-state Markov fluid source: fluid arrives at ``lam`` while ON."""
 
+    _kind = "fluid"
     as_matrix = as_fluid_source
     effective_bandwidth = effective_bandwidth_onoff_fluid
 
@@ -581,8 +606,35 @@ class OnOffFluidParams(OnOffContinuousParams):
 class OnOffMmppParams(OnOffContinuousParams):
     """Two-state MMPP: Poisson arrivals of intensity ``lam`` while ON."""
 
+    _kind = "mmpp"
     as_matrix = as_mmpp_source
     effective_bandwidth = effective_bandwidth_onoff_mmpp
+
+
+# the two-state sources by the kind label each carries: the kind-string
+# entry points name one of these
+_ONOFF_KINDS = {
+    cls._kind: cls for cls in (OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams)
+}
+
+
+def _onoff_type(kind: str) -> type:
+    """The two-state source type a kind label names."""
+    if kind not in _ONOFF_KINDS:
+        raise ValueError(f"kind must be one of {', '.join(_ONOFF_KINDS)}, got {kind!r}")
+    return _ONOFF_KINDS[kind]
+
+
+def _onoff_source(kind: str, p11, p22, alpha, beta):
+    """The two-state source (lam = 0) that a kind-string call names."""
+    cls = _onoff_type(kind)
+    if cls is OnOffDiscreteParams:
+        if p11 is None or p22 is None:
+            raise ValueError("discrete kind requires p11 and p22")
+        return cls(p11, p22, 0.0)
+    if alpha is None or beta is None:
+        raise ValueError(f"{kind} kind requires alpha and beta")
+    return cls(alpha, beta, 0.0)
 
 
 AnySource = Union[
@@ -601,24 +653,23 @@ AnySource = Union[
 
 
 def stationary_distribution_discrete(src: DiscreteMarkovSource) -> np.ndarray:
-    """Unique probability vector pi with pi @ J = pi."""
-    J = src.transition_probs
-    pi = _stationary_from(J.T - np.eye(J.shape[0]))
-    if np.max(np.abs(pi @ J - pi)) > 1e-10:
-        raise NoUniqueStationary("stationary equations are inconsistent")
-    return pi
+    """Unique probability vector pi with pi @ J = pi (read-only, solved once per source)."""
+    return src._stationary
 
 
 def stationary_distribution_fluid(generator) -> np.ndarray:
-    """Unique probability vector pi with pi @ G = 0."""
-    if isinstance(generator, (FluidMarkovSource, MmppSource)):
-        G = generator.generator
-    else:
-        G = np.atleast_2d(np.asarray(generator, dtype=float))
-        _validate_generator(G)
-    off = G.copy()
-    np.fill_diagonal(off, 0.0)
-    terminal, _ = _terminal_components(off > 0)
+    """Unique probability vector pi with pi @ G = 0, of a fluid or MMPP
+    source (read-only, solved once per source) or of a raw generator."""
+    if isinstance(generator, _GeneratorSource):
+        return generator._stationary
+    G = np.atleast_2d(np.asarray(generator, dtype=float))
+    _GeneratorSource._check_matrix(G)
+    return _generator_law(G)
+
+
+def _generator_law(G: np.ndarray) -> np.ndarray:
+    # a self-loop on the diagonal changes no strong component or exit
+    terminal, _ = _terminal_components(G > 0)
     if len(terminal) != 1:
         raise NoUniqueStationary(
             "generator has multiple recurrent classes; stationary law is not unique"
@@ -654,18 +705,8 @@ def average_rate(src) -> float:
 
 
 @average_rate.register
-def _(src: DiscreteMarkovSource) -> float:
-    return float(stationary_distribution_discrete(src) @ src.rates)
-
-
-@average_rate.register
-def _(src: FluidMarkovSource) -> float:
-    return float(stationary_distribution_fluid(src.generator) @ src.rates)
-
-
-@average_rate.register
-def _(src: MmppSource) -> float:
-    return float(stationary_distribution_fluid(src.generator) @ src.intensities)
+def _(src: _MatrixSource) -> float:
+    return float(src._stationary @ src._rates)
 
 
 @average_rate.register(OnOffDiscreteParams)

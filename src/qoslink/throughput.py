@@ -5,7 +5,7 @@ solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources have
 closed forms; for general n-state sources the per-state rate scale is
-found by Brent's method on the raw-array effective-bandwidth kernels.
+found by Brent's method on the raw-array kernel the source carries.
 ``max_avg_rate`` takes any source and picks its route from the source's
 type.  Asymptotic behavior at theta -> 0 (ergodic limit and first
 derivative) and at high snr (rate prelog) is also exposed.
@@ -28,22 +28,16 @@ from .errors import (
     _check_theta_nonneg,
 )
 from .sources import (
-    DiscreteMarkovSource,
-    FluidMarkovSource,
-    MmppSource,
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
-    _ebw_discrete,
-    _ebw_fluid,
-    _ebw_mmpp,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
+    _MatrixSource,
+    _onoff_source,
+    _onoff_type,
 )
 
 _BRACKET_CAP_DOUBLINGS = 60
 _EPS = float(np.finfo(float).eps)
-_EXP_CAP = 700.0  # keeps math.exp finite
 # The Brent solve's relative tolerance on the scale is the kernel's noise
 # clipped to this range: 4 machine epsilons is the least scipy's brentq
 # accepts (a step of a few ulps no longer moves the iterate), and the cap
@@ -171,41 +165,17 @@ def _scaled_bandwidth(src, theta: float, ce: float):
     """(stationary mean of the shape, scale -> a*(theta; scale * shape),
     scale -> the kernel's matrix norm in units of a*, near a* = C_E).
 
-    Rounding moves a* by about eps times that norm: the fluid root is a*
-    itself, the MMPP root is theta a*, and the discrete root
-    sp = e^{theta (a* - peak)}, of a matrix with entries <= 1, gives a*
-    as peak + ln(sp) / theta.
+    All three come from the data the source carries for its family: the
+    stationary law (solved once per source), the raw-array kernel and
+    ``_noise_norm``.  Rounding moves a* by about eps times that norm.
     """
-    if isinstance(src, DiscreteMarkovSource):
-        matrix, shape, kernel = src.transition_probs, src.rates, _ebw_discrete
-        pi = stationary_distribution_discrete(src)
-
-        def norm(peak):
-            return peak + math.exp(min(theta * (peak - ce), _EXP_CAP)) / theta
-
-    elif isinstance(src, FluidMarkovSource):
-        matrix, shape, kernel = src.generator, src.rates, _ebw_fluid
-        pi = stationary_distribution_fluid(src.generator)
-        g_norm = float(np.max(np.sum(np.abs(matrix), axis=1)))
-
-        def norm(peak):
-            return peak + g_norm / theta
-
-    elif isinstance(src, MmppSource):
-        matrix, shape, kernel = src.generator, src.intensities, _ebw_mmpp
-        pi = stationary_distribution_fluid(src.generator)
-        g_norm = float(np.max(np.sum(np.abs(matrix), axis=1)))
-
-        def norm(peak):
-            return (math.expm1(theta) * peak + g_norm) / theta
-
-    else:
+    if not isinstance(src, _MatrixSource):
         raise TypeError(f"unsupported source type: {type(src).__name__}")
-    reversible = src.reversible
+    matrix, shape, kernel, reversible = src._matrix, src._rates, src._kernel, src.reversible
     return (
-        float(pi @ shape),
+        float(src._stationary @ shape),
         lambda scale: kernel(matrix, scale * shape, theta, reversible),
-        lambda scale: norm(scale * float(np.max(shape))),
+        lambda scale: src._noise_norm(scale * float(np.max(shape)), theta, ce),
     )
 
 
@@ -319,17 +289,6 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     )
 
 
-def _onoff_source(kind: str, p11, p22, alpha, beta):
-    """The two-state source (lam = 0) that a kind-string call names."""
-    if kind == "discrete":
-        if p11 is None or p22 is None:
-            raise ValueError("discrete kind requires p11 and p22")
-        return OnOffDiscreteParams(p11, p22, 0.0)
-    if alpha is None or beta is None:
-        raise ValueError(f"{kind} kind requires alpha and beta")
-    return (OnOffFluidParams if kind == "fluid" else OnOffMmppParams)(alpha, beta, 0.0)
-
-
 def low_theta_asymptotics(
     kind: str,
     spec: ChannelSpec,
@@ -352,10 +311,9 @@ def low_theta_asymptotics(
     ``n_samples``/``seed`` only matter for 0 < rho < 1, where the
     variance of nu has no closed form and is estimated by Monte Carlo.
     """
-    if kind not in ("discrete", "fluid", "mmpp"):
-        raise ValueError(f"kind must be discrete, fluid or mmpp, got {kind!r}")
-    coef = _onoff_source(kind, p11, p22, alpha, beta).burstiness
-    extra = 0.5 if kind == "mmpp" else 0.0
+    src = _onoff_source(kind, p11, p22, alpha, beta)
+    coef = src.burstiness
+    extra = 0.5 if isinstance(src, OnOffMmppParams) else 0.0
     erg = ergodic_capacity(spec, snr)
     var_nu = log_rate_cov_sum(spec, snr, n_samples=n_samples, seed=seed)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
@@ -368,15 +326,14 @@ def high_snr_slope(kind: str, theta: float, p_on: float) -> float:
     i.i.d. Rayleigh gains assumed.  Piecewise in theta with a continuous
     seam at theta = log_e2 and value 1 at theta = 0 for every kind.
     """
-    if kind not in ("discrete", "fluid", "mmpp"):
-        raise ValueError(f"kind must be discrete, fluid or mmpp, got {kind!r}")
+    mmpp = _onoff_type(kind) is OnOffMmppParams
     theta = _check_theta_nonneg(theta)
     p_on = float(p_on)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")
     if theta == 0.0:
         return 1.0
-    if kind == "mmpp":
+    if mmpp:
         em = float(np.expm1(theta))
         return p_on * LN2 / em if theta >= LN2 else p_on * theta / em
     return p_on * LN2 / theta if theta >= LN2 else p_on

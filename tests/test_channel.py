@@ -69,7 +69,7 @@ FULLY_CORRELATED_CASES = [
 @pytest.mark.parametrize("snr,theta,m,expected", IID_CASES)
 def test_iid_closed_form_frozen(snr, theta, m, expected):
     est = effective_capacity_rayleigh_iid(snr, theta, m)
-    assert est.value == pytest.approx(expected, rel=1e-10)
+    assert est.value == pytest.approx(expected, rel=1e-10, abs=0)
     assert est.method == "closed_form_iid_rayleigh"
     assert est.std_error == 0.0
 
@@ -200,7 +200,7 @@ def test_ergodic_capacity_frozen_values():
         29.065148084148050, rel=1e-10
     )
     assert ergodic_capacity(ChannelSpec(10, 0.0), 0.001) == pytest.approx(
-        0.014412552226164386, rel=1e-10
+        0.014412552226164386, rel=1e-10, abs=0
     )
 
 

@@ -591,3 +591,49 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": src_dir}, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_config_sets_the_options_that_have_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "mc", "seed": 3, "n_samples": 2000, "format": "json"}))
+    out = tmp_path / "out"
+    assert run(out, "ecap", "--config", str(cfg), "--channel", CHAN_IID,
+               "--theta", "1", "--snr-db", "0") == 0
+    assert not (out / "ecap.csv").exists()
+    rows = json.loads((out / "ecap.json").read_text())
+    assert [row["method"] for row in rows] == ["mc"]
+    assert rows[0]["std_error"] > 0.0
+    params = json.loads((out / "ecap_manifest.json").read_text())["params"]
+    assert params["n_samples"] == 2000
+
+
+def test_flags_override_the_config_for_options_that_have_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "mc", "seed": 3, "format": "json"}))
+    out = tmp_path / "out"
+    assert run(out, "ecap", "--config", str(cfg), "--channel", CHAN_IID, "--theta", "1",
+               "--snr-db", "0", "--method", "closed-iid", "--format", "csv") == 0
+    assert not (out / "ecap.json").exists()
+    assert [row["method"] for row in read_csv(out / "ecap.csv")] == ["closed-iid"]
+
+
+@pytest.mark.parametrize("key,value", [("format", "xml"), ("method", "exact")])
+def test_config_values_meet_the_flags_choices(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(tmp_path, "ecap", "--config", str(cfg), "--channel", CHAN_IID,
+               "--theta", "1", "--snr-db", "0") == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config.{key}: ")
+    assert not list(tmp_path.glob("ecap*"))
+
+
+def test_mc_manifest_params_rerun_through_config_reproduces_data(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run(a, "ecap", "--channel", CHAN_IID, "--method", "mc", "--seed", "3",
+               "--n-samples", "2000", "--theta", "0.5,1", "--snr-db", "0,5") == 0
+    manifest = json.loads((a / "ecap_manifest.json").read_text())
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps({**manifest["params"], "seed": manifest["seed"]}))
+    assert run(b, "ecap", "--config", str(cfg)) == 0
+    assert digest(a / "ecap.csv") == digest(b / "ecap.csv")

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qoslink.sources as sources_module
+from qoslink.channel import ChannelSpec
 from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
 from qoslink.errors import NonConvergence, NoUniqueStationary, ValidationError
+from qoslink.queuesim import SimConfig, simulate_queue
 from qoslink.sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -733,3 +735,78 @@ def test_converters_shape():
     np.testing.assert_allclose(src.rates, [0.0, 5.0])
     fl = as_fluid_source(OnOffContinuousParams(2.0, 3.0, 5.0))
     np.testing.assert_allclose(fl.generator, [[-2.0, 2.0], [3.0, -3.0]])
+
+
+# ---------------------------------------------------------------------------
+# the stationary law: solved once per source, read-only
+# ---------------------------------------------------------------------------
+
+FAMILIES = ["discrete", "fluid", "mmpp"]
+
+
+def _family_source(family):
+    if family == "discrete":
+        return build_binomial_discrete_source(6, 0.3, 1.0)
+    bd = build_birth_death_fluid(6, 1.0, 1.2, 1.0)
+    return bd if family == "fluid" else MmppSource(bd.generator, bd.rates)
+
+
+def _stationary(src):
+    if isinstance(src, DiscreteMarkovSource):
+        return stationary_distribution_discrete(src)
+    return stationary_distribution_fluid(src)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
+    src = _family_source(family)
+    calls = []
+    solve = sources_module._stationary_from
+    monkeypatch.setattr(
+        sources_module, "_stationary_from", lambda A: calls.append(1) or solve(A)
+    )
+    for theta, ce in ((0.1, 1.0), (1.0, 0.5)):
+        max_avg_rate_nstate(src, theta, ce)
+        max_avg_rate(src, ce, theta)
+        average_rate(src)
+        _stationary(src)
+    for seed in (1, 2):
+        simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 10.0, 10 ** 4, seed))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stationary_law_is_read_only(family):
+    src = _family_source(family)
+    pi = _stationary(src)
+    assert _stationary(src) is pi
+    with pytest.raises(ValueError):
+        pi[0] = 0.5
+    with pytest.raises(AttributeError):
+        src._stationary = np.ones(src.n_states) / src.n_states
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cached_law_is_the_direct_solve_bit_for_bit(family):
+    src = _family_source(family)
+    if family == "discrete":
+        J = src.transition_probs
+        direct = sources_module._stationary_from(J.T - np.eye(J.shape[0]))
+    else:
+        direct = stationary_distribution_fluid(np.array(src.generator))
+    assert _stationary(src).tobytes() == direct.tobytes()
+    rates = src.intensities if family == "mmpp" else src.rates
+    assert average_rate(src) == float(direct @ rates)
+
+
+@pytest.mark.parametrize("cls", [FluidMarkovSource, MmppSource])
+def test_split_generator_builds_and_fails_on_first_use(cls):
+    src = cls(np.zeros((2, 2)), np.array([0.0, 1.0]))  # two absorbing states
+    with pytest.raises(NoUniqueStationary):
+        average_rate(src)
+    with pytest.raises(NoUniqueStationary):
+        max_avg_rate(src, 1.0, 1.0)
+    with pytest.raises(NoUniqueStationary):
+        simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 1.0, 10 ** 4, 1))
+    with pytest.raises(NoUniqueStationary):
+        _stationary(src)

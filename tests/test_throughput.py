@@ -1,6 +1,9 @@
 """Max-average-rate solvers: frozen values, round trips, asymptotics."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qoslink.sources as sources_module
+from qoslink import queuesim, throughput
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid, ergodic_capacity
 from qoslink.errors import BracketFailure
 from qoslink.sources import (
@@ -459,3 +463,20 @@ def test_nstate_solve_is_frozen(family, theta, ce, lam, iterations, residual):
     }[family]
     res = max_avg_rate_nstate(src, theta, ce)
     assert (res.lambda_star, res.iterations, res.residual) == (lam, iterations, residual)
+
+
+def test_throughput_and_simulator_take_the_family_data_from_the_source():
+    # the matrix family travels with the source: throughput reads the
+    # kernel, the noise norm and the stationary law off it, and the
+    # simulator reads the law off it too
+    def imported(module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        return {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+
+    stationary = re.compile(r"stationary_distribution_\w+")
+    family = re.compile(r"DiscreteMarkovSource|FluidMarkovSource|MmppSource|_ebw_\w+")
+    assert not {n for n in imported(throughput) if family.fullmatch(n) or stationary.fullmatch(n)}
+    assert not {n for n in imported(queuesim) if stationary.fullmatch(n)}
