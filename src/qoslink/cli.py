@@ -442,6 +442,9 @@ _DEFAULTS = {"out_dir": ".", "format": "csv", "method": "closed-iid",
              "capacity": "closed-iid", "n_samples": 10 ** 6}
 _CHOICES = {"format": ("csv", "json"), "method": ("closed-iid", "quadrature", "mc"),
             "capacity": ("closed-iid", "mc")}
+# the flags parsed with a type; simulate's --theta is one too, while the
+# other commands take a theta grid
+_TYPES = {"seed": int, "n_samples": int}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", help="directory for output files (default .)")
     common.add_argument("--format", choices=_CHOICES["format"], help="default csv")
     common.add_argument("--config", help="JSON file of defaults; flags override it")
-    common.add_argument("--seed", type=int, help="seed for randomized computations")
+    common.add_argument("--seed", type=_TYPES["seed"], help="seed for randomized computations")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -466,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="theta grid")
     p.add_argument("--snr-db", help="snr grid in dB")
     p.add_argument("--method", choices=_CHOICES["method"], help="default closed-iid")
-    p.add_argument("--n-samples", type=int, help="default 10^6")
+    p.add_argument("--n-samples", type=_TYPES["n_samples"], help="default 10^6")
 
     p = sub.add_parser("throughput", parents=[common],
                        help="max average arrival rate sweep")
@@ -475,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="theta grid")
     p.add_argument("--snr-db", help="snr grid in dB")
     p.add_argument("--capacity", choices=_CHOICES["capacity"], help="default closed-iid")
-    p.add_argument("--n-samples", type=int, help="default 10^6")
+    p.add_argument("--n-samples", type=_TYPES["n_samples"], help="default 10^6")
 
     p = sub.add_parser("energy", parents=[common],
                        help="E_b/N_0 curve and energy metrics")
@@ -492,11 +495,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_number(key: str, kind: type, value):
+    """A config value for a flag of type ``kind`` (int or float): a JSON
+    number that ``kind`` holds exactly, so neither a bool, a string nor
+    2000.5 for an int.  ``null`` stays unset."""
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, (bool, str)) or number is None or number != value:
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config.{key}", f"must be {what}; got {value!r}")
+    return number
+
+
 def _merge_config(args) -> None:
     """Fill the options no flag gave from the config file, then from
-    ``_DEFAULTS``; a config value must be one of its flag's choices."""
+    ``_DEFAULTS``; a config value must be one of its flag's choices and
+    fit its flag's type."""
     doc = _load_json_arg(args.config, "config") if args.config else {}
     known = set(vars(args))
+    types = {**_TYPES, "theta": float} if args.command == "simulate" else _TYPES
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest not in known or dest in ("command", "config"):
@@ -505,6 +526,8 @@ def _merge_config(args) -> None:
             raise ValidationError(
                 f"config.{key}", f"must be one of {', '.join(_CHOICES[dest])}; got {value!r}"
             )
+        if dest in types:
+            value = _config_number(key, types[dest], value)
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest, value in _DEFAULTS.items():

@@ -1,16 +1,19 @@
 """Low-snr energy efficiency: minimum energy per bit and wideband slope.
 
-Closed forms cover the constant, ON/OFF discrete, ON/OFF fluid and
-ON/OFF MMPP sources; the minimum received energy per bit is log_e2 over
-the mean channel gain for the first three regardless of burstiness and
-QoS strictness, while the MMPP pays an (e^theta - 1)/theta penalty.
-Burstiness (the source's ``burstiness``) and correlation instead show
-up in the wideband slope.  A numeric route differentiates the r*(snr)
-curve at snr = 0 and must reproduce the closed forms; it also serves the
-n-state sources that have none.  ``source_energy_metrics`` and
-``source_ebn0_curve`` take any source object (``None`` for constant-rate
-arrivals); the kind-string functions name that source by keywords.
-Builders for the n-state reference models live here too.
+Every source has the same closed form, which reads one number from the
+source: its burstiness coefficient sigma^2/mu^2 (the source's
+``burstiness``: eta or zeta for the two-state sources, one
+deviation-matrix solve for a matrix source, zero for constant-rate
+arrivals).  The minimum received energy per bit is log_e2 over the mean
+channel gain regardless of burstiness and QoS strictness, except that
+Poisson arrivals (an MMPP) pay an (e^theta - 1)/theta penalty.
+Burstiness and correlation instead show up in the wideband slope.  A
+numeric route differentiates the r*(snr) curve at snr = 0; it is an
+independent check of the closed form, and nothing else calls it.
+``source_energy_metrics`` and ``source_ebn0_curve`` take any source
+object (``None`` for constant-rate arrivals); the kind-string functions
+name that source by keywords.  Builders for the n-state reference models
+live here too.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .sources import (
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
-    _onoff_source,
+    _kind_source,
+    _MatrixSource,
     _param,
 )
 from .throughput import max_avg_rate
@@ -44,8 +48,6 @@ from .throughput import max_avg_rate
 _RICHARDSON_H = 1e-4
 _RICHARDSON_REL_TOL = 1e-2
 _RICHARDSON_RETRIES = 4
-
-_KINDS = ("constant", *_ONOFF_KINDS, "nstate")
 
 
 @dataclass(frozen=True)
@@ -87,35 +89,40 @@ def energy_metrics_constant(spec: ChannelSpec, theta: float) -> EnergyMetrics:
 
 def source_kind(src) -> str:
     """The kind label of a source: ``constant`` for ``None`` (constant-rate
-    arrivals), the family of a two-state ON/OFF source, else ``nstate``."""
+    arrivals), the family of a two-state ON/OFF source, ``nstate`` for a
+    matrix source.  Anything else (the family-less continuous parameters,
+    say) is a TypeError."""
     if src is None:
         return "constant"
-    return src._kind if type(src) in _ONOFF_KINDS.values() else "nstate"
+    if type(src) in _ONOFF_KINDS.values():
+        return src._kind
+    if isinstance(src, _MatrixSource):
+        return "nstate"
+    raise TypeError(f"unsupported source type: {type(src).__name__}")
 
 
 def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     """(kind, metrics, provenance) of any source at one QoS exponent.
 
-    ``None`` (constant-rate arrivals) and the two-state ON/OFF sources
-    have ``closed_form`` metrics, from their burstiness; the MMPP pays
-    (e^theta - 1)/theta on the bit energy, and at theta = 0 it is the
-    fluid source.  Matrix sources take the ``numeric`` route as kind
+    Every source's metrics come from its burstiness.  Poisson arrivals
+    (an MMPP) pay (e^theta - 1)/theta on the bit energy, and at theta = 0
+    they are the fluid source.  The provenance is ``closed_form`` for
+    ``None`` (constant-rate arrivals) and the two-state ON/OFF sources,
+    and ``deviation_matrix`` for a matrix source, whose kind is
     ``nstate``.  The kind is ``source_kind(src)``.
     """
     kind = source_kind(src)
     if src is None:
         return kind, energy_metrics_constant(spec, theta), "closed_form"
-    if kind == "nstate":
-        return kind, _numeric_metrics(src, spec, theta, "quadrature", _RICHARDSON_H), "numeric"
     theta = _check_theta_nonneg(theta)
     metrics = _metrics_from_coef(spec, theta, src.burstiness)
-    if isinstance(src, OnOffMmppParams) and theta != 0.0:
+    if src._poisson and theta != 0.0:
         penalty = math.expm1(theta) / theta
         ebn0 = metrics.ebn0_min_linear * penalty
         metrics = EnergyMetrics(
             ebn0, 10.0 * math.log10(ebn0), metrics.wideband_slope / penalty, theta
         )
-    return kind, metrics, "closed_form"
+    return kind, metrics, "deviation_matrix" if kind == "nstate" else "closed_form"
 
 
 def energy_metrics_onoff_discrete(
@@ -200,19 +207,6 @@ def _reraise_at_snr(exc: Exception, snr: float):
     except TypeError:
         raise exc
     raise wrapped from exc
-
-
-def _kind_source(kind, p11, p22, alpha, beta, source):
-    """The source a kind-string call names; ``None`` is constant-rate."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if kind == "constant":
-        return None
-    if kind == "nstate":
-        if source is None:
-            raise ValueError("nstate kind requires a source object")
-        return source
-    return _onoff_source(kind, p11, p22, alpha, beta)
 
 
 def _rate_solver(src, theta):
@@ -310,13 +304,10 @@ def numeric_energy_metrics(
     be truncation-dominated); after _RICHARDSON_RETRIES halvings the
     failure is reported.  Only deterministic (quadrature) capacity is
     accepted: second differences amplify Monte Carlo noise far beyond
-    usability.
+    usability.  ``source_energy_metrics`` gives the same metrics in
+    closed form; this route is kept as its independent check.
     """
     src = _kind_source(kind, p11, p22, alpha, beta, source)
-    return _numeric_metrics(src, spec, theta, capacity, h)
-
-
-def _numeric_metrics(src, spec, theta, capacity, h) -> EnergyMetrics:
     if capacity != "quadrature":
         raise ValueError(
             "numeric energy metrics require deterministic capacity; "

@@ -19,10 +19,13 @@ A source's family is its type, decided here alone.  A matrix source
 carries its family's data: matrix, rate vector, kernel, the kernel's
 rounding-noise norm, and a stationary law solved at most once per
 source.  Every source answers ``effective_bandwidth(theta)`` (closed
-form where one exists) and ``as_matrix()``, its matrix twin (a matrix
-source is its own); the two-state ON/OFF sources also give their
-``burstiness``, eta or zeta, and carry the kind label that the
-kind-string entry points name them by.
+form where one exists), ``as_matrix()``, its matrix twin (a matrix
+source is its own), and ``burstiness``, its variance rate over its
+squared mean rate: eta or zeta for the two-state ON/OFF sources, one
+deviation-matrix solve for a matrix source.  ``_poisson`` marks the
+MMPP types, whose Poisson layer the energy and low-theta formulas
+charge on top.  The two-state sources carry the kind label that the
+kind-string entry points name them by (``_kind_source``).
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -367,6 +370,9 @@ class _MatrixSource:
     which runs on first use, at most once per source, and is read-only.
     """
 
+    # arrivals in each state are Poisson, not fluid: only the MMPP's are
+    _poisson = False
+
     def __post_init__(self):
         matrix, rates = (f.name for f in fields(self)[:2])
         M = _frozen_array(self, np.atleast_2d(getattr(self, matrix)), matrix, "_matrix")
@@ -396,6 +402,23 @@ class _MatrixSource:
         """a*(theta) of the chain, bits/block, from its family's kernel
         (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
         return self._kernel(self._matrix, self._rates, _check_theta(theta), self.reversible)
+
+    @property
+    def burstiness(self) -> float:
+        """sigma^2 / mu^2, the chain's variance rate over its squared mean
+        rate: the theta-term of a*(theta) = mu + theta sigma^2 / 2 + O(theta^2).
+
+        sigma^2 sums the autocovariances of the rate over all lags, which
+        the deviation matrix gives from one linear solve against the
+        stationary law (``_variance_rate``).  It does not depend on the
+        rates' scale.  An MMPP gives the value of its intensities as a
+        fluid: its Poisson layer is a separate penalty (``_poisson``).
+        """
+        pi = self._stationary
+        mu = float(pi @ self._rates)
+        if mu == 0.0:
+            raise ValueError("zero rates carry no traffic; burstiness is undefined")
+        return self._variance_rate(pi, self._rates - mu) / (mu * mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,6 +468,12 @@ class DiscreteMarkovSource(_MatrixSource):
         # <= 1, gives a* as peak + ln(sp) / theta
         return peak + math.exp(min(theta * (peak - ce), _EXP_CAP)) / theta
 
+    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
+        # the fundamental matrix (I - J + 1 pi^T)^-1 sums the lags from 0,
+        # counting lag 0 twice in 2 pi(d x)
+        x = np.linalg.solve(np.eye(self.n_states) - self.transition_probs + pi, d)
+        return 2.0 * float(pi @ (d * x)) - float(pi @ (d * d))
+
     def _solve_stationary(self) -> np.ndarray:
         J = self.transition_probs
         pi = _stationary_from(J.T - np.eye(J.shape[0]))
@@ -476,6 +505,12 @@ class _GeneratorSource(_MatrixSource):
     @property
     def _row_norm(self) -> float:
         return float(np.max(np.sum(np.abs(self.generator), axis=1)))
+
+    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
+        # 2 pi(d D d) with D the deviation matrix, and D d solves
+        # (1 pi^T - G) x = d because pi d = 0
+        x = np.linalg.solve(pi - self.generator, d)
+        return 2.0 * float(pi @ (d * x))
 
     def _solve_stationary(self) -> np.ndarray:
         return _generator_law(self.generator)
@@ -511,6 +546,7 @@ class MmppSource(_GeneratorSource):
     reversible: bool = field(init=False)
 
     _kernel = staticmethod(_ebw_mmpp)
+    _poisson = True
 
     def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
         # the root is theta a*
@@ -565,6 +601,7 @@ class OnOffDiscreteParams:
         return (1.0 - p22) * (p11 + p22) / ((1.0 - p11) * (2.0 - p11 - p22))
 
     _kind = "discrete"
+    _poisson = False
     as_matrix = as_discrete_source
     effective_bandwidth = effective_bandwidth_onoff_discrete
 
@@ -599,6 +636,7 @@ class OnOffFluidParams(OnOffContinuousParams):
     """Two-state Markov fluid source: fluid arrives at ``lam`` while ON."""
 
     _kind = "fluid"
+    _poisson = False
     as_matrix = as_fluid_source
     effective_bandwidth = effective_bandwidth_onoff_fluid
 
@@ -607,6 +645,7 @@ class OnOffMmppParams(OnOffContinuousParams):
     """Two-state MMPP: Poisson arrivals of intensity ``lam`` while ON."""
 
     _kind = "mmpp"
+    _poisson = True
     as_matrix = as_mmpp_source
     effective_bandwidth = effective_bandwidth_onoff_mmpp
 
@@ -625,9 +664,23 @@ def _onoff_type(kind: str) -> type:
     return _ONOFF_KINDS[kind]
 
 
-def _onoff_source(kind: str, p11, p22, alpha, beta):
-    """The two-state source (lam = 0) that a kind-string call names."""
-    cls = _onoff_type(kind)
+# every kind a kind-string entry point takes: constant-rate arrivals, a
+# two-state source by its label, or any source object as ``nstate``
+_KINDS = ("constant", *_ONOFF_KINDS, "nstate")
+
+
+def _kind_source(kind: str, p11, p22, alpha, beta, source):
+    """The source a kind-string call names; ``None`` is constant-rate.
+    A two-state source is built with lam = 0: its rate is solved for."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "constant":
+        return None
+    if kind == "nstate":
+        if source is None:
+            raise ValueError("nstate kind requires a source object")
+        return source
+    cls = _ONOFF_KINDS[kind]
     if cls is OnOffDiscreteParams:
         if p11 is None or p22 is None:
             raise ValueError("discrete kind requires p11 and p22")

@@ -31,8 +31,8 @@ from .sources import (
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
+    _kind_source,
     _MatrixSource,
-    _onoff_source,
     _onoff_type,
 )
 
@@ -298,22 +298,24 @@ def low_theta_asymptotics(
     p22: float | None = None,
     alpha: float | None = None,
     beta: float | None = None,
+    source=None,
     n_samples: int = 10 ** 6,
     seed: int = 0,
 ) -> AsymptoticSlopes:
-    """Value and slope of r*(theta) at theta = 0.
+    """Value and slope of r*(theta) at theta = 0, for the source that
+    ``kind`` and the keywords name, as in ``energy.ebn0_curve``.
 
-    The limit is the ergodic capacity for every source family.  The
-    derivative is -(1/2) var(nu) minus a source-burstiness penalty
-    proportional to the squared ergodic capacity (eta for the discrete
-    chain, zeta for the continuous ones); the MMPP loses an extra
-    ergodic-capacity/2 on top from its Poisson layer.
-    ``n_samples``/``seed`` only matter for 0 < rho < 1, where the
-    variance of nu has no closed form and is estimated by Monte Carlo.
+    The limit is the ergodic capacity for every source.  The derivative
+    is -(1/2) var(nu) minus the source's burstiness sigma^2/mu^2 times
+    half the squared ergodic capacity (zero for constant-rate arrivals;
+    eta or zeta for a two-state source, a deviation-matrix solve for a
+    matrix source); Poisson arrivals (an MMPP) lose an extra
+    ergodic-capacity/2 on top.  ``n_samples``/``seed`` only matter for
+    0 < rho < 1, where the variance of nu has no closed form and is
+    estimated by Monte Carlo.
     """
-    src = _onoff_source(kind, p11, p22, alpha, beta)
-    coef = src.burstiness
-    extra = 0.5 if isinstance(src, OnOffMmppParams) else 0.0
+    src = _kind_source(kind, p11, p22, alpha, beta, source)
+    coef, extra = (0.0, 0.0) if src is None else (src.burstiness, 0.5 if src._poisson else 0.0)
     erg = ergodic_capacity(spec, snr)
     var_nu = log_rate_cov_sum(spec, snr, n_samples=n_samples, seed=seed)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
@@ -326,14 +328,14 @@ def high_snr_slope(kind: str, theta: float, p_on: float) -> float:
     i.i.d. Rayleigh gains assumed.  Piecewise in theta with a continuous
     seam at theta = log_e2 and value 1 at theta = 0 for every kind.
     """
-    mmpp = _onoff_type(kind) is OnOffMmppParams
+    poisson = _onoff_type(kind)._poisson
     theta = _check_theta_nonneg(theta)
     p_on = float(p_on)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")
     if theta == 0.0:
         return 1.0
-    if mmpp:
+    if poisson:
         em = float(np.expm1(theta))
         return p_on * LN2 / em if theta >= LN2 else p_on * theta / em
     return p_on * LN2 / theta if theta >= LN2 else p_on

@@ -242,7 +242,7 @@ def test_energy_matrix_source_goes_numeric(tmp_path):
         "--theta", "1.0", "--snr-db=-20",
     ) == 0
     metrics = json.loads((tmp_path / "energy_metrics.json").read_text())
-    assert metrics["provenance"] == "numeric"
+    assert metrics["provenance"] == "deviation_matrix"
     assert metrics["kind"] == "nstate"
     assert metrics["ebn0_min_db"] == pytest.approx(-1.5917, abs=1e-3)
 
@@ -475,9 +475,9 @@ def test_ebw_and_throughput_cells_are_the_library_values(tmp_path, kind):
         ("onoff-discrete", "discrete", "closed_form"),
         ("onoff-fluid", "fluid", "closed_form"),
         ("onoff-mmpp", "mmpp", "closed_form"),
-        ("discrete", "nstate", "numeric"),
-        ("fluid", "nstate", "numeric"),
-        ("mmpp", "nstate", "numeric"),
+        ("discrete", "nstate", "deviation_matrix"),
+        ("fluid", "nstate", "deviation_matrix"),
+        ("mmpp", "nstate", "deviation_matrix"),
     ],
 )
 def test_energy_metrics_carry_the_library_kind_and_provenance(tmp_path, kind, label, provenance):
@@ -637,3 +637,45 @@ def test_mc_manifest_params_rerun_through_config_reproduces_data(tmp_path):
     cfg.write_text(json.dumps({**manifest["params"], "seed": manifest["seed"]}))
     assert run(b, "ecap", "--config", str(cfg)) == 0
     assert digest(a / "ecap.csv") == digest(b / "ecap.csv")
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"method": "mc", "seed": 3, "n_samples": 2000.5}, "n_samples"),
+        ({"seed": True, "n_samples": "2000"}, "seed"),
+        ({"method": "mc", "seed": 3, "n_samples": "2000"}, "n_samples"),
+        ({"method": "mc", "seed": 3, "n_samples": [2000]}, "n_samples"),
+    ],
+)
+def test_config_values_must_fit_the_flags_types(tmp_path, capsys, doc, key):
+    # as --n-samples 2000.5 does, a config value its flag's type does not
+    # hold exits 2 before anything runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(out, "ecap", "--config", str(cfg), "--channel", CHAN_IID,
+               "--theta", "1", "--snr-db", "0") == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config.{key}: ")
+    assert not list(out.glob("ecap*"))
+
+
+def test_config_integral_number_is_the_flags_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "mc", "seed": 3.0, "n_samples": 2000.0}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(a, "ecap", "--config", str(cfg), "--channel", CHAN_IID,
+               "--theta", "1", "--snr-db", "0") == 0
+    manifest = json.loads((a / "ecap_manifest.json").read_text())
+    assert type(manifest["seed"]) is int and type(manifest["params"]["n_samples"]) is int
+    assert run(b, "ecap", "--channel", CHAN_IID, "--theta", "1", "--snr-db", "0",
+               "--method", "mc", "--seed", "3", "--n-samples", "2000") == 0
+    assert digest(a / "ecap.csv") == digest(b / "ecap.csv")
+
+
+def test_simulate_config_theta_must_be_a_number(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": True}))
+    assert run(tmp_path, "simulate", "--config", str(cfg),
+               "--sim-config", sim_config(tmp_path), "--seed", "11") == 2
+    assert capsys.readouterr().err.startswith("error: invalid config.theta: ")

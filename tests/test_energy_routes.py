@@ -1,0 +1,126 @@
+"""One energy route for every source: the closed form in its burstiness."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from qoslink import energy, throughput
+from qoslink.channel import ChannelSpec
+from qoslink.energy import (
+    build_binomial_discrete_source,
+    build_birth_death_fluid,
+    numeric_energy_metrics,
+    source_energy_metrics,
+)
+from qoslink.sources import (
+    MmppSource,
+    OnOffContinuousParams,
+    OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
+    as_discrete_source,
+    as_fluid_source,
+    as_mmpp_source,
+)
+
+PAIRS = [
+    (OnOffDiscreteParams(0.8, 0.7, 1.0), as_discrete_source),
+    (OnOffFluidParams(2.0, 3.0, 1.0), as_fluid_source),
+    (OnOffMmppParams(2.0, 3.0, 1.0), as_mmpp_source),
+]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize("onoff, twin", PAIRS, ids=["discrete", "fluid", "mmpp"])
+def test_matrix_twins_have_the_two_state_metrics(onoff, twin, rho, theta):
+    spec = ChannelSpec(m=10, rho=rho)
+    kind, closed, closed_route = source_energy_metrics(onoff, spec, theta)
+    twin_kind, got, route = source_energy_metrics(twin(onoff), spec, theta)
+    assert (kind, closed_route) == (onoff._kind, "closed_form")
+    assert (twin_kind, route) == ("nstate", "deviation_matrix")
+    # the bit energy does not read the burstiness
+    assert got.ebn0_min_linear == closed.ebn0_min_linear
+    assert got.wideband_slope == pytest.approx(closed.wideband_slope, rel=1e-13)
+
+
+def _n50_sources():
+    fluid = build_birth_death_fluid(50, 1.0, 1.2, 1.0)
+    return [
+        build_binomial_discrete_source(50, 0.3, 1.0),
+        fluid,
+        MmppSource(fluid.generator, fluid.rates),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["binomial", "fluid", "mmpp"])
+def test_numeric_oracle_agrees_with_the_deviation_matrix_route(index):
+    # Richardson differences of r*(snr) near snr = 1e-4 are the oracle:
+    # they lose about four digits of the slope on the fluid source
+    src = _n50_sources()[index]
+    spec = ChannelSpec(m=10, rho=0.5)
+    _, exact, _ = source_energy_metrics(src, spec, 0.1)
+    numeric = numeric_energy_metrics("nstate", spec, 0.1, source=src)
+    assert exact.ebn0_min_linear == pytest.approx(numeric.ebn0_min_linear, rel=1e-6)
+    assert exact.wideband_slope == pytest.approx(numeric.wideband_slope, rel=5e-4)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 2.0])
+def test_mmpp_pays_the_poisson_penalty_on_its_fluid_metrics(theta):
+    # an MMPP and the fluid source on the same chain share a burstiness;
+    # the MMPP's Poisson layer costs (e^theta - 1)/theta on the bit energy
+    fluid = build_birth_death_fluid(8, 1.0, 2.0, 1.0)
+    mmpp = MmppSource(fluid.generator, fluid.rates)
+    spec = ChannelSpec(m=10, rho=0.5)
+    _, f, _ = source_energy_metrics(fluid, spec, theta)
+    _, m, _ = source_energy_metrics(mmpp, spec, theta)
+    penalty = math.expm1(theta) / theta if theta else 1.0
+    assert m.ebn0_min_linear == pytest.approx(f.ebn0_min_linear * penalty, rel=1e-15)
+    assert m.wideband_slope == pytest.approx(f.wideband_slope / penalty, rel=1e-13)
+
+
+def test_family_less_continuous_params_have_no_energy_metrics():
+    with pytest.raises(TypeError, match="source type"):
+        source_energy_metrics(OnOffContinuousParams(1.0, 2.0, 1.0), ChannelSpec(m=10, rho=0.0), 0.1)
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_energy_and_throughput_read_the_poisson_layer_from_the_source():
+    # the penalty and the low-theta slope come from the source's
+    # burstiness and its ``_poisson``: no branch on a source family
+    family = re.compile(r"OnOff\w*Params|\w*MarkovSource|MmppSource")
+    for module, names in (
+        (energy, {"source_energy_metrics"}),
+        (throughput, {"low_theta_asymptotics", "high_snr_slope"}),
+    ):
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                assert not family.search(ast.unparse(node.args[1]))
+        funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+        assert len(funcs) == len(names)
+        for func in funcs:
+            assert not {
+                n.id for n in ast.walk(func) if isinstance(n, ast.Name) and family.fullmatch(n.id)
+            }
+
+
+def test_matrix_sources_need_no_capacity_curve(monkeypatch):
+    # the numeric route is the only one that evaluates C_E(snr); the
+    # energy metrics and the low-theta slope of a matrix source do not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric route was taken")
+
+    monkeypatch.setattr(energy, "effective_capacity_quadrature", refuse)
+    spec = ChannelSpec(m=10, rho=0.0)
+    for src in _n50_sources():
+        assert source_energy_metrics(src, spec, 0.1)[2] == "deviation_matrix"
+        throughput.low_theta_asymptotics("nstate", spec, 1.0, source=src)
+    with pytest.raises(AssertionError, match="numeric route"):
+        numeric_energy_metrics("nstate", spec, 0.1, source=_n50_sources()[0])

@@ -714,6 +714,88 @@ def test_onoff_burstiness_is_the_variance_rate_over_the_squared_mean():
         silent.burstiness
 
 
+# ---------------------------------------------------------------------------
+# burstiness of matrix sources: one deviation-matrix solve
+# ---------------------------------------------------------------------------
+
+
+def test_matrix_twins_give_eta_and_zeta():
+    # criterion 1's draw ranges
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for _ in range(300):
+        p11, p22 = rng.uniform(0.05, 0.95, 2)
+        lam = rng.uniform(0.5, 8.0)
+        alpha, beta = rng.uniform(0.1, 20.0, 2)
+        disc = OnOffDiscreteParams(p11, p22, lam)
+        cont = OnOffContinuousParams(alpha, beta, lam)
+        for closed, twin in (
+            (disc.burstiness, as_discrete_source(disc)),
+            (cont.burstiness, as_fluid_source(cont)),
+            (cont.burstiness, as_mmpp_source(cont)),
+        ):
+            worst = max(worst, abs(twin.burstiness - closed) / closed)
+    assert worst <= 1e-13
+
+
+def test_matrix_burstiness_on_a_near_degenerate_chain():
+    d = OnOffDiscreteParams(0.99999, 0.99999, 1.0)
+    assert as_discrete_source(d).burstiness == pytest.approx(d.burstiness, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,s", [(2, 0.5), (10, 0.1), (50, 0.3), (200, 0.9)])
+def test_binomial_burstiness_is_exact(n, s):
+    # every row is the binomial law, so blocks are independent and
+    # sigma^2 is one block's variance (n-1) s (1-s), over a mean (n-1) s
+    src = build_binomial_discrete_source(n, s, 1.0)
+    assert src.burstiness == pytest.approx((1 - s) / ((n - 1) * s), rel=1e-13)
+
+
+# sigma^2 / mu^2 of the n=50 sources from 50-digit mpmath solves:
+# tests/burstiness_reference.py
+_MPMATH_BURSTINESS = {
+    "binomial": 0.04761904761904773783223332,
+    "fluid": 126.7818490251311950137474,
+    "mmpp": 126.7818490251311950137474,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_MPMATH_BURSTINESS))
+def test_burstiness_matches_mpmath(family):
+    fluid = build_birth_death_fluid(50, 1.0, 1.2, 1.0)
+    src = {
+        "binomial": build_binomial_discrete_source(50, 0.3, 1.0),
+        "fluid": fluid,
+        "mmpp": MmppSource(fluid.generator, fluid.rates),
+    }[family]
+    assert src.burstiness == pytest.approx(_MPMATH_BURSTINESS[family], rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [DiscreteMarkovSource, FluidMarkovSource, MmppSource])
+def test_burstiness_is_the_theta_term_of_the_effective_bandwidth(family):
+    # a*(theta) = mu + theta sigma^2 / 2 + O(theta^2), on a chain without
+    # detailed balance; an MMPP's Poisson layer adds mu to sigma^2
+    rng = np.random.default_rng(7)
+    J = random_chain(rng, 5)
+    rates = rng.uniform(0.0, 3.0, 5)
+    src = family(J, rates) if family is DiscreteMarkovSource else family(J - np.eye(5), rates)
+    assert not src.reversible
+    mu = average_rate(src)
+    h = 1e-3
+    d1 = (src.effective_bandwidth(h) - mu) / h
+    d2 = (src.effective_bandwidth(2 * h) - mu) / (2 * h)
+    poisson = mu if family is MmppSource else 0.0
+    assert 2.0 * (2 * d1 - d2) == pytest.approx(src.burstiness * mu ** 2 + poisson, rel=1e-5)
+
+
+def test_burstiness_ignores_the_rate_scale_and_needs_traffic():
+    fluid = build_birth_death_fluid(6, 1.0, 2.0, 1.0)
+    scaled = FluidMarkovSource(fluid.generator, 7.5 * fluid.rates)
+    assert scaled.burstiness == pytest.approx(fluid.burstiness, rel=1e-14)
+    with pytest.raises(ValueError, match="burstiness is undefined"):
+        FluidMarkovSource(fluid.generator, np.zeros(6)).burstiness
+
+
 def test_family_less_continuous_params_have_no_twin():
     params = OnOffContinuousParams(9.0, 1.0, 2.0)
     assert not hasattr(params, "as_matrix")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qoslink.sources as sources_module
 from qoslink import queuesim, throughput
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid, ergodic_capacity
+from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
 from qoslink.errors import BracketFailure
 from qoslink.sources import (
     DiscreteMarkovSource,
@@ -20,6 +21,9 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    as_discrete_source,
+    as_fluid_source,
+    as_mmpp_source,
     effective_bandwidth_discrete,
     effective_bandwidth_fluid,
     effective_bandwidth_mmpp,
@@ -267,6 +271,64 @@ def test_low_theta_derivative_matches_finite_difference(kind):
     s2 = (_r_star_of_theta(kind, snr, 10, 2 * th) - erg) / (2 * th)
     richardson = 2 * s1 - s2
     assert richardson == pytest.approx(asym.low_theta_derivative, rel=1e-2)
+
+
+def _small_source(family):
+    """A 6-state source of each family; ``None`` is constant-rate."""
+    fluid = build_birth_death_fluid(6, 1.0, 2.0, 1.0)
+    return {
+        "constant": None,
+        "discrete": build_binomial_discrete_source(6, 0.3, 1.0),
+        "fluid": fluid,
+        "mmpp": MmppSource(fluid.generator, fluid.rates),
+    }[family]
+
+
+@pytest.mark.parametrize("family", ["constant", "discrete", "fluid", "mmpp"])
+def test_nstate_low_theta_derivative_matches_finite_difference(family):
+    spec = ChannelSpec(m=10, rho=0.0)
+    snr = 1.0
+    src = _small_source(family)
+    kind = "constant" if src is None else "nstate"
+    asym = low_theta_asymptotics(kind, spec, snr, source=src)
+    erg = ergodic_capacity(spec, snr)
+    assert asym.low_theta_limit == erg
+
+    def r_star(theta):
+        ce = effective_capacity_rayleigh_iid(snr, theta, 10).value
+        return ce if src is None else max_avg_rate_nstate(src, theta, ce).r_avg_star
+
+    th = 1e-3
+    s1 = (r_star(th) - erg) / th
+    s2 = (r_star(2 * th) - erg) / (2 * th)
+    assert 2 * s1 - s2 == pytest.approx(asym.low_theta_derivative, rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "kind, kw, twin",
+    [
+        ("discrete", dict(p11=0.8, p22=0.7),
+         as_discrete_source(OnOffDiscreteParams(0.8, 0.7, 1.0))),
+        ("fluid", dict(alpha=1.0, beta=2.0),
+         as_fluid_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
+        ("mmpp", dict(alpha=1.0, beta=2.0),
+         as_mmpp_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
+    ],
+    ids=["discrete", "fluid", "mmpp"],
+)
+def test_matrix_twin_has_the_two_state_low_theta_derivative(kind, kw, twin):
+    spec = ChannelSpec(m=10, rho=0.0)
+    closed = low_theta_asymptotics(kind, spec, 1.0, **kw)
+    matrix = low_theta_asymptotics("nstate", spec, 1.0, source=twin)
+    assert matrix.low_theta_limit == closed.low_theta_limit
+    assert matrix.low_theta_derivative == pytest.approx(
+        closed.low_theta_derivative, rel=1e-13
+    )
+
+
+def test_low_theta_nstate_kind_needs_a_source():
+    with pytest.raises(ValueError, match="nstate kind requires a source object"):
+        low_theta_asymptotics("nstate", ChannelSpec(m=2, rho=0.0), 1.0)
 
 
 def test_mmpp_derivative_sits_below_fluid_by_half_ergodic():
