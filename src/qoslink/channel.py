@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import i0e
 
 from .errors import DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta
 
@@ -67,6 +66,48 @@ _KERNEL_CACHE_SIZE = 4
 # whenever its largest entry falls below this, so long blocks at high
 # snr * theta cannot underflow.
 _RESCALE_BELOW = 2.0 ** -500
+# The kernel's Bessel factor is evaluated on the upper triangle of its
+# symmetric argument, this many rows at a time, and mirrored.
+_KERNEL_ROWS = 64
+# Chebyshev coefficients of e^{-x} I0(x) from Cephes (Moshier, "Methods
+# and Programs for Mathematical Functions", 1989), the 30 + 25 numbers
+# numpy also ships for np.i0: in x/2 - 2 on [0, 8], and of
+# sqrt(x) e^{-x} I0(x) in 32/x - 2 above 8.
+_I0E_NEAR = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17,
+    -2.43127984654795469359e-16, 1.71539128555513303061e-15,
+    -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12,
+    -1.72682629144155570723e-11, 9.67580903537323691224e-11,
+    -5.18979560163526290666e-10, 2.65982372468238665035e-9,
+    -1.30002500998624804212e-8, 6.04699502254191894932e-8,
+    -2.67079385394061173391e-7, 1.11738753912010371815e-6,
+    -4.41673835845875056359e-6, 1.64484480707288970893e-5,
+    -5.75419501008210370398e-5, 1.88502885095841655729e-4,
+    -5.76375574538582365885e-4, 1.63947561694133579842e-3,
+    -4.32430999505057594430e-3, 1.05464603945949983183e-2,
+    -2.37374148058994688156e-2, 4.93052842396707084878e-2,
+    -9.49010970480476444210e-2, 1.71620901522208775349e-1,
+    -3.04682672343198398683e-1, 6.76795274409476084995e-1,
+)
+_I0E_FAR = (
+    -7.23318048787475395456e-18, -4.83050448594418207126e-18,
+    4.46562142029675999901e-17, 3.46122286769746109310e-17,
+    -2.82762398051658348494e-16, -3.42548561967721913462e-16,
+    1.77256013305652638360e-15, 3.81168066935262242075e-15,
+    -9.55484669882830764870e-15, -4.15056934728722208663e-14,
+    1.54008621752140982691e-14, 3.85277838274214270114e-13,
+    7.18012445138366623367e-13, -1.79417853150680611778e-12,
+    -1.32158118404477131188e-11, -3.14991652796324136454e-11,
+    1.18891471078464383424e-11, 4.94060238822496958910e-10,
+    3.39623202570838634515e-9, 2.26666899049817806459e-8,
+    2.04891858946906374183e-7, 2.89137052083475648297e-6,
+    6.88975834691682398426e-5, 3.36911647825569408990e-3,
+    8.04490411014108831608e-1,
+)
+# The series runs over this many values at a time, so that its three
+# working buffers (128 KiB each) stay in cache.
+_I0E_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -475,6 +516,46 @@ def log_rate_cov_sum(
 # Effective capacity: quadrature over the gain chain
 # ---------------------------------------------------------------------------
 
+def _chebyshev_in_place(y: np.ndarray, coef) -> None:
+    """Overwrite the 1-d array ``y`` with the Chebyshev series ``coef``
+    at ``y``: Cephes' ``chbevl`` recurrence b0 <- y b0 - b1 + c, operation
+    for operation, one cache-sized block of values at a time."""
+    scratch = np.empty((3, min(y.size, _I0E_BLOCK)))
+    for start in range(0, y.size, _I0E_BLOCK):
+        block = y[start:start + _I0E_BLOCK]
+        b0, b1, b2 = scratch[:, :block.size]
+        b0.fill(coef[0])
+        b1.fill(0.0)
+        for c in coef[1:]:
+            # (b0, b1, b2) <- (y b0 - b1 + c, b0, b1), the new b0 written
+            # over the b2 that is no longer needed
+            np.multiply(block, b0, out=b2)
+            b2 -= b1
+            b2 += c
+            b0, b1, b2 = b2, b0, b1
+        np.subtract(b0, b2, out=block)
+        block *= 0.5
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """e^{-|x|} I0(x), elementwise: Cephes' ``i0e`` (Moshier 1989), with
+    its operations in its order, and so its bits."""
+    x = np.abs(x)
+    out = np.empty_like(x)
+    near = x <= 8.0
+    y = x[near] * 0.5
+    y -= 2.0
+    _chebyshev_in_place(y, _I0E_NEAR)
+    out[near] = y
+    far = x[~near]  # nan lands here and stays nan
+    y = 32.0 / far
+    y -= 2.0
+    _chebyshev_in_place(y, _I0E_FAR)
+    y /= np.sqrt(far)
+    out[~near] = y
+    return out
+
+
 def _gain_axis_rule(sigma_h_sq: float):
     """Nodes and weights of the composite rule for int_0^inf phi(z) dz."""
     edges = _PANEL_EDGES * sigma_h_sq
@@ -496,11 +577,14 @@ def _gain_chain_rule(rho: float, sigma_h_sq: float):
     marginal-weighted L1 sense (defects at gains the chain essentially
     never visits do not matter).
 
-    The Bessel factor is ``i0e`` (e^{-x} I0(x)) of the argument
-    2*rho*sqrt(z_k z_l)/v, over the full matrix: the argument is exactly
-    symmetric, but evaluating one triangle and mirroring it saved only
-    about 7 ms of a 27 ms build.  The last ``_KERNEL_CACHE_SIZE`` rules
-    are cached, read-only, by (rho, sigma_h_sq).
+    The Bessel factor is ``_i0e`` (e^{-x} I0(x), Cephes' Chebyshev
+    series, bit for bit) of the argument 2*rho*sqrt(z_k z_l)/v.  That
+    argument is exactly symmetric, so only its upper triangle is
+    evaluated, ``_KERNEL_ROWS`` rows at a time, and mirrored.  The series
+    runs in numpy; on a 2-core Xeon VM it takes about 31 ms over the full
+    640 x 640 matrix, and the triangle cuts the whole build from about 40
+    to 24 ms.  The last ``_KERNEL_CACHE_SIZE`` rules are cached,
+    read-only, by (rho, sigma_h_sq).
     """
     z, W = _gain_axis_rule(sigma_h_sq)
     v = (1.0 - rho * rho) * sigma_h_sq
@@ -508,7 +592,11 @@ def _gain_chain_rule(rho: float, sigma_h_sq: float):
     # conditional density of z' given z: noncentral exponential, written
     # with the scaled Bessel function so nothing overflows
     pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
-    bes = i0e(2.0 * rho * np.outer(sq, sq) / v)
+    bes = np.empty_like(pen)
+    for top in range(0, len(z), _KERNEL_ROWS):
+        rows, below = slice(top, top + _KERNEL_ROWS), top + _KERNEL_ROWS
+        bes[rows, top:] = _i0e(2.0 * rho * np.outer(sq[rows], sq[top:]) / v)
+        bes[below:, rows] = bes[rows, below:].T
     K = bes * np.exp(-pen) / v
     marginal = np.exp(-z / sigma_h_sq) / sigma_h_sq
     mass = W * marginal

@@ -376,22 +376,35 @@ def _cmd_simulate(args, out_dir) -> int:
     for field in ("source", "channel", "snr_db", "n_blocks"):
         if field not in doc:
             raise ValidationError(f"sim-config.{field}", "missing")
-    seed = args.seed if args.seed is not None else doc.get("seed")
+
+    def number(field: str, kind: type):
+        return _config_number(f"sim-config.{field}", kind, doc.get(field))
+
+    def numbers(field: str, kind: type):
+        values = doc.get(field)
+        if values is None:
+            return None
+        if not isinstance(values, list):
+            raise ValidationError(f"sim-config.{field}", f"must be a list; got {values!r}")
+        return tuple(_config_number(f"sim-config.{field}", kind, v) for v in values)
+
+    seed = args.seed if args.seed is not None else number("seed", int)
     if seed is None:
         raise ValidationError("seed", "simulation needs a seed (--seed or config)")
     args.seed = seed
     seed = _require_seed(args)
+    target = args.theta if args.theta is not None else number("theta", float)
     source = source_from_json(doc["source"])
     spec = channel_spec_from_json(doc["channel"])
     try:
         cfg = SimConfig(
             source=source,
             channel=spec,
-            snr=_db_to_linear(float(doc["snr_db"])),
-            n_blocks=int(doc["n_blocks"]),
+            snr=_db_to_linear(number("snr_db", float)),
+            n_blocks=number("n_blocks", int),
             seed=seed,
-            q_thresholds=tuple(doc["q_thresholds"]) if "q_thresholds" in doc else None,
-            d_thresholds=tuple(doc["d_thresholds"]) if "d_thresholds" in doc else None,
+            q_thresholds=numbers("q_thresholds", float),
+            d_thresholds=numbers("d_thresholds", int),
         )
     except (TypeError, ValueError) as exc:
         raise ValidationError("sim-config", str(exc))
@@ -415,9 +428,7 @@ def _cmd_simulate(args, out_dir) -> int:
         [{"d": d, "prob": p} for d, p in report.delay_points],
     )
 
-    theta_target = args.theta if args.theta is not None else doc.get("theta")
-    if theta_target is not None and math.isfinite(report.theta_sim):
-        target = float(theta_target)
+    if target is not None and math.isfinite(report.theta_sim):
         rel = abs(report.theta_sim - target) / target if target else math.inf
         print(
             f"theta_sim={report.theta_sim:.6g} target_theta={target:.6g} "
@@ -442,9 +453,11 @@ _DEFAULTS = {"out_dir": ".", "format": "csv", "method": "closed-iid",
              "capacity": "closed-iid", "n_samples": 10 ** 6}
 _CHOICES = {"format": ("csv", "json"), "method": ("closed-iid", "quadrature", "mc"),
             "capacity": ("closed-iid", "mc")}
-# the flags parsed with a type; simulate's --theta is one too, while the
-# other commands take a theta grid
+# the flags parsed with a type; the theta of energy and simulate is a
+# number too, while the other commands' theta, like every snr_db, is a grid
 _TYPES = {"seed": int, "n_samples": int}
+_SCALAR_THETA = ("energy", "simulate")
+_GRIDS = ("theta", "snr_db")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,10 +508,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_number(key: str, kind: type, value):
-    """A config value for a flag of type ``kind`` (int or float): a JSON
-    number that ``kind`` holds exactly, so neither a bool, a string nor
-    2000.5 for an int.  ``null`` stays unset."""
+def _config_number(path: str, kind: type, value):
+    """A JSON value at ``path`` (``config.seed``, say) for an option of
+    type ``kind`` (int or float): a JSON number that ``kind`` holds
+    exactly, so neither a bool, a string nor 2000.5 for an int.  ``null``
+    stays unset."""
     if value is None:
         return None
     try:
@@ -507,8 +521,18 @@ def _config_number(key: str, kind: type, value):
         number = None
     if isinstance(value, (bool, str)) or number is None or number != value:
         what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"config.{key}", f"must be {what}; got {value!r}")
+        raise ValidationError(path, f"must be {what}; got {value!r}")
     return number
+
+
+def _config_grid(path: str, value):
+    """A config value for a grid option: a grid string, as the flag
+    takes, or a JSON number or list of numbers."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return [_config_number(path, float, v) for v in value]
+    return _config_number(path, float, value)
 
 
 def _merge_config(args) -> None:
@@ -517,7 +541,7 @@ def _merge_config(args) -> None:
     fit its flag's type."""
     doc = _load_json_arg(args.config, "config") if args.config else {}
     known = set(vars(args))
-    types = {**_TYPES, "theta": float} if args.command == "simulate" else _TYPES
+    types = {**_TYPES, "theta": float} if args.command in _SCALAR_THETA else _TYPES
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest not in known or dest in ("command", "config"):
@@ -527,7 +551,9 @@ def _merge_config(args) -> None:
                 f"config.{key}", f"must be one of {', '.join(_CHOICES[dest])}; got {value!r}"
             )
         if dest in types:
-            value = _config_number(key, types[dest], value)
+            value = _config_number(f"config.{key}", types[dest], value)
+        elif dest in _GRIDS:
+            value = _config_grid(f"config.{key}", value)
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest, value in _DEFAULTS.items():

@@ -43,8 +43,6 @@ from functools import cached_property, singledispatch
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import NonConvergence, NoUniqueStationary, ValidationError, _check_theta
 
@@ -73,56 +71,143 @@ def _param(name: str, value, positive: bool = False) -> float:
     return value
 
 
-def _graph(adjacency: np.ndarray):
-    """(CSR graph, edge rows, edge cols) of a dense boolean adjacency."""
-    n = adjacency.shape[0]
-    rows, cols = np.nonzero(adjacency)
-    # np.nonzero walks row-major, so its columns are already the CSR indices
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    graph = csr_matrix(
-        (np.ones(len(cols), dtype=np.int8), cols.astype(np.int32), indptr), shape=(n, n)
-    )
-    return graph, rows, cols
-
-
-def _terminal_components(adjacency: np.ndarray):
-    """Strongly connected components with no outgoing edges.
-
-    A finite chain has a unique stationary distribution exactly when
-    there is a single such terminal (recurrent) class.
+class _Support:
+    """A chain's support graph, built once per matrix and shared by the
+    checks on it: ``loops``, whether each state has a positive diagonal
+    entry, and the off-diagonal edges u -> v (entry > 0), ``rows`` and
+    ``cols``, with u's neighbours ``cols[start[u]:start[u + 1]]`` in
+    ascending order.
     """
-    graph, rows, cols = _graph(adjacency)
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    exits = labels[rows] != labels[cols]
-    has_exit = np.zeros(n_comp, dtype=bool)
-    has_exit[labels[rows[exits]]] = True
-    terminal = np.flatnonzero(~has_exit).tolist()
-    return terminal, labels
+
+    def __init__(self, M: np.ndarray):
+        edges = M > 0
+        n = edges.shape[0]
+        self.loops = np.diagonal(edges).copy()
+        np.fill_diagonal(edges, False)
+        self.symmetric = bool(np.array_equal(edges, edges.T))
+        # np.nonzero walks row-major, so each row's columns come out ascending
+        self.rows, self.cols = np.nonzero(edges)
+        self.start = [0, *np.cumsum(np.bincount(self.rows, minlength=n)).tolist()]
+
+    def _tree(self, root: int, parent: list, reached: list) -> list:
+        """Grow a breadth-first tree from ``root`` over the vertices not
+        yet ``reached``, neighbours in ascending order, into ``parent``;
+        its vertices in visiting order."""
+        todo = reached.count(False)
+        reached[root] = True
+        queue = [root]
+        for u in queue:
+            if len(queue) == todo:
+                break  # every vertex it could reach is in
+            for v in self.cols[self.start[u]:self.start[u + 1]].tolist():
+                if not reached[v]:
+                    reached[v] = True
+                    parent[v] = u
+                    queue.append(v)
+        return queue
+
+    @cached_property
+    def forest(self):
+        """(parent, tree): breadth-first trees covering the graph, each
+        grown from the lowest vertex not yet reached, vertex 0 first; a
+        root's parent is -1, and ``tree`` numbers each vertex's tree.
+
+        Every tree is a shortest-path tree when each vertex is reached
+        from the root of its own class: a strongly connected graph, or
+        one with a symmetric edge set, whose trees are its classes.
+        """
+        n = len(self.loops)
+        parent = [-1] * n
+        tree = [0] * n
+        reached = [False] * n
+        count = 0
+        for root in range(n):
+            if not reached[root]:
+                for v in self._tree(root, parent, reached):
+                    tree[v] = count
+                count += 1
+        return np.array(parent), np.array(tree)
+
+    @cached_property
+    def classes(self):
+        """(labels, terminal): each vertex's strong class, and the classes
+        with no edge out of them.
+
+        A finite chain has a unique stationary distribution exactly when
+        there is a single such terminal (recurrent) class.
+        """
+        if self.symmetric:
+            labels = self.forest[1]
+            return labels, np.arange(labels.max() + 1)
+        labels = _strong_classes(self.start, self.cols.tolist())
+        has_exit = np.zeros(labels.max() + 1, dtype=bool)
+        exits = labels[self.rows] != labels[self.cols]
+        has_exit[labels[self.rows[exits]]] = True
+        return labels, np.flatnonzero(~has_exit)
+
+    def period(self, members: np.ndarray) -> int:
+        """Period (gcd of cycle lengths) of the strong class ``members``."""
+        if self.loops[members].any():
+            return 1
+        inside = np.zeros(len(self.loops), dtype=bool)
+        inside[members] = True
+        if self.symmetric:
+            parent = self.forest[0]  # the class is one tree from its lowest vertex
+        else:
+            parent = [-1] * len(inside)
+            self._tree(int(members[0]), parent, (~inside).tolist())
+            parent = np.array(parent)
+        depth = _path_sums(parent, np.ones(len(inside), dtype=int))
+        # the period is the gcd of depth[u] + 1 - depth[v] over the edges
+        # u -> v inside the class
+        edge = inside[self.rows] & inside[self.cols]
+        u, v = self.rows[edge], self.cols[edge]
+        return max(int(np.gcd.reduce(np.abs(depth[u] + 1 - depth[v]))), 1)
 
 
-def _bfs_forest(graph) -> np.ndarray:
-    """Parent of each vertex in breadth-first trees covering the graph.
-
-    Trees grow from the lowest vertex not yet reached, vertex 0 first,
-    and a root's parent is -1.  Every tree is a shortest-path tree when
-    each vertex is reached from the root of its own class: a strongly
-    connected graph, or one with a symmetric edge set.
-    """
-    n = graph.shape[0]
-    parent = np.full(n, -1)
-    reached = np.zeros(n, dtype=bool)
-    root = 0
-    while True:
-        order, pred = breadth_first_order(
-            graph, root, directed=True, return_predecessors=True
-        )
-        new = order[~reached[order]]
-        parent[new[1:]] = pred[new[1:]]
-        reached[new] = True
-        if reached.all():
-            return parent
-        root = int(np.argmin(reached))
+def _strong_classes(start: list, cols: list) -> np.ndarray:
+    """Strong-class label of each vertex of the graph with neighbour lists
+    ``cols[start[u]:start[u + 1]]``: Tarjan's depth-first search (1972),
+    iterative, labels numbered in the order the classes complete."""
+    n = len(start) - 1
+    index = [-1] * n  # discovery order
+    low = [0] * n  # least discovery order reachable within the open classes
+    labels = [-1] * n
+    stack = []  # vertices of classes not yet complete
+    count = n_labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [(root, start[root])]  # the search path, with each vertex's next edge
+        while path:
+            v, e = path[-1]
+            for e in range(e, start[v + 1]):
+                w = cols[e]
+                if index[w] < 0:
+                    path[-1] = (v, e + 1)
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append((w, start[w]))
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    # v roots a class: it and everything above it on the stack
+                    while True:
+                        w = stack.pop()
+                        labels[w] = n_labels
+                        if w == v:
+                            break
+                    n_labels += 1
+    return np.array(labels)
 
 
 def _path_sums(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -144,19 +229,10 @@ def _path_sums(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
         up = skip
 
 
-def _component_period(adjacency: np.ndarray, members: np.ndarray) -> int:
-    """Period (gcd of cycle lengths) of one strongly connected component."""
-    graph, rows, cols = _graph(adjacency[np.ix_(members, members)])
-    # breadth-first depths from member 0
-    parent = _bfs_forest(graph)
-    depth = _path_sums(parent, np.ones(len(members), dtype=int))
-    # the period is the gcd of depth[u] + 1 - depth[v] over the edges u -> v
-    return max(int(np.gcd.reduce(np.abs(depth[rows] + 1 - depth[cols]))), 1)
-
-
-def _is_reversible(Q: np.ndarray) -> bool:
+def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
     """Whether the chain with transition probabilities or rates ``Q``
-    satisfies detailed balance, pi_i Q_ij = pi_j Q_ji for some positive pi.
+    (and that ``support``) satisfies detailed balance, pi_i Q_ij = pi_j
+    Q_ji for some positive pi.
 
     pi itself is never formed: on long chains it underflows.  The edge
     set off the diagonal must be symmetric.  Log-potentials phi (log pi
@@ -164,13 +240,10 @@ def _is_reversible(Q: np.ndarray) -> bool:
     meet log Q_ij - log Q_ji = 2 (phi_j - phi_i) to within a few ulps of
     the magnitudes summed into it.
     """
-    n = Q.shape[0]
-    support = Q > 0
-    np.fill_diagonal(support, False)
-    if not np.array_equal(support, support.T):
+    if not support.symmetric:
         return False
-    graph, rows, cols = _graph(support)
-    parent = _bfs_forest(graph)
+    n = Q.shape[0]
+    parent = support.forest[0]
     child = np.flatnonzero(parent >= 0)
     down = np.log(Q[parent[child], child])
     up = np.log(Q[child, parent[child]])
@@ -179,8 +252,8 @@ def _is_reversible(Q: np.ndarray) -> bool:
     step[child, 0] = 0.5 * (down - up)
     step[child, 1] = np.abs(down) + np.abs(up)
     phi, mag = _path_sums(parent, step).T
-    ahead = rows < cols
-    i, j = rows[ahead], cols[ahead]
+    ahead = support.rows < support.cols
+    i, j = support.rows[ahead], support.cols[ahead]
     fwd = np.log(Q[i, j])
     back = np.log(Q[j, i])
     resid = np.abs(fwd - back - 2.0 * (phi[j] - phi[i]))
@@ -363,11 +436,13 @@ def _onoff_generator(params: OnOffContinuousParams) -> np.ndarray:
 
 class _MatrixSource:
     """A chain and a rate per state, the first two fields of each family
-    (kept also as ``_matrix`` and ``_rates``).  ``reversible`` is computed
-    at construction: whether the chain satisfies detailed balance.  A
-    family gives its matrix check, its raw-array ``_kernel``, that
-    kernel's rounding-noise norm and the solve of its stationary law,
-    which runs on first use, at most once per source, and is read-only.
+    (kept also as ``_matrix`` and ``_rates``).  At construction one
+    support graph (``_Support``) gives ``reversible``, whether the chain
+    satisfies detailed balance, and the chain's strong classes.  A family
+    gives its matrix check, its ``_check_chain`` of those classes, its
+    raw-array ``_kernel``, that kernel's rounding-noise norm and the
+    solve of its stationary law, which runs on first use, at most once
+    per source, and is read-only.
     """
 
     # arrivals in each state are Poisson, not fluid: only the MMPP's are
@@ -382,7 +457,9 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be a vector matching the chain size")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValueError(f"{rates} must be finite and >= 0")
-        object.__setattr__(self, "reversible", _is_reversible(M))
+        support = _Support(M)
+        object.__setattr__(self, "reversible", _is_reversible(M, support))
+        self._check_chain(support, *support.classes)
 
     @property
     def n_states(self) -> int:
@@ -436,16 +513,12 @@ class DiscreteMarkovSource(_MatrixSource):
 
     _kernel = staticmethod(_ebw_discrete)
 
-    def __post_init__(self):
-        super().__post_init__()
-        J = self.transition_probs
-        terminal, labels = _terminal_components(J > 0)
+    def _check_chain(self, support: _Support, labels: np.ndarray, terminal: np.ndarray):
         if len(terminal) != 1:
             raise NoUniqueStationary(
                 "chain has multiple recurrent classes; stationary law is not unique"
             )
-        members = np.nonzero(labels == terminal[0])[0]
-        if _component_period(J > 0, members) != 1:
+        if support.period(np.flatnonzero(labels == terminal[0])) != 1:
             raise ValueError("periodic chains are not supported")
 
     @staticmethod
@@ -485,6 +558,10 @@ class DiscreteMarkovSource(_MatrixSource):
 class _GeneratorSource(_MatrixSource):
     """A continuous-time chain: the fluid and MMPP families' generator."""
 
+    def _check_chain(self, support: _Support, labels: np.ndarray, terminal: np.ndarray):
+        # a split chain builds, and fails on first use of its law
+        object.__setattr__(self, "_recurrent_classes", len(terminal))
+
     @staticmethod
     def _check_matrix(G: np.ndarray) -> None:
         if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
@@ -513,7 +590,7 @@ class _GeneratorSource(_MatrixSource):
         return 2.0 * float(pi @ (d * x))
 
     def _solve_stationary(self) -> np.ndarray:
-        return _generator_law(self.generator)
+        return _generator_law(self.generator, self._recurrent_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -717,13 +794,11 @@ def stationary_distribution_fluid(generator) -> np.ndarray:
         return generator._stationary
     G = np.atleast_2d(np.asarray(generator, dtype=float))
     _GeneratorSource._check_matrix(G)
-    return _generator_law(G)
+    return _generator_law(G, len(_Support(G).classes[1]))
 
 
-def _generator_law(G: np.ndarray) -> np.ndarray:
-    # a self-loop on the diagonal changes no strong component or exit
-    terminal, _ = _terminal_components(G > 0)
-    if len(terminal) != 1:
+def _generator_law(G: np.ndarray, recurrent_classes: int) -> np.ndarray:
+    if recurrent_classes != 1:
         raise NoUniqueStationary(
             "generator has multiple recurrent classes; stationary law is not unique"
         )

@@ -39,9 +39,9 @@ from .sources import (
 _BRACKET_CAP_DOUBLINGS = 60
 _EPS = float(np.finfo(float).eps)
 # The Brent solve's relative tolerance on the scale is the kernel's noise
-# clipped to this range: 4 machine epsilons is the least scipy's brentq
-# accepts (a step of a few ulps no longer moves the iterate), and the cap
-# keeps a pessimistic noise figure from costing digits.  The absolute
+# clipped to this range: 4 machine epsilons is the least Charles Harris's
+# C brentq accepts (a step of a few ulps no longer moves the iterate), and
+# the cap keeps a pessimistic noise figure from costing digits.  The absolute
 # tolerance is the smallest normal float, which leaves the relative one
 # in charge
 _SCALE_REL_TOL = 4.0 * _EPS
@@ -182,7 +182,7 @@ def _scaled_bandwidth(src, theta: float, ce: float):
 def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
     """Root of f in [xa, xb] by Brent's method, given fa = f(xa), fb = f(xb).
 
-    A line-for-line port of the C routine behind scipy.optimize.brentq:
+    A line-for-line port of Charles Harris's C routine ``brentq``:
     the same float operations in the same order, so the same iterates
     and the same returned point, but the bracket values come in already
     computed.  The step stops once half the bracket is below
@@ -247,7 +247,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     bandwidth is monotone in the scale.  The source is validated once;
     each step calls the effective-bandwidth kernel on raw arrays.  The
     bracket doubles from C_E until it encloses the root, then ``_brent``
-    (scipy's brentq, ported so that it starts from the bracket values
+    (Harris's C brentq, ported so that it starts from the bracket values
     already computed) narrows it to the kernel's rounding noise relative
     to C_E (eps times the matrix norm in units of a*, at the bracket's
     upper end), but to no less than 4 machine epsilons and no more than

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ive
+from scipy.special import i0e, ive
 
 from qoslink.channel import (
     ChannelSpec,
     EffCapEstimate,
     _gain_chain_rule,
+    _i0e,
     channel_spec_from_json,
     effective_capacity_mc,
     effective_capacity_quadrature,
@@ -131,6 +132,29 @@ def test_gain_chain_kernel_matches_ive(rho):
     pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
     ref = ive(0, 2.0 * rho * np.outer(sq, sq) / v) * np.exp(-pen) / v
     assert np.all(np.abs(K - ref) <= 4e-15 * ref)
+
+
+def test_i0e_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate([
+        rng.uniform(0.0, 8.0, 600_000),  # the series in x/2 - 2
+        8.0 + rng.exponential(40.0, 600_000),  # the series in 32/x - 2
+        np.exp(rng.uniform(-745.0, 709.0, 100_000)),  # every scale
+        -rng.uniform(0.0, 30.0, 1000),  # an even function
+        [0.0, 8.0, np.nextafter(8.0, np.inf), np.nextafter(8.0, 0.0), 1e-300, 5e-324,
+         1e15, 1e300, np.inf],
+    ])
+    assert np.array_equal(_i0e(x), i0e(x))
+    assert np.isnan(_i0e(np.array([np.nan, 1.0]))[0])
+
+
+@pytest.mark.parametrize("rho", [0.026, 0.41, 0.95, 0.99])
+def test_gain_chain_kernel_equals_the_scipy_i0e_kernel(rho):
+    z, _, K, _ = _gain_chain_rule(rho, 1.0)
+    v = 1.0 - rho * rho
+    sq = np.sqrt(z)
+    pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
+    assert np.array_equal(K, i0e(2.0 * rho * np.outer(sq, sq) / v) * np.exp(-pen) / v)
 
 
 def test_gain_chain_cache_is_bounded_and_read_only():

@@ -593,6 +593,41 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_scipy():
+    # scipy's array-API layer alone once cost about 0.4 s of every CLI
+    # start-up; the package needs numpy only
+    import os
+    import subprocess
+    import sys
+
+    import qoslink
+
+    src_dir = str(Path(qoslink.__file__).resolve().parents[1])
+    code = (
+        "import sys, qoslink, qoslink.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    import qoslink
+
+    for path in sorted(Path(qoslink.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
+
+
 def test_config_sets_the_options_that_have_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "mc", "seed": 3, "n_samples": 2000, "format": "json"}))
@@ -679,3 +714,72 @@ def test_simulate_config_theta_must_be_a_number(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--config", str(cfg),
                "--sim-config", sim_config(tmp_path), "--seed", "11") == 2
     assert capsys.readouterr().err.startswith("error: invalid config.theta: ")
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("energy", {"theta": True}, "theta"),
+        ("energy", {"theta": 0.5, "snr_db": True}, "snr_db"),
+        ("energy", {"theta": 0.5, "snr_db": [0, False]}, "snr_db"),
+        ("ebw", {"theta": True}, "theta"),
+        ("ebw", {"theta": [0.5, True]}, "theta"),
+        ("ecap", {"theta": True}, "theta"),
+        ("throughput", {"snr_db": True}, "snr_db"),
+    ],
+)
+def test_config_theta_and_grids_reject_booleans(tmp_path, capsys, command, doc, key):
+    # true is no number: it once ran as 1.0, a grid of [1.0]
+    flags = {"source": ONOFF_DISC, "channel": CHAN_IID, "theta": "0.5", "snr-db": "0"}
+    needs = {"energy": ("source", "channel", "theta", "snr-db"), "ebw": ("source", "theta"),
+             "ecap": ("channel", "theta", "snr-db"),
+             "throughput": ("source", "channel", "theta", "snr-db")}
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    for flag in needs[command]:
+        if flag.replace("-", "_") not in doc:
+            argv += [f"--{flag}", flags[flag]]
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(out, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config.{key}: ")
+    assert not list(out.glob(f"{command}*"))
+
+
+def test_config_grids_take_numbers_and_lists(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": [1, 0.5], "snr_db": 0}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(a, "throughput", "--config", str(cfg), "--source", ONOFF_DISC,
+               "--channel", CHAN_IID) == 0
+    assert run(b, "throughput", "--theta", "0.5,1", "--snr-db", "0", "--source", ONOFF_DISC,
+               "--channel", CHAN_IID) == 0
+    assert digest(a / "throughput.csv") == digest(b / "throughput.csv")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_blocks", 10000.7), ("n_blocks", True), ("n_blocks", "10000"), ("snr_db", True),
+     ("theta", True), ("seed", True), ("seed", 9.5), ("q_thresholds", [True, 5.5]),
+     ("d_thresholds", [2.5, 3]), ("d_thresholds", [2, "3"]), ("d_thresholds", 3)],
+)
+def test_sim_config_numbers_must_fit_their_types(tmp_path, capsys, field, value):
+    # 10000.7 blocks once ran 10000, true was the target theta 1.0, and a
+    # delay threshold of 2.5 blocks was 2
+    cfg = sim_config(tmp_path, **{field: value})
+    argv = ["simulate", "--sim-config", cfg] + ([] if field == "seed" else ["--seed", "11"])
+    out = tmp_path / "out"
+    assert run(out, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid sim-config.{field}: ")
+    assert not list(out.glob("simulate*"))
+
+
+def test_sim_config_integral_numbers_run(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    cfg = sim_config(tmp_path, q_thresholds=[1, 5.5], d_thresholds=[2, 3])
+    assert run(a, "simulate", "--sim-config", cfg, "--seed", "11") == 0
+    cfg = sim_config(tmp_path, n_blocks=10000.0, q_thresholds=[1.0, 5.5], d_thresholds=[2.0, 3])
+    assert run(b, "simulate", "--sim-config", cfg, "--seed", "11") == 0
+    assert digest(a / "simulate_report.json") == digest(b / "simulate_report.json")
+    report = json.loads((a / "simulate_report.json").read_text())
+    assert [q for q, _ in report["overflow_points"]] == [1.0, 5.5]
+    assert [d for d, _ in report["delay_points"]] == [2, 3]

@@ -411,8 +411,8 @@ def test_stationary_properties(seed):
     np.testing.assert_allclose(pi @ J, pi, atol=1e-12)
 
 
-def _reference_terminal_components(adjacency):
-    # the per-edge loop the vectorized helper replaced
+def _reference_classes(adjacency):
+    # scipy's strong components, and a per-edge loop for the exits
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -424,7 +424,26 @@ def _reference_terminal_components(adjacency):
     for i, j in zip(rows, cols):
         if labels[i] != labels[j]:
             has_exit[labels[i]] = True
-    return [c for c in range(n_comp) if not has_exit[c]], labels
+    return labels, [c for c in range(n_comp) if not has_exit[c]]
+
+
+def _reference_forest(adjacency):
+    # breadth-first trees from scipy, one per lowest vertex not yet reached
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    graph = csr_matrix(adjacency)
+    n = adjacency.shape[0]
+    parent = np.full(n, -1)
+    reached = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if reached[root]:
+            continue
+        order, pred = breadth_first_order(graph, root, directed=True, return_predecessors=True)
+        new = order[~reached[order]]
+        parent[new[1:]] = pred[new[1:]]
+        reached[new] = True
+    return parent
 
 
 def _reference_component_period(adjacency, members):
@@ -449,6 +468,14 @@ def _reference_component_period(adjacency, members):
     return max(g, 1)
 
 
+def _partition(labels, classes=None):
+    """The vertex sets of the given class labels (all by default)."""
+    labels = np.asarray(labels)
+    if classes is None:
+        classes = np.unique(labels)
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in classes}
+
+
 def _random_adjacency(kind, n, rng):
     if kind == "sparse":
         return rng.random((n, n)) < 0.15
@@ -459,6 +486,21 @@ def _random_adjacency(kind, n, rng):
         k = int(rng.integers(2, 5))
         cls = rng.integers(0, k, size=n)
         return ((cls[None, :] - cls[:, None]) % k == 1) & (rng.random((n, n)) < 0.7)
+    if kind == "symmetric":
+        a = rng.random((n, n)) < 3.0 / n
+        return a | a.T
+    if kind in ("path", "cycle"):
+        # a long path through the states in random order, a few edges
+        # back along it, and for "cycle" the edge that closes it: deep
+        # searches, one class or many
+        order = rng.permutation(n)
+        a = np.zeros((n, n), dtype=bool)
+        a[order[:-1], order[1:]] = True
+        if kind == "cycle" and n > 1:
+            a[order[-1], order[0]] = True
+        back = rng.random(n) < 0.1
+        a[order[back], order[rng.integers(0, np.arange(n)[back] + 1)]] = True
+        return a
     # reducible: dense diagonal blocks, sparse edges from earlier blocks to later
     block = np.sort(rng.integers(0, 3, size=n))
     inside = (block[:, None] == block[None, :]) & (rng.random((n, n)) < 0.6)
@@ -466,23 +508,45 @@ def _random_adjacency(kind, n, rng):
     return inside | down
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["sparse", "dense", "periodic", "reducible"]),
-    n=st.integers(min_value=1, max_value=14),
+    kind=st.sampled_from(
+        ["sparse", "dense", "periodic", "symmetric", "path", "cycle", "reducible"]
+    ),
+    n=st.integers(min_value=1, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_class_structure_matches_loop_reference(kind, n, seed):
     adjacency = _random_adjacency(kind, n, np.random.default_rng(seed))
-    terminal, labels = sources_module._terminal_components(adjacency)
-    ref_terminal, ref_labels = _reference_terminal_components(adjacency)
-    assert terminal == ref_terminal
-    assert np.array_equal(labels, ref_labels)
-    for c in range(labels.max() + 1):
-        members = np.nonzero(labels == c)[0]
-        assert sources_module._component_period(adjacency, members) == (
-            _reference_component_period(adjacency, members)
-        )
+    support = sources_module._Support(adjacency)
+    labels, terminal = support.classes
+    ref_labels, ref_terminal = _reference_classes(adjacency)
+    # the numbering of the classes is free; the sets are not
+    assert _partition(labels) == _partition(ref_labels)
+    assert _partition(labels, terminal) == _partition(ref_labels, ref_terminal)
+    for members in _partition(labels):
+        members = np.array(sorted(members))
+        assert support.period(members) == _reference_component_period(adjacency, members)
+    off = adjacency & ~np.eye(n, dtype=bool)
+    if support.symmetric or len(_partition(labels)) == 1:
+        # there every breadth-first tree is a class's shortest-path tree
+        assert np.array_equal(support.forest[0], _reference_forest(off))
+
+
+def test_strong_classes_of_a_long_cycle():
+    # deeper than Python's recursion limit: the search is iterative
+    n = 3000
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.arange(n), (np.arange(n) + 1) % n] = True
+    adjacency[n - 1, n - 1] = True
+    support = sources_module._Support(adjacency)
+    labels, terminal = support.classes
+    assert len(terminal) == 1 and np.all(labels == labels[0])
+    assert support.period(np.arange(n)) == 1
+    adjacency[n - 1, 0] = False  # now a path ending in a self-loop
+    labels, terminal = sources_module._Support(adjacency).classes
+    assert len(np.unique(labels)) == n
+    assert np.flatnonzero(labels == terminal[0]).tolist() == [n - 1]
 
 
 def test_fluid_stationary_accepts_raw_generator():
