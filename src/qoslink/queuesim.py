@@ -29,6 +29,11 @@ every seeded output is reproducible bit for bit:
 - the path keeps the first jump that reaches the horizon, or that enters
   an absorbing state, and draws no batch after it, so the MMPP Poisson
   counts that follow on the same generator do not move;
+- the path is integrated into the block grid batch by batch, as each
+  batch is drawn, and is never held whole: the running sum and the
+  interpolation at the block edges take the operands a whole-path
+  ``cumsum`` and ``interp`` would, so memory scales with the blocks,
+  not with the jumps;
 - the service trace draws one Philox stream per chunk of 2^15 blocks
   (key (1, c) for chunk c); the chunks run on the channel's gain
   threads (``channel._gain_chunks``), each filling its slice of the
@@ -39,6 +44,7 @@ every seeded output is reproducible bit for bit:
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,24 +80,37 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snr", _check_snr(self.snr))
-        n = int(self.n_blocks)
+        n = _exact("n_blocks", int, self.n_blocks)
         if n < _MIN_BLOCKS:
             raise ValueError(f"n_blocks must be >= {_MIN_BLOCKS}, got {n}")
         object.__setattr__(self, "n_blocks", n)
-        seed = int(self.seed)
+        seed = _exact("seed", int, self.seed)
         if not (0 <= seed < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "seed", seed)
         if self.q_thresholds is not None:
-            q = tuple(float(x) for x in self.q_thresholds)
+            q = tuple(_exact("q_thresholds entry", float, x) for x in self.q_thresholds)
             if any(x <= 0 for x in q) or any(b <= a for a, b in zip(q, q[1:])):
                 raise ValueError("q_thresholds must be positive and strictly increasing")
             object.__setattr__(self, "q_thresholds", q)
         if self.d_thresholds is not None:
-            d = tuple(int(x) for x in self.d_thresholds)
+            d = tuple(_exact("d_thresholds entry", int, x) for x in self.d_thresholds)
             if any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
                 raise ValueError("d_thresholds must be >= 1 and strictly increasing")
             object.__setattr__(self, "d_thresholds", d)
+
+
+def _exact(field: str, kind: type, x):
+    """x as ``kind`` (int or float) when it is a real number that kind
+    holds exactly: no bool, no string, no 2.5 for an int, no NaN."""
+    try:
+        value = kind(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else None
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or value != x:
+        what = "an integer" if kind is int else "a real number"
+        raise ValueError(f"{field} must be {what}, got {x!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,7 +133,8 @@ def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Queue lengths after each block, starting from an empty buffer."""
     net = np.empty(arrivals.shape[0] + 1)
     net[0] = 0.0
-    np.cumsum(arrivals - services, out=net[1:])
+    np.subtract(arrivals, services, out=net[1:])
+    np.cumsum(net[1:], out=net[1:])
     low = np.minimum.accumulate(net)
     return np.subtract(net[1:], low[1:], out=low[1:])
 
@@ -196,12 +216,15 @@ def _discrete_state_path(src: DiscreteMarkovSource, n, s0, rng) -> np.ndarray:
 
 
 def _continuous_path(generator: np.ndarray, horizon, s0, rng):
-    """(states, jump times) of the chain until the horizon is covered.
+    """Batches (states, jump times) of the chain from state s0 at time 0
+    until the horizon is covered.
 
     Holding times and jump uniforms come in batches of _JUMP_BATCH
     (exponentials first), used from the end of the batch backwards; the
     path stops at the first jump that reaches the horizon or enters an
-    absorbing state, and no batch is drawn after that.
+    absorbing state, and no batch is drawn after that.  A last batch,
+    one jump of the state held to itself at max(t, horizon) + 1, closes
+    the final dwell.
     """
     exit_rates = -np.diag(generator)
     n_states = generator.shape[0]
@@ -214,8 +237,6 @@ def _continuous_path(generator: np.ndarray, horizon, s0, rng):
     )
     cdf = _jump_cdf(probs)
     hold_rates = np.where(live, exit_rates, np.inf)
-    state_parts = [np.array([s0], dtype=np.intp)]
-    time_parts = [np.zeros(1)]
     t = 0.0
     s = int(s0)
     while t < horizon and live[s]:
@@ -229,26 +250,9 @@ def _continuous_path(generator: np.ndarray, horizon, s0, rng):
         if stop.any():
             end = int(np.argmax(stop)) + 1
             states, times = states[:end], times[:end]
-        state_parts.append(states)
-        time_parts.append(times)
+        yield states, times
         s, t = int(states[-1]), float(times[-1])
-    time_parts.append(np.array([max(t, horizon) + 1.0]))  # close the last dwell
-    # each list is joined once and dropped before the next is joined
-    states = np.concatenate(state_parts)
-    del state_parts
-    return states, np.concatenate(time_parts)
-
-
-def _blocked_integral(values_per_state, states, times, n):
-    """Integral of the piecewise-constant state value over each unit block."""
-    cum = np.empty(times.shape[0])
-    cum[0] = 0.0
-    step = cum[1:]
-    np.subtract(times[1:], times[:-1], out=step)
-    np.multiply(values_per_state[states], step, out=step)
-    np.cumsum(step, out=step)
-    grid = np.interp(np.arange(n + 1, dtype=float), times, cum)
-    return np.diff(grid)
+    yield np.array([s]), np.array([max(t, horizon) + 1.0])
 
 
 def _arrival_trace(source, n, seed):
@@ -267,11 +271,26 @@ def _arrival_trace(source, n, seed):
     # the one family choice left here: the path sampler
     if isinstance(source, DiscreteMarkovSource):
         return source.rates[_discrete_state_path(source, n, s0, rng)]
-    states, times = _continuous_path(source.generator, float(n), s0, rng)
-    volume = _blocked_integral(source._rates, states, times, n)
-    if isinstance(source, FluidMarkovSource):
-        return volume
-    return rng.poisson(volume).astype(float)
+    # volume[k] is the integral of the rate over block k - 1.  Each batch
+    # carries on from the last jump time t, the state s held since then
+    # and the integral c up to t; edges before k are done, and g is the
+    # integral up to edge k - 1
+    volume = np.empty(n + 1)
+    t, s, c, k, g = 0.0, int(s0), 0.0, 0, 0.0
+    for states, times in _continuous_path(source.generator, float(n), s0, rng):
+        edges = np.concatenate(([t], times))
+        step = np.diff(edges) * source._rates[np.concatenate(([s], states[:-1]))]
+        cum = np.cumsum(np.concatenate(([c], step)))
+        top = min(math.ceil(times[-1]), n + 1)  # edges k .. top - 1 lie before times[-1]
+        if top > k:
+            grid = np.interp(np.arange(k, top, dtype=float), edges, cum)
+            volume[k:top] = np.diff(grid, prepend=g)
+            k, g = top, grid[-1]
+        s, t, c = int(states[-1]), float(times[-1]), float(cum[-1])
+    volume = volume[1:]
+    if not isinstance(source, FluidMarkovSource):
+        volume[:] = rng.poisson(volume)  # counts over the intensities
+    return volume
 
 
 def _service_trace(spec: ChannelSpec, snr, n, seed):
@@ -362,8 +381,10 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
             f"{mean_s:.6g} by more than {100 * (_STABILITY_MARGIN - 1):.0f}%"
         )
 
-    queue = _lindley(arrivals, services)
     warmup = min(max(n // 100, _MIN_BLOCKS), n // 2)
+    queue = _lindley(arrivals, services)
+    mean_service = float(services[warmup:].mean())
+    del services
     tail = queue[warmup:]
 
     q_grid = (
@@ -380,9 +401,12 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
             continue
         overflow_points.append((float(q), count / n_tail))
         overflow_counts.append(count)
+    varsigma_hat = float(np.count_nonzero(tail > 0)) / n_tail
 
     cum_arrivals = np.cumsum(arrivals)
-    departed = cum_arrivals - queue
+    # the queue is not read again: departures take its buffer
+    departed = np.subtract(cum_arrivals, queue, out=queue)
+    del queue, tail
     stop_for = lambda d: n - d  # last block whose lag-d verdict is in horizon
     d_grid = (
         list(cfg.d_thresholds)
@@ -410,8 +434,6 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
         except InsufficientTail:
             return math.nan
 
-    varsigma_hat = float(np.count_nonzero(tail > 0)) / n_tail
-    mean_service = float(services[warmup:].mean())
     mean_arrival = float(arrivals[warmup:].mean())
     ratio = mean_arrival / mean_service if mean_service > 0 else 0.0
 

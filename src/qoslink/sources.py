@@ -243,19 +243,25 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
     if not support.symmetric:
         return False
     n = Q.shape[0]
+    # each off-diagonal edge's log once, by flat index: i -> j and j -> i
+    # for i < j, row-major, so ``ahead`` is sorted
+    rows, cols = support.rows, support.cols
+    ahead = rows < cols
+    i, j = rows[ahead], cols[ahead]
+    key = i * n + j
+    fwd = np.log(Q.take(key))
+    back = np.log(Q.take(j * n + i))
     parent = support.forest[0]
     child = np.flatnonzero(parent >= 0)
-    down = np.log(Q[parent[child], child])
-    up = np.log(Q[child, parent[child]])
+    above = parent[child]
+    at = np.searchsorted(key, np.minimum(above, child) * n + np.maximum(above, child))
+    down = np.where(above < child, fwd[at], back[at])
+    up = np.where(above < child, back[at], fwd[at])
     # per tree edge: the potential step and the magnitude it carries
     step = np.zeros((n, 2))
     step[child, 0] = 0.5 * (down - up)
     step[child, 1] = np.abs(down) + np.abs(up)
     phi, mag = _path_sums(parent, step).T
-    ahead = support.rows < support.cols
-    i, j = support.rows[ahead], support.cols[ahead]
-    fwd = np.log(Q[i, j])
-    back = np.log(Q[j, i])
     resid = np.abs(fwd - back - 2.0 * (phi[j] - phi[i]))
     # rounding of the logs and of the doubling sums, log2(n) rounds deep
     ulps = (4.0 + 2.0 * math.log2(n)) * np.finfo(float).eps

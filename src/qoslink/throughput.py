@@ -190,7 +190,10 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: flo
     BracketFailure; a NaN value on the way, or _BRENT_MAX_ITER steps
     without convergence, raise NonConvergence.
     """
-    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    # Python floats round as the C doubles do, and overflow to inf or
+    # divide by zero (caught below) without numpy's RuntimeWarning
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    xtol, rtol = float(xtol), float(rtol)
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
         return xpre
@@ -232,7 +235,7 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: flo
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = float(f(xcur))
         if math.isnan(fcur):
             raise NonConvergence(f"the function is NaN at {xcur!r}")
     raise NonConvergence(f"Brent's method did not converge in {_BRENT_MAX_ITER} steps")

@@ -1,10 +1,14 @@
 """Queue simulator: exact recursions, fits, tails, slope validation."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoslink import queuesim
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
@@ -23,6 +27,8 @@ from qoslink.queuesim import (
 )
 from qoslink.sources import (
     DiscreteMarkovSource,
+    FluidMarkovSource,
+    MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
     OnOffFluidParams,
@@ -193,6 +199,45 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_blocks", 10 ** 4 + 0.5),
+        ("n_blocks", True),
+        ("n_blocks", "20000"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+        ("d_thresholds", (2.5,)),
+        ("d_thresholds", (1, "3")),
+        ("d_thresholds", (True, 2)),
+        ("q_thresholds", (True,)),
+        ("q_thresholds", (np.True_,)),
+        ("q_thresholds", ("1.0",)),
+        ("q_thresholds", (math.nan,)),
+    ],
+)
+def test_sim_config_numbers_must_fit_their_fields(field, value):
+    fields = dict(source=OnOffDiscreteParams(0.8, 0.8, 1.0), channel=SPEC, snr=1.0,
+                  n_blocks=10 ** 4, seed=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**fields)
+
+
+def test_sim_config_takes_numpy_numbers():
+    cfg = SimConfig(
+        source=OnOffDiscreteParams(0.8, 0.8, 1.0), channel=SPEC, snr=1.0,
+        n_blocks=np.int64(10 ** 4), seed=np.uint64(3),
+        q_thresholds=(1, np.float64(2.5)), d_thresholds=(np.int32(2), 3.0),
+    )
+    assert (cfg.n_blocks, cfg.seed, cfg.q_thresholds, cfg.d_thresholds) == (
+        10 ** 4, 3, (1.0, 2.5), (2, 3)
+    )
+    assert type(cfg.n_blocks) is type(cfg.seed) is type(cfg.d_thresholds[0]) is int
+    assert type(cfg.q_thresholds[0]) is float
+
+
 def test_ambiguous_continuous_params_rejected():
     cfg = SimConfig(
         source=OnOffContinuousParams(2.0, 2.0, 3.0),
@@ -327,9 +372,44 @@ def test_short_cdf_row_stays_in_range():
     src = DiscreteMarkovSource([[0.5, 0.5 - 1e-12], [0.5, 0.5]], [0.0, 1.0])
     assert np.array_equal(_discrete_state_path(src, 50, 0, _TopUniform()), np.ones(50))
     generator = np.array([[-1.0, 1.0 - 5e-13], [1.0, -1.0]])
-    states, times = _continuous_path(generator, 20.0, 0, _TopUniform())
+    states, times = _joined_path(generator, 20.0, 0, _TopUniform())
     assert np.array_equal(states, np.arange(21) % 2)
     assert np.array_equal(times, np.append(np.arange(21.0), 21.0))
+
+
+def _joined_path(generator, horizon, s0, rng):
+    """The streamed batches joined into the whole path: the state held
+    from each jump time (s0 from time 0), and the jump times, closed by
+    the last batch's time past the horizon."""
+    batches = list(_continuous_path(generator, horizon, s0, rng))
+    states = np.concatenate([[s0]] + [s for s, _ in batches[:-1]])
+    return states, np.concatenate([[0.0]] + [t for _, t in batches])
+
+
+def _blocked_integral(values_per_state, states, times, n):
+    """Integral of the piecewise-constant state value over each unit
+    block, from the whole path: the streamed integral's oracle."""
+    cum = np.empty(times.shape[0])
+    cum[0] = 0.0
+    step = cum[1:]
+    np.subtract(times[1:], times[:-1], out=step)
+    np.multiply(values_per_state[states], step, out=step)
+    np.cumsum(step, out=step)
+    grid = np.interp(np.arange(n + 1, dtype=float), times, cum)
+    return np.diff(grid)
+
+
+def _whole_path_trace(source, n, seed):
+    """``_arrival_trace`` of a fluid or MMPP matrix source, computed from
+    its whole path."""
+    rng = queuesim._stream(seed, (0,))
+    pi = source._stationary
+    s0 = queuesim._stream(seed, (2,)).choice(len(pi), p=pi)
+    states, times = _joined_path(source.generator, float(n), s0, rng)
+    volume = _blocked_integral(source._rates, states, times, n)
+    if isinstance(source, FluidMarkovSource):
+        return volume
+    return rng.poisson(volume).astype(float)
 
 
 def _reference_walk(cdf_rows, s, draws):
@@ -445,7 +525,7 @@ def test_continuous_path_matches_reference(n, absorbing, walker):
     generator = _random_generator(n, n, absorbing)
     horizon = 1.0e5 if absorbing is not None else 5000.0
     got_rng, ref_rng = _ZeroedUniforms(n), _ZeroedUniforms(n)
-    states, times = _continuous_path(generator, horizon, 0, got_rng)
+    states, times = _joined_path(generator, horizon, 0, got_rng)
     ref_states, ref_times = _reference_continuous_path(generator, horizon, 0, ref_rng)
     assert np.array_equal(states, ref_states)
     assert np.array_equal(times, ref_times)  # bit-identical jump times
@@ -459,6 +539,100 @@ def test_continuous_path_matches_reference(n, absorbing, walker):
 def test_continuous_path_from_absorbing_state_draws_nothing():
     generator = _random_generator(3, 3, absorbing=1)
     rng = np.random.default_rng(4)
-    states, times = _continuous_path(generator, 100.0, 1, rng)
+    states, times = _joined_path(generator, 100.0, 1, rng)
     assert np.array_equal(states, [1]) and np.array_equal(times, [0.0, 101.0])
     assert rng.random() == np.random.default_rng(4).random()
+
+
+class _DyadicDraws:
+    """Seeded generator whose exponentials are multiples of 1/4, zero
+    included: over exit rates that are powers of two every jump time is
+    exact, and many fall on block edges."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def exponential(self, size):
+        return self.gen.integers(0, 8, size) / 4.0
+
+    def random(self, size):
+        return self.gen.random(size)
+
+    def poisson(self, lam):
+        return self.gen.poisson(lam)
+
+
+def _dyadic_generator(n, seed, absorbing=None):
+    """Generator with exit rates in {1/2, 1, 2, 4} and jump probabilities
+    in multiples of 2^-16, so its rows sum to exactly zero; the absorbing
+    state, if any, is entered about once in 10^4 jumps."""
+    rng = np.random.default_rng(seed)
+    exit_rates = 2.0 ** rng.integers(-1, 3, n)
+    generator = np.zeros((n, n))
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        weights = np.array([1e-4 if j == absorbing else 1.0 for j in others])
+        counts = rng.multinomial(2 ** 16, weights / weights.sum())
+        generator[i, others] = exit_rates[i] * counts / 2 ** 16
+        generator[i, i] = -exit_rates[i]
+    if absorbing is not None:
+        generator[absorbing] = 0.0
+    return generator
+
+
+def _streamed_and_whole(source, n, seed, draws=None):
+    """(streamed, whole-path) arrival traces, with the path's draws from
+    ``draws(seed)`` when given."""
+    real = queuesim._stream
+
+    def stream(seed, key):
+        return draws(seed) if draws is not None and key == (0,) else real(seed, key)
+
+    with mock.patch.object(queuesim, "_stream", stream):
+        return _arrival_trace(source, n, seed), _whole_path_trace(source, n, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_states=st.integers(2, 6),
+    absorbing=st.booleans(),
+    n_blocks=st.integers(1, 3 * 4096 + 100).filter(lambda n: n % 4096),
+    chain_seed=st.integers(0, 2 ** 16),
+    seed=st.integers(0, 2 ** 32),
+    dyadic=st.booleans(),
+    family=st.sampled_from([FluidMarkovSource, MmppSource]),
+)
+def test_streamed_arrival_trace_equals_the_whole_path_integral(
+    n_states, absorbing, n_blocks, chain_seed, seed, dyadic, family
+):
+    generator = _dyadic_generator(n_states, chain_seed, n_states - 1 if absorbing else None)
+    rates = np.random.default_rng(chain_seed + 1).uniform(0.0, 10.0, n_states)
+    rates[0] = 0.0
+    source = family(generator, rates)
+    # start anywhere: an absorbing chain's law sits in its absorbing state
+    vars(source)["_stationary"] = np.full(n_states, 1.0 / n_states)
+    got, want = _streamed_and_whole(source, n_blocks, seed, _DyadicDraws if dyadic else None)
+    assert np.array_equal(got, want)
+
+
+def test_streamed_arrival_trace_with_every_jump_on_a_block_edge():
+    # unit holding times: a jump at every edge, and a batch ends on edge 4096
+    source = FluidMarkovSource([[-1.0, 1.0], [1.0, -1.0]], [0.0, 3.0])
+    got, want = _streamed_and_whole(source, 2 * 4096 + 5, 7, lambda seed: _TopUniform())
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[1:], 3.0 - got[:-1]) and set(got) == {0.0, 3.0}
+
+
+@pytest.mark.parametrize("build", [as_fluid_source, as_mmpp_source])
+def test_arrival_trace_memory_scales_with_blocks_not_jumps(build):
+    # about 1.8 jumps per block; the whole path held 7.4-7.9 times the trace
+    n = 2 * 10 ** 5
+    source = build(OnOffContinuousParams(9.0, 1.0, 2.0))
+    _arrival_trace(source, 10 ** 4, 0)  # caches filled outside the count
+    tracemalloc.start()
+    try:
+        _arrival_trace(source, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n

@@ -487,6 +487,25 @@ def test_brent_matches_scipy_brentq_bit_for_bit(
     assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]]
 
 
+def test_brent_takes_numpy_scalars_without_warnings():
+    # a numpy tolerance once made every iterate a numpy scalar, whose
+    # overflowing extrapolation warned; the root stays brentq's
+    from scipy.optimize import brentq
+
+    from qoslink.throughput import _brent
+
+    c, k = 0.23603870333502197, 0.08182299789567694
+
+    def f(x):
+        return 1e200 * (k * math.sinh(x - c))
+
+    a, b = c - 1.72348899134229, c + 0.78067763679485
+    rtol = 4 * np.finfo(float).eps
+    root = _brent(f, np.float64(a), b, f(a), np.float64(f(b)), 2e-12, rtol)
+    assert type(root) is float
+    assert root.hex() == float(brentq(f, a, b, xtol=2e-12, rtol=rtol)).hex()
+
+
 def test_brent_rejects_a_non_bracket_and_nan():
     from qoslink.errors import NonConvergence
     from qoslink.throughput import _brent
