@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -298,8 +298,11 @@ def _gain_chunks(spec: ChannelSpec, n: int, seed: int, key: tuple, work):
         while pending:
             yield pending.popleft().result()
     finally:
+        # a chunk that has started cannot be cancelled: wait for it, so
+        # that no chunk still writes into its buffers once this returns
         for future in pending:
             future.cancel()
+        wait(pending)
 
 
 def _log2_rates(z: np.ndarray, snr: float) -> np.ndarray:

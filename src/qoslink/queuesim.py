@@ -20,15 +20,19 @@ every seeded output is reproducible bit for bit:
 - a chain step from state s goes to the first j with u <= cdf[s, j];
   the last CDF entry of each row is pinned to 1.0; chains of up to four
   states are walked by a prefix scan of the per-step maps, larger ones
-  by a per-step bisect;
-- a discrete path takes all its uniforms in one ``rng.random(n)`` call;
+  by a per-step bisect; a scan block whose steps all take one map (every
+  jump of an ON/OFF fluid or MMPP chain flips the state) follows that
+  map's orbit instead of scanning;
+- a discrete path takes its uniforms in blocks of _DRAW_BLOCK from one
+  stream, the same bits a single ``rng.random(n)`` call gives;
 - a continuous path draws batches of ``rng.exponential(size=4096)``
   then ``rng.random(4096)`` and uses each batch from its end; a holding
   time is ``e / exit_rate`` of the state left, and jump times are a
   sequential ``cumsum`` from the time carried over from the last batch;
 - the path keeps the first jump that reaches the horizon, or that enters
   an absorbing state, and draws no batch after it, so the MMPP Poisson
-  counts that follow on the same generator do not move;
+  counts that follow on the same generator, in blocks of _DRAW_BLOCK,
+  do not move;
 - the path is integrated into the block grid batch by batch, as each
   batch is drawn, and is never held whole: the running sum and the
   interpolation at the block edges take the operands a whole-path
@@ -38,27 +42,36 @@ every seeded output is reproducible bit for bit:
   (key (1, c) for chunk c); the chunks run on the channel's gain
   threads (``channel._gain_chunks``), each filling its slice of the
   trace, so the thread count never moves a bit; at rho = 0 the gains
-  are |w|^2 of the draws, without the AR(1) recursion.
+  are |w|^2 of the draws, without the AR(1) recursion;
+- the arrival trace runs as one task on those threads, beside the
+  service chunks; the two traces share no generator, so the overlap
+  moves no bit either.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from bisect import bisect_left
+from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import channel
 from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue
-from .sources import DiscreteMarkovSource, FluidMarkovSource
+from .sources import DiscreteMarkovSource
 
 _JUMP_BATCH = 4096
 _SCAN_BLOCK = 4096
 _SCAN_MAX_STATES = 5  # scan below, bisect from here; see _walk
+# Discrete uniforms, MMPP Poisson counts and Lindley minima are taken
+# this many blocks at a time, so no trace holds an n-sized temporary.
+_DRAW_BLOCK = 1 << 12
 _MIN_BLOCKS = 10 ** 4
 _STABILITY_CHECK_AT = 10 ** 5
 _STABILITY_MARGIN = 1.01
@@ -130,13 +143,23 @@ class QueueSimReport:
 
 
 def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Queue lengths after each block, starting from an empty buffer."""
-    net = np.empty(arrivals.shape[0] + 1)
-    net[0] = 0.0
-    np.subtract(arrivals, services, out=net[1:])
-    np.cumsum(net[1:], out=net[1:])
-    low = np.minimum.accumulate(net)
-    return np.subtract(net[1:], low[1:], out=low[1:])
+    """Queue lengths after each block, starting from an empty buffer,
+    written over ``services``.
+
+    The queue is the running sum of arrivals - services less its running
+    minimum, floored at the empty start's 0; the minimum is taken one
+    _DRAW_BLOCK at a time, carried from block to block.
+    """
+    queue = np.subtract(arrivals, services, out=services)
+    np.cumsum(queue, out=queue)
+    low = 0.0
+    for lo in range(0, queue.shape[0], _DRAW_BLOCK):
+        block = queue[lo : lo + _DRAW_BLOCK]
+        run = np.minimum.accumulate(block)
+        np.minimum(run, low, out=run)
+        np.subtract(block, run, out=block)
+        low = run[-1]
+    return queue
 
 
 def _delay_tail_mass(arrivals, cum_arrivals, departed, d, start, stop):
@@ -172,6 +195,17 @@ def _map_algebra(n_states: int):
     return compose.ravel(), digits
 
 
+def _orbit(image, s, count) -> np.ndarray:
+    """The first ``count`` iterates of one map from s (excluding s):
+    a tail, then a cycle, at most len(image) states in all."""
+    path = [s]
+    while (s := int(image[s])) not in path:
+        path.append(s)
+    cycle = path[path.index(s) :]
+    reps = -(-count // len(cycle))
+    return np.concatenate((np.array(path[1:], dtype=np.intp), np.tile(cycle, reps)))[:count]
+
+
 def _walk(cdf: np.ndarray, s0, draws: np.ndarray) -> np.ndarray:
     """States of a chain after each uniform in ``draws``, from state s0.
 
@@ -182,7 +216,11 @@ def _walk(cdf: np.ndarray, s0, draws: np.ndarray) -> np.ndarray:
     composes the codes through a table, one _SCAN_BLOCK of steps at a
     time.  The table has n ** (2n) entries (65536 at n = 4, 9.8e6 at
     n = 5), so larger chains take a per-step bisect; at n = 2..4 the
-    scan is 1.3-2 times faster than the bisect.
+    scan is 1.3-2 times faster than the bisect.  A block whose steps
+    all take the same map, as every jump of a chain whose rows each have
+    one possible next state does, skips the scan: its states are that
+    map's orbit (``_orbit``).  A uniform of exactly 0.0 reads a
+    different code (state 0 of every row), so its block is scanned.
     """
     n_states = cdf.shape[0]
     s = int(s0)
@@ -201,18 +239,18 @@ def _walk(cdf: np.ndarray, s0, draws: np.ndarray) -> np.ndarray:
         codes = np.searchsorted(cdf[0], u)
         for x in range(1, n_states):
             codes += np.searchsorted(cdf[x], u) * n_states ** x
-        off = 1
-        while off < u.shape[0]:
-            # step k after steps k-off..k-1: code[k] o code[k - off]
-            codes[off:] = compose[codes[off:] * n_maps + codes[:-off]]
-            off *= 2
-        states[lo : lo + u.shape[0]] = digits[codes, s]
-        s = int(states[lo + u.shape[0] - 1])
+        out = states[lo : lo + u.shape[0]]
+        if codes.min() == codes.max():
+            out[:] = _orbit(digits[codes[0]], s, u.shape[0])
+        else:
+            off = 1
+            while off < u.shape[0]:
+                # step k after steps k-off..k-1: code[k] o code[k - off]
+                codes[off:] = compose[codes[off:] * n_maps + codes[:-off]]
+                off *= 2
+            out[:] = digits[codes, s]
+        s = int(out[-1])
     return states
-
-
-def _discrete_state_path(src: DiscreteMarkovSource, n, s0, rng) -> np.ndarray:
-    return _walk(_jump_cdf(src.transition_probs), s0, rng.random(n))
 
 
 def _continuous_path(generator: np.ndarray, horizon, s0, rng):
@@ -255,10 +293,13 @@ def _continuous_path(generator: np.ndarray, horizon, s0, rng):
     yield np.array([s]), np.array([max(t, horizon) + 1.0])
 
 
-def _arrival_trace(source, n, seed):
-    """Arrivals per block of any typed source, sampled on its matrix twin."""
-    rng = _stream(seed, (0,))
-    rng_init = _stream(seed, (2,))
+def _arrival_start(source, seed):
+    """(matrix twin, path generator, initial state) of a typed source.
+
+    ``simulate_queue`` builds these in the calling thread: a process's
+    first generator imports ``numpy.random``, about 0.8 MiB of module
+    objects that would otherwise stay in a worker thread's malloc arena.
+    """
     if not hasattr(source, "as_matrix"):
         raise TypeError(
             f"unsupported source type {type(source).__name__}; two-state "
@@ -267,15 +308,33 @@ def _arrival_trace(source, n, seed):
         )
     source = source.as_matrix()
     pi = source._stationary
-    s0 = rng_init.choice(len(pi), p=pi)
+    return source, _stream(seed, (0,)), _stream(seed, (2,)).choice(len(pi), p=pi)
+
+
+def _arrival_trace(source, n, seed):
+    """Arrivals per block of any typed source, sampled on its matrix twin."""
+    return _sampled_arrivals(*_arrival_start(source, seed), n, np.empty(n + 1))
+
+
+def _sampled_arrivals(source, rng, s0, n, volume):
+    """Arrivals per block of a matrix source whose path starts in s0 and
+    draws from rng, written into volume[1:] (volume holds n + 1 floats)
+    and returned."""
+    trace = volume[1:]
     # the one family choice left here: the path sampler
     if isinstance(source, DiscreteMarkovSource):
-        return source.rates[_discrete_state_path(source, n, s0, rng)]
+        cdf = _jump_cdf(source.transition_probs)
+        s = s0
+        for lo in range(0, n, _DRAW_BLOCK):
+            block = trace[lo : lo + _DRAW_BLOCK]
+            states = _walk(cdf, s, rng.random(block.shape[0]))
+            np.take(source._rates, states, out=block)
+            s = states[-1]
+        return trace
     # volume[k] is the integral of the rate over block k - 1.  Each batch
     # carries on from the last jump time t, the state s held since then
     # and the integral c up to t; edges before k are done, and g is the
     # integral up to edge k - 1
-    volume = np.empty(n + 1)
     t, s, c, k, g = 0.0, int(s0), 0.0, 0, 0.0
     for states, times in _continuous_path(source.generator, float(n), s0, rng):
         edges = np.concatenate(([t], times))
@@ -287,10 +346,12 @@ def _arrival_trace(source, n, seed):
             volume[k:top] = np.diff(grid, prepend=g)
             k, g = top, grid[-1]
         s, t, c = int(states[-1]), float(times[-1]), float(cum[-1])
-    volume = volume[1:]
-    if not isinstance(source, FluidMarkovSource):
-        volume[:] = rng.poisson(volume)  # counts over the intensities
-    return volume
+    if source._poisson:
+        # counts over the intensities
+        for lo in range(0, n, _DRAW_BLOCK):
+            block = trace[lo : lo + _DRAW_BLOCK]
+            block[:] = rng.poisson(block)
+    return trace
 
 
 def _service_trace(spec: ChannelSpec, snr, n, seed):
@@ -369,8 +430,18 @@ def fit_decay_slope(points, counts=None, *, min_count: int = _MIN_EVENTS) -> dic
 def simulate_queue(cfg: SimConfig) -> QueueSimReport:
     """Run the queue over n_blocks fading blocks and fit both tails."""
     n = cfg.n_blocks
-    arrivals = np.asarray(_arrival_trace(cfg.source, n, cfg.seed), dtype=float)
-    services = _service_trace(cfg.channel, cfg.snr, n, cfg.seed)
+    start = _arrival_start(cfg.source, cfg.seed)
+    # the arrival trace runs on a gain thread beside the service chunks,
+    # into a buffer allocated here (see _gain_chunks on thread arenas)
+    pool, _ = channel._pool(os.getpid())
+    task = pool.submit(_sampled_arrivals, *start, n, np.empty(n + 1))
+    try:
+        services = _service_trace(cfg.channel, cfg.snr, n, cfg.seed)
+    except BaseException:
+        task.cancel()
+        futures.wait([task])
+        raise
+    arrivals = task.result()
 
     check_at = min(_STABILITY_CHECK_AT, n)
     mean_a = float(arrivals[:check_at].mean())
@@ -382,8 +453,8 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
         )
 
     warmup = min(max(n // 100, _MIN_BLOCKS), n // 2)
-    queue = _lindley(arrivals, services)
     mean_service = float(services[warmup:].mean())
+    queue = _lindley(arrivals, services)
     del services
     tail = queue[warmup:]
 

@@ -1,16 +1,21 @@
 """Queue simulator: exact recursions, fits, tails, slope validation."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import count
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoslink import queuesim
+from qoslink import channel, queuesim
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
 from qoslink.errors import InsufficientTail, UnstableQueue
 from qoslink.queuesim import (
@@ -18,9 +23,10 @@ from qoslink.queuesim import (
     _arrival_trace,
     _continuous_path,
     _delay_tail_mass,
-    _discrete_state_path,
+    _jump_cdf,
     _lindley,
     _service_trace,
+    _walk,
     fit_decay_slope,
     simulate_queue,
     varsigma_estimate,
@@ -49,6 +55,19 @@ def test_lindley_hand_trace():
     arrivals = np.array([3.0, 0.0, 5.0, 1.0, 0.0])
     services = np.array([1.0, 2.0, 2.0, 2.0, 10.0])
     assert np.array_equal(_lindley(arrivals, services), [2.0, 0.0, 3.0, 2.0, 0.0])
+
+
+def test_lindley_in_place_equals_the_whole_array_minimum():
+    # the running minimum carried block by block is the whole array's
+    n = 3 * queuesim._DRAW_BLOCK + 17
+    rng = np.random.default_rng(5)
+    arrivals = rng.exponential(1.0, n)
+    services = rng.exponential(1.02, n)
+    net = np.concatenate(([0.0], np.cumsum(arrivals - services)))
+    want = net[1:] - np.minimum.accumulate(net)[1:]
+    got = _lindley(arrivals, services)
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, services)
 
 
 def test_delay_tail_hand_trace():
@@ -356,6 +375,12 @@ def test_typed_continuous_sources_simulate_as_their_matrix_twins(typed, build):
     assert reports[0] == reports[1]
 
 
+def _discrete_state_path(src, n, s0, rng):
+    """The discrete chain walked over one ``rng.random(n)`` call: the
+    oracle of the block-drawn discrete trace."""
+    return _walk(_jump_cdf(src.transition_probs), s0, rng.random(n))
+
+
 class _TopUniform:
     """Stub generator: every uniform is the largest double below 1."""
 
@@ -636,3 +661,241 @@ def test_arrival_trace_memory_scales_with_blocks_not_jumps(build):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    image=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    ),
+    s0=st.integers(0, 3),
+    length=st.integers(1, 3 * 4096 + 50),
+    zero_at=st.none() | st.integers(0, 3 * 4096 + 49),
+    seed=st.integers(0, 2 ** 32),
+)
+@example(image=[1, 0], s0=0, length=2 * 4096 + 3, zero_at=None, seed=0)  # ON/OFF flip
+@example(image=[1, 2, 3, 3], s0=0, length=4100, zero_at=None, seed=1)  # tail to a fixed point
+@example(image=[1, 2, 3, 1], s0=0, length=4100, zero_at=4097, seed=2)  # tail into a 3-cycle
+@example(image=[0], s0=0, length=5000, zero_at=3, seed=3)  # one state
+def test_single_map_walk_equals_the_stepwise_walk(image, s0, length, zero_at, seed):
+    # every row has one possible next state, so every step with u > 0
+    # takes the map x -> image[x]; u = 0.0 takes x -> 0 instead
+    n = len(image)
+    s0 %= n
+    probs = np.eye(n)[image]
+    draws = np.random.default_rng(seed).random(length)
+    if zero_at is not None:
+        draws[zero_at % length] = 0.0
+    real_orbit = queuesim._orbit
+    orbits = []
+
+    def orbit(*args):
+        orbits.append(args)
+        return real_orbit(*args)
+
+    with mock.patch.object(queuesim, "_orbit", orbit):
+        got = _walk(_jump_cdf(probs), s0, draws)
+    assert np.array_equal(got, _reference_walk(probs.tolist(), s0, draws))
+    # the scan runs only on a block where the zero's map meets another
+    scanned = False
+    if zero_at is not None:
+        block_start = zero_at % length // 4096 * 4096
+        scanned = any(image) and min(4096, length - block_start) > 1
+    assert len(orbits) == -(-length // 4096) - scanned
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 7])
+def test_block_drawn_discrete_trace_equals_one_walk(n_states):
+    # the uniforms come in blocks of _DRAW_BLOCK: the same bits, and the
+    # same next draw, as one rng.random(n) call
+    probs = np.random.default_rng(n_states).dirichlet(np.ones(n_states), size=n_states)
+    rates = np.random.default_rng(n_states + 1).uniform(0.0, 5.0, n_states)
+    source = DiscreteMarkovSource(probs, rates)
+    n = 3 * queuesim._DRAW_BLOCK + 17
+    got, streams = _traced_streams(lambda: _arrival_trace(source, n, 9))
+    rng = queuesim._stream(9, (0,))
+    s0 = queuesim._stream(9, (2,)).choice(n_states, p=source._stationary)
+    assert got.tobytes() == rates[_discrete_state_path(source, n, s0, rng)].tobytes()
+    assert streams[(0,)][0].random() == rng.random()
+
+
+def test_chunked_mmpp_counts_equal_one_poisson_call():
+    source = as_mmpp_source(OnOffContinuousParams(9.0, 1.0, 6.0))
+    n = 2 * queuesim._DRAW_BLOCK + 5
+    (got, want), streams = _traced_streams(lambda: _streamed_and_whole(source, n, 4))
+    assert got.tobytes() == want.tobytes()
+    # the whole-path oracle drew the same path and counts from its own
+    # stream of the seed, so the two streams stand at the same place
+    assert streams[(0,)][0].random() == streams[(0,)][1].random()
+
+
+def _traced_streams(run):
+    """(run(), the generators queuesim._stream handed out, listed by key)."""
+    real = queuesim._stream
+    given = {}
+
+    def stream(seed, key):
+        rng = real(seed, key)
+        given.setdefault(key, []).append(rng)
+        return rng
+
+    with mock.patch.object(queuesim, "_stream", stream):
+        out = run()
+    return out, given
+
+
+def test_discrete_arrival_trace_memory_scales_with_its_output():
+    n = 2 * 10 ** 5
+    source = OnOffDiscreteParams(0.8, 0.8, 4.0)
+    _arrival_trace(source, 10 ** 4, 0)  # caches filled outside the count
+    tracemalloc.start()
+    try:
+        _arrival_trace(source, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n
+
+
+class _Inline:
+    """Executor that runs each task at once in the caller: the
+    simulator's two traces one after the other."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """Thread pool that keeps every future it hands out."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.futures = []
+
+    def submit(self, fn, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+def _sim_cells():
+    theta = 0.1
+    ce = effective_capacity_rayleigh_iid(1.0, theta, 10).value
+    cells = [_loaded_config(0.2, 20000, 11)[0]]
+    for build, solve in ((as_fluid_source, max_avg_rate_onoff_fluid),
+                         (as_mmpp_source, max_avg_rate_onoff_mmpp)):
+        lam = solve(ce, theta, 9.0, 1.0).lambda_star
+        source = build(OnOffContinuousParams(9.0, 1.0, lam))
+        cells.append(SimConfig(source=source, channel=ChannelSpec(10, 0.5), snr=1.0,
+                               n_blocks=3 * (1 << 15) + 7, seed=11))
+    return cells
+
+
+def test_overlapped_traces_give_the_sequential_reports(monkeypatch):
+    cells = _sim_cells()
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+    try:
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(channel, "_pool", lambda pid: (pool, workers))
+                runs.append([repr(simulate_queue(cfg)) for cfg in cells])
+        # the arrival trace in the caller, before the service trace
+        monkeypatch.setattr(channel, "_pool", lambda pid: (_Inline(), 1))
+        runs.append([repr(simulate_queue(cfg)) for cfg in cells])
+    finally:
+        sys.setswitchinterval(switch)
+        monkeypatch.undo()
+    runs.append([repr(simulate_queue(cfg)) for cfg in cells])
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_arrival_failure_reaches_caller_after_the_service_trace(monkeypatch):
+    pool = _RecordingPool(3)
+    monkeypatch.setattr(channel, "_pool", lambda pid: (pool, 3))
+
+    def fail(*args):
+        raise ArithmeticError("arrivals")
+
+    monkeypatch.setattr(queuesim, "_walk", fail)
+    cfg = SimConfig(source=OnOffDiscreteParams(0.8, 0.8, 1.0), channel=SPEC, snr=1.0,
+                    n_blocks=3 * (1 << 15) + 7, seed=0)
+    try:
+        with pytest.raises(ArithmeticError, match="arrivals"):
+            simulate_queue(cfg)
+        assert len(pool.futures) == 5  # the arrival trace and four chunks
+        assert all(f.done() for f in pool.futures)
+    finally:
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("chunk_hold, arrival_hold", [(0.3, 0.0), (0.0, 0.3)])
+def test_service_failure_reaches_caller_with_no_task_left_running(
+    chunk_hold, arrival_hold, monkeypatch
+):
+    # when the failure surfaces, a later chunk or the arrival trace is
+    # still running: the one held longer shows whether it is waited for
+    pool = _RecordingPool(3)
+    monkeypatch.setattr(channel, "_pool", lambda pid: (pool, 3))
+    real_fill, real_arrivals = channel._fill_gains, queuesim._sampled_arrivals
+    calls = count()
+    started, failed = threading.Event(), threading.Event()
+
+    def fill(*args):
+        k = next(calls)
+        if k == 2:
+            started.wait(10.0)
+            failed.set()
+            raise ArithmeticError("chunk")
+        if k == 3:
+            started.set()
+            time.sleep(chunk_hold)
+        return real_fill(*args)
+
+    def arrivals(*args):
+        failed.wait(10.0)
+        time.sleep(arrival_hold)
+        return real_arrivals(*args)
+
+    monkeypatch.setattr(channel, "_fill_gains", fill)
+    monkeypatch.setattr(queuesim, "_sampled_arrivals", arrivals)
+    cfg = SimConfig(source=as_fluid_source(OnOffContinuousParams(9.0, 1.0, 2.0)),
+                    channel=SPEC, snr=1.0, n_blocks=8 * (1 << 15), seed=0)
+    try:
+        with pytest.raises(ArithmeticError, match="chunk"):
+            simulate_queue(cfg)
+        assert all(f.done() for f in pool.futures)
+    finally:
+        pool.shutdown()
+
+
+def test_arrival_generators_are_built_in_the_calling_thread(monkeypatch):
+    # a process's first generator imports numpy.random; built in a worker,
+    # its module objects would stay in that thread's malloc arena
+    real = queuesim._stream
+    builders = {}
+
+    def stream(seed, key):
+        builders[key] = threading.current_thread()
+        return real(seed, key)
+
+    monkeypatch.setattr(queuesim, "_stream", stream)
+    cfg, _ = _loaded_config(0.2, 10 ** 4, 3)
+    simulate_queue(cfg)
+    assert builders == {(0,): threading.current_thread(), (2,): threading.current_thread()}
+
+
+def test_unsupported_source_is_rejected_before_any_task(monkeypatch):
+    pool = _RecordingPool(2)
+    monkeypatch.setattr(channel, "_pool", lambda pid: (pool, 2))
+    cfg = SimConfig(source=OnOffContinuousParams(2.0, 2.0, 3.0), channel=SPEC, snr=1.0,
+                    n_blocks=10 ** 4, seed=0)
+    try:
+        with pytest.raises(TypeError, match="as_fluid_source or"):
+            simulate_queue(cfg)
+        assert pool.futures == []
+    finally:
+        pool.shutdown()
