@@ -26,7 +26,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta
+from .errors import (
+    DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta, _exact_number,
+)
 
 LN2 = math.log(2.0)
 
@@ -697,20 +699,18 @@ def capacity_function(spec: ChannelSpec, method: str, *, n_samples: int = 10 ** 
 
 
 def channel_spec_from_json(doc) -> ChannelSpec:
-    """ChannelSpec from {"m": ..., "rho": ..., "sigma_h_sq": ...}."""
+    """ChannelSpec from {"m": ..., "rho": ..., "sigma_h_sq": ..., "distribution": ...};
+    ``m`` and ``rho`` are required."""
     if not isinstance(doc, dict):
         raise ValidationError("$", "channel document must be a JSON object")
-    out = {}
-    for name, required in (("m", True), ("rho", True), ("sigma_h_sq", False)):
+    for name in ("m", "rho"):
         if name not in doc:
-            if required:
-                raise ValidationError(name, "missing required field")
-            continue
-        v = doc[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(name, f"must be a number, got {type(v).__name__}")
-        out[name] = v
+            raise ValidationError(name, "missing required field")
+    out = {name: _exact_number(name, kind, doc[name])
+           for name, kind in (("m", int), ("rho", float), ("sigma_h_sq", float)) if name in doc}
     if "distribution" in doc:
+        if not isinstance(doc["distribution"], str):
+            raise ValidationError("distribution", f"must be a string, got {doc['distribution']!r}")
         out["distribution"] = doc["distribution"]
     try:
         return ChannelSpec(**out)

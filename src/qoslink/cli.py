@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .channel import capacity_function, channel_spec_from_json
 from .energy import source_ebn0_curve, source_energy_metrics, source_kind
-from .errors import QoslinkError, ValidationError
+from .errors import QoslinkError, ValidationError, _exact_number
 from .queuesim import SimConfig, simulate_queue
 from .sources import source_from_json
 from .throughput import max_avg_rate
@@ -70,48 +70,40 @@ def _load_json_arg(text, field: str) -> dict:
     return doc
 
 
-def _parse_grid(text, field: str, positive: bool = False) -> list:
-    """Grid forms: 'a,b,c' | 'lin:lo:hi:n' | 'log:lo:hi:n' | JSON list."""
-    try:
-        if isinstance(text, (list, tuple)):
-            vals = np.array([float(v) for v in text])
-        elif isinstance(text, (int, float)):
-            vals = np.array([float(text)])
-        elif text.startswith(("lin:", "log:")):
-            kind, lo, hi, count = text.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
-            if count < 1 or hi < lo:
-                raise ValueError("need lo <= hi and count >= 1")
-            if kind == "log":
-                if lo <= 0:
-                    raise ValueError("log spacing needs lo > 0")
-                vals = np.geomspace(lo, hi, count)
+def _parse_grid(value, path: str) -> list:
+    """A grid: 'a,b,c' | 'lin:lo:hi:n' | 'log:lo:hi:n', or a JSON number
+    or list of numbers; sorted, without repeats."""
+    if isinstance(value, list):
+        vals = np.array([_exact_number(path, float, v) for v in value])
+    elif not isinstance(value, str):
+        vals = np.array([_exact_number(path, float, value)])
+    else:
+        try:
+            if value.startswith(("lin:", "log:")):
+                kind, lo, hi, count = value.split(":")
+                lo, hi, count = float(lo), float(hi), int(count)
+                if count < 1 or hi < lo:
+                    raise ValueError("need lo <= hi and count >= 1")
+                if kind == "log":
+                    if lo <= 0:
+                        raise ValueError("log spacing needs lo > 0")
+                    vals = np.geomspace(lo, hi, count)
+                else:
+                    vals = np.linspace(lo, hi, count)
             else:
-                vals = np.linspace(lo, hi, count)
-        else:
-            vals = np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise ValidationError(field, f"bad grid {text!r}: {exc}")
+                vals = np.array([float(v) for v in value.split(",")])
+        except ValueError as exc:
+            raise ValidationError(path, f"bad grid {value!r}: {exc}")
     if vals.size == 0 or not np.all(np.isfinite(vals)):
-        raise ValidationError(field, "grid must be nonempty and finite")
-    if positive and np.any(vals <= 0):
-        raise ValidationError(field, "grid values must be > 0")
-    out = sorted(set(float(v) for v in vals))
-    return out
+        raise ValidationError(path, "grid must be nonempty and finite")
+    return sorted(set(float(v) for v in vals))
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise ValidationError(name, "required (flag or config file)")
-
-
-def _require_seed(args) -> int:
-    if args.seed is None:
+def _require_seed(seed) -> int:
+    if seed is None:
         raise ValidationError(
             "seed", "randomized commands need an explicit --seed"
         )
-    seed = int(args.seed)
     if not (0 <= seed < 2 ** 64):
         raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
     return seed
@@ -221,16 +213,13 @@ def _capacity_fn(method, spec, n_samples, seed):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ebw(args, out_dir) -> int:
-    _require(args, ["source", "theta"])
+def _cmd_ebw(opts, out_dir) -> int:
     started = _utc_now()
-    doc = _load_json_arg(args.source, "source")
-    src = source_from_json(doc)
-    thetas = _parse_grid(args.theta, "theta", positive=True)
+    src = source_from_json(opts.source)
     # a matrix source is its own twin: its one route is the eigen route
     twin = src.as_matrix()
     rows = []
-    for th in thetas:
+    for th in opts.theta:
         rows.append(
             {
                 "theta": th,
@@ -238,24 +227,20 @@ def _cmd_ebw(args, out_dir) -> int:
                 "a_star_eigen": twin.effective_bandwidth(th) if twin is not src else None,
             }
         )
-    data = _write_rows(out_dir, "ebw", args.format, ("theta", "a_star", "a_star_eigen"), rows)
-    params = {"source": doc, "theta": thetas, "format": args.format}
+    data = _write_rows(out_dir, "ebw", opts.format, ("theta", "a_star", "a_star_eigen"), rows)
+    params = {"source": opts.source, "theta": opts.theta, "format": opts.format}
     _write_manifest(out_dir, "ebw", params, None, started, [data])
     return EXIT_OK
 
 
-def _cmd_ecap(args, out_dir) -> int:
-    _require(args, ["channel", "theta", "snr-db"])
+def _cmd_ecap(opts, out_dir) -> int:
     started = _utc_now()
-    doc = _load_json_arg(args.channel, "channel")
-    spec = channel_spec_from_json(doc)
-    thetas = _parse_grid(args.theta, "theta", positive=True)
-    snr_dbs = _parse_grid(args.snr_db, "snr-db")
-    seed = _require_seed(args) if args.method == "mc" else None
-    cap = _capacity_fn(args.method, spec, args.n_samples, seed)
+    spec = channel_spec_from_json(opts.channel)
+    seed = _require_seed(opts.seed) if opts.method == "mc" else None
+    cap = _capacity_fn(opts.method, spec, opts.n_samples, seed)
     rows = []
-    for th in thetas:
-        for snr_db in snr_dbs:
+    for th in opts.theta:
+        for snr_db in opts.snr_db:
             est = cap(_db_to_linear(snr_db), th)
             rows.append(
                 {
@@ -263,35 +248,30 @@ def _cmd_ecap(args, out_dir) -> int:
                     "snr_db": snr_db,
                     "c_e": est.value,
                     "std_error": est.std_error,
-                    "method": args.method,
+                    "method": opts.method,
                 }
             )
     data = _write_rows(
-        out_dir, "ecap", args.format,
+        out_dir, "ecap", opts.format,
         ("theta", "snr_db", "c_e", "std_error", "method"), rows,
     )
     params = {
-        "channel": doc, "theta": thetas, "snr_db": snr_dbs,
-        "method": args.method, "n_samples": args.n_samples, "format": args.format,
+        "channel": opts.channel, "theta": opts.theta, "snr_db": opts.snr_db,
+        "method": opts.method, "n_samples": opts.n_samples, "format": opts.format,
     }
     _write_manifest(out_dir, "ecap", params, seed, started, [data])
     return EXIT_OK
 
 
-def _cmd_throughput(args, out_dir) -> int:
-    _require(args, ["source", "channel", "theta", "snr-db"])
+def _cmd_throughput(opts, out_dir) -> int:
     started = _utc_now()
-    src_doc = _load_json_arg(args.source, "source")
-    src = source_from_json(src_doc)
-    ch_doc = _load_json_arg(args.channel, "channel")
-    spec = channel_spec_from_json(ch_doc)
-    thetas = _parse_grid(args.theta, "theta", positive=True)
-    snr_dbs = _parse_grid(args.snr_db, "snr-db")
-    seed = _require_seed(args) if args.capacity == "mc" else None
-    cap = _capacity_fn(args.capacity, spec, args.n_samples, seed)
+    src = source_from_json(opts.source)
+    spec = channel_spec_from_json(opts.channel)
+    seed = _require_seed(opts.seed) if opts.capacity == "mc" else None
+    cap = _capacity_fn(opts.capacity, spec, opts.n_samples, seed)
     rows = []
-    for th in thetas:
-        for snr_db in snr_dbs:
+    for th in opts.theta:
+        for snr_db in opts.snr_db:
             row = {"theta": th, "snr_db": snr_db, "c_e": None,
                    "r_avg_star": None, "lambda_star": None,
                    "method": None, "error": None}
@@ -306,35 +286,29 @@ def _cmd_throughput(args, out_dir) -> int:
                 row["error"] = str(exc)
             rows.append(row)
     data = _write_rows(
-        out_dir, "throughput", args.format,
+        out_dir, "throughput", opts.format,
         ("theta", "snr_db", "c_e", "r_avg_star", "lambda_star", "method", "error"),
         rows,
     )
     params = {
-        "source": src_doc, "channel": ch_doc, "theta": thetas,
-        "snr_db": snr_dbs, "capacity": args.capacity,
-        "n_samples": args.n_samples, "format": args.format,
+        "source": opts.source, "channel": opts.channel, "theta": opts.theta,
+        "snr_db": opts.snr_db, "capacity": opts.capacity,
+        "n_samples": opts.n_samples, "format": opts.format,
     }
     _write_manifest(out_dir, "throughput", params, seed, started, [data])
     return EXIT_OK
 
 
-def _cmd_energy(args, out_dir) -> int:
-    _require(args, ["source", "channel", "theta", "snr-db"])
+def _cmd_energy(opts, out_dir) -> int:
     started = _utc_now()
-    src_doc = _load_json_arg(args.source, "source")
-    ch_doc = _load_json_arg(args.channel, "channel")
-    spec = channel_spec_from_json(ch_doc)
-    theta = float(args.theta)
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValidationError("theta", f"must be finite and > 0, got {args.theta}")
-    snr_dbs = _parse_grid(args.snr_db, "snr-db")
+    spec = channel_spec_from_json(opts.channel)
+    theta = opts.theta
     # constant-rate arrivals are no source object: the energy layer takes None
-    src = None if src_doc.get("kind") == "constant" else source_from_json(src_doc)
+    src = None if opts.source.get("kind") == "constant" else source_from_json(opts.source)
     kind = source_kind(src)
 
     rows = []
-    for snr_db in snr_dbs:
+    for snr_db in opts.snr_db:
         row = {"kind": kind, "theta": theta, "snr_db": round(snr_db, 4),
                "ebn0_db": None, "rate_per_symbol": None, "error": None}
         try:
@@ -346,7 +320,7 @@ def _cmd_energy(args, out_dir) -> int:
             row["error"] = str(exc)
         rows.append(row)
     curve = _write_rows(
-        out_dir, "energy_curve", args.format,
+        out_dir, "energy_curve", opts.format,
         ("kind", "theta", "snr_db", "ebn0_db", "rate_per_symbol", "error"), rows,
         col_formats={"snr_db": ".4f", "ebn0_db": ".4f"},
     )
@@ -362,49 +336,34 @@ def _cmd_energy(args, out_dir) -> int:
     }
     metrics_path = _write_json(out_dir, "energy_metrics.json", metrics_doc)
     params = {
-        "source": src_doc, "channel": ch_doc, "theta": theta,
-        "snr_db": snr_dbs, "format": args.format,
+        "source": opts.source, "channel": opts.channel, "theta": theta,
+        "snr_db": opts.snr_db, "format": opts.format,
     }
     _write_manifest(out_dir, "energy", params, None, started, [curve, metrics_path])
     return EXIT_OK
 
 
-def _cmd_simulate(args, out_dir) -> int:
-    _require(args, ["sim-config"])
+def _cmd_simulate(opts, out_dir) -> int:
     started = _utc_now()
-    doc = _load_json_arg(args.sim_config, "sim-config")
+    doc = opts.sim_config
     for field in ("source", "channel", "snr_db", "n_blocks"):
         if field not in doc:
             raise ValidationError(f"sim-config.{field}", "missing")
-
-    def number(field: str, kind: type):
-        return _config_number(f"sim-config.{field}", kind, doc.get(field))
-
-    def numbers(field: str, kind: type):
-        values = doc.get(field)
-        if values is None:
-            return None
-        if not isinstance(values, list):
-            raise ValidationError(f"sim-config.{field}", f"must be a list; got {values!r}")
-        return tuple(_config_number(f"sim-config.{field}", kind, v) for v in values)
-
-    seed = args.seed if args.seed is not None else number("seed", int)
-    if seed is None:
-        raise ValidationError("seed", "simulation needs a seed (--seed or config)")
-    args.seed = seed
-    seed = _require_seed(args)
-    target = args.theta if args.theta is not None else number("theta", float)
+    sim = {field: _read(f"sim-config.{field}", kind, doc.get(field))
+           for field, kind in _SIM_FIELDS.items()}
+    seed = _require_seed(opts.seed if opts.seed is not None else sim["seed"])
+    target = opts.theta if opts.theta is not None else sim["theta"]
     source = source_from_json(doc["source"])
     spec = channel_spec_from_json(doc["channel"])
     try:
         cfg = SimConfig(
             source=source,
             channel=spec,
-            snr=_db_to_linear(number("snr_db", float)),
-            n_blocks=number("n_blocks", int),
+            snr=_db_to_linear(sim["snr_db"]),
+            n_blocks=sim["n_blocks"],
             seed=seed,
-            q_thresholds=numbers("q_thresholds", float),
-            d_thresholds=numbers("d_thresholds", int),
+            q_thresholds=sim["q_thresholds"],
+            d_thresholds=sim["d_thresholds"],
         )
     except (TypeError, ValueError) as exc:
         raise ValidationError("sim-config", str(exc))
@@ -420,11 +379,11 @@ def _cmd_simulate(args, out_dir) -> int:
     }
     report_path = _write_json(out_dir, "simulate_report.json", report_doc)
     over = _write_rows(
-        out_dir, "simulate_overflow", args.format, ("q", "prob"),
+        out_dir, "simulate_overflow", opts.format, ("q", "prob"),
         [{"q": q, "prob": p} for q, p in report.overflow_points],
     )
     delay = _write_rows(
-        out_dir, "simulate_delay", args.format, ("d", "prob"),
+        out_dir, "simulate_delay", opts.format, ("d", "prob"),
         [{"d": d, "prob": p} for d, p in report.delay_points],
     )
 
@@ -437,27 +396,62 @@ def _cmd_simulate(args, out_dir) -> int:
     else:
         print(f"theta_sim={report.theta_sim:.6g}")
 
-    params = {"sim_config": doc, "format": args.format}
+    params = {"sim_config": doc, "format": opts.format}
     _write_manifest(out_dir, "simulate", params, seed, started, [report_path, over, delay])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Argument plumbing
+# Options
 # ---------------------------------------------------------------------------
 
 
-# defaults apply after the config file, so a config value counts unless
-# its flag is given; flag and config value alike must be one of the choices
-_DEFAULTS = {"out_dir": ".", "format": "csv", "method": "closed-iid",
-             "capacity": "closed-iid", "n_samples": 10 ** 6}
-_CHOICES = {"format": ("csv", "json"), "method": ("closed-iid", "quadrature", "mc"),
-            "capacity": ("closed-iid", "mc")}
-# the flags parsed with a type; the theta of energy and simulate is a
-# number too, while the other commands' theta, like every snr_db, is a grid
-_TYPES = {"seed": int, "n_samples": int}
-_SCALAR_THETA = ("energy", "simulate")
-_GRIDS = ("theta", "snr_db")
+_COMMANDS = {
+    "ebw": (_cmd_ebw, "effective bandwidth sweep"),
+    "ecap": (_cmd_ecap, "effective capacity sweep"),
+    "throughput": (_cmd_throughput, "max average arrival rate sweep"),
+    "energy": (_cmd_energy, "E_b/N_0 curve and energy metrics"),
+    "simulate": (_cmd_simulate, "queue simulation"),
+}
+_SWEEPS = ("ebw", "ecap", "throughput")
+_SOURCE = ("ebw", "throughput", "energy")
+_CHANNEL = ("ecap", "throughput", "energy")
+
+# One row per option: its JSON kind (see _read) in each command that
+# takes it, the commands that require it, its default, its choices and
+# its help.  An option's value is its flag's, else its --config value,
+# else its default; null in --config leaves it unset.
+_OPTIONS = {
+    "out_dir": (dict.fromkeys(_COMMANDS, "string"), (), ".", (),
+                "directory for output files"),
+    "format": (dict.fromkeys(_COMMANDS, "string"), (), "csv", ("csv", "json"),
+               "data file format"),
+    "config": (dict.fromkeys(_COMMANDS, "object"), (), None, (),
+               "JSON file of defaults; flags override it"),
+    "seed": (dict.fromkeys(_COMMANDS, "integer"), (), None, (),
+             "seed for randomized computations"),
+    "source": (dict.fromkeys(_SOURCE, "object"), _SOURCE, None, (),
+               'source JSON (inline or file path); energy also takes {"kind": "constant"}'),
+    "channel": (dict.fromkeys(_CHANNEL, "object"), _CHANNEL, None, (),
+                "channel JSON (inline or file path)"),
+    "sim_config": ({"simulate": "object"}, ("simulate",), None, (),
+                   "simulation JSON (inline or file path)"),
+    "theta": ({**dict.fromkeys(_SWEEPS, "theta grid"), "energy": "theta", "simulate": "number"},
+              (*_SWEEPS, "energy"), None, (),
+              "QoS exponent: a grid 'a,b,c' | lin:lo:hi:n | log:lo:hi:n; for energy one "
+              "value; for simulate the target of the summary line"),
+    "snr_db": (dict.fromkeys(_CHANNEL, "dB grid"), _CHANNEL, None, (), "snr grid in dB"),
+    "method": ({"ecap": "string"}, (), "closed-iid", ("closed-iid", "quadrature", "mc"),
+               "capacity method"),
+    "capacity": ({"throughput": "string"}, (), "closed-iid", ("closed-iid", "mc"),
+                 "capacity method"),
+    "n_samples": (dict.fromkeys(("ecap", "throughput"), "integer"), (), 10 ** 6, (),
+                  "Monte Carlo samples"),
+}
+# the kinds of the --sim-config fields the CLI reads; the library reads
+# its source and channel
+_SIM_FIELDS = {"snr_db": "dB", "n_blocks": "integer", "seed": "integer", "theta": "number",
+               "q_thresholds": "numbers", "d_thresholds": "integers"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,119 +459,88 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qoslink",
         description="Throughput and energy analysis of QoS-constrained fading links",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", help="directory for output files (default .)")
-    common.add_argument("--format", choices=_CHOICES["format"], help="default csv")
-    common.add_argument("--config", help="JSON file of defaults; flags override it")
-    common.add_argument("--seed", type=_TYPES["seed"], help="seed for randomized computations")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ebw", parents=[common], help="effective bandwidth sweep")
-    p.add_argument("--source", help="source JSON (inline or file path)")
-    p.add_argument("--theta", help="grid: 'a,b,c' | lin:lo:hi:n | log:lo:hi:n")
-
-    p = sub.add_parser("ecap", parents=[common], help="effective capacity sweep")
-    p.add_argument("--channel", help="channel JSON (inline or file path)")
-    p.add_argument("--theta", help="theta grid")
-    p.add_argument("--snr-db", help="snr grid in dB")
-    p.add_argument("--method", choices=_CHOICES["method"], help="default closed-iid")
-    p.add_argument("--n-samples", type=_TYPES["n_samples"], help="default 10^6")
-
-    p = sub.add_parser("throughput", parents=[common],
-                       help="max average arrival rate sweep")
-    p.add_argument("--source", help="source JSON (inline or file path)")
-    p.add_argument("--channel", help="channel JSON (inline or file path)")
-    p.add_argument("--theta", help="theta grid")
-    p.add_argument("--snr-db", help="snr grid in dB")
-    p.add_argument("--capacity", choices=_CHOICES["capacity"], help="default closed-iid")
-    p.add_argument("--n-samples", type=_TYPES["n_samples"], help="default 10^6")
-
-    p = sub.add_parser("energy", parents=[common],
-                       help="E_b/N_0 curve and energy metrics")
-    p.add_argument("--source", help="source JSON; {\"kind\": \"constant\"} allowed")
-    p.add_argument("--channel", help="channel JSON (inline or file path)")
-    p.add_argument("--theta", help="single QoS exponent")
-    p.add_argument("--snr-db", help="snr grid in dB")
-
-    p = sub.add_parser("simulate", parents=[common], help="queue simulation")
-    p.add_argument("--sim-config", help="simulation JSON (inline or file path)")
-    p.add_argument("--theta", type=float,
-                   help="target theta for the summary line (optional)")
-
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (kinds, _, default, choices, help_text) in _OPTIONS.items():
+            if command in kinds:
+                p.add_argument(
+                    "--" + name.replace("_", "-"),
+                    type={"integer": int, "number": float, "theta": float}.get(kinds[command]),
+                    choices=choices or None,
+                    help=help_text if default is None else f"{help_text} (default {default})",
+                )
     return parser
 
 
-def _config_number(path: str, kind: type, value):
-    """A JSON value at ``path`` (``config.seed``, say) for an option of
-    type ``kind`` (int or float): a JSON number that ``kind`` holds
-    exactly, so neither a bool, a string nor 2000.5 for an int.  ``null``
-    stays unset."""
+def _read(path: str, kind: str, value, choices=()):
+    """``value`` read as ``kind``, or a ValidationError naming ``path``;
+    ``None`` stays unset.  The kinds: "object" (JSON, inline or by file
+    path), "string" (one of ``choices``, if any), "integer" and "number"
+    (the one number rule, ``_exact_number``), "theta" (a number > 0),
+    "dB" (a number whose linear snr 10^(dB/10) is a float > 0), "theta
+    grid" and "dB grid" (grids of such numbers), and "integers" and
+    "numbers" (JSON lists)."""
     if value is None:
         return None
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if isinstance(value, (bool, str)) or number is None or number != value:
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(path, f"must be {what}; got {value!r}")
-    return number
+    if kind == "object":
+        return _load_json_arg(value, path)
+    if kind == "string":
+        if isinstance(value, str) and (not choices or value in choices):
+            return value
+        want = f"one of {', '.join(choices)}" if choices else "a string"
+        raise ValidationError(path, f"must be {want}, got {value!r}")
+    if kind in ("integers", "numbers"):
+        if not isinstance(value, list):
+            raise ValidationError(path, f"must be a list, got {value!r}")
+        return tuple(_exact_number(path, int if kind == "integers" else float, v) for v in value)
+    if kind.endswith("grid"):
+        values = _parse_grid(value, path)
+    else:
+        values = [_exact_number(path, int if kind == "integer" else float, value)]
+    if kind.startswith("theta") and values[0] <= 0:
+        raise ValidationError(path, f"must be > 0, got {values[0]!r}")
+    if kind.startswith("dB"):
+        try:
+            ok = min(_db_to_linear(v) for v in values) > 0
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValidationError(path, "the linear snr 10^(dB/10) must be a finite number > 0")
+    return values if kind.endswith("grid") else values[0]
 
 
-def _config_grid(path: str, value):
-    """A config value for a grid option: a grid string, as the flag
-    takes, or a JSON number or list of numbers."""
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return [_config_number(path, float, v) for v in value]
-    return _config_number(path, float, value)
-
-
-def _merge_config(args) -> None:
-    """Fill the options no flag gave from the config file, then from
-    ``_DEFAULTS``; a config value must be one of its flag's choices and
-    fit its flag's type."""
-    doc = _load_json_arg(args.config, "config") if args.config else {}
-    known = set(vars(args))
-    types = {**_TYPES, "theta": float} if args.command in _SCALAR_THETA else _TYPES
-    for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in known or dest in ("command", "config"):
+def _resolve(args) -> argparse.Namespace:
+    """The value of each option the command takes: its flag's, else its
+    --config value, else its default.  Every config value is read, even
+    one a flag overrides."""
+    command = args.command
+    rows = {name: row for name, row in _OPTIONS.items() if command in row[0] and name != "config"}
+    config = _read("config", "object", args.config) or {}
+    keys = {key.replace("-", "_"): key for key in config}
+    for name, key in keys.items():
+        if name not in rows:
             raise ValidationError(f"config.{key}", "unknown parameter")
-        if dest in _CHOICES and value not in _CHOICES[dest]:
-            raise ValidationError(
-                f"config.{key}", f"must be one of {', '.join(_CHOICES[dest])}; got {value!r}"
-            )
-        if dest in types:
-            value = _config_number(f"config.{key}", types[dest], value)
-        elif dest in _GRIDS:
-            value = _config_grid(f"config.{key}", value)
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    for dest, value in _DEFAULTS.items():
-        if dest in known and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-_COMMANDS = {
-    "ebw": _cmd_ebw,
-    "ecap": _cmd_ecap,
-    "throughput": _cmd_throughput,
-    "energy": _cmd_energy,
-    "simulate": _cmd_simulate,
-}
+    opts = argparse.Namespace()
+    for name, (kinds, required, default, choices, _) in rows.items():
+        flag = name.replace("_", "-")
+        value = _read(flag, kinds[command], getattr(args, name), choices)
+        if name in keys:
+            stored = _read(f"config.{keys[name]}", kinds[command], config[keys[name]], choices)
+            value = stored if value is None else value
+        if value is None and command in required:
+            raise ValidationError(flag, "required (flag or config file)")
+        setattr(opts, name, default if value is None else value)
+    return opts
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _merge_config(args)
-        out_dir = Path(args.out_dir)
+        opts = _resolve(args)
+        out_dir = Path(opts.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, out_dir)
+        return _COMMANDS[args.command][0](opts, out_dir)
     except ValidationError as exc:
         print(f"error: invalid {exc}", file=sys.stderr)
         return EXIT_VALIDATION

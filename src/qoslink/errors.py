@@ -1,6 +1,8 @@
-"""Exception types and the QoS-exponent checks shared across the package."""
+"""Exception types, the QoS-exponent checks and the one number rule
+shared across the package."""
 
 import math
+import numbers
 
 
 def _check_theta(theta: float) -> float:
@@ -19,12 +21,31 @@ def _check_theta_nonneg(theta: float) -> float:
     return theta
 
 
+def _exact_number(path: str, kind: type, value):
+    """``value`` as ``kind`` (int or float) when it is a finite real
+    number that kind holds exactly: no bool, no string, no NaN or
+    infinity, no 2.5 for an int.  numpy numbers count.  This is the one
+    rule for every number an input document or a ``SimConfig`` holds;
+    it raises a ValidationError naming ``path``."""
+    number = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (ValueError, OverflowError):  # int() of NaN or infinity
+            pass
+    if number is None or number != value or abs(number) == math.inf:
+        what = "an integer" if kind is int else "a finite number"
+        raise ValidationError(path, f"must be {what}, got {value!r}")
+    return number
+
+
 class QoslinkError(Exception):
     """Base class for all qoslink-specific errors."""
 
 
-class ValidationError(QoslinkError):
-    """Malformed input document; carries the offending field path."""
+class ValidationError(QoslinkError, ValueError):
+    """Malformed input document or argument; carries the offending field
+    path."""
 
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path

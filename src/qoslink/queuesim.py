@@ -51,7 +51,6 @@ every seeded output is reproducible bit for bit:
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from bisect import bisect_left
 from concurrent import futures
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import channel
 from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
-from .errors import InsufficientTail, UnstableQueue
+from .errors import InsufficientTail, UnstableQueue, _exact_number
 from .sources import DiscreteMarkovSource
 
 _JUMP_BATCH = 4096
@@ -93,37 +92,24 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snr", _check_snr(self.snr))
-        n = _exact("n_blocks", int, self.n_blocks)
+        n = _exact_number("n_blocks", int, self.n_blocks)
         if n < _MIN_BLOCKS:
             raise ValueError(f"n_blocks must be >= {_MIN_BLOCKS}, got {n}")
         object.__setattr__(self, "n_blocks", n)
-        seed = _exact("seed", int, self.seed)
+        seed = _exact_number("seed", int, self.seed)
         if not (0 <= seed < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "seed", seed)
         if self.q_thresholds is not None:
-            q = tuple(_exact("q_thresholds entry", float, x) for x in self.q_thresholds)
+            q = tuple(_exact_number("q_thresholds", float, x) for x in self.q_thresholds)
             if any(x <= 0 for x in q) or any(b <= a for a, b in zip(q, q[1:])):
                 raise ValueError("q_thresholds must be positive and strictly increasing")
             object.__setattr__(self, "q_thresholds", q)
         if self.d_thresholds is not None:
-            d = tuple(_exact("d_thresholds entry", int, x) for x in self.d_thresholds)
+            d = tuple(_exact_number("d_thresholds", int, x) for x in self.d_thresholds)
             if any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
                 raise ValueError("d_thresholds must be >= 1 and strictly increasing")
             object.__setattr__(self, "d_thresholds", d)
-
-
-def _exact(field: str, kind: type, x):
-    """x as ``kind`` (int or float) when it is a real number that kind
-    holds exactly: no bool, no string, no 2.5 for an int, no NaN."""
-    try:
-        value = kind(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else None
-    except (ValueError, OverflowError):
-        value = None
-    if value is None or value != x:
-        what = "an integer" if kind is int else "a real number"
-        raise ValueError(f"{field} must be {what}, got {x!r}")
-    return value
 
 
 @dataclass(frozen=True)

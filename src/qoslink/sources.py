@@ -44,7 +44,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonConvergence, NoUniqueStationary, ValidationError, _check_theta
+from .errors import (
+    NonConvergence, NoUniqueStationary, ValidationError, _check_theta, _exact_number,
+)
 
 # QoS exponent: plain positive float, 1/bit.  theta = 0 is accepted only
 # by the limit operations that implement theta -> 0 results.
@@ -896,7 +898,7 @@ def source_from_json(doc) -> AnySource:
         mat = _field_matrix(doc, "transition")
         args = (mat, _numbers("rates", _field(doc, "rates"), len(mat)))
     else:
-        args = [_number(name, _field(doc, name)) for name in fields]
+        args = [_exact_number(name, float, _field(doc, name)) for name in fields]
     try:
         return build(*args)
     except (ValueError, NoUniqueStationary) as exc:
@@ -913,21 +915,15 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _number(path: str, v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(path, f"must be a number, got {type(v).__name__}")
-    if not math.isfinite(float(v)):
-        raise ValidationError(path, "must be finite")
-    return float(v)
-
-
 def _numbers(path: str, v, expect_len: int) -> np.ndarray:
     """The JSON list of ``expect_len`` numbers at ``path``."""
     if not isinstance(v, list):
         raise ValidationError(path, "must be a list of numbers")
     if len(v) != expect_len:
         raise ValidationError(path, f"expected length {expect_len}, got {len(v)}")
-    return np.array([_number(f"{path}[{i}]", x) for i, x in enumerate(v)], dtype=float)
+    return np.array(
+        [_exact_number(f"{path}[{i}]", float, x) for i, x in enumerate(v)], dtype=float
+    )
 
 
 def _field_matrix(doc: dict, name: str) -> np.ndarray:

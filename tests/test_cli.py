@@ -501,8 +501,12 @@ def test_cli_blames_the_rejected_source_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid beta: ")
 
 
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
 def _string_constants_and_imports(module):
-    tree = ast.parse(Path(module.__file__).read_text())
+    tree = _tree(module)
     strings = {
         node.value for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -783,3 +787,127 @@ def test_sim_config_integral_numbers_run(tmp_path):
     report = json.loads((a / "simulate_report.json").read_text())
     assert [q for q, _ in report["overflow_points"]] == [1.0, 5.5]
     assert [d for d, _ in report["delay_points"]] == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# one option table, one number rule
+# ---------------------------------------------------------------------------
+
+# the flags each command cannot run without
+NEEDS = {
+    "ebw": ["--source", ONOFF_DISC, "--theta", "0.5"],
+    "ecap": ["--channel", CHAN_IID, "--theta", "0.5", "--snr-db", "0"],
+    "throughput": ["--source", ONOFF_DISC, "--channel", CHAN_IID, "--theta", "0.5",
+                   "--snr-db", "0"],
+    "energy": ["--source", ONOFF_DISC, "--channel", CHAN_IID, "--theta", "0.5",
+               "--snr-db", "0"],
+    "simulate": ["--seed", "11"],
+}
+# (option, the first command that takes it, its kind there) for every row
+TABLE = [(name, *next(iter(kinds.items()))) for name, (kinds, *_) in cli._OPTIONS.items()]
+
+
+def _argv(tmp_path, command, config):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [command, "--config", str(tmp_path / "cfg.json"), *NEEDS[command]]
+    if command == "simulate":
+        argv += ["--sim-config", sim_config(tmp_path)]
+    return argv
+
+
+@pytest.mark.parametrize("name, command, kind", TABLE)
+def test_every_option_names_its_wrong_typed_config_value(tmp_path, capsys, name, command, kind):
+    wrong = 5 if kind in ("string", "object") else True
+    out = tmp_path / "out"
+    assert run(out, *_argv(tmp_path, command, {name: wrong})) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config.{name}: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("name, command, kind", [row for row in TABLE if row[0] != "config"])
+def test_null_leaves_every_option_unset(tmp_path, name, command, kind):
+    # the config file itself takes no "config" key, so that row is left out
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(a, *_argv(tmp_path, command, {name: None})) == 0
+    assert run(b, *_argv(tmp_path, command, {})) == 0
+    for path in a.iterdir():
+        if not path.name.endswith("_manifest.json"):
+            assert digest(path) == digest(b / path.name)
+
+
+@pytest.mark.parametrize(
+    "channel, field",
+    [('{"m": Infinity, "rho": 0}', "m"), ('{"m": 2.5, "rho": 0}', "m"),
+     ('{"m": 2, "rho": 0, "distribution": 5}', "distribution"),
+     ('{"m": 2, "rho": NaN}', "rho")],
+)
+def test_channel_json_names_the_rejected_field(tmp_path, capsys, channel, field):
+    # m = Infinity once crashed in int(), a numeric distribution in .lower()
+    assert run(tmp_path, "ecap", "--channel", channel, "--theta", "1", "--snr-db", "0") == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid {field}: ")
+
+
+@pytest.mark.parametrize("command", ["ecap", "throughput", "energy"])
+@pytest.mark.parametrize("snr_db", ["4000", "-4000", "0,3083"])
+def test_db_values_without_a_float_linear_snr_name_the_grid(tmp_path, capsys, command, snr_db):
+    # 10^(4000/10) once raised OverflowError, past throughput's per-row catch
+    argv = [command, *NEEDS[command][:-2], f"--snr-db={snr_db}"]
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid snr-db: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("snr_db", [4000, -4000])
+def test_sim_config_db_without_a_float_linear_snr_is_named(tmp_path, capsys, snr_db):
+    out = tmp_path / "out"
+    assert run(out, "simulate", "--sim-config", sim_config(tmp_path, snr_db=snr_db),
+               "--seed", "11") == 2
+    assert capsys.readouterr().err.startswith("error: invalid sim-config.snr_db: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan", "0", "-1"])
+def test_energy_theta_flag_names_itself(tmp_path, capsys, value):
+    argv = ["energy", *NEEDS["energy"][:4], f"--theta={value}", "--snr-db", "0"]
+    try:
+        rc = run(tmp_path, *argv)
+    except SystemExit as exc:  # argparse rejects what float() does not take
+        rc = exc.code
+    assert rc == 2
+    assert re.search(r"invalid theta: |argument --theta: ", capsys.readouterr().err)
+
+
+def test_cli_reads_every_option_from_the_one_table():
+    tree = _tree(cli)
+    loops = [
+        node for node in ast.walk(tree) if isinstance(node, ast.For)
+        and any(isinstance(n, ast.Name) and n.id == "_OPTIONS" for n in ast.walk(node.iter))
+    ]
+    in_loop = {id(n) for loop in loops for n in ast.walk(loop)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    adds = [c for c in calls
+            if isinstance(c.func, ast.Attribute) and c.func.attr == "add_argument"]
+    assert adds and all(id(c) in in_loop for c in adds)
+    casts = [
+        c for c in calls if isinstance(c.func, ast.Name) and c.func.id in ("float", "int")
+        and c.args and isinstance(c.args[0], ast.Attribute)
+    ]
+    assert not casts
+
+
+def test_one_function_checks_numbers():
+    # a number is checked by errors._exact_number and nowhere else: it is
+    # the one function in the package that tests isinstance(..., bool)
+    import qoslink
+
+    owners = set()
+    for path in sorted(Path(qoslink.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2
+                        and any(isinstance(n, ast.Name) and n.id == "bool"
+                                for n in ast.walk(node.args[1]))):
+                    owners.add((path.name, func.name))
+    assert owners == {("errors.py", "_exact_number")}
