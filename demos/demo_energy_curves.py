@@ -10,9 +10,9 @@ import numpy as np
 from qoslink.channel import ChannelSpec
 from qoslink.energy import (
     ebn0_curve,
-    energy_metrics_constant,
     energy_metrics_onoff_discrete,
     energy_metrics_onoff_mmpp,
+    source_energy_metrics,
 )
 
 spec = ChannelSpec(m=10, rho=0.0, sigma_h_sq=1.0)
@@ -20,7 +20,7 @@ theta = 1.0
 
 print("metrics at theta = 1:")
 for label, metrics in (
-    ("constant", energy_metrics_constant(spec, theta)),
+    ("constant", source_energy_metrics(None, spec, theta)[1]),
     ("on/off  s=0.5", energy_metrics_onoff_discrete(spec, theta, 0.8, 0.8)),
     ("on/off  s=0.1", energy_metrics_onoff_discrete(spec, theta, 0.9, 0.1)),
     ("mmpp", energy_metrics_onoff_mmpp(spec, theta, 2.0, 2.0)),

@@ -8,7 +8,7 @@ the way the analysis promises.  Takes a few seconds.
 import numpy as np
 
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
-from qoslink.queuesim import SimConfig, simulate_queue, varsigma_estimate
+from qoslink.queuesim import SimConfig, simulate_queue
 from qoslink.sources import OnOffDiscreteParams
 from qoslink.throughput import max_avg_rate_onoff_discrete
 
@@ -38,9 +38,8 @@ print(f"fitted delay decay:    {report.delay_slope_sim:.6f}"
       f"  vs theta*a* {delay_target:.6f}"
       f"  (rel err {abs(report.delay_slope_sim - delay_target) / delay_target:.1%})")
 
-vs = varsigma_estimate(report)
-print(f"non-empty-buffer prefactor: empirical {vs['empirical']:.4f},"
-      f" ratio approximation {vs['ratio_approx']:.4f}")
+print(f"non-empty-buffer prefactor: empirical {report.varsigma_hat:.4f},"
+      f" ratio approximation {report.varsigma_ratio:.4f}")
 
 print()
 print("overflow tail (log10 scale):")

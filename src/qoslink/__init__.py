@@ -16,8 +16,6 @@ from .channel import (
     ergodic_capacity,
     fading_moments,
     log_rate_cov_sum,
-    sample_fading_block,
-    service_rate,
 )
 from .energy import (
     EbN0CurvePoint,
@@ -25,7 +23,6 @@ from .energy import (
     build_binomial_discrete_source,
     build_birth_death_fluid,
     ebn0_curve,
-    energy_metrics_constant,
     energy_metrics_onoff_discrete,
     energy_metrics_onoff_fluid,
     energy_metrics_onoff_mmpp,
@@ -52,7 +49,6 @@ from .queuesim import (
     SimConfig,
     fit_decay_slope,
     simulate_queue,
-    varsigma_estimate,
 )
 from .sources import (
     DiscreteMarkovSource,
@@ -73,8 +69,6 @@ from .sources import (
     effective_bandwidth_onoff_fluid,
     effective_bandwidth_onoff_mmpp,
     source_from_json,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
 )
 from .throughput import (
     AsymptoticSlopes,

@@ -122,28 +122,24 @@ class ChannelSpec:
     distribution: str = "gauss-markov-rayleigh"
 
     def __post_init__(self):
-        m = int(self.m)
-        if m < 1 or m != self.m:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", m)
-        rho = float(self.rho)
+        m = _exact_number("m", int, self.m)
+        if m < 1:
+            raise ValidationError("m", f"must be a positive integer, got {m}")
+        rho = _exact_number("rho", float, self.rho)
         if not (0.0 <= rho <= 1.0):
-            raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        object.__setattr__(self, "rho", rho)
-        s2 = float(self.sigma_h_sq)
-        if not math.isfinite(s2) or s2 <= 0:
-            raise ValueError(f"sigma_h_sq must be finite and > 0, got {s2}")
-        object.__setattr__(self, "sigma_h_sq", s2)
-        if self.distribution.lower().replace("_", "-") not in (
+            raise ValidationError("rho", f"must lie in [0, 1], got {rho}")
+        s2 = _exact_number("sigma_h_sq", float, self.sigma_h_sq)
+        if s2 <= 0:
+            raise ValidationError("sigma_h_sq", f"must be > 0, got {s2}")
+        dist = self.distribution
+        if not isinstance(dist, str) or dist.lower().replace("_", "-") not in (
             "gauss-markov-rayleigh",
             "gaussmarkovrayleigh",
         ):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        object.__setattr__(self, "distribution", "gauss-markov-rayleigh")
-
-
-# A fading block is the plain vector of power gains z_i = |h_i|^2.
-FadingBlock = np.ndarray
+            raise ValidationError("distribution", f"must be gauss-markov-rayleigh, got {dist!r}")
+        for name, value in (("m", m), ("rho", rho), ("sigma_h_sq", s2),
+                            ("distribution", "gauss-markov-rayleigh")):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -218,20 +214,6 @@ def _gain_blocks(spec: ChannelSpec, count: int, rng: np.random.Generator) -> np.
     rows = min(_FILL_ROWS, count)
     w = np.empty((rows, spec.m), complex)
     return _fill_gains(spec, rng, np.empty((2, count, spec.m)), w, np.empty(rows, complex))
-
-
-def sample_fading_block(spec: ChannelSpec, rng: np.random.Generator) -> FadingBlock:
-    """One block of m power gains from the given generator state."""
-    return _gain_blocks(spec, 1, rng)[0]
-
-
-def service_rate(block: FadingBlock, snr: float) -> float:
-    """nu = sum_i log2(1 + snr*z_i), bits/block."""
-    snr = _check_snr(snr)
-    gains = np.asarray(block, dtype=float)
-    if gains.ndim != 1 or np.any(gains < 0):
-        raise ValueError("block must be a vector of nonnegative gains")
-    return float(np.sum(np.log2(1.0 + snr * gains)))
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:
@@ -700,19 +682,12 @@ def capacity_function(spec: ChannelSpec, method: str, *, n_samples: int = 10 ** 
 
 def channel_spec_from_json(doc) -> ChannelSpec:
     """ChannelSpec from {"m": ..., "rho": ..., "sigma_h_sq": ..., "distribution": ...};
-    ``m`` and ``rho`` are required."""
+    ``m`` and ``rho`` are required.  ``ChannelSpec`` checks each field and
+    names the one it rejects."""
     if not isinstance(doc, dict):
         raise ValidationError("$", "channel document must be a JSON object")
     for name in ("m", "rho"):
         if name not in doc:
             raise ValidationError(name, "missing required field")
-    out = {name: _exact_number(name, kind, doc[name])
-           for name, kind in (("m", int), ("rho", float), ("sigma_h_sq", float)) if name in doc}
-    if "distribution" in doc:
-        if not isinstance(doc["distribution"], str):
-            raise ValidationError("distribution", f"must be a string, got {doc['distribution']!r}")
-        out["distribution"] = doc["distribution"]
-    try:
-        return ChannelSpec(**out)
-    except ValueError as exc:
-        raise ValidationError("$", str(exc)) from exc
+    fields = ("m", "rho", "sigma_h_sq", "distribution")
+    return ChannelSpec(**{name: doc[name] for name in fields if name in doc})

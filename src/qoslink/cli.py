@@ -99,13 +99,13 @@ def _parse_grid(value, path: str) -> list:
     return sorted(set(float(v) for v in vals))
 
 
-def _require_seed(seed) -> int:
+def _require_seed(seed):
+    """The seed of a randomized command, which must be given; whatever
+    runs on it checks its range."""
     if seed is None:
         raise ValidationError(
             "seed", "randomized commands need an explicit --seed"
         )
-    if not (0 <= seed < 2 ** 64):
-        raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
     return seed
 
 
@@ -202,6 +202,8 @@ def _write_manifest(out_dir, command, params, seed, started, outputs) -> Path:
 
 def _capacity_fn(method, spec, n_samples, seed):
     """snr, theta -> EffCapEstimate. dB conversion already done."""
+    if seed is not None and not (0 <= seed < 2 ** 64):
+        raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
     try:
         return capacity_function(spec, method, n_samples=n_samples, seed=seed)
     except ValueError as exc:
@@ -351,7 +353,7 @@ def _cmd_simulate(opts, out_dir) -> int:
             raise ValidationError(f"sim-config.{field}", "missing")
     sim = {field: _read(f"sim-config.{field}", kind, doc.get(field))
            for field, kind in _SIM_FIELDS.items()}
-    seed = _require_seed(opts.seed if opts.seed is not None else sim["seed"])
+    seed = _require_seed(doc.get("seed") if opts.seed is None else opts.seed)
     target = opts.theta if opts.theta is not None else sim["theta"]
     source = source_from_json(doc["source"])
     spec = channel_spec_from_json(doc["channel"])
@@ -360,13 +362,15 @@ def _cmd_simulate(opts, out_dir) -> int:
             source=source,
             channel=spec,
             snr=_db_to_linear(sim["snr_db"]),
-            n_blocks=sim["n_blocks"],
+            n_blocks=doc["n_blocks"],
             seed=seed,
-            q_thresholds=sim["q_thresholds"],
-            d_thresholds=sim["d_thresholds"],
+            q_thresholds=doc.get("q_thresholds"),
+            d_thresholds=doc.get("d_thresholds"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("sim-config", str(exc))
+    except ValidationError as exc:
+        # every field is the document's, except a seed given by --seed
+        flag = exc.field_path == "seed" and opts.seed is not None
+        raise ValidationError("seed" if flag else f"sim-config.{exc.field_path}", exc.message)
     report = simulate_queue(cfg)
 
     report_doc = {
@@ -397,7 +401,7 @@ def _cmd_simulate(opts, out_dir) -> int:
         print(f"theta_sim={report.theta_sim:.6g}")
 
     params = {"sim_config": doc, "format": opts.format}
-    _write_manifest(out_dir, "simulate", params, seed, started, [report_path, over, delay])
+    _write_manifest(out_dir, "simulate", params, cfg.seed, started, [report_path, over, delay])
     return EXIT_OK
 
 
@@ -448,10 +452,9 @@ _OPTIONS = {
     "n_samples": (dict.fromkeys(("ecap", "throughput"), "integer"), (), 10 ** 6, (),
                   "Monte Carlo samples"),
 }
-# the kinds of the --sim-config fields the CLI reads; the library reads
-# its source and channel
-_SIM_FIELDS = {"snr_db": "dB", "n_blocks": "integer", "seed": "integer", "theta": "number",
-               "q_thresholds": "numbers", "d_thresholds": "integers"}
+# the kinds of the --sim-config fields the CLI reads; ``SimConfig`` reads
+# the rest, and the library reads the source and channel
+_SIM_FIELDS = {"snr_db": "dB", "theta": "number"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,8 +482,7 @@ def _read(path: str, kind: str, value, choices=()):
     path), "string" (one of ``choices``, if any), "integer" and "number"
     (the one number rule, ``_exact_number``), "theta" (a number > 0),
     "dB" (a number whose linear snr 10^(dB/10) is a float > 0), "theta
-    grid" and "dB grid" (grids of such numbers), and "integers" and
-    "numbers" (JSON lists)."""
+    grid" and "dB grid" (grids of such numbers)."""
     if value is None:
         return None
     if kind == "object":
@@ -490,10 +492,6 @@ def _read(path: str, kind: str, value, choices=()):
             return value
         want = f"one of {', '.join(choices)}" if choices else "a string"
         raise ValidationError(path, f"must be {want}, got {value!r}")
-    if kind in ("integers", "numbers"):
-        if not isinstance(value, list):
-            raise ValidationError(path, f"must be a list, got {value!r}")
-        return tuple(_exact_number(path, int if kind == "integers" else float, v) for v in value)
     if kind.endswith("grid"):
         values = _parse_grid(value, path)
     else:

@@ -12,8 +12,8 @@ numeric route differentiates the r*(snr) curve at snr = 0; it is an
 independent check of the closed form, and nothing else calls it.
 ``source_energy_metrics`` and ``source_ebn0_curve`` take any source
 object (``None`` for constant-rate arrivals); the kind-string functions
-name that source by keywords.  Builders for the n-state reference models
-live here too.
+name that source by keywords, which ``_kind_source`` alone reads.
+Builders for the n-state reference models live here too.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from .channel import (
 )
 from .errors import IllConditioned, _check_theta_nonneg
 from .sources import (
-    _ONOFF_KINDS,
     DiscreteMarkovSource,
     FluidMarkovSource,
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
-    _kind_source,
     _MatrixSource,
     _param,
 )
@@ -48,6 +46,14 @@ from .throughput import max_avg_rate
 _RICHARDSON_H = 1e-4
 _RICHARDSON_REL_TOL = 1e-2
 _RICHARDSON_RETRIES = 4
+
+# the two-state sources by the kind label each carries
+_ONOFF_KINDS = {
+    cls._kind: cls for cls in (OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams)
+}
+# every kind a kind-string entry point takes: constant-rate arrivals, a
+# two-state source by its label, or any source object as ``nstate``
+_KINDS = ("constant", *_ONOFF_KINDS, "nstate")
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,6 @@ def _metrics_from_coef(spec: ChannelSpec, theta: float, coef: float) -> EnergyMe
     return EnergyMetrics(ebn0, 10.0 * math.log10(ebn0), slope, theta)
 
 
-def energy_metrics_constant(spec: ChannelSpec, theta: float) -> EnergyMetrics:
-    """Constant-rate arrivals: burstiness coefficient is zero."""
-    return _metrics_from_coef(spec, _check_theta_nonneg(theta), 0.0)
-
-
 def source_kind(src) -> str:
     """The kind label of a source: ``constant`` for ``None`` (constant-rate
     arrivals), the family of a two-state ON/OFF source, ``nstate`` for a
@@ -101,6 +102,27 @@ def source_kind(src) -> str:
     raise TypeError(f"unsupported source type: {type(src).__name__}")
 
 
+def _kind_source(kind: str, p11, p22, alpha, beta, source):
+    """The source a kind-string call names; ``None`` is constant-rate.
+    A two-state source is built with lam = 0: its rate is solved for."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "constant":
+        return None
+    if kind == "nstate":
+        if source is None:
+            raise ValueError("nstate kind requires a source object")
+        return source
+    cls = _ONOFF_KINDS[kind]
+    if cls is OnOffDiscreteParams:
+        if p11 is None or p22 is None:
+            raise ValueError("discrete kind requires p11 and p22")
+        return cls(p11, p22, 0.0)
+    if alpha is None or beta is None:
+        raise ValueError(f"{kind} kind requires alpha and beta")
+    return cls(alpha, beta, 0.0)
+
+
 def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     """(kind, metrics, provenance) of any source at one QoS exponent.
 
@@ -112,11 +134,9 @@ def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     ``nstate``.  The kind is ``source_kind(src)``.
     """
     kind = source_kind(src)
-    if src is None:
-        return kind, energy_metrics_constant(spec, theta), "closed_form"
     theta = _check_theta_nonneg(theta)
-    metrics = _metrics_from_coef(spec, theta, src.burstiness)
-    if src._poisson and theta != 0.0:
+    metrics = _metrics_from_coef(spec, theta, 0.0 if src is None else src.burstiness)
+    if src is not None and src._poisson and theta != 0.0:
         penalty = math.expm1(theta) / theta
         ebn0 = metrics.ebn0_min_linear * penalty
         metrics = EnergyMetrics(

@@ -49,6 +49,7 @@ class ValidationError(QoslinkError, ValueError):
 
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path
+        self.message = message
         super().__init__(f"{field_path}: {message}")
 
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import channel
 from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
-from .errors import InsufficientTail, UnstableQueue, _exact_number
+from .errors import InsufficientTail, UnstableQueue, ValidationError, _exact_number
 from .sources import DiscreteMarkovSource
 
 _JUMP_BATCH = 4096
@@ -94,22 +94,31 @@ class SimConfig:
         object.__setattr__(self, "snr", _check_snr(self.snr))
         n = _exact_number("n_blocks", int, self.n_blocks)
         if n < _MIN_BLOCKS:
-            raise ValueError(f"n_blocks must be >= {_MIN_BLOCKS}, got {n}")
+            raise ValidationError("n_blocks", f"must be >= {_MIN_BLOCKS}, got {n}")
         object.__setattr__(self, "n_blocks", n)
         seed = _exact_number("seed", int, self.seed)
         if not (0 <= seed < 2 ** 64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "seed", seed)
         if self.q_thresholds is not None:
-            q = tuple(_exact_number("q_thresholds", float, x) for x in self.q_thresholds)
+            q = _thresholds("q_thresholds", float, self.q_thresholds)
             if any(x <= 0 for x in q) or any(b <= a for a, b in zip(q, q[1:])):
-                raise ValueError("q_thresholds must be positive and strictly increasing")
+                raise ValidationError("q_thresholds", "must be positive and strictly increasing")
             object.__setattr__(self, "q_thresholds", q)
         if self.d_thresholds is not None:
-            d = tuple(_exact_number("d_thresholds", int, x) for x in self.d_thresholds)
+            d = _thresholds("d_thresholds", int, self.d_thresholds)
             if any(x < 1 for x in d) or any(b <= a for a, b in zip(d, d[1:])):
-                raise ValueError("d_thresholds must be >= 1 and strictly increasing")
+                raise ValidationError("d_thresholds", "must be >= 1 and strictly increasing")
             object.__setattr__(self, "d_thresholds", d)
+
+
+def _thresholds(name: str, kind: type, values) -> tuple:
+    """Thresholds as a tuple of ``kind``, each read by the one number rule."""
+    try:
+        numbers = iter(values)
+    except TypeError:
+        raise ValidationError(name, f"must be a list of numbers, got {values!r}") from None
+    return tuple(_exact_number(name, kind, x) for x in numbers)
 
 
 @dataclass(frozen=True)
@@ -502,11 +511,3 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
         varsigma_hat=varsigma_hat,
         varsigma_ratio=ratio,
     )
-
-
-def varsigma_estimate(report: QueueSimReport) -> dict:
-    """Both estimates of the non-empty probability prefactor."""
-    return {
-        "empirical": report.varsigma_hat,
-        "ratio_approx": report.varsigma_ratio,
-    }

@@ -24,8 +24,9 @@ source is its own), and ``burstiness``, its variance rate over its
 squared mean rate: eta or zeta for the two-state ON/OFF sources, one
 deviation-matrix solve for a matrix source.  ``_poisson`` marks the
 MMPP types, whose Poisson layer the energy and low-theta formulas
-charge on top.  The two-state sources carry the kind label that the
-kind-string entry points name them by (``_kind_source``).
+charge on top.  The two-state sources carry the kind label that
+``energy``'s kind-string entry points name them by.  A kind string is
+parsed here only by ``source_from_json``.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -598,7 +599,15 @@ class _GeneratorSource(_MatrixSource):
         return 2.0 * float(pi @ (d * x))
 
     def _solve_stationary(self) -> np.ndarray:
-        return _generator_law(self.generator, self._recurrent_classes)
+        if self._recurrent_classes != 1:
+            raise NoUniqueStationary(
+                "generator has multiple recurrent classes; stationary law is not unique"
+            )
+        G = self.generator
+        pi = _stationary_from(G.T)
+        if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
+            raise NoUniqueStationary("stationary equations are inconsistent")
+        return pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -735,46 +744,6 @@ class OnOffMmppParams(OnOffContinuousParams):
     effective_bandwidth = effective_bandwidth_onoff_mmpp
 
 
-# the two-state sources by the kind label each carries: the kind-string
-# entry points name one of these
-_ONOFF_KINDS = {
-    cls._kind: cls for cls in (OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams)
-}
-
-
-def _onoff_type(kind: str) -> type:
-    """The two-state source type a kind label names."""
-    if kind not in _ONOFF_KINDS:
-        raise ValueError(f"kind must be one of {', '.join(_ONOFF_KINDS)}, got {kind!r}")
-    return _ONOFF_KINDS[kind]
-
-
-# every kind a kind-string entry point takes: constant-rate arrivals, a
-# two-state source by its label, or any source object as ``nstate``
-_KINDS = ("constant", *_ONOFF_KINDS, "nstate")
-
-
-def _kind_source(kind: str, p11, p22, alpha, beta, source):
-    """The source a kind-string call names; ``None`` is constant-rate.
-    A two-state source is built with lam = 0: its rate is solved for."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if kind == "constant":
-        return None
-    if kind == "nstate":
-        if source is None:
-            raise ValueError("nstate kind requires a source object")
-        return source
-    cls = _ONOFF_KINDS[kind]
-    if cls is OnOffDiscreteParams:
-        if p11 is None or p22 is None:
-            raise ValueError("discrete kind requires p11 and p22")
-        return cls(p11, p22, 0.0)
-    if alpha is None or beta is None:
-        raise ValueError(f"{kind} kind requires alpha and beta")
-    return cls(alpha, beta, 0.0)
-
-
 AnySource = Union[
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -788,32 +757,6 @@ AnySource = Union[
 # ---------------------------------------------------------------------------
 # Stationary distributions and mean rates
 # ---------------------------------------------------------------------------
-
-
-def stationary_distribution_discrete(src: DiscreteMarkovSource) -> np.ndarray:
-    """Unique probability vector pi with pi @ J = pi (read-only, solved once per source)."""
-    return src._stationary
-
-
-def stationary_distribution_fluid(generator) -> np.ndarray:
-    """Unique probability vector pi with pi @ G = 0, of a fluid or MMPP
-    source (read-only, solved once per source) or of a raw generator."""
-    if isinstance(generator, _GeneratorSource):
-        return generator._stationary
-    G = np.atleast_2d(np.asarray(generator, dtype=float))
-    _GeneratorSource._check_matrix(G)
-    return _generator_law(G, len(_Support(G).classes[1]))
-
-
-def _generator_law(G: np.ndarray, recurrent_classes: int) -> np.ndarray:
-    if recurrent_classes != 1:
-        raise NoUniqueStationary(
-            "generator has multiple recurrent classes; stationary law is not unique"
-        )
-    pi = _stationary_from(G.T)
-    if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
-        raise NoUniqueStationary("stationary equations are inconsistent")
-    return pi
 
 
 def _stationary_from(A: np.ndarray) -> np.ndarray:

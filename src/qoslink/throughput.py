@@ -27,14 +27,7 @@ from .errors import (
     _check_theta,
     _check_theta_nonneg,
 )
-from .sources import (
-    OnOffDiscreteParams,
-    OnOffFluidParams,
-    OnOffMmppParams,
-    _kind_source,
-    _MatrixSource,
-    _onoff_type,
-)
+from .sources import OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams, _MatrixSource
 
 _BRACKET_CAP_DOUBLINGS = 60
 _EPS = float(np.finfo(float).eps)
@@ -293,47 +286,58 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
 
 
 def low_theta_asymptotics(
-    kind: str,
+    src,
     spec: ChannelSpec,
     snr: float,
     *,
-    p11: float | None = None,
-    p22: float | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    source=None,
     n_samples: int = 10 ** 6,
     seed: int = 0,
 ) -> AsymptoticSlopes:
-    """Value and slope of r*(theta) at theta = 0, for the source that
-    ``kind`` and the keywords name, as in ``energy.ebn0_curve``.
+    """Value and slope of r*(theta) at theta = 0 for the source ``src``
+    (``None`` for constant-rate arrivals).
 
     The limit is the ergodic capacity for every source.  The derivative
     is -(1/2) var(nu) minus the source's burstiness sigma^2/mu^2 times
     half the squared ergodic capacity (zero for constant-rate arrivals;
     eta or zeta for a two-state source, a deviation-matrix solve for a
     matrix source); Poisson arrivals (an MMPP) lose an extra
-    ergodic-capacity/2 on top.  ``n_samples``/``seed`` only matter for
-    0 < rho < 1, where the variance of nu has no closed form and is
-    estimated by Monte Carlo.
+    ergodic-capacity/2 on top.  A source that names no family (the
+    family-less ``OnOffContinuousParams``) is a TypeError.
+    ``n_samples``/``seed`` only matter for 0 < rho < 1, where the
+    variance of nu has no closed form and is estimated by Monte Carlo.
     """
-    src = _kind_source(kind, p11, p22, alpha, beta, source)
-    coef, extra = (0.0, 0.0) if src is None else (src.burstiness, 0.5 if src._poisson else 0.0)
+    extra, coef = 0.0, 0.0
+    if src is not None:
+        extra = 0.5 if _poisson(src) else 0.0
+        coef = src.burstiness
     erg = ergodic_capacity(spec, snr)
     var_nu = log_rate_cov_sum(spec, snr, n_samples=n_samples, seed=seed)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
     return AsymptoticSlopes(erg, derivative, 1.0)
 
 
-def high_snr_slope(kind: str, theta: float, p_on: float) -> float:
+def _poisson(src) -> bool:
+    """Whether a typed source's arrivals are Poisson (an MMPP)."""
+    poisson = getattr(src, "_poisson", None)
+    if poisson is None:
+        raise TypeError(f"unsupported source type: {type(src).__name__}")
+    return poisson
+
+
+def high_snr_slope(src, theta: float) -> float:
     """Prelog of (1/m) r* versus log2(snr) as snr grows without bound.
 
-    i.i.d. Rayleigh gains assumed.  Piecewise in theta with a continuous
-    seam at theta = log_e2 and value 1 at theta = 0 for every kind.
+    i.i.d. Rayleigh gains assumed.  It reads the source's ON probability
+    ``p_on`` and whether its arrivals are Poisson, so ``src`` is a
+    two-state ON/OFF source of a named family; any other source is a
+    TypeError.  Piecewise in theta with a continuous seam at theta =
+    log_e2 and value 1 at theta = 0 for every source.
     """
-    poisson = _onoff_type(kind)._poisson
+    p_on = getattr(src, "p_on", None)
+    if p_on is None:
+        raise TypeError(f"unsupported source type: {type(src).__name__}")
+    poisson = _poisson(src)
     theta = _check_theta_nonneg(theta)
-    p_on = float(p_on)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")
     if theta == 0.0:

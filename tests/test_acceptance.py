@@ -22,11 +22,11 @@ from qoslink.channel import (
 from qoslink.energy import (
     build_binomial_discrete_source,
     build_birth_death_fluid,
-    energy_metrics_constant,
     energy_metrics_onoff_discrete,
     energy_metrics_onoff_fluid,
     energy_metrics_onoff_mmpp,
     numeric_energy_metrics,
+    source_energy_metrics,
 )
 from qoslink.queuesim import SimConfig, _lindley, simulate_queue
 from qoslink.sources import (
@@ -35,6 +35,8 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
@@ -44,8 +46,6 @@ from qoslink.sources import (
     effective_bandwidth_onoff_discrete,
     effective_bandwidth_onoff_fluid,
     effective_bandwidth_onoff_mmpp,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
 )
 from qoslink.throughput import (
     high_snr_slope,
@@ -197,6 +197,11 @@ def test_criterion_4_low_theta_derivative():
         "fluid": dict(alpha=2.0, beta=2.0),
         "mmpp": dict(alpha=2.0, beta=2.0),
     }
+    sources = {
+        "discrete": OnOffDiscreteParams(0.5, 0.5, 0.0),
+        "fluid": OnOffFluidParams(2.0, 2.0, 0.0),
+        "mmpp": OnOffMmppParams(2.0, 2.0, 0.0),
+    }
 
     def fd(kind, kw):
         def r(theta):
@@ -213,7 +218,7 @@ def test_criterion_4_low_theta_derivative():
     for kind, kw in configs.items():
         numeric = fd(kind, kw)
         slopes_fd[kind] = numeric
-        formula = low_theta_asymptotics(kind, IID10, 1.0, **kw).low_theta_derivative
+        formula = low_theta_asymptotics(sources[kind], IID10, 1.0).low_theta_derivative
         rels.append(abs(numeric - formula) / abs(formula))
     erg = ergodic_capacity(IID10, 1.0)
     gap = slopes_fd["mmpp"] - slopes_fd["fluid"]
@@ -242,11 +247,17 @@ def test_criterion_5_high_snr_slope():
             return (ergodic_capacity(IID10, hi) - ergodic_capacity(IID10, lo)) / (10 * span)
         return (r_star(kind, theta, hi) - r_star(kind, theta, lo)) / (10 * span)
 
+    # the sources r_star solves for, each with p_on = 0.5
+    sources = {
+        "discrete": OnOffDiscreteParams(0.8, 0.8, 0.0),
+        "fluid": OnOffFluidParams(2.0, 2.0, 0.0),
+        "mmpp": OnOffMmppParams(2.0, 2.0, 0.0),
+    }
     worst = 0.0
     # 0.3 < ln2 < 1.5 covers both branches of the piecewise slope
     for kind in ("discrete", "fluid", "mmpp"):
         for theta in (0.3, 1.5):
-            pred = high_snr_slope(kind, theta, 0.5)
+            pred = high_snr_slope(sources[kind], theta)
             worst = max(worst, abs(numeric(kind, theta) - pred) / pred)
     worst = max(worst, abs(numeric("discrete", 0.0) - 1.0))
     elapsed = time.perf_counter() - t0
@@ -270,7 +281,7 @@ def test_criterion_6_energy_floors():
         for rho in (0.0, 0.75, 1.0):
             sp = ChannelSpec(m=10, rho=rho, sigma_h_sq=1.0)
             dbs = [
-                energy_metrics_constant(sp, theta).ebn0_min_db,
+                source_energy_metrics(None, sp, theta)[1].ebn0_min_db,
                 energy_metrics_onoff_discrete(sp, theta, 0.8, 0.8).ebn0_min_db,
                 energy_metrics_onoff_fluid(sp, theta, 2.0, 2.0).ebn0_min_db,
             ]
@@ -320,7 +331,7 @@ def test_criterion_7_wideband_slope():
             sp = ChannelSpec(m=10, rho=rho, sigma_h_sq=1.0)
             pairs = [
                 (
-                    energy_metrics_constant(sp, theta),
+                    source_energy_metrics(None, sp, theta)[1],
                     numeric_energy_metrics("constant", sp, theta),
                 ),
                 (
@@ -520,12 +531,12 @@ def test_criterion_9_property_suite():
     # stationary distributions vs brute force
     J = rng.dirichlet(np.ones(5), size=5)
     src = DiscreteMarkovSource(J, rng.uniform(0.0, 3.0, 5))
-    pi = stationary_distribution_discrete(src)
+    pi = src._stationary
     brute = np.linalg.matrix_power(J, 200)[0]
     G = rng.uniform(0.2, 2.0, (4, 4))
     np.fill_diagonal(G, 0.0)
     np.fill_diagonal(G, -G.sum(axis=1))
-    pi_g = stationary_distribution_fluid(G)
+    pi_g = FluidMarkovSource(G, np.zeros(4))._stationary
     brute_g = scipy.linalg.expm(G * 200.0)[0]
     stationary_ok = np.allclose(pi, brute, atol=1e-12) and np.allclose(
         pi_g, brute_g, atol=1e-12

@@ -21,8 +21,6 @@ from qoslink.channel import (
     ergodic_capacity,
     fading_moments,
     log_rate_cov_sum,
-    sample_fading_block,
-    service_rate,
 )
 from qoslink.errors import QuadratureFailure, ValidationError
 
@@ -272,17 +270,21 @@ def test_closed_form_concave_in_snr():
 
 
 def test_sample_block_shape_and_full_correlation():
+    from qoslink.channel import _gain_blocks
+
     rng = np.random.default_rng(0)
-    block = sample_fading_block(ChannelSpec(8, 1.0), rng)
+    block = _gain_blocks(ChannelSpec(8, 1.0), 1, rng)[0]
     assert block.shape == (8,)
     assert np.all(block >= 0)
     np.testing.assert_allclose(block, block[0])
 
 
 def test_sample_marginal_is_exponential():
+    from qoslink.channel import _gain_blocks
+
     rng = np.random.default_rng(123)
     spec = ChannelSpec(4, 0.75, sigma_h_sq=2.0)
-    draws = np.concatenate([sample_fading_block(spec, rng) for _ in range(25_000)])
+    draws = np.concatenate([_gain_blocks(spec, 1, rng)[0] for _ in range(25_000)])
     # KS test against exponential(mean 2) at the 1% level
     stat = stats.kstest(draws, "expon", args=(0.0, 2.0))
     assert stat.pvalue > 0.01
@@ -329,9 +331,12 @@ def test_iid_gains_match_recursion_bit_for_bit():
 
 
 def test_service_rate_exact_values():
-    assert service_rate(np.zeros(4), 1.0) == 0.0
-    assert service_rate(np.array([1.0]), 1.0) == pytest.approx(1.0)
-    assert service_rate(np.array([1.0, 3.0]), 1.0) == pytest.approx(3.0)
+    from qoslink.channel import _log2_rates
+
+    # nu = sum_i log2(1 + snr z_i) of each block (row)
+    assert _log2_rates(np.zeros((1, 4)), 1.0)[0] == 0.0
+    assert _log2_rates(np.array([[1.0]]), 1.0)[0] == pytest.approx(1.0)
+    assert _log2_rates(np.array([[1.0, 3.0]]), 1.0)[0] == pytest.approx(3.0)
 
 
 def test_fading_moments_closed_forms():
@@ -488,6 +493,37 @@ def test_spec_validation():
         ChannelSpec(4, 0.5, sigma_h_sq=0.0)
     with pytest.raises(ValueError):
         ChannelSpec(4, 0.5, distribution="nakagami")
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(m=math.inf, rho=0.0), "m"),
+        (dict(m=True, rho=0.0), "m"),
+        (dict(m=2.5, rho=0.0), "m"),
+        (dict(m=0, rho=0.0), "m"),
+        (dict(m=2, rho=math.nan), "rho"),
+        (dict(m=2, rho="0.5"), "rho"),
+        (dict(m=2, rho=2.0), "rho"),
+        (dict(m=2, rho=0.0, sigma_h_sq=-1.0), "sigma_h_sq"),
+        (dict(m=2, rho=0.0, sigma_h_sq=math.inf), "sigma_h_sq"),
+        (dict(m=2, rho=0.0, distribution=5), "distribution"),
+        (dict(m=2, rho=0.0, distribution="nakagami"), "distribution"),
+    ],
+)
+def test_spec_names_the_field_it_rejects(fields, name):
+    # m = inf once raised OverflowError, a numeric distribution
+    # AttributeError, and m = True built a one-symbol block
+    with pytest.raises(ValidationError) as err:
+        ChannelSpec(**fields)
+    assert err.value.field_path == name
+
+
+def test_spec_takes_integral_and_numpy_numbers():
+    spec = ChannelSpec(m=np.int64(4), rho=1, sigma_h_sq=np.float32(2.0))
+    assert (spec.m, spec.rho, spec.sigma_h_sq) == (4, 1.0, 2.0)
+    assert type(spec.m) is int and type(spec.rho) is type(spec.sigma_h_sq) is float
+    assert ChannelSpec(m=4.0, rho=0.5, distribution="Gauss_Markov_Rayleigh") == ChannelSpec(4, 0.5)
 
 
 def test_bad_snr_and_theta_rejected():

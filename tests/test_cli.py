@@ -777,6 +777,29 @@ def test_sim_config_numbers_must_fit_their_types(tmp_path, capsys, field, value)
     assert not list(out.glob("simulate*"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_blocks", 10), ("seed", -1), ("seed", 2 ** 64), ("q_thresholds", [5.5, 1]),
+     ("d_thresholds", [0, 1]), ("d_thresholds", [3, 2])],
+)
+def test_sim_config_range_errors_name_their_field(tmp_path, capsys, field, value):
+    # SimConfig's range errors were reported at "sim-config", and a
+    # seed of 2**64 at "seed", as if --seed had given it
+    cfg = sim_config(tmp_path, **{field: value})
+    argv = ["simulate", "--sim-config", cfg] + ([] if field == "seed" else ["--seed", "11"])
+    out = tmp_path / "out"
+    assert run(out, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid sim-config.{field}: ")
+    assert not list(out.glob("simulate*"))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_seed_flag_range_is_named_at_the_flag(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert run(out, "simulate", "--sim-config", sim_config(tmp_path), f"--seed={seed}") == 2
+    assert capsys.readouterr().err.startswith("error: invalid seed: ")
+
+
 def test_sim_config_integral_numbers_run(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = sim_config(tmp_path, q_thresholds=[1, 5.5], d_thresholds=[2, 3])
@@ -839,7 +862,9 @@ def test_null_leaves_every_option_unset(tmp_path, name, command, kind):
     "channel, field",
     [('{"m": Infinity, "rho": 0}', "m"), ('{"m": 2.5, "rho": 0}', "m"),
      ('{"m": 2, "rho": 0, "distribution": 5}', "distribution"),
-     ('{"m": 2, "rho": NaN}', "rho")],
+     ('{"m": 2, "rho": NaN}', "rho"), ('{"m": 0, "rho": 0}', "m"), ('{"m": 2, "rho": 2}', "rho"),
+     ('{"m": 2, "rho": 0, "sigma_h_sq": -1}', "sigma_h_sq"),
+     ('{"m": 2, "rho": 0, "distribution": "nakagami"}', "distribution")],
 )
 def test_channel_json_names_the_rejected_field(tmp_path, capsys, channel, field):
     # m = Infinity once crashed in int(), a numeric distribution in .lower()

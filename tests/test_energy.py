@@ -20,11 +20,11 @@ from qoslink.energy import (
     build_binomial_discrete_source,
     build_birth_death_fluid,
     ebn0_curve,
-    energy_metrics_constant,
     energy_metrics_onoff_discrete,
     energy_metrics_onoff_fluid,
     energy_metrics_onoff_mmpp,
     numeric_energy_metrics,
+    source_energy_metrics,
 )
 from qoslink.sources import (
     MmppSource,
@@ -34,8 +34,6 @@ from qoslink.sources import (
     as_fluid_source,
     as_mmpp_source,
     average_rate,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
 )
 
 SPEC0 = ChannelSpec(m=10, rho=0.0)
@@ -48,7 +46,7 @@ FLOOR_MMPP_DB = 0.75919858320608798
 
 
 def test_constant_floor_frozen():
-    res = energy_metrics_constant(SPEC0, 1.0)
+    res = source_energy_metrics(None, SPEC0, 1.0)[1]
     assert res.ebn0_min_db == pytest.approx(FLOOR_DB, abs=1e-12)
     assert res.ebn0_min_linear == pytest.approx(math.log(2.0), rel=1e-14)
 
@@ -60,26 +58,26 @@ def test_mmpp_floor_frozen():
 
 def test_theta_zero_slope_is_one_any_rho():
     for rho in (0.0, 0.5, 1.0):
-        res = energy_metrics_constant(ChannelSpec(m=10, rho=rho), 0.0)
+        res = source_energy_metrics(None, ChannelSpec(m=10, rho=rho), 0.0)[1]
         assert res.wideband_slope == pytest.approx(1.0, rel=1e-14)
 
 
 def test_correlation_cuts_the_slope():
     assert (
-        energy_metrics_constant(SPEC1, 1.0).wideband_slope
-        < energy_metrics_constant(SPEC0, 1.0).wideband_slope
+        source_energy_metrics(None, SPEC1, 1.0)[1].wideband_slope
+        < source_energy_metrics(None, SPEC0, 1.0)[1].wideband_slope
     )
 
 
 def test_discrete_reduces_to_constant():
-    assert energy_metrics_onoff_discrete(SPEC0, 1.0, 0.0, 1.0) == energy_metrics_constant(
-        SPEC0, 1.0
-    )
+    assert energy_metrics_onoff_discrete(SPEC0, 1.0, 0.0, 1.0) == source_energy_metrics(
+        None, SPEC0, 1.0
+    )[1]
 
 
 def test_fluid_reduces_to_constant():
     res = energy_metrics_onoff_fluid(SPEC0, 1.0, 2.0, 0.0)
-    ref = energy_metrics_constant(SPEC0, 1.0)
+    ref = source_energy_metrics(None, SPEC0, 1.0)[1]
     assert res.wideband_slope == ref.wideband_slope
     assert res.ebn0_min_linear == ref.ebn0_min_linear
 
@@ -118,12 +116,12 @@ def test_mmpp_penalty_law():
 
 
 def test_floor_is_invariant_to_everything_but_mmpp():
-    ref = energy_metrics_constant(SPEC0, 0.3).ebn0_min_linear
+    ref = source_energy_metrics(None, SPEC0, 0.3)[1].ebn0_min_linear
     for theta in (0.0, 0.5, 2.0):
         for rho in (0.0, 0.75, 1.0):
             spec = ChannelSpec(m=10, rho=rho)
             vals = [
-                energy_metrics_constant(spec, theta).ebn0_min_linear,
+                source_energy_metrics(None, spec, theta)[1].ebn0_min_linear,
                 energy_metrics_onoff_discrete(spec, theta, 0.3, 0.6).ebn0_min_linear,
                 energy_metrics_onoff_fluid(spec, theta, 5.0, 2.0).ebn0_min_linear,
             ]
@@ -140,8 +138,8 @@ def test_slope_nonincreasing_in_theta_and_rho(t1, t2):
     s_lo = energy_metrics_onoff_fluid(SPEC75, lo, 2.0, 5.0).wideband_slope
     s_hi = energy_metrics_onoff_fluid(SPEC75, hi, 2.0, 5.0).wideband_slope
     assert s_hi <= s_lo * (1 + 1e-12)
-    r_lo = energy_metrics_constant(ChannelSpec(m=10, rho=min(t1, 1.0) ** 0.5), 1.0)
-    r_hi = energy_metrics_constant(ChannelSpec(m=10, rho=1.0), 1.0)
+    r_lo = source_energy_metrics(None, ChannelSpec(m=10, rho=min(t1, 1.0) ** 0.5), 1.0)[1]
+    r_hi = source_energy_metrics(None, ChannelSpec(m=10, rho=1.0), 1.0)[1]
     assert r_hi.wideband_slope <= r_lo.wideband_slope * (1 + 1e-12)
 
 
@@ -174,7 +172,7 @@ BINOM_PI = [
 
 def test_binomial_builder_stationary_law():
     src = build_binomial_discrete_source(10, 0.5, 2.0)
-    pi = stationary_distribution_discrete(src)
+    pi = src._stationary
     assert np.max(np.abs(pi - np.array(BINOM_PI))) < 1e-12
     assert average_rate(src) == pytest.approx(9 * 0.5 * 2.0, rel=1e-14)
 
@@ -206,7 +204,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_binomial_all_on_collapses():
     src = build_binomial_discrete_source(10, 1.0, 2.0)
-    pi = stationary_distribution_discrete(src)
+    pi = src._stationary
     assert pi[-1] == pytest.approx(1.0, abs=1e-15)
     assert average_rate(src) == pytest.approx(9 * 2.0, rel=1e-14)
 
@@ -223,7 +221,7 @@ BD_PI = [
 
 def test_birth_death_builder_stationary_law():
     src = build_birth_death_fluid(10, 50.0, 100.0, 1.0)
-    pi = stationary_distribution_fluid(src.generator)
+    pi = src._stationary
     assert np.max(np.abs(pi - np.array(BD_PI))) < 1e-12
     assert average_rate(src) == pytest.approx(0.99022482893450635, rel=1e-12)
 
@@ -235,7 +233,7 @@ def test_birth_death_two_states_reduce():
 
 def test_birth_death_equal_rates_is_uniform():
     src = build_birth_death_fluid(4, 5.0, 5.0, 1.0)
-    assert np.allclose(stationary_distribution_fluid(src.generator), 0.25, atol=1e-14)
+    assert np.allclose(src._stationary, 0.25, atol=1e-14)
 
 
 def test_birth_death_saturates_at_top_rate():
@@ -307,7 +305,7 @@ def test_curve_validation():
 )
 def test_numeric_route_matches_closed_forms(kind, spec, kw):
     closed = {
-        "constant": energy_metrics_constant,
+        "constant": lambda spec, theta: source_energy_metrics(None, spec, theta)[1],
         "discrete": energy_metrics_onoff_discrete,
         "fluid": energy_metrics_onoff_fluid,
         "mmpp": energy_metrics_onoff_mmpp,

@@ -121,6 +121,67 @@ def test_matrix_sources_need_no_capacity_curve(monkeypatch):
     spec = ChannelSpec(m=10, rho=0.0)
     for src in _n50_sources():
         assert source_energy_metrics(src, spec, 0.1)[2] == "deviation_matrix"
-        throughput.low_theta_asymptotics("nstate", spec, 1.0, source=src)
+        throughput.low_theta_asymptotics(src, spec, 1.0)
     with pytest.raises(AssertionError, match="numeric route"):
         numeric_energy_metrics("nstate", spec, 0.1, source=_n50_sources()[0])
+
+
+# every kind label a kind-string entry point or a source document takes
+KIND_LABELS = {"constant", "discrete", "fluid", "mmpp", "nstate",
+               "onoff-discrete", "onoff-fluid", "onoff-mmpp"}
+
+
+def _compared_labels(node):
+    """The kind labels among a comparison's string constants."""
+    return {
+        n.value for operand in (node.left, *node.comparators) for n in ast.walk(operand)
+        if isinstance(n, ast.Constant) and n.value in KIND_LABELS
+    }
+
+
+def test_sources_parse_a_kind_string_only_from_json():
+    import qoslink.sources as sources
+
+    tree = _tree(sources)
+    allowed = {
+        id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "source_from_json"
+        for n in ast.walk(f)
+    }
+    compares = [n for n in ast.walk(tree) if isinstance(n, ast.Compare) and id(n) not in allowed]
+    assert not [ast.unparse(n) for n in compares if _compared_labels(n)]
+
+
+def test_kind_tables_live_beside_their_callers_in_energy():
+    import qoslink
+
+    names = {"_KINDS", "_ONOFF_KINDS", "_kind_source"}
+    for path in Path(qoslink.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.alias))}
+        if path.name == "energy.py":
+            defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)} | {
+                t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
+            }
+            assert names <= defined
+        else:
+            assert not used & names, path.name
+
+
+def test_one_name_per_idea():
+    # each of these restated what a source, the channel's samplers or a
+    # report already answers
+    import qoslink
+    from qoslink import channel, queuesim, sources
+
+    gone = {
+        "stationary_distribution_discrete": sources,
+        "stationary_distribution_fluid": sources,
+        "sample_fading_block": channel,
+        "service_rate": channel,
+        "varsigma_estimate": queuesim,
+        "energy_metrics_constant": energy,
+    }
+    for name, module in gone.items():
+        assert not hasattr(qoslink, name) and not hasattr(module, name), name
+    assert not hasattr(channel, "FadingBlock") and not hasattr(sources, "_onoff_type")

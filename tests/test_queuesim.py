@@ -29,7 +29,6 @@ from qoslink.queuesim import (
     _walk,
     fit_decay_slope,
     simulate_queue,
-    varsigma_estimate,
 )
 from qoslink.sources import (
     DiscreteMarkovSource,
@@ -119,7 +118,6 @@ def test_zero_rate_source_gives_empty_queue():
     assert rep.overflow_points == () and rep.delay_points == ()
     assert math.isnan(rep.theta_sim) and math.isnan(rep.delay_slope_sim)
     assert rep.varsigma_hat == 0.0 and rep.varsigma_ratio == 0.0
-    assert varsigma_estimate(rep) == {"empirical": 0.0, "ratio_approx": 0.0}
 
 
 def _loaded_config(theta, n_blocks, seed):

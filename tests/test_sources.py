@@ -30,8 +30,6 @@ from qoslink.sources import (
     effective_bandwidth_onoff_fluid,
     effective_bandwidth_onoff_mmpp,
     source_from_json,
-    stationary_distribution_discrete,
-    stationary_distribution_fluid,
 )
 from qoslink.throughput import (
     max_avg_rate,
@@ -89,7 +87,7 @@ def test_onoff_mmpp_frozen_value():
 def test_five_state_stationary_frozen():
     rng = np.random.default_rng(20260819)
     src = DiscreteMarkovSource(random_chain(rng, 5), np.arange(5.0))
-    pi = stationary_distribution_discrete(src)
+    pi = src._stationary
     expected = [
         0.19276301480425845,
         0.17776759378768492,
@@ -405,7 +403,7 @@ def test_stationary_properties(seed):
     n = int(rng.integers(2, 9))
     J = random_chain(rng, n)
     src = DiscreteMarkovSource(J, np.zeros(n))
-    pi = stationary_distribution_discrete(src)
+    pi = src._stationary
     assert np.all(pi >= 0)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(pi @ J, pi, atol=1e-12)
@@ -551,7 +549,7 @@ def test_strong_classes_of_a_long_cycle():
 
 def test_fluid_stationary_accepts_raw_generator():
     G = np.array([[-2.0, 2.0], [3.0, -3.0]])
-    pi = stationary_distribution_fluid(G)
+    pi = FluidMarkovSource(G, np.zeros(2))._stationary
     np.testing.assert_allclose(pi, [0.6, 0.4], rtol=1e-12)
 
 
@@ -597,7 +595,7 @@ def test_bad_row_sum_rejected():
 def test_fluid_stationary_rejects_split_generator():
     G = np.zeros((2, 2))  # two absorbing states, no unique stationary law
     with pytest.raises(NoUniqueStationary):
-        stationary_distribution_fluid(G)
+        FluidMarkovSource(G, np.zeros(2))._stationary
 
 
 def test_onoff_param_validation():
@@ -897,12 +895,6 @@ def _family_source(family):
     return bd if family == "fluid" else MmppSource(bd.generator, bd.rates)
 
 
-def _stationary(src):
-    if isinstance(src, DiscreteMarkovSource):
-        return stationary_distribution_discrete(src)
-    return stationary_distribution_fluid(src)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
     src = _family_source(family)
@@ -915,7 +907,7 @@ def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
         max_avg_rate_nstate(src, theta, ce)
         max_avg_rate(src, ce, theta)
         average_rate(src)
-        _stationary(src)
+        src._stationary
     for seed in (1, 2):
         simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 10.0, 10 ** 4, seed))
     assert len(calls) == 1
@@ -924,8 +916,8 @@ def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_stationary_law_is_read_only(family):
     src = _family_source(family)
-    pi = _stationary(src)
-    assert _stationary(src) is pi
+    pi = src._stationary
+    assert src._stationary is pi
     with pytest.raises(ValueError):
         pi[0] = 0.5
     with pytest.raises(AttributeError):
@@ -939,8 +931,8 @@ def test_cached_law_is_the_direct_solve_bit_for_bit(family):
         J = src.transition_probs
         direct = sources_module._stationary_from(J.T - np.eye(J.shape[0]))
     else:
-        direct = stationary_distribution_fluid(np.array(src.generator))
-    assert _stationary(src).tobytes() == direct.tobytes()
+        direct = sources_module._stationary_from(np.array(src.generator).T)
+    assert src._stationary.tobytes() == direct.tobytes()
     rates = src.intensities if family == "mmpp" else src.rates
     assert average_rate(src) == float(direct @ rates)
 
@@ -955,4 +947,4 @@ def test_split_generator_builds_and_fails_on_first_use(cls):
     with pytest.raises(NoUniqueStationary):
         simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 1.0, 10 ** 4, 1))
     with pytest.raises(NoUniqueStationary):
-        _stationary(src)
+        src._stationary

@@ -21,6 +21,8 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
+    OnOffMmppParams,
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
@@ -212,25 +214,33 @@ def test_nstate_zero_capacity():
     assert res.iterations == 0 and res.residual == 0.0
 
 
+def _onoff(kind, p_on):
+    """The two-state source of a family with ON probability ``p_on``."""
+    if kind == "discrete":
+        return OnOffDiscreteParams(1.0 - p_on, p_on, 0.0)
+    return {"fluid": OnOffFluidParams, "mmpp": OnOffMmppParams}[kind](p_on, 1.0 - p_on, 0.0)
+
+
 def test_high_snr_slope_frozen():
-    assert high_snr_slope("discrete", 2.0, 0.5) == pytest.approx(
+    assert high_snr_slope(_onoff("discrete", 0.5), 2.0) == pytest.approx(
         0.17328679513998633, rel=1e-14
     )
     # fluid shares the discrete branch structure
-    assert high_snr_slope("fluid", 2.0, 0.5) == high_snr_slope("discrete", 2.0, 0.5)
+    discrete = high_snr_slope(_onoff("discrete", 0.5), 2.0)
+    assert high_snr_slope(_onoff("fluid", 0.5), 2.0) == discrete
 
 
 def test_high_snr_slope_branches():
     # below the seam the discrete/fluid prelog is flat at p_on
-    assert high_snr_slope("discrete", 0.3, 0.7) == 0.7
-    assert high_snr_slope("fluid", 0.05, 0.25) == 0.25
+    assert high_snr_slope(_onoff("discrete", 0.7), 0.3) == 0.7
+    assert high_snr_slope(_onoff("fluid", 0.25), 0.05) == 0.25
     # theta = 0 is the unconstrained (ergodic) prelog for every family
     for kind in ("discrete", "fluid", "mmpp"):
-        assert high_snr_slope(kind, 0.0, 0.4) == 1.0
+        assert high_snr_slope(_onoff(kind, 0.4), 0.0) == 1.0
     # seam continuity
     for kind in ("discrete", "fluid", "mmpp"):
-        lo = high_snr_slope(kind, LN2 * (1 - 1e-12), 0.7)
-        hi = high_snr_slope(kind, LN2 * (1 + 1e-12), 0.7)
+        lo = high_snr_slope(_onoff(kind, 0.7), LN2 * (1 - 1e-12))
+        hi = high_snr_slope(_onoff(kind, 0.7), LN2 * (1 + 1e-12))
         assert lo == pytest.approx(hi, rel=1e-9)
 
 
@@ -243,9 +253,19 @@ def test_high_snr_slope_branches():
 )
 def test_high_snr_slope_monotone_in_theta(kind, t1, t2, p_on):
     lo, hi = sorted((t1, t2))
-    s_lo, s_hi = high_snr_slope(kind, lo, p_on), high_snr_slope(kind, hi, p_on)
+    src = _onoff(kind, p_on)
+    s_lo, s_hi = high_snr_slope(src, lo), high_snr_slope(src, hi)
     assert s_hi <= s_lo * (1.0 + 1e-12)
     assert 0.0 < s_hi and s_lo <= 1.0
+
+
+# the two-state sources of the low-theta checks, built with lam = 0: the
+# solvers find the rate
+ONOFF_SOURCES = {
+    "discrete": OnOffDiscreteParams(0.8, 0.7, 0.0),
+    "fluid": OnOffFluidParams(1.0, 2.0, 0.0),
+    "mmpp": OnOffMmppParams(1.0, 2.0, 0.0),
+}
 
 
 def _r_star_of_theta(kind, snr, m, theta):
@@ -261,8 +281,7 @@ def _r_star_of_theta(kind, snr, m, theta):
 def test_low_theta_derivative_matches_finite_difference(kind):
     spec = ChannelSpec(m=10, rho=0.0)
     snr = 1.0
-    kw = dict(p11=0.8, p22=0.7) if kind == "discrete" else dict(alpha=1.0, beta=2.0)
-    asym = low_theta_asymptotics(kind, spec, snr, **kw)
+    asym = low_theta_asymptotics(ONOFF_SOURCES[kind], spec, snr)
     assert asym.low_theta_limit == pytest.approx(ergodic_capacity(spec, snr), rel=1e-12)
     assert asym.high_snr_slope == 1.0
     erg = asym.low_theta_limit
@@ -289,8 +308,7 @@ def test_nstate_low_theta_derivative_matches_finite_difference(family):
     spec = ChannelSpec(m=10, rho=0.0)
     snr = 1.0
     src = _small_source(family)
-    kind = "constant" if src is None else "nstate"
-    asym = low_theta_asymptotics(kind, spec, snr, source=src)
+    asym = low_theta_asymptotics(src, spec, snr)
     erg = ergodic_capacity(spec, snr)
     assert asym.low_theta_limit == erg
 
@@ -305,51 +323,53 @@ def test_nstate_low_theta_derivative_matches_finite_difference(family):
 
 
 @pytest.mark.parametrize(
-    "kind, kw, twin",
+    "kind, twin",
     [
-        ("discrete", dict(p11=0.8, p22=0.7),
-         as_discrete_source(OnOffDiscreteParams(0.8, 0.7, 1.0))),
-        ("fluid", dict(alpha=1.0, beta=2.0),
-         as_fluid_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
-        ("mmpp", dict(alpha=1.0, beta=2.0),
-         as_mmpp_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
+        ("discrete", as_discrete_source(OnOffDiscreteParams(0.8, 0.7, 1.0))),
+        ("fluid", as_fluid_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
+        ("mmpp", as_mmpp_source(OnOffContinuousParams(1.0, 2.0, 1.0))),
     ],
     ids=["discrete", "fluid", "mmpp"],
 )
-def test_matrix_twin_has_the_two_state_low_theta_derivative(kind, kw, twin):
+def test_matrix_twin_has_the_two_state_low_theta_derivative(kind, twin):
     spec = ChannelSpec(m=10, rho=0.0)
-    closed = low_theta_asymptotics(kind, spec, 1.0, **kw)
-    matrix = low_theta_asymptotics("nstate", spec, 1.0, source=twin)
+    closed = low_theta_asymptotics(ONOFF_SOURCES[kind], spec, 1.0)
+    matrix = low_theta_asymptotics(twin, spec, 1.0)
     assert matrix.low_theta_limit == closed.low_theta_limit
     assert matrix.low_theta_derivative == pytest.approx(
         closed.low_theta_derivative, rel=1e-13
     )
 
 
-def test_low_theta_nstate_kind_needs_a_source():
-    with pytest.raises(ValueError, match="nstate kind requires a source object"):
-        low_theta_asymptotics("nstate", ChannelSpec(m=2, rho=0.0), 1.0)
-
-
 def test_mmpp_derivative_sits_below_fluid_by_half_ergodic():
     spec = ChannelSpec(m=10, rho=0.0)
-    a_f = low_theta_asymptotics("fluid", spec, 1.0, alpha=1.0, beta=2.0)
-    a_m = low_theta_asymptotics("mmpp", spec, 1.0, alpha=1.0, beta=2.0)
+    a_f = low_theta_asymptotics(OnOffFluidParams(1.0, 2.0, 0.0), spec, 1.0)
+    a_m = low_theta_asymptotics(OnOffMmppParams(1.0, 2.0, 0.0), spec, 1.0)
     gap = a_m.low_theta_derivative - a_f.low_theta_derivative
     assert gap == pytest.approx(-0.5 * a_f.low_theta_limit, rel=1e-12)
 
 
 def test_low_theta_validation():
     spec = ChannelSpec(m=2, rho=0.0)
-    with pytest.raises(ValueError, match="requires p11"):
-        low_theta_asymptotics("discrete", spec, 1.0)
-    with pytest.raises(ValueError, match="requires alpha"):
-        low_theta_asymptotics("mmpp", spec, 1.0, p11=0.5, p22=0.5)
-    with pytest.raises(ValueError, match="kind"):
-        low_theta_asymptotics("poisson", spec, 1.0, alpha=1.0, beta=1.0)
+    # a source that names no family has no Poisson layer to read
+    for src in (OnOffContinuousParams(1.0, 1.0, 0.0), object()):
+        with pytest.raises(TypeError, match="source type"):
+            low_theta_asymptotics(src, spec, 1.0)
     with pytest.warns(UserWarning, match="absorbing"):
         with pytest.raises(ValueError, match="p11"):
-            low_theta_asymptotics("discrete", spec, 1.0, p11=1.0, p22=0.5)
+            low_theta_asymptotics(OnOffDiscreteParams(1.0, 0.5, 0.0), spec, 1.0)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [None, OnOffContinuousParams(1.0, 1.0, 0.0), build_birth_death_fluid(3, 1.0, 2.0, 1.0)],
+    ids=["constant", "family-less", "matrix"],
+)
+def test_high_snr_slope_needs_a_two_state_family(src):
+    # the prelog reads p_on and the Poisson layer: only a two-state
+    # source of a named family carries both
+    with pytest.raises(TypeError, match="source type"):
+        high_snr_slope(src, 1.0)
 
 
 def test_solver_input_validation():
@@ -357,8 +377,9 @@ def test_solver_input_validation():
         max_avg_rate_onoff_discrete(1.0, 0.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="capacity"):
         max_avg_rate_onoff_fluid(-1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="p_on"):
-        high_snr_slope("fluid", 1.0, 0.0)
+    with pytest.warns(UserWarning, match="absorbing"):
+        with pytest.raises(ValueError, match="p_on"):
+            high_snr_slope(OnOffDiscreteParams(1.0, 0.5, 0.0), 1.0)
     with pytest.raises(TypeError, match="source type"):
         max_avg_rate_nstate(object(), 1.0, 1.0)
 
@@ -381,7 +402,7 @@ def test_birth_death_nstate_golden():
     import scipy.linalg
 
     from qoslink.energy import build_birth_death_fluid
-    from qoslink.sources import effective_bandwidth_fluid, stationary_distribution_fluid
+    from qoslink.sources import effective_bandwidth_fluid
 
     bd = build_birth_death_fluid(10, 1.0, 2.0, 1.5)
     theta, ce = 0.8, 5.0
@@ -394,7 +415,7 @@ def test_birth_death_nstate_golden():
     assert eigen == pytest.approx(ce, abs=5e-9)
 
     M = theta * np.diag(scaled_rates) + bd.generator
-    pi = stationary_distribution_fluid(bd.generator)
+    pi = FluidMarkovSource(bd.generator, np.zeros(10))._stationary
     dt = 5.0
     E = scipy.linalg.expm(M * dt)
 
