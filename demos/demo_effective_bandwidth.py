@@ -5,8 +5,6 @@ the QoS constraint tightens, and that the closed two-state forms agree
 with the general spectral path.
 """
 
-import numpy as np
-
 from qoslink.sources import (
     OnOffContinuousParams,
     OnOffDiscreteParams,

@@ -5,8 +5,6 @@ approaches the ergodic capacity, and a bursty source pays a visible
 penalty at every snr.
 """
 
-import numpy as np
-
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid, ergodic_capacity
 from qoslink.throughput import max_avg_rate_onoff_discrete
 

@@ -51,8 +51,11 @@ _PANEL_EDGES = np.array(
     + [0.2, 0.3, 0.45, 0.65, 0.9, 1.2, 1.6, 2.1, 2.8, 3.6, 4.6, 6.0, 7.5,
        9.5, 12.0, 15.0, 19.0, 24.0, 30.0, 37.0, 45.0]
 )
-_PANEL_ORDER = 20
-_GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_ORDER)
+# Gauss-Legendre nodes per panel of that rule: (rho_max, order) rungs,
+# each order serving rho up to its rho_max (measured accuracy in
+# effective_capacity_quadrature's docstring).  The kernel is too sharp
+# for the rule above the last rung.
+_GAIN_AXIS_ORDERS = ((0.99, 10), (0.999, 24), (0.9997, 48), (0.9999, 80))
 _KERNEL_DEFECT_TOL = 1e-9
 # The one-dimensional integrals run in x = log(1 + gamma t) over a fixed
 # composite rule: the break points log1p(j / w) below, where the factor
@@ -61,8 +64,13 @@ _KERNEL_DEFECT_TOL = 1e-9
 _LOG_AXIS_BREAKS = np.array([1.0, 10.0, 100.0, 745.0])
 _LOG_AXIS_RUN = 12
 _LOG_AXIS_STEPS = np.linspace(0.0, 1.0, _LOG_AXIS_RUN + 1)
-# Gain-chain kernels kept at once (3.3 MB each): enough for a quadrature
-# sweep to revisit its last few rho values without rebuilding.
+# Gauss-Legendre nodes per panel of the log-axis rule.
+_LOG_AXIS_ORDER = 20
+_LOG_AXIS_NODES, _LOG_AXIS_WEIGHTS = leggauss(_LOG_AXIS_ORDER)
+# Gain-chain kernels kept at once: enough for a quadrature sweep to
+# revisit its last few rho values without rebuilding.  A kernel holds
+# 0.8 MiB up to rho 0.99 and 50 MiB on the top rung, so the worst case is
+# four top-rung kernels, about 200 MiB.
 _KERNEL_CACHE_SIZE = 4
 # The chain quadrature rescales its weight vector by a power of two
 # whenever its largest entry falls below this, so long blocks at high
@@ -378,8 +386,8 @@ def _log_axis_rule(w: float, s: float):
     )
     edges.sort()
     half = 0.5 * np.diff(edges)
-    x = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    return x, half[:, None] * _GL_WEIGHTS * np.exp(x - w * np.expm1(x))
+    x = (edges[:-1] + half)[:, None] + half[:, None] * _LOG_AXIS_NODES
+    return x, half[:, None] * _LOG_AXIS_WEIGHTS * np.exp(x - w * np.expm1(x))
 
 
 def _log_neg_moment(gamma: float, a: float) -> float:
@@ -543,37 +551,44 @@ def _i0e(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gain_axis_rule(sigma_h_sq: float):
-    """Nodes and weights of the composite rule for int_0^inf phi(z) dz."""
+def _gain_axis_rule(sigma_h_sq: float, order: int):
+    """Nodes and weights of the composite rule for int_0^inf phi(z) dz,
+    with ``order`` Gauss-Legendre nodes on each panel."""
+    x, w = leggauss(order)
     edges = _PANEL_EDGES * sigma_h_sq
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
-        weights.append(0.5 * (b - a) * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _gain_chain_rule(rho: float, sigma_h_sq: float):
-    """Nodes z, weights W, kernel matrix K and marginal mass for the gain chain.
+def _gain_axis_order(rho: float) -> int:
+    """Nodes per panel for the gain chain at rho: the first rung of
+    ``_GAIN_AXIS_ORDERS`` that reaches rho."""
+    for top, order in _GAIN_AXIS_ORDERS:
+        if rho <= top:
+            return order
+    raise QuadratureFailure(
+        f"gain-chain kernel too sharp at rho {rho}: above rho {top} its mass "
+        "checks no longer bound the error in C_E"
+    )
+
+
+def _gain_chain_kernel(rho: float, sigma_h_sq: float, order: int):
+    """Nodes z, weights W, kernel matrix K and marginal mass for the gain
+    chain, on the gain-axis rule of ``order`` nodes per panel.
 
     K[k, l] approximates the conditional density of the next gain z_l
     given the current gain z_k; mass = W * marginal density at z.
     Validated on construction: kernel rows must integrate to 1 and the
     exponential marginal must be a fixed point, both in the
     marginal-weighted L1 sense (defects at gains the chain essentially
-    never visits do not matter).
+    never visits do not matter).  The arrays are read-only.
 
     The Bessel factor is ``_i0e`` (e^{-x} I0(x), Cephes' Chebyshev
     series, bit for bit) of the argument 2*rho*sqrt(z_k z_l)/v.  That
     argument is exactly symmetric, so only its upper triangle is
-    evaluated, ``_KERNEL_ROWS`` rows at a time, and mirrored.  The series
-    runs in numpy; on a 2-core Xeon VM it takes about 31 ms over the full
-    640 x 640 matrix, and the triangle cuts the whole build from about 40
-    to 24 ms.  The last ``_KERNEL_CACHE_SIZE`` rules are cached,
-    read-only, by (rho, sigma_h_sq).
+    evaluated, ``_KERNEL_ROWS`` rows at a time, and mirrored.
     """
-    z, W = _gain_axis_rule(sigma_h_sq)
+    z, W = _gain_axis_rule(sigma_h_sq, order)
     v = (1.0 - rho * rho) * sigma_h_sq
     sq = np.sqrt(z)
     # conditional density of z' given z: noncentral exponential, written
@@ -600,36 +615,31 @@ def _gain_chain_rule(rho: float, sigma_h_sq: float):
     return z, W, K, mass
 
 
-def effective_capacity_quadrature(
-    spec: ChannelSpec, snr: float, theta: float
-) -> EffCapEstimate:
-    """Deterministic C_E for any rho, exact to roughly 1e-10 relative.
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _gain_chain_rule(rho: float, sigma_h_sq: float):
+    """``_gain_chain_kernel`` at the order the ladder gives rho.
 
-    rho = 0 factorizes over symbols and rho = 1 collapses to a single
-    gain, both handled by one-dimensional integration; in between, the
-    expectation runs over the Markov chain of within-block gains with a
-    panel-quadrature discretization of the conditional kernel, its
-    weight vector rescaled by powers of two so that long blocks at high
-    snr*theta cannot underflow.  Unlike
-    the Monte Carlo route the result is smooth in snr, so it is safe to
-    difference numerically.
+    The kernel has 32 * order nodes: 320, 768, 1536 or 2560 by rung.  On
+    a 2-core Xeon VM a cold build takes about 8, 43, 131 or 348 ms, and
+    the kernel matrix holds 0.8, 4.5, 18 or 50 MiB.  The last
+    ``_KERNEL_CACHE_SIZE`` rules are cached by (rho, sigma_h_sq); the
+    order is a function of rho, so it needs no key of its own.
     """
-    snr = _check_snr(snr)
-    theta = _check_theta(theta)
-    gamma = snr * spec.sigma_h_sq
-    a = theta / LN2
-    if spec.rho >= 1.0 - 1e-9:
-        value = max(0.0, -_log_neg_moment(gamma, spec.m * a) / theta)
-        return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
-    if spec.rho <= 1e-12 or spec.m == 1:
-        value = max(0.0, -(spec.m / theta) * _log_neg_moment(gamma, a))
-        return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
-    z, W, K, mass = _gain_chain_rule(spec.rho, spec.sigma_h_sq)
-    g = (1.0 + snr * z) ** (-a)
+    return _gain_chain_kernel(rho, sigma_h_sq, _gain_axis_order(rho))
+
+
+def _chain_capacity(rule, m: int, snr: float, theta: float) -> float:
+    """C_E of an m-symbol block from a gain-chain rule (z, W, K, mass).
+
+    The chain's weight vector is rescaled by powers of two so that long
+    blocks at high snr*theta cannot underflow.
+    """
+    z, W, K, mass = rule
+    g = (1.0 + snr * z) ** (-(theta / LN2))
     vec = mass * g
     step = K * (W * g)[None, :]
     log2_scale = 0  # the chain's weights are vec * 2**log2_scale
-    for _ in range(spec.m - 1):
+    for _ in range(m - 1):
         vec = vec @ step
         top = vec.max()
         if top < _RESCALE_BELOW:
@@ -644,7 +654,44 @@ def effective_capacity_quadrature(
         log_mean = math.log(min(mean, 1.0))
     else:  # ldexp would drop digits below the normal range
         log_mean = math.log(total) + log2_scale * LN2
-    value = max(0.0, -log_mean / theta)
+    return max(0.0, -log_mean / theta)
+
+
+def effective_capacity_quadrature(
+    spec: ChannelSpec, snr: float, theta: float
+) -> EffCapEstimate:
+    """Deterministic C_E for rho up to 0.9999, and from 1 - 1e-9 to 1.
+
+    rho = 0 factorizes over symbols and rho = 1 collapses to a single
+    gain, both handled by one-dimensional integration; in between, the
+    expectation runs over the Markov chain of within-block gains with a
+    panel-quadrature discretization of the conditional kernel
+    (``_gain_chain_rule``).  Unlike the Monte Carlo route the result is
+    smooth in snr, so it is safe to difference numerically.
+
+    Accuracy, relative, measured against the same chain on a finer rule
+    over snr 1e-4..100, theta 0.1..5 and m 2..100:
+
+    - rho <= 0.99 (320 nodes): within 1e-13 where snr * theta >= 1e-2,
+      and within 2e-11 below, where -log(mean) amplifies the mean's last
+      bits.  At m = 2 the same bounds hold against the Laguerre series
+      of the gain pair's law (``tests/gain_chain_reference.py``).
+    - 0.99 < rho <= 0.9999 (768 to 2560 nodes): within 1e-10.
+    - 0.9999 < rho < 1 - 1e-9: QuadratureFailure.  The kernel is too
+      sharp for the rule, and its mass checks pass at errors far above
+      1e-10 there.
+    """
+    snr = _check_snr(snr)
+    theta = _check_theta(theta)
+    gamma = snr * spec.sigma_h_sq
+    a = theta / LN2
+    if spec.rho >= 1.0 - 1e-9:
+        value = max(0.0, -_log_neg_moment(gamma, spec.m * a) / theta)
+    elif spec.rho <= 1e-12 or spec.m == 1:
+        value = max(0.0, -(spec.m / theta) * _log_neg_moment(gamma, a))
+    else:
+        rule = _gain_chain_rule(spec.rho, spec.sigma_h_sq)
+        value = _chain_capacity(rule, spec.m, snr, theta)
     return EffCapEstimate(value, 0.0, "quadrature", 0, theta, snr)
 
 

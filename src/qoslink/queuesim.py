@@ -61,7 +61,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import channel
-from .channel import LN2, ChannelSpec, _check_snr, _gain_chunks, _stream
+from .channel import LN2, ChannelSpec, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue, ValidationError, _exact_number
 from .sources import DiscreteMarkovSource
 
@@ -91,7 +91,10 @@ class SimConfig:
     d_thresholds: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "snr", _check_snr(self.snr))
+        snr = _exact_number("snr", float, self.snr)
+        if snr <= 0:
+            raise ValidationError("snr", f"must be > 0 (linear), got {snr}")
+        object.__setattr__(self, "snr", snr)
         n = _exact_number("n_blocks", int, self.n_blocks)
         if n < _MIN_BLOCKS:
             raise ValidationError("n_blocks", f"must be >= {_MIN_BLOCKS}, got {n}")

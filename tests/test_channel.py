@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -10,8 +11,11 @@ from scipy import stats
 from scipy.special import i0e, ive
 
 from qoslink.channel import (
+    _GAIN_AXIS_ORDERS,
     ChannelSpec,
     EffCapEstimate,
+    _chain_capacity,
+    _gain_chain_kernel,
     _gain_chain_rule,
     _i0e,
     channel_spec_from_json,
@@ -660,3 +664,111 @@ def test_log_axis_rule_fails_loudly():
             _log_rate_moments(1e307)
         with pytest.raises(QuadratureFailure, match="positive reals"):
             _log_neg_moment(1e307, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the gain-chain rule's order ladder: each rung against the next one up
+# ---------------------------------------------------------------------------
+
+LADDER_RHOS = (0.05, 0.5, 0.9, 0.99)
+LADDER_POINTS = [
+    (snr, theta, m) for snr in (1e-4, 1e-2, 1.0, 100.0) for theta in (0.1, 1.0, 5.0)
+    for m in (2, 10, 100)
+]
+# each rung's order against the next one's, and the top rung against order 40
+LADDER_PAIRS = list(zip(
+    [order for _, order in _GAIN_AXIS_ORDERS],
+    [order for _, order in _GAIN_AXIS_ORDERS[1:]] + [40],
+))
+# The whole grid takes about 25 s (QOSLINK_ACCEPT_FULL=1).  Tier-1 checks
+# the first rung, which serves every rho up to 0.99, on all of it, and the
+# rungs above at rho 0.99, on m <= 10.
+FULL_LADDER = bool(os.environ.get("QOSLINK_ACCEPT_FULL"))
+FULL_LADDER_ONLY = pytest.mark.skipif(
+    not FULL_LADDER, reason="kernels of up to 3072 nodes; set QOSLINK_ACCEPT_FULL=1 to run")
+
+
+def _ladder_bound(snr, theta):
+    # below snr * theta = 1e-2 both orders sit on the floor that
+    # -log(mean) sets by amplifying the mean's last bits
+    return 1e-13 if snr * theta >= 1e-2 else 2e-11
+
+
+def _ladder_checks(rho):
+    """(low order, high order, grid points) to compare at rho."""
+    for i, (low, high) in enumerate(LADDER_PAIRS):
+        if FULL_LADDER or i == 0:
+            yield low, high, LADDER_POINTS
+        elif rho == LADDER_RHOS[-1]:
+            yield low, high, [p for p in LADDER_POINTS if p[2] <= 10]
+
+
+@pytest.mark.parametrize("rho", LADDER_RHOS)
+def test_gain_axis_rungs_agree_with_the_next_rung(rho):
+    kernel = functools.cache(lambda order: _gain_chain_kernel(rho, 1.0, order))
+    capacity = functools.cache(
+        lambda order, snr, theta, m: _chain_capacity(kernel(order), m, snr, theta))
+    for low, high, points in _ladder_checks(rho):
+        for snr, theta, m in points:
+            want = pytest.approx(capacity(high, snr, theta, m),
+                                 rel=_ladder_bound(snr, theta), abs=0.0)
+            assert capacity(low, snr, theta, m) == want, (low, high, snr, theta, m)
+
+
+@pytest.mark.parametrize("rho,order", [
+    (0.999, 40),
+    pytest.param(0.9997, 80, marks=FULL_LADDER_ONLY),
+    pytest.param(0.9999, 96, marks=FULL_LADDER_ONLY),
+])
+def test_upper_rungs_within_1e10_at_their_top(rho, order):
+    reference = _gain_chain_kernel(rho, 1.0, order)
+    for snr, theta, m in LADDER_POINTS:
+        got = effective_capacity_quadrature(ChannelSpec(m, rho), snr, theta).value
+        want = _chain_capacity(reference, m, snr, theta)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), (snr, theta, m)
+
+
+def test_quadrature_answers_at_rho_0_9995():
+    value = effective_capacity_quadrature(ChannelSpec(10, 0.9995), 1.0, 1.0).value
+    below = effective_capacity_quadrature(ChannelSpec(10, 0.999), 1.0, 1.0).value
+    above = effective_capacity_quadrature(ChannelSpec(10, 1.0), 1.0, 1.0).value
+    assert above < value < below
+
+
+def test_quadrature_refuses_rho_above_the_ladder():
+    top = _GAIN_AXIS_ORDERS[-1][0]
+    assert [r for r, _ in _GAIN_AXIS_ORDERS] == sorted(r for r, _ in _GAIN_AXIS_ORDERS)
+    effective_capacity_quadrature(ChannelSpec(10, top), 1.0, 1.0)
+    with pytest.raises(QuadratureFailure, match="too sharp"):
+        effective_capacity_quadrature(ChannelSpec(10, math.nextafter(top, 1.0)), 1.0, 1.0)
+
+
+# (rho, snr, theta, C_E) of a block of m = 2 symbols: 30-digit values of
+# -log(sum_n rho^{2n} c_n^2) / theta, the Hille-Hardy series of Kibble's
+# bivariate exponential law, from tests/gain_chain_reference.py
+TWO_SYMBOL_MPMATH = [
+    (0.3, 0.0001, 0.1, 0.000288507892286329181143957486312),
+    (0.3, 0.01, 0.5, 0.0284624655458615987969260666676),
+    (0.3, 1.0, 1.0, 1.38899039885489314522751036509),
+    (0.3, 100.0, 5.0, 2.55473581792964243939356441486),
+    (0.5, 0.0001, 0.1, 0.00028850755941004611553020866604),
+    (0.5, 0.01, 0.5, 0.0284466737254788708744221487638),
+    (0.5, 1.0, 1.0, 1.35839862063473760320615713585),
+    (0.5, 100.0, 5.0, 2.51624054511526927753360042306),
+    (0.8, 0.0001, 0.1, 0.000288506748024100351210582599133),
+    (0.8, 0.01, 0.5, 0.0284081759541608081683402131388),
+    (0.8, 1.0, 1.0, 1.27429645651025693463845096215),
+    (0.8, 100.0, 5.0, 2.37054531124536040810030827768),
+    (0.9, 0.0001, 0.1, 0.000288506394343044498756397200685),
+    (0.9, 0.01, 0.5, 0.0283913925613115035434997656275),
+    (0.9, 1.0, 1.0, 1.2319877016879817249262890398),
+    (0.9, 100.0, 5.0, 2.24460244327144022255669626739),
+]
+
+
+@pytest.mark.parametrize("rho,snr,theta,expected", TWO_SYMBOL_MPMATH)
+def test_two_symbol_chain_matches_the_laguerre_series(rho, snr, theta, expected):
+    # below snr * theta = 1e-2, -log(mean) amplifies the mean's last bits
+    rel = 1e-12 if snr * theta >= 1e-2 else 1e-10
+    est = effective_capacity_quadrature(ChannelSpec(2, rho), snr, theta)
+    assert est.value == pytest.approx(expected, rel=rel, abs=0.0)

@@ -16,7 +16,6 @@ from scipy.stats import binom
 import qoslink
 from qoslink.channel import ChannelSpec
 from qoslink.energy import (
-    EbN0CurvePoint,
     build_binomial_discrete_source,
     build_birth_death_fluid,
     ebn0_curve,

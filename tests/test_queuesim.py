@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from qoslink import channel, queuesim
 from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid
-from qoslink.errors import InsufficientTail, UnstableQueue
+from qoslink.errors import InsufficientTail, UnstableQueue, ValidationError
 from qoslink.queuesim import (
     SimConfig,
     _arrival_trace,
@@ -240,6 +240,14 @@ def test_sim_config_numbers_must_fit_their_fields(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=field):
         SimConfig(**fields)
+
+
+@pytest.mark.parametrize("snr", [True, 0.0, "1"])
+def test_sim_config_names_snr_when_it_rejects_it(snr):
+    with pytest.raises(ValidationError) as info:
+        SimConfig(source=OnOffDiscreteParams(0.8, 0.8, 1.0), channel=SPEC, snr=snr,
+                  n_blocks=10 ** 4, seed=0)
+    assert info.value.field_path == "snr"
 
 
 def test_sim_config_takes_numpy_numbers():
