@@ -5,15 +5,16 @@ source (per-block state transitions, deterministic rate per state), a
 continuous-time Markov fluid source, and a Markov-modulated Poisson
 process (MMPP).  Two-state ON/OFF parameterizations of each family have
 closed-form effective bandwidths; the general n-state forms take the
-Perron root of a nonnegative or Metzler matrix from one dense
-eigen-decomposition.  Each matrix source decides once, when it is built,
-whether its chain satisfies detailed balance (``reversible``).  For a
-reversible chain that matrix is similar to a symmetric one, whose
-largest eigenvalue comes from the symmetric solver, faster and with a
-perfectly conditioned eigenvalue; other chains take the general dense
-spectrum.  Those forms are kernels on raw arrays (``_ebw_discrete``,
-``_ebw_fluid``, ``_ebw_mmpp``), so a solver that scales the rates can
-call them without building a source at each step.
+Perron root of a nonnegative or Metzler matrix.  Each matrix source
+decides once, when it is built, whether its chain satisfies detailed
+balance (``reversible``).  For a reversible chain that matrix is similar
+to a symmetric one, whose largest eigenvalue comes from the symmetric
+solver, faster and with a perfectly conditioned eigenvalue; other chains
+take the general dense spectrum.  A birth-death chain of 64 states or
+more (a tridiagonal matrix) takes O(n) Laguerre steps instead.  Those
+forms are kernels on raw arrays (``_ebw_discrete``, ``_ebw_fluid``,
+``_ebw_mmpp``), so a solver that scales the rates can call them
+without building a source at each step.
 
 A source's family is its type, decided here alone.  A matrix source
 carries its family's data: matrix, rate vector, kernel, the kernel's
@@ -54,7 +55,10 @@ from .errors import (
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 _EXP_CAP = 700.0  # keeps math.exp finite
+_TRIDIAGONAL_MIN_STATES = 64  # eigvalsh is as fast below: CHANGES.md has the sweep
+_LAGUERRE_MAX_STEPS = 100
 
 
 def _frozen_array(obj, value, *names):
@@ -76,8 +80,7 @@ def _param(name: str, value, positive: bool = False) -> float:
 
 class _Support:
     """A chain's support graph, built once per matrix and shared by the
-    checks on it: ``loops``, whether each state has a positive diagonal
-    entry, and the off-diagonal edges u -> v (entry > 0), ``rows`` and
+    checks on it: the off-diagonal edges u -> v (entry > 0), ``rows`` and
     ``cols``, with u's neighbours ``cols[start[u]:start[u + 1]]`` in
     ascending order.
     """
@@ -85,50 +88,38 @@ class _Support:
     def __init__(self, M: np.ndarray):
         edges = M > 0
         n = edges.shape[0]
-        self.loops = np.diagonal(edges).copy()
         np.fill_diagonal(edges, False)
         self.symmetric = bool(np.array_equal(edges, edges.T))
         # np.nonzero walks row-major, so each row's columns come out ascending
         self.rows, self.cols = np.nonzero(edges)
         self.start = [0, *np.cumsum(np.bincount(self.rows, minlength=n)).tolist()]
 
-    def _tree(self, root: int, parent: list, reached: list) -> list:
-        """Grow a breadth-first tree from ``root`` over the vertices not
-        yet ``reached``, neighbours in ascending order, into ``parent``;
-        its vertices in visiting order."""
-        todo = reached.count(False)
-        reached[root] = True
-        queue = [root]
-        for u in queue:
-            if len(queue) == todo:
-                break  # every vertex it could reach is in
-            for v in self.cols[self.start[u]:self.start[u + 1]].tolist():
-                if not reached[v]:
-                    reached[v] = True
-                    parent[v] = u
-                    queue.append(v)
-        return queue
-
     @cached_property
     def forest(self):
-        """(parent, tree): breadth-first trees covering the graph, each
-        grown from the lowest vertex not yet reached, vertex 0 first; a
-        root's parent is -1, and ``tree`` numbers each vertex's tree.
-
-        Every tree is a shortest-path tree when each vertex is reached
-        from the root of its own class: a strongly connected graph, or
-        one with a symmetric edge set, whose trees are its classes.
-        """
-        n = len(self.loops)
-        parent = [-1] * n
-        tree = [0] * n
-        reached = [False] * n
-        count = 0
+        """(parent, tree): breadth-first trees covering the graph, each from
+        the lowest vertex not yet reached, neighbours ascending; a root's
+        parent is -1, and ``tree`` numbers each vertex's tree (with a
+        symmetric edge set, its class)."""
+        n = len(self.start) - 1
+        parent, tree, reached = [-1] * n, [0] * n, [False] * n
+        todo, count = n, 0  # vertices in no tree yet, trees grown
         for root in range(n):
-            if not reached[root]:
-                for v in self._tree(root, parent, reached):
-                    tree[v] = count
-                count += 1
+            if reached[root]:
+                continue
+            reached[root] = True
+            queue = [root]
+            for u in queue:
+                if len(queue) == todo:
+                    break  # every vertex it could reach is in
+                for v in self.cols[self.start[u]:self.start[u + 1]].tolist():
+                    if not reached[v]:
+                        reached[v] = True
+                        parent[v] = u
+                        queue.append(v)
+            todo -= len(queue)
+            for v in queue:
+                tree[v] = count
+            count += 1
         return np.array(parent), np.array(tree)
 
     @cached_property
@@ -147,25 +138,6 @@ class _Support:
         exits = labels[self.rows] != labels[self.cols]
         has_exit[labels[self.rows[exits]]] = True
         return labels, np.flatnonzero(~has_exit)
-
-    def period(self, members: np.ndarray) -> int:
-        """Period (gcd of cycle lengths) of the strong class ``members``."""
-        if self.loops[members].any():
-            return 1
-        inside = np.zeros(len(self.loops), dtype=bool)
-        inside[members] = True
-        if self.symmetric:
-            parent = self.forest[0]  # the class is one tree from its lowest vertex
-        else:
-            parent = [-1] * len(inside)
-            self._tree(int(members[0]), parent, (~inside).tolist())
-            parent = np.array(parent)
-        depth = _path_sums(parent, np.ones(len(inside), dtype=int))
-        # the period is the gcd of depth[u] + 1 - depth[v] over the edges
-        # u -> v inside the class
-        edge = inside[self.rows] & inside[self.cols]
-        u, v = self.rows[edge], self.cols[edge]
-        return max(int(np.gcd.reduce(np.abs(depth[u] + 1 - depth[v]))), 1)
 
 
 def _strong_classes(start: list, cols: list) -> np.ndarray:
@@ -267,7 +239,7 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
     phi, mag = _path_sums(parent, step).T
     resid = np.abs(fwd - back - 2.0 * (phi[j] - phi[i]))
     # rounding of the logs and of the doubling sums, log2(n) rounds deep
-    ulps = (4.0 + 2.0 * math.log2(n)) * np.finfo(float).eps
+    ulps = (4.0 + 2.0 * math.log2(n)) * _EPS
     return bool(np.all(resid <= ulps * (np.abs(fwd) + np.abs(back) + mag[i] + mag[j])))
 
 
@@ -281,10 +253,18 @@ def _perron_root(M: np.ndarray) -> float:
 
     By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
     a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
-    larger real part.  An exactly symmetric M takes the symmetric solver
-    (``eigvalsh``), whose largest eigenvalue is the root and is perfectly
-    conditioned; any other M takes the largest real part of the dense
-    spectrum (``eigvals``).  Either solver's failure is NonConvergence.
+    larger real part.  A tridiagonal M (a birth-death chain) of at least
+    ``_TRIDIAGONAL_MIN_STATES`` states takes ``_tridiagonal_root``:
+    Laguerre steps from above, which never pass the root, each one O(n)
+    pivot pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.
+    They stop when a step no longer moves hi or lo is within 4 eps ||T||inf
+    of hi, T being M with off-diagonal sqrt(M_ij M_ji); a step landing at
+    or below lo is checked that far above it, else the bracket is halved.
+    The root is then within that plus the pivots' rounding (2e-14 ||T||inf
+    of ``eigvalsh`` in the tests).  Any other exactly symmetric M takes
+    the symmetric solver (``eigvalsh``), whose largest eigenvalue is the
+    root and is perfectly conditioned; any other M, the largest real part
+    of the dense spectrum (``eigvals``).  Failures are NonConvergence.
 
     The kernels below hand a reversible chain's matrix over symmetrized
     (``_symmetrized``).  If the chain's edges meet detailed balance only
@@ -295,11 +275,62 @@ def _perron_root(M: np.ndarray) -> float:
     ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
     try:
+        if M.shape[0] >= _TRIDIAGONAL_MIN_STATES and np.count_nonzero(M) == sum(
+                np.count_nonzero(np.diagonal(M, k)) for k in (-1, 0, 1)):
+            return _tridiagonal_root(M)
         if np.array_equal(M, M.T):
             return float(np.linalg.eigvalsh(M)[-1])
         return float(np.max(np.linalg.eigvals(M).real))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
+
+
+def _tridiagonal_root(M: np.ndarray) -> float:
+    """``_perron_root``'s route for a tridiagonal M, whose roots depend only
+    on the diagonal d and the products e_i = M[i, i+1] M[i+1, i] >= 0, so
+    are T's, all real.  It runs on them scaled by a power of two to
+    ||T||inf in [0.5, 1), from T's Gershgorin bound and lo = max d."""
+    n = M.shape[0]
+    d = np.diagonal(M)
+    up, down = np.maximum(np.diagonal(M, 1), 0.0), np.maximum(np.diagonal(M, -1), 0.0)
+    radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # sqrt(e_{i-1}) + sqrt(e_i)
+    norm = float(np.max(np.abs(d) + radius))
+    if not math.isfinite(norm):
+        raise NonConvergence("tridiagonal matrix has non-finite entries")
+    k = math.frexp(norm)[1]
+    lo, hi = (math.ldexp(float(np.max(v)), -k) for v in (d, d + radius))
+    d, e = np.ldexp(d, -k).tolist(), [0.0, *(np.ldexp(up, -k) * np.ldexp(down, -k)).tolist()]
+    x, tol, laguerre = hi, 4 * _EPS, False  # laguerre: whether x is a step's landing
+    for _ in range(_LAGUERRE_MAX_STEPS):
+        sums = _pivot_sums(d, e, x)
+        lo, hi = (x, hi) if sums is None else (lo, x)
+        if hi <= lo + tol:
+            return math.ldexp(lo, k)
+        if sums is None:  # check a landing by a point just above it, else halve
+            x, laguerre = (lo + tol if laguerre else 0.5 * (lo + hi)), False
+            continue
+        G, H = sums
+        x = hi - n / G / (1.0 + math.sqrt((n - 1) * max(n * (H / G) / G - 1.0, 0.0)))
+        if not x < hi:
+            return math.ldexp(hi, k)
+        x, laguerre = max(x, lo), True
+    raise NonConvergence(f"no Perron root within {_LAGUERRE_MAX_STEPS} Laguerre steps")
+
+
+def _pivot_sums(d: list, e: list, x: float):
+    """(p'/p, (p'/p)^2 - p''/p) at x for p(x) = det(xI - T), from the pivots
+    q_k = x - d_k - e_k/q_{k-1} and their derivatives; None at the first
+    pivot <= 0, where x is at or below the largest root."""
+    q, dq, ddq, g, G, H = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0  # e[0] = 0 starts it
+    for dk, ek in zip(d, e):
+        r = ek / q
+        s = r / q  # e_k / q_{k-1}^2
+        ddq, dq, q = s * (ddq - 2.0 * dq * g), 1.0 + s * dq, x - dk - r
+        if not q > 0.0:
+            return None
+        g = dq / q
+        G, H = G + g, H + g * g - ddq / q
+    return G, H
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
@@ -448,7 +479,8 @@ class _MatrixSource:
     (kept also as ``_matrix`` and ``_rates``).  At construction one
     support graph (``_Support``) gives ``reversible``, whether the chain
     satisfies detailed balance, and the chain's strong classes.  A family
-    gives its matrix check, its ``_check_chain`` of those classes, its
+    gives its matrix check, its ``_check_chain`` of the count of recurrent
+    classes, its
     raw-array ``_kernel``, that kernel's rounding-noise norm and the
     solve of its stationary law, which runs on first use, at most once
     per source, and is read-only.
@@ -468,7 +500,7 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be finite and >= 0")
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
-        self._check_chain(support, *support.classes)
+        self._check_chain(len(support.classes[1]))
 
     @property
     def n_states(self) -> int:
@@ -522,13 +554,11 @@ class DiscreteMarkovSource(_MatrixSource):
 
     _kernel = staticmethod(_ebw_discrete)
 
-    def _check_chain(self, support: _Support, labels: np.ndarray, terminal: np.ndarray):
-        if len(terminal) != 1:
+    def _check_chain(self, recurrent: int):
+        if recurrent != 1:
             raise NoUniqueStationary(
                 "chain has multiple recurrent classes; stationary law is not unique"
             )
-        if support.period(np.flatnonzero(labels == terminal[0])) != 1:
-            raise ValueError("periodic chains are not supported")
 
     @staticmethod
     def _check_matrix(J: np.ndarray) -> None:
@@ -567,9 +597,9 @@ class DiscreteMarkovSource(_MatrixSource):
 class _GeneratorSource(_MatrixSource):
     """A continuous-time chain: the fluid and MMPP families' generator."""
 
-    def _check_chain(self, support: _Support, labels: np.ndarray, terminal: np.ndarray):
+    def _check_chain(self, recurrent: int):
         # a split chain builds, and fails on first use of its law
-        object.__setattr__(self, "_recurrent_classes", len(terminal))
+        object.__setattr__(self, "_recurrent_classes", recurrent)
 
     @staticmethod
     def _check_matrix(G: np.ndarray) -> None:

@@ -267,6 +267,142 @@ def test_eigen_route_matches_mpmath(family, theta):
 
 
 # ---------------------------------------------------------------------------
+# tridiagonal chains: the O(n) Laguerre route
+# ---------------------------------------------------------------------------
+
+
+def lazy_walk(n):
+    """Lazy reflecting walk on n states, up and down 0.3, rates 0..n-1."""
+    P = 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
+    return DiscreteMarkovSource(P, np.arange(n, dtype=float))
+
+
+def _birth_death_sources(n):
+    fluid = build_birth_death_fluid(n, 1.0, 2.0, 1.0)
+    return {"fluid": fluid, "mmpp": MmppSource(fluid.generator, fluid.rates),
+            "discrete": lazy_walk(n)}
+
+
+@pytest.fixture
+def pivot_passes(monkeypatch):
+    """The list of x at which the Laguerre route ran a pivot pass."""
+    passes = []
+    pivot_sums = sources_module._pivot_sums
+    monkeypatch.setattr(sources_module, "_pivot_sums",
+                        lambda d, e, x: passes.append(x) or pivot_sums(d, e, x))
+    return passes
+
+
+# a*(theta) of birth-death sources from 40-digit Perron roots of the
+# unsymmetrized matrices (mpmath.eig at n=64, a Sturm bisection checked
+# against it at n=200): tests/perron_reference.py
+_MPMATH_EBW_TRIDIAGONAL = {
+    ("fluid", 64, 0.01): 36.65401045557409524681963,
+    ("fluid", 64, 0.2): 59.81395024571339254865947,
+    ("fluid", 64, 1.5): 62.14854792201557700477867,
+    ("mmpp", 64, 0.01): 36.9433546185973302670171,
+    ("mmpp", 64, 0.2): 66.43655037224789958611912,
+    ("mmpp", 64, 1.5): 145.1833032816991278522635,
+    ("discrete", 64, 0.01): 60.31256804845997260483394,
+    ("discrete", 64, 0.2): 62.27498007561053792671285,
+    ("discrete", 64, 1.5): 62.79141915765414943056724,
+    ("fluid", 200, 0.01): 172.6540104555740952464927,
+    ("fluid", 200, 0.2): 195.8139502457133925486595,
+    ("fluid", 200, 1.5): 198.1485479220155770047787,
+    ("mmpp", 200, 0.01): 173.6256269632829128544314,
+    ("mmpp", 200, 0.2): 216.9904259211633875160295,
+    ("mmpp", 200, 1.5): 460.8564456590170051015165,
+    ("discrete", 200, 0.01): 196.3125680484599726048339,
+    ("discrete", 200, 0.2): 198.2749800756105379267128,
+    ("discrete", 200, 1.5): 198.7914191576541494305672,
+}
+
+
+@pytest.mark.parametrize("family,n,theta", sorted(_MPMATH_EBW_TRIDIAGONAL))
+def test_tridiagonal_route_matches_mpmath(family, n, theta, pivot_passes):
+    src = _birth_death_sources(n)[family]
+    got = _PUBLIC_ROUTE[type(src)](src, theta)
+    assert pivot_passes, "the tridiagonal route was not taken"
+    assert got == pytest.approx(_MPMATH_EBW_TRIDIAGONAL[family, n, theta], rel=1e-13)
+
+
+def _random_tridiagonal(rng, n, kind, theta):
+    """A tridiagonal Metzler matrix with off-diagonal entries log-uniform
+    down to 1e-300, 1e-3 or 1e-1 and up to 1e3, some of them zero, so that
+    pairs are one-sided or missing: a generator shifted by rates in [0,
+    10], or a stochastic matrix with rows tilted by e^{theta (r - max r)}."""
+    low = rng.choice([-300.0, -3.0, -1.0])
+    up, down = 10.0 ** rng.uniform(low, 3.0, (2, n - 1))
+    cut = rng.random(n - 1)
+    up[cut < 0.1] = 0.0
+    down[(cut > 0.05) & (cut < 0.15)] = 0.0
+    M = np.diag(up, 1) + np.diag(down, -1)
+    if kind == "generator":
+        np.fill_diagonal(M, rng.uniform(0.0, 10.0, n) - M.sum(axis=1))
+        return M
+    np.fill_diagonal(M, 10.0 ** rng.uniform(low, 3.0, n))
+    r = rng.uniform(0.0, 10.0, n)
+    return np.exp(theta * (r - r.max()))[:, None] * M / M.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=64, max_value=400),
+    kind=st.sampled_from(["generator", "tilted"]),
+    theta=st.floats(min_value=0.01, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tridiagonal_route_matches_eigvalsh(n, kind, theta, seed):
+    M = _random_tridiagonal(np.random.default_rng(seed), n, kind, theta)
+    T = sources_module._symmetrized(M)
+    want = np.linalg.eigvalsh(T)[-1]
+    norm = np.max(np.sum(np.abs(T), axis=1))
+    for A in (M, T):
+        got = sources_module._perron_root(A)
+        assert abs(got - want) <= 2e-14 * norm
+        # it runs on T scaled by a power of two, so scaling M by one is
+        # exact, also where the products M_ij M_ji overflow
+        assert sources_module._perron_root(np.ldexp(A, 600)) == np.ldexp(got, 600)
+
+
+def test_tridiagonal_crossover_splits_the_sizes(pivot_passes):
+    # every exactly pinned chain of 50 states or fewer keeps eigvalsh
+    assert 50 < sources_module._TRIDIAGONAL_MIN_STATES <= 64
+    n = sources_module._TRIDIAGONAL_MIN_STATES
+    effective_bandwidth_fluid(build_birth_death_fluid(n - 1, 1.0, 2.0, 1.0), 0.5)
+    assert not pivot_passes
+    effective_bandwidth_fluid(build_birth_death_fluid(n, 1.0, 2.0, 1.0), 0.5)
+    assert pivot_passes
+    # a dense chain of any size keeps eigvalsh
+    pivot_passes.clear()
+    effective_bandwidth_discrete(build_binomial_discrete_source(n, 0.3, 1.0), 0.5)
+    assert not pivot_passes
+
+
+def test_tridiagonal_route_takes_few_steps(pivot_passes):
+    # the n=200 eigen sweep of the benchmark: three birth-death sources at
+    # 8 theta in (0.05, 2)
+    steps = []
+    for src in _birth_death_sources(200).values():
+        for theta in np.geomspace(0.05, 2.0, 8):
+            pivot_passes.clear()
+            _PUBLIC_ROUTE[type(src)](src, theta)
+            steps.append(len(pivot_passes))
+    assert np.median(steps) <= 6 and max(steps) <= 8
+
+
+def test_tridiagonal_route_failures_are_nonconvergence(monkeypatch):
+    M = sources_module._symmetrized(lazy_walk(64).transition_probs)
+    M[5, 5] = np.nan
+    with pytest.raises(NonConvergence, match="non-finite"):
+        sources_module._perron_root(M)
+    monkeypatch.setattr(sources_module, "_LAGUERRE_MAX_STEPS", 1)
+    with pytest.raises(NonConvergence, match="within 1 Laguerre steps"):
+        effective_bandwidth_fluid(build_birth_death_fluid(64, 1.0, 2.0, 1.0), 0.5)
+
+
+# ---------------------------------------------------------------------------
 # degenerate / boundary cases
 # ---------------------------------------------------------------------------
 
@@ -444,28 +580,6 @@ def _reference_forest(adjacency):
     return parent
 
 
-def _reference_component_period(adjacency, members):
-    # per-vertex breadth-first search and a per-edge gcd
-    sub = adjacency[np.ix_(members, members)]
-    n = len(members)
-    depth = np.full(n, -1, dtype=int)
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(sub[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(sub[u])[0]:
-            g = math.gcd(g, depth[u] + 1 - depth[int(v)])
-    return max(g, 1)
-
-
 def _partition(labels, classes=None):
     """The vertex sets of the given class labels (all by default)."""
     labels = np.asarray(labels)
@@ -522,9 +636,6 @@ def test_class_structure_matches_loop_reference(kind, n, seed):
     # the numbering of the classes is free; the sets are not
     assert _partition(labels) == _partition(ref_labels)
     assert _partition(labels, terminal) == _partition(ref_labels, ref_terminal)
-    for members in _partition(labels):
-        members = np.array(sorted(members))
-        assert support.period(members) == _reference_component_period(adjacency, members)
     off = adjacency & ~np.eye(n, dtype=bool)
     if support.symmetric or len(_partition(labels)) == 1:
         # there every breadth-first tree is a class's shortest-path tree
@@ -540,7 +651,6 @@ def test_strong_classes_of_a_long_cycle():
     support = sources_module._Support(adjacency)
     labels, terminal = support.classes
     assert len(terminal) == 1 and np.all(labels == labels[0])
-    assert support.period(np.arange(n)) == 1
     adjacency[n - 1, 0] = False  # now a path ending in a self-loop
     labels, terminal = sources_module._Support(adjacency).classes
     assert len(np.unique(labels)) == n
@@ -579,10 +689,17 @@ def test_disconnected_chain_rejected():
         DiscreteMarkovSource(J, np.zeros(4))
 
 
-def test_periodic_chain_rejected():
-    J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="periodic"):
-        DiscreteMarkovSource(J, np.zeros(2))
+def test_periodic_chains_are_accepted():
+    # Perron-Frobenius needs only irreducibility; on a deterministic cycle
+    # the queue sees its mean rate at every theta
+    swap = DiscreteMarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+    cycle = DiscreteMarkovSource(np.roll(np.eye(3), 1, axis=1), np.array([0.0, 1.0, 5.0]))
+    for theta in (0.01, 1.0, 10.0):
+        assert effective_bandwidth_discrete(swap, theta) == pytest.approx(0.5, rel=1e-12)
+        assert effective_bandwidth_discrete(cycle, theta) == pytest.approx(2.0, rel=1e-12)
+    assert swap.burstiness == pytest.approx(0.0, abs=1e-12)
+    assert cycle.burstiness == pytest.approx(0.0, abs=1e-12)
+    assert max_avg_rate(cycle, 2.0, 1.0).lambda_star == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bad_row_sum_rejected():

@@ -179,14 +179,44 @@ def test_nstate_reports_evaluations_and_residual(src, closed, monkeypatch):
     res = max_avg_rate_nstate(src, theta, ce)
     monkeypatch.undo()
     assert res.iterations == len(calls) > 0
+    at_root = _scaled_ebw(src, res.lambda_star, theta)
+    assert res.residual == abs(at_root - ce) / ce
+    assert res.residual <= 1e-12
+
+
+def _scaled_ebw(src, scale, theta):
+    """a*(theta) of ``src`` with its rates times ``scale``, by its own route."""
     eb = {DiscreteMarkovSource: effective_bandwidth_discrete,
           FluidMarkovSource: effective_bandwidth_fluid,
           MmppSource: effective_bandwidth_mmpp}[type(src)]
     matrix = src.transition_probs if isinstance(src, DiscreteMarkovSource) else src.generator
     shape = src.intensities if isinstance(src, MmppSource) else src.rates
-    at_root = eb(type(src)(matrix, res.lambda_star * shape), theta)
-    assert res.residual == abs(at_root - ce) / ce
-    assert res.residual <= 1e-12
+    return eb(type(src)(matrix, scale * shape), theta)
+
+
+def _lazy_walk(n):
+    P = 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
+    return DiscreteMarkovSource(P, np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize("family", ["discrete", "fluid", "mmpp"])
+@pytest.mark.parametrize("theta,ce", [(0.1, 0.8), (0.5, 3.0), (1.0, 12.0)])
+def test_nstate_meets_the_target_on_birth_death_chains_of_200_states(
+        family, theta, ce, monkeypatch):
+    # the tridiagonal route's root, at the benchmark's own tolerance
+    fluid = build_birth_death_fluid(200, 1.0, 2.0, 1.0)
+    src = {"discrete": _lazy_walk(200), "fluid": fluid,
+           "mmpp": MmppSource(fluid.generator, fluid.rates)}[family]
+    calls, passes = [], []
+    perron, pivot_sums = sources_module._perron_root, sources_module._pivot_sums
+    monkeypatch.setattr(sources_module, "_perron_root", lambda M: calls.append(1) or perron(M))
+    monkeypatch.setattr(sources_module, "_pivot_sums",
+                        lambda d, e, x: passes.append(1) or pivot_sums(d, e, x))
+    res = max_avg_rate_nstate(src, theta, ce)
+    monkeypatch.undo()
+    assert res.iterations == len(calls) > 0 and passes
+    assert abs(_scaled_ebw(src, res.lambda_star, theta) - ce) <= 1e-9 * max(1.0, ce)
 
 
 def test_nstate_degenerate_chain_acts_constant():
