@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
-    DegenerateEstimate, QuadratureFailure, ValidationError, _check_theta, _exact_number,
+    DegenerateEstimate, QuadratureFailure, ValidationError, _check_scalar, _exact_number,
 )
 
 LN2 = math.log(2.0)
@@ -173,13 +173,6 @@ class FadingMoments:
     cov_sum: float
 
 
-def _check_snr(snr: float) -> float:
-    snr = float(snr)
-    if not math.isfinite(snr) or snr <= 0:
-        raise ValueError(f"snr must be finite and > 0 (linear), got {snr}")
-    return snr
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -323,8 +316,8 @@ def effective_capacity_mc(
     deep tails (large theta*nu) cannot underflow, and the standard error
     of C_E follows from the sample variance by the delta method.
     """
-    snr = _check_snr(snr)
-    theta = _check_theta(theta)
+    snr = _check_scalar("snr", snr)
+    theta = _check_scalar("theta", theta)
     n = int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
@@ -420,8 +413,8 @@ def effective_capacity_rayleigh_iid(snr: float, theta: float, m: int) -> EffCapE
     C_E = -(m/theta) log_e[snr^{-theta/log_e 2} e^{1/snr}
     Gamma(1 - theta/log_e 2, 1/snr)] bits/block.
     """
-    snr = _check_snr(snr)
-    theta = _check_theta(theta)
+    snr = _check_scalar("snr", snr)
+    theta = _check_scalar("theta", theta)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -434,7 +427,7 @@ def ergodic_capacity(spec: ChannelSpec, snr: float) -> float:
 
     The expectation is the first log-rate moment (``_log_rate_moments``).
     """
-    snr = _check_snr(snr)
+    snr = _check_scalar("snr", snr)
     return spec.m * _log_rate_moments(snr * spec.sigma_h_sq)[0]
 
 
@@ -482,7 +475,7 @@ def log_rate_cov_sum(
     resp. m^2, times the per-symbol variance); seeded Monte Carlo in
     between, where no closed form is available.
     """
-    snr = _check_snr(snr)
+    snr = _check_scalar("snr", snr)
     gamma = snr * spec.sigma_h_sq
     if spec.rho == 0.0 or spec.rho == 1.0 or spec.m == 1:
         e1, e2 = _log_rate_moments(gamma)
@@ -681,8 +674,8 @@ def effective_capacity_quadrature(
       sharp for the rule, and its mass checks pass at errors far above
       1e-10 there.
     """
-    snr = _check_snr(snr)
-    theta = _check_theta(theta)
+    snr = _check_scalar("snr", snr)
+    theta = _check_scalar("theta", theta)
     gamma = snr * spec.sigma_h_sq
     a = theta / LN2
     if spec.rho >= 1.0 - 1e-9:

@@ -1,15 +1,19 @@
 """Command line front end: sweeps, energy metrics and queue simulations.
 
-Every command resolves its parameters (flags override an optional JSON
-config file), runs the requested computation, writes the data files to
---out-dir and finishes with a run manifest naming each output and its
-sha256.  Data files are deterministic: fixed column order, rows sorted
-by (theta, snr_db), '.' decimals, LF line endings, 17 significant
-digits, and every randomized computation demands an explicit --seed.
-dB to linear conversion happens here and only here; the library wants
-linear snr throughout.  The CLI only parses and formats: the source
-document becomes a typed source object, and which closed form, eigen
-route or solver applies is the library's choice, read from that type.
+``main`` is the one driver.  It resolves the options (flags override an
+optional JSON config file), makes --out-dir, runs the command and
+writes ``<command>_manifest.json``: each data file the command returns,
+with its sha256, the seed the command drew on, and as ``params`` every
+resolved option but --out-dir, --config and --seed, so that ``params``
+and ``seed`` replayed through --config reproduce the data.  A command
+only writes its data files.  Data files are deterministic: fixed column
+order, rows sorted by (theta, snr_db), '.' decimals, LF line endings, 17
+significant digits, and every randomized computation demands an
+explicit --seed.  dB to linear conversion happens here and only here;
+the library wants linear snr throughout.  The CLI only parses and
+formats: the source document becomes a typed source object, and which
+closed form, eigen route or solver applies is the library's choice,
+read from that type.
 
 Exit codes: 0 success, 2 invalid inputs, 3 runtime failure.
 """
@@ -103,9 +107,7 @@ def _require_seed(seed):
     """The seed of a randomized command, which must be given; whatever
     runs on it checks its range."""
     if seed is None:
-        raise ValidationError(
-            "seed", "randomized commands need an explicit --seed"
-        )
+        raise ValidationError("seed", "randomized commands need an explicit --seed")
     return seed
 
 
@@ -170,44 +172,30 @@ def _write_json(out_dir: Path, name: str, doc: dict) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir, command, params, seed, started, outputs) -> Path:
+# the resolved options a manifest's params leave out: where the run
+# wrote, where its options came from, and the seed, recorded on its own
+_UNRECORDED = ("out_dir", "config", "seed")
+
+
+def _write_manifest(out_dir, command, opts, seed, outputs, started, finished) -> Path:
+    params = {name: value for name, value in vars(opts).items() if name not in _UNRECORDED}
     doc = {
         "command": command,
         "params": params,
         "seed": seed,
         "version": __version__,
         "started": started,
-        "finished": _utc_now(),
+        "finished": finished,
         "outputs": [
-            {"file": p.name, "sha256": _sha256(p)} for p in outputs
+            {"file": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in outputs
         ],
     }
     return _write_json(out_dir, f"{command}_manifest.json", doc)
-
-
-# ---------------------------------------------------------------------------
-# Capacity helpers
-# ---------------------------------------------------------------------------
-
-
-def _capacity_fn(method, spec, n_samples, seed):
-    """snr, theta -> EffCapEstimate. dB conversion already done."""
-    if seed is not None and not (0 <= seed < 2 ** 64):
-        raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
-    try:
-        return capacity_function(spec, method, n_samples=n_samples, seed=seed)
-    except ValueError as exc:
-        raise ValidationError("method", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -215,62 +203,45 @@ def _capacity_fn(method, spec, n_samples, seed):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ebw(opts, out_dir) -> int:
-    started = _utc_now()
+def _capacity(opts, method):
+    """The command's capacity function by ``method`` (linear snr, theta ->
+    EffCapEstimate) and the seed it draws on, None unless Monte Carlo."""
+    spec = channel_spec_from_json(opts.channel)
+    seed = _require_seed(opts.seed) if method == "mc" else None
+    if seed is not None and not (0 <= seed < 2 ** 64):
+        raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
+    try:
+        return capacity_function(spec, method, n_samples=opts.n_samples, seed=seed), seed
+    except ValueError as exc:
+        raise ValidationError("method", str(exc)) from exc
+
+
+def _cmd_ebw(opts, out_dir):
     src = source_from_json(opts.source)
     # a matrix source is its own twin: its one route is the eigen route
     twin = src.as_matrix()
-    rows = []
-    for th in opts.theta:
-        rows.append(
-            {
-                "theta": th,
-                "a_star": src.effective_bandwidth(th),
-                "a_star_eigen": twin.effective_bandwidth(th) if twin is not src else None,
-            }
-        )
-    data = _write_rows(out_dir, "ebw", opts.format, ("theta", "a_star", "a_star_eigen"), rows)
-    params = {"source": opts.source, "theta": opts.theta, "format": opts.format}
-    _write_manifest(out_dir, "ebw", params, None, started, [data])
-    return EXIT_OK
+    rows = [{"theta": th, "a_star": src.effective_bandwidth(th),
+             "a_star_eigen": twin.effective_bandwidth(th) if twin is not src else None}
+            for th in opts.theta]
+    columns = ("theta", "a_star", "a_star_eigen")
+    return [_write_rows(out_dir, "ebw", opts.format, columns, rows)], None
 
 
-def _cmd_ecap(opts, out_dir) -> int:
-    started = _utc_now()
-    spec = channel_spec_from_json(opts.channel)
-    seed = _require_seed(opts.seed) if opts.method == "mc" else None
-    cap = _capacity_fn(opts.method, spec, opts.n_samples, seed)
+def _cmd_ecap(opts, out_dir):
+    cap, seed = _capacity(opts, opts.method)
     rows = []
     for th in opts.theta:
         for snr_db in opts.snr_db:
             est = cap(_db_to_linear(snr_db), th)
-            rows.append(
-                {
-                    "theta": th,
-                    "snr_db": snr_db,
-                    "c_e": est.value,
-                    "std_error": est.std_error,
-                    "method": opts.method,
-                }
-            )
-    data = _write_rows(
-        out_dir, "ecap", opts.format,
-        ("theta", "snr_db", "c_e", "std_error", "method"), rows,
-    )
-    params = {
-        "channel": opts.channel, "theta": opts.theta, "snr_db": opts.snr_db,
-        "method": opts.method, "n_samples": opts.n_samples, "format": opts.format,
-    }
-    _write_manifest(out_dir, "ecap", params, seed, started, [data])
-    return EXIT_OK
+            rows.append({"theta": th, "snr_db": snr_db, "c_e": est.value,
+                         "std_error": est.std_error, "method": opts.method})
+    columns = ("theta", "snr_db", "c_e", "std_error", "method")
+    return [_write_rows(out_dir, "ecap", opts.format, columns, rows)], seed
 
 
-def _cmd_throughput(opts, out_dir) -> int:
-    started = _utc_now()
+def _cmd_throughput(opts, out_dir):
     src = source_from_json(opts.source)
-    spec = channel_spec_from_json(opts.channel)
-    seed = _require_seed(opts.seed) if opts.capacity == "mc" else None
-    cap = _capacity_fn(opts.capacity, spec, opts.n_samples, seed)
+    cap, seed = _capacity(opts, opts.capacity)
     rows = []
     for th in opts.theta:
         for snr_db in opts.snr_db:
@@ -287,22 +258,11 @@ def _cmd_throughput(opts, out_dir) -> int:
             except QoslinkError as exc:
                 row["error"] = str(exc)
             rows.append(row)
-    data = _write_rows(
-        out_dir, "throughput", opts.format,
-        ("theta", "snr_db", "c_e", "r_avg_star", "lambda_star", "method", "error"),
-        rows,
-    )
-    params = {
-        "source": opts.source, "channel": opts.channel, "theta": opts.theta,
-        "snr_db": opts.snr_db, "capacity": opts.capacity,
-        "n_samples": opts.n_samples, "format": opts.format,
-    }
-    _write_manifest(out_dir, "throughput", params, seed, started, [data])
-    return EXIT_OK
+    columns = ("theta", "snr_db", "c_e", "r_avg_star", "lambda_star", "method", "error")
+    return [_write_rows(out_dir, "throughput", opts.format, columns, rows)], seed
 
 
-def _cmd_energy(opts, out_dir) -> int:
-    started = _utc_now()
+def _cmd_energy(opts, out_dir):
     spec = channel_spec_from_json(opts.channel)
     theta = opts.theta
     # constant-rate arrivals are no source object: the energy layer takes None
@@ -336,17 +296,10 @@ def _cmd_energy(opts, out_dir) -> int:
         "wideband_slope": metrics.wideband_slope,
         "provenance": provenance,
     }
-    metrics_path = _write_json(out_dir, "energy_metrics.json", metrics_doc)
-    params = {
-        "source": opts.source, "channel": opts.channel, "theta": theta,
-        "snr_db": opts.snr_db, "format": opts.format,
-    }
-    _write_manifest(out_dir, "energy", params, None, started, [curve, metrics_path])
-    return EXIT_OK
+    return [curve, _write_json(out_dir, "energy_metrics.json", metrics_doc)], None
 
 
-def _cmd_simulate(opts, out_dir) -> int:
-    started = _utc_now()
+def _cmd_simulate(opts, out_dir):
     doc = opts.sim_config
     for field in ("source", "channel", "snr_db", "n_blocks"):
         if field not in doc:
@@ -358,15 +311,10 @@ def _cmd_simulate(opts, out_dir) -> int:
     source = source_from_json(doc["source"])
     spec = channel_spec_from_json(doc["channel"])
     try:
-        cfg = SimConfig(
-            source=source,
-            channel=spec,
-            snr=_db_to_linear(sim["snr_db"]),
-            n_blocks=doc["n_blocks"],
-            seed=seed,
-            q_thresholds=doc.get("q_thresholds"),
-            d_thresholds=doc.get("d_thresholds"),
-        )
+        cfg = SimConfig(source=source, channel=spec, snr=_db_to_linear(sim["snr_db"]),
+                        n_blocks=doc["n_blocks"], seed=seed,
+                        q_thresholds=doc.get("q_thresholds"),
+                        d_thresholds=doc.get("d_thresholds"))
     except ValidationError as exc:
         # every field is the document's, except a seed given by --seed
         flag = exc.field_path == "seed" and opts.seed is not None
@@ -399,10 +347,7 @@ def _cmd_simulate(opts, out_dir) -> int:
         )
     else:
         print(f"theta_sim={report.theta_sim:.6g}")
-
-    params = {"sim_config": doc, "format": opts.format}
-    _write_manifest(out_dir, "simulate", params, cfg.seed, started, [report_path, over, delay])
-    return EXIT_OK
+    return [report_path, over, delay], cfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +366,8 @@ _SWEEPS = ("ebw", "ecap", "throughput")
 _SOURCE = ("ebw", "throughput", "energy")
 _CHANNEL = ("ecap", "throughput", "energy")
 
+# the capacity routes: ecap's --method and throughput's --capacity alike
+_METHODS = ("closed-iid", "quadrature", "mc")
 # One row per option: its JSON kind (see _read) in each command that
 # takes it, the commands that require it, its default, its choices and
 # its help.  An option's value is its flag's, else its --config value,
@@ -445,10 +392,8 @@ _OPTIONS = {
               "QoS exponent: a grid 'a,b,c' | lin:lo:hi:n | log:lo:hi:n; for energy one "
               "value; for simulate the target of the summary line"),
     "snr_db": (dict.fromkeys(_CHANNEL, "dB grid"), _CHANNEL, None, (), "snr grid in dB"),
-    "method": ({"ecap": "string"}, (), "closed-iid", ("closed-iid", "quadrature", "mc"),
-               "capacity method"),
-    "capacity": ({"throughput": "string"}, (), "closed-iid", ("closed-iid", "mc"),
-                 "capacity method"),
+    "method": ({"ecap": "string"}, (), "closed-iid", _METHODS, "capacity method"),
+    "capacity": ({"throughput": "string"}, (), "closed-iid", _METHODS, "capacity method"),
     "n_samples": (dict.fromkeys(("ecap", "throughput"), "integer"), (), 10 ** 6, (),
                   "Monte Carlo samples"),
 }
@@ -538,7 +483,10 @@ def main(argv=None) -> int:
         opts = _resolve(args)
         out_dir = Path(opts.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](opts, out_dir)
+        started = _utc_now()
+        outputs, seed = _COMMANDS[args.command][0](opts, out_dir)
+        _write_manifest(out_dir, args.command, opts, seed, outputs, started, _utc_now())
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: invalid {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -31,7 +31,7 @@ from .channel import (
     effective_capacity_quadrature,
     fading_moments,
 )
-from .errors import IllConditioned, _check_theta_nonneg
+from .errors import IllConditioned, _check_scalar
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -39,7 +39,6 @@ from .sources import (
     OnOffFluidParams,
     OnOffMmppParams,
     _MatrixSource,
-    _param,
 )
 from .throughput import max_avg_rate
 
@@ -134,7 +133,7 @@ def source_energy_metrics(src, spec: ChannelSpec, theta: float):
     ``nstate``.  The kind is ``source_kind(src)``.
     """
     kind = source_kind(src)
-    theta = _check_theta_nonneg(theta)
+    theta = _check_scalar("theta", theta, positive=False)
     metrics = _metrics_from_coef(spec, theta, 0.0 if src is None else src.burstiness)
     if src is not None and src._poisson and theta != 0.0:
         penalty = math.expm1(theta) / theta
@@ -179,7 +178,7 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
     s = float(s)
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    lam = _param("lam", lam)
+    lam = _check_scalar("lam", lam, positive=False)
     return DiscreteMarkovSource(np.tile(_binomial_pmf(n - 1, s), (n, 1)), lam * np.arange(n))
 
 
@@ -210,9 +209,9 @@ def build_birth_death_fluid(n: int, alpha: float, beta: float, lam: float) -> Fl
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    alpha = _param("alpha", alpha, positive=True)
-    beta = _param("beta", beta, positive=True)
-    lam = _param("lam", lam)
+    alpha = _check_scalar("alpha", alpha)
+    beta = _check_scalar("beta", beta)
+    lam = _check_scalar("lam", lam, positive=False)
     G = np.zeros((n, n))
     G[0, 0], G[0, 1] = -alpha, alpha
     for i in range(1, n - 1):

@@ -1,24 +1,21 @@
-"""Exception types, the QoS-exponent checks and the one number rule
-shared across the package."""
+"""Exception types, the scalar-argument check, the one number rule and
+the machine epsilon shared across the package."""
 
 import math
 import numbers
+import sys
+
+_EPS = sys.float_info.epsilon
 
 
-def _check_theta(theta: float) -> float:
-    """theta as a float, which must be finite and > 0 (1/bit)."""
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
-    return theta
-
-
-def _check_theta_nonneg(theta: float) -> float:
-    """theta as a float, finite and >= 0: the theta -> 0 limits admit 0."""
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    return theta
+def _check_scalar(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float, finite and > 0 (``positive``) or >= 0, else a
+    ValueError whose message opens with ``name``: ``source_from_json``
+    reads that first word as the field to blame."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
 
 
 def _exact_number(path: str, kind: type, value):

@@ -47,7 +47,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    NonConvergence, NoUniqueStationary, ValidationError, _check_theta, _exact_number,
+    NonConvergence, NoUniqueStationary, ValidationError, _EPS, _check_scalar, _exact_number,
 )
 
 # QoS exponent: plain positive float, 1/bit.  theta = 0 is accepted only
@@ -55,7 +55,6 @@ from .errors import (
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 _EXP_CAP = 700.0  # keeps math.exp finite
 _TRIDIAGONAL_MIN_STATES = 64  # eigvalsh is as fast below: CHANGES.md has the sweep
 _LAGUERRE_MAX_STEPS = 100
@@ -68,14 +67,6 @@ def _frozen_array(obj, value, *names):
     for name in names:
         object.__setattr__(obj, name, arr)
     return arr
-
-
-def _param(name: str, value, positive: bool = False) -> float:
-    """A scalar source parameter as a float: finite and >= 0, or > 0."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
-    return value
 
 
 class _Support:
@@ -384,7 +375,7 @@ def effective_bandwidth_onoff_discrete(
     params: OnOffDiscreteParams, theta: QosExponent
 ) -> float:
     """Closed-form a*(theta) for the two-state discrete ON/OFF source."""
-    theta = _check_theta(theta)
+    theta = _check_scalar("theta", theta)
     p11, p22, lam = params.p11, params.p22, params.lam
     if lam == 0.0:
         return 0.0
@@ -393,10 +384,12 @@ def effective_bandwidth_onoff_discrete(
         return 0.0
     lt = lam * theta
     if lt <= 300.0:
-        E = math.exp(lt)
-        x = p11 + p22 * E
-        disc = x * x - 4.0 * (p11 + p22 - 1.0) * E
-        return math.log(0.5 * (x + math.sqrt(disc))) / theta
+        # the root of r^2 - x r + (p11 + p22 - 1) e^{lt}, x = p11 + p22 e^{lt},
+        # is 1 + u with u^2 - (x - 2) u - (1 - p11) e = 0 for e = e^{lt} - 1:
+        # formed from e, u keeps its digits as lt -> 0
+        e = math.expm1(lt)
+        x_2 = p22 * e - (1.0 - p11) - (1.0 - p22)
+        return math.log1p(_stable_quadratic_root(x_2, 4.0 * (1.0 - p11) * e)) / theta
     if p22 > 0.0:
         # same root scaled by e^{-lam*theta}; exact, overflow-free
         iE = math.exp(-lt)
@@ -412,8 +405,6 @@ def _stable_quadratic_root(x: float, y: float) -> float:
     s = math.sqrt(x * x + y)
     if x >= 0.0:
         return 0.5 * (x + s)
-    if s == -x:  # y underflowed relative to x^2
-        return 0.0
     return 0.5 * y / (s - x)
 
 
@@ -421,7 +412,7 @@ def effective_bandwidth_onoff_fluid(
     params: OnOffContinuousParams, theta: QosExponent
 ) -> float:
     """Closed-form a*(theta) for the two-state fluid source."""
-    theta = _check_theta(theta)
+    theta = _check_scalar("theta", theta)
     a, b, lam = params.alpha, params.beta, params.lam
     if lam == 0.0:
         return 0.0
@@ -434,7 +425,7 @@ def effective_bandwidth_onoff_mmpp(
     params: OnOffContinuousParams, theta: QosExponent
 ) -> float:
     """Closed-form a*(theta) for the two-state MMPP source."""
-    theta = _check_theta(theta)
+    theta = _check_scalar("theta", theta)
     a, b, lam = params.alpha, params.beta, params.lam
     if lam == 0.0:
         return 0.0
@@ -519,7 +510,8 @@ class _MatrixSource:
     def effective_bandwidth(self, theta: QosExponent) -> float:
         """a*(theta) of the chain, bits/block, from its family's kernel
         (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
-        return self._kernel(self._matrix, self._rates, _check_theta(theta), self.reversible)
+        theta = _check_scalar("theta", theta)
+        return self._kernel(self._matrix, self._rates, theta, self.reversible)
 
     @property
     def burstiness(self) -> float:
@@ -702,7 +694,7 @@ class OnOffDiscreteParams:
             object.__setattr__(self, name, v)
         if self.p11 == 1.0 and self.p22 == 1.0:
             raise ValueError("p11 = p22 = 1 gives a disconnected (reducible) chain")
-        object.__setattr__(self, "lam", _param("lam", self.lam))
+        object.__setattr__(self, "lam", _check_scalar("lam", self.lam, positive=False))
         if self.p11 == 1.0:
             warnings.warn(
                 "p11 = 1 makes OFF absorbing: effective bandwidth and "
@@ -742,9 +734,9 @@ class OnOffContinuousParams:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _param("alpha", self.alpha, positive=True))
-        object.__setattr__(self, "beta", _param("beta", self.beta))
-        object.__setattr__(self, "lam", _param("lam", self.lam))
+        object.__setattr__(self, "alpha", _check_scalar("alpha", self.alpha))
+        object.__setattr__(self, "beta", _check_scalar("beta", self.beta, positive=False))
+        object.__setattr__(self, "lam", _check_scalar("lam", self.lam, positive=False))
 
     @property
     def p_on(self) -> float:

@@ -24,13 +24,12 @@ from .errors import (
     BracketFailure,
     InvalidRegime,
     NonConvergence,
-    _check_theta,
-    _check_theta_nonneg,
+    _EPS,
+    _check_scalar,
 )
 from .sources import OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams, _MatrixSource
 
 _BRACKET_CAP_DOUBLINGS = 60
-_EPS = float(np.finfo(float).eps)
 # The Brent solve's relative tolerance on the scale is the kernel's noise
 # clipped to this range: 4 machine epsilons is the least Charles Harris's
 # C brentq accepts (a step of a few ulps no longer moves the iterate), and
@@ -70,13 +69,6 @@ class AsymptoticSlopes:
     high_snr_slope: float
 
 
-def _check_ce(ce: float) -> float:
-    ce = float(ce)
-    if not math.isfinite(ce) or ce < 0:
-        raise ValueError(f"effective capacity must be finite and >= 0, got {ce}")
-    return ce
-
-
 def max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
     """Largest mean arrival rate of ``src``'s kind that the link carries.
 
@@ -85,7 +77,8 @@ def max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
     ``lam`` is not read; a matrix source is solved for the scale of its
     rate vector by ``max_avg_rate_nstate``.
     """
-    return _max_avg_rate(src, _check_ce(ce), _check_theta(theta))
+    ce = _check_scalar("effective capacity", ce, positive=False)
+    return _max_avg_rate(src, ce, _check_scalar("theta", theta))
 
 
 @singledispatch
@@ -252,8 +245,8 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     two-state fluid source at C_E = 1e-3, theta = 0.1).  The result
     reports the evaluations made and the relative residual.
     """
-    ce = _check_ce(ce)
-    theta = _check_theta(theta)
+    ce = _check_scalar("effective capacity", ce, positive=False)
+    theta = _check_scalar("theta", theta)
     mean_shape, eb, norm = _scaled_bandwidth(src, theta, ce)
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
@@ -337,7 +330,7 @@ def high_snr_slope(src, theta: float) -> float:
     if p_on is None:
         raise TypeError(f"unsupported source type: {type(src).__name__}")
     poisson = _poisson(src)
-    theta = _check_theta_nonneg(theta)
+    theta = _check_scalar("theta", theta, positive=False)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")
     if theta == 0.0:

@@ -131,6 +131,18 @@ def test_ecap_quadrature_handles_correlation(tmp_path):
     assert 0 < float(row["c_e"]) < iid
 
 
+def test_throughput_quadrature_capacity_is_ecaps(tmp_path):
+    # a correlated channel gets deterministic throughput from the same rule
+    grid = ["--theta", "0.3,1", "--snr-db=-5,0,10"]
+    chan = '{"m": 10, "rho": 0.5, "sigma_h_sq": 1.0}'
+    assert run(tmp_path, "ecap", "--channel", chan, "--method", "quadrature", *grid) == 0
+    assert run(tmp_path, "throughput", "--source", ONOFF_FLUID, "--channel", chan,
+               "--capacity", "quadrature", *grid) == 0
+    ecap, tput = read_csv(tmp_path / "ecap.csv"), read_csv(tmp_path / "throughput.csv")
+    assert [r["c_e"] for r in tput] == [r["c_e"] for r in ecap]
+    assert all(r["r_avg_star"] and not r["error"] for r in tput)
+
+
 def test_ecap_mc_needs_seed(tmp_path):
     argv = ["ecap", "--channel", CHAN_IID, "--method", "mc",
             "--theta", "1", "--snr-db", "0", "--n-samples", "10000"]
@@ -364,16 +376,52 @@ def test_manifest_covers_every_output_exactly_once(tmp_path):
     assert sorted(referenced) == data_files
 
 
-def test_manifest_params_rerun_reproduces_data(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    assert run(a, "ebw", "--source", ONOFF_FLUID, "--theta", "log:0.2:5:7") == 0
-    params = json.loads((a / "ebw_manifest.json").read_text())["params"]
+# one run of each command, with an option of each kind set away from its default
+RERUN = {
+    "ebw": ["--source", ONOFF_FLUID, "--theta", "log:0.2:5:7"],
+    "ecap": ["--channel", CHAN_IID, "--method", "mc", "--seed", "3", "--n-samples", "2000",
+             "--theta", "0.5,1", "--snr-db", "0,5"],
+    "throughput": ["--source", ONOFF_DISC, "--channel", CHAN_CORR, "--capacity", "quadrature",
+                   "--theta", "0.5,1", "--snr-db=-5,5"],
+    "energy": ["--source", ONOFF_MMPP, "--channel", CHAN_IID, "--theta", "0.5",
+               "--snr-db=-20,-10", "--format", "json"],
+    "simulate": ["--seed", "11", "--theta", "0.2"],
+}
+
+
+@pytest.mark.parametrize("command", list(RERUN))
+def test_manifest_params_rerun_reproduces_data(tmp_path, command):
+    # the manifest's params and seed, replayed through --config alone,
+    # rewrite every data file byte for byte
+    argv = [command, *RERUN[command]]
+    if command == "simulate":
+        argv += ["--sim-config", sim_config(tmp_path)]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(a, *argv) == 0
+    manifest = json.loads((a / f"{command}_manifest.json").read_text())
+    assert set(manifest["params"]) == {
+        name for name, (kinds, *_) in cli._OPTIONS.items() if command in kinds
+    } - {"out_dir", "config", "seed"}
     cfg = tmp_path / "replay.json"
-    cfg.write_text(json.dumps(params))
-    assert run(b, "ebw", "--config", str(cfg)) == 0
-    assert digest(a / "ebw.csv") == digest(b / "ebw.csv")
+    cfg.write_text(json.dumps({**manifest["params"], "seed": manifest["seed"]}))
+    assert run(b, command, "--config", str(cfg)) == 0
+    outputs = [entry["file"] for entry in manifest["outputs"]]
+    assert outputs and sorted(outputs) == sorted(
+        p.name for p in a.iterdir() if not p.name.endswith("_manifest.json"))
+    for name in outputs:
+        assert digest(a / name) == digest(b / name), name
+
+
+def test_only_main_stamps_and_writes_manifests():
+    # the commands write their data files and nothing else
+    callers = {}
+    for func in ast.walk(_tree(cli)):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(func.name)
+    assert callers["_write_manifest"] == {"main"}
+    assert callers["_utc_now"] == {"main"}
 
 
 def test_json_format_switches_data_files(tmp_path):
@@ -664,18 +712,6 @@ def test_config_values_meet_the_flags_choices(tmp_path, capsys, key, value):
                "--theta", "1", "--snr-db", "0") == 2
     assert capsys.readouterr().err.startswith(f"error: invalid config.{key}: ")
     assert not list(tmp_path.glob("ecap*"))
-
-
-def test_mc_manifest_params_rerun_through_config_reproduces_data(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert run(a, "ecap", "--channel", CHAN_IID, "--method", "mc", "--seed", "3",
-               "--n-samples", "2000", "--theta", "0.5,1", "--snr-db", "0,5") == 0
-    manifest = json.loads((a / "ecap_manifest.json").read_text())
-    cfg = tmp_path / "replay.json"
-    cfg.write_text(json.dumps({**manifest["params"], "seed": manifest["seed"]}))
-    assert run(b, "ecap", "--config", str(cfg)) == 0
-    assert digest(a / "ecap.csv") == digest(b / "ecap.csv")
 
 
 @pytest.mark.parametrize(

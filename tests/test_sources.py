@@ -84,6 +84,41 @@ def test_onoff_mmpp_frozen_value():
     assert eigen == pytest.approx(closed, rel=1e-9)
 
 
+def _onoff_discrete_reference(p11, p22, lam, theta):
+    """a*(theta) of the discrete ON/OFF source: the log of the larger root
+    of r^2 - (p11 + p22 e^{lam theta}) r + (p11 + p22 - 1) e^{lam theta},
+    in mpmath with enough digits to resolve e^{lam theta} - 1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 + max(0, int(-math.log10(lam * theta)))):
+        # the floats' exact values go in before 1 - p11 is formed
+        p11, p22, lam, theta = (mp.mpf(v) for v in (p11, p22, lam, theta))
+        E = mp.exp(lam * theta)
+        x = p11 + p22 * E
+        return float(mp.log((x + mp.sqrt(x * x - 4 * (p11 + p22 - 1) * E)) / 2) / theta)
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-6, 1e-4, 0.01, 0.3, 2.0])
+@pytest.mark.parametrize(
+    "p11, p22, lam", [(0.8, 0.7, 1.0), (0.1, 0.95, 7.5), (0.99, 0.2, 0.3), (0.5, 0.0, 3.0)]
+)
+def test_onoff_discrete_matches_mpmath_down_to_small_theta(p11, p22, lam, theta):
+    # e^{lam theta} once entered the quadratic whole, so its root lost
+    # the digits of e^{lam theta} - 1: 3.1e-4 off at theta 1e-12
+    got = effective_bandwidth_onoff_discrete(OnOffDiscreteParams(p11, p22, lam), theta)
+    assert got == pytest.approx(_onoff_discrete_reference(p11, p22, lam, theta), rel=1e-15)
+
+
+@pytest.mark.parametrize("theta", [1e-16, 1e-20, 1e-300])
+@pytest.mark.parametrize(
+    "params",
+    [OnOffDiscreteParams(0.8, 0.7, 1.0), OnOffFluidParams(1.0, 2.0, 1.0),
+     OnOffMmppParams(1.0, 2.0, 1.0)],
+)
+def test_onoff_closed_forms_reach_the_mean_rate_as_theta_vanishes(params, theta):
+    # the closed forms once returned 0.0 here
+    assert params.effective_bandwidth(theta) == pytest.approx(average_rate(params), rel=1e-15)
+
+
 def test_five_state_stationary_frozen():
     rng = np.random.default_rng(20260819)
     src = DiscreteMarkovSource(random_chain(rng, 5), np.arange(5.0))
