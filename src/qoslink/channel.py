@@ -28,6 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateEstimate, QuadratureFailure, ValidationError, _check_scalar, _exact_number,
+    _known_fields,
 )
 
 LN2 = math.log(2.0)
@@ -122,12 +123,12 @@ _I0E_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Static description of the block-fading channel."""
+    """Static description of the block-fading channel, whose gains are
+    Gauss-Markov Rayleigh: the one model the library has."""
 
     m: int
     rho: float
     sigma_h_sq: float = 1.0
-    distribution: str = "gauss-markov-rayleigh"
 
     def __post_init__(self):
         m = _exact_number("m", int, self.m)
@@ -139,14 +140,7 @@ class ChannelSpec:
         s2 = _exact_number("sigma_h_sq", float, self.sigma_h_sq)
         if s2 <= 0:
             raise ValidationError("sigma_h_sq", f"must be > 0, got {s2}")
-        dist = self.distribution
-        if not isinstance(dist, str) or dist.lower().replace("_", "-") not in (
-            "gauss-markov-rayleigh",
-            "gaussmarkovrayleigh",
-        ):
-            raise ValidationError("distribution", f"must be gauss-markov-rayleigh, got {dist!r}")
-        for name, value in (("m", m), ("rho", rho), ("sigma_h_sq", s2),
-                            ("distribution", "gauss-markov-rayleigh")):
+        for name, value in (("m", m), ("rho", rho), ("sigma_h_sq", s2)):
             object.__setattr__(self, name, value)
 
 
@@ -437,11 +431,8 @@ def fading_moments(spec: ChannelSpec) -> FadingMoments:
     s2 = spec.sigma_h_sq
     q = spec.rho ** 2
     m = spec.m
-    if m == 1:
-        weight = 1.0
-    else:
-        d = np.arange(1, m)
-        weight = m + 2.0 * float(np.sum((m - d) * q ** d))
+    d = np.arange(1, m)
+    weight = m + 2.0 * float(np.sum((m - d) * q ** d))
     return FadingMoments(mean_z=s2, mean_z_sq=2.0 * s2 * s2, cov_sum=s2 * s2 * weight)
 
 
@@ -481,8 +472,6 @@ def log_rate_cov_sum(
         e1, e2 = _log_rate_moments(gamma)
         var_l = e2 - e1 * e1
         factor = spec.m if spec.rho != 1.0 else spec.m ** 2
-        if spec.m == 1:
-            factor = 1
         return factor * var_l
     n = int(n_samples)
     if n < 2:
@@ -721,13 +710,24 @@ def capacity_function(spec: ChannelSpec, method: str, *, n_samples: int = 10 ** 
 
 
 def channel_spec_from_json(doc) -> ChannelSpec:
-    """ChannelSpec from {"m": ..., "rho": ..., "sigma_h_sq": ..., "distribution": ...};
-    ``m`` and ``rho`` are required.  ``ChannelSpec`` checks each field and
-    names the one it rejects."""
+    """ChannelSpec from {"m": ..., "rho": ..., "sigma_h_sq": ..., "distribution": ...}.
+
+    ``m`` and ``rho`` are required.  ``distribution``, if given, must name
+    the one channel model, gauss-markov-rayleigh (any case; ``-``, ``_``
+    or no separators).  Any other field is rejected.  ``ChannelSpec``
+    checks each of its fields; every rejection names its field.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("$", "channel document must be a JSON object")
+    _known_fields(doc, ("m", "rho", "sigma_h_sq", "distribution"))
     for name in ("m", "rho"):
         if name not in doc:
             raise ValidationError(name, "missing required field")
-    fields = ("m", "rho", "sigma_h_sq", "distribution")
-    return ChannelSpec(**{name: doc[name] for name in fields if name in doc})
+    spec = ChannelSpec(**{name: doc[name] for name in ("m", "rho", "sigma_h_sq") if name in doc})
+    dist = doc.get("distribution", "gauss-markov-rayleigh")
+    if not isinstance(dist, str) or dist.lower().replace("_", "-") not in (
+        "gauss-markov-rayleigh",
+        "gaussmarkovrayleigh",
+    ):
+        raise ValidationError("distribution", f"must be gauss-markov-rayleigh, got {dist!r}")
+    return spec

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .channel import capacity_function, channel_spec_from_json
 from .energy import source_ebn0_curve, source_energy_metrics, source_kind
-from .errors import QoslinkError, ValidationError, _exact_number
+from .errors import QoslinkError, ValidationError, _exact_number, _known_fields
 from .queuesim import SimConfig, simulate_queue
 from .sources import source_from_json
 from .throughput import max_avg_rate
@@ -203,15 +203,15 @@ def _write_manifest(out_dir, command, opts, seed, outputs, started, finished) ->
 # ---------------------------------------------------------------------------
 
 
-def _capacity(opts, method):
-    """The command's capacity function by ``method`` (linear snr, theta ->
+def _capacity(opts):
+    """The command's capacity function by --method (linear snr, theta ->
     EffCapEstimate) and the seed it draws on, None unless Monte Carlo."""
     spec = channel_spec_from_json(opts.channel)
-    seed = _require_seed(opts.seed) if method == "mc" else None
+    seed = _require_seed(opts.seed) if opts.method == "mc" else None
     if seed is not None and not (0 <= seed < 2 ** 64):
         raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
     try:
-        return capacity_function(spec, method, n_samples=opts.n_samples, seed=seed), seed
+        return capacity_function(spec, opts.method, n_samples=opts.n_samples, seed=seed), seed
     except ValueError as exc:
         raise ValidationError("method", str(exc)) from exc
 
@@ -228,7 +228,7 @@ def _cmd_ebw(opts, out_dir):
 
 
 def _cmd_ecap(opts, out_dir):
-    cap, seed = _capacity(opts, opts.method)
+    cap, seed = _capacity(opts)
     rows = []
     for th in opts.theta:
         for snr_db in opts.snr_db:
@@ -241,7 +241,7 @@ def _cmd_ecap(opts, out_dir):
 
 def _cmd_throughput(opts, out_dir):
     src = source_from_json(opts.source)
-    cap, seed = _capacity(opts, opts.capacity)
+    cap, seed = _capacity(opts)
     rows = []
     for th in opts.theta:
         for snr_db in opts.snr_db:
@@ -267,6 +267,8 @@ def _cmd_energy(opts, out_dir):
     theta = opts.theta
     # constant-rate arrivals are no source object: the energy layer takes None
     src = None if opts.source.get("kind") == "constant" else source_from_json(opts.source)
+    if src is None:  # {"kind": "constant"} holds nothing else
+        _known_fields(opts.source, ("kind",))
     kind = source_kind(src)
 
     rows = []
@@ -301,6 +303,7 @@ def _cmd_energy(opts, out_dir):
 
 def _cmd_simulate(opts, out_dir):
     doc = opts.sim_config
+    _known_fields(doc, _SIM_KEYS, "sim-config.")
     for field in ("source", "channel", "snr_db", "n_blocks"):
         if field not in doc:
             raise ValidationError(f"sim-config.{field}", "missing")
@@ -366,7 +369,7 @@ _SWEEPS = ("ebw", "ecap", "throughput")
 _SOURCE = ("ebw", "throughput", "energy")
 _CHANNEL = ("ecap", "throughput", "energy")
 
-# the capacity routes: ecap's --method and throughput's --capacity alike
+# the capacity routes of --method
 _METHODS = ("closed-iid", "quadrature", "mc")
 # One row per option: its JSON kind (see _read) in each command that
 # takes it, the commands that require it, its default, its choices and
@@ -392,14 +395,17 @@ _OPTIONS = {
               "QoS exponent: a grid 'a,b,c' | lin:lo:hi:n | log:lo:hi:n; for energy one "
               "value; for simulate the target of the summary line"),
     "snr_db": (dict.fromkeys(_CHANNEL, "dB grid"), _CHANNEL, None, (), "snr grid in dB"),
-    "method": ({"ecap": "string"}, (), "closed-iid", _METHODS, "capacity method"),
-    "capacity": ({"throughput": "string"}, (), "closed-iid", _METHODS, "capacity method"),
+    "method": (dict.fromkeys(("ecap", "throughput"), "string"), (), "closed-iid", _METHODS,
+               "capacity method"),
     "n_samples": (dict.fromkeys(("ecap", "throughput"), "integer"), (), 10 ** 6, (),
                   "Monte Carlo samples"),
 }
 # the kinds of the --sim-config fields the CLI reads; ``SimConfig`` reads
 # the rest, and the library reads the source and channel
 _SIM_FIELDS = {"snr_db": "dB", "theta": "number"}
+# every field a --sim-config document may hold
+_SIM_KEYS = ("source", "channel", "n_blocks", "seed", "q_thresholds", "d_thresholds",
+             *_SIM_FIELDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

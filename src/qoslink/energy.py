@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (
-    LN2,
-    ChannelSpec,
-    capacity_function,
-    effective_capacity_quadrature,
-    fading_moments,
-)
+from .channel import LN2, ChannelSpec, effective_capacity_quadrature, fading_moments
 from .errors import IllConditioned, _check_scalar
 from .sources import (
     DiscreteMarkovSource,
@@ -228,11 +222,15 @@ def _reraise_at_snr(exc: Exception, snr: float):
     raise wrapped from exc
 
 
-def _rate_solver(src, theta):
-    """ce -> r_avg_star for a source; ``None`` carries C_E itself."""
-    if src is None:
-        return lambda ce: ce
-    return lambda ce: max_avg_rate(src, ce, theta).r_avg_star
+def _rate_curve(src, spec: ChannelSpec, theta: float):
+    """snr -> r_avg_star of a source on the quadrature C_E; ``None``
+    (constant-rate arrivals) carries C_E itself."""
+
+    def r_of(snr):
+        ce = effective_capacity_quadrature(spec, snr, theta).value
+        return ce if src is None else max_avg_rate(src, ce, theta).r_avg_star
+
+    return r_of
 
 
 def ebn0_curve(
@@ -246,34 +244,22 @@ def ebn0_curve(
     alpha: Optional[float] = None,
     beta: Optional[float] = None,
     source=None,
-    capacity: str = "quadrature",
-    n_samples: int = 10 ** 6,
-    seed: Optional[int] = None,
 ) -> list:
     """Sweep snr and report (E_b/N_0, rate/symbol) operating points of
     the source that ``kind`` and the keywords name; see
     ``source_ebn0_curve``."""
     src = _kind_source(kind, p11, p22, alpha, beta, source)
-    return source_ebn0_curve(
-        src, spec, theta, snr_grid, capacity=capacity, n_samples=n_samples, seed=seed
-    )
+    return source_ebn0_curve(src, spec, theta, snr_grid)
 
 
-def source_ebn0_curve(
-    src,
-    spec: ChannelSpec,
-    theta: float,
-    snr_grid: Sequence[float],
-    *,
-    capacity: str = "quadrature",
-    n_samples: int = 10 ** 6,
-    seed: Optional[int] = None,
-) -> list:
+def source_ebn0_curve(src, spec: ChannelSpec, theta: float, snr_grid: Sequence[float]) -> list:
     """Sweep snr and report (E_b/N_0, rate/symbol) operating points of
     any source (``None`` for constant-rate arrivals).
 
-    Points where the supportable rate is zero are dropped.  Capacity
-    and solver failures are re-raised with the offending snr attached.
+    C_E comes from the deterministic quadrature route
+    (``effective_capacity_quadrature``) at every point.  Points where the
+    supportable rate is zero are dropped.  Capacity and solver failures
+    are re-raised with the offending snr attached.
     """
     grid = [float(s) for s in snr_grid]
     if not grid:
@@ -282,14 +268,11 @@ def source_ebn0_curve(
         raise ValueError("snr_grid entries must be finite and > 0")
     if sorted(grid) != grid:
         raise ValueError("snr_grid must be sorted ascending")
-    if capacity not in ("quadrature", "mc"):
-        raise ValueError(f"capacity must be 'quadrature' or 'mc', got {capacity!r}")
-    cap = capacity_function(spec, capacity, n_samples=n_samples, seed=seed)
-    solver = _rate_solver(src, theta)
+    r_of = _rate_curve(src, spec, theta)
     points = []
     for snr in grid:
         try:
-            r_star = solver(cap(snr, theta).value)
+            r_star = r_of(snr)
         except (ValueError, TypeError):
             raise
         except Exception as exc:  # numeric failures gain sweep context
@@ -311,35 +294,23 @@ def numeric_energy_metrics(
     alpha: Optional[float] = None,
     beta: Optional[float] = None,
     source=None,
-    capacity: str = "quadrature",
-    h: float = _RICHARDSON_H,
 ) -> EnergyMetrics:
     """Energy metrics from derivatives of r*(snr) at snr = 0.
 
     Richardson extrapolation of first differences built on r*(h), r*(2h)
-    and r*(4h); r*(0) = 0 exactly.  When the extrapolant consistency
-    check fails the step is halved and the stencil rebuilt (bursty
-    sources carry large high-order snr-derivatives, so the initial h can
-    be truncation-dominated); after _RICHARDSON_RETRIES halvings the
-    failure is reported.  Only deterministic (quadrature) capacity is
-    accepted: second differences amplify Monte Carlo noise far beyond
-    usability.  ``source_energy_metrics`` gives the same metrics in
-    closed form; this route is kept as its independent check.
+    and r*(4h), from h = _RICHARDSON_H; r*(0) = 0 exactly.  When the
+    extrapolant consistency check fails the step is halved and the
+    stencil rebuilt (bursty sources carry large high-order
+    snr-derivatives, so the initial h can be truncation-dominated); after
+    _RICHARDSON_RETRIES halvings the failure is reported.  C_E comes from
+    the deterministic quadrature route: second differences would amplify
+    Monte Carlo noise far beyond usability.  ``source_energy_metrics``
+    gives the same metrics in closed form; this route is kept as its
+    independent check.
     """
     src = _kind_source(kind, p11, p22, alpha, beta, source)
-    if capacity != "quadrature":
-        raise ValueError(
-            "numeric energy metrics require deterministic capacity; "
-            "Monte Carlo estimates are rejected here"
-        )
-    solver = _rate_solver(src, theta)
-    h = float(h)
-    if not (math.isfinite(h) and 0 < h < 0.01):
-        raise ValueError(f"h must be a small positive step, got {h}")
-
-    def r_of(snr):
-        return solver(effective_capacity_quadrature(spec, snr, theta).value)
-
+    r_of = _rate_curve(src, spec, theta)
+    h = _RICHARDSON_H
     for attempt in range(_RICHARDSON_RETRIES + 1):
         last = attempt == _RICHARDSON_RETRIES
         r1, r2, r4 = r_of(h), r_of(2 * h), r_of(4 * h)

@@ -1,5 +1,5 @@
-"""Exception types, the scalar-argument check, the one number rule and
-the machine epsilon shared across the package."""
+"""Exception types, the scalar-argument check, the one number rule, the
+unknown-field check and the machine epsilon shared across the package."""
 
 import math
 import numbers
@@ -34,6 +34,15 @@ def _exact_number(path: str, kind: type, value):
         what = "an integer" if kind is int else "a finite number"
         raise ValidationError(path, f"must be {what}, got {value!r}")
     return number
+
+
+def _known_fields(doc: dict, fields, prefix: str = "") -> None:
+    """Reject the first key of the input document ``doc`` that is not
+    one of ``fields``, with a ValidationError naming ``prefix + key``: a
+    misspelt optional field would otherwise fall back to its default."""
+    for key in doc:
+        if key not in fields:
+            raise ValidationError(f"{prefix}{key}", "unknown field")
 
 
 class QoslinkError(Exception):

@@ -388,11 +388,11 @@ def _auto_d_thresholds(arrivals, cum_arrivals, departed, start, stop_for):
     return [int(x) for x in grid]
 
 
-def fit_decay_slope(points, counts=None, *, min_count: int = _MIN_EVENTS) -> dict:
+def fit_decay_slope(points, counts=None) -> dict:
     """OLS fit of log probability against threshold.
 
     Returns the negated slope (the decay rate), the intercept and r
-    squared.  Points with fewer than ``min_count`` observed events are
+    squared.  Points with fewer than _MIN_EVENTS (100) observed events are
     dropped when ``counts`` is supplied; fewer than 4 surviving points
     raise InsufficientTail.  A flat tail fits slope 0 with r_squared 0.
     """
@@ -400,7 +400,7 @@ def fit_decay_slope(points, counts=None, *, min_count: int = _MIN_EVENTS) -> dic
     for i, (x, p) in enumerate(points):
         if p <= 0:
             continue
-        if counts is not None and counts[i] < min_count:
+        if counts is not None and counts[i] < _MIN_EVENTS:
             continue
         usable.append((float(x), math.log(p)))
     if len(usable) < 4:

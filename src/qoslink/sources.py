@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     NonConvergence, NoUniqueStationary, ValidationError, _EPS, _check_scalar, _exact_number,
+    _known_fields,
 )
 
 # QoS exponent: plain positive float, 1/bit.  theta = 0 is accepted only
@@ -408,31 +409,32 @@ def _stable_quadratic_root(x: float, y: float) -> float:
     return 0.5 * y / (s - x)
 
 
-def effective_bandwidth_onoff_fluid(
-    params: OnOffContinuousParams, theta: QosExponent
+def _ebw_onoff_continuous(
+    params: OnOffContinuousParams, theta: QosExponent, poisson: bool
 ) -> float:
-    """Closed-form a*(theta) for the two-state fluid source."""
+    """a*(theta) = (x + sqrt(x^2 + 4 alpha t lam)) / (2 theta) with
+    x = t lam - (alpha + beta): the two-state fluid source at t = theta,
+    the MMPP (``poisson``) at t = e^theta - 1."""
     theta = _check_scalar("theta", theta)
     a, b, lam = params.alpha, params.beta, params.lam
     if lam == 0.0:
         return 0.0
-    x = theta * lam - (a + b)
-    y = 4.0 * a * theta * lam
-    return _stable_quadratic_root(x, y) / theta
+    t = math.expm1(theta) if poisson else theta
+    return _stable_quadratic_root(t * lam - (a + b), 4.0 * a * t * lam) / theta
+
+
+def effective_bandwidth_onoff_fluid(
+    params: OnOffContinuousParams, theta: QosExponent
+) -> float:
+    """Closed-form a*(theta) for the two-state fluid source."""
+    return _ebw_onoff_continuous(params, theta, poisson=False)
 
 
 def effective_bandwidth_onoff_mmpp(
     params: OnOffContinuousParams, theta: QosExponent
 ) -> float:
     """Closed-form a*(theta) for the two-state MMPP source."""
-    theta = _check_scalar("theta", theta)
-    a, b, lam = params.alpha, params.beta, params.lam
-    if lam == 0.0:
-        return 0.0
-    em = math.expm1(theta)
-    x = em * lam - (a + b)
-    y = 4.0 * a * em * lam
-    return _stable_quadratic_root(x, y) / theta
+    return _ebw_onoff_continuous(params, theta, poisson=True)
 
 
 def as_discrete_source(params: OnOffDiscreteParams) -> DiscreteMarkovSource:
@@ -844,7 +846,8 @@ def source_from_json(doc) -> AnySource:
         {"kind": "onoff-fluid"|"onoff-mmpp", "alpha": ..., "beta": ..., "lambda": ...}
 
     Each kind gives its own type, so the family travels with the
-    source.  Raises ValidationError with the offending field path.
+    source.  A field the kind does not take is rejected.  Raises
+    ValidationError with the offending field path.
     """
     if isinstance(doc, str):
         try:
@@ -859,6 +862,7 @@ def source_from_json(doc) -> AnySource:
             "kind", f"must be one of {', '.join(_SOURCE_KINDS)}; got {kind!r}"
         )
     build, fields = _JSON_KINDS[kind]
+    _known_fields(doc, ("kind", *fields))
     if fields[0] == "transition":
         mat = _field_matrix(doc, "transition")
         args = (mat, _numbers("rates", _field(doc, "rates"), len(mat)))

@@ -57,16 +57,11 @@ class ThroughputResult:
 
 @dataclass(frozen=True)
 class AsymptoticSlopes:
-    """theta -> 0 behavior of r*(theta) plus the high-snr rate prelog.
-
-    ``high_snr_slope`` carries the theta -> 0 value of the prelog, which
-    is 1 regardless of source burstiness; the theta-dependent slopes
-    live in high_snr_slope() itself.
-    """
+    """theta -> 0 behavior of r*(theta): its value and first derivative.
+    The high-snr rate prelog is ``high_snr_slope``."""
 
     low_theta_limit: float
     low_theta_derivative: float
-    high_snr_slope: float
 
 
 def max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
@@ -278,14 +273,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     )
 
 
-def low_theta_asymptotics(
-    src,
-    spec: ChannelSpec,
-    snr: float,
-    *,
-    n_samples: int = 10 ** 6,
-    seed: int = 0,
-) -> AsymptoticSlopes:
+def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlopes:
     """Value and slope of r*(theta) at theta = 0 for the source ``src``
     (``None`` for constant-rate arrivals).
 
@@ -296,17 +284,18 @@ def low_theta_asymptotics(
     matrix source); Poisson arrivals (an MMPP) lose an extra
     ergodic-capacity/2 on top.  A source that names no family (the
     family-less ``OnOffContinuousParams``) is a TypeError.
-    ``n_samples``/``seed`` only matter for 0 < rho < 1, where the
-    variance of nu has no closed form and is estimated by Monte Carlo.
+    var(nu) is ``log_rate_cov_sum`` at its defaults: exact at rho in
+    {0, 1} or m = 1, and otherwise a Monte Carlo estimate over 10^6
+    blocks at seed 0, where no closed form is available.
     """
     extra, coef = 0.0, 0.0
     if src is not None:
         extra = 0.5 if _poisson(src) else 0.0
         coef = src.burstiness
     erg = ergodic_capacity(spec, snr)
-    var_nu = log_rate_cov_sum(spec, snr, n_samples=n_samples, seed=seed)
+    var_nu = log_rate_cov_sum(spec, snr)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
-    return AsymptoticSlopes(erg, derivative, 1.0)
+    return AsymptoticSlopes(erg, derivative)
 
 
 def _poisson(src) -> bool:

@@ -496,7 +496,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(4, 0.5, sigma_h_sq=0.0)
     with pytest.raises(ValueError):
-        ChannelSpec(4, 0.5, distribution="nakagami")
+        channel_spec_from_json({"m": 4, "rho": 0.5, "distribution": "nakagami"})
 
 
 @pytest.mark.parametrize(
@@ -513,13 +513,14 @@ def test_spec_validation():
         (dict(m=2, rho=0.0, sigma_h_sq=math.inf), "sigma_h_sq"),
         (dict(m=2, rho=0.0, distribution=5), "distribution"),
         (dict(m=2, rho=0.0, distribution="nakagami"), "distribution"),
+        (dict(m=2, rho=0.0, sigma_hsq=4.0), "sigma_hsq"),
     ],
 )
 def test_spec_names_the_field_it_rejects(fields, name):
     # m = inf once raised OverflowError, a numeric distribution
     # AttributeError, and m = True built a one-symbol block
     with pytest.raises(ValidationError) as err:
-        ChannelSpec(**fields)
+        channel_spec_from_json(fields)
     assert err.value.field_path == name
 
 
@@ -527,7 +528,8 @@ def test_spec_takes_integral_and_numpy_numbers():
     spec = ChannelSpec(m=np.int64(4), rho=1, sigma_h_sq=np.float32(2.0))
     assert (spec.m, spec.rho, spec.sigma_h_sq) == (4, 1.0, 2.0)
     assert type(spec.m) is int and type(spec.rho) is type(spec.sigma_h_sq) is float
-    assert ChannelSpec(m=4.0, rho=0.5, distribution="Gauss_Markov_Rayleigh") == ChannelSpec(4, 0.5)
+    doc = {"m": 4.0, "rho": 0.5, "distribution": "Gauss_Markov_Rayleigh"}
+    assert channel_spec_from_json(doc) == ChannelSpec(4, 0.5)
 
 
 def test_bad_snr_and_theta_rejected():

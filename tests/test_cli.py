@@ -137,7 +137,7 @@ def test_throughput_quadrature_capacity_is_ecaps(tmp_path):
     chan = '{"m": 10, "rho": 0.5, "sigma_h_sq": 1.0}'
     assert run(tmp_path, "ecap", "--channel", chan, "--method", "quadrature", *grid) == 0
     assert run(tmp_path, "throughput", "--source", ONOFF_FLUID, "--channel", chan,
-               "--capacity", "quadrature", *grid) == 0
+               "--method", "quadrature", *grid) == 0
     ecap, tput = read_csv(tmp_path / "ecap.csv"), read_csv(tmp_path / "throughput.csv")
     assert [r["c_e"] for r in tput] == [r["c_e"] for r in ecap]
     assert all(r["r_avg_star"] and not r["error"] for r in tput)
@@ -381,7 +381,7 @@ RERUN = {
     "ebw": ["--source", ONOFF_FLUID, "--theta", "log:0.2:5:7"],
     "ecap": ["--channel", CHAN_IID, "--method", "mc", "--seed", "3", "--n-samples", "2000",
              "--theta", "0.5,1", "--snr-db", "0,5"],
-    "throughput": ["--source", ONOFF_DISC, "--channel", CHAN_CORR, "--capacity", "quadrature",
+    "throughput": ["--source", ONOFF_DISC, "--channel", CHAN_CORR, "--method", "quadrature",
                    "--theta", "0.5,1", "--snr-db=-5,5"],
     "energy": ["--source", ONOFF_MMPP, "--channel", CHAN_IID, "--theta", "0.5",
                "--snr-db=-20,-10", "--format", "json"],
@@ -447,6 +447,37 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sources": {}}))
     assert run(tmp_path, "ebw", "--config", str(cfg), "--theta", "1") == 2
+
+
+def test_throughput_config_capacity_is_an_unknown_key(tmp_path, capsys):
+    # throughput's capacity route is --method, as ecap's is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": "quadrature"}))
+    assert run(tmp_path, "throughput", "--config", str(cfg), *NEEDS["throughput"]) == 2
+    assert capsys.readouterr().err == "error: invalid config.capacity: unknown parameter\n"
+
+
+@pytest.mark.parametrize(
+    "command, argv, field",
+    [
+        ("ecap", ["--channel", '{"m": 10, "rho": 0, "sigma_hsq": 4}', "--theta", "1",
+                  "--snr-db", "0"], "sigma_hsq"),
+        ("throughput", ["--source", '{"kind": "onoff-fluid", "alpha": 9, "beta": 1, '
+                        '"lambda": 2, "lamda": 5}', "--channel", CHAN_IID, "--theta", "1",
+                        "--snr-db", "0"], "lamda"),
+        ("energy", ["--source", '{"kind": "constant", "lambda": 2}', "--channel", CHAN_IID,
+                    "--theta", "1", "--snr-db=-20"], "lambda"),
+        ("simulate", ["--seed", "11"], "sim-config.q_threshold"),
+    ],
+)
+def test_unknown_document_fields_are_named(tmp_path, capsys, command, argv, field):
+    # each was dropped and its default used, and the command exited 0
+    if command == "simulate":
+        argv = [*argv, "--sim-config", sim_config(tmp_path, q_threshold=[1, 2])]
+    out = tmp_path / "out"
+    assert run(out, command, *argv) == 2
+    assert capsys.readouterr().err == f"error: invalid {field}: unknown field\n"
+    assert not list(out.glob(f"{command}*"))
 
 
 def test_source_file_path_accepted(tmp_path):
@@ -601,11 +632,9 @@ def test_energy_curve_is_written_when_the_metrics_fail(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("command", ["ecap", "throughput"])
 def test_mc_capacity_without_seed_names_the_seed(tmp_path, capsys, command):
     argv = [command, "--channel", CHAN_IID, "--theta", "1", "--snr-db", "0",
-            "--n-samples", "1000"]
-    if command == "ecap":
-        argv += ["--method", "mc"]
-    else:
-        argv += ["--source", ONOFF_DISC, "--capacity", "mc"]
+            "--n-samples", "1000", "--method", "mc"]
+    if command == "throughput":
+        argv += ["--source", ONOFF_DISC]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err == (
         "error: invalid seed: randomized commands need an explicit --seed\n"

@@ -287,8 +287,6 @@ def test_curve_validation():
         ebn0_curve("constant", SPEC0, 1.0, [0.0, 0.1])
     with pytest.raises(ValueError, match="requires alpha"):
         ebn0_curve("fluid", SPEC0, 1.0, [0.1])
-    with pytest.raises(ValueError, match="seed"):
-        ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="mc")
     with pytest.raises(ValueError, match="kind"):
         ebn0_curve("bursty", SPEC0, 1.0, [0.1])
 
@@ -341,11 +339,6 @@ def test_nstate_numeric_slope_matches_closed_form(source, closed, rho):
     assert num.wideband_slope == pytest.approx(closed(spec).wideband_slope, rel=2e-5)
 
 
-def test_numeric_route_rejects_monte_carlo():
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        numeric_energy_metrics("constant", SPEC0, 1.0, capacity="mc")
-
-
 def test_fluid_metrics_golden():
     # alpha = beta = 50, m = 10, rho = 0.75, theta = 1: slope frozen
     # from the theorem formula and cross-checked by the derivative route
@@ -367,17 +360,3 @@ def test_mmpp_floor_does_not_depend_on_state_count():
             "nstate", spec, 1.0, source=MmppSource(bd.generator, bd.rates)
         )
         assert abs(got.ebn0_min_db - floor) <= 0.05
-
-
-def test_curve_capacity_messages():
-    # the curve's capacity dispatch is channel.capacity_function; the
-    # library keeps its own ValueError wording
-    with pytest.raises(ValueError) as exc:
-        ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="mc")
-    assert str(exc.value) == "Monte Carlo capacity needs an explicit seed"
-    with pytest.raises(ValueError) as exc:
-        ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="closed-iid")
-    assert str(exc.value) == "capacity must be 'quadrature' or 'mc', got 'closed-iid'"
-    mc = ebn0_curve("constant", SPEC0, 1.0, [0.1], capacity="mc", n_samples=2000, seed=4)
-    quad = ebn0_curve("constant", SPEC0, 1.0, [0.1])
-    assert mc[0].normalized_rate == pytest.approx(quad[0].normalized_rate, rel=0.05)

@@ -831,6 +831,11 @@ def test_source_from_json_reports_field_paths():
         ({"kind": "fluid", "transition": [[-1, 1], [1, -1]], "rates": [0, -1]}, "rates"),
         ({"kind": "mmpp", "transition": [[-1, 1], [1, -1]], "rates": [0, -1]}, "rates"),
         ({"kind": "mmpp", "transition": [[-1, 2], [1, -1]], "rates": [0, 1]}, "transition"),
+        # a field the kind does not take was dropped, its default used
+        ({"kind": "onoff-fluid", "alpha": 1.0, "beta": 1.0, "lambda": 2.0, "lamda": 5}, "lamda"),
+        ({"kind": "onoff-discrete", "p11": 0.5, "p22": 0.5, "lambda": 2.0, "alpha": 1}, "alpha"),
+        ({"kind": "fluid", "transition": [[-1, 1], [1, -1]], "rates": [0, 1], "lambda": 2},
+         "lambda"),
     ],
 )
 def test_source_from_json_blames_the_rejected_field(doc, path):
