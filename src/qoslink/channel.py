@@ -20,15 +20,15 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
-    DegenerateEstimate, QuadratureFailure, ValidationError, _check_scalar, _exact_number,
-    _known_fields,
+    DegenerateEstimate, QuadratureFailure, ValidationError, _check_scalar, _check_seed,
+    _exact_number, _known_fields,
 )
 
 LN2 = math.log(2.0)
@@ -312,9 +312,10 @@ def effective_capacity_mc(
     """
     snr = _check_scalar("snr", snr)
     theta = _check_scalar("theta", theta)
-    n = int(n_samples)
+    n = _exact_number("n_samples", int, n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
+    seed = _check_seed("seed", seed)
 
     def exponents(start, z):
         e = _log2_rates(z, snr)
@@ -405,15 +406,11 @@ def effective_capacity_rayleigh_iid(snr: float, theta: float, m: int) -> EffCapE
     """Closed-form C_E for i.i.d. unit-variance Rayleigh gains (rho = 0).
 
     C_E = -(m/theta) log_e[snr^{-theta/log_e 2} e^{1/snr}
-    Gamma(1 - theta/log_e 2, 1/snr)] bits/block.
+    Gamma(1 - theta/log_e 2, 1/snr)] bits/block: the i.i.d. branch of
+    ``effective_capacity_quadrature`` on ``ChannelSpec(m, 0.0)``.
     """
-    snr = _check_scalar("snr", snr)
-    theta = _check_scalar("theta", theta)
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    value = max(0.0, -(m / theta) * _log_neg_moment(snr, theta / LN2))
-    return EffCapEstimate(value, 0.0, "closed_form_iid_rayleigh", 0, theta, snr)
+    est = effective_capacity_quadrature(ChannelSpec(m, 0.0), snr, theta)
+    return replace(est, method="closed_form_iid_rayleigh")
 
 
 def ergodic_capacity(spec: ChannelSpec, snr: float) -> float:
@@ -473,9 +470,10 @@ def log_rate_cov_sum(
         var_l = e2 - e1 * e1
         factor = spec.m if spec.rho != 1.0 else spec.m ** 2
         return factor * var_l
-    n = int(n_samples)
+    n = _exact_number("n_samples", int, n_samples)
     if n < 2:
         raise ValueError("n_samples must be >= 2")
+    seed = _check_seed("seed", seed)
 
     def moments(start, z):
         nu = _log2_rates(z, snr)
@@ -689,7 +687,7 @@ def capacity_function(spec: ChannelSpec, method: str, *, n_samples: int = 10 ** 
     """
     if method == "closed-iid":
         if spec.rho != 0.0:
-            raise ValueError("closed-iid requires rho = 0; use mc for rho > 0")
+            raise ValueError("closed-iid requires rho = 0; use quadrature or mc for rho > 0")
         return lambda snr, theta: effective_capacity_rayleigh_iid(
             snr * spec.sigma_h_sq, theta, spec.m
         )

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .channel import capacity_function, channel_spec_from_json
 from .energy import source_ebn0_curve, source_energy_metrics, source_kind
-from .errors import QoslinkError, ValidationError, _exact_number, _known_fields
+from .errors import QoslinkError, ValidationError, _check_seed, _exact_number, _known_fields
 from .queuesim import SimConfig, simulate_queue
 from .sources import source_from_json
 from .throughput import max_avg_rate
@@ -109,6 +109,16 @@ def _require_seed(seed):
     if seed is None:
         raise ValidationError("seed", "randomized commands need an explicit --seed")
     return seed
+
+
+def _nested(path: str, build, doc):
+    """``build(doc)`` for a document nested at ``path``: its
+    ValidationError names the field under that path."""
+    try:
+        return build(doc)
+    except ValidationError as exc:
+        inner = "" if exc.field_path == "$" else f".{exc.field_path}"
+        raise ValidationError(path + inner, exc.message) from exc
 
 
 def _db_to_linear(db: float) -> float:
@@ -207,9 +217,7 @@ def _capacity(opts):
     """The command's capacity function by --method (linear snr, theta ->
     EffCapEstimate) and the seed it draws on, None unless Monte Carlo."""
     spec = channel_spec_from_json(opts.channel)
-    seed = _require_seed(opts.seed) if opts.method == "mc" else None
-    if seed is not None and not (0 <= seed < 2 ** 64):
-        raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
+    seed = _check_seed("seed", _require_seed(opts.seed)) if opts.method == "mc" else None
     try:
         return capacity_function(spec, opts.method, n_samples=opts.n_samples, seed=seed), seed
     except ValueError as exc:
@@ -311,8 +319,8 @@ def _cmd_simulate(opts, out_dir):
            for field, kind in _SIM_FIELDS.items()}
     seed = _require_seed(doc.get("seed") if opts.seed is None else opts.seed)
     target = opts.theta if opts.theta is not None else sim["theta"]
-    source = source_from_json(doc["source"])
-    spec = channel_spec_from_json(doc["channel"])
+    source = _nested("sim-config.source", source_from_json, doc["source"])
+    spec = _nested("sim-config.channel", channel_spec_from_json, doc["channel"])
     try:
         cfg = SimConfig(source=source, channel=spec, snr=_db_to_linear(sim["snr_db"]),
                         n_blocks=doc["n_blocks"], seed=seed,

@@ -25,14 +25,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import LN2, ChannelSpec, effective_capacity_quadrature, fading_moments
-from .errors import IllConditioned, _check_scalar
+from .errors import IllConditioned, _check_scalar, _exact_number
 from .sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
-    _MatrixSource,
+    _typed_source,
 )
 from .throughput import max_avg_rate
 
@@ -86,13 +86,7 @@ def source_kind(src) -> str:
     arrivals), the family of a two-state ON/OFF source, ``nstate`` for a
     matrix source.  Anything else (the family-less continuous parameters,
     say) is a TypeError."""
-    if src is None:
-        return "constant"
-    if type(src) in _ONOFF_KINDS.values():
-        return src._kind
-    if isinstance(src, _MatrixSource):
-        return "nstate"
-    raise TypeError(f"unsupported source type: {type(src).__name__}")
+    return "constant" if src is None else _typed_source(src)._kind
 
 
 def _kind_source(kind: str, p11, p22, alpha, beta, source):
@@ -166,7 +160,7 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
     exact integer arithmetic and rounded once per entry, so it neither
     overflows nor drifts from a unit row sum at any n.
     """
-    n = int(n)
+    n = _exact_number("n", int, n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     s = float(s)
@@ -200,7 +194,7 @@ def build_birth_death_fluid(n: int, alpha: float, beta: float, lam: float) -> Fl
     alpha = beta is accepted: the stationary law is then uniform, the
     limit of the geometric law in xi = alpha/beta.
     """
-    n = int(n)
+    n = _exact_number("n", int, n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     alpha = _check_scalar("alpha", alpha)

@@ -1,5 +1,6 @@
 """Exception types, the scalar-argument check, the one number rule, the
-unknown-field check and the machine epsilon shared across the package."""
+seed rule, the unknown-field check and the machine epsilon shared across
+the package."""
 
 import math
 import numbers
@@ -34,6 +35,16 @@ def _exact_number(path: str, kind: type, value):
         what = "an integer" if kind is int else "a finite number"
         raise ValidationError(path, f"must be {what}, got {value!r}")
     return number
+
+
+def _check_seed(path: str, value) -> int:
+    """``value`` as a seed: an integer (the one number rule) in [0, 2^64),
+    the range of one unsigned 64-bit word, else a ValidationError naming
+    ``path``.  Every seed a caller gives is read by this rule."""
+    seed = _exact_number(path, int, value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(path, "must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _known_fields(doc: dict, fields, prefix: str = "") -> None:

@@ -62,8 +62,8 @@ import numpy as np
 
 from . import channel
 from .channel import LN2, ChannelSpec, _gain_chunks, _stream
-from .errors import InsufficientTail, UnstableQueue, ValidationError, _exact_number
-from .sources import DiscreteMarkovSource
+from .errors import InsufficientTail, UnstableQueue, ValidationError, _check_seed, _exact_number
+from .sources import _typed_source
 
 _JUMP_BATCH = 4096
 _SCAN_BLOCK = 4096
@@ -99,10 +99,7 @@ class SimConfig:
         if n < _MIN_BLOCKS:
             raise ValidationError("n_blocks", f"must be >= {_MIN_BLOCKS}, got {n}")
         object.__setattr__(self, "n_blocks", n)
-        seed = _exact_number("seed", int, self.seed)
-        if not (0 <= seed < 2 ** 64):
-            raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.q_thresholds is not None:
             q = _thresholds("q_thresholds", float, self.q_thresholds)
             if any(x <= 0 for x in q) or any(b <= a for a, b in zip(q, q[1:])):
@@ -298,13 +295,7 @@ def _arrival_start(source, seed):
     first generator imports ``numpy.random``, about 0.8 MiB of module
     objects that would otherwise stay in a worker thread's malloc arena.
     """
-    if not hasattr(source, "as_matrix"):
-        raise TypeError(
-            f"unsupported source type {type(source).__name__}; two-state "
-            "continuous parameters name no family: use OnOffFluidParams or "
-            "OnOffMmppParams, or convert with as_fluid_source or as_mmpp_source"
-        )
-    source = source.as_matrix()
+    source = _typed_source(source).as_matrix()
     pi = source._stationary
     return source, _stream(seed, (0,)), _stream(seed, (2,)).choice(len(pi), p=pi)
 
@@ -319,9 +310,9 @@ def _sampled_arrivals(source, rng, s0, n, volume):
     draws from rng, written into volume[1:] (volume holds n + 1 floats)
     and returned."""
     trace = volume[1:]
-    # the one family choice left here: the path sampler
-    if isinstance(source, DiscreteMarkovSource):
-        cdf = _jump_cdf(source.transition_probs)
+    # the path sampler follows the chain's time base
+    if source._discrete:
+        cdf = _jump_cdf(source._matrix)
         s = s0
         for lo in range(0, n, _DRAW_BLOCK):
             block = trace[lo : lo + _DRAW_BLOCK]
@@ -334,7 +325,7 @@ def _sampled_arrivals(source, rng, s0, n, volume):
     # and the integral c up to t; edges before k are done, and g is the
     # integral up to edge k - 1
     t, s, c, k, g = 0.0, int(s0), 0.0, 0, 0.0
-    for states, times in _continuous_path(source.generator, float(n), s0, rng):
+    for states, times in _continuous_path(source._matrix, float(n), s0, rng):
         edges = np.concatenate(([t], times))
         step = np.diff(edges) * source._rates[np.concatenate(([s], states[:-1]))]
         cum = np.cumsum(np.concatenate(([c], step)))

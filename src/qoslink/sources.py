@@ -16,18 +16,23 @@ forms are kernels on raw arrays (``_ebw_discrete``, ``_ebw_fluid``,
 ``_ebw_mmpp``), so a solver that scales the rates can call them
 without building a source at each step.
 
-A source's family is its type, decided here alone.  A matrix source
+A source's family is its type, decided here alone: ``_typed_source`` is
+the one check that an object is a source of a named family (its
+``_kind``: ``discrete``, ``fluid`` or ``mmpp`` for the two-state
+sources, ``nstate`` for a matrix source) with the attributes a caller
+reads, and no other module probes a source's type.  A matrix source
 carries its family's data: matrix, rate vector, kernel, the kernel's
-rounding-noise norm, and a stationary law solved at most once per
-source.  Every source answers ``effective_bandwidth(theta)`` (closed
-form where one exists), ``as_matrix()``, its matrix twin (a matrix
-source is its own), and ``burstiness``, its variance rate over its
-squared mean rate: eta or zeta for the two-state ON/OFF sources, one
-deviation-matrix solve for a matrix source.  ``_poisson`` marks the
-MMPP types, whose Poisson layer the energy and low-theta formulas
-charge on top.  The two-state sources carry the kind label that
-``energy``'s kind-string entry points name them by.  A kind string is
-parsed here only by ``source_from_json``.
+rounding-noise norm and its time base (``_discrete``: one step per
+block, else a generator in continuous time).  Its chain law is one
+solve for every family, on the generator G (J - I for a discrete
+chain): the stationary law, at most once per source, and the deviation
+matrix behind ``burstiness``, its variance rate over its squared mean
+rate (eta or zeta for the two-state ON/OFF sources).  Every source
+answers ``effective_bandwidth(theta)`` (closed form where one exists)
+and ``as_matrix()``, its matrix twin (a matrix source is its own).
+``_poisson`` marks the MMPP types, whose Poisson layer the energy and
+low-theta formulas charge on top.  A kind string is parsed here only by
+``source_from_json``.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -41,7 +46,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property, singledispatch
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -471,16 +476,20 @@ class _MatrixSource:
     """A chain and a rate per state, the first two fields of each family
     (kept also as ``_matrix`` and ``_rates``).  At construction one
     support graph (``_Support``) gives ``reversible``, whether the chain
-    satisfies detailed balance, and the chain's strong classes.  A family
-    gives its matrix check, its ``_check_chain`` of the count of recurrent
-    classes, its
-    raw-array ``_kernel``, that kernel's rounding-noise norm and the
-    solve of its stationary law, which runs on first use, at most once
-    per source, and is read-only.
+    satisfies detailed balance, and the chain's count of recurrent
+    classes: a discrete chain with more than one fails to build, a
+    generator on first use of its law.  A family gives its matrix check,
+    its raw-array ``_kernel``, that kernel's rounding-noise norm and its
+    time base ``_discrete``; the chain law is the same for every family,
+    on the generator ``_generator``.  The stationary law is solved on
+    first use, at most once per source, and is read-only.
     """
 
+    _kind = "nstate"
     # arrivals in each state are Poisson, not fluid: only the MMPP's are
     _poisson = False
+    # one state step per block (a transition matrix J), not continuous time
+    _discrete = False
 
     def __post_init__(self):
         matrix, rates = (f.name for f in fields(self)[:2])
@@ -493,17 +502,49 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be finite and >= 0")
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
-        self._check_chain(len(support.classes[1]))
+        object.__setattr__(self, "_recurrent_classes", len(support.classes[1]))
+        if self._discrete:
+            self._check_recurrent()
 
     @property
     def n_states(self) -> int:
         return self._matrix.shape[0]
+
+    @property
+    def _generator(self) -> np.ndarray:
+        """G, or J - I for a discrete chain: the stationary law solves
+        pi G = 0 and the deviation matrix is (1 pi^T - G)^-1 - 1 pi^T."""
+        M = self._matrix
+        return M - np.eye(M.shape[0]) if self._discrete else M
 
     @cached_property
     def _stationary(self) -> np.ndarray:
         pi = self._solve_stationary()
         pi.setflags(write=False)
         return pi
+
+    def _check_recurrent(self):
+        if self._recurrent_classes != 1:
+            raise NoUniqueStationary(
+                f"{'chain' if self._discrete else 'generator'} has multiple "
+                "recurrent classes; stationary law is not unique"
+            )
+
+    def _solve_stationary(self) -> np.ndarray:
+        self._check_recurrent()
+        G = self._generator
+        pi = _stationary_from(G.T)
+        if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
+            raise NoUniqueStationary("stationary equations are inconsistent")
+        return pi
+
+    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
+        # 2 pi(d D d) with D the deviation matrix, and D d solves
+        # (1 pi^T - G) x = d because pi d = 0; in discrete time that sum
+        # counts lag 0 twice
+        x = np.linalg.solve(pi - self._generator, d)
+        rate = 2.0 * float(pi @ (d * x))
+        return rate - float(pi @ (d * d)) if self._discrete else rate
 
     def as_matrix(self):
         """A matrix source is its own matrix twin."""
@@ -547,12 +588,7 @@ class DiscreteMarkovSource(_MatrixSource):
     reversible: bool = field(init=False)
 
     _kernel = staticmethod(_ebw_discrete)
-
-    def _check_chain(self, recurrent: int):
-        if recurrent != 1:
-            raise NoUniqueStationary(
-                "chain has multiple recurrent classes; stationary law is not unique"
-            )
+    _discrete = True
 
     @staticmethod
     def _check_matrix(J: np.ndarray) -> None:
@@ -574,26 +610,9 @@ class DiscreteMarkovSource(_MatrixSource):
         # <= 1, gives a* as peak + ln(sp) / theta
         return peak + math.exp(min(theta * (peak - ce), _EXP_CAP)) / theta
 
-    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
-        # the fundamental matrix (I - J + 1 pi^T)^-1 sums the lags from 0,
-        # counting lag 0 twice in 2 pi(d x)
-        x = np.linalg.solve(np.eye(self.n_states) - self.transition_probs + pi, d)
-        return 2.0 * float(pi @ (d * x)) - float(pi @ (d * d))
-
-    def _solve_stationary(self) -> np.ndarray:
-        J = self.transition_probs
-        pi = _stationary_from(J.T - np.eye(J.shape[0]))
-        if np.max(np.abs(pi @ J - pi)) > 1e-10:
-            raise NoUniqueStationary("stationary equations are inconsistent")
-        return pi
-
 
 class _GeneratorSource(_MatrixSource):
     """A continuous-time chain: the fluid and MMPP families' generator."""
-
-    def _check_chain(self, recurrent: int):
-        # a split chain builds, and fails on first use of its law
-        object.__setattr__(self, "_recurrent_classes", recurrent)
 
     @staticmethod
     def _check_matrix(G: np.ndarray) -> None:
@@ -615,23 +634,6 @@ class _GeneratorSource(_MatrixSource):
     @property
     def _row_norm(self) -> float:
         return float(np.max(np.sum(np.abs(self.generator), axis=1)))
-
-    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
-        # 2 pi(d D d) with D the deviation matrix, and D d solves
-        # (1 pi^T - G) x = d because pi d = 0
-        x = np.linalg.solve(pi - self.generator, d)
-        return 2.0 * float(pi @ (d * x))
-
-    def _solve_stationary(self) -> np.ndarray:
-        if self._recurrent_classes != 1:
-            raise NoUniqueStationary(
-                "generator has multiple recurrent classes; stationary law is not unique"
-            )
-        G = self.generator
-        pi = _stationary_from(G.T)
-        if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
-            raise NoUniqueStationary("stationary equations are inconsistent")
-        return pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,7 +692,7 @@ class OnOffDiscreteParams:
 
     def __post_init__(self):
         for name in ("p11", "p22"):
-            v = float(getattr(self, name))
+            v = _exact_number(name, float, getattr(self, name))
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
@@ -778,6 +780,19 @@ AnySource = Union[
 ]
 
 
+def _typed_source(src, *attrs):
+    """``src``, if it is a source of a named family (it has a ``_kind``)
+    whose type has each of ``attrs``, the attributes the caller reads;
+    else a TypeError.  This is the one check of what a source is."""
+    if all(hasattr(type(src), name) for name in ("_kind", *attrs)):
+        return src
+    hint = ""
+    if isinstance(src, OnOffContinuousParams):
+        hint = ("; two-state continuous parameters name no family: use OnOffFluidParams "
+                "or OnOffMmppParams, or convert with as_fluid_source or as_mmpp_source")
+    raise TypeError(f"unsupported source type: {type(src).__name__}{hint}")
+
+
 # ---------------------------------------------------------------------------
 # Stationary distributions and mean rates
 # ---------------------------------------------------------------------------
@@ -801,21 +816,13 @@ def _stationary_from(A: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-@singledispatch
 def average_rate(src) -> float:
     """Long-run mean arrival rate of a source, bits/block."""
+    if isinstance(src, _MatrixSource):
+        return float(src._stationary @ src._rates)
+    if isinstance(src, (OnOffDiscreteParams, OnOffContinuousParams)):
+        return src.lam * src.p_on
     raise TypeError(f"unsupported source type: {type(src).__name__}")
-
-
-@average_rate.register
-def _(src: _MatrixSource) -> float:
-    return float(src._stationary @ src._rates)
-
-
-@average_rate.register(OnOffDiscreteParams)
-@average_rate.register(OnOffContinuousParams)
-def _(src) -> float:
-    return src.lam * src.p_on
 
 
 # ---------------------------------------------------------------------------

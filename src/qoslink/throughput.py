@@ -14,20 +14,15 @@ derivative) and at high snr (rate prelog) is also exposed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import singledispatch
 
 import numpy as np
 
 from .channel import LN2, ChannelSpec, ergodic_capacity, log_rate_cov_sum
-from .errors import (
-    BracketFailure,
-    InvalidRegime,
-    NonConvergence,
-    _EPS,
-    _check_scalar,
-)
-from .sources import OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams, _MatrixSource
+from .errors import BracketFailure, NonConvergence, _EPS, _check_scalar
+from .sources import OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams, _typed_source
 
 _BRACKET_CAP_DOUBLINGS = 60
 # The Brent solve's relative tolerance on the scale is the kernel's noise
@@ -83,42 +78,35 @@ def _max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
 
 @_max_avg_rate.register
 def _(src: OnOffDiscreteParams, ce: float, theta: float) -> ThroughputResult:
-    # a*(theta; lambda*) = C_E solves as lambda* = C_E + (1/theta) *
-    # [log(1 - p11 e^{-theta C_E}) - log(p22 + (1-p11-p22) e^{-theta C_E})],
-    # exact and overflow-free for any theta*C_E
+    # a*(theta; lambda*) = C_E gives lambda* = C_E + log(num/den) / theta with
+    # num = 1 - p11 e^{-x}, den = p22 (1 - e^{-x}) + (1 - p11) e^{-x} at x =
+    # theta C_E.  num - den = (1 - p22)(1 - e^{-x}), so log1p keeps the digits
+    # as x -> 0; a subnormal den (p22 ~ 0, where num = 1) is summed in logs
     if src.p11 == 1.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "closed_form")
-    em = math.exp(-theta * ce)
-    num = 1.0 - src.p11 * em
-    den = src.p22 + (1.0 - src.p11 - src.p22) * em
-    if num <= 0.0 or den <= 0.0:
-        raise InvalidRegime(
-            f"log argument collapsed (num {num}, den {den}); "
-            "parameters are outside the supported regime"
-        )
-    lam = ce + (math.log(num) - math.log(den)) / theta
+    p11, p22, x = src.p11, src.p22, theta * ce
+    em, rise = math.exp(-x), -math.expm1(-x)  # e^{-x} and 1 - e^{-x}
+    den = p22 * rise + (1.0 - p11) * em
+    if den >= sys.float_info.min:
+        log_ratio = math.log1p((1.0 - p22) * rise / den)
+    else:
+        a, b = math.log1p(-p11) - x, math.log(p22) if p22 else -math.inf
+        log_ratio = -max(a, b) - math.log1p(math.exp(-abs(a - b)))
+    lam = ce + log_ratio / theta
     return ThroughputResult(src.p_on * lam, lam, theta, ce, "closed_form")
 
 
-@_max_avg_rate.register
-def _onoff_fluid(src: OnOffFluidParams, ce: float, theta: float) -> ThroughputResult:
+@_max_avg_rate.register(OnOffFluidParams)
+@_max_avg_rate.register(OnOffMmppParams)
+def _(src, ce: float, theta: float) -> ThroughputResult:
     lam = (theta * ce + src.alpha + src.beta) / (theta * ce + src.alpha) * ce
-    return ThroughputResult(src.p_on * lam, lam, theta, ce, "closed_form")
-
-
-@_max_avg_rate.register
-def _(src: OnOffMmppParams, ce: float, theta: float) -> ThroughputResult:
-    # the fluid solution scaled by theta/(e^theta - 1): the Poisson layer
-    # adds burstiness that costs exactly that factor
-    fluid = _onoff_fluid(src, ce, theta)
-    factor = theta / float(np.expm1(theta))
-    return ThroughputResult(
-        fluid.r_avg_star * factor,
-        fluid.lambda_star * factor,
-        theta,
-        ce,
-        "closed_form",
-    )
+    r_avg = src.p_on * lam
+    if src._poisson:
+        # the fluid solution scaled by theta/(e^theta - 1): the Poisson
+        # layer adds burstiness that costs exactly that factor
+        factor = theta / float(np.expm1(theta))
+        r_avg, lam = r_avg * factor, lam * factor
+    return ThroughputResult(r_avg, lam, theta, ce, "closed_form")
 
 
 def max_avg_rate_onoff_discrete(
@@ -140,24 +128,6 @@ def max_avg_rate_onoff_mmpp(
 ) -> ThroughputResult:
     """Largest mean intensity of an ON/OFF MMPP source."""
     return max_avg_rate(OnOffMmppParams(alpha, beta, 0.0), ce, theta)
-
-
-def _scaled_bandwidth(src, theta: float, ce: float):
-    """(stationary mean of the shape, scale -> a*(theta; scale * shape),
-    scale -> the kernel's matrix norm in units of a*, near a* = C_E).
-
-    All three come from the data the source carries for its family: the
-    stationary law (solved once per source), the raw-array kernel and
-    ``_noise_norm``.  Rounding moves a* by about eps times that norm.
-    """
-    if not isinstance(src, _MatrixSource):
-        raise TypeError(f"unsupported source type: {type(src).__name__}")
-    matrix, shape, kernel, reversible = src._matrix, src._rates, src._kernel, src.reversible
-    return (
-        float(src._stationary @ shape),
-        lambda scale: kernel(matrix, scale * shape, theta, reversible),
-        lambda scale: src._noise_norm(scale * float(np.max(shape)), theta, ce),
-    )
 
 
 def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
@@ -242,7 +212,9 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
     theta = _check_scalar("theta", theta)
-    mean_shape, eb, norm = _scaled_bandwidth(src, theta, ce)
+    src = _typed_source(src, "_kernel")
+    matrix, shape, kernel, reversible = src._matrix, src._rates, src._kernel, src.reversible
+    mean_shape = float(src._stationary @ shape)
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
     # every evaluation, keyed by scale; the Brent solve returns one of
@@ -251,7 +223,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
 
     def f(scale):
         if scale not in excess:
-            excess[scale] = eb(scale) - ce
+            excess[scale] = kernel(matrix, scale * shape, theta, reversible) - ce
         return excess[scale]
 
     hi = ce
@@ -265,7 +237,10 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
                 "the source has no usable rate states"
             )
     lo = 0.5 * hi if doublings else 0.0
-    rtol = min(max(_EPS * norm(hi) / ce, _SCALE_REL_TOL), _SCALE_REL_TOL_MAX)
+    # rounding moves a* by about eps times the kernel's matrix norm in
+    # units of a*, near a* = C_E
+    norm = src._noise_norm(hi * float(np.max(shape)), theta, ce)
+    rtol = min(max(_EPS * norm / ce, _SCALE_REL_TOL), _SCALE_REL_TOL_MAX)
     lam = _brent(f, lo, hi, excess[lo], excess[hi], _SCALE_ABS_TOL, rtol)
     return ThroughputResult(
         lam * mean_shape, lam, theta, ce, "root_find",
@@ -290,20 +265,12 @@ def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlope
     """
     extra, coef = 0.0, 0.0
     if src is not None:
-        extra = 0.5 if _poisson(src) else 0.0
+        extra = 0.5 if _typed_source(src)._poisson else 0.0
         coef = src.burstiness
     erg = ergodic_capacity(spec, snr)
     var_nu = log_rate_cov_sum(spec, snr)
     derivative = -0.5 * var_nu - 0.5 * coef * erg * erg - extra * erg
     return AsymptoticSlopes(erg, derivative)
-
-
-def _poisson(src) -> bool:
-    """Whether a typed source's arrivals are Poisson (an MMPP)."""
-    poisson = getattr(src, "_poisson", None)
-    if poisson is None:
-        raise TypeError(f"unsupported source type: {type(src).__name__}")
-    return poisson
 
 
 def high_snr_slope(src, theta: float) -> float:
@@ -315,10 +282,7 @@ def high_snr_slope(src, theta: float) -> float:
     TypeError.  Piecewise in theta with a continuous seam at theta =
     log_e2 and value 1 at theta = 0 for every source.
     """
-    p_on = getattr(src, "p_on", None)
-    if p_on is None:
-        raise TypeError(f"unsupported source type: {type(src).__name__}")
-    poisson = _poisson(src)
+    p_on, poisson = _typed_source(src, "p_on").p_on, src._poisson
     theta = _check_scalar("theta", theta, positive=False)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")

@@ -77,6 +77,51 @@ def test_iid_closed_form_frozen(snr, theta, m, expected):
     assert est.std_error == 0.0
 
 
+def test_iid_closed_form_is_the_quadrature_iid_branch():
+    for snr in (1e-4, 0.3, 1.0, 1e4):
+        for theta in (1e-3, 0.7, 40.0):
+            for m in (1, 10, 100):
+                closed = effective_capacity_rayleigh_iid(snr, theta, m)
+                quad = effective_capacity_quadrature(ChannelSpec(m, 0.0), snr, theta)
+                assert closed == EffCapEstimate(
+                    quad.value, 0.0, "closed_form_iid_rayleigh", 0, theta, snr
+                )
+
+
+@pytest.mark.parametrize("m", [10.5, 2.9, "10", True])
+def test_iid_closed_form_takes_an_integral_block_length(m):
+    # 10.5 once ran as 10 symbols per block
+    with pytest.raises(ValidationError, match="^m: must be an integer"):
+        effective_capacity_rayleigh_iid(1.0, 1.0, m)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"n_samples": 2.9}, "^n_samples: must be an integer"),
+     ({"n_samples": "3000"}, "^n_samples: must be an integer"),
+     ({"seed": 1.5}, "^seed: must be an integer"),
+     ({"seed": True}, "^seed: must be an integer"),
+     ({"seed": -1}, "^seed: must fit in an unsigned 64-bit integer$"),
+     ({"seed": 2 ** 70}, "^seed: must fit in an unsigned 64-bit integer$")],
+)
+@pytest.mark.parametrize("route", ["mc", "cov_sum"])
+def test_monte_carlo_counts_and_seeds_are_not_truncated(route, kwargs, match):
+    # n_samples=2.9 once ran 2 blocks, seed=1.5 ran seed 1 and 2**70 was
+    # accepted; the simulator's seed already followed this rule
+    spec = ChannelSpec(4, 0.5)
+    call = {"mc": lambda: effective_capacity_mc(spec, 1.0, 0.5, **{"n_samples": 3000, **kwargs}),
+            "cov_sum": lambda: log_rate_cov_sum(spec, 1.0, **{"n_samples": 3000, **kwargs})}
+    with pytest.raises(ValidationError, match=match):
+        call[route]()
+
+
+def test_monte_carlo_takes_integral_floats_and_numpy_seeds():
+    spec = ChannelSpec(4, 0.5)
+    ref = effective_capacity_mc(spec, 1.0, 0.5, n_samples=3000, seed=5)
+    assert effective_capacity_mc(spec, 1.0, 0.5, n_samples=3000.0, seed=np.uint64(5)) == ref
+    assert log_rate_cov_sum(spec, 1.0, n_samples=np.int64(3000), seed=2 ** 64 - 1) > 0.0
+
+
 def test_iid_m_scaling():
     a = effective_capacity_rayleigh_iid(1.0, 0.7, 1).value
     b = effective_capacity_rayleigh_iid(1.0, 0.7, 10).value
@@ -574,7 +619,9 @@ def test_capacity_function_dispatches_each_method():
     )
     mc = capacity_function(corr, "mc", n_samples=3000, seed=5)(0.3, 0.7)
     assert mc == effective_capacity_mc(corr, 0.3, 0.7, n_samples=3000, seed=5)
-    with pytest.raises(ValueError, match=r"^closed-iid requires rho = 0; use mc for rho > 0$"):
+    with pytest.raises(
+        ValueError, match=r"^closed-iid requires rho = 0; use quadrature or mc for rho > 0$"
+    ):
         capacity_function(corr, "closed-iid")
     with pytest.raises(ValueError, match=r"^Monte Carlo capacity needs an explicit seed$"):
         capacity_function(corr, "mc")

@@ -650,7 +650,7 @@ def test_closed_iid_capacity_on_a_correlated_channel_names_the_method(
         argv += ["--source", ONOFF_DISC]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err == (
-        "error: invalid method: closed-iid requires rho = 0; use mc for rho > 0\n"
+        "error: invalid method: closed-iid requires rho = 0; use quadrature or mc for rho > 0\n"
     )
 
 
@@ -855,6 +855,31 @@ def test_sim_config_range_errors_name_their_field(tmp_path, capsys, field, value
     out = tmp_path / "out"
     assert run(out, *argv) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid sim-config.{field}: ")
+    assert not list(out.glob("simulate*"))
+
+
+_NESTED_SOURCE = {"kind": "onoff-discrete", "p11": 0.8, "p22": 0.8, "lambda": 9.3}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"source": {**_NESTED_SOURCE, "p22": 1.8}},
+         "sim-config.source.p22: p22 must lie in [0, 1], got 1.8"),
+        ({"source": {**_NESTED_SOURCE, "lamda": 1}}, "sim-config.source.lamda: unknown field"),
+        ({"channel": {"m": 0, "rho": 0.0}},
+         "sim-config.channel.m: must be a positive integer, got 0"),
+        ({"channel": [10, 0.0]}, "sim-config.channel: channel document must be a JSON object"),
+    ],
+    ids=["source-range", "source-unknown-field", "channel-range", "channel-not-an-object"],
+)
+def test_nested_sim_config_errors_name_their_full_path(tmp_path, capsys, overrides, message):
+    # the nested documents' fields were named as if given on their own
+    # (``invalid p22``, ``invalid lamda``, ``invalid m``)
+    out = tmp_path / "out"
+    assert run(out, "simulate", "--sim-config", sim_config(tmp_path, **overrides),
+               "--seed", "11") == 2
+    assert capsys.readouterr().err == f"error: invalid {message}\n"
     assert not list(out.glob("simulate*"))
 
 

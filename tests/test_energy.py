@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import qoslink
+from qoslink import energy
 from qoslink.channel import ChannelSpec
 from qoslink.energy import (
     build_binomial_discrete_source,
@@ -23,9 +25,12 @@ from qoslink.energy import (
     energy_metrics_onoff_fluid,
     energy_metrics_onoff_mmpp,
     numeric_energy_metrics,
+    source_ebn0_curve,
     source_energy_metrics,
 )
+from qoslink.errors import BracketFailure, IllConditioned, ValidationError
 from qoslink.sources import (
+    FluidMarkovSource,
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
@@ -247,6 +252,42 @@ def test_builder_validation():
         build_binomial_discrete_source(5, 1.5, 1.0)
     with pytest.raises(ValueError, match="beta"):
         build_birth_death_fluid(5, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [5.9, 2.5, "5", True, np.float64(4.5)])
+def test_builders_take_an_integral_state_count(n):
+    # 5.9 once built 5 states, and "5" and True built sources too
+    for build, args in ((build_binomial_discrete_source, (0.3, 1.0)),
+                        (build_birth_death_fluid, (1.0, 2.0, 1.0))):
+        with pytest.raises(ValidationError, match="^n: must be an integer"):
+            build(n, *args)
+    assert build_binomial_discrete_source(5.0, 0.3, 1.0).n_states == 5
+    assert build_birth_death_fluid(np.int64(4), 1.0, 2.0, 1.0).n_states == 4
+
+
+def test_a_failing_curve_point_keeps_its_type_and_names_its_snr():
+    # zero rates never reach C_E: the Brent bracket gives up at every snr
+    silent = FluidMarkovSource(np.array([[-1.0, 1.0], [2.0, -2.0]]), np.zeros(2))
+    with pytest.raises(BracketFailure, match=r"^at snr = 0\.25: effective bandwidth never") as err:
+        source_ebn0_curve(silent, SPEC0, 0.5, [0.25, 1.0])
+    assert type(err.value.__cause__) is BracketFailure
+    assert str(err.value) == f"at snr = 0.25: {err.value.__cause__}"
+
+
+def test_numeric_route_retries_then_reports_a_rough_curve(monkeypatch):
+    # r(snr) = sqrt(snr) has no derivative at 0: every step's
+    # first-derivative extrapolants disagree by the same ratio
+    calls = []
+
+    def rough(spec, snr, theta):
+        calls.append(snr)
+        return SimpleNamespace(value=math.sqrt(snr))
+
+    monkeypatch.setattr(energy, "effective_capacity_quadrature", rough)
+    with pytest.raises(IllConditioned, match="^first-derivative extrapolants disagree"):
+        numeric_energy_metrics("constant", SPEC0, 0.5)
+    steps = [1e-4 * 0.5 ** k for k in range(5)]  # the first step and four halvings
+    assert calls == [s * f for s in steps for f in (1, 2, 4)]
 
 
 def test_curve_floor_and_monotonicity():

@@ -111,6 +111,36 @@ def test_energy_and_throughput_read_the_poisson_layer_from_the_source():
             }
 
 
+PROBES = {"isinstance", "hasattr", "getattr", "type"}
+# what the layers call a source object; ``cfg.source`` is SimConfig's
+SOURCE_NAMES = re.compile(r"(src|source|params|twin|cfg\.source)")
+SOURCE_TYPES = re.compile(r"OnOff\w*Params|\w*MarkovSource|MmppSource|_MatrixSource|AnySource")
+
+
+def _source_probes(module):
+    """The calls of ``module`` that probe a source's type: isinstance,
+    hasattr, getattr or type() of a source object, or against a source type."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in PROBES):
+            continue
+        args = [ast.unparse(a) for a in node.args]
+        if (args and SOURCE_NAMES.fullmatch(args[0])) or any(
+                SOURCE_TYPES.search(a) for a in args[1:]):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_sources_decides_what_a_source_is():
+    # ``sources._typed_source`` is the one check of a source's family and
+    # attributes; the layers read what it has checked
+    from qoslink import cli, queuesim, sources
+
+    for module in (energy, throughput, queuesim, cli):
+        assert _source_probes(module) == [], module.__name__
+    assert _source_probes(sources)  # the guard sees the probes where they belong
+
+
 def test_matrix_sources_need_no_capacity_curve(monkeypatch):
     # the numeric route is the only one that evaluates C_E(snr); the
     # energy metrics and the low-theta slope of a matrix source do not

@@ -724,6 +724,16 @@ def test_disconnected_chain_rejected():
         DiscreteMarkovSource(J, np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "p11, p22, field", [("0.5", 0.5, "p11"), (0.5, True, "p22"), (0.5, float("nan"), "p22")]
+)
+def test_two_state_discrete_probabilities_are_numbers(p11, p22, field):
+    # ('0.5', True, 1) once built a source with p22 = 1.0
+    with pytest.raises(ValidationError, match=f"^{field}: must be a finite number"):
+        OnOffDiscreteParams(p11, p22, 1)
+    assert OnOffDiscreteParams(np.float32(0.5), 1, 1).p22 == 1.0
+
+
 def test_periodic_chains_are_accepted():
     # Perron-Frobenius needs only irreducibility; on a deterministic cycle
     # the queue sees its mean rate at every theta

@@ -65,6 +65,37 @@ def test_mmpp_example_frozen():
     assert res.r_avg_star == pytest.approx(1.1415696942436788, rel=1e-12)
 
 
+def _mp_discrete_lambda(ce, theta, p11, p22):
+    """lambda* of the discrete ON/OFF source in 50-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        ce, theta, p11, p22 = map(mpmath.mpf, (ce, theta, p11, p22))
+        em = mpmath.exp(-theta * ce)
+        return ce + (mpmath.log(1 - p11 * em) - mpmath.log(p22 + (1 - p11 - p22) * em)) / theta
+
+
+@pytest.mark.parametrize("p11, p22", [(0.8, 0.8), (0.5, 0.0), (0.3, 0.95), (0.999, 0.1),
+                                      (0.05, 1e-9), (0.9, 0.0)])
+@pytest.mark.parametrize("theta", [0.01, 1.0])
+def test_discrete_lambda_star_keeps_its_digits_over_theta_ce(p11, p22, theta):
+    # log(num) - log(den) lost digits as theta C_E -> 0 (2.4e-5 off) and
+    # raised InvalidRegime once den = p22 + (1 - p11) e^{-theta C_E}
+    # underflowed at p22 = 0
+    for x in np.logspace(-12, 4, 33):
+        ce = float(x) / theta
+        got = max_avg_rate_onoff_discrete(ce, theta, p11, p22).lambda_star
+        ref = _mp_discrete_lambda(ce, theta, p11, p22)
+        assert abs(got - ref) <= 1e-13 * ref, (x, got, ref)
+
+
+def test_discrete_lambda_star_without_on_persistence():
+    # p22 = 0: lambda* = 2 C_E - ln(1 - p11)/theta once e^{-theta C_E} dies
+    assert max_avg_rate_onoff_discrete(800.0, 1.0, 0.5, 0.0).lambda_star == pytest.approx(
+        1600.0 + math.log(2.0), rel=1e-15
+    )
+
+
 def test_always_on_discrete_is_exactly_ce():
     res = max_avg_rate_onoff_discrete(1.7, 0.9, 0.4, 1.0)
     assert res.r_avg_star == 1.7
