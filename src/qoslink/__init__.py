@@ -36,7 +36,6 @@ from .errors import (
     DegenerateEstimate,
     IllConditioned,
     InsufficientTail,
-    InvalidRegime,
     NoUniqueStationary,
     NonConvergence,
     QoslinkError,

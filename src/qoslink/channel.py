@@ -33,11 +33,11 @@ from .errors import (
 
 LN2 = math.log(2.0)
 
-# Gain sampling (Monte Carlo C_E, var(nu), the simulator's service
-# trace) runs in chunks of this many blocks, chunk c on its own
-# counter-derived Philox stream; _gain_chunks fans the chunks out over
-# threads and returns them in order, so any worker count gives the same
-# bits.  The size is part of every seeded stream layout.
+# Gain sampling (Monte Carlo C_E and the simulator's service trace)
+# runs in chunks of this many blocks, chunk c on its own counter-derived
+# Philox stream; _gain_chunks fans the chunks out over threads and
+# returns them in order, so any worker count gives the same bits.  The
+# size is part of every seeded stream layout.
 _GAIN_CHUNK = 1 << 15
 # Blocks whose complex gains are built at a time: the complex buffer
 # stays small (0.6 MB at m = 10) next to a chunk's draws.
@@ -58,6 +58,8 @@ _PANEL_EDGES = np.array(
 # for the rule above the last rung.
 _GAIN_AXIS_ORDERS = ((0.99, 10), (0.999, 24), (0.9997, 48), (0.9999, 80))
 _KERNEL_DEFECT_TOL = 1e-9
+# From rho _RHO_ONE up a block is one gain, up to _RHO_IID its gains are i.i.d.
+_RHO_ONE, _RHO_IID = 1.0 - 1e-9, 1e-12
 # The one-dimensional integrals run in x = log(1 + gamma t) over a fixed
 # composite rule: the break points log1p(j / w) below, where the factor
 # e^{-w expm1(x)} has fallen by e^{-j}, and a geometric run of
@@ -450,41 +452,19 @@ def _log_rate_moments(gamma: float):
     return e1 / LN2, e2 / (LN2 * LN2)
 
 
-def log_rate_cov_sum(
-    spec: ChannelSpec,
-    snr: float,
-    *,
-    n_samples: int = 10 ** 6,
-    seed: int = 0,
-) -> float:
-    """sum_{i,j} cov{L_i, L_j} with L_i = log2(1 + snr*z_i), bits^2/block.
+def log_rate_cov_sum(spec: ChannelSpec, snr: float) -> float:
+    """var(nu) = sum_{i,j} cov{L_i, L_j}, L_i = log2(1 + snr*z_i), bits^2/block.
 
-    Equals var(nu).  Exact quadrature at rho in {0, 1} (the sum is m,
-    resp. m^2, times the per-symbol variance); seeded Monte Carlo in
-    between, where no closed form is available.
-    """
+    On ``effective_capacity_quadrature``'s split of rho: m (i.i.d.) or m^2
+    (one gain) times the log-rate variance, else the gain-chain kernel's
+    sum (``_chain_cov_sum``), and QuadratureFailure above rho 0.9999."""
     snr = _check_scalar("snr", snr)
-    gamma = snr * spec.sigma_h_sq
-    if spec.rho == 0.0 or spec.rho == 1.0 or spec.m == 1:
-        e1, e2 = _log_rate_moments(gamma)
-        var_l = e2 - e1 * e1
-        factor = spec.m if spec.rho != 1.0 else spec.m ** 2
-        return factor * var_l
-    n = _exact_number("n_samples", int, n_samples)
-    if n < 2:
-        raise ValueError("n_samples must be >= 2")
-    seed = _check_seed("seed", seed)
-
-    def moments(start, z):
-        nu = _log2_rates(z, snr)
-        return float(np.sum(nu)), float(np.sum(nu * nu))
-
-    s1 = 0.0
-    s2 = 0.0
-    for m1, m2 in _gain_chunks(spec, n, seed, (), moments):
-        s1 += m1
-        s2 += m2
-    return (s2 - s1 * s1 / n) / (n - 1)
+    rho, m = spec.rho, spec.m
+    if rho >= _RHO_ONE or rho <= _RHO_IID or m == 1:
+        e1, e2 = _log_rate_moments(snr * spec.sigma_h_sq)
+        return (m * m if rho >= _RHO_ONE else m) * (e2 - e1 * e1)
+    rule = _gain_chain_rule(rho, spec.sigma_h_sq)
+    return _chain_cov_sum(rule, m, np.log1p(snr * rule[0]) / LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +617,21 @@ def _chain_capacity(rule, m: int, snr: float, theta: float) -> float:
     return max(0.0, -log_mean / theta)
 
 
+def _chain_cov_sum(rule, m: int, f: np.ndarray) -> float:
+    """sum_{i,j} cov{f(z_i), f(z_j)} of an m-symbol block from a gain-chain
+    rule (z, W, K, mass) and f on its nodes: m c_0 + 2 sum_{d<m} (m - d) c_d
+    with c_d = mass . (f_c * P^d f_c), P = K diag(W) and f_c = f - E{f},
+    centred first so that no E{f f'} - E{f}^2 cancels."""
+    _, W, K, mass = rule
+    v = f - mass @ f
+    weighted = mass * v
+    total = m * float(weighted @ v)
+    for d in range(1, m):
+        v = K @ (W * v)
+        total += 2.0 * (m - d) * float(weighted @ v)
+    return total
+
+
 def effective_capacity_quadrature(
     spec: ChannelSpec, snr: float, theta: float
 ) -> EffCapEstimate:
@@ -665,9 +660,9 @@ def effective_capacity_quadrature(
     theta = _check_scalar("theta", theta)
     gamma = snr * spec.sigma_h_sq
     a = theta / LN2
-    if spec.rho >= 1.0 - 1e-9:
+    if spec.rho >= _RHO_ONE:
         value = max(0.0, -_log_neg_moment(gamma, spec.m * a) / theta)
-    elif spec.rho <= 1e-12 or spec.m == 1:
+    elif spec.rho <= _RHO_IID or spec.m == 1:
         value = max(0.0, -(spec.m / theta) * _log_neg_moment(gamma, a))
     else:
         rule = _gain_chain_rule(spec.rho, spec.sigma_h_sq)

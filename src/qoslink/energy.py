@@ -163,7 +163,7 @@ def build_binomial_discrete_source(n: int, s: float, lam: float) -> DiscreteMark
     n = _exact_number("n", int, n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    s = float(s)
+    s = _exact_number("s", float, s)
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [0, 1], got {s}")
     lam = _check_scalar("lam", lam, positive=False)
@@ -255,11 +255,9 @@ def source_ebn0_curve(src, spec: ChannelSpec, theta: float, snr_grid: Sequence[f
     supportable rate is zero are dropped.  Capacity and solver failures
     are re-raised with the offending snr attached.
     """
-    grid = [float(s) for s in snr_grid]
+    grid = [_check_scalar(f"snr_grid[{i}]", s) for i, s in enumerate(snr_grid)]
     if not grid:
         raise ValueError("snr_grid must not be empty")
-    if any(s <= 0 or not math.isfinite(s) for s in grid):
-        raise ValueError("snr_grid entries must be finite and > 0")
     if sorted(grid) != grid:
         raise ValueError("snr_grid must be sorted ascending")
     r_of = _rate_curve(src, spec, theta)

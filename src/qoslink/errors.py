@@ -10,11 +10,11 @@ _EPS = sys.float_info.epsilon
 
 
 def _check_scalar(name: str, value, positive: bool = True) -> float:
-    """``value`` as a float, finite and > 0 (``positive``) or >= 0, else a
+    """``value`` by the one number rule, > 0 (``positive``) or >= 0, else a
     ValueError whose message opens with ``name``: ``source_from_json``
     reads that first word as the field to blame."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+    value = _exact_number(name, float, value)
+    if value < 0 or (positive and value == 0):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
     return value
 
@@ -84,10 +84,6 @@ class DegenerateEstimate(QoslinkError):
 
 class QuadratureFailure(QoslinkError):
     """A quadrature rule gave a non-finite or out-of-range value."""
-
-
-class InvalidRegime(QoslinkError):
-    """Closed-form solver hit an argument outside its proven domain."""
 
 
 class BracketFailure(QoslinkError):

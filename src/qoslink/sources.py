@@ -29,7 +29,9 @@ chain): the stationary law, at most once per source, and the deviation
 matrix behind ``burstiness``, its variance rate over its squared mean
 rate (eta or zeta for the two-state ON/OFF sources).  Every source
 answers ``effective_bandwidth(theta)`` (closed form where one exists)
-and ``as_matrix()``, its matrix twin (a matrix source is its own).
+and ``as_matrix()``, its matrix twin (a matrix source is its own); a
+two-state source also carries its closed-form rates at a*(theta) = C_E
+(``_max_rate``), which ``throughput.max_avg_rate`` reads.
 ``_poisson`` marks the MMPP types, whose Poisson layer the energy and
 low-theta formulas charge on top.  A kind string is parsed here only by
 ``source_from_json``.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -486,6 +489,7 @@ class _MatrixSource:
     """
 
     _kind = "nstate"
+    _max_rate = None  # no closed form: throughput's n-state solver scales the rates
     # arrivals in each state are Poisson, not fluid: only the MMPP's are
     _poisson = False
     # one state step per block (a transition matrix J), not continuous time
@@ -720,6 +724,24 @@ class OnOffDiscreteParams:
             raise ValueError("p11 = 1 carries no traffic; burstiness is undefined")
         return (1.0 - p22) * (p11 + p22) / ((1.0 - p11) * (2.0 - p11 - p22))
 
+    def _max_rate(self, ce: float, theta: float):
+        """(r*, lambda*) with a*(theta) = C_E: lambda* = C_E + log(num/den) / theta,
+        num = 1 - p11 e^{-x}, den = p22 (1 - e^{-x}) + (1 - p11) e^{-x} at x =
+        theta C_E.  num - den = (1 - p22)(1 - e^{-x}), so log1p keeps the digits
+        as x -> 0; a subnormal den (p22 ~ 0, where num = 1) is summed in logs."""
+        if self.p11 == 1.0:
+            return 0.0, 0.0
+        p11, p22, x = self.p11, self.p22, theta * ce
+        em, rise = math.exp(-x), -math.expm1(-x)  # e^{-x} and 1 - e^{-x}
+        den = p22 * rise + (1.0 - p11) * em
+        if den >= sys.float_info.min:
+            log_ratio = math.log1p((1.0 - p22) * rise / den)
+        else:
+            a, b = math.log1p(-p11) - x, math.log(p22) if p22 else -math.inf
+            log_ratio = -max(a, b) - math.log1p(math.exp(-abs(a - b)))
+        lam = ce + log_ratio / theta
+        return self.p_on * lam, lam
+
     _kind = "discrete"
     _poisson = False
     as_matrix = as_discrete_source
@@ -750,6 +772,16 @@ class OnOffContinuousParams:
     def burstiness(self) -> float:
         """zeta, the chain's variance rate over its squared mean rate."""
         return 2.0 * self.beta / (self.alpha * (self.alpha + self.beta))
+
+    def _max_rate(self, ce: float, theta: float):
+        """(r*, lambda*) of the fluid source; the MMPP's (``_poisson``) is it
+        scaled by theta/(e^theta - 1), the exact cost of its Poisson layer."""
+        lam = (theta * ce + self.alpha + self.beta) / (theta * ce + self.alpha) * ce
+        r_avg = self.p_on * lam
+        if self._poisson:
+            factor = theta / float(np.expm1(theta))
+            r_avg, lam = r_avg * factor, lam * factor
+        return r_avg, lam
 
 
 class OnOffFluidParams(OnOffContinuousParams):

@@ -3,20 +3,18 @@
 Given the effective capacity C_E of the link at exponent theta, these
 solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
-bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources have
+bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
 closed forms; for general n-state sources the per-state rate scale is
 found by Brent's method on the raw-array kernel the source carries.
-``max_avg_rate`` takes any source and picks its route from the source's
-type.  Asymptotic behavior at theta -> 0 (ergodic limit and first
-derivative) and at high snr (rate prelog) is also exposed.
+``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
+(ergodic limit and first derivative) and at high snr (rate prelog) is
+also exposed.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import singledispatch
 
 import numpy as np
 
@@ -63,50 +61,16 @@ def max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
     """Largest mean arrival rate of ``src``'s kind that the link carries.
 
     The source's effective bandwidth at theta must meet C_E.  A two-state
-    ON/OFF source solves for its ON-state rate in closed form, so its own
-    ``lam`` is not read; a matrix source is solved for the scale of its
-    rate vector by ``max_avg_rate_nstate``.
+    ON/OFF source gives its ON-state rate in closed form (``_max_rate``),
+    so its own ``lam`` is not read; a matrix source is solved for the
+    scale of its rate vector by ``max_avg_rate_nstate``.
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
-    return _max_avg_rate(src, ce, _check_scalar("theta", theta))
-
-
-@singledispatch
-def _max_avg_rate(src, ce: float, theta: float) -> ThroughputResult:
-    return max_avg_rate_nstate(src, theta, ce)
-
-
-@_max_avg_rate.register
-def _(src: OnOffDiscreteParams, ce: float, theta: float) -> ThroughputResult:
-    # a*(theta; lambda*) = C_E gives lambda* = C_E + log(num/den) / theta with
-    # num = 1 - p11 e^{-x}, den = p22 (1 - e^{-x}) + (1 - p11) e^{-x} at x =
-    # theta C_E.  num - den = (1 - p22)(1 - e^{-x}), so log1p keeps the digits
-    # as x -> 0; a subnormal den (p22 ~ 0, where num = 1) is summed in logs
-    if src.p11 == 1.0:
-        return ThroughputResult(0.0, 0.0, theta, ce, "closed_form")
-    p11, p22, x = src.p11, src.p22, theta * ce
-    em, rise = math.exp(-x), -math.expm1(-x)  # e^{-x} and 1 - e^{-x}
-    den = p22 * rise + (1.0 - p11) * em
-    if den >= sys.float_info.min:
-        log_ratio = math.log1p((1.0 - p22) * rise / den)
-    else:
-        a, b = math.log1p(-p11) - x, math.log(p22) if p22 else -math.inf
-        log_ratio = -max(a, b) - math.log1p(math.exp(-abs(a - b)))
-    lam = ce + log_ratio / theta
-    return ThroughputResult(src.p_on * lam, lam, theta, ce, "closed_form")
-
-
-@_max_avg_rate.register(OnOffFluidParams)
-@_max_avg_rate.register(OnOffMmppParams)
-def _(src, ce: float, theta: float) -> ThroughputResult:
-    lam = (theta * ce + src.alpha + src.beta) / (theta * ce + src.alpha) * ce
-    r_avg = src.p_on * lam
-    if src._poisson:
-        # the fluid solution scaled by theta/(e^theta - 1): the Poisson
-        # layer adds burstiness that costs exactly that factor
-        factor = theta / float(np.expm1(theta))
-        r_avg, lam = r_avg * factor, lam * factor
-    return ThroughputResult(r_avg, lam, theta, ce, "closed_form")
+    theta = _check_scalar("theta", theta)
+    closed = _typed_source(src, "_max_rate")._max_rate
+    if closed is None:
+        return max_avg_rate_nstate(src, theta, ce)
+    return ThroughputResult(*closed(ce, theta), theta, ce, "closed_form")
 
 
 def max_avg_rate_onoff_discrete(
@@ -259,9 +223,10 @@ def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlope
     matrix source); Poisson arrivals (an MMPP) lose an extra
     ergodic-capacity/2 on top.  A source that names no family (the
     family-less ``OnOffContinuousParams``) is a TypeError.
-    var(nu) is ``log_rate_cov_sum`` at its defaults: exact at rho in
-    {0, 1} or m = 1, and otherwise a Monte Carlo estimate over 10^6
-    blocks at seed 0, where no closed form is available.
+    var(nu) is ``log_rate_cov_sum``: one-dimensional integrals at rho = 0
+    or 1 (or m = 1), and in between the lag covariances of the gain-chain
+    kernel that C_E also uses, so the slope is deterministic and raises
+    QuadratureFailure where C_E does (0.9999 < rho < 1 - 1e-9).
     """
     extra, coef = 0.0, 0.0
     if src is not None:

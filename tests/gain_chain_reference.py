@@ -37,8 +37,9 @@ RHOS = (0.3, 0.5, 0.8, 0.9)
 POINTS = ((1e-4, 0.1), (1e-2, 0.5), (1.0, 1.0), (100.0, 5.0))
 
 
-def coefficients(rho, snr, a):
-    """c_0, ..., c_{P-1} from the generating function on |w| = rho."""
+def coefficients(rho, transform):
+    """c_0, ..., c_{P-1} from the generating function on |w| = rho, where
+    ``transform`` is F, the Laplace transform of the function expanded."""
     P = 2 ** math.ceil(math.log2(45 * math.log(10) / -math.log(rho)))
     R = mp.mpf(rho)
     roots = [mp.expjpi(mp.mpf(2 * j) / P) for j in range(P)]
@@ -46,7 +47,7 @@ def coefficients(rho, snr, a):
     for j in range(P):
         w = R * roots[j]
         p = 1 / (1 - w)
-        values.append(mp.hyperu(1, 2 - a, p / snr) / snr * p)
+        values.append(transform(p) * p)
     coef = []
     for n in range(P):
         total = mp.fsum(values[j] * roots[(-n * j) % P] for j in range(P))
@@ -82,7 +83,7 @@ def main():
         for snr, theta in POINTS:
             a = mp.mpf(theta / LN2)
             s = mp.mpf(snr)
-            coef, parseval = coefficients(rho, s, a)
+            coef, parseval = coefficients(rho, lambda p: mp.hyperu(1, 2 - a, p / s) / s)
             mean = check(coef, parseval, mp.mpf(rho) ** 2, s, a)
             value = -mp.log(mean) / theta
             print(f"    ({rho!r}, {snr!r}, {theta!r}, {mp.nstr(value, 30)}),", flush=True)

@@ -15,6 +15,7 @@ from qoslink.channel import (
     ChannelSpec,
     EffCapEstimate,
     _chain_capacity,
+    _chain_cov_sum,
     _gain_chain_kernel,
     _gain_chain_rule,
     _i0e,
@@ -104,22 +105,19 @@ def test_iid_closed_form_takes_an_integral_block_length(m):
      ({"seed": -1}, "^seed: must fit in an unsigned 64-bit integer$"),
      ({"seed": 2 ** 70}, "^seed: must fit in an unsigned 64-bit integer$")],
 )
-@pytest.mark.parametrize("route", ["mc", "cov_sum"])
+@pytest.mark.parametrize("route", ["mc"])  # the one route that samples
 def test_monte_carlo_counts_and_seeds_are_not_truncated(route, kwargs, match):
     # n_samples=2.9 once ran 2 blocks, seed=1.5 ran seed 1 and 2**70 was
     # accepted; the simulator's seed already followed this rule
     spec = ChannelSpec(4, 0.5)
-    call = {"mc": lambda: effective_capacity_mc(spec, 1.0, 0.5, **{"n_samples": 3000, **kwargs}),
-            "cov_sum": lambda: log_rate_cov_sum(spec, 1.0, **{"n_samples": 3000, **kwargs})}
     with pytest.raises(ValidationError, match=match):
-        call[route]()
+        effective_capacity_mc(spec, 1.0, 0.5, **{"n_samples": 3000, **kwargs})
 
 
 def test_monte_carlo_takes_integral_floats_and_numpy_seeds():
     spec = ChannelSpec(4, 0.5)
     ref = effective_capacity_mc(spec, 1.0, 0.5, n_samples=3000, seed=5)
     assert effective_capacity_mc(spec, 1.0, 0.5, n_samples=3000.0, seed=np.uint64(5)) == ref
-    assert log_rate_cov_sum(spec, 1.0, n_samples=np.int64(3000), seed=2 ** 64 - 1) > 0.0
 
 
 def test_iid_m_scaling():
@@ -420,8 +418,44 @@ def test_log_rate_cov_sum_routes():
     assert log_rate_cov_sum(ChannelSpec(1, 0.0), 1.0) == pytest.approx(exact / 10, rel=1e-10)
     full = log_rate_cov_sum(ChannelSpec(10, 1.0), 1.0)
     assert full == pytest.approx(10.0 * exact, rel=1e-10)
-    mid = log_rate_cov_sum(ChannelSpec(10, 0.75), 1.0, n_samples=300_000, seed=2)
+    mid = log_rate_cov_sum(ChannelSpec(10, 0.75), 1.0)
     assert exact < mid < full
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.99, 0.9999])
+def test_chain_cov_sum_of_the_gains_is_exact(rho):
+    # with z in place of the log-rate, the kernel's covariance sum is
+    # sum_{i,j} rho^{2|i-j|}, which fading_moments has in closed form
+    rule = _gain_chain_rule(rho, 1.0)
+    for m in (2, 3, 10, 50, 100):
+        got = _chain_cov_sum(rule, m, rule[0])
+        assert got == pytest.approx(fading_moments(ChannelSpec(m, rho)).cov_sum, rel=1e-11, abs=0)
+
+
+# (rho, snr, var(nu)) of a block of m = 2 symbols: 30-digit values of
+# 2 var(L) + 2 sum_{n>=1} rho^{2n} c_n^2 with c_n = E{L L_n}, the
+# Hille-Hardy series of the log-rate pair, from tests/log_rate_reference.py
+TWO_SYMBOL_VAR_NU = [
+    (0.5, 0.01, 0.000500364841944219631101243746858),
+    (0.8, 1.0, 1.18912848052327808096605775457),
+    (0.9, 100.0, 9.88140603713660346529189644783),
+]
+
+
+@pytest.mark.parametrize("rho,snr,expected", TWO_SYMBOL_VAR_NU)
+def test_two_symbol_var_nu_matches_the_laguerre_series(rho, snr, expected):
+    assert log_rate_cov_sum(ChannelSpec(2, rho), snr) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def test_var_nu_refuses_the_rho_that_c_e_refuses():
+    spec = ChannelSpec(10, 0.99995)
+    with pytest.raises(QuadratureFailure, match="too sharp"):
+        effective_capacity_quadrature(spec, 1.0, 1.0)
+    with pytest.raises(QuadratureFailure, match="too sharp"):
+        log_rate_cov_sum(spec, 1.0)
+    # from 1 - 1e-9 both take the one-gain integrals
+    one = log_rate_cov_sum(ChannelSpec(10, 1.0), 1.0)
+    assert log_rate_cov_sum(ChannelSpec(10, 1.0 - 1e-9), 1.0) == one
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +502,6 @@ def _sampled_outputs(spec):
     return (
         _service_trace(spec, 2.0, _ODD_N, 7).tobytes(),
         (mc.value, mc.std_error),
-        log_rate_cov_sum(spec, 2.0, n_samples=_ODD_N, seed=7),
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ from scipy.stats import binom
 
 import qoslink
 from qoslink import energy
-from qoslink.channel import ChannelSpec
+from qoslink.channel import ChannelSpec, effective_capacity_quadrature
 from qoslink.energy import (
     build_binomial_discrete_source,
     build_birth_death_fluid,
@@ -34,11 +35,13 @@ from qoslink.sources import (
     MmppSource,
     OnOffContinuousParams,
     OnOffDiscreteParams,
+    OnOffFluidParams,
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
     average_rate,
 )
+from qoslink.throughput import max_avg_rate
 
 SPEC0 = ChannelSpec(m=10, rho=0.0)
 SPEC75 = ChannelSpec(m=10, rho=0.75)
@@ -263,6 +266,25 @@ def test_builders_take_an_integral_state_count(n):
             build(n, *args)
     assert build_binomial_discrete_source(5.0, 0.3, 1.0).n_states == 5
     assert build_birth_death_fluid(np.int64(4), 1.0, 2.0, 1.0).n_states == 4
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: OnOffFluidParams("2", True, 1), "alpha"),
+     (lambda: OnOffFluidParams(2, True, 1), "beta"),
+     (lambda: effective_capacity_quadrature(ChannelSpec(2, 0.0), "1.0", True), "snr"),
+     (lambda: effective_capacity_quadrature(ChannelSpec(2, 0.0), 1.0, True), "theta"),
+     (lambda: build_binomial_discrete_source(3, "0.5", True), "s"),
+     (lambda: build_binomial_discrete_source(3, 0.5, True), "lam"),
+     (lambda: source_ebn0_curve(None, SPEC0, 1.0, [0.1, "1"]), "snr_grid[1]"),
+     (lambda: max_avg_rate(OnOffFluidParams(1, 2, 0), math.nan, 1.0), "effective capacity")],
+    ids=["alpha", "beta", "snr", "theta", "s", "lam", "snr-grid", "ce"],
+)
+def test_scalar_arguments_follow_the_number_rule(call, name):
+    # '2' once built alpha 2.0, True a beta of 1.0 and '0.5' a binomial s
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)}: must be a finite number") as info:
+        call()
+    assert info.value.field_path == name
 
 
 def test_a_failing_curve_point_keeps_its_type_and_names_its_snr():

@@ -131,13 +131,33 @@ def _source_probes(module):
     return found
 
 
+def _source_registrations(module):
+    """The ``singledispatch`` registrations of ``module`` on a source type:
+    ``@f.register`` on a function whose first argument is annotated with
+    one, and ``f.register(T)`` or ``f.register(T, impl)`` naming one."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Attribute) and dec.attr == "register" and node.args.args:
+                    note = node.args.args[0].annotation
+                    if note is not None and SOURCE_TYPES.search(ast.unparse(note)):
+                        found.append(f"@{ast.unparse(dec)} {node.name}({ast.unparse(note)})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "register"
+              and any(SOURCE_TYPES.search(ast.unparse(a)) for a in node.args)):
+            found.append(ast.unparse(node))
+    return found
+
+
 def test_only_sources_decides_what_a_source_is():
     # ``sources._typed_source`` is the one check of a source's family and
-    # attributes; the layers read what it has checked
+    # attributes; the layers read what it has checked, and dispatch on no
+    # source type either
     from qoslink import cli, queuesim, sources
 
     for module in (energy, throughput, queuesim, cli):
-        assert _source_probes(module) == [], module.__name__
+        assert _source_probes(module) + _source_registrations(module) == [], module.__name__
     assert _source_probes(sources)  # the guard sees the probes where they belong
 
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import qoslink.sources as sources_module
 from qoslink import queuesim, throughput
-from qoslink.channel import ChannelSpec, effective_capacity_rayleigh_iid, ergodic_capacity
+from qoslink.channel import (
+    ChannelSpec, effective_capacity_quadrature, effective_capacity_rayleigh_iid, ergodic_capacity,
+)
 from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
 from qoslink.errors import BracketFailure
 from qoslink.sources import (
@@ -36,6 +38,7 @@ from qoslink.sources import (
 from qoslink.throughput import (
     high_snr_slope,
     low_theta_asymptotics,
+    max_avg_rate,
     max_avg_rate_nstate,
     max_avg_rate_onoff_discrete,
     max_avg_rate_onoff_fluid,
@@ -399,6 +402,24 @@ def test_matrix_twin_has_the_two_state_low_theta_derivative(kind, twin):
     assert matrix.low_theta_derivative == pytest.approx(
         closed.low_theta_derivative, rel=1e-13
     )
+
+
+def test_low_theta_derivative_on_a_correlated_channel_is_pinned():
+    # var(nu) comes from the gain-chain kernel, so every call gives the
+    # same slope; a Richardson difference of r*(theta) on the quadrature
+    # C_E agrees to 2e-6 relative at theta = 1e-4
+    spec, src = ChannelSpec(m=10, rho=0.75), OnOffFluidParams(1.0, 2.0, 0.0)
+    asym = low_theta_asymptotics(src, spec, 1.0)
+    assert asym.low_theta_derivative == pytest.approx(-54.647164668438194, rel=1e-12)
+    assert low_theta_asymptotics(src, spec, 1.0) == asym
+
+    def r_star(theta):
+        ce = effective_capacity_quadrature(spec, 1.0, theta).value
+        return max_avg_rate(src, ce, theta).r_avg_star
+
+    th, erg = 1e-4, asym.low_theta_limit
+    richardson = 2 * (r_star(th) - erg) / th - (r_star(2 * th) - erg) / (2 * th)
+    assert richardson == pytest.approx(asym.low_theta_derivative, rel=1e-4)
 
 
 def test_mmpp_derivative_sits_below_fluid_by_half_ergodic():
