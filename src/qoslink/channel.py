@@ -20,7 +20,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -133,9 +133,7 @@ class ChannelSpec:
     sigma_h_sq: float = 1.0
 
     def __post_init__(self):
-        m = _exact_number("m", int, self.m)
-        if m < 1:
-            raise ValidationError("m", f"must be a positive integer, got {m}")
+        m = _block_length(self.m)
         rho = _exact_number("rho", float, self.rho)
         if not (0.0 <= rho <= 1.0):
             raise ValidationError("rho", f"must lie in [0, 1], got {rho}")
@@ -144,6 +142,14 @@ class ChannelSpec:
             raise ValidationError("sigma_h_sq", f"must be > 0, got {s2}")
         for name, value in (("m", m), ("rho", rho), ("sigma_h_sq", s2)):
             object.__setattr__(self, name, value)
+
+
+def _block_length(m) -> int:
+    """m symbols per block, a positive integer by the one number rule."""
+    m = _exact_number("m", int, m)
+    if m < 1:
+        raise ValidationError("m", f"must be a positive integer, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -409,10 +415,19 @@ def effective_capacity_rayleigh_iid(snr: float, theta: float, m: int) -> EffCapE
 
     C_E = -(m/theta) log_e[snr^{-theta/log_e 2} e^{1/snr}
     Gamma(1 - theta/log_e 2, 1/snr)] bits/block: the i.i.d. branch of
-    ``effective_capacity_quadrature`` on ``ChannelSpec(m, 0.0)``.
+    ``effective_capacity_quadrature`` on ``ChannelSpec(m, 0.0)``, with
+    m read by the same rule and the same bits, without building the spec.
     """
-    est = effective_capacity_quadrature(ChannelSpec(m, 0.0), snr, theta)
-    return replace(est, method="closed_form_iid_rayleigh")
+    m = _block_length(m)
+    snr = _check_scalar("snr", snr)
+    theta = _check_scalar("theta", theta)
+    return EffCapEstimate(_iid_capacity(snr, theta, m), 0.0, "closed_form_iid_rayleigh", 0,
+                          theta, snr)
+
+
+def _iid_capacity(gamma: float, theta: float, m: int) -> float:
+    """C_E of m i.i.d. Rayleigh symbols of mean snr gamma per block."""
+    return max(0.0, -(m / theta) * _log_neg_moment(gamma, theta / LN2))
 
 
 def ergodic_capacity(spec: ChannelSpec, snr: float) -> float:
@@ -659,11 +674,10 @@ def effective_capacity_quadrature(
     snr = _check_scalar("snr", snr)
     theta = _check_scalar("theta", theta)
     gamma = snr * spec.sigma_h_sq
-    a = theta / LN2
     if spec.rho >= _RHO_ONE:
-        value = max(0.0, -_log_neg_moment(gamma, spec.m * a) / theta)
+        value = max(0.0, -_log_neg_moment(gamma, spec.m * (theta / LN2)) / theta)
     elif spec.rho <= _RHO_IID or spec.m == 1:
-        value = max(0.0, -(spec.m / theta) * _log_neg_moment(gamma, a))
+        value = _iid_capacity(gamma, theta, spec.m)
     else:
         rule = _gain_chain_rule(spec.rho, spec.sigma_h_sq)
         value = _chain_capacity(rule, spec.m, snr, theta)

@@ -20,9 +20,10 @@ every seeded output is reproducible bit for bit:
 - a chain step from state s goes to the first j with u <= cdf[s, j];
   the last CDF entry of each row is pinned to 1.0; chains of up to four
   states are walked by a prefix scan of the per-step maps, larger ones
-  by a per-step bisect; a scan block whose steps all take one map (every
-  jump of an ON/OFF fluid or MMPP chain flips the state) follows that
-  map's orbit instead of scanning;
+  by a per-step bisect; a block of steps that all take one map follows
+  that map's orbit instead, without reading the CDF when every row has
+  one next state for all u in (0, 1] (every jump of an ON/OFF fluid or
+  MMPP chain flips the state);
 - a discrete path takes its uniforms in blocks of _DRAW_BLOCK from one
   stream, the same bits a single ``rng.random(n)`` call gives;
 - a continuous path draws batches of ``rng.exponential(size=4096)``
@@ -45,17 +46,25 @@ every seeded output is reproducible bit for bit:
   are |w|^2 of the draws, without the AR(1) recursion;
 - the arrival trace runs as one task on those threads, beside the
   service chunks; the two traces share no generator, so the overlap
-  moves no bit either.
+  moves no bit either;
+- the tail statistics run on those threads too: each sum and count over
+  the tail (the overflow counts, and each delay lag's late mass, late
+  count and arrived mass, taken once per lag) is reduced in two halves,
+  the first on a gain thread, split where numpy's pairwise sum splits
+  (n // 2 rounded down to a multiple of 8), and each half block by block
+  down that same tree, so every float sum is the whole array's ``sum()``
+  to the bit, whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from bisect import bisect_left
 from concurrent import futures
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -76,6 +85,7 @@ _STABILITY_CHECK_AT = 10 ** 5
 _STABILITY_MARGIN = 1.01
 _MIN_EVENTS = 100
 _AUTO_POINTS = 12
+_TAIL_BLOCK = 1 << 16  # largest node of a tail reduction; see _tree_sum
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,12 @@ class QueueSimReport:
     """Empirical tails plus the two fitted decay slopes.
 
     Slopes are NaN when the corresponding tail had too few usable
-    points to fit (for example a queue that never builds up).
+    points to fit (for example a queue that never builds up), and so is
+    the fit's r squared.  ``overflow_counts`` and ``delay_counts`` are
+    the events behind each point (blocks at or over q, blocks with bits
+    still queued after d), ``warmup`` the blocks left out before the
+    tails, and ``check_means`` the (arrival, service) means per block
+    over the first min(10^5, n) blocks that the stability check compares.
     """
 
     overflow_points: Tuple[Tuple[float, float], ...]
@@ -135,6 +150,12 @@ class QueueSimReport:
     delay_slope_sim: float
     varsigma_hat: float
     varsigma_ratio: float
+    overflow_r_squared: float = math.nan
+    delay_r_squared: float = math.nan
+    overflow_counts: Tuple[int, ...] = ()
+    delay_counts: Tuple[int, ...] = ()
+    warmup: int = 0
+    check_means: Tuple[float, float] = (math.nan, math.nan)
 
 
 def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
@@ -157,12 +178,64 @@ def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return queue
 
 
-def _delay_tail_mass(arrivals, cum_arrivals, departed, d, start, stop):
-    """(bit mass, block count) of arrivals in blocks [start, stop] still
-    queued d blocks on."""
-    late = cum_arrivals[start : stop + 1] - departed[start + d - 1 : stop + d]
-    np.clip(late, 0.0, arrivals[start : stop + 1], out=late)
-    return float(late.sum()), int(np.count_nonzero(late))
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum of n > 128 contiguous floats splits
+    them: ``a.sum() == a[:h].sum() + a[h:].sum()`` bit for bit."""
+    h = n // 2
+    return h - h % 8
+
+
+def _tree_sum(work, lo, hi, buf):
+    """Elementwise sum of ``work(a, b, buf)`` over the nodes [a, b) of
+    numpy's pairwise-sum tree on [lo, hi) that hold at most _TAIL_BLOCK
+    items, added in the tree's order."""
+    if hi - lo <= _TAIL_BLOCK:
+        return work(lo, hi, buf)
+    mid = lo + _pairwise_split(hi - lo)
+    return tuple(map(operator.add, _tree_sum(work, lo, mid, buf), _tree_sum(work, mid, hi, buf)))
+
+
+def _split_reduce(work, n, scratch):
+    """``_tree_sum`` over [0, n), its first half on a gain thread with
+    ``scratch[0]`` and its second here with ``scratch[1]``.
+
+    A float sum that ``work`` takes over its node is the whole range's
+    ``sum()`` to the bit.  A failing half is waited for and re-raised.
+    """
+    if n <= _TAIL_BLOCK:
+        return work(0, n, scratch[1])
+    h = _pairwise_split(n)
+    pool, _ = channel._pool(os.getpid())
+    task = pool.submit(_tree_sum, work, 0, h, scratch[0])
+    try:
+        second = _tree_sum(work, h, n, scratch[1])
+    except BaseException:
+        task.cancel()
+        futures.wait([task])
+        raise
+    return tuple(map(operator.add, task.result(), second))
+
+
+def _tail_counts(tail, q_grid, lo, hi, buf):
+    """(blocks of tail[lo:hi] with a queue >= q for each q in q_grid,
+    blocks with a queue > 0)."""
+    block, mask = tail[lo:hi], buf[1][: hi - lo]
+    counts = [np.count_nonzero(np.greater_equal(block, q, out=mask)) for q in q_grid]
+    counts.append(np.count_nonzero(np.greater(block, 0.0, out=mask)))
+    return tuple(map(int, counts))
+
+
+def _delay_tail(arrivals, cum_arrivals, departed, d, start, lo, hi, buf):
+    """(bit mass, block count, bits arrived) of blocks start + [lo, hi):
+    the mass and count are the arrivals still queued d blocks on."""
+    a, b = start + lo, start + hi
+    late, mask = buf[0][: hi - lo], buf[1][: hi - lo]
+    np.subtract(cum_arrivals[a:b], departed[a + d - 1 : b + d - 1], out=late)
+    # clip to [0, arrivals] by two branch-free ufuncs: the same values
+    np.maximum(late, 0.0, out=late)
+    np.minimum(late, arrivals[a:b], out=late)
+    count = np.count_nonzero(np.not_equal(late, 0.0, out=mask))
+    return float(late.sum()), int(count), float(arrivals[a:b].sum())
 
 
 def _jump_cdf(probs: np.ndarray) -> np.ndarray:
@@ -211,39 +284,49 @@ def _walk(cdf: np.ndarray, s0, draws: np.ndarray) -> np.ndarray:
     composes the codes through a table, one _SCAN_BLOCK of steps at a
     time.  The table has n ** (2n) entries (65536 at n = 4, 9.8e6 at
     n = 5), so larger chains take a per-step bisect; at n = 2..4 the
-    scan is 1.3-2 times faster than the bisect.  A block whose steps
-    all take the same map, as every jump of a chain whose rows each have
-    one possible next state does, skips the scan: its states are that
-    map's orbit (``_orbit``).  A uniform of exactly 0.0 reads a
-    different code (state 0 of every row), so its block is scanned.
+    scan is 1.3-2 times faster than the bisect.  A chain whose every row
+    has one next state for all u in (0, 1] (every row's CDF entries are
+    0 or 1, as in every ON/OFF fluid or MMPP jump chain) follows that
+    map's orbit (``_orbit``) through each _SCAN_BLOCK of steps without
+    reading the CDF; a block whose codes all agree is that code's orbit.
+    A uniform of exactly 0.0 reads a different code (state 0 of every
+    row), so its block is scanned or bisected.
     """
     n_states = cdf.shape[0]
     s = int(s0)
+    zero = cdf <= 0.0
+    # the one next state of each row, when no u in (0, 1] can move it
+    sure = np.argmax(~zero, axis=1) if (zero | (cdf >= 1.0)).all() else None
     if n_states >= _SCAN_MAX_STATES:
         rows = cdf.tolist()
-        path = []
-        for u in draws.tolist():
-            s = bisect_left(rows[s], u)
-            path.append(s)
-        return np.array(path, dtype=np.intp)
-    compose, digits = _map_algebra(n_states)
-    n_maps = digits.shape[0]
+    else:
+        compose, digits = _map_algebra(n_states)
+        n_maps = digits.shape[0]
     states = np.empty(draws.shape[0], dtype=np.intp)
     for lo in range(0, draws.shape[0], _SCAN_BLOCK):
         u = draws[lo : lo + _SCAN_BLOCK]
-        codes = np.searchsorted(cdf[0], u)
-        for x in range(1, n_states):
-            codes += np.searchsorted(cdf[x], u) * n_states ** x
         out = states[lo : lo + u.shape[0]]
-        if codes.min() == codes.max():
-            out[:] = _orbit(digits[codes[0]], s, u.shape[0])
+        if sure is not None and u.min() > 0.0:
+            out[:] = _orbit(sure, s, u.shape[0])
+        elif n_states >= _SCAN_MAX_STATES:
+            path = []
+            for x in u.tolist():
+                s = bisect_left(rows[s], x)
+                path.append(s)
+            out[:] = path
         else:
-            off = 1
-            while off < u.shape[0]:
-                # step k after steps k-off..k-1: code[k] o code[k - off]
-                codes[off:] = compose[codes[off:] * n_maps + codes[:-off]]
-                off *= 2
-            out[:] = digits[codes, s]
+            codes = np.searchsorted(cdf[0], u)
+            for x in range(1, n_states):
+                codes += np.searchsorted(cdf[x], u) * n_states ** x
+            if codes.min() == codes.max():
+                out[:] = _orbit(digits[codes[0]], s, u.shape[0])
+            else:
+                off = 1
+                while off < u.shape[0]:
+                    # step k after steps k-off..k-1: code[k] o code[k - off]
+                    codes[off:] = compose[codes[off:] * n_maps + codes[:-off]]
+                    off *= 2
+                out[:] = digits[codes, s]
         s = int(out[-1])
     return states
 
@@ -364,14 +447,13 @@ def _auto_q_thresholds(queue_tail: np.ndarray):
     return [float(q) for q in dict.fromkeys(grid) if q > 0]
 
 
-def _auto_d_thresholds(arrivals, cum_arrivals, departed, start, stop_for):
+def _auto_d_thresholds(delay_tail, start, n):
     # double the lag until fewer than one bit in 1e4 is still waiting
     d = 1
-    while d <= stop_for(d) - start:
-        denom = float(arrivals[start : stop_for(d) + 1].sum())
+    while d <= n - d - start:
+        mass, _, denom = delay_tail(d)
         if denom == 0.0:
             return []
-        mass, _ = _delay_tail_mass(arrivals, cum_arrivals, departed, d, start, stop_for(d))
         if mass / denom < 1e-4 or d >= 4096:
             break
         d *= 2
@@ -453,55 +535,60 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
         else _auto_q_thresholds(tail)
     )
     n_tail = tail.shape[0]
-    overflow_points = []
-    overflow_counts = []
-    for q in q_grid:
-        count = int(np.count_nonzero(tail >= q))
-        if count == 0:
-            continue
-        overflow_points.append((float(q), count / n_tail))
-        overflow_counts.append(count)
-    varsigma_hat = float(np.count_nonzero(tail > 0)) / n_tail
+    # float and mask buffers of one block for each half of each tail
+    # reduction, allocated here (see _gain_chunks on thread arenas)
+    scratch = [(np.empty(_TAIL_BLOCK), np.empty(_TAIL_BLOCK, bool)) for _ in range(2)]
+    *counts, busy = _split_reduce(partial(_tail_counts, tail, q_grid), n_tail, scratch)
+    overflow = [(float(q), count / n_tail, count) for q, count in zip(q_grid, counts) if count]
+    varsigma_hat = float(busy) / n_tail
 
     cum_arrivals = np.cumsum(arrivals)
     # the queue is not read again: departures take its buffer
     departed = np.subtract(cum_arrivals, queue, out=queue)
     del queue, tail
-    stop_for = lambda d: n - d  # last block whose lag-d verdict is in horizon
+
+    @lru_cache(maxsize=None)
+    def delay_tail(d):
+        # blocks warmup .. n - d, the last whose lag-d verdict is in horizon
+        work = partial(_delay_tail, arrivals, cum_arrivals, departed, d, warmup)
+        return _split_reduce(work, n - d - warmup + 1, scratch)
+
     d_grid = (
         list(cfg.d_thresholds)
         if cfg.d_thresholds is not None
-        else _auto_d_thresholds(arrivals, cum_arrivals, departed, warmup, stop_for)
+        else _auto_d_thresholds(delay_tail, warmup, n)
     )
-    delay_points = []
-    delay_counts = []
+    delay = []
     for d in d_grid:
-        stop = stop_for(d)
-        if stop < warmup:
+        if n - d < warmup:
             continue
-        denom = float(arrivals[warmup : stop + 1].sum())
-        if denom == 0.0:
+        mass, count, denom = delay_tail(d)
+        if denom == 0.0 or mass <= 0.0:
             continue
-        mass, count = _delay_tail_mass(arrivals, cum_arrivals, departed, d, warmup, stop)
-        if mass <= 0.0:
-            continue
-        delay_points.append((int(d), mass / denom))
-        delay_counts.append(count)
+        delay.append((int(d), mass / denom, count))
 
-    def _slope(points, counts):
+    def _fit(rows):
+        # (x, probability, events) rows; NaN slope and r squared when too few
         try:
-            return fit_decay_slope(points, counts)["slope"]
+            return fit_decay_slope([r[:2] for r in rows], [r[2] for r in rows])
         except InsufficientTail:
-            return math.nan
+            return {"slope": math.nan, "r_squared": math.nan}
 
     mean_arrival = float(arrivals[warmup:].mean())
     ratio = mean_arrival / mean_service if mean_service > 0 else 0.0
+    overflow_fit, delay_fit = _fit(overflow), _fit(delay)
 
     return QueueSimReport(
-        overflow_points=tuple(overflow_points),
-        delay_points=tuple(delay_points),
-        theta_sim=_slope(overflow_points, overflow_counts),
-        delay_slope_sim=_slope(delay_points, delay_counts),
+        overflow_points=tuple(r[:2] for r in overflow),
+        delay_points=tuple(r[:2] for r in delay),
+        theta_sim=overflow_fit["slope"],
+        delay_slope_sim=delay_fit["slope"],
         varsigma_hat=varsigma_hat,
         varsigma_ratio=ratio,
+        overflow_r_squared=overflow_fit["r_squared"],
+        delay_r_squared=delay_fit["r_squared"],
+        overflow_counts=tuple(r[2] for r in overflow),
+        delay_counts=tuple(r[2] for r in delay),
+        warmup=warmup,
+        check_means=(mean_a, mean_s),
     )

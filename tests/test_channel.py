@@ -96,6 +96,13 @@ def test_iid_closed_form_takes_an_integral_block_length(m):
         effective_capacity_rayleigh_iid(1.0, 1.0, m)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_iid_closed_form_takes_a_positive_block_length(m):
+    # the ChannelSpec rule, read without building a spec
+    with pytest.raises(ValidationError, match="^m: must be a positive integer, got"):
+        effective_capacity_rayleigh_iid(1.0, 1.0, m)
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [({"n_samples": 2.9}, "^n_samples: must be an integer"),

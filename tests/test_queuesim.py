@@ -1,6 +1,7 @@
 """Queue simulator: exact recursions, fits, tails, slope validation."""
 
 import math
+import os
 import sys
 import threading
 import time
@@ -22,7 +23,7 @@ from qoslink.queuesim import (
     SimConfig,
     _arrival_trace,
     _continuous_path,
-    _delay_tail_mass,
+    _delay_tail,
     _jump_cdf,
     _lindley,
     _service_trace,
@@ -41,6 +42,7 @@ from qoslink.sources import (
     as_fluid_source,
     as_mmpp_source,
 )
+from tail_reference import serial_simulate_queue
 from qoslink.throughput import (
     max_avg_rate_onoff_discrete,
     max_avg_rate_onoff_fluid,
@@ -75,10 +77,11 @@ def test_delay_tail_hand_trace():
     queue = _lindley(arrivals, services)
     cum = np.cumsum(arrivals)
     departed = cum - queue
+    buf = (np.empty(5), np.empty(5, bool))
     # 6 of the 9 bits (from 3 blocks) wait at least one block, 1 (from
     # block 2) waits at least two
-    assert _delay_tail_mass(arrivals, cum, departed, 1, 0, 4) == (6.0, 3)
-    assert _delay_tail_mass(arrivals, cum, departed, 2, 0, 3) == (1.0, 1)
+    assert _delay_tail(arrivals, cum, departed, 1, 0, 0, 5, buf) == (6.0, 3, 9.0)
+    assert _delay_tail(arrivals, cum, departed, 2, 0, 0, 4, buf) == (1.0, 1, 9.0)
 
 
 def test_fit_exact_exponential():
@@ -774,15 +777,18 @@ class _Inline:
 
 
 class _RecordingPool(ThreadPoolExecutor):
-    """Thread pool that keeps every future it hands out."""
+    """Thread pool that keeps every future it hands out, and the
+    function of each task."""
 
     def __init__(self, workers):
         super().__init__(workers)
         self.futures = []
+        self.tasks = []
 
     def submit(self, fn, *args, **kwargs):
         future = super().submit(fn, *args, **kwargs)
         self.futures.append(future)
+        self.tasks.append(fn)
         return future
 
 
@@ -806,10 +812,13 @@ def test_overlapped_traces_give_the_sequential_reports(monkeypatch):
     sys.setswitchinterval(1e-5)  # more workers than cores, switching often
     try:
         for workers in (1, 3):
-            with ThreadPoolExecutor(workers) as pool:
+            with _RecordingPool(workers) as pool:
                 monkeypatch.setattr(channel, "_pool", lambda pid: (pool, workers))
                 runs.append([repr(simulate_queue(cfg)) for cfg in cells])
-        # the arrival trace in the caller, before the service trace
+            # the tail reductions of the two long cells ran as tasks too
+            assert pool.tasks.count(queuesim._tree_sum) >= 2 * 9
+        # the arrival trace in the caller, before the service trace, and
+        # each tail reduction's first half before its second
         monkeypatch.setattr(channel, "_pool", lambda pid: (_Inline(), 1))
         runs.append([repr(simulate_queue(cfg)) for cfg in cells])
     finally:
@@ -905,3 +914,183 @@ def test_unsupported_source_is_rejected_before_any_task(monkeypatch):
         assert pool.futures == []
     finally:
         pool.shutdown()
+
+
+def _lane_sum(values):
+    """numpy's sum of at most 128 floats: eight lanes, added pairwise,
+    then the rest one by one."""
+    if len(values) < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    lanes, k = values[:8], 8
+    while k + 8 <= len(values):
+        lanes = [r + x for r, x in zip(lanes, values[k : k + 8])]
+        k += 8
+    r = lanes
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[k:]:
+        total += x
+    return total
+
+
+def test_numpy_pairwise_sum_splits_where_the_tail_reductions_do():
+    # the tail phase adds the sums of nodes of numpy's pairwise tree; a
+    # numpy that sums another way fails here before a seeded value moves
+    rng = np.random.default_rng(0)
+
+    def draw(n):
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+    for n in range(129):  # one node: no split
+        a = draw(n)
+        assert a.sum() == _lane_sum(a.tolist())
+    scratch = [None, None]  # the sums below need no buffer
+    moved = 0
+    for n in (129, 130, 135, 255, 257, 4097, 3 * (1 << 15) + 7, 10 ** 6 - 10 ** 4 - 7, 10 ** 6 - 1,
+              10 ** 6, 10 ** 6 + 1):
+        a = draw(n)
+        h = queuesim._pairwise_split(n)
+        assert h % 8 == 0 and n // 2 - 8 < h <= n // 2
+        assert a.sum() == a[:h].sum() + a[h:].sum()
+        moved += a.sum() != a[: h - 8].sum() + a[h - 8 :].sum()
+        got = queuesim._split_reduce(lambda lo, hi, buf: (float(a[lo:hi].sum()),), n, scratch)
+        assert got == (float(a.sum()),)
+    assert moved > 0  # the split point matters
+
+
+def _oracle_cells():
+    base, _ = _loaded_config(0.2, 3 * (1 << 15) + 7, 5)
+    short, _ = _loaded_config(0.2, queuesim._MIN_BLOCKS, 6)
+    cells = [base, short] + _sim_cells()[1:]
+    cells.append(SimConfig(source=base.source, channel=base.channel, snr=base.snr,
+                           n_blocks=base.n_blocks, seed=base.seed,
+                           q_thresholds=(0.5, 5.0, 10.0, 15.0), d_thresholds=(1, 2, 3, 70000)))
+    # warmup 5000: the lag-4000 window has 1001 blocks, lag 5000 one,
+    # and lag 5001 ends before the warmup
+    cells.append(SimConfig(source=short.source, channel=short.channel, snr=short.snr,
+                           n_blocks=short.n_blocks, seed=short.seed,
+                           d_thresholds=(1, 2, 4000, 5000, 5001, 9000)))
+    for n in (queuesim._MIN_BLOCKS, 3 * (1 << 15) + 7):
+        cells.append(SimConfig(source=OnOffDiscreteParams(0.8, 0.8, 0.0), channel=SPEC,
+                               snr=1.0, n_blocks=n, seed=7))
+    return cells
+
+
+@pytest.mark.parametrize("cell", range(8))
+def test_tail_phase_equals_the_serial_reference(cell):
+    cfg = _oracle_cells()[cell]
+    assert repr(simulate_queue(cfg)) == repr(serial_simulate_queue(cfg))
+
+
+def test_report_keeps_what_the_tail_phase_computed():
+    cfg, _ = _loaded_config(0.2, 2 * 10 ** 5, 7)
+    rep = simulate_queue(cfg)
+    assert len(rep.overflow_counts) == len(rep.overflow_points)
+    assert len(rep.delay_counts) == len(rep.delay_points)
+    over = fit_decay_slope(rep.overflow_points, rep.overflow_counts)
+    delay = fit_decay_slope(rep.delay_points, rep.delay_counts)
+    assert (rep.theta_sim, rep.overflow_r_squared) == (over["slope"], over["r_squared"])
+    assert (rep.delay_slope_sim, rep.delay_r_squared) == (delay["slope"], delay["r_squared"])
+    n_tail = cfg.n_blocks - rep.warmup
+    assert rep.warmup == 2000 + 8000  # n / 100, raised to _MIN_BLOCKS
+    assert all(p == c / n_tail for (_, p), c in zip(rep.overflow_points, rep.overflow_counts))
+    mean_a, mean_s = rep.check_means
+    assert 0.0 < mean_a < mean_s
+    # a tail too short to fit keeps NaN in both
+    empty = simulate_queue(SimConfig(source=OnOffDiscreteParams(0.8, 0.8, 0.0), channel=SPEC,
+                                     snr=1.0, n_blocks=10 ** 4, seed=7))
+    assert math.isnan(empty.overflow_r_squared) and math.isnan(empty.delay_r_squared)
+    assert empty.overflow_counts == empty.delay_counts == ()
+    assert empty.check_means[0] == 0.0
+
+
+def test_each_delay_lag_is_reduced_once(monkeypatch):
+    # the auto search's lags 1, 2, 4, ... are on the grid it picks
+    real = queuesim._delay_tail
+    nodes = []
+
+    def delay_tail(arrivals, cum_arrivals, departed, d, start, lo, hi, buf):
+        nodes.append((d, lo, hi))
+        return real(arrivals, cum_arrivals, departed, d, start, lo, hi, buf)
+
+    monkeypatch.setattr(queuesim, "_delay_tail", delay_tail)
+    cfg, _ = _loaded_config(0.2, 3 * (1 << 15) + 7, 5)
+    rep = simulate_queue(cfg)
+    assert len(nodes) == len(set(nodes))
+    lags = sorted({d for d, _, _ in nodes})
+    assert lags == list(range(1, 9))
+    assert [d for d, _ in rep.delay_points] == lags[: len(rep.delay_points)]
+
+
+@pytest.mark.parametrize("fail_in_task", [True, False])
+def test_tail_failure_reaches_caller_with_no_task_left_running(fail_in_task, monkeypatch):
+    # the failing half is the gain thread's, or the caller's while the
+    # gain thread's half is still running
+    pool = _RecordingPool(2)
+    monkeypatch.setattr(channel, "_pool", lambda pid: (pool, 2))
+    real = queuesim._delay_tail
+    caller = threading.current_thread()
+
+    def delay_tail(*args):
+        in_task = threading.current_thread() is not caller
+        if in_task == fail_in_task:
+            raise ArithmeticError("tail")
+        if in_task:
+            time.sleep(0.3)
+        return real(*args)
+
+    monkeypatch.setattr(queuesim, "_delay_tail", delay_tail)
+    cfg, _ = _loaded_config(0.2, 3 * (1 << 15) + 7, 5)
+    try:
+        with pytest.raises(ArithmeticError, match="tail"):
+            simulate_queue(cfg)
+        assert pool.tasks.count(queuesim._tree_sum) == 2  # the counts, then lag 1
+        assert all(f.done() for f in pool.futures)
+    finally:
+        pool.shutdown()
+
+
+def test_simulate_queue_memory_is_two_traces_and_their_buffers():
+    # the peak is the traces' two arrays beside the gain chunks' buffers;
+    # after them the tail phase holds at most three n-float arrays
+    cfg = _oracle_cells()[2]  # fluid, rho = 0.5
+    n = 10 ** 6
+    cfg = SimConfig(source=cfg.source, channel=cfg.channel, snr=cfg.snr, n_blocks=n, seed=0)
+    simulate_queue(SimConfig(source=cfg.source, channel=cfg.channel, snr=cfg.snr,
+                             n_blocks=queuesim._MIN_BLOCKS, seed=0))  # caches filled
+    workers = channel._pool(os.getpid())[1]
+    size, m = channel._GAIN_CHUNK, cfg.channel.m
+    rows = channel._FILL_ROWS
+    buffers = min(workers, -(-n // size)) * 16 * (size * m + rows * m + rows)
+    trace = 8 * (n + 1)
+    scratch = 2 * 9 * queuesim._TAIL_BLOCK  # a float and a mask block per half
+    tracemalloc.start()
+    try:
+        simulate_queue(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(2 * trace + buffers, 3 * trace + scratch) + 2 ** 20
+
+
+def test_sure_chain_walks_its_orbit_without_reading_the_cdf():
+    # every row of a ring of 6 states, and of the ON/OFF flip, has one next
+    # state for u in (0, 1]; only a block holding u = 0.0 reads the CDF
+    for image in ([1, 2, 3, 4, 5, 0], [1, 0]):
+        probs = np.eye(len(image))[image]
+        draws = np.random.default_rng(4).random(3 * 4096 + 9)
+        for zero_at in (None, 5000):
+            if zero_at is not None:
+                draws[zero_at] = 0.0
+            calls = []
+            real_bisect, real_search = queuesim.bisect_left, np.searchsorted
+            with mock.patch.object(queuesim, "bisect_left",
+                                   lambda *a: calls.append(1) or real_bisect(*a)), \
+                 mock.patch.object(np, "searchsorted",
+                                   lambda *a, **k: calls.append(1) or real_search(*a, **k)):
+                got = _walk(_jump_cdf(probs), 0, draws)
+            assert np.array_equal(got, _reference_walk(probs.tolist(), 0, draws))
+            # the zero's block reads it: per step (bisect) or per state (scan)
+            assert len(calls) == (0 if zero_at is None else 4096 if len(image) > 4 else 2)
