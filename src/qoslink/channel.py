@@ -292,12 +292,14 @@ def _gain_chunks(spec: ChannelSpec, n: int, seed: int, key: tuple, work):
         wait(pending)
 
 
-def _log2_rates(z: np.ndarray, snr: float) -> np.ndarray:
-    """nu = sum_i log2(1 + snr * z_i) of each row of z, which it overwrites."""
+def _block_rates(z: np.ndarray, snr: float, out=None) -> np.ndarray:
+    """nu = sum_i log2(1 + snr * z_i) of each row of z, taken as the row
+    sum of log1p(snr * z_i) over ln 2 into ``out``; z is overwritten.
+    Monte Carlo C_E and the simulator's service trace share it."""
     np.multiply(z, snr, out=z)
-    np.add(z, 1.0, out=z)
-    np.log2(z, out=z)
-    return np.sum(z, axis=1)
+    np.log1p(z, out=z)
+    out = np.sum(z, axis=1, out=out)
+    return np.divide(out, LN2, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def effective_capacity_mc(
     seed = _check_seed("seed", seed)
 
     def exponents(start, z):
-        e = _log2_rates(z, snr)
+        e = _block_rates(z, snr)
         np.multiply(e, -theta, out=e)
         return e
 

@@ -47,13 +47,10 @@ every seeded output is reproducible bit for bit:
 - the arrival trace runs as one task on those threads, beside the
   service chunks; the two traces share no generator, so the overlap
   moves no bit either;
-- the tail statistics run on those threads too: each sum and count over
-  the tail (the overflow counts, and each delay lag's late mass, late
-  count and arrived mass, taken once per lag) is reduced in two halves,
-  the first on a gain thread, split where numpy's pairwise sum splits
-  (n // 2 rounded down to a multiple of 8), and each half block by block
-  down that same tree, so every float sum is the whole array's ``sum()``
-  to the bit, whatever the thread count.
+- the tail statistics (the overflow counts, and each delay lag's late
+  mass, late count and arrived mass, taken once per lag) run in the
+  caller, one block at a time down numpy's pairwise-sum tree, so every
+  float sum is the whole array's ``sum()`` to the bit.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import channel
-from .channel import LN2, ChannelSpec, _gain_chunks, _stream
+from .channel import ChannelSpec, _block_rates, _gain_chunks, _stream
 from .errors import InsufficientTail, UnstableQueue, ValidationError, _check_seed, _exact_number
 from .sources import _typed_source
 
@@ -188,32 +185,13 @@ def _pairwise_split(n: int) -> int:
 def _tree_sum(work, lo, hi, buf):
     """Elementwise sum of ``work(a, b, buf)`` over the nodes [a, b) of
     numpy's pairwise-sum tree on [lo, hi) that hold at most _TAIL_BLOCK
-    items, added in the tree's order."""
+    items, added in the tree's order: a float sum that ``work`` takes
+    over its node adds up to the whole range's ``sum()`` to the bit,
+    with no temporary larger than one node."""
     if hi - lo <= _TAIL_BLOCK:
         return work(lo, hi, buf)
     mid = lo + _pairwise_split(hi - lo)
     return tuple(map(operator.add, _tree_sum(work, lo, mid, buf), _tree_sum(work, mid, hi, buf)))
-
-
-def _split_reduce(work, n, scratch):
-    """``_tree_sum`` over [0, n), its first half on a gain thread with
-    ``scratch[0]`` and its second here with ``scratch[1]``.
-
-    A float sum that ``work`` takes over its node is the whole range's
-    ``sum()`` to the bit.  A failing half is waited for and re-raised.
-    """
-    if n <= _TAIL_BLOCK:
-        return work(0, n, scratch[1])
-    h = _pairwise_split(n)
-    pool, _ = channel._pool(os.getpid())
-    task = pool.submit(_tree_sum, work, 0, h, scratch[0])
-    try:
-        second = _tree_sum(work, h, n, scratch[1])
-    except BaseException:
-        task.cancel()
-        futures.wait([task])
-        raise
-    return tuple(map(operator.add, task.result(), second))
 
 
 def _tail_counts(tail, q_grid, lo, hi, buf):
@@ -430,11 +408,7 @@ def _service_trace(spec: ChannelSpec, snr, n, seed):
     out = np.empty(n)
 
     def rates(start, z):
-        chunk = out[start : start + z.shape[0]]
-        np.multiply(z, snr, out=z)
-        np.log1p(z, out=z)
-        np.sum(z, axis=1, out=chunk)
-        np.divide(chunk, LN2, out=chunk)
+        _block_rates(z, snr, out[start : start + z.shape[0]])
 
     for _ in _gain_chunks(spec, n, seed, (1,), rates):
         pass
@@ -465,17 +439,30 @@ def fit_decay_slope(points, counts=None) -> dict:
     """OLS fit of log probability against threshold.
 
     Returns the negated slope (the decay rate), the intercept and r
-    squared.  Points with fewer than _MIN_EVENTS (100) observed events are
-    dropped when ``counts`` is supplied; fewer than 4 surviving points
-    raise InsufficientTail.  A flat tail fits slope 0 with r_squared 0.
+    squared.  Each (threshold, probability) point and each count is read
+    by the one number rule, and a probability above 1 or a ``counts``
+    of another length than ``points`` raises ValidationError.  Points
+    with probability <= 0, or with fewer than _MIN_EVENTS (100) observed
+    events when ``counts`` is supplied, are dropped; fewer than 4
+    surviving points raise InsufficientTail.  A flat tail fits slope 0
+    with r_squared 0.
     """
+    points = list(points)
+    if counts is not None:
+        counts = [_exact_number(f"counts[{i}]", int, c) for i, c in enumerate(counts)]
+        if len(counts) != len(points):
+            raise ValidationError("counts", f"must have {len(points)} entries, got {len(counts)}")
     usable = []
     for i, (x, p) in enumerate(points):
+        x = _exact_number(f"points[{i}]", float, x)
+        p = _exact_number(f"points[{i}]", float, p)
+        if p > 1:
+            raise ValidationError(f"points[{i}]", f"probability must be <= 1, got {p}")
         if p <= 0:
             continue
         if counts is not None and counts[i] < _MIN_EVENTS:
             continue
-        usable.append((float(x), math.log(p)))
+        usable.append((x, math.log(p)))
     if len(usable) < 4:
         raise InsufficientTail(
             f"need >= 4 usable tail points, have {len(usable)}"
@@ -535,10 +522,8 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
         else _auto_q_thresholds(tail)
     )
     n_tail = tail.shape[0]
-    # float and mask buffers of one block for each half of each tail
-    # reduction, allocated here (see _gain_chunks on thread arenas)
-    scratch = [(np.empty(_TAIL_BLOCK), np.empty(_TAIL_BLOCK, bool)) for _ in range(2)]
-    *counts, busy = _split_reduce(partial(_tail_counts, tail, q_grid), n_tail, scratch)
+    scratch = np.empty(_TAIL_BLOCK), np.empty(_TAIL_BLOCK, bool)  # float and mask block
+    *counts, busy = _tree_sum(partial(_tail_counts, tail, q_grid), 0, n_tail, scratch)
     overflow = [(float(q), count / n_tail, count) for q, count in zip(q_grid, counts) if count]
     varsigma_hat = float(busy) / n_tail
 
@@ -551,7 +536,7 @@ def simulate_queue(cfg: SimConfig) -> QueueSimReport:
     def delay_tail(d):
         # blocks warmup .. n - d, the last whose lag-d verdict is in horizon
         work = partial(_delay_tail, arrivals, cum_arrivals, departed, d, warmup)
-        return _split_reduce(work, n - d - warmup + 1, scratch)
+        return _tree_sum(work, 0, n - d - warmup + 1, scratch)
 
     d_grid = (
         list(cfg.d_thresholds)

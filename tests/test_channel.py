@@ -385,12 +385,12 @@ def test_iid_gains_match_recursion_bit_for_bit():
 
 
 def test_service_rate_exact_values():
-    from qoslink.channel import _log2_rates
+    from qoslink.channel import _block_rates
 
     # nu = sum_i log2(1 + snr z_i) of each block (row)
-    assert _log2_rates(np.zeros((1, 4)), 1.0)[0] == 0.0
-    assert _log2_rates(np.array([[1.0]]), 1.0)[0] == pytest.approx(1.0)
-    assert _log2_rates(np.array([[1.0, 3.0]]), 1.0)[0] == pytest.approx(3.0)
+    assert _block_rates(np.zeros((1, 4)), 1.0)[0] == 0.0
+    assert _block_rates(np.array([[1.0]]), 1.0)[0] == pytest.approx(1.0)
+    assert _block_rates(np.array([[1.0, 3.0]]), 1.0)[0] == pytest.approx(3.0)
 
 
 def test_fading_moments_closed_forms():

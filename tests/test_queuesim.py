@@ -109,6 +109,28 @@ def test_fit_insufficient_points():
         fit_decay_slope([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5), (1.0, 0.5)])
 
 
+def test_fit_reads_points_and_counts_by_the_number_rule():
+    pts = [(1.0, 0.5), (2.0, 0.3), (3.0, 0.2), (4.0, 0.1)]
+    for i, bad in ((0, ("1", 0.5)), (1, (True, 0.3)), (2, (math.nan, 0.2)),
+                   (3, (4.0, "0.1")), (3, (4.0, math.inf)), (2, (3.0, 1.5))):
+        with pytest.raises(ValidationError, match=rf"^points\[{i}\]: ") as info:
+            fit_decay_slope(pts[:i] + [bad] + pts[i + 1 :])
+        assert info.value.field_path == f"points[{i}]"
+    for i, bad in ((0, 200.7), (1, True), (3, "400")):
+        counts = [200, 200, 300, 400]
+        counts[i] = bad
+        with pytest.raises(ValidationError, match=rf"^counts\[{i}\]: "):
+            fit_decay_slope(pts, counts)
+    for counts in ([200, 300, 400], [200, 200, 300, 400, 500]):
+        with pytest.raises(ValidationError, match=r"^counts: ") as info:
+            fit_decay_slope(pts, counts)
+        assert info.value.field_path == "counts"
+    # a probability of exactly 1 is fitted, and one <= 0 is still skipped
+    ints = [(1, 1.0), (2, 0.3), (3, 0), (4, 0.2), (5, 0.1), (6, -0.5)]
+    fit = fit_decay_slope(ints, [100, np.int64(200), 0, 300, 400, 0])
+    assert fit == fit_decay_slope([(1.0, 1.0), (2.0, 0.3), (4.0, 0.2), (5.0, 0.1)])
+
+
 def test_zero_rate_source_gives_empty_queue():
     cfg = SimConfig(
         source=OnOffDiscreteParams(0.8, 0.8, 0.0),
@@ -815,10 +837,12 @@ def test_overlapped_traces_give_the_sequential_reports(monkeypatch):
             with _RecordingPool(workers) as pool:
                 monkeypatch.setattr(channel, "_pool", lambda pid: (pool, workers))
                 runs.append([repr(simulate_queue(cfg)) for cfg in cells])
-            # the tail reductions of the two long cells ran as tasks too
-            assert pool.tasks.count(queuesim._tree_sum) >= 2 * 9
-        # the arrival trace in the caller, before the service trace, and
-        # each tail reduction's first half before its second
+            # the pool ran draw-bound sampling only: arrival traces and gain chunks
+            assert pool.tasks.count(queuesim._sampled_arrivals) == len(cells)
+            chunk = "_gain_chunks.<locals>.run"
+            assert all(fn is queuesim._sampled_arrivals or fn.__qualname__ == chunk
+                       for fn in pool.tasks)
+        # the arrival trace in the caller, before the service trace
         monkeypatch.setattr(channel, "_pool", lambda pid: (_Inline(), 1))
         runs.append([repr(simulate_queue(cfg)) for cfg in cells])
     finally:
@@ -946,7 +970,6 @@ def test_numpy_pairwise_sum_splits_where_the_tail_reductions_do():
     for n in range(129):  # one node: no split
         a = draw(n)
         assert a.sum() == _lane_sum(a.tolist())
-    scratch = [None, None]  # the sums below need no buffer
     moved = 0
     for n in (129, 130, 135, 255, 257, 4097, 3 * (1 << 15) + 7, 10 ** 6 - 10 ** 4 - 7, 10 ** 6 - 1,
               10 ** 6, 10 ** 6 + 1):
@@ -955,7 +978,7 @@ def test_numpy_pairwise_sum_splits_where_the_tail_reductions_do():
         assert h % 8 == 0 and n // 2 - 8 < h <= n // 2
         assert a.sum() == a[:h].sum() + a[h:].sum()
         moved += a.sum() != a[: h - 8].sum() + a[h - 8 :].sum()
-        got = queuesim._split_reduce(lambda lo, hi, buf: (float(a[lo:hi].sum()),), n, scratch)
+        got = queuesim._tree_sum(lambda lo, hi, buf: (float(a[lo:hi].sum()),), 0, n, None)
         assert got == (float(a.sum()),)
     assert moved > 0  # the split point matters
 
@@ -1024,34 +1047,6 @@ def test_each_delay_lag_is_reduced_once(monkeypatch):
     assert [d for d, _ in rep.delay_points] == lags[: len(rep.delay_points)]
 
 
-@pytest.mark.parametrize("fail_in_task", [True, False])
-def test_tail_failure_reaches_caller_with_no_task_left_running(fail_in_task, monkeypatch):
-    # the failing half is the gain thread's, or the caller's while the
-    # gain thread's half is still running
-    pool = _RecordingPool(2)
-    monkeypatch.setattr(channel, "_pool", lambda pid: (pool, 2))
-    real = queuesim._delay_tail
-    caller = threading.current_thread()
-
-    def delay_tail(*args):
-        in_task = threading.current_thread() is not caller
-        if in_task == fail_in_task:
-            raise ArithmeticError("tail")
-        if in_task:
-            time.sleep(0.3)
-        return real(*args)
-
-    monkeypatch.setattr(queuesim, "_delay_tail", delay_tail)
-    cfg, _ = _loaded_config(0.2, 3 * (1 << 15) + 7, 5)
-    try:
-        with pytest.raises(ArithmeticError, match="tail"):
-            simulate_queue(cfg)
-        assert pool.tasks.count(queuesim._tree_sum) == 2  # the counts, then lag 1
-        assert all(f.done() for f in pool.futures)
-    finally:
-        pool.shutdown()
-
-
 def test_simulate_queue_memory_is_two_traces_and_their_buffers():
     # the peak is the traces' two arrays beside the gain chunks' buffers;
     # after them the tail phase holds at most three n-float arrays
@@ -1065,7 +1060,7 @@ def test_simulate_queue_memory_is_two_traces_and_their_buffers():
     rows = channel._FILL_ROWS
     buffers = min(workers, -(-n // size)) * 16 * (size * m + rows * m + rows)
     trace = 8 * (n + 1)
-    scratch = 2 * 9 * queuesim._TAIL_BLOCK  # a float and a mask block per half
+    scratch = 9 * queuesim._TAIL_BLOCK  # a float and a mask block
     tracemalloc.start()
     try:
         simulate_queue(cfg)
