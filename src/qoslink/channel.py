@@ -39,8 +39,9 @@ LN2 = math.log(2.0)
 # returns them in order, so any worker count gives the same bits.  The
 # size is part of every seeded stream layout.
 _GAIN_CHUNK = 1 << 15
-# Blocks whose complex gains are built at a time: the complex buffer
-# stays small (0.6 MB at m = 10) next to a chunk's draws.
+# Blocks whose complex gains are built at a time, and whose imaginary
+# draws are taken at a time: the complex tile (0.6 MB at m = 10) stays
+# small next to a chunk's plane of real draws (2.6 MB at m = 10).
 _FILL_ROWS = 1 << 12
 
 # Panel edges (units of sigma_h_sq) for the composite Gauss-Legendre
@@ -73,7 +74,8 @@ _LOG_AXIS_NODES, _LOG_AXIS_WEIGHTS = leggauss(_LOG_AXIS_ORDER)
 # Gain-chain kernels kept at once: enough for a quadrature sweep to
 # revisit its last few rho values without rebuilding.  A kernel holds
 # 0.8 MiB up to rho 0.99 and 50 MiB on the top rung, so the worst case is
-# four top-rung kernels, about 200 MiB.
+# four top-rung kernels, about 200 MiB, and 105 MiB more while a fifth
+# is built (see _gain_chain_rule).
 _KERNEL_CACHE_SIZE = 4
 # The chain quadrature rescales its weight vector by a power of two
 # whenever its largest entry falls below this, so long blocks at high
@@ -180,43 +182,54 @@ class FadingMoments:
 # ---------------------------------------------------------------------------
 
 
-def _fill_gains(spec: ChannelSpec, rng: np.random.Generator, d, w, col) -> np.ndarray:
-    """Power gains of count independent blocks, written over d[0].
+def _gain_buffers(m: int, count: int):
+    """Buffers for gain chunks of up to count blocks of m symbols: the
+    flat float plane that takes a chunk's draws and becomes its gains,
+    and the (rows, m) complex tile and (rows,) complex column of
+    ``_fill_gains``, rows = min(_FILL_ROWS, count)."""
+    rows = min(_FILL_ROWS, count)
+    return np.empty(count * m), np.empty((rows, m), complex), np.empty(rows, complex)
 
-    d is (2, count, m) float and takes the real then the imaginary
-    draws in one call, the same stream as two (count, m) calls.  The
-    complex gains are built _FILL_ROWS blocks at a time in w, (rows, m)
-    complex, with col, (rows,) complex, as workspace.  Every value is the
-    one the expression scale * (re + 1j * im) and the AR(1) recursion
-    h_i = rho * h_{i-1} + innov * w_i give, bit for bit.
+
+def _fill_gains(spec: ChannelSpec, rng: np.random.Generator, buf, count: int) -> np.ndarray:
+    """(count, m) power gains of count independent blocks, in buf's plane.
+
+    buf is a ``_gain_buffers`` set for at least count blocks.  The plane
+    takes the real draws of all count blocks in one call; then, one tile
+    of _FILL_ROWS blocks at a time, the tile's real parts move into the
+    complex tile, the tile's imaginary draws take their place in the
+    plane, and the tile's gains are written over them.  Successive draws
+    continue one stream, so this is the stream of one (2, count, m)
+    call, real plane first.  Every value is the one the expression
+    scale * (re + 1j * im) and the AR(1) recursion h_i = rho * h_{i-1} +
+    innov * w_i give, bit for bit.
     """
-    rng.standard_normal(out=d)
+    plane, w, col = buf
+    z = plane[: count * spec.m].reshape(count, spec.m)
+    rng.standard_normal(out=z)
     scale = math.sqrt(spec.sigma_h_sq / 2.0)
     rho = spec.rho
     innov = math.sqrt(1.0 - rho * rho)
-    z = d[0]
-    count = z.shape[0]
     for lo in range(0, count, w.shape[0]):
         hi = min(lo + w.shape[0], count)
-        h, c = w[: hi - lo], col[: hi - lo]
+        h, c, tile = w[: hi - lo], col[: hi - lo], z[lo:hi]
         # (scale + 0j) * (re + 1j * im) has parts exactly scale * re, scale * im
-        np.multiply(d[0, lo:hi], scale, out=h.real)
-        np.multiply(d[1, lo:hi], scale, out=h.imag)
+        np.multiply(tile, scale, out=h.real)
+        rng.standard_normal(out=tile)
+        np.multiply(tile, scale, out=h.imag)
         if rho != 0.0:  # at rho == 0 the recursion is the identity
             for i in range(1, spec.m):
                 np.multiply(h[:, i - 1], rho, out=c)
                 np.multiply(h[:, i], innov, out=h[:, i])
                 np.add(c, h[:, i], out=h[:, i])
-        np.abs(h, out=z[lo:hi])
+        np.abs(h, out=tile)
     np.square(z, out=z)
     return z
 
 
 def _gain_blocks(spec: ChannelSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, m) matrix of power gains; rows are independent blocks."""
-    rows = min(_FILL_ROWS, count)
-    w = np.empty((rows, spec.m), complex)
-    return _fill_gains(spec, rng, np.empty((2, count, spec.m)), w, np.empty(rows, complex))
+    return _fill_gains(spec, rng, _gain_buffers(spec.m, count), count)
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:
@@ -248,30 +261,25 @@ def _gain_chunks(spec: ChannelSpec, n: int, seed: int, key: tuple, work):
     matrix, in buffers that ``work`` may overwrite.  Chunks run on the
     worker pool, about two per worker ahead of the consumer, and their
     results come back in chunk order, so any worker count gives the
-    same results.  Each running chunk holds one set of buffers,
-    allocated up front in the calling thread and passed on to the next
-    chunk: temporaries allocated in the workers would stay in glibc's
-    per-thread arenas and raise the peak resident set.
+    same results.  Each running chunk holds one ``_gain_buffers`` set,
+    a plane of _GAIN_CHUNK m floats and _FILL_ROWS (m + 1) complex
+    values, 3.3 MB at m = 10.  The sets are allocated up front in the
+    calling thread and passed on to the next chunk: temporaries
+    allocated in the workers would stay in glibc's per-thread arenas and
+    raise the peak resident set.
     """
     pool, workers = _pool(os.getpid())
-    m = spec.m
     n_chunks = -(-n // _GAIN_CHUNK)
-    size = min(_GAIN_CHUNK, n)
-    rows = min(_FILL_ROWS, size)
     # one buffer set per chunk that can run at once; a running chunk pops
     # one and puts it back (list pop and append are atomic)
-    spare = [
-        (np.empty(2 * size * m), np.empty((rows, m), complex), np.empty(rows, complex))
-        for _ in range(min(workers, n_chunks))
-    ]
+    spare = [_gain_buffers(spec.m, min(_GAIN_CHUNK, n)) for _ in range(min(workers, n_chunks))]
 
     def run(c):
         start = c * _GAIN_CHUNK
         count = min(_GAIN_CHUNK, n - start)
-        d, w, col = buf = spare.pop()
+        buf = spare.pop()
         try:
-            rng = _stream(seed, key + (c,))
-            z = _fill_gains(spec, rng, d[: 2 * count * m].reshape(2, count, m), w, col)
+            z = _fill_gains(spec, _stream(seed, key + (c,)), buf, count)
             return work(start, z)
         finally:
             spare.append(buf)
@@ -569,14 +577,20 @@ def _gain_chain_kernel(rho: float, sigma_h_sq: float, order: int):
     v = (1.0 - rho * rho) * sigma_h_sq
     sq = np.sqrt(z)
     # conditional density of z' given z: noncentral exponential, written
-    # with the scaled Bessel function so nothing overflows
-    pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
-    bes = np.empty_like(pen)
+    # with the scaled Bessel function so nothing overflows; pen, then
+    # exp(-pen), then K are formed in place, so two n x n arrays are live
+    pen = np.subtract(sq[None, :], rho * sq[:, None])
+    np.square(pen, out=pen)
+    np.divide(pen, v, out=pen)
+    K = np.empty_like(pen)  # the Bessel factor, until it becomes K
     for top in range(0, len(z), _KERNEL_ROWS):
         rows, below = slice(top, top + _KERNEL_ROWS), top + _KERNEL_ROWS
-        bes[rows, top:] = _i0e(2.0 * rho * np.outer(sq[rows], sq[top:]) / v)
-        bes[below:, rows] = bes[rows, below:].T
-    K = bes * np.exp(-pen) / v
+        K[rows, top:] = _i0e(2.0 * rho * np.outer(sq[rows], sq[top:]) / v)
+        K[below:, rows] = K[rows, below:].T
+    np.negative(pen, out=pen)
+    np.exp(pen, out=pen)
+    np.multiply(K, pen, out=K)
+    np.divide(K, v, out=K)
     marginal = np.exp(-z / sigma_h_sq) / sigma_h_sq
     mass = W * marginal
     row_defect = float(np.sum(mass * np.abs(K @ W - 1.0)))
@@ -597,8 +611,11 @@ def _gain_chain_rule(rho: float, sigma_h_sq: float):
     """``_gain_chain_kernel`` at the order the ladder gives rho.
 
     The kernel has 32 * order nodes: 320, 768, 1536 or 2560 by rung.  On
-    a 2-core Xeon VM a cold build takes about 8, 43, 131 or 348 ms, and
-    the kernel matrix holds 0.8, 4.5, 18 or 50 MiB.  The last
+    a 2-core Xeon VM a cold build takes about 7, 34, 120 or 324 ms, and
+    the kernel matrix holds 0.8, 4.5, 18 or 50 MiB.  A build peaks at
+    2.4, 10.6, 39.2 or 105.5 MiB under tracemalloc (3.1, 2.35, 2.18 or
+    2.11 times the matrix): the matrix, one more n x n array and the
+    Bessel blocks of ``_KERNEL_ROWS`` rows.  The last
     ``_KERNEL_CACHE_SIZE`` rules are cached by (rho, sigma_h_sq); the
     order is a function of rho, so it needs no key of its own.
     """

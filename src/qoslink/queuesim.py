@@ -440,8 +440,9 @@ def fit_decay_slope(points, counts=None) -> dict:
 
     Returns the negated slope (the decay rate), the intercept and r
     squared.  Each (threshold, probability) point and each count is read
-    by the one number rule, and a probability above 1 or a ``counts``
-    of another length than ``points`` raises ValidationError.  Points
+    by the one number rule, and a point that is not such a pair, a
+    probability above 1 or a ``counts`` of another length than
+    ``points`` raises ValidationError.  Points
     with probability <= 0, or with fewer than _MIN_EVENTS (100) observed
     events when ``counts`` is supplied, are dropped; fewer than 4
     surviving points raise InsufficientTail.  A flat tail fits slope 0
@@ -453,7 +454,13 @@ def fit_decay_slope(points, counts=None) -> dict:
         if len(counts) != len(points):
             raise ValidationError("counts", f"must have {len(points)} entries, got {len(counts)}")
     usable = []
-    for i, (x, p) in enumerate(points):
+    for i, point in enumerate(points):
+        try:
+            x, p = point
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"points[{i}]", f"must be a (threshold, probability) pair, got {point!r}"
+            ) from None
         x = _exact_number(f"points[{i}]", float, x)
         p = _exact_number(f"points[{i}]", float, p)
         if p > 1:

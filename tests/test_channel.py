@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,13 +201,27 @@ def test_i0e_matches_scipy_bit_for_bit():
     assert np.isnan(_i0e(np.array([np.nan, 1.0]))[0])
 
 
-@pytest.mark.parametrize("rho", [0.026, 0.41, 0.95, 0.99])
+@pytest.mark.parametrize("rho", [0.026, 0.41, 0.95, 0.99, 0.995])
 def test_gain_chain_kernel_equals_the_scipy_i0e_kernel(rho):
     z, _, K, _ = _gain_chain_rule(rho, 1.0)
     v = 1.0 - rho * rho
     sq = np.sqrt(z)
     pen = (sq[None, :] - rho * sq[:, None]) ** 2 / v
     assert np.array_equal(K, i0e(2.0 * rho * np.outer(sq, sq) / v) * np.exp(-pen) / v)
+
+
+@pytest.mark.parametrize("rho,order", [(0.9995, 48), (0.9999, 80)])
+def test_gain_chain_kernel_builds_in_two_matrices(rho, order):
+    # pen, then exp(-pen), and the Bessel factor, then K, are the only
+    # n x n arrays; the Bessel blocks of _KERNEL_ROWS rows come on top
+    n = 32 * order
+    tracemalloc.start()
+    try:
+        _gain_chain_kernel(rho, 1.0, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n
 
 
 def test_gain_chain_cache_is_bounded_and_read_only():
@@ -490,13 +505,43 @@ def _reference_gain_blocks(spec, count, rng):
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 1.0])
 @pytest.mark.parametrize("m", [1, 3, 10])
 def test_buffered_gains_match_allocating_sampler(rho, m):
-    from qoslink.channel import _gain_blocks
+    from qoslink.channel import _GAIN_CHUNK, _fill_gains, _gain_blocks, _gain_buffers
 
     spec = ChannelSpec(m, rho, sigma_h_sq=1.7)
-    count = 2 * (1 << 12) + 1001  # three row blocks, the last one partial
-    got = _gain_blocks(spec, count, np.random.default_rng(5))
-    ref = _reference_gain_blocks(spec, count, np.random.default_rng(5))
+    for count in (
+        2 * (1 << 12) + 1001,  # three tiles, the last one partial
+        1001,  # fewer blocks than one tile
+        2 * (1 << 12),  # two whole tiles
+    ):
+        got = _gain_blocks(spec, count, np.random.default_rng(5))
+        ref = _reference_gain_blocks(spec, count, np.random.default_rng(5))
+        assert got.tobytes() == ref.tobytes(), count
+    # a trace's last chunk, shorter than one tile, on a whole chunk's buffers
+    buf = _gain_buffers(m, _GAIN_CHUNK)
+    got = _fill_gains(spec, np.random.default_rng(5), buf, 1001)
+    ref = _reference_gain_blocks(spec, 1001, np.random.default_rng(5))
     assert got.tobytes() == ref.tobytes()
+
+
+def test_mc_memory_is_the_workers_buffers_and_chunk_results():
+    # per worker a chunk's plane of draws and one complex tile; beside
+    # them the chunk results in flight: 2 * workers + 1 queued, and the
+    # one being reduced with its two temporaries
+    from qoslink import channel
+
+    spec = ChannelSpec(10, 0.5)
+    effective_capacity_mc(spec, 1.0, 0.1, n_samples=10 ** 4, seed=0)  # threads started
+    workers = channel._pool(os.getpid())[1]
+    size, rows, m, n = channel._GAIN_CHUNK, channel._FILL_ROWS, spec.m, 10 ** 6
+    buffers = min(workers, -(-n // size)) * (8 * size * m + 16 * (rows * m + rows))
+    results = (2 * workers + 4) * 8 * size
+    tracemalloc.start()
+    try:
+        effective_capacity_mc(spec, 1.0, 0.1, n_samples=n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + results + 2 ** 20
 
 
 _ODD_N = 3 * (1 << 15) + 1234  # three full chunks and a partial one

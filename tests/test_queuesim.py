@@ -131,6 +131,17 @@ def test_fit_reads_points_and_counts_by_the_number_rule():
     assert fit == fit_decay_slope([(1.0, 1.0), (2.0, 0.3), (4.0, 0.2), (5.0, 0.1)])
 
 
+def test_fit_names_the_point_that_is_not_a_pair():
+    pts = [(1.0, 0.5), (2.0, 0.3), (3.0, 0.2), (4.0, 0.1)]
+    for i, bad in ((0, (1.0, 0.5, 7)), (2, 0.2), (3, (4.0,)), (1, None)):
+        with pytest.raises(ValidationError, match=rf"^points\[{i}\]: .*pair") as info:
+            fit_decay_slope(pts[:i] + [bad] + pts[i + 1 :])
+        assert info.value.field_path == f"points[{i}]"
+    for bad in ([(1.0, 0.5, 7)] * 4, [0.5, 0.3, 0.2, 0.1]):
+        with pytest.raises(ValidationError, match=r"^points\[0\]: "):
+            fit_decay_slope(bad)
+
+
 def test_zero_rate_source_gives_empty_queue():
     cfg = SimConfig(
         source=OnOffDiscreteParams(0.8, 0.8, 0.0),
@@ -1048,8 +1059,9 @@ def test_each_delay_lag_is_reduced_once(monkeypatch):
 
 
 def test_simulate_queue_memory_is_two_traces_and_their_buffers():
-    # the peak is the traces' two arrays beside the gain chunks' buffers;
-    # after them the tail phase holds at most three n-float arrays
+    # the peak is the traces' two arrays beside the gain chunks' buffers
+    # (per worker a chunk's plane of draws and one complex tile); after
+    # them the tail phase holds at most three n-float arrays
     cfg = _oracle_cells()[2]  # fluid, rho = 0.5
     n = 10 ** 6
     cfg = SimConfig(source=cfg.source, channel=cfg.channel, snr=cfg.snr, n_blocks=n, seed=0)
@@ -1058,7 +1070,7 @@ def test_simulate_queue_memory_is_two_traces_and_their_buffers():
     workers = channel._pool(os.getpid())[1]
     size, m = channel._GAIN_CHUNK, cfg.channel.m
     rows = channel._FILL_ROWS
-    buffers = min(workers, -(-n // size)) * 16 * (size * m + rows * m + rows)
+    buffers = min(workers, -(-n // size)) * (8 * size * m + 16 * (rows * m + rows))
     trace = 8 * (n + 1)
     scratch = 9 * queuesim._TAIL_BLOCK  # a float and a mask block
     tracemalloc.start()
