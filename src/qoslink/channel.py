@@ -332,7 +332,7 @@ def effective_capacity_mc(
     theta = _check_scalar("theta", theta)
     n = _exact_number("n_samples", int, n_samples)
     if n < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ValidationError("n_samples", f"must be >= 1, got {n}")
     seed = _check_seed("seed", seed)
 
     def exponents(start, z):

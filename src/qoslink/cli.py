@@ -351,7 +351,7 @@ def _cmd_simulate(opts, out_dir):
     )
 
     if target is not None and math.isfinite(report.theta_sim):
-        rel = abs(report.theta_sim - target) / target if target else math.inf
+        rel = abs(report.theta_sim - target) / target
         print(
             f"theta_sim={report.theta_sim:.6g} target_theta={target:.6g} "
             f"rel_err={rel:.3g}"
@@ -398,7 +398,7 @@ _OPTIONS = {
                 "channel JSON (inline or file path)"),
     "sim_config": ({"simulate": "object"}, ("simulate",), None, (),
                    "simulation JSON (inline or file path)"),
-    "theta": ({**dict.fromkeys(_SWEEPS, "theta grid"), "energy": "theta", "simulate": "number"},
+    "theta": ({**dict.fromkeys(_SWEEPS, "theta grid"), "energy": "theta", "simulate": "theta"},
               (*_SWEEPS, "energy"), None, (),
               "QoS exponent: a grid 'a,b,c' | lin:lo:hi:n | log:lo:hi:n; for energy one "
               "value; for simulate the target of the summary line"),
@@ -410,7 +410,7 @@ _OPTIONS = {
 }
 # the kinds of the --sim-config fields the CLI reads; ``SimConfig`` reads
 # the rest, and the library reads the source and channel
-_SIM_FIELDS = {"snr_db": "dB", "theta": "number"}
+_SIM_FIELDS = {"snr_db": "dB", "theta": "theta"}
 # every field a --sim-config document may hold
 _SIM_KEYS = ("source", "channel", "n_blocks", "seed", "q_thresholds", "d_thresholds",
              *_SIM_FIELDS)

@@ -74,8 +74,8 @@ from .sources import _typed_source
 _JUMP_BATCH = 4096
 _SCAN_BLOCK = 4096
 _SCAN_MAX_STATES = 5  # scan below, bisect from here; see _walk
-# Discrete uniforms, MMPP Poisson counts and Lindley minima are taken
-# this many blocks at a time, so no trace holds an n-sized temporary.
+# Discrete uniforms and MMPP Poisson counts are taken this many blocks
+# at a time, so no trace holds an n-sized temporary.
 _DRAW_BLOCK = 1 << 12
 _MIN_BLOCKS = 10 ** 4
 _STABILITY_CHECK_AT = 10 ** 5
@@ -160,19 +160,13 @@ def _lindley(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     written over ``services``.
 
     The queue is the running sum of arrivals - services less its running
-    minimum, floored at the empty start's 0; the minimum is taken one
-    _DRAW_BLOCK at a time, carried from block to block.
+    minimum over the whole array, floored at the empty start's 0.
     """
     queue = np.subtract(arrivals, services, out=services)
     np.cumsum(queue, out=queue)
-    low = 0.0
-    for lo in range(0, queue.shape[0], _DRAW_BLOCK):
-        block = queue[lo : lo + _DRAW_BLOCK]
-        run = np.minimum.accumulate(block)
-        np.minimum(run, low, out=run)
-        np.subtract(block, run, out=block)
-        low = run[-1]
-    return queue
+    low = np.minimum.accumulate(queue)
+    np.minimum(low, 0.0, out=low)
+    return np.subtract(queue, low, out=queue)
 
 
 def _pairwise_split(n: int) -> int:

@@ -211,27 +211,22 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
 
     pi itself is never formed: on long chains it underflows.  The edge
     set off the diagonal must be symmetric.  Log-potentials phi (log pi
-    / 2) are summed along breadth-first trees, and every edge must then
-    meet log Q_ij - log Q_ji = 2 (phi_j - phi_i) to within a few ulps of
-    the magnitudes summed into it.
+    / 2) are summed along breadth-first trees, each tree edge's step
+    from its two logs read straight off Q, and every edge must then meet
+    log Q_ij - log Q_ji = 2 (phi_j - phi_i) to within a few ulps of the
+    magnitudes summed into it.
     """
     if not support.symmetric:
         return False
     n = Q.shape[0]
-    # each off-diagonal edge's log once, by flat index: i -> j and j -> i
-    # for i < j, row-major, so ``ahead`` is sorted
-    rows, cols = support.rows, support.cols
-    ahead = rows < cols
-    i, j = rows[ahead], cols[ahead]
-    key = i * n + j
-    fwd = np.log(Q.take(key))
-    back = np.log(Q.take(j * n + i))
+    # each off-diagonal edge's two logs once: i -> j and j -> i for i < j
+    ahead = support.rows < support.cols
+    i, j = support.rows[ahead], support.cols[ahead]
+    fwd, back = np.log(Q[i, j]), np.log(Q[j, i])
     parent = support.forest[0]
     child = np.flatnonzero(parent >= 0)
     above = parent[child]
-    at = np.searchsorted(key, np.minimum(above, child) * n + np.maximum(above, child))
-    down = np.where(above < child, fwd[at], back[at])
-    up = np.where(above < child, back[at], fwd[at])
+    down, up = np.log(Q[above, child]), np.log(Q[child, above])
     # per tree edge: the potential step and the magnitude it carries
     step = np.zeros((n, 2))
     step[child, 0] = 0.5 * (down - up)
@@ -481,11 +476,14 @@ class _MatrixSource:
     support graph (``_Support``) gives ``reversible``, whether the chain
     satisfies detailed balance, and the chain's count of recurrent
     classes: a discrete chain with more than one fails to build, a
-    generator on first use of its law.  A family gives its matrix check,
-    its raw-array ``_kernel``, that kernel's rounding-noise norm and its
-    time base ``_discrete``; the chain law is the same for every family,
-    on the generator ``_generator``.  The stationary law is solved on
-    first use, at most once per source, and is read-only.
+    generator on first use of its law.  The matrix check is one for
+    every family: square, finite, and rows summing to 1 in discrete
+    time, to 0 for a generator.  A family gives its entry rule
+    (``_check_entries``), its raw-array ``_kernel``, that kernel's
+    rounding-noise norm and its time base ``_discrete``; the chain law
+    is the same for every family, on the generator ``_generator``.  The
+    stationary law is solved on first use, at most once per source, and
+    is read-only.
     """
 
     _kind = "nstate"
@@ -498,7 +496,18 @@ class _MatrixSource:
     def __post_init__(self):
         matrix, rates = (f.name for f in fields(self)[:2])
         M = _frozen_array(self, np.atleast_2d(getattr(self, matrix)), matrix, "_matrix")
-        self._check_matrix(M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+            raise ValueError(f"{matrix} must be a square matrix")
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{matrix} entries must be finite")
+        self._check_entries(M)
+        target = float(self._discrete)
+        row_err = np.max(np.abs(M.sum(axis=1) - target))
+        if row_err > _ROW_SUM_TOL:
+            raise ValueError(
+                f"{matrix} rows must sum to {target:g} within {_ROW_SUM_TOL:g} "
+                f"(worst error {row_err:.3g})"
+            )
         r = _frozen_array(self, getattr(self, rates), rates, "_rates")
         if r.ndim != 1 or r.shape[0] != M.shape[0]:
             raise ValueError(f"{rates} must be a vector matching the chain size")
@@ -595,19 +604,9 @@ class DiscreteMarkovSource(_MatrixSource):
     _discrete = True
 
     @staticmethod
-    def _check_matrix(J: np.ndarray) -> None:
-        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 1:
-            raise ValueError("transition_probs must be a square matrix")
-        if not np.all(np.isfinite(J)):
-            raise ValueError("transition_probs entries must be finite")
+    def _check_entries(J: np.ndarray) -> None:
         if np.any(J < -1e-15) or np.any(J > 1 + 1e-12):
             raise ValueError("transition_probs entries must lie in [0, 1]")
-        row_err = np.max(np.abs(J.sum(axis=1) - 1.0))
-        if row_err > _ROW_SUM_TOL:
-            raise ValueError(
-                f"transition_probs rows must sum to 1 within {_ROW_SUM_TOL:g} "
-                f"(worst error {row_err:.3g})"
-            )
 
     def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
         # the root sp = e^{theta (a* - peak)}, of a matrix with entries
@@ -619,21 +618,11 @@ class _GeneratorSource(_MatrixSource):
     """A continuous-time chain: the fluid and MMPP families' generator."""
 
     @staticmethod
-    def _check_matrix(G: np.ndarray) -> None:
-        if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 1:
-            raise ValueError("generator must be a square matrix")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("generator entries must be finite")
+    def _check_entries(G: np.ndarray) -> None:
         off = G.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < -1e-15):
             raise ValueError("generator off-diagonal entries must be >= 0")
-        row_err = np.max(np.abs(G.sum(axis=1)))
-        if row_err > _ROW_SUM_TOL:
-            raise ValueError(
-                f"generator rows must sum to 0 within {_ROW_SUM_TOL:g} "
-                f"(worst error {row_err:.3g})"
-            )
 
     @property
     def _row_norm(self) -> float:

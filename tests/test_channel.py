@@ -111,12 +111,14 @@ def test_iid_closed_form_takes_a_positive_block_length(m):
      ({"seed": 1.5}, "^seed: must be an integer"),
      ({"seed": True}, "^seed: must be an integer"),
      ({"seed": -1}, "^seed: must fit in an unsigned 64-bit integer$"),
-     ({"seed": 2 ** 70}, "^seed: must fit in an unsigned 64-bit integer$")],
+     ({"seed": 2 ** 70}, "^seed: must fit in an unsigned 64-bit integer$"),
+     ({"n_samples": 0}, r"^n_samples: must be >= 1, got 0$")],
 )
 @pytest.mark.parametrize("route", ["mc"])  # the one route that samples
 def test_monte_carlo_counts_and_seeds_are_not_truncated(route, kwargs, match):
     # n_samples=2.9 once ran 2 blocks, seed=1.5 ran seed 1 and 2**70 was
-    # accepted; the simulator's seed already followed this rule
+    # accepted; the simulator's seed already followed this rule.  A count
+    # below 1 raised a bare ValueError that named no field
     spec = ChannelSpec(4, 0.5)
     with pytest.raises(ValidationError, match=match):
         effective_capacity_mc(spec, 1.0, 0.5, **{"n_samples": 3000, **kwargs})

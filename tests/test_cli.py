@@ -843,6 +843,22 @@ def test_sim_config_numbers_must_fit_their_types(tmp_path, capsys, field, value)
 
 
 @pytest.mark.parametrize(
+    "flags, overrides, field",
+    [(["--theta=-0.5"], {}, "theta"), (["--theta=0"], {}, "theta"),
+     ([], {"theta": 0}, "sim-config.theta"), ([], {"theta": -0.5}, "sim-config.theta")],
+    ids=["flag-negative", "flag-zero", "config-zero", "config-negative"],
+)
+def test_simulate_target_theta_must_be_positive(tmp_path, capsys, flags, overrides, field):
+    # a target of -0.5 once printed rel_err=-2.63 and 0 printed
+    # rel_err=inf, both exiting 0
+    out = tmp_path / "out"
+    assert run(out, "simulate", "--sim-config", sim_config(tmp_path, **overrides),
+               "--seed", "11", *flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid {field}: must be > 0, got ")
+    assert not list(out.glob("simulate*"))
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("n_blocks", 10), ("seed", -1), ("seed", 2 ** 64), ("q_thresholds", [5.5, 1]),
      ("d_thresholds", [0, 1]), ("d_thresholds", [3, 2])],

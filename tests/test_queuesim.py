@@ -59,7 +59,8 @@ def test_lindley_hand_trace():
 
 
 def test_lindley_in_place_equals_the_whole_array_minimum():
-    # the running minimum carried block by block is the whole array's
+    # the queue is the net sum less the whole array's running minimum,
+    # written over the services
     n = 3 * queuesim._DRAW_BLOCK + 17
     rng = np.random.default_rng(5)
     arrivals = rng.exponential(1.0, n)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -747,11 +748,41 @@ def test_periodic_chains_are_accepted():
     assert max_avg_rate(cycle, 2.0, 1.0).lambda_star == pytest.approx(1.0, rel=1e-12)
 
 
-def test_bad_row_sum_rejected():
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiscreteMarkovSource(np.array([[0.5, 0.4], [0.5, 0.5]]), np.zeros(2))
-    with pytest.raises(ValueError, match="sum to 0"):
-        FluidMarkovSource(np.array([[-1.0, 0.5], [1.0, -1.0]]), np.zeros(2))
+_SHARED_REJECTIONS = [
+    ("square-2x3", np.zeros((2, 3)), "{} must be a square matrix"),
+    ("square-3d", np.zeros((2, 2, 2)), "{} must be a square matrix"),
+    ("finite", np.array([[np.nan, 1.0], [0.5, 0.5]]), "{} entries must be finite"),
+]
+_FAMILY_REJECTIONS = {
+    DiscreteMarkovSource: [
+        ("entries", np.array([[1.5, -0.5], [0.5, 0.5]]),
+         "transition_probs entries must lie in [0, 1]"),
+        ("row-sum", np.array([[0.5, 0.4], [0.5, 0.5]]),
+         "transition_probs rows must sum to 1 within 1e-12 (worst error 0.1)"),
+    ],
+    FluidMarkovSource: [
+        ("entries", np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+         "generator off-diagonal entries must be >= 0"),
+        ("row-sum", np.array([[-1.0, 0.0], [1.0, -1.0]]),
+         "generator rows must sum to 0 within 1e-12 (worst error 1)"),
+    ],
+}
+_FAMILY_REJECTIONS[MmppSource] = _FAMILY_REJECTIONS[FluidMarkovSource]
+
+
+@pytest.mark.parametrize(
+    "cls, matrix, message",
+    [pytest.param(cls, matrix, message.format(fields(cls)[0].name),
+                  id=f"{cls.__name__}-{case}")
+     for cls, own in _FAMILY_REJECTIONS.items()
+     for case, matrix, message in _SHARED_REJECTIONS + own],
+)
+def test_bad_row_sum_rejected(cls, matrix, message):
+    # every matrix family's rejection, message for message; the checks
+    # run in order: shape, finiteness, the family's entry rule, row sums
+    with pytest.raises(ValueError) as exc:
+        cls(matrix, np.zeros(2))
+    assert str(exc.value) == message
 
 
 def test_fluid_stationary_rejects_split_generator():
