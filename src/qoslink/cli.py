@@ -474,10 +474,14 @@ def _resolve(args) -> argparse.Namespace:
     command = args.command
     rows = {name: row for name, row in _OPTIONS.items() if command in row[0] and name != "config"}
     config = _read("config", "object", args.config) or {}
-    keys = {key.replace("-", "_"): key for key in config}
-    for name, key in keys.items():
+    keys = {}
+    for key in config:
+        name = key.replace("-", "_")
         if name not in rows:
             raise ValidationError(f"config.{key}", "unknown parameter")
+        if name in keys:
+            raise ValidationError(f"config.{key}", f"names the same option as {keys[name]}")
+        keys[name] = key
     opts = argparse.Namespace()
     for name, (kinds, required, default, choices, _) in rows.items():
         flag = name.replace("_", "-")
@@ -507,7 +511,7 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except QoslinkError as exc:
+    except (QoslinkError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -301,6 +301,7 @@ def numeric_energy_metrics(
     independent check.
     """
     src = _kind_source(kind, p11, p22, alpha, beta, source)
+    theta = _check_scalar("theta", theta)
     r_of = _rate_curve(src, spec, theta)
     h = _RICHARDSON_H
     for attempt in range(_RICHARDSON_RETRIES + 1):
@@ -335,4 +336,4 @@ def numeric_energy_metrics(
     rn_ddot = r_ddot / spec.m
     ebn0 = 1.0 / rn_dot
     slope = -2.0 * rn_dot ** 2 * LN2 / rn_ddot
-    return EnergyMetrics(ebn0, 10.0 * math.log10(ebn0), slope, float(theta))
+    return EnergyMetrics(ebn0, 10.0 * math.log10(ebn0), slope, theta)

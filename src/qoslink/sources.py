@@ -94,95 +94,55 @@ class _Support:
         self.rows, self.cols = np.nonzero(edges)
         self.start = [0, *np.cumsum(np.bincount(self.rows, minlength=n)).tolist()]
 
-    @cached_property
-    def forest(self):
-        """(parent, tree): breadth-first trees covering the graph, each from
-        the lowest vertex not yet reached, neighbours ascending; a root's
-        parent is -1, and ``tree`` numbers each vertex's tree (with a
-        symmetric edge set, its class)."""
-        n = len(self.start) - 1
-        parent, tree, reached = [-1] * n, [0] * n, [False] * n
+    def trees(self, roots, graph=None):
+        """(parent, tree): breadth-first trees, one from each of ``roots``
+        not yet reached, neighbours ascending, over the support or the
+        neighbour lists ``graph`` = (start, cols); a root's parent is -1,
+        and ``tree`` numbers each vertex's tree, -1 where none reached it."""
+        start, cols = graph or (self.start, self.cols)
+        n = len(start) - 1
+        parent, tree = [-1] * n, [-1] * n
         todo, count = n, 0  # vertices in no tree yet, trees grown
-        for root in range(n):
-            if reached[root]:
+        for root in roots:
+            if tree[root] >= 0:
                 continue
-            reached[root] = True
+            tree[root] = count
             queue = [root]
             for u in queue:
                 if len(queue) == todo:
                     break  # every vertex it could reach is in
-                for v in self.cols[self.start[u]:self.start[u + 1]].tolist():
-                    if not reached[v]:
-                        reached[v] = True
+                for v in cols[start[u]:start[u + 1]].tolist():
+                    if tree[v] < 0:
+                        tree[v] = count
                         parent[v] = u
                         queue.append(v)
             todo -= len(queue)
-            for v in queue:
-                tree[v] = count
             count += 1
         return np.array(parent), np.array(tree)
 
     @cached_property
-    def classes(self):
-        """(labels, terminal): each vertex's strong class, and the classes
-        with no edge out of them.
+    def forest(self):
+        """``trees`` from every vertex in turn: they cover the graph, and
+        with a symmetric edge set each tree is a class."""
+        return self.trees(range(len(self.start) - 1))
 
-        A finite chain has a unique stationary distribution exactly when
-        there is a single such terminal (recurrent) class.
-        """
+    @cached_property
+    def one_recurrent_class(self) -> bool:
+        """Whether the chain has one recurrent class: whether some vertex
+        is reached from every vertex (Kemeny and Snell 1960), so reaches
+        every vertex over the edges turned round.  There the first tree
+        holding such a vertex covers the graph, so is the last tree, and
+        its root reaches every vertex."""
         if self.symmetric:
-            labels = self.forest[1]
-            return labels, np.arange(labels.max() + 1)
-        labels = _strong_classes(self.start, self.cols.tolist())
-        has_exit = np.zeros(labels.max() + 1, dtype=bool)
-        exits = labels[self.rows] != labels[self.cols]
-        has_exit[labels[self.rows[exits]]] = True
-        return labels, np.flatnonzero(~has_exit)
-
-
-def _strong_classes(start: list, cols: list) -> np.ndarray:
-    """Strong-class label of each vertex of the graph with neighbour lists
-    ``cols[start[u]:start[u + 1]]``: Tarjan's depth-first search (1972),
-    iterative, labels numbered in the order the classes complete."""
-    n = len(start) - 1
-    index = [-1] * n  # discovery order
-    low = [0] * n  # least discovery order reachable within the open classes
-    labels = [-1] * n
-    stack = []  # vertices of classes not yet complete
-    count = n_labels = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        path = [(root, start[root])]  # the search path, with each vertex's next edge
-        while path:
-            v, e = path[-1]
-            for e in range(e, start[v + 1]):
-                w = cols[e]
-                if index[w] < 0:
-                    path[-1] = (v, e + 1)
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    path.append((w, start[w]))
-                    break
-                if labels[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    # v roots a class: it and everything above it on the stack
-                    while True:
-                        w = stack.pop()
-                        labels[w] = n_labels
-                        if w == v:
-                            break
-                    n_labels += 1
-    return np.array(labels)
+            back, parent = None, self.forest[0]
+        else:
+            # the edges turned round; a stable sort keeps each row ascending
+            n = len(self.start) - 1
+            back = ([0, *np.cumsum(np.bincount(self.cols, minlength=n)).tolist()],
+                    self.rows[np.argsort(self.cols, kind="stable")])
+            parent = self.trees(range(n), back)[0]
+        roots = np.flatnonzero(parent < 0)
+        return len(roots) == 1 or bool(np.all(self.trees(roots[-1:], back)[1] >= 0))
 
 
 def _path_sums(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -474,16 +434,15 @@ class _MatrixSource:
     """A chain and a rate per state, the first two fields of each family
     (kept also as ``_matrix`` and ``_rates``).  At construction one
     support graph (``_Support``) gives ``reversible``, whether the chain
-    satisfies detailed balance, and the chain's count of recurrent
-    classes: a discrete chain with more than one fails to build, a
-    generator on first use of its law.  The matrix check is one for
-    every family: square, finite, and rows summing to 1 in discrete
-    time, to 0 for a generator.  A family gives its entry rule
-    (``_check_entries``), its raw-array ``_kernel``, that kernel's
-    rounding-noise norm and its time base ``_discrete``; the chain law
-    is the same for every family, on the generator ``_generator``.  The
-    stationary law is solved on first use, at most once per source, and
-    is read-only.
+    satisfies detailed balance, and whether the chain has one recurrent
+    class: a discrete chain with several fails to build, a generator on
+    first use of its law.  The matrix check is one for every family:
+    square, finite, and rows summing to 1 in discrete time, to 0 for a
+    generator.  A family gives its entry rule (``_check_entries``), its
+    raw-array ``_kernel``, that kernel's rounding-noise norm and its
+    time base ``_discrete``; the chain law is the same for every family,
+    on the generator ``_generator``.  The stationary law is solved on
+    first use, at most once per source, and is read-only.
     """
 
     _kind = "nstate"
@@ -515,7 +474,7 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be finite and >= 0")
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
-        object.__setattr__(self, "_recurrent_classes", len(support.classes[1]))
+        object.__setattr__(self, "_one_recurrent_class", support.one_recurrent_class)
         if self._discrete:
             self._check_recurrent()
 
@@ -537,7 +496,7 @@ class _MatrixSource:
         return pi
 
     def _check_recurrent(self):
-        if self._recurrent_classes != 1:
+        if not self._one_recurrent_class:
             raise NoUniqueStationary(
                 f"{'chain' if self._discrete else 'generator'} has multiple "
                 "recurrent classes; stationary law is not unique"
@@ -768,7 +727,8 @@ class OnOffContinuousParams:
         lam = (theta * ce + self.alpha + self.beta) / (theta * ce + self.alpha) * ce
         r_avg = self.p_on * lam
         if self._poisson:
-            factor = theta / float(np.expm1(theta))
+            with np.errstate(over="ignore"):  # theta past ln(DBL_MAX): factor 0
+                factor = theta / float(np.expm1(theta))
             r_avg, lam = r_avg * factor, lam * factor
         return r_avg, lam
 

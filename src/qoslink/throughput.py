@@ -254,6 +254,7 @@ def high_snr_slope(src, theta: float) -> float:
     if theta == 0.0:
         return 1.0
     if poisson:
-        em = float(np.expm1(theta))
+        with np.errstate(over="ignore"):  # theta past ln(DBL_MAX): em = inf, slope 0
+            em = float(np.expm1(theta))
         return p_on * LN2 / em if theta >= LN2 else p_on * theta / em
     return p_on * LN2 / theta if theta >= LN2 else p_on

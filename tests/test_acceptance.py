@@ -440,7 +440,7 @@ def test_criterion_8_queue_tail():
 
 @pytest.mark.skipif(
     not os.environ.get("QOSLINK_ACCEPT_FULL"),
-    reason="10-minute variant; set QOSLINK_ACCEPT_FULL=1 to run",
+    reason="10^7-block variant, about 30 s; set QOSLINK_ACCEPT_FULL=1 to run",
 )
 def test_criterion_8_queue_tail_full():
     # discrete keeps its tighter 10^7 budget; fluid and MMPP get the 0.15

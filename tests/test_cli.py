@@ -457,6 +457,17 @@ def test_throughput_config_capacity_is_an_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid config.capacity: unknown parameter\n"
 
 
+def test_config_keys_naming_one_option_are_refused(tmp_path, capsys):
+    # snr_db and snr-db are one option: neither value may go unread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr_db": "0", "snr-db": "10", "theta": "1"}))
+    assert run(tmp_path, "ecap", "--config", str(cfg), "--channel", '{"m": 2, "rho": 0}') == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config.snr-db: names the same option as snr_db\n"
+    )
+    assert not (tmp_path / "ecap.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, argv, field",
     [
@@ -627,6 +638,23 @@ def test_energy_curve_is_written_when_the_metrics_fail(tmp_path, capsys, monkeyp
     assert [row["kind"] for row in rows] == ["fluid", "fluid"]
     assert all(row["ebn0_db"] and not row["error"] for row in rows)
     assert not (tmp_path / "energy_metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ebw", "energy"])
+@pytest.mark.parametrize("source", [
+    ONOFF_MMPP,
+    '{"kind": "mmpp", "transition": [[-1.0, 1.0], [1.0, -1.0]], "rates": [0.0, 2.0]}',
+], ids=["onoff", "matrix"])
+def test_poisson_arrivals_past_the_float_range_exit_3(tmp_path, capsys, command, source):
+    # e^theta - 1 overflows past theta = ln(DBL_MAX) ~ 709.78: a runtime
+    # failure, reported as one, not a traceback
+    argv = [command, "--source", source, "--theta", "800"]
+    if command == "energy":
+        argv += ["--channel", CHAN_IID, "--snr-db=-10"]
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ") and err.endswith("math range error\n")
+    assert not (tmp_path / f"{command}_manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["ecap", "throughput"])
@@ -1042,3 +1070,32 @@ def test_one_function_checks_numbers():
                                 for n in ast.walk(node.args[1]))):
                     owners.add((path.name, func.name))
     assert owners == {("errors.py", "_exact_number")}
+
+
+def _public_casts(path):
+    """(function, line) of each call in a public function or method of
+    ``path`` that hands one of its own parameters straight to float()
+    or int(), before any number rule could read it."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name[0] == "_":
+            continue
+        a = func.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "int") and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                found.append((func.name, node.lineno))
+    return found
+
+
+def test_public_functions_read_their_numbers_by_the_number_rule():
+    # a public argument reaches float() or int() only through the number
+    # rule (errors._check_scalar, _exact_number): float("1e3") or
+    # float(True) would otherwise pass; private helpers take checked values
+    import qoslink
+
+    casts = {path.name: _public_casts(path)
+             for path in sorted(Path(qoslink.__file__).parent.glob("*.py"))}
+    assert not {name: found for name, found in casts.items() if found}

@@ -616,14 +616,6 @@ def _reference_forest(adjacency):
     return parent
 
 
-def _partition(labels, classes=None):
-    """The vertex sets of the given class labels (all by default)."""
-    labels = np.asarray(labels)
-    if classes is None:
-        classes = np.unique(labels)
-    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in classes}
-
-
 def _random_adjacency(kind, n, rng):
     if kind == "sparse":
         return rng.random((n, n)) < 0.15
@@ -667,13 +659,10 @@ def _random_adjacency(kind, n, rng):
 def test_class_structure_matches_loop_reference(kind, n, seed):
     adjacency = _random_adjacency(kind, n, np.random.default_rng(seed))
     support = sources_module._Support(adjacency)
-    labels, terminal = support.classes
     ref_labels, ref_terminal = _reference_classes(adjacency)
-    # the numbering of the classes is free; the sets are not
-    assert _partition(labels) == _partition(ref_labels)
-    assert _partition(labels, terminal) == _partition(ref_labels, ref_terminal)
+    assert support.one_recurrent_class == (len(ref_terminal) == 1)
     off = adjacency & ~np.eye(n, dtype=bool)
-    if support.symmetric or len(_partition(labels)) == 1:
+    if support.symmetric or len(np.unique(ref_labels)) == 1:
         # there every breadth-first tree is a class's shortest-path tree
         assert np.array_equal(support.forest[0], _reference_forest(off))
 
@@ -684,13 +673,31 @@ def test_strong_classes_of_a_long_cycle():
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.arange(n), (np.arange(n) + 1) % n] = True
     adjacency[n - 1, n - 1] = True
-    support = sources_module._Support(adjacency)
-    labels, terminal = support.classes
-    assert len(terminal) == 1 and np.all(labels == labels[0])
+    assert sources_module._Support(adjacency).one_recurrent_class
     adjacency[n - 1, 0] = False  # now a path ending in a self-loop
-    labels, terminal = sources_module._Support(adjacency).classes
-    assert len(np.unique(labels)) == n
-    assert np.flatnonzero(labels == terminal[0]).tolist() == [n - 1]
+    assert sources_module._Support(adjacency).one_recurrent_class
+    adjacency[n // 2, n // 2 + 1] = False  # two absorbing ends
+    assert not sources_module._Support(adjacency).one_recurrent_class
+
+
+def test_one_recurrent_class_is_read_off_the_last_reversed_tree():
+    # 0 -> 1 <-> 2: no edge leads into 0, so over the edges turned round
+    # the trees have roots 0 and 1, and the tree from 1 must cover the graph
+    adjacency = np.zeros((3, 3), dtype=bool)
+    adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 1] = True
+    support = sources_module._Support(adjacency)
+    assert not support.symmetric and support.one_recurrent_class
+    parent, tree = support.trees([2])
+    assert parent.tolist() == [-1, 2, -1] and tree.tolist() == [-1, 0, 0]
+    DiscreteMarkovSource(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]), np.ones(3))
+    # 0 -> 1 and 0 -> 2, both absorbing: roots 0, 1 and 2, and from 2
+    # only 0 is reached
+    adjacency = np.zeros((3, 3), dtype=bool)
+    adjacency[0, 1] = adjacency[0, 2] = True
+    assert not sources_module._Support(adjacency).one_recurrent_class
+    with pytest.raises(NoUniqueStationary, match="multiple recurrent classes"):
+        DiscreteMarkovSource(np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                             np.ones(3))
 
 
 def test_fluid_stationary_accepts_raw_generator():

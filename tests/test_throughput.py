@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,18 @@ def test_overflow_free_at_extreme_theta_ce():
     # peak rate tends to ce + ln(1/p22)/theta when the exponential dies
     expect = 500.0 + math.log(1.0 / 0.7) / 10.0
     assert res.lambda_star == pytest.approx(expect, rel=1e-12)
+
+
+def test_poisson_layer_past_the_float_range_is_zero_without_warnings():
+    # e^theta - 1 overflows past theta = ln(DBL_MAX) ~ 709.78; the Poisson
+    # layer's cost theta / (e^theta - 1) and the prelog's 1 / (e^theta - 1)
+    # are then 0, their limits, and no RuntimeWarning may escape
+    src = OnOffMmppParams(1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = max_avg_rate(src, 1.0, 800.0)
+        slope = high_snr_slope(src, 800.0)
+    assert (res.r_avg_star, res.lambda_star, slope) == (0.0, 0.0, 0.0)
 
 
 def test_birth_death_nstate_golden():
