@@ -13,17 +13,14 @@ of the rate over each block, MMPP arrivals a Poisson count of the
 integrated intensity.
 
 The samplers are batched numpy code with no Python loop per block or per
-jump (except the per-step bisect walk of chains with many states), and
-they consume the same draws in the same order as a per-step loop, so
-every seeded output is reproducible bit for bit:
+jump (except the per-step bisect walk of chains of other than two
+states), and they consume the same draws in the same order as a
+per-step loop, so every seeded output is reproducible bit for bit:
 
 - a chain step from state s goes to the first j with u <= cdf[s, j];
-  the last CDF entry of each row is pinned to 1.0; chains of up to four
-  states are walked by a prefix scan of the per-step maps, larger ones
-  by a per-step bisect; a block of steps that all take one map follows
-  that map's orbit instead, without reading the CDF when every row has
-  one next state for all u in (0, 1] (every jump of an ON/OFF fluid or
-  MMPP chain flips the state);
+  the last CDF entry of each row is pinned to 1.0; a two-state chain
+  (every ON/OFF source) is walked by one closed form over the whole
+  batch of steps, any other chain by a per-step bisect;
 - a discrete path takes its uniforms in blocks of _DRAW_BLOCK from one
   stream, the same bits a single ``rng.random(n)`` call gives;
 - a continuous path draws batches of ``rng.exponential(size=4096)``
@@ -72,8 +69,6 @@ from .errors import InsufficientTail, UnstableQueue, ValidationError, _check_see
 from .sources import _typed_source
 
 _JUMP_BATCH = 4096
-_SCAN_BLOCK = 4096
-_SCAN_MAX_STATES = 5  # scan below, bisect from here; see _walk
 # Discrete uniforms and MMPP Poisson counts are taken this many blocks
 # at a time, so no trace holds an n-sized temporary.
 _DRAW_BLOCK = 1 << 12
@@ -221,86 +216,35 @@ def _jump_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-@lru_cache(maxsize=None)
-def _map_algebra(n_states: int):
-    """The maps of {0..n-1} into itself as base-n codes.
-
-    Code c sends x to digit x of c, ``digits[c, x]``; ``compose[a * M +
-    b]`` is the code of x -> a(b(x)), for M = n ** n maps.
-    """
-    n_maps = n_states ** n_states
-    digits = np.arange(n_maps)[:, None] // n_states ** np.arange(n_states) % n_states
-    images = digits[np.arange(n_maps)[:, None, None], digits[None, :, :]]
-    compose = images @ (n_states ** np.arange(n_states))
-    return compose.ravel(), digits
-
-
-def _orbit(image, s, count) -> np.ndarray:
-    """The first ``count`` iterates of one map from s (excluding s):
-    a tail, then a cycle, at most len(image) states in all."""
-    path = [s]
-    while (s := int(image[s])) not in path:
-        path.append(s)
-    cycle = path[path.index(s) :]
-    reps = -(-count // len(cycle))
-    return np.concatenate((np.array(path[1:], dtype=np.intp), np.tile(cycle, reps)))[:count]
-
-
 def _walk(cdf: np.ndarray, s0, draws: np.ndarray) -> np.ndarray:
     """States of a chain after each uniform in ``draws``, from state s0.
 
     A step from s goes to the first j with u <= cdf[s, j], the index
-    ``searchsorted(side="left")`` and ``bisect_left`` find.  Below
-    _SCAN_MAX_STATES states each step's map s -> next(u, s) is one
-    integer code, and the state sequence is a Hillis-Steele scan that
-    composes the codes through a table, one _SCAN_BLOCK of steps at a
-    time.  The table has n ** (2n) entries (65536 at n = 4, 9.8e6 at
-    n = 5), so larger chains take a per-step bisect; at n = 2..4 the
-    scan is 1.3-2 times faster than the bisect.  A chain whose every row
-    has one next state for all u in (0, 1] (every row's CDF entries are
-    0 or 1, as in every ON/OFF fluid or MMPP jump chain) follows that
-    map's orbit (``_orbit``) through each _SCAN_BLOCK of steps without
-    reading the CDF; a block whose codes all agree is that code's orbit.
-    A uniform of exactly 0.0 reads a different code (state 0 of every
-    row), so its block is scanned or bisected.
+    ``bisect_left`` finds; a chain of other than two states takes one
+    bisect per step.  On a two-entry row ``bisect_left`` first tests the
+    pinned last entry, which no u < 1 passes, then returns u > cdf[s, 0],
+    whether or not the row is sorted; so a two-state step is that test.
+    With a = u > cdf[0, 0] and b = u > cdf[1, 0], a step with a == b
+    sets the state to a, and any other step maps s to s ^ a.  With odd[k]
+    the xor of a over steps 0..k, the state after step k is then
+    odd[k] ^ odd[r - 1] for r the last setting step at or before k
+    (odd[-1] = 0), or s0 ^ odd[k] if no step up to k sets it.
     """
-    n_states = cdf.shape[0]
     s = int(s0)
-    zero = cdf <= 0.0
-    # the one next state of each row, when no u in (0, 1] can move it
-    sure = np.argmax(~zero, axis=1) if (zero | (cdf >= 1.0)).all() else None
-    if n_states >= _SCAN_MAX_STATES:
+    if cdf.shape[0] != 2:
         rows = cdf.tolist()
-    else:
-        compose, digits = _map_algebra(n_states)
-        n_maps = digits.shape[0]
-    states = np.empty(draws.shape[0], dtype=np.intp)
-    for lo in range(0, draws.shape[0], _SCAN_BLOCK):
-        u = draws[lo : lo + _SCAN_BLOCK]
-        out = states[lo : lo + u.shape[0]]
-        if sure is not None and u.min() > 0.0:
-            out[:] = _orbit(sure, s, u.shape[0])
-        elif n_states >= _SCAN_MAX_STATES:
-            path = []
-            for x in u.tolist():
-                s = bisect_left(rows[s], x)
-                path.append(s)
-            out[:] = path
-        else:
-            codes = np.searchsorted(cdf[0], u)
-            for x in range(1, n_states):
-                codes += np.searchsorted(cdf[x], u) * n_states ** x
-            if codes.min() == codes.max():
-                out[:] = _orbit(digits[codes[0]], s, u.shape[0])
-            else:
-                off = 1
-                while off < u.shape[0]:
-                    # step k after steps k-off..k-1: code[k] o code[k - off]
-                    codes[off:] = compose[codes[off:] * n_maps + codes[:-off]]
-                    off *= 2
-                out[:] = digits[codes, s]
-        s = int(out[-1])
-    return states
+        path = []
+        for x in draws.tolist():
+            s = bisect_left(rows[s], x)
+            path.append(s)
+        return np.array(path, dtype=np.intp)
+    a = draws > cdf[0, 0]
+    odd = np.logical_xor.accumulate(a)
+    setting = np.where(a == (draws > cdf[1, 0]), np.arange(a.shape[0]), -1)
+    last = np.maximum.accumulate(setting)
+    # before[r + 1] = odd[r - 1], with 0 at r = 0; before[0] = s0 at r = -1
+    before = np.concatenate(([s == 1, False], odd[:-1]))
+    return (odd ^ before[last + 1]).astype(np.intp)
 
 
 def _continuous_path(generator: np.ndarray, horizon, s0, rng):

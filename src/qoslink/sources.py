@@ -219,7 +219,8 @@ def _perron_root(M: np.ndarray) -> float:
     of ``eigvalsh`` in the tests).  Any other exactly symmetric M takes
     the symmetric solver (``eigvalsh``), whose largest eigenvalue is the
     root and is perfectly conditioned; any other M, the largest real part
-    of the dense spectrum (``eigvals``).  Failures are NonConvergence.
+    of the dense spectrum (``eigvals``).  Failures are NonConvergence, as
+    are a non-finite entry of M and a non-finite root on any route.
 
     The kernels below hand a reversible chain's matrix over symmetrized
     (``_symmetrized``).  If the chain's edges meet detailed balance only
@@ -229,15 +230,21 @@ def _perron_root(M: np.ndarray) -> float:
     root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
     ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
+    if not np.isfinite(M).all():
+        raise NonConvergence("matrix has non-finite entries")
     try:
         if M.shape[0] >= _TRIDIAGONAL_MIN_STATES and np.count_nonzero(M) == sum(
                 np.count_nonzero(np.diagonal(M, k)) for k in (-1, 0, 1)):
-            return _tridiagonal_root(M)
-        if np.array_equal(M, M.T):
-            return float(np.linalg.eigvalsh(M)[-1])
-        return float(np.max(np.linalg.eigvals(M).real))
+            root = _tridiagonal_root(M)
+        elif np.array_equal(M, M.T):
+            root = float(np.linalg.eigvalsh(M)[-1])
+        else:
+            root = float(np.max(np.linalg.eigvals(M).real))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
+    if not math.isfinite(root):
+        raise NonConvergence(f"non-finite Perron root {root}")
+    return root
 
 
 def _tridiagonal_root(M: np.ndarray) -> float:
@@ -248,10 +255,11 @@ def _tridiagonal_root(M: np.ndarray) -> float:
     n = M.shape[0]
     d = np.diagonal(M)
     up, down = np.maximum(np.diagonal(M, 1), 0.0), np.maximum(np.diagonal(M, -1), 0.0)
-    radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # sqrt(e_{i-1}) + sqrt(e_i)
-    norm = float(np.max(np.abs(d) + radius))
+    with np.errstate(over="ignore"):  # a norm past DBL_MAX is the error below
+        radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # sqrt(e_{i-1}) + sqrt(e_i)
+        norm = float(np.max(np.abs(d) + radius))
     if not math.isfinite(norm):
-        raise NonConvergence("tridiagonal matrix has non-finite entries")
+        raise NonConvergence("tridiagonal matrix has a non-finite norm")
     k = math.frexp(norm)[1]
     lo, hi = (math.ldexp(float(np.max(v)), -k) for v in (d, d + radius))
     d, e = np.ldexp(d, -k).tolist(), [0.0, *(np.ldexp(up, -k) * np.ldexp(down, -k)).tolist()]
@@ -311,8 +319,10 @@ def _ebw_discrete(
     so it never overflows for large theta*rate products.
     """
     lam_max = float(np.max(rates))
-    # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]
-    M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
+    # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]; an
+    # exponent past -DBL_MAX is -inf, whose factor is its limit 0
+    with np.errstate(over="ignore"):
+        M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
     sp = _perron_root(_symmetrized(M) if reversible else M)
     if sp <= 0.0:
         raise NonConvergence("spectral radius collapsed to zero")
@@ -323,7 +333,8 @@ def _ebw_fluid(
     generator: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
 ) -> float:
     """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
-    M = np.diag(rates) + generator / theta
+    with np.errstate(over="ignore"):  # an overflow is _perron_root's error
+        M = np.diag(rates) + generator / theta
     return _perron_root(_symmetrized(M) if reversible else M)
 
 
@@ -331,7 +342,8 @@ def _ebw_mmpp(
     generator: np.ndarray, intensities: np.ndarray, theta: float, reversible: bool
 ) -> float:
     """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
-    M = math.expm1(theta) * np.diag(intensities) + generator
+    with np.errstate(over="ignore"):  # an overflow is _perron_root's error
+        M = math.expm1(theta) * np.diag(intensities) + generator
     return _perron_root(_symmetrized(M) if reversible else M) / theta
 
 

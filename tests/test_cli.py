@@ -657,6 +657,14 @@ def test_poisson_arrivals_past_the_float_range_exit_3(tmp_path, capsys, command,
     assert not (tmp_path / f"{command}_manifest.json").exists()
 
 
+def test_ebw_past_the_float_range_exits_3_without_a_table(tmp_path, capsys):
+    # (e^5 - 1) * 1e308 overflows: the table had a NaN row and exit 0
+    src = '{"kind": "mmpp", "transition": [[-1, 1], [1, -1]], "rates": [0, 1e308]}'
+    assert run(tmp_path, "ebw", "--source", src, "--theta", "0.5,5") == 3
+    assert "NonConvergence" in capsys.readouterr().err
+    assert not (tmp_path / "ebw.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["ecap", "throughput"])
 def test_mc_capacity_without_seed_names_the_seed(tmp_path, capsys, command):
     argv = [command, "--channel", CHAN_IID, "--theta", "1", "--snr-db", "0",

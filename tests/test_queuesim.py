@@ -544,22 +544,10 @@ def _random_chain(n, seed):
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-@pytest.fixture(params=["default", "bisect"])
-def walker(request, monkeypatch):
-    """Runs a test with the walker's own choice (a scan for small chains,
-    a bisect for large ones) and with the bisect forced on every chain."""
-    if request.param == "bisect":
-        monkeypatch.setattr(queuesim, "_SCAN_MAX_STATES", 1)
-    return request.param
-
-
-def test_walker_crossover_splits_the_sizes():
-    # the equivalence tests below reach the scan at n <= 4 only
-    assert 4 < queuesim._SCAN_MAX_STATES <= 10
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 10, 50])
-def test_discrete_walk_matches_reference(n, walker):
+# "default": the walk's own route, the closed form at n = 2 and the
+# bisect at every other n
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 50], ids="default-{}".format)
+def test_discrete_walk_matches_reference(n):
     probs = _random_chain(n, n)
     src = SimpleNamespace(transition_probs=probs)
     got_rng, ref_rng = _ZeroedUniforms(n), _ZeroedUniforms(n)
@@ -584,12 +572,16 @@ def _random_generator(n, seed, absorbing=None):
     return generator
 
 
+_CONTINUOUS_CASES = [(2, None), (3, None), (10, None), (50, None), (3, 1), (10, 1), (50, 1)]
+
+
 @pytest.mark.parametrize(
     "n, absorbing",
     # two states would enter an absorbing state on the first jump
-    [(2, None), (3, None), (10, None), (50, None), (3, 1), (10, 1), (50, 1)],
+    _CONTINUOUS_CASES,
+    ids=[f"default-{n}-{absorbing}" for n, absorbing in _CONTINUOUS_CASES],
 )
-def test_continuous_path_matches_reference(n, absorbing, walker):
+def test_continuous_path_matches_reference(n, absorbing):
     generator = _random_generator(n, n, absorbing)
     horizon = 1.0e5 if absorbing is not None else 5000.0
     got_rng, ref_rng = _ZeroedUniforms(n), _ZeroedUniforms(n)
@@ -720,6 +712,8 @@ def test_arrival_trace_memory_scales_with_blocks_not_jumps(build):
 @example(image=[1, 2, 3, 3], s0=0, length=4100, zero_at=None, seed=1)  # tail to a fixed point
 @example(image=[1, 2, 3, 1], s0=0, length=4100, zero_at=4097, seed=2)  # tail into a 3-cycle
 @example(image=[0], s0=0, length=5000, zero_at=3, seed=3)  # one state
+@example(image=[1, 2, 3, 4, 5, 0], s0=0, length=3 * 4096 + 9, zero_at=5000, seed=4)  # a ring
+@example(image=[1, 0], s0=0, length=3 * 4096 + 9, zero_at=5000, seed=4)
 def test_single_map_walk_equals_the_stepwise_walk(image, s0, length, zero_at, seed):
     # every row has one possible next state, so every step with u > 0
     # takes the map x -> image[x]; u = 0.0 takes x -> 0 instead
@@ -729,22 +723,8 @@ def test_single_map_walk_equals_the_stepwise_walk(image, s0, length, zero_at, se
     draws = np.random.default_rng(seed).random(length)
     if zero_at is not None:
         draws[zero_at % length] = 0.0
-    real_orbit = queuesim._orbit
-    orbits = []
-
-    def orbit(*args):
-        orbits.append(args)
-        return real_orbit(*args)
-
-    with mock.patch.object(queuesim, "_orbit", orbit):
-        got = _walk(_jump_cdf(probs), s0, draws)
+    got = _walk(_jump_cdf(probs), s0, draws)
     assert np.array_equal(got, _reference_walk(probs.tolist(), s0, draws))
-    # the scan runs only on a block where the zero's map meets another
-    scanned = False
-    if zero_at is not None:
-        block_start = zero_at % length // 4096 * 4096
-        scanned = any(image) and min(4096, length - block_start) > 1
-    assert len(orbits) == -(-length // 4096) - scanned
 
 
 @pytest.mark.parametrize("n_states", [2, 3, 4, 7])
@@ -1083,22 +1063,20 @@ def test_simulate_queue_memory_is_two_traces_and_their_buffers():
     assert peak <= max(2 * trace + buffers, 3 * trace + scratch) + 2 ** 20
 
 
-def test_sure_chain_walks_its_orbit_without_reading_the_cdf():
-    # every row of a ring of 6 states, and of the ON/OFF flip, has one next
-    # state for u in (0, 1]; only a block holding u = 0.0 reads the CDF
-    for image in ([1, 2, 3, 4, 5, 0], [1, 0]):
-        probs = np.eye(len(image))[image]
-        draws = np.random.default_rng(4).random(3 * 4096 + 9)
-        for zero_at in (None, 5000):
-            if zero_at is not None:
-                draws[zero_at] = 0.0
-            calls = []
-            real_bisect, real_search = queuesim.bisect_left, np.searchsorted
-            with mock.patch.object(queuesim, "bisect_left",
-                                   lambda *a: calls.append(1) or real_bisect(*a)), \
-                 mock.patch.object(np, "searchsorted",
-                                   lambda *a, **k: calls.append(1) or real_search(*a, **k)):
-                got = _walk(_jump_cdf(probs), 0, draws)
-            assert np.array_equal(got, _reference_walk(probs.tolist(), 0, draws))
-            # the zero's block reads it: per step (bisect) or per state (scan)
-            assert len(calls) == (0 if zero_at is None else 4096 if len(image) > 4 else 2)
+_CDF_EDGES = (-1e-15, 0.0, 0.5, 1.0, 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("c1", _CDF_EDGES)
+@pytest.mark.parametrize("c0", _CDF_EDGES)
+def test_two_state_walk_at_the_validation_edges(c0, c1):
+    # first CDF entries at and just past the ends of [0, 1] (1 + 1e-12
+    # leaves the row unsorted), and draws of 0.0, nextafter(1, 0) and ties
+    cdf = np.array([[c0, 1.0], [c1, 1.0]])
+    draws = np.random.default_rng(5).random(3 * 4096 + 9)
+    draws[::7] = 0.0
+    draws[3::11] = np.nextafter(1.0, 0.0)
+    draws[5::13] = 0.5
+    for s0 in (0, 1):
+        got = _walk(cdf, s0, draws)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _reference_walk(cdf.tolist(), s0, draws))

@@ -438,6 +438,34 @@ def test_tridiagonal_route_failures_are_nonconvergence(monkeypatch):
         effective_bandwidth_fluid(build_birth_death_fluid(64, 1.0, 2.0, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("M", [
+    [[np.inf, 1.0], [1.0, 0.0]],  # eigvalsh returned NaN
+    [[1e308, 1e308], [1e308, 1e308]],  # finite, but eigvalsh returned inf
+    [[np.nan, 1.0], [1.0, 0.0]],  # eigvals raised, naming no value
+    1e308 * (np.eye(64) + np.eye(64, k=1) + np.eye(64, k=-1)),  # T's norm overflows
+], ids=["inf-entry", "inf-root", "nan-entry", "tridiagonal-norm"])
+def test_perron_root_rejects_non_finite_values(M):
+    with pytest.raises(NonConvergence, match="non-finite"):
+        sources_module._perron_root(np.array(M))
+
+
+@pytest.mark.parametrize("source, theta", [
+    (FluidMarkovSource([[-1e308, 1e308], [1e308, -1e308]], [0.0, 1.0]), 0.5),
+    (MmppSource([[-1.0, 1.0], [1.0, -1.0]], [0.0, 1e308]), 5.0),
+], ids=["fluid", "mmpp"])
+def test_kernel_overflow_is_nonconvergence(source, theta):
+    # G / theta, or (e^theta - 1) * rate, past DBL_MAX: one error, not a NaN
+    with pytest.raises(NonConvergence, match="non-finite"):
+        source.effective_bandwidth(theta)
+
+
+def test_discrete_kernel_overflow_takes_its_limit():
+    # theta * (rate - max rate) below -DBL_MAX: the row's factor is its
+    # limit 0, with no RuntimeWarning (an error under the test filter)
+    source = DiscreteMarkovSource([[0.5, 0.5], [0.5, 0.5]], [1.0, 1e308])
+    assert source.effective_bandwidth(5.0) == 1e308
+
+
 # ---------------------------------------------------------------------------
 # degenerate / boundary cases
 # ---------------------------------------------------------------------------
