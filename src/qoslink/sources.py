@@ -23,7 +23,10 @@ sources, ``nstate`` for a matrix source) with the attributes a caller
 reads, and no other module probes a source's type.  A matrix source
 carries its family's data: matrix, rate vector, kernel, the kernel's
 rounding-noise norm and its time base (``_discrete``: one step per
-block, else a generator in continuous time).  Its chain law is one
+block, else a generator in continuous time).  A reversible generator
+source below 64 states also carries its spectrum (``_spectrum``, on
+first use), from which ``_pencil_scale`` gives the rate scale at
+a*(theta) = C_E without a search.  Its chain law is one
 solve for every family, on the generator G (J - I for a discrete
 chain): the stationary law, at most once per source, and the deviation
 matrix behind ``burstiness``, its variance rate over its squared mean
@@ -534,6 +537,12 @@ class _MatrixSource:
         """A matrix source is its own matrix twin."""
         return self
 
+    def _pencil_scale(self, theta: float, ce: float):
+        """The rate scale lambda* with a*(theta; lambda* c) = C_E > 0 in
+        closed form, or None where the family has none: throughput's
+        n-state solver then searches for it."""
+        return None
+
     def effective_bandwidth(self, theta: QosExponent) -> float:
         """a*(theta) of the chain, bits/block, from its family's kernel
         (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
@@ -594,6 +603,53 @@ class _GeneratorSource(_MatrixSource):
         np.fill_diagonal(off, 0.0)
         if np.any(off < -1e-15):
             raise ValueError("generator off-diagonal entries must be >= 0")
+
+    @cached_property
+    def _spectrum(self):
+        """(sigma, X), read-only: the symmetrized generator S = U diag(sigma)
+        U^T of a reversible chain, and X = diag(sqrt(c)) U for the rate
+        shape c.  S's top eigenvector is sqrt(pi), and its eigenvalue is
+        set to exactly 0, as for a generator whose rows sum to 0 exactly;
+        no other sigma may lie above it.  That vector is taken from the
+        stationary law, not from ``eigh``, whose vector is off by about eps
+        ||S|| / (spectral gap); the others are projected off it."""
+        sigma, U = np.linalg.eigh(_symmetrized(self._matrix))
+        np.minimum(sigma, 0.0, out=sigma)
+        sigma[-1] = 0.0
+        top, rest = np.sqrt(self._stationary), U[:, :-1]
+        rest -= np.outer(top, top @ rest)
+        U[:, -1] = top
+        X = np.sqrt(self._rates)[:, None] * U
+        for arr in (sigma, X):
+            arr.setflags(write=False)
+        return sigma, X
+
+    def _pencil_scale(self, theta: float, ce: float):
+        """lambda* of a reversible chain below ``_TRIDIAGONAL_MIN_STATES``
+        states from its cached spectrum (Elwalid and Mitra 1993).
+
+        a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
+        with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
+        (MMPP).  On S's eigenvectors it is symmetric: 1 / (u lambda*) is
+        the top eigenvalue of X diag(1 / (t - sigma)) X^T, so lambda* =
+        C_E (theta/u) / mu' with mu' the top eigenvalue of X diag(w) X^T,
+        w = t / (t - sigma) = 1 / (1 - sigma/theta/C_E).  Every w lies in
+        [0, 1], formed without t, so nothing overflows, and as C_E -> 0,
+        mu' tends to the mean shape.  One product and one ``eigvalsh``;
+        None for other chains, and for zero rates (mu' = 0)."""
+        if not self.reversible or self.n_states >= _TRIDIAGONAL_MIN_STATES:
+            return None
+        sigma, X = self._spectrum
+        u = math.expm1(theta) if self._poisson else theta
+        with np.errstate(over="ignore"):  # sigma/theta past -DBL_MAX: its weight is 0
+            w = 1.0 / (1.0 - sigma / theta / ce)
+        try:
+            mu = float(np.linalg.eigvalsh((X * w) @ X.T)[-1])
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
+        if not math.isfinite(mu):
+            raise NonConvergence(f"non-finite pencil root {mu}")
+        return ce * (theta / u) / mu if mu > 0.0 else None
 
     @property
     def _row_norm(self) -> float:

@@ -4,8 +4,11 @@ Given the effective capacity C_E of the link at exponent theta, these
 solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
-closed forms; for general n-state sources the per-state rate scale is
-found by Brent's method on the raw-array kernel the source carries.
+closed forms.  For general n-state sources the per-state rate scale of
+a reversible fluid or MMPP chain below 64 states comes from its cached
+spectrum (the pencil route, one symmetric eigenvalue per solve); every
+other source's is found by Brent's method on the raw-array kernel the
+source carries.
 ``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
 (ergodic limit and first derivative) and at high snr (rate prelog) is
 also exposed.
@@ -43,7 +46,7 @@ class ThroughputResult:
     lambda_star: float
     theta: float
     effective_capacity: float
-    method: str  # closed_form | root_find
+    method: str  # closed_form | pencil | root_find
     iterations: int = 0  # effective-bandwidth evaluations, bracket included
     residual: float = 0.0  # |a*(theta; lambda_star) - C_E| / C_E
 
@@ -157,22 +160,27 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: flo
 
 
 def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
-    """Brent solver for sources whose rates are shape * scale.
+    """Solver for sources whose rates are shape * scale.
 
     The rate vector of ``src`` is read as the shape coefficients c_i
     (build the source with unit rate scale); the solver finds the scale
-    lambda* with a*(theta; lambda* c) = C_E, using that the effective
-    bandwidth is monotone in the scale.  The source is validated once;
-    each step calls the effective-bandwidth kernel on raw arrays.  The
-    bracket doubles from C_E until it encloses the root, then ``_brent``
-    (Harris's C brentq, ported so that it starts from the bracket values
-    already computed) narrows it to the kernel's rounding noise relative
-    to C_E (eps times the matrix norm in units of a*, at the bracket's
-    upper end), but to no less than 4 machine epsilons and no more than
-    1e-12.  Asking for less than the noise only makes Brent's method
-    fall back to bisection (22 evaluations instead of 8 for the
-    two-state fluid source at C_E = 1e-3, theta = 0.1).  The result
-    reports the evaluations made and the relative residual.
+    lambda* with a*(theta; lambda* c) = C_E.  A source that has the
+    scale in closed form (``_pencil_scale``: a reversible fluid or MMPP
+    chain below 64 states) gives it from its cached spectrum, exact
+    down to any C_E > 0, and one kernel call at lambda* reports the
+    residual (method ``pencil``).  Every other source is searched
+    (``root_find``), using that the effective bandwidth is monotone in
+    the scale.  The source is validated once; each step calls the
+    effective-bandwidth kernel on raw arrays.  The bracket doubles from
+    C_E until it encloses the root, then ``_brent`` (Harris's C brentq,
+    ported so that it starts from the bracket values already computed)
+    narrows it to the kernel's rounding noise relative to C_E (eps times
+    the matrix norm in units of a*, at the bracket's upper end), but to
+    no less than 4 machine epsilons and no more than 1e-12.  Asking for
+    less than the noise only makes Brent's method fall back to bisection
+    (22 evaluations instead of 8 for the two-state fluid source at C_E =
+    1e-3, theta = 0.1).  The result reports the evaluations made and the
+    relative residual.
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
     theta = _check_scalar("theta", theta)
@@ -181,6 +189,12 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     mean_shape = float(src._stationary @ shape)
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
+    lam = src._pencil_scale(theta, ce)
+    if lam is not None:
+        # one kernel call reports how well the kernel meets the target there
+        resid = abs(kernel(matrix, lam * shape, theta, reversible) - ce) / ce
+        return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",
+                                iterations=1, residual=resid)
     # every evaluation, keyed by scale; the Brent solve returns one of
     # them.  Zero rates give a* = 0 exactly.
     excess = {0.0: -ce}

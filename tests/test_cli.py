@@ -196,7 +196,7 @@ def test_throughput_matrix_source_uses_root_finding(tmp_path):
         "--theta", "1.0", "--snr-db", "0",
     ) == 0
     row = read_csv(tmp_path / "throughput.csv")[0]
-    assert row["method"] == "root_find"
+    assert row["method"] == "pencil"
     assert 0 < float(row["r_avg_star"]) < float(row["c_e"])
 
 

@@ -17,7 +17,7 @@ from qoslink.channel import (
     ChannelSpec, effective_capacity_quadrature, effective_capacity_rayleigh_iid, ergodic_capacity,
 )
 from qoslink.energy import build_binomial_discrete_source, build_birth_death_fluid
-from qoslink.errors import BracketFailure
+from qoslink.errors import BracketFailure, NonConvergence
 from qoslink.sources import (
     DiscreteMarkovSource,
     FluidMarkovSource,
@@ -179,10 +179,11 @@ def test_nstate_matches_closed_form_fluid_and_mmpp():
     shape = np.array([0.0, 1.0])
     num_f = max_avg_rate_nstate(FluidMarkovSource(G, shape), 0.5, 1.2)
     ref_f = max_avg_rate_onoff_fluid(1.2, 0.5, 2.0, 3.0)
-    assert num_f.lambda_star == pytest.approx(ref_f.lambda_star, rel=1e-8)
+    assert num_f.lambda_star == pytest.approx(ref_f.lambda_star, rel=1e-13)
     num_m = max_avg_rate_nstate(MmppSource(G, shape), 0.5, 1.2)
     ref_m = max_avg_rate_onoff_mmpp(1.2, 0.5, 2.0, 3.0)
-    assert num_m.lambda_star == pytest.approx(ref_m.lambda_star, rel=1e-8)
+    assert num_m.lambda_star == pytest.approx(ref_m.lambda_star, rel=1e-13)
+    assert num_f.method == num_m.method == "pencil"
 
 
 TWO_STATE_G = np.array([[-2.0, 2.0], [3.0, -3.0]])
@@ -201,7 +202,8 @@ TWO_STATE_CASES = [
 def test_nstate_exact_at_small_capacity(src, closed, theta):
     # the root must be exact relative to C_E, not to max(1, C_E)
     num = max_avg_rate_nstate(src, theta, 1e-3)
-    assert num.lambda_star == pytest.approx(closed(1e-3, theta).lambda_star, rel=1e-10)
+    rel = 1e-10 if isinstance(src, DiscreteMarkovSource) else 1e-13
+    assert num.lambda_star == pytest.approx(closed(1e-3, theta).lambda_star, rel=rel)
 
 
 @pytest.mark.parametrize("src,closed", TWO_STATE_CASES, ids=["discrete", "fluid", "mmpp"])
@@ -277,6 +279,149 @@ def test_nstate_zero_capacity():
     res = max_avg_rate_nstate(src, 0.8, 0.0)
     assert res.r_avg_star == 0.0 and res.lambda_star == 0.0
     assert res.iterations == 0 and res.residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the pencil route of reversible fluid and MMPP sources
+# ---------------------------------------------------------------------------
+
+GENERATOR_FAMILIES = {"fluid": FluidMarkovSource, "mmpp": MmppSource}
+
+
+def _reversible_generator(rng, n):
+    """A random generator in detailed balance with a random law pi > 0:
+    symmetric conductances k (a random spanning path, and each other
+    pair with probability 1/2), each over two decades, and G_ij = k_ij / pi_i."""
+    pi = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    k = np.triu(np.where(rng.random((n, n)) < 0.5, 10.0 ** rng.uniform(-1.0, 1.0, (n, n)), 0.0), 1)
+    path = rng.permutation(n)
+    lo, hi = np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])
+    k[lo, hi] = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
+    G = (k + k.T) / pi[:, None]
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return G
+
+
+def _some_zero_rates(rng, n):
+    """Rates in [0, 1) with about a third of them 0, and one of them 1."""
+    rates = np.where(rng.random(n) < 1 / 3, 0.0, rng.random(n))
+    rates[rng.integers(n)] = 1.0
+    return rates
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+@pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (1e-9, 3e-9), (1e3, 2e3)])
+def test_matrix_twin_meets_the_closed_form_down_to_tiny_capacity(family, alpha, beta):
+    # far below the kernel's rounding noise a search raised NonConvergence
+    # or returned a scale up to 1e9 times off, and at alpha = 1e3 it was
+    # 2e-8 off even at C_E >= 1e-3
+    params = OnOffContinuousParams(alpha, beta, 1.0)
+    twin = {"fluid": as_fluid_source, "mmpp": as_mmpp_source}[family](params)
+    closed = {"fluid": max_avg_rate_onoff_fluid, "mmpp": max_avg_rate_onoff_mmpp}[family]
+    for ce in (1e-20, 1e-16, 1e-12, 1e-6, 1e-3, 1.0, 10.0):
+        for theta in (0.01, 0.5, 5.0):
+            got = max_avg_rate_nstate(twin, theta, ce)
+            ref = closed(ce, theta, alpha, beta)
+            assert got.method == "pencil"
+            assert got.lambda_star == pytest.approx(ref.lambda_star, rel=1e-13), (ce, theta)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+def test_nstate_at_tiny_capacity_scales_the_mean_shape(family):
+    # a* -> lambda (u/theta) times the mean shape as theta C_E -> 0; a
+    # search returned lambda* = 0 with residual 1 here
+    fluid = build_birth_death_fluid(5, 1.0, 2.0, 1.0)
+    src = GENERATOR_FAMILIES[family](fluid.generator, fluid.rates)
+    theta, ce = 0.5, 1e-20
+    u = math.expm1(theta) if family == "mmpp" else theta
+    mean = float(src._stationary @ fluid.rates)
+    res = max_avg_rate_nstate(src, theta, ce)
+    assert res.lambda_star == pytest.approx(ce * (theta / u) / mean, rel=1e-13)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pencil_matches_mpmath(n, family):
+    # 40-digit lambda* of the exact generator (tests/pencil_reference.py)
+    # at theta C_E from 1e-11 to 10
+    from pencil_reference import lambda_star
+
+    rng = np.random.default_rng(n)
+    G, rates = _reversible_generator(rng, n), _some_zero_rates(rng, n)
+    src = GENERATOR_FAMILIES[family](G, rates)
+    assert src.reversible
+    for x in np.logspace(-11.0, 1.0, 7):
+        theta = float(rng.uniform(0.01, 5.0))
+        ce = float(x) / theta
+        res = max_avg_rate_nstate(src, theta, ce)
+        ref = lambda_star(G, rates, theta, ce, family == "mmpp")
+        assert res.method == "pencil"
+        assert abs(res.lambda_star - ref) <= 1e-14 * ref, (x, res.lambda_star, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(sorted(GENERATOR_FAMILIES)),
+    n=st.integers(2, 63),
+    seed=st.integers(0, 2 ** 32 - 1),
+    theta=st.floats(0.01, 5.0),
+    ce=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+)
+def test_pencil_meets_the_target_through_the_kernel(family, n, seed, theta, ce):
+    # the one kernel call at lambda* meets C_E within the kernel's own
+    # rounding noise, with no bracket and no other evaluation
+    rng = np.random.default_rng(seed)
+    src = GENERATOR_FAMILIES[family](_reversible_generator(rng, n), _some_zero_rates(rng, n))
+    assert src.reversible
+    res = max_avg_rate_nstate(src, theta, ce)
+    assert (res.method, res.iterations) == ("pencil", 1)
+    norm = src._noise_norm(res.lambda_star * float(np.max(src._rates)), theta, ce)
+    assert res.residual <= max(1e-12, np.finfo(float).eps * norm / ce)
+
+
+def test_pencil_route_makes_no_search(monkeypatch):
+    # reversible generators below 64 states take the pencil; the discrete
+    # family, non-reversible chains and birth-death chains of 64 states or
+    # more keep the bracket search
+    fluid = build_birth_death_fluid(50, 1.0, 1.2, 1.0)
+    G3 = np.array([[-2.0, 2.0, 0.0], [0.0, -1.0, 1.0], [3.0, 0.0, -3.0]])
+    searched = {
+        "binomial": build_binomial_discrete_source(50, 0.3, 1.0),
+        "cycle": FluidMarkovSource(G3, np.array([0.0, 1.0, 2.0])),
+        "n64": build_birth_death_fluid(64, 1.0, 1.2, 1.0),
+    }
+    assert not searched["cycle"].reversible
+    for src in searched.values():
+        assert max_avg_rate_nstate(src, 0.5, 2.0).method == "root_find"
+
+    def refuse(*args):
+        raise AssertionError("the bracket search ran")
+
+    monkeypatch.setattr(throughput, "_brent", refuse)
+    for src in (fluid, MmppSource(fluid.generator, fluid.rates)):
+        res = max_avg_rate_nstate(src, 0.5, 2.0)
+        assert (res.method, res.iterations) == ("pencil", 1)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+def test_pencil_edge_cases(family):
+    cls, theta = GENERATOR_FAMILIES[family], 0.8
+    u = math.expm1(theta) if family == "mmpp" else theta
+    with pytest.raises(BracketFailure):
+        max_avg_rate_nstate(cls(TWO_STATE_G, np.zeros(2)), theta, 1.7)
+    zero = max_avg_rate_nstate(cls(TWO_STATE_G, np.array([0.0, 1.0])), theta, 0.0)
+    assert (zero.r_avg_star, zero.lambda_star, zero.iterations) == (0.0, 0.0, 0)
+    # one state: a* is lambda c (u/theta) exactly
+    one = max_avg_rate_nstate(cls(np.zeros((1, 1)), np.array([2.5])), theta, 1.7)
+    assert one.method == "pencil"
+    assert one.lambda_star == pytest.approx(1.7 * (theta / u) / 2.5, rel=1e-15)
+
+
+def test_pencil_raises_on_a_non_finite_root(monkeypatch):
+    src = FluidMarkovSource(TWO_STATE_G, np.array([0.0, 1.0]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: np.full(len(K), np.nan))
+    with pytest.raises(NonConvergence, match="pencil"):
+        max_avg_rate_nstate(src, 0.5, 1.2)
 
 
 def _onoff(kind, p_on):
@@ -573,7 +718,6 @@ def test_brent_matches_scipy_brentq_bit_for_bit(
 ):
     from scipy.optimize import brentq
 
-    from qoslink.errors import NonConvergence
     from qoslink.throughput import _brent
 
     base = _MONOTONE[shape](c, k)
@@ -622,7 +766,6 @@ def test_brent_takes_numpy_scalars_without_warnings():
 
 
 def test_brent_rejects_a_non_bracket_and_nan():
-    from qoslink.errors import NonConvergence
     from qoslink.throughput import _brent
 
     with pytest.raises(BracketFailure):
@@ -632,18 +775,19 @@ def test_brent_rejects_a_non_bracket_and_nan():
 
 
 # max_avg_rate_nstate on the n=50 fixtures: (family, theta, C_E,
-# lambda_star, iterations, residual), recorded while the solve still ran
-# through scipy.optimize.brentq
+# lambda_star, iterations, residual); the binomial rows were recorded
+# while the solve still ran through scipy.optimize.brentq, the fluid and
+# MMPP rows come from the pencil
 NSTATE_FROZEN = [
     ("binomial", 0.1, 0.5, 0.033973190934203125, 6, 2.6645352591003757e-15),
     ("binomial", 0.5, 2.0, 0.13293478015834978, 7, 4.440892098500626e-16),
     ("binomial", 0.01, 7.25, 0.49234829843367256, 6, 6.370383148194002e-15),
-    ("fluid", 0.1, 0.5, 0.016477222811854195, 8, 1.9872992140790302e-14),
-    ("fluid", 0.5, 2.0, 0.04507303818362972, 7, 8.881784197001252e-16),
-    ("fluid", 0.01, 7.25, 0.21841982337686072, 8, 1.0903155772870503e-14),
-    ("mmpp", 0.1, 0.5, 0.015667090402313396, 8, 1.0880185641326534e-14),
-    ("mmpp", 0.5, 2.0, 0.034739910821010175, 7, 4.440892098500626e-16),
-    ("mmpp", 0.01, 7.25, 0.21732954442213995, 8, 2.4746488383369007e-14),
+    ("fluid", 0.1, 0.5, 0.016477222811854274, 1, 8.881784197001252e-16),
+    ("fluid", 0.5, 2.0, 0.04507303818362971, 1, 6.661338147750939e-16),
+    ("fluid", 0.01, 7.25, 0.2184198233768598, 1, 1.1270677877574003e-14),
+    ("mmpp", 0.1, 0.5, 0.015667090402313018, 1, 7.993605777301127e-15),
+    ("mmpp", 0.5, 2.0, 0.034739910821010175, 1, 4.440892098500626e-16),
+    ("mmpp", 0.01, 7.25, 0.2173295444221367, 1, 1.1760707350512003e-14),
 ]
 
 
