@@ -24,9 +24,9 @@ reads, and no other module probes a source's type.  A matrix source
 carries its family's data: matrix, rate vector, kernel, the kernel's
 rounding-noise norm and its time base (``_discrete``: one step per
 block, else a generator in continuous time).  A reversible generator
-source below 64 states also carries its spectrum (``_spectrum``, on
-first use), from which ``_pencil_scale`` gives the rate scale at
-a*(theta) = C_E without a search.  Its chain law is one
+source also carries its spectrum (``_spectrum``, on first use), from
+which ``_pencil_scale`` gives the rate scale at a*(theta) = C_E
+without a search.  Its chain law is one
 solve for every family, on the generator G (J - I for a discrete
 chain): the stationary law, at most once per source, and the deviation
 matrix behind ``burstiness``, its variance rate over its squared mean
@@ -612,21 +612,22 @@ class _GeneratorSource(_MatrixSource):
         set to exactly 0, as for a generator whose rows sum to 0 exactly;
         no other sigma may lie above it.  That vector is taken from the
         stationary law, not from ``eigh``, whose vector is off by about eps
-        ||S|| / (spectral gap); the others are projected off it."""
+        ||S|| / (spectral gap), and the others are orthonormalized against
+        it by one QR: where the gap is within rounding of 0, ``eigh`` may
+        return its top two vectors turned in their plane, and the slow
+        mode then keeps its full length only through that QR."""
         sigma, U = np.linalg.eigh(_symmetrized(self._matrix))
         np.minimum(sigma, 0.0, out=sigma)
         sigma[-1] = 0.0
-        top, rest = np.sqrt(self._stationary), U[:, :-1]
-        rest -= np.outer(top, top @ rest)
-        U[:, -1] = top
-        X = np.sqrt(self._rates)[:, None] * U
+        Q = np.linalg.qr(np.column_stack([np.sqrt(self._stationary), U[:, :-1]]))[0]
+        X = np.sqrt(self._rates)[:, None] * np.roll(Q, -1, axis=1)
         for arr in (sigma, X):
             arr.setflags(write=False)
         return sigma, X
 
     def _pencil_scale(self, theta: float, ce: float):
-        """lambda* of a reversible chain below ``_TRIDIAGONAL_MIN_STATES``
-        states from its cached spectrum (Elwalid and Mitra 1993).
+        """lambda* of a reversible chain from its cached spectrum (Elwalid
+        and Mitra 1993).
 
         a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
         with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
@@ -637,7 +638,7 @@ class _GeneratorSource(_MatrixSource):
         [0, 1], formed without t, so nothing overflows, and as C_E -> 0,
         mu' tends to the mean shape.  One product and one ``eigvalsh``;
         None for other chains, and for zero rates (mu' = 0)."""
-        if not self.reversible or self.n_states >= _TRIDIAGONAL_MIN_STATES:
+        if not self.reversible:
             return None
         sigma, X = self._spectrum
         u = math.expm1(theta) if self._poisson else theta

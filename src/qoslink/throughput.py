@@ -5,10 +5,10 @@ solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
 closed forms.  For general n-state sources the per-state rate scale of
-a reversible fluid or MMPP chain below 64 states comes from its cached
-spectrum (the pencil route, one symmetric eigenvalue per solve); every
-other source's is found by Brent's method on the raw-array kernel the
-source carries.
+a reversible fluid or MMPP chain comes from its cached spectrum (the
+pencil route, one symmetric eigenvalue per solve); every other
+source's is found by Brent's method on the raw-array kernel the source
+carries.
 ``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
 (ergodic limit and first derivative) and at high snr (rate prelog) is
 also exposed.
@@ -48,7 +48,10 @@ class ThroughputResult:
     effective_capacity: float
     method: str  # closed_form | pencil | root_find
     iterations: int = 0  # effective-bandwidth evaluations, bracket included
-    residual: float = 0.0  # |a*(theta; lambda_star) - C_E| / C_E
+    # |a*(theta; lambda_star) - C_E| / C_E; on the pencil route it is the
+    # kernel's own rounding noise, up to eps * _noise_norm / C_E, and not
+    # how far lambda_star is off
+    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -166,21 +169,24 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     (build the source with unit rate scale); the solver finds the scale
     lambda* with a*(theta; lambda* c) = C_E.  A source that has the
     scale in closed form (``_pencil_scale``: a reversible fluid or MMPP
-    chain below 64 states) gives it from its cached spectrum, exact
-    down to any C_E > 0, and one kernel call at lambda* reports the
-    residual (method ``pencil``).  Every other source is searched
-    (``root_find``), using that the effective bandwidth is monotone in
-    the scale.  The source is validated once; each step calls the
-    effective-bandwidth kernel on raw arrays.  The bracket doubles from
-    C_E until it encloses the root, then ``_brent`` (Harris's C brentq,
-    ported so that it starts from the bracket values already computed)
-    narrows it to the kernel's rounding noise relative to C_E (eps times
-    the matrix norm in units of a*, at the bracket's upper end), but to
-    no less than 4 machine epsilons and no more than 1e-12.  Asking for
-    less than the noise only makes Brent's method fall back to bisection
-    (22 evaluations instead of 8 for the two-state fluid source at C_E =
-    1e-3, theta = 0.1).  The result reports the evaluations made and the
-    relative residual.
+    chain) gives it from its cached spectrum, exact down to any C_E > 0,
+    and one kernel call at lambda* reports the residual (method
+    ``pencil``).  That residual is bounded by the kernel's rounding
+    noise, eps times the source's ``_noise_norm`` over C_E, not by how
+    accurate lambda* is: at C_E = 1e-20 a right lambda* can read 1e4.
+    Every other source is searched (``root_find``), using that the
+    effective bandwidth is monotone in the scale.  The source is
+    validated once; each step calls the effective-bandwidth kernel on
+    raw arrays.  The bracket doubles from C_E until it encloses the
+    root, then ``_brent`` (Harris's C brentq, ported so that it starts
+    from the bracket values already computed) narrows it to the kernel's
+    rounding noise relative to C_E (eps times the matrix norm in units
+    of a*, at the bracket's upper end), but to no less than 4 machine
+    epsilons and no more than 1e-12.  Asking for less than the noise
+    only makes Brent's method fall back to bisection (22 evaluations
+    instead of 8 for the two-state fluid source at C_E = 1e-3, theta =
+    0.1).  The result reports the evaluations made and the relative
+    residual.
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
     theta = _check_scalar("theta", theta)
