@@ -60,7 +60,6 @@ from .sources import (
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
-    average_rate,
     effective_bandwidth_discrete,
     effective_bandwidth_fluid,
     effective_bandwidth_mmpp,

@@ -21,16 +21,17 @@ the one check that an object is a source of a named family (its
 ``_kind``: ``discrete``, ``fluid`` or ``mmpp`` for the two-state
 sources, ``nstate`` for a matrix source) with the attributes a caller
 reads, and no other module probes a source's type.  A matrix source
-carries its family's data: matrix, rate vector, kernel, the kernel's
-rounding-noise norm and its time base (``_discrete``: one step per
-block, else a generator in continuous time).  A reversible generator
-source also carries its spectrum (``_spectrum``, on first use), from
-which ``_pencil_scale`` gives the rate scale at a*(theta) = C_E
-without a search.  Its chain law is one
-solve for every family, on the generator G (J - I for a discrete
-chain): the stationary law, at most once per source, and the deviation
-matrix behind ``burstiness``, its variance rate over its squared mean
-rate (eta or zeta for the two-state ON/OFF sources).  Every source
+carries its family's data: matrix, rate vector, kernel and its time
+base (``_discrete``: one step per block, else a generator in continuous
+time).  A fluid or MMPP source, reversible or not, gives the rate scale
+at a*(theta) = C_E without a search (``_pencil_scale``: one inverse and
+one eigenvalue call); a discrete source carries its kernel's
+rounding-noise norm instead, for throughput's search.  Its chain law is
+one solve for every family, on the generator G (J - I for a discrete
+chain): the stationary law, at most once per source, behind
+``mean_rate``, and the deviation matrix behind ``burstiness``, its
+variance rate over its squared mean rate (eta or zeta for the two-state
+ON/OFF sources, whose ``mean_rate`` is lam p_on).  Every source
 answers ``effective_bandwidth(theta)`` (closed form where one exists)
 and ``as_matrix()``, its matrix twin (a matrix source is its own); a
 two-state source also carries its closed-form rates at a*(theta) = C_E
@@ -454,8 +455,9 @@ class _MatrixSource:
     first use of its law.  The matrix check is one for every family:
     square, finite, and rows summing to 1 in discrete time, to 0 for a
     generator.  A family gives its entry rule (``_check_entries``), its
-    raw-array ``_kernel``, that kernel's rounding-noise norm and its
-    time base ``_discrete``; the chain law is the same for every family,
+    raw-array ``_kernel`` and its time base ``_discrete`` (the discrete
+    family also that kernel's rounding-noise norm, ``_noise_norm``, for
+    throughput's search); the chain law is the same for every family,
     on the generator ``_generator``.  The stationary law is solved on
     first use, at most once per source, and is read-only.
     """
@@ -538,9 +540,9 @@ class _MatrixSource:
         return self
 
     def _pencil_scale(self, theta: float, ce: float):
-        """The rate scale lambda* with a*(theta; lambda* c) = C_E > 0 in
-        closed form, or None where the family has none: throughput's
-        n-state solver then searches for it."""
+        """The rate scale lambda* with a*(theta; lambda* c) = C_E > 0
+        without a search, or None for the discrete family, whose lambda
+        sits in an exponent: throughput's n-state solver searches there."""
         return None
 
     def effective_bandwidth(self, theta: QosExponent) -> float:
@@ -548,6 +550,11 @@ class _MatrixSource:
         (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
         theta = _check_scalar("theta", theta)
         return self._kernel(self._matrix, self._rates, theta, self.reversible)
+
+    @property
+    def mean_rate(self) -> float:
+        """Long-run mean arrival rate pi c, bits/block."""
+        return float(self._stationary @ self._rates)
 
     @property
     def burstiness(self) -> float:
@@ -560,8 +567,7 @@ class _MatrixSource:
         rates' scale.  An MMPP gives the value of its intensities as a
         fluid: its Poisson layer is a separate penalty (``_poisson``).
         """
-        pi = self._stationary
-        mu = float(pi @ self._rates)
+        pi, mu = self._stationary, self.mean_rate
         if mu == 0.0:
             raise ValueError("zero rates carry no traffic; burstiness is undefined")
         return self._variance_rate(pi, self._rates - mu) / (mu * mu)
@@ -604,57 +610,51 @@ class _GeneratorSource(_MatrixSource):
         if np.any(off < -1e-15):
             raise ValueError("generator off-diagonal entries must be >= 0")
 
-    @cached_property
-    def _spectrum(self):
-        """(sigma, X), read-only: the symmetrized generator S = U diag(sigma)
-        U^T of a reversible chain, and X = diag(sqrt(c)) U for the rate
-        shape c.  S's top eigenvector is sqrt(pi), and its eigenvalue is
-        set to exactly 0, as for a generator whose rows sum to 0 exactly;
-        no other sigma may lie above it.  That vector is taken from the
-        stationary law, not from ``eigh``, whose vector is off by about eps
-        ||S|| / (spectral gap), and the others are orthonormalized against
-        it by one QR: where the gap is within rounding of 0, ``eigh`` may
-        return its top two vectors turned in their plane, and the slow
-        mode then keeps its full length only through that QR."""
-        sigma, U = np.linalg.eigh(_symmetrized(self._matrix))
-        np.minimum(sigma, 0.0, out=sigma)
-        sigma[-1] = 0.0
-        Q = np.linalg.qr(np.column_stack([np.sqrt(self._stationary), U[:, :-1]]))[0]
-        X = np.sqrt(self._rates)[:, None] * np.roll(Q, -1, axis=1)
-        for arr in (sigma, X):
-            arr.setflags(write=False)
-        return sigma, X
-
-    def _pencil_scale(self, theta: float, ce: float):
-        """lambda* of a reversible chain from its cached spectrum (Elwalid
-        and Mitra 1993).
+    def _pencil_scale(self, theta: float, ce: float) -> float:
+        """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
+        without a search (Elwalid and Mitra 1993).
 
         a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
         with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
-        (MMPP).  On S's eigenvectors it is symmetric: 1 / (u lambda*) is
-        the top eigenvalue of X diag(1 / (t - sigma)) X^T, so lambda* =
-        C_E (theta/u) / mu' with mu' the top eigenvalue of X diag(w) X^T,
-        w = t / (t - sigma) = 1 / (1 - sigma/theta/C_E).  Every w lies in
-        [0, 1], formed without t, so nothing overflows, and as C_E -> 0,
-        mu' tends to the mean shape.  One product and one ``eigvalsh``;
-        None for other chains, and for zero rates (mu' = 0)."""
-        if not self.reversible:
-            return None
-        sigma, X = self._spectrum
-        u = math.expm1(theta) if self._poisson else theta
-        with np.errstate(over="ignore"):  # sigma/theta past -DBL_MAX: its weight is 0
-            w = 1.0 / (1.0 - sigma / theta / ce)
-        try:
-            mu = float(np.linalg.eigvalsh((X * w) @ X.T)[-1])
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
-        if not math.isfinite(mu):
-            raise NonConvergence(f"non-finite pencil root {mu}")
-        return ce * (theta / u) / mu if mu > 0.0 else None
+        (MMPP), so lambda* = C_E (theta/u) / mu', mu' the Perron root of
+        t (t I - G)^-1 C.  Deflating the resolvent's pole at t = 0, the
+        rank-one term r l^T of G's null vectors (Kemeny and Snell 1960),
 
-    @property
-    def _row_norm(self) -> float:
-        return float(np.max(np.sum(np.abs(self.generator), axis=1)))
+            t (t I - G)^-1 = s/(t+s) r l^T + t (t I - G + s r l^T)^-1,
+
+        leaves an inverse bounded by the chain's fundamental matrix at
+        every t >= 0, so nothing overflows for theta C_E up to 1e300 and
+        mu' tends to the mean shape l^T C r as C_E -> 0; s = max |G_ii|
+        puts both terms on G's scale.  mu' is the top eigenvalue of
+        C^{1/2} [...] C^{1/2}: taken on the symmetrized generator D G
+        D^-1 with r = l = sqrt(pi) = diag(D) for a reversible chain, a
+        symmetric matrix (``eigvalsh``); else on G with r = 1, l = pi,
+        the largest real part of its spectrum (``eigvals``).  A solver
+        failure or a root that is not finite and positive is
+        NonConvergence."""
+        pi, n = self._stationary, self.n_states
+        if self.reversible:
+            A, r = _symmetrized(self._matrix), np.sqrt(pi)
+            l = r
+        else:
+            A, r, l = self._matrix, np.ones(n), pi
+        u = math.expm1(theta) if self._poisson else theta
+        t = theta * ce
+        s = float(np.max(np.abs(np.diagonal(A)))) or 1.0  # 0 only for a one-state chain
+        P = np.outer(r, l)
+        root = np.sqrt(self._rates)
+        try:
+            K = t * np.linalg.inv(t * np.eye(n) - A + s * P) + s / (t + s) * P
+            K = root[:, None] * K * root
+            if self.reversible:
+                mu = float(np.linalg.eigvalsh(K)[-1])
+            else:
+                mu = float(np.max(np.linalg.eigvals(K).real))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"pencil solver failed: {exc}") from exc
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise NonConvergence(f"pencil root {mu} is not finite and positive")
+        return ce * (theta / u) / mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,10 +672,6 @@ class FluidMarkovSource(_GeneratorSource):
 
     _kernel = staticmethod(_ebw_fluid)
 
-    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
-        # the root is a* itself
-        return peak + self._row_norm / theta
-
 
 @dataclass(frozen=True, eq=False)
 class MmppSource(_GeneratorSource):
@@ -688,10 +684,6 @@ class MmppSource(_GeneratorSource):
 
     _kernel = staticmethod(_ebw_mmpp)
     _poisson = True
-
-    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
-        # the root is theta a*
-        return (math.expm1(theta) * peak + self._row_norm) / theta
 
 
 # the per-family names of the one matrix-source method
@@ -732,6 +724,11 @@ class OnOffDiscreteParams:
         """Steady-state probability of the ON state."""
         # grouped so p22 = 1 gives exactly 1.0 and p11 = 1 exactly 0.0
         return (1.0 - self.p11) / ((1.0 - self.p11) + (1.0 - self.p22))
+
+    @property
+    def mean_rate(self) -> float:
+        """Long-run mean arrival rate lam p_on, bits/block."""
+        return self.lam * self.p_on
 
     @property
     def burstiness(self) -> float:
@@ -784,6 +781,11 @@ class OnOffContinuousParams:
     @property
     def p_on(self) -> float:
         return self.alpha / (self.alpha + self.beta)
+
+    @property
+    def mean_rate(self) -> float:
+        """Long-run mean arrival rate lam p_on, bits/block."""
+        return self.lam * self.p_on
 
     @property
     def burstiness(self) -> float:
@@ -844,7 +846,7 @@ def _typed_source(src, *attrs):
 
 
 # ---------------------------------------------------------------------------
-# Stationary distributions and mean rates
+# Stationary distributions
 # ---------------------------------------------------------------------------
 
 
@@ -864,15 +866,6 @@ def _stationary_from(A: np.ndarray) -> np.ndarray:
         raise NoUniqueStationary("stationary solve produced negative mass")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
-
-
-def average_rate(src) -> float:
-    """Long-run mean arrival rate of a source, bits/block."""
-    if isinstance(src, _MatrixSource):
-        return float(src._stationary @ src._rates)
-    if isinstance(src, (OnOffDiscreteParams, OnOffContinuousParams)):
-        return src.lam * src.p_on
-    raise TypeError(f"unsupported source type: {type(src).__name__}")
 
 
 # ---------------------------------------------------------------------------

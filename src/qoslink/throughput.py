@@ -5,8 +5,8 @@ solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
 closed forms.  For general n-state sources the per-state rate scale of
-a reversible fluid or MMPP chain comes from its cached spectrum (the
-pencil route, one symmetric eigenvalue per solve); every other
+every fluid or MMPP chain, reversible or not, comes from one deflated
+resolvent and one eigenvalue call (the pencil route); only a discrete
 source's is found by Brent's method on the raw-array kernel the source
 carries.
 ``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
@@ -36,6 +36,8 @@ _SCALE_REL_TOL = 4.0 * _EPS
 _SCALE_REL_TOL_MAX = 1e-12
 _SCALE_ABS_TOL = float(np.finfo(float).tiny)
 _BRENT_MAX_ITER = 100
+_NO_RATES = ("effective bandwidth never reaches the target capacity; "
+             "the source has no usable rate states")
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class ThroughputResult:
     method: str  # closed_form | pencil | root_find
     iterations: int = 0  # effective-bandwidth evaluations, bracket included
     # |a*(theta; lambda_star) - C_E| / C_E; on the pencil route it is the
-    # kernel's own rounding noise, up to eps * _noise_norm / C_E, and not
-    # how far lambda_star is off
+    # kernel's rounding noise, about eps (peak rate + ||G||inf / theta) / C_E
+    # for a fluid source, and not how far lambda_star is off
     residual: float = 0.0
 
 
@@ -167,14 +169,14 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
 
     The rate vector of ``src`` is read as the shape coefficients c_i
     (build the source with unit rate scale); the solver finds the scale
-    lambda* with a*(theta; lambda* c) = C_E.  A source that has the
-    scale in closed form (``_pencil_scale``: a reversible fluid or MMPP
-    chain) gives it from its cached spectrum, exact down to any C_E > 0,
-    and one kernel call at lambda* reports the residual (method
-    ``pencil``).  That residual is bounded by the kernel's rounding
-    noise, eps times the source's ``_noise_norm`` over C_E, not by how
-    accurate lambda* is: at C_E = 1e-20 a right lambda* can read 1e4.
-    Every other source is searched (``root_find``), using that the
+    lambda* with a*(theta; lambda* c) = C_E.  A fluid or MMPP source,
+    reversible or not, gives the scale without a search
+    (``_pencil_scale``: one deflated resolvent and one eigenvalue call),
+    exact down to any C_E > 0, and one kernel call at lambda* reports the
+    residual (method ``pencil``).  That residual is the kernel's rounding
+    noise over C_E, not how accurate lambda* is: at C_E = 1e-20 a right
+    lambda* can read 1e4.  All-zero rates are a BracketFailure.  A
+    discrete source is searched (``root_find``), using that the
     effective bandwidth is monotone in the scale.  The source is
     validated once; each step calls the effective-bandwidth kernel on
     raw arrays.  The bracket doubles from C_E until it encloses the
@@ -192,9 +194,11 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     theta = _check_scalar("theta", theta)
     src = _typed_source(src, "_kernel")
     matrix, shape, kernel, reversible = src._matrix, src._rates, src._kernel, src.reversible
-    mean_shape = float(src._stationary @ shape)
+    mean_shape = src.mean_rate
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
+    if not np.any(shape):
+        raise BracketFailure(_NO_RATES)
     lam = src._pencil_scale(theta, ce)
     if lam is not None:
         # one kernel call reports how well the kernel meets the target there
@@ -216,10 +220,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
         hi *= 2.0
         doublings += 1
         if doublings > _BRACKET_CAP_DOUBLINGS:
-            raise BracketFailure(
-                "effective bandwidth never reaches the target capacity; "
-                "the source has no usable rate states"
-            )
+            raise BracketFailure(_NO_RATES)
     lo = 0.5 * hi if doublings else 0.0
     # rounding moves a* by about eps times the kernel's matrix norm in
     # units of a*, near a* = C_E

@@ -39,7 +39,6 @@ from qoslink.sources import (
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
-    average_rate,
 )
 from qoslink.throughput import max_avg_rate
 
@@ -181,7 +180,7 @@ def test_binomial_builder_stationary_law():
     src = build_binomial_discrete_source(10, 0.5, 2.0)
     pi = src._stationary
     assert np.max(np.abs(pi - np.array(BINOM_PI))) < 1e-12
-    assert average_rate(src) == pytest.approx(9 * 0.5 * 2.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(9 * 0.5 * 2.0, rel=1e-14)
 
 
 def test_binomial_builder_rank_one_rows():
@@ -213,7 +212,7 @@ def test_binomial_all_on_collapses():
     src = build_binomial_discrete_source(10, 1.0, 2.0)
     pi = src._stationary
     assert pi[-1] == pytest.approx(1.0, abs=1e-15)
-    assert average_rate(src) == pytest.approx(9 * 2.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(9 * 2.0, rel=1e-14)
 
 
 # birth-death stationary law n=10, xi = alpha/beta = 0.5, frozen from the
@@ -230,12 +229,12 @@ def test_birth_death_builder_stationary_law():
     src = build_birth_death_fluid(10, 50.0, 100.0, 1.0)
     pi = src._stationary
     assert np.max(np.abs(pi - np.array(BD_PI))) < 1e-12
-    assert average_rate(src) == pytest.approx(0.99022482893450635, rel=1e-12)
+    assert src.mean_rate == pytest.approx(0.99022482893450635, rel=1e-12)
 
 
 def test_birth_death_two_states_reduce():
     src = build_birth_death_fluid(2, 3.0, 7.0, 1.5)
-    assert average_rate(src) == pytest.approx(1.5 * 3.0 / 10.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(1.5 * 3.0 / 10.0, rel=1e-14)
 
 
 def test_birth_death_equal_rates_is_uniform():
@@ -245,7 +244,7 @@ def test_birth_death_equal_rates_is_uniform():
 
 def test_birth_death_saturates_at_top_rate():
     src = build_birth_death_fluid(5, 2e6, 2.0, 1.0)
-    assert average_rate(src) == pytest.approx(4.0, rel=1e-3)
+    assert src.mean_rate == pytest.approx(4.0, rel=1e-3)
 
 
 def test_builder_validation():
@@ -288,7 +287,7 @@ def test_scalar_arguments_follow_the_number_rule(call, name):
 
 
 def test_a_failing_curve_point_keeps_its_type_and_names_its_snr():
-    # zero rates never reach C_E: the Brent bracket gives up at every snr
+    # zero rates never reach C_E: the n-state solver refuses every snr
     silent = FluidMarkovSource(np.array([[-1.0, 1.0], [2.0, -2.0]]), np.zeros(2))
     with pytest.raises(BracketFailure, match=r"^at snr = 0\.25: effective bandwidth never") as err:
         source_ebn0_curve(silent, SPEC0, 0.5, [0.25, 1.0])

@@ -23,7 +23,6 @@ from qoslink.sources import (
     as_discrete_source,
     as_fluid_source,
     as_mmpp_source,
-    average_rate,
     effective_bandwidth_discrete,
     effective_bandwidth_fluid,
     effective_bandwidth_mmpp,
@@ -117,7 +116,7 @@ def test_onoff_discrete_matches_mpmath_down_to_small_theta(p11, p22, lam, theta)
 )
 def test_onoff_closed_forms_reach_the_mean_rate_as_theta_vanishes(params, theta):
     # the closed forms once returned 0.0 here
-    assert params.effective_bandwidth(theta) == pytest.approx(average_rate(params), rel=1e-15)
+    assert params.effective_bandwidth(theta) == pytest.approx(params.mean_rate, rel=1e-15)
 
 
 def test_five_state_stationary_frozen():
@@ -484,7 +483,7 @@ def test_absorbing_off_is_zero_with_warning():
     with pytest.warns(UserWarning, match="absorbing"):
         p = OnOffDiscreteParams(1.0, 0.5, 3.0)
     assert effective_bandwidth_onoff_discrete(p, 2.0) == 0.0
-    assert average_rate(p) == 0.0
+    assert p.mean_rate == 0.0
 
 
 def test_fluid_beta_zero_gives_peak():
@@ -552,7 +551,7 @@ def test_branch_seam_is_continuous():
 def test_onoff_discrete_between_mean_and_peak(p11, p22, lam, theta):
     p = OnOffDiscreteParams(p11, p22, lam)
     a = effective_bandwidth_onoff_discrete(p, theta)
-    assert average_rate(p) - 1e-9 <= a <= lam + 1e-9
+    assert p.mean_rate - 1e-9 <= a <= lam + 1e-9
 
 
 @settings(max_examples=10, deadline=None)
@@ -566,7 +565,7 @@ def test_onoff_continuous_bounds_and_ordering(alpha, beta, lam, theta):
     p = OnOffContinuousParams(alpha, beta, lam)
     af = effective_bandwidth_onoff_fluid(p, theta)
     am = effective_bandwidth_onoff_mmpp(p, theta)
-    assert average_rate(p) - 1e-9 <= af <= lam + 1e-9
+    assert p.mean_rate - 1e-9 <= af <= lam + 1e-9
     # Poisson arrivals are burstier than fluid at the same mean profile
     assert am >= af - 1e-12
 
@@ -579,7 +578,7 @@ def test_nstate_bandwidth_monotone_in_theta(seed):
     src = DiscreteMarkovSource(random_chain(rng, n), rng.random(n) * 5.0)
     thetas = [0.01, 0.1, 1.0, 5.0, 20.0]
     vals = [effective_bandwidth_discrete(src, t) for t in thetas]
-    mean = average_rate(src)
+    mean = src.mean_rate
     peak = float(np.max(src.rates))
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-9
@@ -593,7 +592,7 @@ def test_small_theta_approaches_mean_rate(seed):
     rng = np.random.default_rng(seed)
     src = DiscreteMarkovSource(random_chain(rng, 4), rng.random(4) * 3.0)
     a = effective_bandwidth_discrete(src, 1e-6)
-    assert a == pytest.approx(average_rate(src), rel=1e-3)
+    assert a == pytest.approx(src.mean_rate, rel=1e-3)
 
 
 @settings(max_examples=10, deadline=None)
@@ -736,10 +735,10 @@ def test_fluid_stationary_accepts_raw_generator():
 
 def test_average_rate_routes_match():
     p = OnOffDiscreteParams(0.3, 0.6, 4.0)
-    assert average_rate(as_discrete_source(p)) == pytest.approx(average_rate(p), rel=1e-12)
+    assert as_discrete_source(p).mean_rate == pytest.approx(p.mean_rate, rel=1e-12)
     q = OnOffContinuousParams(2.0, 6.0, 4.0)
-    assert average_rate(as_fluid_source(q)) == pytest.approx(1.0, rel=1e-12)
-    assert average_rate(as_mmpp_source(q)) == pytest.approx(1.0, rel=1e-12)
+    assert as_fluid_source(q).mean_rate == pytest.approx(1.0, rel=1e-12)
+    assert as_mmpp_source(q).mean_rate == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1074,7 @@ def test_burstiness_is_the_theta_term_of_the_effective_bandwidth(family):
     rates = rng.uniform(0.0, 3.0, 5)
     src = family(J, rates) if family is DiscreteMarkovSource else family(J - np.eye(5), rates)
     assert not src.reversible
-    mu = average_rate(src)
+    mu = src.mean_rate
     h = 1e-3
     d1 = (src.effective_bandwidth(h) - mu) / h
     d2 = (src.effective_bandwidth(2 * h) - mu) / (2 * h)
@@ -1139,7 +1138,7 @@ def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
     for theta, ce in ((0.1, 1.0), (1.0, 0.5)):
         max_avg_rate_nstate(src, theta, ce)
         max_avg_rate(src, ce, theta)
-        average_rate(src)
+        src.mean_rate
         src._stationary
     for seed in (1, 2):
         simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 10.0, 10 ** 4, seed))
@@ -1167,14 +1166,14 @@ def test_cached_law_is_the_direct_solve_bit_for_bit(family):
         direct = sources_module._stationary_from(np.array(src.generator).T)
     assert src._stationary.tobytes() == direct.tobytes()
     rates = src.intensities if family == "mmpp" else src.rates
-    assert average_rate(src) == float(direct @ rates)
+    assert src.mean_rate == float(direct @ rates)
 
 
 @pytest.mark.parametrize("cls", [FluidMarkovSource, MmppSource])
 def test_split_generator_builds_and_fails_on_first_use(cls):
     src = cls(np.zeros((2, 2)), np.array([0.0, 1.0]))  # two absorbing states
     with pytest.raises(NoUniqueStationary):
-        average_rate(src)
+        src.mean_rate
     with pytest.raises(NoUniqueStationary):
         max_avg_rate(src, 1.0, 1.0)
     with pytest.raises(NoUniqueStationary):
