@@ -87,7 +87,8 @@ class QuadratureFailure(QoslinkError):
 
 
 class BracketFailure(QoslinkError):
-    """Root bracketing never enclosed the target (degenerate source)."""
+    """No rate scale meets the target: the source has no usable rate
+    states (all its rates are 0)."""
 
 
 class UnstableQueue(QoslinkError):

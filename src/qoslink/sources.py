@@ -23,12 +23,12 @@ sources, ``nstate`` for a matrix source) with the attributes a caller
 reads, and no other module probes a source's type.  A matrix source
 carries its family's data: matrix, rate vector, kernel and its time
 base (``_discrete``: one step per block, else a generator in continuous
-time).  A fluid or MMPP source, reversible or not, gives the rate scale
-at a*(theta) = C_E without a search (``_pencil_scale``: one inverse and
-one eigenvalue call); a discrete source carries its kernel's
-rounding-noise norm instead, for throughput's search.  Its chain law is
-one solve for every family, on the generator G (J - I for a discrete
-chain): the stationary law, at most once per source, behind
+time).  Every matrix source, reversible or not, gives the rate scale at
+a*(theta) = C_E without a bracket (``_pencil_scale``) from one deflated
+resolvent (``_resolvent``): a fluid or MMPP source by one eigenvalue
+call, a discrete source by secant steps that fall onto the root.  Its
+chain law is one solve for every family, on the generator G (J - I for
+a discrete chain): the stationary law, at most once per source, behind
 ``mean_rate``, and the deviation matrix behind ``burstiness``, its
 variance rate over its squared mean rate (eta or zeta for the two-state
 ON/OFF sources, whose ``mean_rate`` is lam p_on).  Every source
@@ -68,7 +68,6 @@ from .errors import (
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
-_EXP_CAP = 700.0  # keeps math.exp finite
 _TRIDIAGONAL_MIN_STATES = 64  # eigvalsh is as fast below: CHANGES.md has the sweep
 _LAGUERRE_MAX_STEPS = 100
 
@@ -455,11 +454,11 @@ class _MatrixSource:
     first use of its law.  The matrix check is one for every family:
     square, finite, and rows summing to 1 in discrete time, to 0 for a
     generator.  A family gives its entry rule (``_check_entries``), its
-    raw-array ``_kernel`` and its time base ``_discrete`` (the discrete
-    family also that kernel's rounding-noise norm, ``_noise_norm``, for
-    throughput's search); the chain law is the same for every family,
-    on the generator ``_generator``.  The stationary law is solved on
-    first use, at most once per source, and is read-only.
+    raw-array ``_kernel``, its time base ``_discrete`` and its rate-scale
+    solve ``_pencil_scale``, on the deflated resolvent and the top
+    eigenvalue every family shares; the chain law is the same for every
+    family, on the generator ``_generator``.  The stationary law is
+    solved on first use, at most once per source, and is read-only.
     """
 
     _kind = "nstate"
@@ -539,11 +538,59 @@ class _MatrixSource:
         """A matrix source is its own matrix twin."""
         return self
 
-    def _pencil_scale(self, theta: float, ce: float):
-        """The rate scale lambda* with a*(theta; lambda* c) = C_E > 0
-        without a search, or None for the discrete family, whose lambda
-        sits in an exponent: throughput's n-state solver searches there."""
-        return None
+    def _resolvent(self, t: float):
+        """(K, M): the resolvent K = t (t I - A)^-1 at t > 0 (inf allowed),
+        deflated (Elwalid and Mitra 1993), and the chain's matrix M (J or
+        G) in the frame where A is its generator.
+
+        For a reversible chain the frame is the symmetrized D M D^-1, with
+        r = l = sqrt(pi) = diag(D), and K is symmetric; for any other chain
+        it is M itself, with r = 1, l = pi.  The resolvent's pole at t = 0
+        is the rank-one term r l^T of A's null vectors (Kemeny and Snell
+        1960); taking it out,
+
+            t (t I - A)^-1 = s/(t+s) r l^T + t (t I - A + s r l^T)^-1,
+
+        leaves an inverse bounded by the chain's fundamental matrix at
+        every t >= 0, so K tends to r l^T as t -> 0 and to I as t -> inf;
+        s = max |A_ii| puts both terms on A's scale.  Past t = 1 the
+        inverse is taken in w = 1/t, so t = inf gives K = I."""
+        pi, n = self._stationary, self.n_states
+        if self.reversible:
+            M, r = _symmetrized(self._matrix), np.sqrt(pi)
+            l = r
+        else:
+            M, r, l = self._matrix, np.ones(n), pi
+        A = M - np.eye(n) if self._discrete else M
+        s = float(np.max(np.abs(np.diagonal(A)))) or 1.0  # 0 only for a one-state chain
+        P = np.outer(r, l)
+        try:
+            if t <= 1.0:
+                K = t * np.linalg.inv(t * np.eye(n) - A + s * P) + s / (t + s) * P
+            else:
+                w = 1.0 / t
+                K = np.linalg.inv(np.eye(n) - w * (A - s * P)) + s * w / (1.0 + s * w) * P
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"pencil solver failed: {exc}") from exc
+        return K, M
+
+    def _top_eigenvalue(self, K: np.ndarray, d: np.ndarray) -> float:
+        """The top eigenvalue of diag(d) K diag(d), K a function of the
+        chain in ``_resolvent``'s frame: ``eigvalsh`` for a reversible
+        chain, whose K is symmetric there, else the largest real part
+        from ``eigvals``.  A solver failure or a value that is not finite
+        and positive is NonConvergence."""
+        M = d[:, None] * K * d
+        try:
+            if self.reversible:
+                mu = float(np.linalg.eigvalsh(M)[-1])
+            else:
+                mu = float(np.max(np.linalg.eigvals(M).real))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"pencil solver failed: {exc}") from exc
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise NonConvergence(f"pencil root {mu} is not finite and positive")
+        return mu
 
     def effective_bandwidth(self, theta: QosExponent) -> float:
         """a*(theta) of the chain, bits/block, from its family's kernel
@@ -594,10 +641,45 @@ class DiscreteMarkovSource(_MatrixSource):
         if np.any(J < -1e-15) or np.any(J > 1 + 1e-12):
             raise ValueError("transition_probs entries must lie in [0, 1]")
 
-    def _noise_norm(self, peak: float, theta: float, ce: float) -> float:
-        # the root sp = e^{theta (a* - peak)}, of a matrix with entries
-        # <= 1, gives a* as peak + ln(sp) / theta
-        return peak + math.exp(min(theta * (peak - ce), _EXP_CAP)) / theta
+    def _pencil_scale(self, theta: float, ce: float) -> float:
+        """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
+        without a bracket.
+
+        With y = theta lambda, x = theta C_E, t = e^x - 1 and E(y) =
+        diag(e^{y c} - 1), sp(e^{y C} J) = e^x is sp(E(y) J K) = t, K the
+        resolvent t (t I - G)^-1 (``_resolvent``), which commutes with J.
+        Every entry of E(e^s) J K is a nonnegative sum of exponentials in
+        s = log y, so F(s) = log sp(E J K / t) is convex (Kingman 1961)
+        and increasing, and secant steps in s from two points above the
+        root fall monotonically onto it.  The starts y0 and 2 y0 are above
+        it: y0 = min(x / mean shape, t / sp(C^{1/2} J K C^{1/2})), the
+        first as log sp(e^{y C} J) is convex in y with slope mean shape at
+        0, the second as e^{yc} - 1 >= yc.  The steps stop once an iterate
+        no longer falls, or F no longer falls and stays positive, which
+        only rounding does; the iterate of smaller |F| is lambda* theta.
+        E / t is taken with e^{max(y c) - x} scaled out, its entries in
+        [0, 1 / (1 - e^{-x})], and F adds that exponent back."""
+        x = theta * ce
+        with np.errstate(over="ignore"):  # inf past x = ln(DBL_MAX), where K = I
+            t = float(np.expm1(x))
+        K, J = self._resolvent(t)
+        JK = J @ K
+        c, mean, top = self._rates, self.mean_rate, float(np.max(self._rates))
+        scale = -1.0 / math.expm1(-x)  # e^x / t
+
+        def excess(y):
+            e = np.exp(y * (c - top)) * -np.expm1(-y * c) * scale
+            return math.log(self._top_eigenvalue(JK, np.sqrt(e))) + (y * top - x)
+
+        y = min(x / mean if mean > 0.0 else math.inf, t / self._top_eigenvalue(JK, np.sqrt(c)))
+        y_hi, f_hi, f = 2.0 * y, excess(2.0 * y), excess(y)
+        while 0.0 < f < f_hi:
+            # the secant step in s = log y, taken as a factor on y
+            y_next = y * math.exp(f * math.log(y_hi / y) / (f - f_hi))
+            if not y_next < y:
+                break
+            y_hi, f_hi, y, f = y, f, y_next, excess(y_next)
+        return (y if abs(f) <= abs(f_hi) else y_hi) / theta
 
 
 class _GeneratorSource(_MatrixSource):
@@ -612,49 +694,17 @@ class _GeneratorSource(_MatrixSource):
 
     def _pencil_scale(self, theta: float, ce: float) -> float:
         """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
-        without a search (Elwalid and Mitra 1993).
+        without a search.
 
         a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
         with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
         (MMPP), so lambda* = C_E (theta/u) / mu', mu' the Perron root of
-        t (t I - G)^-1 C.  Deflating the resolvent's pole at t = 0, the
-        rank-one term r l^T of G's null vectors (Kemeny and Snell 1960),
-
-            t (t I - G)^-1 = s/(t+s) r l^T + t (t I - G + s r l^T)^-1,
-
-        leaves an inverse bounded by the chain's fundamental matrix at
-        every t >= 0, so nothing overflows for theta C_E up to 1e300 and
-        mu' tends to the mean shape l^T C r as C_E -> 0; s = max |G_ii|
-        puts both terms on G's scale.  mu' is the top eigenvalue of
-        C^{1/2} [...] C^{1/2}: taken on the symmetrized generator D G
-        D^-1 with r = l = sqrt(pi) = diag(D) for a reversible chain, a
-        symmetric matrix (``eigvalsh``); else on G with r = 1, l = pi,
-        the largest real part of its spectrum (``eigvals``).  A solver
-        failure or a root that is not finite and positive is
-        NonConvergence."""
-        pi, n = self._stationary, self.n_states
-        if self.reversible:
-            A, r = _symmetrized(self._matrix), np.sqrt(pi)
-            l = r
-        else:
-            A, r, l = self._matrix, np.ones(n), pi
+        K C with K the resolvent t (t I - G)^-1 (``_resolvent``): the top
+        eigenvalue of C^{1/2} K C^{1/2}.  Nothing overflows for theta C_E
+        up to 1e300, and mu' tends to the mean shape as C_E -> 0."""
         u = math.expm1(theta) if self._poisson else theta
-        t = theta * ce
-        s = float(np.max(np.abs(np.diagonal(A)))) or 1.0  # 0 only for a one-state chain
-        P = np.outer(r, l)
-        root = np.sqrt(self._rates)
-        try:
-            K = t * np.linalg.inv(t * np.eye(n) - A + s * P) + s / (t + s) * P
-            K = root[:, None] * K * root
-            if self.reversible:
-                mu = float(np.linalg.eigvalsh(K)[-1])
-            else:
-                mu = float(np.max(np.linalg.eigvals(K).real))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"pencil solver failed: {exc}") from exc
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise NonConvergence(f"pencil root {mu} is not finite and positive")
-        return ce * (theta / u) / mu
+        K, _ = self._resolvent(theta * ce)
+        return ce * (theta / u) / self._top_eigenvalue(K, np.sqrt(self._rates))
 
 
 @dataclass(frozen=True, eq=False)

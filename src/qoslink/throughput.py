@@ -5,10 +5,9 @@ solvers find the largest mean arrival rate a Markovian source can carry
 while the queue-tail requirement still holds: the source's effective
 bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
 closed forms.  For general n-state sources the per-state rate scale of
-every fluid or MMPP chain, reversible or not, comes from one deflated
-resolvent and one eigenvalue call (the pencil route); only a discrete
-source's is found by Brent's method on the raw-array kernel the source
-carries.
+every chain, reversible or not, comes from one deflated resolvent (the
+pencil route): one eigenvalue call for a fluid or MMPP source, a few
+bracket-free secant steps for a discrete one.
 ``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
 (ergodic limit and first derivative) and at high snr (rate prelog) is
 also exposed.
@@ -16,26 +15,14 @@ also exposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LN2, ChannelSpec, ergodic_capacity, log_rate_cov_sum
-from .errors import BracketFailure, NonConvergence, _EPS, _check_scalar
+from .errors import BracketFailure, _check_scalar
 from .sources import OnOffDiscreteParams, OnOffFluidParams, OnOffMmppParams, _typed_source
 
-_BRACKET_CAP_DOUBLINGS = 60
-# The Brent solve's relative tolerance on the scale is the kernel's noise
-# clipped to this range: 4 machine epsilons is the least Charles Harris's
-# C brentq accepts (a step of a few ulps no longer moves the iterate), and
-# the cap keeps a pessimistic noise figure from costing digits.  The absolute
-# tolerance is the smallest normal float, which leaves the relative one
-# in charge
-_SCALE_REL_TOL = 4.0 * _EPS
-_SCALE_REL_TOL_MAX = 1e-12
-_SCALE_ABS_TOL = float(np.finfo(float).tiny)
-_BRENT_MAX_ITER = 100
 _NO_RATES = ("effective bandwidth never reaches the target capacity; "
              "the source has no usable rate states")
 
@@ -48,11 +35,12 @@ class ThroughputResult:
     lambda_star: float
     theta: float
     effective_capacity: float
-    method: str  # closed_form | pencil | root_find
-    iterations: int = 0  # effective-bandwidth evaluations, bracket included
+    method: str  # closed_form | pencil
+    iterations: int = 0  # effective-bandwidth kernel calls: 1 on the pencil route
     # |a*(theta; lambda_star) - C_E| / C_E; on the pencil route it is the
     # kernel's rounding noise, about eps (peak rate + ||G||inf / theta) / C_E
-    # for a fluid source, and not how far lambda_star is off
+    # for a fluid source and eps (peak + e^{theta (peak - C_E)} / theta) / C_E
+    # for a discrete one, and not how far lambda_star is off
     residual: float = 0.0
 
 
@@ -102,135 +90,35 @@ def max_avg_rate_onoff_mmpp(
     return max_avg_rate(OnOffMmppParams(alpha, beta, 0.0), ce, theta)
 
 
-def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method, given fa = f(xa), fb = f(xb).
-
-    A line-for-line port of Charles Harris's C routine ``brentq``:
-    the same float operations in the same order, so the same iterates
-    and the same returned point, but the bracket values come in already
-    computed.  The step stops once half the bracket is below
-    (xtol + rtol |x|) / 2.  Ends of equal sign, or a NaN end, raise
-    BracketFailure; a NaN value on the way, or _BRENT_MAX_ITER steps
-    without convergence, raise NonConvergence.
-    """
-    # Python floats round as the C doubles do, and overflow to inf or
-    # divide by zero (caught below) without numpy's RuntimeWarning
-    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
-    xtol, rtol = float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
-        raise BracketFailure(
-            f"f({xa!r}) = {fpre!r} and f({xb!r}) = {fcur!r} do not bracket a root"
-        )
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.nan  # C divides to inf or NaN, and so bisects below
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise NonConvergence(f"the function is NaN at {xcur!r}")
-    raise NonConvergence(f"Brent's method did not converge in {_BRENT_MAX_ITER} steps")
-
-
 def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     """Solver for sources whose rates are shape * scale.
 
     The rate vector of ``src`` is read as the shape coefficients c_i
     (build the source with unit rate scale); the solver finds the scale
-    lambda* with a*(theta; lambda* c) = C_E.  A fluid or MMPP source,
-    reversible or not, gives the scale without a search
-    (``_pencil_scale``: one deflated resolvent and one eigenvalue call),
-    exact down to any C_E > 0, and one kernel call at lambda* reports the
-    residual (method ``pencil``).  That residual is the kernel's rounding
-    noise over C_E, not how accurate lambda* is: at C_E = 1e-20 a right
-    lambda* can read 1e4.  All-zero rates are a BracketFailure.  A
-    discrete source is searched (``root_find``), using that the
-    effective bandwidth is monotone in the scale.  The source is
-    validated once; each step calls the effective-bandwidth kernel on
-    raw arrays.  The bracket doubles from C_E until it encloses the
-    root, then ``_brent`` (Harris's C brentq, ported so that it starts
-    from the bracket values already computed) narrows it to the kernel's
-    rounding noise relative to C_E (eps times the matrix norm in units
-    of a*, at the bracket's upper end), but to no less than 4 machine
-    epsilons and no more than 1e-12.  Asking for less than the noise
-    only makes Brent's method fall back to bisection (22 evaluations
-    instead of 8 for the two-state fluid source at C_E = 1e-3, theta =
-    0.1).  The result reports the evaluations made and the relative
-    residual.
+    lambda* with a*(theta; lambda* c) = C_E.  Every matrix source,
+    reversible or not, gives it from one deflated resolvent
+    (``_pencil_scale``): a fluid or MMPP source by one eigenvalue call, a
+    discrete source by secant steps on a convex function that fall onto
+    the root, one eigenvalue call each, with no bracket and no
+    tolerance.  The scale is exact down to any C_E > 0, and one kernel
+    call at lambda* reports the residual (method ``pencil``).  That
+    residual is the kernel's rounding noise over C_E, not how accurate
+    lambda* is: at C_E = 1e-20 a right lambda* can read 1e4.  All-zero
+    rates are a BracketFailure, and C_E = 0 gives 0.
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
     theta = _check_scalar("theta", theta)
     src = _typed_source(src, "_kernel")
-    matrix, shape, kernel, reversible = src._matrix, src._rates, src._kernel, src.reversible
-    mean_shape = src.mean_rate
+    shape, mean_shape = src._rates, src.mean_rate
     if ce == 0.0:
-        return ThroughputResult(0.0, 0.0, theta, ce, "root_find")
+        return ThroughputResult(0.0, 0.0, theta, ce, "pencil")
     if not np.any(shape):
         raise BracketFailure(_NO_RATES)
     lam = src._pencil_scale(theta, ce)
-    if lam is not None:
-        # one kernel call reports how well the kernel meets the target there
-        resid = abs(kernel(matrix, lam * shape, theta, reversible) - ce) / ce
-        return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",
-                                iterations=1, residual=resid)
-    # every evaluation, keyed by scale; the Brent solve returns one of
-    # them.  Zero rates give a* = 0 exactly.
-    excess = {0.0: -ce}
-
-    def f(scale):
-        if scale not in excess:
-            excess[scale] = kernel(matrix, scale * shape, theta, reversible) - ce
-        return excess[scale]
-
-    hi = ce
-    doublings = 0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > _BRACKET_CAP_DOUBLINGS:
-            raise BracketFailure(_NO_RATES)
-    lo = 0.5 * hi if doublings else 0.0
-    # rounding moves a* by about eps times the kernel's matrix norm in
-    # units of a*, near a* = C_E
-    norm = src._noise_norm(hi * float(np.max(shape)), theta, ce)
-    rtol = min(max(_EPS * norm / ce, _SCALE_REL_TOL), _SCALE_REL_TOL_MAX)
-    lam = _brent(f, lo, hi, excess[lo], excess[hi], _SCALE_ABS_TOL, rtol)
-    return ThroughputResult(
-        lam * mean_shape, lam, theta, ce, "root_find",
-        iterations=len(excess) - 1, residual=abs(excess[lam]) / ce,
-    )
+    # one kernel call reports how well the kernel meets the target there
+    at_root = src._kernel(src._matrix, lam * shape, theta, src.reversible)
+    return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",
+                            iterations=1, residual=abs(at_root - ce) / ce)
 
 
 def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlopes:

@@ -190,9 +190,16 @@ def test_throughput_decreases_with_theta(tmp_path):
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
-def test_throughput_matrix_source_uses_root_finding(tmp_path):
+MATRIX_DISC = (
+    '{"kind": "discrete", "transition": [[0.8, 0.2], [0.2, 0.8]],'
+    ' "rates": [0.0, 2.0]}'
+)
+
+
+@pytest.mark.parametrize("source", [MATRIX_FLUID, MATRIX_DISC], ids=["fluid", "discrete"])
+def test_throughput_matrix_source_uses_the_pencil(tmp_path, source):
     assert run(
-        tmp_path, "throughput", "--source", MATRIX_FLUID, "--channel", CHAN_IID,
+        tmp_path, "throughput", "--source", source, "--channel", CHAN_IID,
         "--theta", "1.0", "--snr-db", "0",
     ) == 0
     row = read_csv(tmp_path / "throughput.csv")[0]

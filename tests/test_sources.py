@@ -105,7 +105,7 @@ def test_onoff_discrete_matches_mpmath_down_to_small_theta(p11, p22, lam, theta)
     # e^{lam theta} once entered the quadratic whole, so its root lost
     # the digits of e^{lam theta} - 1: 3.1e-4 off at theta 1e-12
     got = effective_bandwidth_onoff_discrete(OnOffDiscreteParams(p11, p22, lam), theta)
-    assert got == pytest.approx(_onoff_discrete_reference(p11, p22, lam, theta), rel=1e-15)
+    assert got == pytest.approx(_onoff_discrete_reference(p11, p22, lam, theta), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("theta", [1e-16, 1e-20, 1e-300])
@@ -116,7 +116,7 @@ def test_onoff_discrete_matches_mpmath_down_to_small_theta(p11, p22, lam, theta)
 )
 def test_onoff_closed_forms_reach_the_mean_rate_as_theta_vanishes(params, theta):
     # the closed forms once returned 0.0 here
-    assert params.effective_bandwidth(theta) == pytest.approx(params.mean_rate, rel=1e-15)
+    assert params.effective_bandwidth(theta) == pytest.approx(params.mean_rate, rel=1e-15, abs=0)
 
 
 def test_five_state_stationary_frozen():
@@ -1001,7 +1001,7 @@ def test_onoff_burstiness_is_the_variance_rate_over_the_squared_mean():
     for cls in (OnOffFluidParams, OnOffMmppParams):
         c = cls(9.0, 1.0, 2.0)
         var = 2 * c.alpha * c.beta / (c.alpha + c.beta) ** 3 * c.lam ** 2
-        assert c.burstiness == pytest.approx(var / (c.lam * c.p_on) ** 2, rel=1e-14)
+        assert c.burstiness == pytest.approx(var / (c.lam * c.p_on) ** 2, rel=1e-14, abs=0)
     with pytest.warns(UserWarning, match="absorbing"):
         silent = OnOffDiscreteParams(1.0, 0.5, 2.0)
     with pytest.raises(ValueError, match="p11"):
@@ -1042,7 +1042,7 @@ def test_binomial_burstiness_is_exact(n, s):
     # every row is the binomial law, so blocks are independent and
     # sigma^2 is one block's variance (n-1) s (1-s), over a mean (n-1) s
     src = build_binomial_discrete_source(n, s, 1.0)
-    assert src.burstiness == pytest.approx((1 - s) / ((n - 1) * s), rel=1e-13)
+    assert src.burstiness == pytest.approx((1 - s) / ((n - 1) * s), rel=1e-13, abs=0)
 
 
 # sigma^2 / mu^2 of the n=50 sources from 50-digit mpmath solves:

@@ -171,7 +171,7 @@ def test_nstate_matches_closed_form_discrete():
     ref = max_avg_rate_onoff_discrete(1.7, 0.8, 0.3, 0.6)
     assert num.lambda_star == pytest.approx(ref.lambda_star, rel=1e-8)
     assert num.r_avg_star == pytest.approx(ref.r_avg_star, rel=1e-8)
-    assert num.method == "root_find"
+    assert num.method == "pencil"
 
 
 def test_nstate_matches_closed_form_fluid_and_mmpp():
@@ -202,8 +202,7 @@ TWO_STATE_CASES = [
 def test_nstate_exact_at_small_capacity(src, closed, theta):
     # the root must be exact relative to C_E, not to max(1, C_E)
     num = max_avg_rate_nstate(src, theta, 1e-3)
-    rel = 1e-10 if isinstance(src, DiscreteMarkovSource) else 1e-13
-    assert num.lambda_star == pytest.approx(closed(1e-3, theta).lambda_star, rel=rel, abs=0)
+    assert num.lambda_star == pytest.approx(closed(1e-3, theta).lambda_star, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("src,closed", TWO_STATE_CASES, ids=["discrete", "fluid", "mmpp"])
@@ -241,8 +240,8 @@ def _lazy_walk(n):
 @pytest.mark.parametrize("theta,ce", [(0.1, 0.8), (0.5, 3.0), (1.0, 12.0)])
 def test_nstate_meets_the_target_on_birth_death_chains_of_200_states(
         family, theta, ce, monkeypatch):
-    # the tridiagonal route's root (the discrete search's, and the fluid and
-    # MMPP pencil's one residual call), at the benchmark's own tolerance
+    # the tridiagonal route's root (every family's one residual call), at
+    # the benchmark's own tolerance
     fluid = build_birth_death_fluid(200, 1.0, 2.0, 1.0)
     src = {"discrete": _lazy_walk(200), "fluid": fluid,
            "mmpp": MmppSource(fluid.generator, fluid.rates)}[family]
@@ -283,7 +282,7 @@ def test_nstate_zero_capacity():
 
 
 # ---------------------------------------------------------------------------
-# the pencil route of fluid and MMPP sources
+# the pencil route of matrix sources
 # ---------------------------------------------------------------------------
 
 GENERATOR_FAMILIES = {"fluid": FluidMarkovSource, "mmpp": MmppSource}
@@ -398,6 +397,47 @@ def test_pencil_matches_mpmath(n, family):
             assert abs(res.lambda_star - ref) <= 1e-14 * ref, (reversible, x, res.lambda_star, ref)
 
 
+def _uniformized(G):
+    """The transition matrix I + G/q at q = 2 max |G_ii|, exactly
+    stochastic in its diagonal: in detailed balance exactly when G is."""
+    J = G / (2.0 * np.max(np.abs(np.diagonal(G))))
+    np.fill_diagonal(J, 0.0)
+    np.fill_diagonal(J, 1.0 - J.sum(axis=1))
+    return J
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_discrete_scale_matches_mpmath(n):
+    # 40-digit lambda* of the exactly stochastic chain
+    # (tests/pencil_reference.py) at theta C_E from 1e-11 to 3, for a
+    # reversible chain and for one out of detailed balance; a bracket and
+    # Brent search was up to 2.6e-7 off at theta C_E >= 1e-8
+    from pencil_reference import discrete_lambda_star
+
+    rng = np.random.default_rng(n)
+    for reversible, make in ((True, _reversible_generator), (False, _non_reversible_generator)):
+        J, rates = _uniformized(make(rng, n)), _some_zero_rates(rng, n)
+        src = DiscreteMarkovSource(J, rates)
+        assert src.reversible == reversible
+        for x in np.logspace(-11.0, math.log10(3.0), 7):
+            theta = float(rng.uniform(0.01, 5.0))
+            ce = float(x) / theta
+            res = max_avg_rate_nstate(src, theta, ce)
+            ref = discrete_lambda_star(J, rates, theta, ce)
+            assert res.method == "pencil"
+            assert abs(res.lambda_star - ref) <= 1e-13 * ref, (reversible, x, res.lambda_star, ref)
+
+
+@pytest.mark.parametrize("ce", [1e-16, 1e-20, 1e-300])
+def test_binomial_at_tiny_capacity_scales_the_mean_shape(ce):
+    # a* -> lambda times the mean shape as theta C_E -> 0; a bracket search
+    # was 3.6e4 times too large at C_E = 1e-20 and found no bracket at 1e-300
+    src = build_binomial_discrete_source(50, 0.3, 1.0)
+    for theta in (0.01, 0.5, 5.0):
+        res = max_avg_rate_nstate(src, theta, ce)
+        assert res.lambda_star == pytest.approx(ce / src.mean_rate, rel=1e-13, abs=0), theta
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     family=st.sampled_from(sorted(GENERATOR_FAMILIES)),
@@ -418,20 +458,16 @@ def test_pencil_meets_the_target_through_the_kernel(family, n, seed, theta, ce):
     assert res.residual <= max(1e-12, np.finfo(float).eps * norm / ce)
 
 
-def test_pencil_route_makes_no_search(monkeypatch):
-    # fluid and MMPP generators of any size, reversible or not,
-    # birth-death chains on the tridiagonal route included, take the
-    # pencil; only the discrete family keeps the bracket search
-    binomial = build_binomial_discrete_source(50, 0.3, 1.0)
-    assert max_avg_rate_nstate(binomial, 0.5, 2.0).method == "root_find"
-
-    def refuse(*args):
-        raise AssertionError("the bracket search ran")
-
-    monkeypatch.setattr(throughput, "_brent", refuse)
+def test_pencil_route_makes_no_search():
+    # every matrix source of any size, reversible or not, birth-death
+    # chains on the tridiagonal route included, takes the pencil and
+    # calls the kernel once, for its residual
     cycle = FluidMarkovSource(CYCLE_G, np.array([0.0, 1.0, 2.0]))
-    assert not cycle.reversible
-    sources = [cycle, MmppSource(cycle.generator, cycle.rates)]
+    lazy_cycle = DiscreteMarkovSource(0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=1)),
+                                      cycle.rates)
+    assert not cycle.reversible and not lazy_cycle.reversible
+    sources = [cycle, MmppSource(cycle.generator, cycle.rates), lazy_cycle,
+               build_binomial_discrete_source(50, 0.3, 1.0), _lazy_walk(200)]
     for n in (50, 64, 200):
         fluid = build_birth_death_fluid(n, 1.0, 1.2, 1.0)
         sources += [fluid, MmppSource(fluid.generator, fluid.rates)]
@@ -484,7 +520,7 @@ def test_pencil_edge_cases(family):
     # one state: a* is lambda c (u/theta) exactly
     one = max_avg_rate_nstate(cls(np.zeros((1, 1)), np.array([2.5])), theta, 1.7)
     assert one.method == "pencil"
-    assert one.lambda_star == pytest.approx(1.7 * (theta / u) / 2.5, rel=1e-15)
+    assert one.lambda_star == pytest.approx(1.7 * (theta / u) / 2.5, rel=1e-15, abs=0)
 
 
 def test_pencil_raises_on_a_non_finite_root(monkeypatch):
@@ -503,7 +539,7 @@ def _onoff(kind, p_on):
 
 def test_high_snr_slope_frozen():
     assert high_snr_slope(_onoff("discrete", 0.5), 2.0) == pytest.approx(
-        0.17328679513998633, rel=1e-14
+        0.17328679513998633, rel=1e-14, abs=0
     )
     # fluid shares the discrete branch structure
     discrete = high_snr_slope(_onoff("discrete", 0.5), 2.0)
@@ -743,115 +779,13 @@ def test_birth_death_nstate_golden():
     assert extrap == pytest.approx(eigen, abs=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# the Brent port
-# ---------------------------------------------------------------------------
-
-_MONOTONE = {
-    "cubic": lambda c, k: lambda x: k * (x - c) ** 3 + 1e-3 * (x - c),
-    "sinh": lambda c, k: lambda x: k * math.sinh(x - c),
-    "exp": lambda c, k: lambda x: math.exp(x) - math.exp(c),
-    "atan": lambda c, k: lambda x: math.atan(k * (x - c)),
-    "root": lambda c, k: lambda x: math.copysign(abs(x - c) ** 0.3, x - c),
-    "step": lambda c, k: lambda x: math.tanh(k * (x - c)) + 1e-9 * (x - c),
-    "stairs": lambda c, k: lambda x: math.floor(k * (x - c)) + 0.5,
-    "plateau": lambda c, k: lambda x: max(-1.0, min(1.0, k * (x - c))),
-}
-
-
-def _recording(f):
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-
-    return g, calls
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    shape=st.sampled_from(sorted(_MONOTONE)),
-    c=st.floats(-3.0, 3.0),
-    k=st.floats(1e-3, 1e3),
-    left=st.floats(1e-3, 10.0),
-    right=st.floats(1e-3, 10.0),
-    rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-14, 1e-12]),
-    xtol=st.sampled_from([float(np.finfo(float).tiny), 2e-12]),
-    flip=st.booleans(),
-    # tiny values underflow the extrapolation's denominator to 0 (C then
-    # bisects), huge ones overflow its products to inf
-    scale=st.sampled_from([1.0, 1e-200, 1e200]),
-)
-def test_brent_matches_scipy_brentq_bit_for_bit(
-    shape, c, k, left, right, rtol, xtol, flip, scale
-):
-    from scipy.optimize import brentq
-
-    from qoslink.throughput import _brent
-
-    base = _MONOTONE[shape](c, k)
-    sign = -scale if flip else scale
-
-    def f(x):
-        return sign * base(x)
-
-    a, b = c - left, c + right
-    if flip:
-        a, b = b, a
-    fa, fb = f(a), f(b)
-    if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
-        return  # rounding erased the bracket
-    g, ours = _recording(f)
-    h, theirs = _recording(f)
-    try:
-        expected = brentq(h, a, b, xtol=xtol, rtol=rtol)
-    except RuntimeError:
-        with pytest.raises(NonConvergence):
-            _brent(g, a, b, fa, fb, xtol, rtol)
-        return
-    root = _brent(g, a, b, fa, fb, xtol, rtol)
-    assert root.hex() == float(expected).hex()
-    # brentq evaluates both bracket ends first; after that, the same steps
-    assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]]
-
-
-def test_brent_takes_numpy_scalars_without_warnings():
-    # a numpy tolerance once made every iterate a numpy scalar, whose
-    # overflowing extrapolation warned; the root stays brentq's
-    from scipy.optimize import brentq
-
-    from qoslink.throughput import _brent
-
-    c, k = 0.23603870333502197, 0.08182299789567694
-
-    def f(x):
-        return 1e200 * (k * math.sinh(x - c))
-
-    a, b = c - 1.72348899134229, c + 0.78067763679485
-    rtol = 4 * np.finfo(float).eps
-    root = _brent(f, np.float64(a), b, f(a), np.float64(f(b)), 2e-12, rtol)
-    assert type(root) is float
-    assert root.hex() == float(brentq(f, a, b, xtol=2e-12, rtol=rtol)).hex()
-
-
-def test_brent_rejects_a_non_bracket_and_nan():
-    from qoslink.throughput import _brent
-
-    with pytest.raises(BracketFailure):
-        _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-300, 1e-12)
-    with pytest.raises(NonConvergence, match="NaN"):
-        _brent(lambda x: math.nan, -1.0, 2.0, -1.0, 2.0, 1e-300, 1e-12)
-
-
 # max_avg_rate_nstate on the n=50 fixtures: (family, theta, C_E,
-# lambda_star, iterations, residual); the binomial rows were recorded
-# while the solve still ran through scipy.optimize.brentq, the fluid and
-# MMPP rows come from the pencil
+# lambda_star, iterations, residual), every row from the pencil; the
+# binomial lambda* are within 2.3e-16 of 25-digit mpmath
 NSTATE_FROZEN = [
-    ("binomial", 0.1, 0.5, 0.033973190934203125, 6, 2.6645352591003757e-15),
-    ("binomial", 0.5, 2.0, 0.13293478015834978, 7, 4.440892098500626e-16),
-    ("binomial", 0.01, 7.25, 0.49234829843367256, 6, 6.370383148194002e-15),
+    ("binomial", 0.1, 0.5, 0.03397319093420298, 1, 6.217248937900877e-15),
+    ("binomial", 0.5, 2.0, 0.1329347801583497, 1, 0.0),
+    ("binomial", 0.01, 7.25, 0.4923482984336719, 1, 1.4700884188140004e-15),
     ("fluid", 0.1, 0.5, 0.016477222811854167, 1, 2.2426505097428162e-14),
     ("fluid", 0.5, 2.0, 0.045073038183629684, 1, 8.881784197001252e-16),
     ("fluid", 0.01, 7.25, 0.21841982337685925, 1, 1.7886075762237004e-14),
@@ -877,7 +811,7 @@ def test_nstate_solve_is_frozen(family, theta, ce, lam, iterations, residual):
 
 def test_throughput_and_simulator_take_the_family_data_from_the_source():
     # the matrix family travels with the source: throughput reads the
-    # kernel, the noise norm and the stationary law off it, and the
+    # kernel, the scale solve and the stationary law off it, and the
     # simulator reads the law off it too
     def imported(module):
         tree = ast.parse(Path(module.__file__).read_text())
