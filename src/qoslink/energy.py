@@ -3,7 +3,7 @@
 Every source has the same closed form, which reads one number from the
 source: its burstiness coefficient sigma^2/mu^2 (the source's
 ``burstiness``: eta or zeta for the two-state sources, one
-deviation-matrix solve for a matrix source, zero for constant-rate
+subtraction-free elimination for a matrix source, zero for constant-rate
 arrivals).  The minimum received energy per bit is log_e2 over the mean
 channel gain regardless of burstiness and QoS strictness, except that
 Poisson arrivals (an MMPP) pay an (e^theta - 1)/theta penalty.

@@ -27,8 +27,8 @@ time).  Every matrix source, reversible or not, gives the rate scale at
 a*(theta) = C_E without a bracket (``_pencil_scale``) from one deflated
 resolvent (``_resolvent``): a fluid or MMPP source by one eigenvalue
 call, a discrete source by secant steps that fall onto the root.  Its
-chain law is one solve for every family, on the generator G (J - I for
-a discrete chain): the stationary law, at most once per source, behind
+chain law is one subtraction-free elimination of the chain's rates for
+every family (``_gth``): the stationary law, once per source, behind
 ``mean_rate``, and the deviation matrix behind ``burstiness``, its
 variance rate over its squared mean rate (eta or zeta for the two-state
 ON/OFF sources, whose ``mean_rate`` is lam p_on).  Every source
@@ -124,28 +124,19 @@ class _Support:
         return np.array(parent), np.array(tree)
 
     @cached_property
-    def forest(self):
-        """``trees`` from every vertex in turn: they cover the graph, and
-        with a symmetric edge set each tree is a class."""
-        return self.trees(range(len(self.start) - 1))
-
-    @cached_property
-    def one_recurrent_class(self) -> bool:
-        """Whether the chain has one recurrent class: whether some vertex
-        is reached from every vertex (Kemeny and Snell 1960), so reaches
-        every vertex over the edges turned round.  There the first tree
-        holding such a vertex covers the graph, so is the last tree, and
-        its root reaches every vertex."""
-        if self.symmetric:
-            back, parent = None, self.forest[0]
-        else:
-            # the edges turned round; a stable sort keeps each row ascending
-            n = len(self.start) - 1
-            back = ([0, *np.cumsum(np.bincount(self.cols, minlength=n)).tolist()],
-                    self.rows[np.argsort(self.cols, kind="stable")])
-            parent = self.trees(range(n), back)[0]
-        roots = np.flatnonzero(parent < 0)
-        return len(roots) == 1 or bool(np.all(self.trees(roots[-1:], back)[1] >= 0))
+    def recurrent_root(self):
+        """A vertex reached from every vertex, None where there is none,
+        as the chain has one recurrent class exactly when there is one
+        (Kemeny and Snell 1960).  It reaches every vertex over the edges
+        turned round, so of the trees from every vertex in turn over
+        those, the first to hold it covers the graph, so is the last."""
+        # the edges turned round; a stable sort keeps each row ascending
+        n = len(self.start) - 1
+        back = ([0, *np.cumsum(np.bincount(self.cols, minlength=n)).tolist()],
+                self.rows[np.argsort(self.cols, kind="stable")])
+        roots = np.flatnonzero(self.trees(range(n), back)[0] < 0)
+        root = int(roots[-1])
+        return root if len(roots) == 1 or np.all(self.trees([root], back)[1] >= 0) else None
 
 
 def _path_sums(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -186,7 +177,7 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
     ahead = support.rows < support.cols
     i, j = support.rows[ahead], support.cols[ahead]
     fwd, back = np.log(Q[i, j]), np.log(Q[j, i])
-    parent = support.forest[0]
+    parent = support.trees(range(n))[0]  # with symmetric edges each tree is a class
     child = np.flatnonzero(parent >= 0)
     above = parent[child]
     down, up = np.log(Q[above, child]), np.log(Q[child, above])
@@ -449,16 +440,16 @@ class _MatrixSource:
     """A chain and a rate per state, the first two fields of each family
     (kept also as ``_matrix`` and ``_rates``).  At construction one
     support graph (``_Support``) gives ``reversible``, whether the chain
-    satisfies detailed balance, and whether the chain has one recurrent
-    class: a discrete chain with several fails to build, a generator on
-    first use of its law.  The matrix check is one for every family:
-    square, finite, and rows summing to 1 in discrete time, to 0 for a
-    generator.  A family gives its entry rule (``_check_entries``), its
-    raw-array ``_kernel``, its time base ``_discrete`` and its rate-scale
-    solve ``_pencil_scale``, on the deflated resolvent and the top
-    eigenvalue every family shares; the chain law is the same for every
-    family, on the generator ``_generator``.  The stationary law is
-    solved on first use, at most once per source, and is read-only.
+    satisfies detailed balance, and ``_root``, a state every state
+    reaches, None where the chain has several recurrent classes: a
+    discrete chain with several fails to build, a generator on first use
+    of its law.  The matrix check is one for every family: square,
+    finite, and rows summing to 1 in discrete time, to 0 for a generator.
+    A family gives its entry rule (``_check_entries``), its raw-array
+    ``_kernel``, its time base ``_discrete`` and its rate-scale solve
+    ``_pencil_scale``, on the deflated resolvent and the top eigenvalue
+    every family shares; the chain law is one elimination (``_gth``) for
+    every family, solved on first use, once per source, and read-only.
     """
 
     _kind = "nstate"
@@ -490,7 +481,7 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be finite and >= 0")
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
-        object.__setattr__(self, "_one_recurrent_class", support.one_recurrent_class)
+        object.__setattr__(self, "_root", support.recurrent_root)
         if self._discrete:
             self._check_recurrent()
 
@@ -498,41 +489,17 @@ class _MatrixSource:
     def n_states(self) -> int:
         return self._matrix.shape[0]
 
-    @property
-    def _generator(self) -> np.ndarray:
-        """G, or J - I for a discrete chain: the stationary law solves
-        pi G = 0 and the deviation matrix is (1 pi^T - G)^-1 - 1 pi^T."""
-        M = self._matrix
-        return M - np.eye(M.shape[0]) if self._discrete else M
-
     @cached_property
     def _stationary(self) -> np.ndarray:
-        pi = self._solve_stationary()
-        pi.setflags(write=False)
-        return pi
+        self._check_recurrent()
+        return _frozen_array(self, _gth(self._matrix, self._root))
 
     def _check_recurrent(self):
-        if not self._one_recurrent_class:
+        if self._root is None:
             raise NoUniqueStationary(
                 f"{'chain' if self._discrete else 'generator'} has multiple "
                 "recurrent classes; stationary law is not unique"
             )
-
-    def _solve_stationary(self) -> np.ndarray:
-        self._check_recurrent()
-        G = self._generator
-        pi = _stationary_from(G.T)
-        if np.max(np.abs(pi @ G)) > 1e-10 * max(1.0, np.max(np.abs(G))):
-            raise NoUniqueStationary("stationary equations are inconsistent")
-        return pi
-
-    def _variance_rate(self, pi: np.ndarray, d: np.ndarray) -> float:
-        # 2 pi(d D d) with D the deviation matrix, and D d solves
-        # (1 pi^T - G) x = d because pi d = 0; in discrete time that sum
-        # counts lag 0 twice
-        x = np.linalg.solve(pi - self._generator, d)
-        rate = 2.0 * float(pi @ (d * x))
-        return rate - float(pi @ (d * d)) if self._discrete else rate
 
     def as_matrix(self):
         """A matrix source is its own matrix twin."""
@@ -603,21 +570,28 @@ class _MatrixSource:
         """Long-run mean arrival rate pi c, bits/block."""
         return float(self._stationary @ self._rates)
 
-    @property
+    @cached_property
     def burstiness(self) -> float:
         """sigma^2 / mu^2, the chain's variance rate over its squared mean
         rate: the theta-term of a*(theta) = mu + theta sigma^2 / 2 + O(theta^2).
 
-        sigma^2 sums the autocovariances of the rate over all lags, which
-        the deviation matrix gives from one linear solve against the
-        stationary law (``_variance_rate``).  It does not depend on the
-        rates' scale.  An MMPP gives the value of its intensities as a
-        fluid: its Poisson layer is a separate penalty (``_poisson``).
+        sigma^2 sums the autocovariances of the rate over all lags: 2
+        pi(d D d), d the rates less mu and D the deviation matrix, whose D d
+        is the x with -G x = d and pi x = 0 (in discrete time that sum
+        counts lag 0 twice).  x comes from the law's elimination (``_gth``)
+        pinned at the most visited state, where centring it cancels least,
+        once per source.  It does not depend on the rates' scale.  An MMPP
+        gives the value of its intensities as a fluid: its Poisson layer is
+        a separate penalty (``_poisson``).
         """
         pi, mu = self._stationary, self.mean_rate
         if mu == 0.0:
             raise ValueError("zero rates carry no traffic; burstiness is undefined")
-        return self._variance_rate(pi, self._rates - mu) / (mu * mu)
+        d = self._rates - mu
+        x = _gth(self._matrix, int(np.argmax(pi)), d)
+        x -= pi @ x
+        rate = 2.0 * float(pi @ (d * x))
+        return (rate - float(pi @ (d * d)) if self._discrete else rate) / (mu * mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -781,6 +755,12 @@ class OnOffDiscreteParams:
         return self.lam * self.p_on
 
     @property
+    def _high_snr_factor(self) -> float:
+        """The mean rate over the top mean rate around a cycle: p_on, or
+        2 p_on at p22 = 0, where ON never follows ON."""
+        return self.p_on if self.p22 > 0.0 else 2.0 * self.p_on
+
+    @property
     def burstiness(self) -> float:
         """eta, the chain's variance rate over its squared mean rate."""
         p11, p22 = self.p11, self.p22
@@ -831,6 +811,8 @@ class OnOffContinuousParams:
     @property
     def p_on(self) -> float:
         return self.alpha / (self.alpha + self.beta)
+
+    _high_snr_factor = p_on  # a chain in continuous time can stay ON
 
     @property
     def mean_rate(self) -> float:
@@ -900,22 +882,48 @@ def _typed_source(src, *attrs):
 # ---------------------------------------------------------------------------
 
 
-def _stationary_from(A: np.ndarray) -> np.ndarray:
-    # A has one-dimensional null space and rows summing to the zero
-    # vector, so any single row may carry the normalization instead.
-    n = A.shape[0]
-    M = A.copy()
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise NoUniqueStationary(str(exc)) from exc
-    if np.any(pi < -1e-9):
-        raise NoUniqueStationary("stationary solve produced negative mass")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+def _gth(Q: np.ndarray, root: int, d=None) -> np.ndarray:
+    """The stationary law pi of the chain with off-diagonal rates ``Q``
+    (its diagonal is never read), or, given d with pi d = 0, the x with
+    -G x = d and x[root] = 0, G the chain's generator.
+
+    Every state but ``root`` is eliminated in turn (Grassmann, Taksar and
+    Heyman 1985), farthest first, from Q's rates clipped at 0, the edges
+    of ``_Support``: a band stays a band.  Each pivot is a sum of rates,
+    never a difference, and positive where every state reaches ``root``,
+    transient ones too, so pi comes out to a few ulps in every entry
+    (O'Cinneide 1993); a pivot that underflows is NonConvergence.  The
+    same multipliers eliminate d (Heyman and O'Leary 1995);
+    back-substitution from ``root`` reads each pivot's column for pi and
+    its row for x.
+    """
+    n = Q.shape[0]
+    order = np.argsort(np.abs(np.arange(n) - root), kind="stable")  # root, root - 1, root + 1, ...
+    A = np.maximum(Q[np.ix_(order, order)], 0.0)
+    rows, cols = np.nonzero(A)
+    below, above = np.max(rows - cols, initial=0), np.max(cols - rows, initial=0)
+    b = np.zeros(n) if d is None else d[order]
+    s = np.ones(n)  # the pivots; root has none
+    x = np.empty(n)
+    x[0] = 1.0 if d is None else 0.0
+    with np.errstate(all="ignore"):  # a pivot that underflowed is refused below
+        for k in range(n - 1, 0, -1):
+            s[k] = A[k, :k].sum()
+            i, j = max(k - above, 0), max(k - below, 0)  # the band's rows into k, columns out
+            m = A[i:k, k] / s[k]
+            A[i:k, j:k] += np.outer(m, A[k, j:k])
+            if d is not None:
+                b[i:k] += m * b[k]
+        U = A.T if d is None else A
+        for k in range(1, n):
+            x[k] = (b[k] + U[k, :k] @ x[:k]) / s[k]
+            if d is None and x[k] > 1.0:  # pi relative to pi[root]: rescale by 2^-e, exactly
+                x[:k + 1] = np.ldexp(x[:k + 1], -np.frexp(x[k])[1])
+        out = np.empty(n)
+        out[order] = x / x.sum() if d is None else x
+    if not np.all(np.isfinite(out)):
+        raise NonConvergence("chain law elimination failed: a pivot underflowed")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,10 @@ def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlope
     The limit is the ergodic capacity for every source.  The derivative
     is -(1/2) var(nu) minus the source's burstiness sigma^2/mu^2 times
     half the squared ergodic capacity (zero for constant-rate arrivals;
-    eta or zeta for a two-state source, a deviation-matrix solve for a
-    matrix source); Poisson arrivals (an MMPP) lose an extra
-    ergodic-capacity/2 on top.  A source that names no family (the
-    family-less ``OnOffContinuousParams``) is a TypeError.
+    eta or zeta for a two-state source, the deviation matrix of one
+    subtraction-free elimination for a matrix source); Poisson arrivals
+    (an MMPP) lose an extra ergodic-capacity/2 on top.  A family-less
+    source (``OnOffContinuousParams``) is a TypeError.
     var(nu) is ``log_rate_cov_sum``: one-dimensional integrals at rho = 0
     or 1 (or m = 1), and in between the lag covariances of the gain-chain
     kernel that C_E also uses, so the slope is deterministic and raises
@@ -150,20 +150,21 @@ def low_theta_asymptotics(src, spec: ChannelSpec, snr: float) -> AsymptoticSlope
 def high_snr_slope(src, theta: float) -> float:
     """Prelog of (1/m) r* versus log2(snr) as snr grows without bound.
 
-    i.i.d. Rayleigh gains assumed.  It reads the source's ON probability
-    ``p_on`` and whether its arrivals are Poisson, so ``src`` is a
-    two-state ON/OFF source of a named family; any other source is a
-    TypeError.  Piecewise in theta with a continuous seam at theta =
-    log_e2 and value 1 at theta = 0 for every source.
+    i.i.d. Rayleigh gains assumed.  It reads the source's mean rate over
+    its top mean rate around a cycle (``_high_snr_factor``) and whether
+    its arrivals are Poisson, so ``src`` is a two-state ON/OFF source of
+    a named family; any other source is a TypeError.  Piecewise in theta
+    with a continuous seam at theta = log_e2 and value 1 at theta = 0 for
+    every source.
     """
-    p_on, poisson = _typed_source(src, "p_on").p_on, src._poisson
+    p_on, factor = _typed_source(src, "_high_snr_factor").p_on, src._high_snr_factor
     theta = _check_scalar("theta", theta, positive=False)
     if not (0.0 < p_on <= 1.0):
         raise ValueError(f"p_on must lie in (0, 1], got {p_on}")
     if theta == 0.0:
         return 1.0
-    if poisson:
+    if src._poisson:
         with np.errstate(over="ignore"):  # theta past ln(DBL_MAX): em = inf, slope 0
             em = float(np.expm1(theta))
-        return p_on * LN2 / em if theta >= LN2 else p_on * theta / em
-    return p_on * LN2 / theta if theta >= LN2 else p_on
+        return factor * LN2 / em if theta >= LN2 else factor * theta / em
+    return factor * LN2 / theta if theta >= LN2 else factor

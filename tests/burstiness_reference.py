@@ -1,9 +1,15 @@
-"""50-digit burstiness coefficients frozen in tests/test_sources.py.
+"""mpmath stationary laws and burstiness coefficients of matrix sources:
+the 50-digit values frozen in tests/test_sources.py, and the oracles the
+accuracy tests there and in tests/test_throughput.py call.
 
-Builds the n=50 sources of ``test_burstiness_matches_mpmath`` with
-qoslink and reads every matrix entry and rate exactly as an mpmath
-number.  At 50 significant digits it solves the stationary law, then the
-deviation-matrix system for x, and prints sigma^2 / mu^2 for each source:
+Every chain is read as the library defines it: its off-diagonal entries
+are the doubles the library takes, and each row's diagonal is minus
+their sum (``pencil_reference.exact_generator``; J - I for a transition
+matrix J).  The raw float diagonal is not used: a row such as
+(-(1.0 + 1.2), 1.0, 1.2) sums to 2.2e-16, not 0, so it would solve a
+slightly leaky matrix, not the chain.  At the working precision this
+solves the stationary law, then the deviation-matrix system for x, and
+gives sigma^2 / mu^2:
 
 - continuous time: sigma^2 = 2 pi(d x) with (1 pi^T - G) x = d;
 - discrete time: sigma^2 = 2 pi(d x) - pi(d^2) with (I - J + 1 pi^T) x = d;
@@ -15,6 +21,7 @@ and takes its intensities as the rates.
 """
 
 import mpmath as mp
+from pencil_reference import exact_generator
 
 from qoslink import MmppSource, build_binomial_discrete_source, build_birth_death_fluid
 
@@ -22,7 +29,8 @@ N = 50
 
 
 def stationary(Q):
-    # pi Q = 0 with the last equation replaced by sum(pi) = 1
+    """pi Q = 0 for the exact generator Q, with the last equation
+    replaced by sum(pi) = 1."""
     n = Q.rows
     A = Q.T
     for j in range(n):
@@ -32,8 +40,10 @@ def stationary(Q):
 
 
 def burstiness(Q, rates, discrete):
-    """sigma^2 / mu^2 of the chain with generator Q (J - I in discrete time)."""
+    """sigma^2 / mu^2 of the chain with exact generator Q (J - I in
+    discrete time) and the rates, read exactly."""
     n = Q.rows
+    rates = [mp.mpf(float(r)) for r in rates]
     pi = stationary(Q)
     mu = mp.fsum(pi[i] * rates[i] for i in range(n))
     d = [rates[i] - mu for i in range(n)]
@@ -48,21 +58,16 @@ def burstiness(Q, rates, discrete):
     return var / mu ** 2
 
 
-def exact(values):
-    return [mp.mpf(float(v)) for v in values]
-
-
 def main():
     mp.mp.dps = 50
     binomial = build_binomial_discrete_source(N, 0.3, 1.0)
     fluid = build_birth_death_fluid(N, 1.0, 1.2, 1.0)
     mmpp = MmppSource(fluid.generator, fluid.rates)
-    J = mp.matrix([exact(row) for row in binomial.transition_probs])
-    G = mp.matrix([exact(row) for row in fluid.generator])
+    G = exact_generator(fluid.generator)
     cases = (
-        ("binomial", J - mp.eye(N), exact(binomial.rates), True),
-        ("fluid", G, exact(fluid.rates), False),
-        ("mmpp", G, exact(mmpp.intensities), False),
+        ("binomial", exact_generator(binomial.transition_probs), binomial.rates, True),
+        ("fluid", G, fluid.rates, False),
+        ("mmpp", G, mmpp.intensities, False),
     )
     for name, Q, rates, discrete in cases:
         print(f"{name:9s} {mp.nstr(burstiness(Q, rates, discrete), 25)}")

@@ -104,7 +104,7 @@ def test_ecap_closed_iid_matches_library(tmp_path):
     rows = read_csv(tmp_path / "ecap.csv")
     assert [r["method"] for r in rows] == ["closed-iid", "closed-iid"]
     expect = effective_capacity_rayleigh_iid(1.0, 1.0, 10).value
-    assert float(rows[0]["c_e"]) == pytest.approx(expect, rel=1e-15)
+    assert float(rows[0]["c_e"]) == pytest.approx(expect, rel=1e-15, abs=0)
 
 
 def test_ecap_sigma_folds_into_snr(tmp_path):
@@ -113,7 +113,7 @@ def test_ecap_sigma_folds_into_snr(tmp_path):
     got = float(read_csv(tmp_path / "ecap.csv")[0]["c_e"])
     snr = 10.0 ** 0.3
     expect = effective_capacity_rayleigh_iid(2.0 * snr, 0.7, 4).value
-    assert got == pytest.approx(expect, rel=1e-15)
+    assert got == pytest.approx(expect, rel=1e-15, abs=0)
 
 
 def test_ecap_closed_iid_rejects_correlated_channel(tmp_path):
@@ -252,7 +252,7 @@ def test_energy_constant_source_spelling(tmp_path):
     ) == 0
     metrics = json.loads((tmp_path / "energy_metrics.json").read_text())
     assert metrics["kind"] == "constant"
-    assert metrics["ebn0_min_linear"] == pytest.approx(math.log(2), rel=1e-12)
+    assert metrics["ebn0_min_linear"] == pytest.approx(math.log(2), rel=1e-12, abs=0)
 
 
 def test_energy_matrix_source_goes_numeric(tmp_path):

@@ -54,7 +54,7 @@ FLOOR_MMPP_DB = 0.75919858320608798
 def test_constant_floor_frozen():
     res = source_energy_metrics(None, SPEC0, 1.0)[1]
     assert res.ebn0_min_db == pytest.approx(FLOOR_DB, abs=1e-12)
-    assert res.ebn0_min_linear == pytest.approx(math.log(2.0), rel=1e-14)
+    assert res.ebn0_min_linear == pytest.approx(math.log(2.0), rel=1e-14, abs=0)
 
 
 def test_mmpp_floor_frozen():
@@ -65,7 +65,7 @@ def test_mmpp_floor_frozen():
 def test_theta_zero_slope_is_one_any_rho():
     for rho in (0.0, 0.5, 1.0):
         res = source_energy_metrics(None, ChannelSpec(m=10, rho=rho), 0.0)[1]
-        assert res.wideband_slope == pytest.approx(1.0, rel=1e-14)
+        assert res.wideband_slope == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_correlation_cuts_the_slope():
@@ -180,7 +180,7 @@ def test_binomial_builder_stationary_law():
     src = build_binomial_discrete_source(10, 0.5, 2.0)
     pi = src._stationary
     assert np.max(np.abs(pi - np.array(BINOM_PI))) < 1e-12
-    assert src.mean_rate == pytest.approx(9 * 0.5 * 2.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(9 * 0.5 * 2.0, rel=1e-14, abs=0)
 
 
 def test_binomial_builder_rank_one_rows():
@@ -212,7 +212,7 @@ def test_binomial_all_on_collapses():
     src = build_binomial_discrete_source(10, 1.0, 2.0)
     pi = src._stationary
     assert pi[-1] == pytest.approx(1.0, abs=1e-15)
-    assert src.mean_rate == pytest.approx(9 * 2.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(9 * 2.0, rel=1e-14, abs=0)
 
 
 # birth-death stationary law n=10, xi = alpha/beta = 0.5, frozen from the
@@ -229,12 +229,12 @@ def test_birth_death_builder_stationary_law():
     src = build_birth_death_fluid(10, 50.0, 100.0, 1.0)
     pi = src._stationary
     assert np.max(np.abs(pi - np.array(BD_PI))) < 1e-12
-    assert src.mean_rate == pytest.approx(0.99022482893450635, rel=1e-12)
+    assert src.mean_rate == pytest.approx(0.99022482893450635, rel=1e-12, abs=0)
 
 
 def test_birth_death_two_states_reduce():
     src = build_birth_death_fluid(2, 3.0, 7.0, 1.5)
-    assert src.mean_rate == pytest.approx(1.5 * 3.0 / 10.0, rel=1e-14)
+    assert src.mean_rate == pytest.approx(1.5 * 3.0 / 10.0, rel=1e-14, abs=0)
 
 
 def test_birth_death_equal_rates_is_uniform():
@@ -406,8 +406,8 @@ def test_fluid_metrics_golden():
     # from the theorem formula and cross-checked by the derivative route
     sp = ChannelSpec(m=10, rho=0.75, sigma_h_sq=1.0)
     closed = energy_metrics_onoff_fluid(sp, 1.0, 50.0, 50.0)
-    assert closed.ebn0_min_linear == pytest.approx(math.log(2.0), rel=1e-14)
-    assert closed.wideband_slope == pytest.approx(0.30322515001658695, rel=1e-12)
+    assert closed.ebn0_min_linear == pytest.approx(math.log(2.0), rel=1e-14, abs=0)
+    assert closed.wideband_slope == pytest.approx(0.30322515001658695, rel=1e-12, abs=0)
     num = numeric_energy_metrics("fluid", sp, 1.0, alpha=50.0, beta=50.0)
     assert num.wideband_slope == pytest.approx(closed.wideband_slope, rel=1e-4)
 

@@ -88,8 +88,8 @@ def test_delay_tail_hand_trace():
 def test_fit_exact_exponential():
     pts = [(q, 0.5 * math.exp(-0.3 * q)) for q in (1.0, 2.0, 5.0, 8.0, 13.0)]
     fit = fit_decay_slope(pts)
-    assert fit["slope"] == pytest.approx(0.3, rel=1e-12)
-    assert fit["intercept"] == pytest.approx(math.log(0.5), rel=1e-12)
+    assert fit["slope"] == pytest.approx(0.3, rel=1e-12, abs=0)
+    assert fit["intercept"] == pytest.approx(math.log(0.5), rel=1e-12, abs=0)
     assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -298,7 +298,7 @@ def test_eigen_route_matches_mpmath(family, theta):
         got = effective_bandwidth_mmpp(MmppSource(fluid.generator, fluid.rates), theta)
     else:
         got = effective_bandwidth_discrete(build_binomial_discrete_source(30, 0.3, 1.0), theta)
-    assert got == pytest.approx(_MPMATH_EBW[family, theta], rel=1e-13)
+    assert got == pytest.approx(_MPMATH_EBW[family, theta], rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +687,91 @@ def test_class_structure_matches_loop_reference(kind, n, seed):
     adjacency = _random_adjacency(kind, n, np.random.default_rng(seed))
     support = sources_module._Support(adjacency)
     ref_labels, ref_terminal = _reference_classes(adjacency)
-    assert support.one_recurrent_class == (len(ref_terminal) == 1)
+    root = support.recurrent_root
+    assert (root is not None) == (len(ref_terminal) == 1)
+    if root is not None:
+        assert ref_labels[root] == ref_terminal[0]  # the root is recurrent
     off = adjacency & ~np.eye(n, dtype=bool)
     if support.symmetric or len(np.unique(ref_labels)) == 1:
         # there every breadth-first tree is a class's shortest-path tree
-        assert np.array_equal(support.forest[0], _reference_forest(off))
+        assert np.array_equal(support.trees(range(n))[0], _reference_forest(off))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["sparse", "dense", "periodic", "symmetric", "path", "cycle", "reducible"]
+    ),
+    n=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_elimination_from_the_root_meets_no_zero_pivot(kind, n, seed):
+    # each pivot sums a state's rates to the states not yet eliminated,
+    # among them the root, which every state reaches: none is 0 on a chain
+    # with one recurrent class, transient states included (a zero pivot
+    # would raise here), and the law is exactly 0 off that class
+    rng = np.random.default_rng(seed)
+    adjacency = _random_adjacency(kind, n, rng)
+    root = sources_module._Support(adjacency).recurrent_root
+    if root is None:
+        return
+    labels, (recurrent,) = _reference_classes(adjacency)
+    Q = (adjacency & ~np.eye(n, dtype=bool)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+    G = Q - np.diag(Q.sum(axis=1))
+    d = rng.random(n)
+    pi = sources_module._gth(Q, root)
+    d -= pi @ d
+    x = sources_module._gth(Q, int(np.argmax(pi)), d)
+    assert np.all(pi[labels == recurrent] > 0) and np.all(pi[labels != recurrent] == 0)
+    assert pi.sum() == pytest.approx(1.0, rel=1e-15, abs=0)
+    assert np.all(np.abs(pi @ G) <= 1e-13 * (pi @ np.abs(G)))
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("cls", [DiscreteMarkovSource, FluidMarkovSource])
+def test_law_reads_a_tiny_negative_entry_as_no_edge(cls):
+    # the entry rule accepts -1e-16 off the diagonal; the law reads only
+    # the edges, so that chain's law is the one with 0 in that entry
+    M = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+    if cls is FluidMarkovSource:
+        M -= np.eye(3)
+    tiny = M.copy()
+    tiny[0, 2] = -1e-16
+    rates = np.array([0.0, 1.0, 3.0])
+    a, b = cls(M, rates), cls(tiny, rates)
+    assert a._stationary.tobytes() == b._stationary.tobytes()
+    assert a.burstiness == b.burstiness
+
+
+def test_law_of_a_chain_with_strong_drift_does_not_overflow():
+    # pi relative to the root's, pi_k / pi_0 = 10^k here, passes DBL_MAX
+    # at k = 309; the back-substitution rescales as it goes, so the law
+    # is the closed-form one (geometric, binomial) where it does not
+    # underflow
+    from qoslink.energy import _binomial_pmf
+
+    n = 320
+    bd = build_birth_death_fluid(n, 10.0, 1.0, 1.0)
+    geometric = 0.9 * 0.1 ** np.arange(n)[::-1]
+    top = slice(-100, None)  # entries down to 1e-100
+    assert np.max(np.abs(bd._stationary[top] / geometric[top] - 1.0)) <= 1e-14
+    assert bd.mean_rate == pytest.approx(n - 1 - 1.0 / 9.0, rel=1e-15, abs=0)
+    binomial = build_binomial_discrete_source(400, 0.9, 1.0)
+    pmf = _binomial_pmf(399, 0.9)
+    big = pmf > 1e-290
+    assert np.max(np.abs(binomial._stationary[big] / pmf[big] - 1.0)) <= 1e-14
+    assert binomial.mean_rate == pytest.approx(399 * 0.9, rel=1e-15, abs=0)
+
+
+def test_law_whose_pivot_underflows_is_refused():
+    # eliminating state 2 leaves state 1 the rate 1e-200 * 1e-200 to the
+    # root, which underflows to a zero pivot: the law is refused, not NaN
+    G = np.array([[-1.0, 1.0, 0.0], [0.0, -1e-200, 1e-200], [1e-200, 1.0, -1.0]])
+    src = FluidMarkovSource(G, np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(NonConvergence, match="pivot underflowed"):
+        src.mean_rate
+    with pytest.raises(NonConvergence, match="pivot underflowed"):
+        src.burstiness
 
 
 def test_strong_classes_of_a_long_cycle():
@@ -700,11 +780,11 @@ def test_strong_classes_of_a_long_cycle():
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.arange(n), (np.arange(n) + 1) % n] = True
     adjacency[n - 1, n - 1] = True
-    assert sources_module._Support(adjacency).one_recurrent_class
+    assert sources_module._Support(adjacency).recurrent_root == 0
     adjacency[n - 1, 0] = False  # now a path ending in a self-loop
-    assert sources_module._Support(adjacency).one_recurrent_class
+    assert sources_module._Support(adjacency).recurrent_root == n - 1
     adjacency[n // 2, n // 2 + 1] = False  # two absorbing ends
-    assert not sources_module._Support(adjacency).one_recurrent_class
+    assert sources_module._Support(adjacency).recurrent_root is None
 
 
 def test_one_recurrent_class_is_read_off_the_last_reversed_tree():
@@ -713,7 +793,7 @@ def test_one_recurrent_class_is_read_off_the_last_reversed_tree():
     adjacency = np.zeros((3, 3), dtype=bool)
     adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 1] = True
     support = sources_module._Support(adjacency)
-    assert not support.symmetric and support.one_recurrent_class
+    assert not support.symmetric and support.recurrent_root == 1
     parent, tree = support.trees([2])
     assert parent.tolist() == [-1, 2, -1] and tree.tolist() == [-1, 0, 0]
     DiscreteMarkovSource(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]), np.ones(3))
@@ -721,7 +801,7 @@ def test_one_recurrent_class_is_read_off_the_last_reversed_tree():
     # only 0 is reached
     adjacency = np.zeros((3, 3), dtype=bool)
     adjacency[0, 1] = adjacency[0, 2] = True
-    assert not sources_module._Support(adjacency).one_recurrent_class
+    assert sources_module._Support(adjacency).recurrent_root is None
     with pytest.raises(NoUniqueStationary, match="multiple recurrent classes"):
         DiscreteMarkovSource(np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                              np.ones(3))
@@ -775,7 +855,7 @@ def test_periodic_chains_are_accepted():
     swap = DiscreteMarkovSource(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
     cycle = DiscreteMarkovSource(np.roll(np.eye(3), 1, axis=1), np.array([0.0, 1.0, 5.0]))
     for theta in (0.01, 1.0, 10.0):
-        assert effective_bandwidth_discrete(swap, theta) == pytest.approx(0.5, rel=1e-12)
+        assert effective_bandwidth_discrete(swap, theta) == pytest.approx(0.5, rel=1e-12, abs=0)
         assert effective_bandwidth_discrete(cycle, theta) == pytest.approx(2.0, rel=1e-12)
     assert swap.burstiness == pytest.approx(0.0, abs=1e-12)
     assert cycle.burstiness == pytest.approx(0.0, abs=1e-12)
@@ -997,7 +1077,7 @@ def test_onoff_burstiness_is_the_variance_rate_over_the_squared_mean():
     d = OnOffDiscreteParams(0.8, 0.7, 2.0)
     r = d.p11 + d.p22 - 1.0
     var = d.p_on * (1 - d.p_on) * (1 + r) / (1 - r) * d.lam ** 2
-    assert d.burstiness == pytest.approx(var / (d.lam * d.p_on) ** 2, rel=1e-14)
+    assert d.burstiness == pytest.approx(var / (d.lam * d.p_on) ** 2, rel=1e-14, abs=0)
     for cls in (OnOffFluidParams, OnOffMmppParams):
         c = cls(9.0, 1.0, 2.0)
         var = 2 * c.alpha * c.beta / (c.alpha + c.beta) ** 3 * c.lam ** 2
@@ -1045,12 +1125,61 @@ def test_binomial_burstiness_is_exact(n, s):
     assert src.burstiness == pytest.approx((1 - s) / ((n - 1) * s), rel=1e-13, abs=0)
 
 
-# sigma^2 / mu^2 of the n=50 sources from 50-digit mpmath solves:
-# tests/burstiness_reference.py
+@pytest.mark.parametrize("family", ["binomial", "birth-death"])
+def test_stationary_law_matches_mpmath_in_every_entry(family):
+    # the n=50 fixtures' laws span many decades (0.3^49 at the binomial's
+    # all-ON state); a dense solve read their small entries up to 1.6e9
+    # (binomial) and 5.1e-11 (birth-death) off
+    import mpmath as mp
+    from burstiness_reference import stationary
+    from pencil_reference import exact_generator
+
+    if family == "binomial":
+        src = build_binomial_discrete_source(50, 0.3, 1.0)
+    else:
+        src = build_birth_death_fluid(50, 1.0, 1.2, 1.0)
+    with mp.workdps(60):
+        pi = stationary(exact_generator(src._matrix))
+        assert max(abs(float(a) - b) / b for a, b in zip(src._stationary, pi)) <= 1e-14
+
+
+def test_law_and_burstiness_match_mpmath_on_non_reversible_chains():
+    # 30 chains of 3-8 states, rates over six decades, half of them in
+    # discrete time; a dense solve read pi up to 3.5e-13 off here.  The
+    # deviation solve is pinned at the most visited state: seed 51's
+    # state 0 has pi 1e-3, and pinned there, centring read its
+    # burstiness 3e-13 off
+    import mpmath as mp
+    from burstiness_reference import burstiness, stationary
+    from pencil_reference import exact_generator
+
+    for seed in (*range(30), 51):
+        rng = np.random.default_rng(seed)
+        n, discrete = 3 + seed % 6, seed % 2 == 1
+        Q = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        np.fill_diagonal(Q, 0.0)
+        rates = rng.random(n)
+        if discrete:
+            J = Q / (1.25 * Q.sum(axis=1).max())
+            np.fill_diagonal(J, 1.0 - J.sum(axis=1))
+            src = DiscreteMarkovSource(J, rates)
+        else:
+            src = FluidMarkovSource(Q - np.diag(Q.sum(axis=1)), rates)
+        assert not src.reversible
+        with mp.workdps(50):
+            exact = exact_generator(src._matrix)
+            pi = stationary(exact)
+            assert max(abs(float(a) - b) / b for a, b in zip(src._stationary, pi)) <= 1e-14
+            ref = burstiness(exact, rates, discrete)
+            assert abs(src.burstiness - ref) <= 1e-13 * ref, seed
+
+
+# sigma^2 / mu^2 of the n=50 sources from 50-digit mpmath solves of the
+# chains as the library defines them: tests/burstiness_reference.py
 _MPMATH_BURSTINESS = {
-    "binomial": 0.04761904761904773783223332,
-    "fluid": 126.7818490251311950137474,
-    "mmpp": 126.7818490251311950137474,
+    "binomial": 0.04761904761904762361251001,
+    "fluid": 126.781849024970195545035,
+    "mmpp": 126.781849024970195545035,
 }
 
 
@@ -1062,7 +1191,7 @@ def test_burstiness_matches_mpmath(family):
         "fluid": fluid,
         "mmpp": MmppSource(fluid.generator, fluid.rates),
     }[family]
-    assert src.burstiness == pytest.approx(_MPMATH_BURSTINESS[family], rel=1e-12)
+    assert src.burstiness == pytest.approx(_MPMATH_BURSTINESS[family], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("family", [DiscreteMarkovSource, FluidMarkovSource, MmppSource])
@@ -1085,7 +1214,7 @@ def test_burstiness_is_the_theta_term_of_the_effective_bandwidth(family):
 def test_burstiness_ignores_the_rate_scale_and_needs_traffic():
     fluid = build_birth_death_fluid(6, 1.0, 2.0, 1.0)
     scaled = FluidMarkovSource(fluid.generator, 7.5 * fluid.rates)
-    assert scaled.burstiness == pytest.approx(fluid.burstiness, rel=1e-14)
+    assert scaled.burstiness == pytest.approx(fluid.burstiness, rel=1e-14, abs=0)
     with pytest.raises(ValueError, match="burstiness is undefined"):
         FluidMarkovSource(fluid.generator, np.zeros(6)).burstiness
 
@@ -1131,18 +1260,19 @@ def _family_source(family):
 def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
     src = _family_source(family)
     calls = []
-    solve = sources_module._stationary_from
-    monkeypatch.setattr(
-        sources_module, "_stationary_from", lambda A: calls.append(1) or solve(A)
-    )
+    solve = sources_module._gth
+    monkeypatch.setattr(sources_module, "_gth",
+                        lambda Q, root, d=None: calls.append(d is None) or solve(Q, root, d))
     for theta, ce in ((0.1, 1.0), (1.0, 0.5)):
         max_avg_rate_nstate(src, theta, ce)
         max_avg_rate(src, ce, theta)
         src.mean_rate
         src._stationary
+        src.burstiness
     for seed in (1, 2):
         simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 10.0, 10 ** 4, seed))
-    assert len(calls) == 1
+    # the law once, and the deviation system behind burstiness once
+    assert calls == [True, False]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1159,11 +1289,11 @@ def test_stationary_law_is_read_only(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cached_law_is_the_direct_solve_bit_for_bit(family):
     src = _family_source(family)
-    if family == "discrete":
-        J = src.transition_probs
-        direct = sources_module._stationary_from(J.T - np.eye(J.shape[0]))
-    else:
-        direct = sources_module._stationary_from(np.array(src.generator).T)
+    # a discrete chain passes J itself: the elimination reads only the
+    # off-diagonal entries
+    matrix = src.transition_probs if family == "discrete" else np.array(src.generator)
+    root = sources_module._Support(matrix).recurrent_root
+    direct = sources_module._gth(matrix, root)
     assert src._stationary.tobytes() == direct.tobytes()
     rates = src.intensities if family == "mmpp" else src.rates
     assert src.mean_rate == float(direct @ rates)
