@@ -11,10 +11,11 @@ balance (``reversible``).  For a reversible chain that matrix is similar
 to a symmetric one, whose largest eigenvalue comes from the symmetric
 solver, faster and with a perfectly conditioned eigenvalue; other chains
 take the general dense spectrum.  A birth-death chain of 64 states or
-more (a tridiagonal matrix) takes O(n) Laguerre steps instead.  Those
-forms are kernels on raw arrays (``_ebw_discrete``, ``_ebw_fluid``,
-``_ebw_mmpp``), so a solver that scales the rates can call them
-without building a source at each step.
+more (a tridiagonal matrix) keeps its three diagonals from when it is
+built and takes O(n) Laguerre steps on them instead, with no n x n
+array per call.  Those forms are kernels on raw arrays
+(``_ebw_discrete``, ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that
+scales the rates can call them without building a source at each step.
 
 A source's family is its type, decided here alone: ``_typed_source`` is
 the one check that an object is a source of a named family (its
@@ -54,7 +55,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -197,13 +198,35 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _perron_root(M: np.ndarray) -> float:
-    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0).
+class _Band(NamedTuple):
+    """A tridiagonal matrix M as its three diagonals: ``diag``, ``up``
+    (M[i, i+1]) and ``down`` (M[i+1, i])."""
+
+    diag: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+
+
+def _band_of(M: np.ndarray):
+    """M's ``_Band``, views of its three diagonals, where M has at least
+    ``_TRIDIAGONAL_MIN_STATES`` rows and no nonzero entry off them; else
+    None."""
+    if M.shape[0] < _TRIDIAGONAL_MIN_STATES:
+        return None
+    band = _Band(*(np.diagonal(M, k) for k in (0, 1, -1)))
+    return band if np.count_nonzero(M) == sum(map(np.count_nonzero, band)) else None
+
+
+def _perron_root(M) -> float:
+    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0),
+    dense or a ``_Band``.
 
     By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
     a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
-    larger real part.  A tridiagonal M (a birth-death chain) of at least
-    ``_TRIDIAGONAL_MIN_STATES`` states takes ``_tridiagonal_root``:
+    larger real part.  A band, or a dense M that ``_band_of`` finds
+    tridiagonal (a birth-death chain of at least
+    ``_TRIDIAGONAL_MIN_STATES`` states), takes ``_tridiagonal_root`` on
+    its three diagonals alone:
     Laguerre steps from above, which never pass the root, each one O(n)
     pivot pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.
     They stop when a step no longer moves hi or lo is within 4 eps ||T||inf
@@ -224,12 +247,14 @@ def _perron_root(M: np.ndarray) -> float:
     root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
     ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
-    if not np.isfinite(M).all():
+    band = M if isinstance(M, _Band) else None
+    if not all(np.isfinite(a).all() for a in band or [M]):
         raise NonConvergence("matrix has non-finite entries")
+    if band is None:
+        band = _band_of(M)
     try:
-        if M.shape[0] >= _TRIDIAGONAL_MIN_STATES and np.count_nonzero(M) == sum(
-                np.count_nonzero(np.diagonal(M, k)) for k in (-1, 0, 1)):
-            root = _tridiagonal_root(M)
+        if band is not None:
+            root = _tridiagonal_root(band)
         elif np.array_equal(M, M.T):
             root = float(np.linalg.eigvalsh(M)[-1])
         else:
@@ -241,14 +266,14 @@ def _perron_root(M: np.ndarray) -> float:
     return root
 
 
-def _tridiagonal_root(M: np.ndarray) -> float:
+def _tridiagonal_root(band: _Band) -> float:
     """``_perron_root``'s route for a tridiagonal M, whose roots depend only
     on the diagonal d and the products e_i = M[i, i+1] M[i+1, i] >= 0, so
     are T's, all real.  It runs on them scaled by a power of two to
     ||T||inf in [0.5, 1), from T's Gershgorin bound and lo = max d."""
-    n = M.shape[0]
-    d = np.diagonal(M)
-    up, down = np.maximum(np.diagonal(M, 1), 0.0), np.maximum(np.diagonal(M, -1), 0.0)
+    d = band.diag
+    n = len(d)
+    up, down = np.maximum(band.up, 0.0), np.maximum(band.down, 0.0)
     with np.errstate(over="ignore"):  # a norm past DBL_MAX is the error below
         radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # sqrt(e_{i-1}) + sqrt(e_i)
         norm = float(np.max(np.abs(d) + radius))
@@ -290,22 +315,31 @@ def _pivot_sums(d: list, e: list, x: float):
     return G, H
 
 
-def _symmetrized(M: np.ndarray) -> np.ndarray:
-    """sqrt(M_ij) sqrt(M_ji) off the diagonal and M's own diagonal.
+def _symmetrized(M):
+    """sqrt(M_ij) sqrt(M_ji) off the diagonal and M's own diagonal, for a
+    dense M or a ``_Band``.
 
     For M of a reversible chain this is D M D^-1 for a positive diagonal
     D, so it has M's spectrum.  Each square root is taken before the
     product, so tiny entries do not underflow, and the product commutes,
     so the result is exactly symmetric.
     """
+    if isinstance(M, _Band):
+        s = np.sqrt(np.maximum(M.up, 0.0)) * np.sqrt(np.maximum(M.down, 0.0))
+        return _Band(M.diag, s, s)
     root = np.sqrt(np.maximum(M, 0.0))
     A = root * root.T
     np.fill_diagonal(A, np.diagonal(M))
     return A
 
 
+# The kernels take a chain's ``_operand``: its matrix, or a birth-death
+# chain's ``_Band``, scaled entry by entry with the dense matrix's own
+# arithmetic, so both give the same root to the bit.
+
+
 def _ebw_discrete(
-    transition_probs: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
+    transition_probs, rates: np.ndarray, theta: float, reversible: bool
 ) -> float:
     """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block.
 
@@ -316,7 +350,12 @@ def _ebw_discrete(
     # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]; an
     # exponent past -DBL_MAX is -inf, whose factor is its limit 0
     with np.errstate(over="ignore"):
-        M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
+        w = np.exp(theta * (rates - lam_max))
+    if isinstance(transition_probs, _Band):
+        d, up, down = transition_probs
+        M = _Band(w * d, w[:-1] * up, w[1:] * down)
+    else:
+        M = w[:, None] * transition_probs
     sp = _perron_root(_symmetrized(M) if reversible else M)
     if sp <= 0.0:
         raise NonConvergence("spectral radius collapsed to zero")
@@ -324,20 +363,27 @@ def _ebw_discrete(
 
 
 def _ebw_fluid(
-    generator: np.ndarray, rates: np.ndarray, theta: float, reversible: bool
+    generator, rates: np.ndarray, theta: float, reversible: bool
 ) -> float:
     """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
     with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-        M = np.diag(rates) + generator / theta
+        if isinstance(generator, _Band):
+            d, up, down = generator
+            M = _Band(rates + d / theta, up / theta, down / theta)
+        else:
+            M = np.diag(rates) + generator / theta
     return _perron_root(_symmetrized(M) if reversible else M)
 
 
 def _ebw_mmpp(
-    generator: np.ndarray, intensities: np.ndarray, theta: float, reversible: bool
+    generator, intensities: np.ndarray, theta: float, reversible: bool
 ) -> float:
     """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
     with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-        M = math.expm1(theta) * np.diag(intensities) + generator
+        if isinstance(generator, _Band):
+            M = generator._replace(diag=math.expm1(theta) * intensities + generator.diag)
+        else:
+            M = math.expm1(theta) * np.diag(intensities) + generator
     return _perron_root(_symmetrized(M) if reversible else M) / theta
 
 
@@ -443,7 +489,11 @@ class _MatrixSource:
     satisfies detailed balance, and ``_root``, a state every state
     reaches, None where the chain has several recurrent classes: a
     discrete chain with several fails to build, a generator on first use
-    of its law.  The matrix check is one for every family: square,
+    of its law.  The kernel reads ``_operand``: the matrix, or its three
+    diagonals (read-only views) where ``_band_of`` finds it tridiagonal
+    with at least ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death
+    chain), so that a*(theta) costs O(n) and no call probes the
+    structure again.  The matrix check is one for every family: square,
     finite, and rows summing to 1 in discrete time, to 0 for a generator.
     A family gives its entry rule (``_check_entries``), its raw-array
     ``_kernel``, its time base ``_discrete`` and its rate-scale solve
@@ -482,6 +532,8 @@ class _MatrixSource:
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
         object.__setattr__(self, "_root", support.recurrent_root)
+        band = _band_of(M)
+        object.__setattr__(self, "_operand", M if band is None else band)
         if self._discrete:
             self._check_recurrent()
 
@@ -563,7 +615,7 @@ class _MatrixSource:
         """a*(theta) of the chain, bits/block, from its family's kernel
         (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
         theta = _check_scalar("theta", theta)
-        return self._kernel(self._matrix, self._rates, theta, self.reversible)
+        return self._kernel(self._operand, self._rates, theta, self.reversible)
 
     @property
     def mean_rate(self) -> float:

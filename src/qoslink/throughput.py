@@ -116,7 +116,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
         raise BracketFailure(_NO_RATES)
     lam = src._pencil_scale(theta, ce)
     # one kernel call reports how well the kernel meets the target there
-    at_root = src._kernel(src._matrix, lam * shape, theta, src.reversible)
+    at_root = src._kernel(src._operand, lam * shape, theta, src.reversible)
     return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",
                             iterations=1, residual=abs(at_root - ce) / ce)
 

@@ -221,6 +221,58 @@ def test_explicit_thresholds_are_used():
     assert math.isnan(rep.theta_sim)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    levels=st.sampled_from([0, 2, 40]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9999, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_auto_queue_grid_is_numpys_percentile(n, levels, zero_share, seed):
+    # exponential queue levels, rounded to ``levels`` per unit for ties
+    rng = np.random.default_rng(seed)
+    tail = rng.exponential(rng.uniform(0.1, 100.0), n)
+    if levels:
+        tail = np.round(tail * levels) / levels
+    tail[rng.random(n) < zero_share] = 0.0
+    kept = tail.copy()
+    grid = np.linspace(*np.percentile(tail, [50.0, 99.99]), queuesim._AUTO_POINTS)
+    assert queuesim._auto_q_thresholds(tail) == [float(q) for q in dict.fromkeys(grid) if q > 0]
+    assert np.array_equal(tail, kept)
+
+
+def test_auto_delay_grid_is_numpys_unique():
+    # every lag the doubling can stop at: at the first lag whose late
+    # share is below 1e-4, or at 4096
+    for stop in range(1, 5000):
+        got = queuesim._auto_d_thresholds(lambda d: (float(d < stop), 0, 1.0), 0, 10**9)
+        d = 1
+        while d < min(stop, 4096):
+            d *= 2
+        grid = np.unique(np.linspace(1, max(d, 2), queuesim._AUTO_POINTS).astype(int))
+        assert got == grid.tolist()
+
+
+def test_simulate_leaves_numpy_ma_unloaded():
+    # np.percentile and np.unique import numpy.ma, about 20 ms of a fresh process
+    import subprocess
+
+    src_dir = os.path.dirname(os.path.dirname(queuesim.__file__))
+    code = (
+        "import sys\n"
+        "from qoslink.channel import ChannelSpec\n"
+        "from qoslink.queuesim import SimConfig, simulate_queue\n"
+        "from qoslink.sources import OnOffDiscreteParams\n"
+        "rep = simulate_queue(SimConfig(OnOffDiscreteParams(0.8, 0.8, 8.0), ChannelSpec(10, 0.0),"
+        " 1.0, 10**4, 3))\n"
+        "assert rep.overflow_points and rep.delay_points\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src_dir}, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_overload_raises():
     cfg = SimConfig(
         source=OnOffDiscreteParams(0.8, 0.8, 100.0),

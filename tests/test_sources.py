@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -435,6 +436,105 @@ def test_tridiagonal_route_failures_are_nonconvergence(monkeypatch):
     monkeypatch.setattr(sources_module, "_LAGUERRE_MAX_STEPS", 1)
     with pytest.raises(NonConvergence, match="within 1 Laguerre steps"):
         effective_bandwidth_fluid(build_birth_death_fluid(64, 1.0, 2.0, 1.0), 0.5)
+
+
+# The dense kernels that a birth-death source's band replaces, as they
+# were: each builds the full n x n matrix and its root takes the same
+# route, so the band must give the same float or the same error.
+
+
+def _dense_ebw_discrete(transition_probs, rates, theta, reversible):
+    lam_max = float(np.max(rates))
+    with np.errstate(over="ignore"):
+        M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
+    sp = sources_module._perron_root(sources_module._symmetrized(M) if reversible else M)
+    if sp <= 0.0:
+        raise NonConvergence("spectral radius collapsed to zero")
+    return lam_max + math.log(sp) / theta
+
+
+def _dense_ebw_fluid(generator, rates, theta, reversible):
+    with np.errstate(over="ignore"):
+        M = np.diag(rates) + generator / theta
+    return sources_module._perron_root(sources_module._symmetrized(M) if reversible else M)
+
+
+def _dense_ebw_mmpp(generator, intensities, theta, reversible):
+    with np.errstate(over="ignore"):
+        M = math.expm1(theta) * np.diag(intensities) + generator
+    return sources_module._perron_root(sources_module._symmetrized(M) if reversible else M) / theta
+
+
+_DENSE_KERNELS = {DiscreteMarkovSource: _dense_ebw_discrete,
+                  FluidMarkovSource: _dense_ebw_fluid, MmppSource: _dense_ebw_mmpp}
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+def _dense_outcome(src, theta):
+    # the dense symmetrization of an overflowed matrix multiplies inf by
+    # its zeros and warns before the non-finite entries are refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _outcome(_DENSE_KERNELS[type(src)], src._matrix, src._rates, theta, src.reversible)
+
+
+def _random_birth_death(rng, n, cls, one_sided, huge_rates, huge_chain, zero_share):
+    """A birth-death source of type ``cls``: dyadic up and down rates over
+    30 octaves (so a generator's rows sum to exactly 0), a tenth of the
+    down rates 0 where ``one_sided``, a ``zero_share`` of the state rates
+    0, and rates or generator scaled by 2^1000 where asked."""
+    up, down = np.ldexp(rng.integers(1, 1024, (2, n - 1)), rng.integers(-10, 10, (2, n - 1)))
+    if one_sided:
+        down[rng.random(n - 1) < 0.1] = 0.0
+    M = np.diag(up, 1) + np.diag(down, -1)
+    rates = rng.uniform(0.0, 10.0, n)
+    rates[rng.random(n) < zero_share] = 0.0
+    if cls is DiscreteMarkovSource:
+        np.fill_diagonal(M, rng.uniform(0.0, 100.0, n))
+        M /= M.sum(axis=1, keepdims=True)
+    else:
+        np.fill_diagonal(M, -M.sum(axis=1))
+        M = np.ldexp(M, 1000 if huge_chain else 0)
+    return cls(M, np.ldexp(rates, 1000 if huge_rates else 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=64, max_value=400),
+    cls=st.sampled_from([DiscreteMarkovSource, FluidMarkovSource, MmppSource]),
+    one_sided=st.booleans(),
+    huge_rates=st.booleans(),
+    huge_chain=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    theta=st.floats(min_value=1e-3, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_birth_death_band_is_bit_identical_to_the_dense_kernels(
+        n, cls, one_sided, huge_rates, huge_chain, zero_share, theta, seed):
+    src = _random_birth_death(np.random.default_rng(seed), n, cls, one_sided,
+                              huge_rates, huge_chain, zero_share)
+    assert isinstance(src._operand, sources_module._Band)
+    assert src.reversible is not one_sided
+    assert _outcome(src.effective_bandwidth, theta) == _dense_outcome(src, theta)
+
+
+def test_birth_death_effective_bandwidth_makes_no_dense_matrix():
+    # one float matrix of 2000 states alone is 30.5 MiB
+    src = build_birth_death_fluid(2000, 1.0, 2.0, 1.0)
+    tracemalloc.start()
+    try:
+        src.effective_bandwidth(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("M", [
