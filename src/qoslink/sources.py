@@ -5,17 +5,17 @@ source (per-block state transitions, deterministic rate per state), a
 continuous-time Markov fluid source, and a Markov-modulated Poisson
 process (MMPP).  Two-state ON/OFF parameterizations of each family have
 closed-form effective bandwidths; the general n-state forms take the
-Perron root of a nonnegative or Metzler matrix.  Each matrix source
-decides once, when it is built, whether its chain satisfies detailed
-balance (``reversible``).  For a reversible chain that matrix is similar
-to a symmetric one, whose largest eigenvalue comes from the symmetric
+Perron root of a nonnegative or Metzler matrix, each family's kernel
+(``_ebw``, a method of its source type).  Every eigenvalue, of a kernel
+or of a pencil below, is one call (``_perron_root``) whose route each
+matrix source fixes once, when it is built: whether its chain satisfies
+detailed balance (``reversible``), and whether it is a birth-death
+chain of 64 states or more (a tridiagonal matrix, kept as its three
+diagonals).  For a reversible chain that matrix is similar to a
+symmetric one, whose largest eigenvalue comes from the symmetric
 solver, faster and with a perfectly conditioned eigenvalue; other chains
-take the general dense spectrum.  A birth-death chain of 64 states or
-more (a tridiagonal matrix) keeps its three diagonals from when it is
-built and takes O(n) Laguerre steps on them instead, with no n x n
-array per call.  Those forms are kernels on raw arrays
-(``_ebw_discrete``, ``_ebw_fluid``, ``_ebw_mmpp``), so a solver that
-scales the rates can call them without building a source at each step.
+take the general dense spectrum; a birth-death chain takes O(n)
+Laguerre steps on its diagonals instead, with no n x n array per call.
 
 A source's family is its type, decided here alone: ``_typed_source`` is
 the one check that an object is a source of a named family (its
@@ -26,7 +26,7 @@ carries its family's data: matrix, rate vector, kernel and its time
 base (``_discrete``: one step per block, else a generator in continuous
 time).  Every matrix source, reversible or not, gives the rate scale at
 a*(theta) = C_E without a bracket (``_pencil_scale``) from one deflated
-resolvent (``_resolvent``): a fluid or MMPP source by one eigenvalue
+resolvent pencil (``_pencil``): a fluid or MMPP source by one eigenvalue
 call, a discrete source by secant steps that fall onto the root.  Its
 chain law is one subtraction-free elimination of the chain's rates for
 every family (``_gth``): the stationary law, once per source, behind
@@ -217,29 +217,20 @@ def _band_of(M: np.ndarray):
     return band if np.count_nonzero(M) == sum(map(np.count_nonzero, band)) else None
 
 
-def _perron_root(M) -> float:
+def _perron_root(M, symmetric: bool) -> float:
     """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0),
-    dense or a ``_Band``.
+    dense or a ``_Band``: the library's one eigenvalue call.
 
     By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
     a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
-    larger real part.  A band, or a dense M that ``_band_of`` finds
-    tridiagonal (a birth-death chain of at least
-    ``_TRIDIAGONAL_MIN_STATES`` states), takes ``_tridiagonal_root`` on
-    its three diagonals alone:
-    Laguerre steps from above, which never pass the root, each one O(n)
-    pivot pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.
-    They stop when a step no longer moves hi or lo is within 4 eps ||T||inf
-    of hi, T being M with off-diagonal sqrt(M_ij M_ji); a step landing at
-    or below lo is checked that far above it, else the bracket is halved.
-    The root is then within that plus the pivots' rounding (2e-14 ||T||inf
-    of ``eigvalsh`` in the tests).  Any other exactly symmetric M takes
-    the symmetric solver (``eigvalsh``), whose largest eigenvalue is the
-    root and is perfectly conditioned; any other M, the largest real part
-    of the dense spectrum (``eigvals``).  Failures are NonConvergence, as
-    are a non-finite entry of M and a non-finite root on any route.
+    larger real part.  The route is the one the source fixed when it was
+    built: a ``_Band`` takes ``_tridiagonal_root``, a ``symmetric`` M the
+    symmetric solver (``eigvalsh``), whose largest eigenvalue is the root
+    and is perfectly conditioned, and any other M the largest real part of
+    the dense spectrum (``eigvals``).  Failures are NonConvergence, as are
+    a non-finite entry of M and a non-finite root on any route.
 
-    The kernels below hand a reversible chain's matrix over symmetrized
+    The kernels hand a reversible chain's matrix over symmetrized
     (``_symmetrized``).  If the chain's edges meet detailed balance only
     to a log-residual tau, so that the symmetrized entries are within a
     factor e^{tau/2} of a diagonal similarity of M, Perron monotonicity
@@ -247,15 +238,13 @@ def _perron_root(M) -> float:
     root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
     ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
-    band = M if isinstance(M, _Band) else None
-    if not all(np.isfinite(a).all() for a in band or [M]):
+    band = isinstance(M, _Band)
+    if not all(np.isfinite(a).all() for a in (M if band else [M])):
         raise NonConvergence("matrix has non-finite entries")
-    if band is None:
-        band = _band_of(M)
     try:
-        if band is not None:
-            root = _tridiagonal_root(band)
-        elif np.array_equal(M, M.T):
+        if band:
+            root = _tridiagonal_root(M)
+        elif symmetric:
             root = float(np.linalg.eigvalsh(M)[-1])
         else:
             root = float(np.max(np.linalg.eigvals(M).real))
@@ -269,8 +258,22 @@ def _perron_root(M) -> float:
 def _tridiagonal_root(band: _Band) -> float:
     """``_perron_root``'s route for a tridiagonal M, whose roots depend only
     on the diagonal d and the products e_i = M[i, i+1] M[i+1, i] >= 0, so
-    are T's, all real.  It runs on them scaled by a power of two to
-    ||T||inf in [0.5, 1), from T's Gershgorin bound and lo = max d."""
+    are T's, all real, T being M with off-diagonal sqrt(M_ij M_ji).  It
+    runs on them scaled by a power of two to ||T||inf in [0.5, 1), from
+    T's Gershgorin bound and lo = max d.
+
+    Laguerre steps from above never pass the root, each one O(n) pivot
+    pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.  Where
+    the top roots cluster they close in only linearly, so a step longer
+    than half the one before is held back for a probe at hi - step / (1 -
+    q), where steps shrinking by their last ratio q would end, but no
+    lower than the bracket's midpoint; once steps are shorter than tol,
+    the probe is tol below hi.  The passes stop when hi - lo <= tol = 4
+    eps ||T||inf or a step no longer moves hi.  A landing at or below the
+    root is checked tol above it, a probe there gives way to the landing
+    held back, and a midpoint there halves the bracket again.  The root
+    is then within tol plus the pivots' rounding (2e-14 ||T||inf of
+    ``eigvalsh`` in the tests)."""
     d = band.diag
     n = len(d)
     up, down = np.maximum(band.up, 0.0), np.maximum(band.down, 0.0)
@@ -282,20 +285,27 @@ def _tridiagonal_root(band: _Band) -> float:
     k = math.frexp(norm)[1]
     lo, hi = (math.ldexp(float(np.max(v)), -k) for v in (d, d + radius))
     d, e = np.ldexp(d, -k).tolist(), [0.0, *(np.ldexp(up, -k) * np.ldexp(down, -k)).tolist()]
-    x, tol, laguerre = hi, 4 * _EPS, False  # laguerre: whether x is a step's landing
+    x, tol, last, then = hi, 4 * _EPS, math.inf, []  # then: next x if x is at or below the root
     for _ in range(_LAGUERRE_MAX_STEPS):
         sums = _pivot_sums(d, e, x)
         lo, hi = (x, hi) if sums is None else (lo, x)
         if hi <= lo + tol:
             return math.ldexp(lo, k)
-        if sums is None:  # check a landing by a point just above it, else halve
-            x, laguerre = (lo + tol if laguerre else 0.5 * (lo + hi)), False
+        if sums is None:
+            x = then.pop() if then else 0.5 * (lo + hi)
             continue
         G, H = sums
         x = hi - n / G / (1.0 + math.sqrt((n - 1) * max(n * (H / G) / G - 1.0, 0.0)))
         if not x < hi:
             return math.ldexp(hi, k)
-        x, laguerre = max(x, lo), True
+        q, last = (hi - x) / last, hi - x
+        x = max(x, lo)
+        then = [x + tol]
+        if q > 0.5:
+            aitken = hi - last / (1.0 - q) if q < 1.0 else lo
+            probe = hi - tol if last < tol else max(aitken, 0.5 * (lo + hi))
+            if lo < probe < x:
+                x, last, then = probe, math.inf, [*then, x]
     raise NonConvergence(f"no Perron root within {_LAGUERRE_MAX_STEPS} Laguerre steps")
 
 
@@ -331,60 +341,6 @@ def _symmetrized(M):
     A = root * root.T
     np.fill_diagonal(A, np.diagonal(M))
     return A
-
-
-# The kernels take a chain's ``_operand``: its matrix, or a birth-death
-# chain's ``_Band``, scaled entry by entry with the dense matrix's own
-# arithmetic, so both give the same root to the bit.
-
-
-def _ebw_discrete(
-    transition_probs, rates: np.ndarray, theta: float, reversible: bool
-) -> float:
-    """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block.
-
-    The spectral radius is taken after scaling out e^{theta*max(rates)}
-    so it never overflows for large theta*rate products.
-    """
-    lam_max = float(np.max(rates))
-    # row i of e^{theta*Lambda} J is e^{theta*rates[i]} * J[i, :]; an
-    # exponent past -DBL_MAX is -inf, whose factor is its limit 0
-    with np.errstate(over="ignore"):
-        w = np.exp(theta * (rates - lam_max))
-    if isinstance(transition_probs, _Band):
-        d, up, down = transition_probs
-        M = _Band(w * d, w[:-1] * up, w[1:] * down)
-    else:
-        M = w[:, None] * transition_probs
-    sp = _perron_root(_symmetrized(M) if reversible else M)
-    if sp <= 0.0:
-        raise NonConvergence("spectral radius collapsed to zero")
-    return lam_max + math.log(sp) / theta
-
-
-def _ebw_fluid(
-    generator, rates: np.ndarray, theta: float, reversible: bool
-) -> float:
-    """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block."""
-    with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-        if isinstance(generator, _Band):
-            d, up, down = generator
-            M = _Band(rates + d / theta, up / theta, down / theta)
-        else:
-            M = np.diag(rates) + generator / theta
-    return _perron_root(_symmetrized(M) if reversible else M)
-
-
-def _ebw_mmpp(
-    generator, intensities: np.ndarray, theta: float, reversible: bool
-) -> float:
-    """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1) Lambda + G)."""
-    with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-        if isinstance(generator, _Band):
-            M = generator._replace(diag=math.expm1(theta) * intensities + generator.diag)
-        else:
-            M = math.expm1(theta) * np.diag(intensities) + generator
-    return _perron_root(_symmetrized(M) if reversible else M) / theta
 
 
 def effective_bandwidth_onoff_discrete(
@@ -492,13 +448,14 @@ class _MatrixSource:
     of its law.  The kernel reads ``_operand``: the matrix, or its three
     diagonals (read-only views) where ``_band_of`` finds it tridiagonal
     with at least ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death
-    chain), so that a*(theta) costs O(n) and no call probes the
+    chain), so that a*(theta) costs O(n).  ``_operand`` and ``reversible``
+    fix the route of every ``_perron_root`` call, so no call probes the
     structure again.  The matrix check is one for every family: square,
     finite, and rows summing to 1 in discrete time, to 0 for a generator.
-    A family gives its entry rule (``_check_entries``), its raw-array
-    ``_kernel``, its time base ``_discrete`` and its rate-scale solve
-    ``_pencil_scale``, on the deflated resolvent and the top eigenvalue
-    every family shares; the chain law is one elimination (``_gth``) for
+    A family gives its entry rule (``_check_entries``), its kernel
+    ``_ebw``, its time base ``_discrete`` and its rate-scale solve
+    ``_pencil_scale``, on the deflated resolvent pencil every family
+    shares (``_pencil``); the chain law is one elimination (``_gth``) for
     every family, solved on first use, once per source, and read-only.
     """
 
@@ -557,16 +514,18 @@ class _MatrixSource:
         """A matrix source is its own matrix twin."""
         return self
 
-    def _resolvent(self, t: float):
-        """(K, M): the resolvent K = t (t I - A)^-1 at t > 0 (inf allowed),
-        deflated (Elwalid and Mitra 1993), and the chain's matrix M (J or
-        G) in the frame where A is its generator.
+    def _pencil(self, t: float):
+        """The function d -> top eigenvalue of diag(d) B diag(d), B the
+        deflated resolvent K = t (t I - A)^-1 at t > 0 (inf allowed) of a
+        generator, or J K of a discrete chain (Elwalid and Mitra 1993),
+        in the frame where A is the chain's generator.  Its value is
+        positive for d >= 0 not all 0; else NonConvergence.
 
-        For a reversible chain the frame is the symmetrized D M D^-1, with
-        r = l = sqrt(pi) = diag(D), and K is symmetric; for any other chain
-        it is M itself, with r = 1, l = pi.  The resolvent's pole at t = 0
-        is the rank-one term r l^T of A's null vectors (Kemeny and Snell
-        1960); taking it out,
+        For a reversible chain the frame is the symmetrized D M D^-1 of its
+        matrix M (J or G), with r = l = sqrt(pi) = diag(D), and B is
+        symmetric; for any other chain it is M itself, with r = 1, l = pi.
+        The resolvent's pole at t = 0 is the rank-one term r l^T of A's
+        null vectors (Kemeny and Snell 1960); taking it out,
 
             t (t I - A)^-1 = s/(t+s) r l^T + t (t I - A + s r l^T)^-1,
 
@@ -591,31 +550,18 @@ class _MatrixSource:
                 K = np.linalg.inv(np.eye(n) - w * (A - s * P)) + s * w / (1.0 + s * w) * P
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"pencil solver failed: {exc}") from exc
-        return K, M
+        B = M @ K if self._discrete else K
 
-    def _top_eigenvalue(self, K: np.ndarray, d: np.ndarray) -> float:
-        """The top eigenvalue of diag(d) K diag(d), K a function of the
-        chain in ``_resolvent``'s frame: ``eigvalsh`` for a reversible
-        chain, whose K is symmetric there, else the largest real part
-        from ``eigvals``.  A solver failure or a value that is not finite
-        and positive is NonConvergence."""
-        M = d[:, None] * K * d
-        try:
-            if self.reversible:
-                mu = float(np.linalg.eigvalsh(M)[-1])
-            else:
-                mu = float(np.max(np.linalg.eigvals(M).real))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"pencil solver failed: {exc}") from exc
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise NonConvergence(f"pencil root {mu} is not finite and positive")
-        return mu
+        def root(d):
+            mu = _perron_root(d[:, None] * B * d, self.reversible)
+            if not mu > 0.0:
+                raise NonConvergence(f"pencil root {mu} is not positive")
+            return mu
+        return root
 
     def effective_bandwidth(self, theta: QosExponent) -> float:
-        """a*(theta) of the chain, bits/block, from its family's kernel
-        (``_ebw_discrete``, ``_ebw_fluid`` or ``_ebw_mmpp``)."""
-        theta = _check_scalar("theta", theta)
-        return self._kernel(self._operand, self._rates, theta, self.reversible)
+        """a*(theta) of the chain, bits/block, from its family's ``_ebw``."""
+        return self._ebw(self._rates, _check_scalar("theta", theta))
 
     @property
     def mean_rate(self) -> float:
@@ -659,7 +605,6 @@ class DiscreteMarkovSource(_MatrixSource):
     rates: np.ndarray
     reversible: bool = field(init=False)
 
-    _kernel = staticmethod(_ebw_discrete)
     _discrete = True
 
     @staticmethod
@@ -667,13 +612,32 @@ class DiscreteMarkovSource(_MatrixSource):
         if np.any(J < -1e-15) or np.any(J > 1 + 1e-12):
             raise ValueError("transition_probs entries must lie in [0, 1]")
 
+    def _ebw(self, rates: np.ndarray, theta: float) -> float:
+        """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block, at
+        ``rates``, with e^{theta*max(rates)} scaled out so that it never
+        overflows for large theta*rate products."""
+        lam_max = float(np.max(rates))
+        # row i of e^{theta*Lambda} J is e^{theta*rates[i]} J[i, :], a band's
+        # too; an exponent past -DBL_MAX is -inf, whose factor is its limit 0
+        with np.errstate(over="ignore"):
+            w = np.exp(theta * (rates - lam_max))
+        J = self._operand
+        if isinstance(J, _Band):
+            M = _Band(w * J.diag, w[:-1] * J.up, w[1:] * J.down)
+        else:
+            M = w[:, None] * J
+        sp = _perron_root(_symmetrized(M) if self.reversible else M, self.reversible)
+        if sp <= 0.0:
+            raise NonConvergence("spectral radius collapsed to zero")
+        return lam_max + math.log(sp) / theta
+
     def _pencil_scale(self, theta: float, ce: float) -> float:
         """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
         without a bracket.
 
         With y = theta lambda, x = theta C_E, t = e^x - 1 and E(y) =
         diag(e^{y c} - 1), sp(e^{y C} J) = e^x is sp(E(y) J K) = t, K the
-        resolvent t (t I - G)^-1 (``_resolvent``), which commutes with J.
+        resolvent t (t I - G)^-1 (``_pencil``), which commutes with J.
         Every entry of E(e^s) J K is a nonnegative sum of exponentials in
         s = log y, so F(s) = log sp(E J K / t) is convex (Kingman 1961)
         and increasing, and secant steps in s from two points above the
@@ -688,16 +652,15 @@ class DiscreteMarkovSource(_MatrixSource):
         x = theta * ce
         with np.errstate(over="ignore"):  # inf past x = ln(DBL_MAX), where K = I
             t = float(np.expm1(x))
-        K, J = self._resolvent(t)
-        JK = J @ K
+        root = self._pencil(t)
         c, mean, top = self._rates, self.mean_rate, float(np.max(self._rates))
         scale = -1.0 / math.expm1(-x)  # e^x / t
 
         def excess(y):
             e = np.exp(y * (c - top)) * -np.expm1(-y * c) * scale
-            return math.log(self._top_eigenvalue(JK, np.sqrt(e))) + (y * top - x)
+            return math.log(root(np.sqrt(e))) + (y * top - x)
 
-        y = min(x / mean if mean > 0.0 else math.inf, t / self._top_eigenvalue(JK, np.sqrt(c)))
+        y = min(x / mean if mean > 0.0 else math.inf, t / root(np.sqrt(c)))
         y_hi, f_hi, f = 2.0 * y, excess(2.0 * y), excess(y)
         while 0.0 < f < f_hi:
             # the secant step in s = log y, taken as a factor on y
@@ -725,12 +688,11 @@ class _GeneratorSource(_MatrixSource):
         a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
         with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
         (MMPP), so lambda* = C_E (theta/u) / mu', mu' the Perron root of
-        K C with K the resolvent t (t I - G)^-1 (``_resolvent``): the top
+        K C with K the resolvent t (t I - G)^-1 (``_pencil``): the top
         eigenvalue of C^{1/2} K C^{1/2}.  Nothing overflows for theta C_E
         up to 1e300, and mu' tends to the mean shape as C_E -> 0."""
         u = math.expm1(theta) if self._poisson else theta
-        K, _ = self._resolvent(theta * ce)
-        return ce * (theta / u) / self._top_eigenvalue(K, np.sqrt(self._rates))
+        return ce * (theta / u) / self._pencil(theta * ce)(np.sqrt(self._rates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -746,7 +708,16 @@ class FluidMarkovSource(_GeneratorSource):
     rates: np.ndarray
     reversible: bool = field(init=False)
 
-    _kernel = staticmethod(_ebw_fluid)
+    def _ebw(self, rates: np.ndarray, theta: float) -> float:
+        """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block,
+        at ``rates``."""
+        G = self._operand
+        with np.errstate(over="ignore"):  # an overflow is _perron_root's error
+            if isinstance(G, _Band):
+                M = _Band(rates + G.diag / theta, G.up / theta, G.down / theta)
+            else:
+                M = np.diag(rates) + G / theta
+        return _perron_root(_symmetrized(M) if self.reversible else M, self.reversible)
 
 
 @dataclass(frozen=True, eq=False)
@@ -758,8 +729,18 @@ class MmppSource(_GeneratorSource):
     intensities: np.ndarray
     reversible: bool = field(init=False)
 
-    _kernel = staticmethod(_ebw_mmpp)
     _poisson = True
+
+    def _ebw(self, intensities: np.ndarray, theta: float) -> float:
+        """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1)
+        Lambda + G), bits/block, at ``intensities``."""
+        G = self._operand
+        with np.errstate(over="ignore"):  # an overflow is _perron_root's error
+            if isinstance(G, _Band):
+                M = G._replace(diag=math.expm1(theta) * intensities + G.diag)
+            else:
+                M = math.expm1(theta) * np.diag(intensities) + G
+        return _perron_root(_symmetrized(M) if self.reversible else M, self.reversible) / theta
 
 
 # the per-family names of the one matrix-source method

@@ -37,10 +37,8 @@ class ThroughputResult:
     effective_capacity: float
     method: str  # closed_form | pencil
     iterations: int = 0  # effective-bandwidth kernel calls: 1 on the pencil route
-    # |a*(theta; lambda_star) - C_E| / C_E; on the pencil route it is the
-    # kernel's rounding noise, about eps (peak rate + ||G||inf / theta) / C_E
-    # for a fluid source and eps (peak + e^{theta (peak - C_E)} / theta) / C_E
-    # for a discrete one, and not how far lambda_star is off
+    # |a*(theta; lambda_star c) - C_E| / C_E from one kernel call at
+    # lambda_star, not how far lambda_star is off
     residual: float = 0.0
 
 
@@ -101,14 +99,14 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     discrete source by secant steps on a convex function that fall onto
     the root, one eigenvalue call each, with no bracket and no
     tolerance.  The scale is exact down to any C_E > 0, and one kernel
-    call at lambda* reports the residual (method ``pencil``).  That
-    residual is the kernel's rounding noise over C_E, not how accurate
-    lambda* is: at C_E = 1e-20 a right lambda* can read 1e4.  All-zero
-    rates are a BracketFailure, and C_E = 0 gives 0.
+    call at lambda* reports the residual |a*(theta; lambda* c) - C_E| /
+    C_E (method ``pencil``), which is not how accurate lambda* is: at
+    C_E = 1e-20 a right lambda* can read 1e4.  All-zero rates are a
+    BracketFailure, and C_E = 0 gives 0.
     """
     ce = _check_scalar("effective capacity", ce, positive=False)
     theta = _check_scalar("theta", theta)
-    src = _typed_source(src, "_kernel")
+    src = _typed_source(src, "_ebw")
     shape, mean_shape = src._rates, src.mean_rate
     if ce == 0.0:
         return ThroughputResult(0.0, 0.0, theta, ce, "pencil")
@@ -116,7 +114,7 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
         raise BracketFailure(_NO_RATES)
     lam = src._pencil_scale(theta, ce)
     # one kernel call reports how well the kernel meets the target there
-    at_root = src._kernel(src._operand, lam * shape, theta, src.reversible)
+    at_root = src._ebw(lam * shape, theta)
     return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",
                             iterations=1, residual=abs(at_root - ce) / ce)
 

@@ -161,6 +161,38 @@ def test_only_sources_decides_what_a_source_is():
     assert _source_probes(sources)  # the guard sees the probes where they belong
 
 
+def _names(node):
+    """Every name ``node`` spells: attributes, variables, imported names
+    and string constants (the attributes ``_typed_source`` is asked for)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_perron_root_is_the_one_eigenvalue_call():
+    # every eigenvalue comes from ``sources._perron_root``, on the route the
+    # source fixed when it was built; ``throughput`` reads a source's
+    # kernel, not the arrays and flags behind it
+    import qoslink
+
+    solvers = {"eigvalsh", "eigvals"}
+    for path in sorted(Path(qoslink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        perron = [f for f in tree.body if path.stem == "sources"
+                  and isinstance(f, ast.FunctionDef) and f.name == "_perron_root"]
+        allowed = sorted(n for f in perron for n in _names(f) if n in solvers)
+        assert sorted(n for n in _names(tree) if n in solvers) == allowed, path.name
+        if perron:
+            assert allowed == sorted(solvers)  # the guard sees the calls where they belong
+    assert not {"_kernel", "_operand", "reversible"} & set(_names(_tree(throughput)))
+
+
 def test_matrix_sources_need_no_capacity_curve(monkeypatch):
     # the numeric route is the only one that evaluates C_E(snr); the
     # energy metrics and the low-theta slope of a matrix source do not

@@ -320,6 +320,13 @@ def _birth_death_sources(n):
             "discrete": lazy_walk(n)}
 
 
+def _dense_root(A, symmetric):
+    """``_perron_root`` of a dense matrix A by the route a source with A
+    fixes when it is built: A's band where ``_band_of`` finds one."""
+    band = sources_module._band_of(A)
+    return sources_module._perron_root(A if band is None else band, symmetric)
+
+
 @pytest.fixture
 def pivot_passes(monkeypatch):
     """The list of x at which the Laguerre route ran a pivot pass."""
@@ -395,11 +402,11 @@ def test_tridiagonal_route_matches_eigvalsh(n, kind, theta, seed):
     want = np.linalg.eigvalsh(T)[-1]
     norm = np.max(np.sum(np.abs(T), axis=1))
     for A in (M, T):
-        got = sources_module._perron_root(A)
+        got = _dense_root(A, False)
         assert abs(got - want) <= 2e-14 * norm
         # it runs on T scaled by a power of two, so scaling M by one is
         # exact, also where the products M_ij M_ji overflow
-        assert sources_module._perron_root(np.ldexp(A, 600)) == np.ldexp(got, 600)
+        assert _dense_root(np.ldexp(A, 600), False) == np.ldexp(got, 600)
 
 
 def test_tridiagonal_crossover_splits_the_sizes(pivot_passes):
@@ -417,22 +424,26 @@ def test_tridiagonal_crossover_splits_the_sizes(pivot_passes):
 
 
 def test_tridiagonal_route_takes_few_steps(pivot_passes):
-    # the n=200 eigen sweep of the benchmark: three birth-death sources at
-    # 8 theta in (0.05, 2)
-    steps = []
-    for src in _birth_death_sources(200).values():
-        for theta in np.geomspace(0.05, 2.0, 8):
-            pivot_passes.clear()
-            _PUBLIC_ROUTE[type(src)](src, theta)
-            steps.append(len(pivot_passes))
-    assert np.median(steps) <= 6 and max(steps) <= 8
+    # three birth-death sources, whose top roots stand apart, at each size:
+    # the n=200 eigen sweep of the benchmark (8 theta in (0.05, 2)), and 12
+    # theta in [0.01, 5] at n 64 and 2000; the probes that end a stall on
+    # clustered roots must not slow these down
+    for n, thetas in ((200, np.geomspace(0.05, 2.0, 8)), (64, np.geomspace(0.01, 5.0, 12)),
+                      (2000, np.geomspace(0.01, 5.0, 12))):
+        steps = []
+        for src in _birth_death_sources(n).values():
+            for theta in thetas:
+                pivot_passes.clear()
+                _PUBLIC_ROUTE[type(src)](src, theta)
+                steps.append(len(pivot_passes))
+        assert np.median(steps) <= 6 and max(steps) <= 8, n
 
 
 def test_tridiagonal_route_failures_are_nonconvergence(monkeypatch):
     M = sources_module._symmetrized(lazy_walk(64).transition_probs)
     M[5, 5] = np.nan
     with pytest.raises(NonConvergence, match="non-finite"):
-        sources_module._perron_root(M)
+        _dense_root(M, True)
     monkeypatch.setattr(sources_module, "_LAGUERRE_MAX_STEPS", 1)
     with pytest.raises(NonConvergence, match="within 1 Laguerre steps"):
         effective_bandwidth_fluid(build_birth_death_fluid(64, 1.0, 2.0, 1.0), 0.5)
@@ -447,7 +458,7 @@ def _dense_ebw_discrete(transition_probs, rates, theta, reversible):
     lam_max = float(np.max(rates))
     with np.errstate(over="ignore"):
         M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
-    sp = sources_module._perron_root(sources_module._symmetrized(M) if reversible else M)
+    sp = _dense_root(sources_module._symmetrized(M) if reversible else M, reversible)
     if sp <= 0.0:
         raise NonConvergence("spectral radius collapsed to zero")
     return lam_max + math.log(sp) / theta
@@ -456,13 +467,13 @@ def _dense_ebw_discrete(transition_probs, rates, theta, reversible):
 def _dense_ebw_fluid(generator, rates, theta, reversible):
     with np.errstate(over="ignore"):
         M = np.diag(rates) + generator / theta
-    return sources_module._perron_root(sources_module._symmetrized(M) if reversible else M)
+    return _dense_root(sources_module._symmetrized(M) if reversible else M, reversible)
 
 
 def _dense_ebw_mmpp(generator, intensities, theta, reversible):
     with np.errstate(over="ignore"):
         M = math.expm1(theta) * np.diag(intensities) + generator
-    return sources_module._perron_root(sources_module._symmetrized(M) if reversible else M) / theta
+    return _dense_root(sources_module._symmetrized(M) if reversible else M, reversible) / theta
 
 
 _DENSE_KERNELS = {DiscreteMarkovSource: _dense_ebw_discrete,
@@ -525,6 +536,45 @@ def test_birth_death_band_is_bit_identical_to_the_dense_kernels(
     assert _outcome(src.effective_bandwidth, theta) == _dense_outcome(src, theta)
 
 
+@pytest.mark.parametrize("cls", [FluidMarkovSource, MmppSource])
+def test_tridiagonal_route_ends_on_clustered_roots(cls):
+    # rates all 0, so a*(theta) is rho(G) / theta = 0; the top roots of the
+    # chain's 30-octave rates cluster at 0, where Laguerre steps from above
+    # close in only linearly (each about 0.8 of the one before)
+    src = _random_birth_death(np.random.default_rng(2), 64, cls, False, False, False, 1.0)
+    theta = 0.01
+    T = sources_module._symmetrized(src._matrix)
+    norm = np.max(np.sum(np.abs(T), axis=1))
+    assert abs(src.effective_bandwidth(theta)) <= 2e-14 * norm / theta
+
+
+def _kernel_matrix(src, theta):
+    """The dense matrix whose Perron root gives ``src``'s a*(theta)."""
+    r, M = src._rates, src._matrix
+    if src._discrete:
+        return np.exp(theta * (r - np.max(r)))[:, None] * M
+    return math.expm1(theta) * np.diag(r) + M if src._poisson else np.diag(r) + M / theta
+
+
+def test_tridiagonal_route_meets_eigvalsh_on_clustered_chains():
+    # a seeded draw of birth-death chains whose top roots cluster (30-octave
+    # rates, a tenth of the down rates 0 on half of them, many rates 0),
+    # where Laguerre steps alone ran out of steps on 9-38% of them
+    rng = np.random.default_rng(20261020)
+    families = (DiscreteMarkovSource, FluidMarkovSource, MmppSource)
+    for i in range(45):
+        n, theta = int(rng.integers(64, 401)), float(10.0 ** rng.uniform(-3.0, np.log10(50.0)))
+        src = _random_birth_death(np.random.default_rng(int(rng.integers(2**32))), n,
+                                  families[i % 3], i % 2 == 1, False, False,
+                                  float(rng.choice([0.0, 0.3, 1.0])))
+        M = _kernel_matrix(src, theta)
+        T = sources_module._symmetrized(M)
+        want = np.linalg.eigvalsh(T)[-1]
+        norm = np.max(np.sum(np.abs(T), axis=1))
+        got = _dense_root(T if src.reversible else M, src.reversible)
+        assert abs(got - want) <= 2e-14 * norm, (i, n, theta)
+
+
 def test_birth_death_effective_bandwidth_makes_no_dense_matrix():
     # one float matrix of 2000 states alone is 30.5 MiB
     src = build_birth_death_fluid(2000, 1.0, 2.0, 1.0)
@@ -545,7 +595,7 @@ def test_birth_death_effective_bandwidth_makes_no_dense_matrix():
 ], ids=["inf-entry", "inf-root", "nan-entry", "tridiagonal-norm"])
 def test_perron_root_rejects_non_finite_values(M):
     with pytest.raises(NonConvergence, match="non-finite"):
-        sources_module._perron_root(np.array(M))
+        _dense_root(np.array(M), True)
 
 
 @pytest.mark.parametrize("source, theta", [

@@ -210,8 +210,8 @@ def test_nstate_reports_evaluations_and_residual(src, closed, monkeypatch):
     theta, ce = 0.5, 1.2
     assert closed(ce, theta).iterations == 0 and closed(ce, theta).residual == 0.0
     calls = []
-    perron = sources_module._perron_root
-    monkeypatch.setattr(sources_module, "_perron_root", lambda M: calls.append(1) or perron(M))
+    ebw = type(src)._ebw
+    monkeypatch.setattr(type(src), "_ebw", lambda self, r, t: calls.append(1) or ebw(self, r, t))
     res = max_avg_rate_nstate(src, theta, ce)
     monkeypatch.undo()
     assert res.iterations == len(calls) > 0
@@ -246,8 +246,8 @@ def test_nstate_meets_the_target_on_birth_death_chains_of_200_states(
     src = {"discrete": _lazy_walk(200), "fluid": fluid,
            "mmpp": MmppSource(fluid.generator, fluid.rates)}[family]
     calls, passes = [], []
-    perron, pivot_sums = sources_module._perron_root, sources_module._pivot_sums
-    monkeypatch.setattr(sources_module, "_perron_root", lambda M: calls.append(1) or perron(M))
+    ebw, pivot_sums = type(src)._ebw, sources_module._pivot_sums
+    monkeypatch.setattr(type(src), "_ebw", lambda self, r, t: calls.append(1) or ebw(self, r, t))
     monkeypatch.setattr(sources_module, "_pivot_sums",
                         lambda d, e, x: passes.append(1) or pivot_sums(d, e, x))
     res = max_avg_rate_nstate(src, theta, ce)
@@ -539,7 +539,7 @@ def test_pencil_edge_cases(family):
 def test_pencil_raises_on_a_non_finite_root(monkeypatch):
     src = FluidMarkovSource(TWO_STATE_G, np.array([0.0, 1.0]))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: np.full(len(K), np.nan))
-    with pytest.raises(NonConvergence, match="pencil"):
+    with pytest.raises(NonConvergence, match="non-finite Perron root"):
         max_avg_rate_nstate(src, 0.5, 1.2)
 
 
