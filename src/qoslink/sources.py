@@ -9,13 +9,17 @@ Perron root of a nonnegative or Metzler matrix, each family's kernel
 (``_ebw``, a method of its source type).  Every eigenvalue, of a kernel
 or of a pencil below, is one call (``_perron_root``) whose route each
 matrix source fixes once, when it is built: whether its chain satisfies
-detailed balance (``reversible``), and whether it is a birth-death
-chain of 64 states or more (a tridiagonal matrix, kept as its three
-diagonals).  For a reversible chain that matrix is similar to a
-symmetric one, whose largest eigenvalue comes from the symmetric
+detailed balance (``reversible``), whether it is a memoryless discrete
+chain (every row of J the same law p, kept as that row), and whether it
+is a birth-death chain of 64 states or more (a tridiagonal matrix, kept
+as its three diagonals).  For a reversible chain that matrix is similar
+to a symmetric one, whose largest eigenvalue comes from the symmetric
 solver, faster and with a perfectly conditioned eigenvalue; other chains
 take the general dense spectrum; a birth-death chain takes O(n)
 Laguerre steps on its diagonals instead, with no n x n array per call.
+A memoryless chain needs no solver: its matrices have rank one, so its
+a*(theta) is the log-moment generating function of its law, its rate
+scale needs no resolvent and its law is the row, each in O(n).
 
 A source's family is its type, decided here alone: ``_typed_source`` is
 the one check that an object is a source of a named family (its
@@ -30,7 +34,8 @@ resolvent pencil (``_pencil``): a fluid or MMPP source by one eigenvalue
 call, a discrete source by secant steps that fall onto the root.  Its
 chain law is one subtraction-free elimination of the chain's rates for
 every family (``_gth``): the stationary law, once per source, behind
-``mean_rate``, and the deviation matrix behind ``burstiness``, its
+``mean_rate`` (a memoryless chain's is its row), and the deviation
+matrix behind ``burstiness``, its
 variance rate over its squared mean rate (eta or zeta for the two-state
 ON/OFF sources, whose ``mean_rate`` is lam p_on).  Every source
 answers ``effective_bandwidth(theta)`` (closed form where one exists)
@@ -69,7 +74,10 @@ from .errors import (
 QosExponent = float
 
 _ROW_SUM_TOL = 1e-12
-_TRIDIAGONAL_MIN_STATES = 64  # eigvalsh is as fast below: CHANGES.md has the sweep
+# the band route is about as fast as eigvalsh from 40 states and faster
+# from 50, but every exactly pinned chain of 50 states or fewer keeps
+# eigvalsh; CHANGES.md has the sweeps
+_TRIDIAGONAL_MIN_STATES = 64
 _LAGUERRE_MAX_STEPS = 100
 
 
@@ -207,6 +215,15 @@ class _Band(NamedTuple):
     down: np.ndarray
 
 
+class _RankOne(NamedTuple):
+    """The rank-one matrix u v^T as its two vectors: a memoryless chain's
+    transition matrix 1 p^T, every row its law p, and what the kernel and
+    the pencil make of it."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+
 def _band_of(M: np.ndarray):
     """M's ``_Band``, views of its three diagonals, where M has at least
     ``_TRIDIAGONAL_MIN_STATES`` rows and no nonzero entry off them; else
@@ -219,12 +236,14 @@ def _band_of(M: np.ndarray):
 
 def _perron_root(M, symmetric: bool) -> float:
     """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0),
-    dense or a ``_Band``: the library's one eigenvalue call.
+    dense, a ``_Band`` or a nonnegative ``_RankOne``: the library's one
+    eigenvalue call.
 
     By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
     a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
     larger real part.  The route is the one the source fixed when it was
-    built: a ``_Band`` takes ``_tridiagonal_root``, a ``symmetric`` M the
+    built: a ``_RankOne`` u v^T is v.u, its one nonzero eigenvalue, with no
+    solver; a ``_Band`` takes ``_tridiagonal_root``, a ``symmetric`` M the
     symmetric solver (``eigvalsh``), whose largest eigenvalue is the root
     and is perfectly conditioned, and any other M the largest real part of
     the dense spectrum (``eigvals``).  Failures are NonConvergence, as are
@@ -238,11 +257,13 @@ def _perron_root(M, symmetric: bool) -> float:
     root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
     ``_is_reversible`` accepts tau of a few ulps of the logs involved.
     """
-    band = isinstance(M, _Band)
-    if not all(np.isfinite(a).all() for a in (M if band else [M])):
+    if not all(np.isfinite(a).all() for a in ([M] if isinstance(M, np.ndarray) else M)):
         raise NonConvergence("matrix has non-finite entries")
     try:
-        if band:
+        if isinstance(M, _RankOne):
+            with np.errstate(over="ignore"):  # a root past DBL_MAX is the error below
+                root = float(M.v @ M.u)
+        elif isinstance(M, _Band):
             root = _tridiagonal_root(M)
         elif symmetric:
             root = float(np.linalg.eigvalsh(M)[-1])
@@ -323,6 +344,34 @@ def _pivot_sums(d: list, e: list, x: float):
         g = dq / q
         G, H = G + g, H + g * g - ddq / q
     return G, H
+
+
+def _log_mgf(p: np.ndarray, rates: np.ndarray, theta: float) -> float:
+    """a*(theta) of a memoryless chain, J = 1 p^T: sp(e^{theta Lambda} J) =
+    p.e^{theta rates}, so a*(theta) = (1/theta) ln pi.e^{theta rates}, the
+    scaled log-moment generating function of its law pi = p / sum p
+    (Kelly 1996), in O(n) and with no eigenvalue solver.
+
+    It runs on the law's support, the only states visited after one
+    block, with e^{theta top} scaled out, top the support's largest rate,
+    so that nothing overflows: that gives c.  It is then re-centred on c,
+    as c + log1p(pi.expm1(theta (rates - c))) / theta, which holds at any
+    c.  At this c each term is at most about 1 in size, and about theta
+    times the rates' spread where theta is small, so a*(theta) keeps the
+    digits that the log of a sum near 1 loses: within an ulp of 50-digit
+    mpmath in the tests, where the first value alone was 2400 ulps off.
+    Where a term passes DBL_MAX (an entry of pi below 1e-308 at large
+    theta) c stands.  Both sums are over p's own total, so its rounding
+    off 1 does not reach a*(theta) as theta -> 0."""
+    on = p > 0
+    p, rates = p[on], rates[on]
+    top, total = float(np.max(rates)), float(p.sum())
+    with np.errstate(over="ignore"):  # an exponent past -DBL_MAX is -inf, whose factor is 0
+        w = np.exp(theta * (rates - top))
+    c = top + math.log(_perron_root(_RankOne(w, p), True) / total) / theta
+    with np.errstate(over="ignore"):
+        s = float(p @ np.expm1(theta * (rates - c))) / total
+    return c + math.log1p(s) / theta if math.isfinite(s) else c
 
 
 def _symmetrized(M):
@@ -445,7 +494,10 @@ class _MatrixSource:
     satisfies detailed balance, and ``_root``, a state every state
     reaches, None where the chain has several recurrent classes: a
     discrete chain with several fails to build, a generator on first use
-    of its law.  The kernel reads ``_operand``: the matrix, or its three
+    of its law.  The kernel reads ``_operand``: the matrix; or 1 p^T as a
+    ``_RankOne``, p a read-only view of the first row, where every row of
+    a transition matrix is exactly p (a memoryless chain), so that
+    a*(theta), the rate scale and the law cost O(n); or its three
     diagonals (read-only views) where ``_band_of`` finds it tridiagonal
     with at least ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death
     chain), so that a*(theta) costs O(n).  ``_operand`` and ``reversible``
@@ -456,7 +508,8 @@ class _MatrixSource:
     ``_ebw``, its time base ``_discrete`` and its rate-scale solve
     ``_pencil_scale``, on the deflated resolvent pencil every family
     shares (``_pencil``); the chain law is one elimination (``_gth``) for
-    every family, solved on first use, once per source, and read-only.
+    every family but a memoryless chain, whose law is its row over the
+    row's sum, solved on first use, once per source, and read-only.
     """
 
     _kind = "nstate"
@@ -489,8 +542,12 @@ class _MatrixSource:
         support = _Support(M)
         object.__setattr__(self, "reversible", _is_reversible(M, support))
         object.__setattr__(self, "_root", support.recurrent_root)
-        band = _band_of(M)
-        object.__setattr__(self, "_operand", M if band is None else band)
+        if self._discrete and np.all(M == M[0]):  # memoryless: J = 1 p^T
+            operand = _RankOne(np.ones(M.shape[0]), M[0])
+        else:
+            band = _band_of(M)
+            operand = M if band is None else band
+        object.__setattr__(self, "_operand", operand)
         if self._discrete:
             self._check_recurrent()
 
@@ -501,6 +558,9 @@ class _MatrixSource:
     @cached_property
     def _stationary(self) -> np.ndarray:
         self._check_recurrent()
+        if isinstance(self._operand, _RankOne):  # every row is the law
+            law = self._operand.v
+            return _frozen_array(self, law / law.sum())
         return _frozen_array(self, _gth(self._matrix, self._root))
 
     def _check_recurrent(self):
@@ -515,11 +575,11 @@ class _MatrixSource:
         return self
 
     def _pencil(self, t: float):
-        """The function d -> top eigenvalue of diag(d) B diag(d), B the
-        deflated resolvent K = t (t I - A)^-1 at t > 0 (inf allowed) of a
-        generator, or J K of a discrete chain (Elwalid and Mitra 1993),
-        in the frame where A is the chain's generator.  Its value is
-        positive for d >= 0 not all 0; else NonConvergence.
+        """The function e -> top eigenvalue of diag(d) B diag(d) at d =
+        sqrt(e), B the deflated resolvent K = t (t I - A)^-1 at t > 0 (inf
+        allowed) of a generator, or J K of a discrete chain (Elwalid and
+        Mitra 1993), in the frame where A is the chain's generator.  Its
+        value is positive for e >= 0 not all 0; else NonConvergence.
 
         For a reversible chain the frame is the symmetrized D M D^-1 of its
         matrix M (J or G), with r = l = sqrt(pi) = diag(D), and B is
@@ -532,7 +592,15 @@ class _MatrixSource:
         leaves an inverse bounded by the chain's fundamental matrix at
         every t >= 0, so K tends to r l^T as t -> 0 and to I as t -> inf;
         s = max |A_ii| puts both terms on A's scale.  Past t = 1 the
-        inverse is taken in w = 1/t, so t = inf gives K = I."""
+        inverse is taken in w = 1/t, so t = inf gives K = I.  A memoryless
+        chain, J = 1 pi^T, has J K = J at every t: no resolvent."""
+        if isinstance(self._operand, _RankOne):
+            # J = 1 pi^T has J^2 = J, so J (t I - A) = t J and J K = J: no
+            # resolvent, and diag(d) J diag(d) = d (d pi)^T has root pi.e,
+            # taken as p.e / sum p, free of the rounding of pi's entries
+            p = self._operand.v
+            total = float(p.sum())
+            return lambda e: self._pencil_root(_RankOne(e, p)) / total
         pi, n = self._stationary, self.n_states
         if self.reversible:
             M, r = _symmetrized(self._matrix), np.sqrt(pi)
@@ -552,12 +620,18 @@ class _MatrixSource:
             raise NonConvergence(f"pencil solver failed: {exc}") from exc
         B = M @ K if self._discrete else K
 
-        def root(d):
-            mu = _perron_root(d[:, None] * B * d, self.reversible)
-            if not mu > 0.0:
-                raise NonConvergence(f"pencil root {mu} is not positive")
-            return mu
+        def root(e):
+            d = np.sqrt(e)
+            return self._pencil_root(d[:, None] * B * d)
         return root
+
+    def _pencil_root(self, M) -> float:
+        """The pencil's value at M, diag(d) B diag(d) or a rank-one matrix
+        with its spectrum: its Perron root, which must be positive."""
+        mu = _perron_root(M, self.reversible)
+        if not mu > 0.0:
+            raise NonConvergence(f"pencil root {mu} is not positive")
+        return mu
 
     def effective_bandwidth(self, theta: QosExponent) -> float:
         """a*(theta) of the chain, bits/block, from its family's ``_ebw``."""
@@ -615,7 +689,10 @@ class DiscreteMarkovSource(_MatrixSource):
     def _ebw(self, rates: np.ndarray, theta: float) -> float:
         """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block, at
         ``rates``, with e^{theta*max(rates)} scaled out so that it never
-        overflows for large theta*rate products."""
+        overflows for large theta*rate products; a memoryless chain's is
+        its law's log-moment generating function (``_log_mgf``)."""
+        if isinstance(self._operand, _RankOne):
+            return _log_mgf(self._operand.v, rates, theta)
         lam_max = float(np.max(rates))
         # row i of e^{theta*Lambda} J is e^{theta*rates[i]} J[i, :], a band's
         # too; an exponent past -DBL_MAX is -inf, whose factor is its limit 0
@@ -648,19 +725,28 @@ class DiscreteMarkovSource(_MatrixSource):
         no longer falls, or F no longer falls and stays positive, which
         only rounding does; the iterate of smaller |F| is lambda* theta.
         E / t is taken with e^{max(y c) - x} scaled out, its entries in
-        [0, 1 / (1 - e^{-x})], and F adds that exponent back."""
+        [0, 1 / (1 - e^{-x})], and F adds that exponent back.  A memoryless
+        chain, whose F is the log of pi.E / t, takes E / t as it is while
+        e^{max(y c)} is finite, so that F is the log of a ratio near 1,
+        not a sum of terms of size x that cancel: within 4.6e-16 of
+        50-digit mpmath in the tests, where the scaled F alone left
+        lambda* up to 3.7 ulps off."""
         x = theta * ce
         with np.errstate(over="ignore"):  # inf past x = ln(DBL_MAX), where K = I
             t = float(np.expm1(x))
         root = self._pencil(t)
         c, mean, top = self._rates, self.mean_rate, float(np.max(self._rates))
         scale = -1.0 / math.expm1(-x)  # e^x / t
+        # e^{y c} is finite below y top = 700, with room under ln(DBL_MAX)
+        unscaled = 700.0 / top if isinstance(self._operand, _RankOne) else 0.0
 
         def excess(y):
+            if y < unscaled:
+                return math.log(root(np.expm1(y * c)) / t)
             e = np.exp(y * (c - top)) * -np.expm1(-y * c) * scale
-            return math.log(root(np.sqrt(e))) + (y * top - x)
+            return math.log(root(e)) + (y * top - x)
 
-        y = min(x / mean if mean > 0.0 else math.inf, t / root(np.sqrt(c)))
+        y = min(x / mean if mean > 0.0 else math.inf, t / root(c))
         y_hi, f_hi, f = 2.0 * y, excess(2.0 * y), excess(y)
         while 0.0 < f < f_hi:
             # the secant step in s = log y, taken as a factor on y
@@ -690,9 +776,11 @@ class _GeneratorSource(_MatrixSource):
         (MMPP), so lambda* = C_E (theta/u) / mu', mu' the Perron root of
         K C with K the resolvent t (t I - G)^-1 (``_pencil``): the top
         eigenvalue of C^{1/2} K C^{1/2}.  Nothing overflows for theta C_E
-        up to 1e300, and mu' tends to the mean shape as C_E -> 0."""
-        u = math.expm1(theta) if self._poisson else theta
-        return ce * (theta / u) / self._pencil(theta * ce)(np.sqrt(self._rates))
+        up to 1e300, and mu' tends to the mean shape as C_E -> 0.  Past
+        theta = ln(DBL_MAX) an MMPP's u is inf and lambda* its limit 0."""
+        with np.errstate(over="ignore"):
+            u = float(np.expm1(theta)) if self._poisson else theta
+        return ce * (theta / u) / self._pencil(theta * ce)(self._rates)
 
 
 @dataclass(frozen=True, eq=False)

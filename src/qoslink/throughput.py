@@ -7,7 +7,8 @@ bandwidth at theta must not exceed C_E.  Two-state ON/OFF sources carry
 closed forms.  For general n-state sources the per-state rate scale of
 every chain, reversible or not, comes from one deflated resolvent (the
 pencil route): one eigenvalue call for a fluid or MMPP source, a few
-bracket-free secant steps for a discrete one.
+bracket-free secant steps for a discrete one, one eigenvalue call each,
+or one O(n) sum each for a memoryless chain (every row its law).
 ``max_avg_rate`` takes any source.  Asymptotic behavior at theta -> 0
 (ergodic limit and first derivative) and at high snr (rate prelog) is
 also exposed.
@@ -97,7 +98,8 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     reversible or not, gives it from one deflated resolvent
     (``_pencil_scale``): a fluid or MMPP source by one eigenvalue call, a
     discrete source by secant steps on a convex function that fall onto
-    the root, one eigenvalue call each, with no bracket and no
+    the root, one eigenvalue call each (a memoryless chain's are O(n)
+    sums over its law, with no resolvent), with no bracket and no
     tolerance.  The scale is exact down to any C_E > 0, and one kernel
     call at lambda* reports the residual |a*(theta; lambda* c) - C_E| /
     C_E (method ``pencil``), which is not how accurate lambda* is: at
@@ -113,6 +115,8 @@ def max_avg_rate_nstate(src, theta: float, ce: float) -> ThroughputResult:
     if not np.any(shape):
         raise BracketFailure(_NO_RATES)
     lam = src._pencil_scale(theta, ce)
+    if lam == 0.0:  # an MMPP past theta = ln(DBL_MAX): its Poisson layer takes all
+        return ThroughputResult(0.0, 0.0, theta, ce, "pencil")
     # one kernel call reports how well the kernel meets the target there
     at_root = src._ebw(lam * shape, theta)
     return ThroughputResult(lam * mean_shape, lam, theta, ce, "pencil",

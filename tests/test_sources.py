@@ -417,9 +417,13 @@ def test_tridiagonal_crossover_splits_the_sizes(pivot_passes):
     assert not pivot_passes
     effective_bandwidth_fluid(build_birth_death_fluid(n, 1.0, 2.0, 1.0), 0.5)
     assert pivot_passes
-    # a dense chain of any size keeps eigvalsh
+    # a dense chain of any size keeps eigvalsh: a walk on symmetric
+    # weights, whose rows differ (a binomial's rows are all its law)
     pivot_passes.clear()
-    effective_bandwidth_discrete(build_binomial_discrete_source(n, 0.3, 1.0), 0.5)
+    W = np.random.default_rng(0).random((n, n))
+    dense = DiscreteMarkovSource((W + W.T) / (W + W.T).sum(axis=1, keepdims=True), np.arange(n))
+    assert dense.reversible and isinstance(dense._operand, np.ndarray)
+    effective_bandwidth_discrete(dense, 0.5)
     assert not pivot_passes
 
 
@@ -585,6 +589,89 @@ def test_birth_death_effective_bandwidth_makes_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# memoryless chains: every row of J is the law p, J = 1 p^T
+# ---------------------------------------------------------------------------
+
+
+def _memoryless_sources():
+    """Binomial laws of 2, 50 and 400 states (rates 0..n-1), and a law
+    that is 0 at some states, the top rate's among them."""
+    law = np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0])
+    rows = {f"binomial-{n}": build_binomial_discrete_source(n, 0.3, 1.0) for n in (2, 50, 400)}
+    rows["zeros"] = DiscreteMarkovSource(np.tile(law, (6, 1)), [0.0, 9.0, 1.0, 2.0, 3.0, 1e3])
+    return rows
+
+
+@pytest.mark.parametrize("name", ["binomial-2", "binomial-50", "binomial-400", "zeros"])
+def test_memoryless_kernel_matches_mpmath_within_two_ulps(name):
+    # theta * max rate passes 709 from theta 15 at n = 50; a log of the sum
+    # p.e^{theta (r - max r)} alone was up to 2400 ulps off at n = 2, and
+    # at the zeros' law the dense route found its root collapsed to 0
+    from log_mgf_reference import ebw
+
+    src = _memoryless_sources()[name]
+    assert isinstance(src._operand, sources_module._RankOne)
+    for theta in np.geomspace(1e-3, 50.0, 13):
+        ref = float(ebw(src.transition_probs[0], src.rates, theta))
+        assert abs(src.effective_bandwidth(theta) - ref) <= 2 * math.ulp(ref), theta
+
+
+def test_memoryless_on_off_source_meets_its_closed_form():
+    # p11 + p22 = 1: both rows are the law (p11, p22)
+    params = OnOffDiscreteParams(0.25, 0.75, 2.0)
+    src = as_discrete_source(params)
+    assert isinstance(src._operand, sources_module._RankOne)
+    for theta in np.geomspace(1e-3, 50.0, 13):
+        assert src.effective_bandwidth(theta) == pytest.approx(
+            effective_bandwidth_onoff_discrete(params, theta), rel=1e-12, abs=0), theta
+    shape = as_discrete_source(OnOffDiscreteParams(0.25, 0.75, 1.0))
+    for theta, ce in ((0.01, 0.5), (0.5, 2.0), (5.0, 1e-300), (3.0, 40.0)):
+        closed = max_avg_rate(params, ce, theta)
+        assert max_avg_rate_nstate(shape, theta, ce).lambda_star == pytest.approx(
+            closed.lambda_star, rel=1e-12, abs=0), (theta, ce)
+
+
+def test_memoryless_chain_makes_no_square_array_and_no_solver_call(monkeypatch):
+    # one float matrix of 2000 states alone is 30.5 MiB; the law, a*(theta)
+    # and a rate-scale solve each read only the row
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name} was called")
+
+    src = build_binomial_discrete_source(2000, 0.3, 1.0)
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    for call in (lambda: src._stationary, lambda: src.effective_bandwidth(0.5),
+                 lambda: max_avg_rate_nstate(src, 0.5, 3.0)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_only_bitwise_equal_rows_are_memoryless():
+    law = build_binomial_discrete_source(6, 0.3, 1.0).transition_probs[0]
+    J = np.tile(law, (6, 1))
+    assert isinstance(DiscreteMarkovSource(J, np.arange(6.0))._operand, sources_module._RankOne)
+    # one ulp off in one entry of one row is a dense chain
+    J[3, 2] = np.nextafter(J[3, 2], 1.0)
+    J[3, 3] = np.nextafter(J[3, 3], 0.0)
+    assert isinstance(DiscreteMarkovSource(J, np.arange(6.0))._operand, np.ndarray)
+    # a generator's rows never take the route
+    assert isinstance(FluidMarkovSource([[0.0]], [1.0])._operand, np.ndarray)
+
+
+@pytest.mark.parametrize("u, v", [([1.0, np.inf], [0.5, 0.5]), ([1e308, 1e308], [1.0, 1.0])],
+                         ids=["inf-entry", "inf-root"])
+def test_rank_one_root_rejects_non_finite_values(u, v):
+    M = sources_module._RankOne(np.array(u), np.array(v))
+    with pytest.raises(NonConvergence, match="non-finite"):
+        sources_module._perron_root(M, True)
 
 
 @pytest.mark.parametrize("M", [
@@ -1400,15 +1487,16 @@ FAMILIES = ["discrete", "fluid", "mmpp"]
 
 
 def _family_source(family):
+    # the discrete chain is not memoryless, so its law is eliminated too
     if family == "discrete":
-        return build_binomial_discrete_source(6, 0.3, 1.0)
+        return lazy_walk(6)
     bd = build_birth_death_fluid(6, 1.0, 1.2, 1.0)
     return bd if family == "fluid" else MmppSource(bd.generator, bd.rates)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
-    src = _family_source(family)
+def _eliminations(src, monkeypatch):
+    """Whether each ``_gth`` call that a round of solves, laws and
+    simulations on ``src`` makes is for the law (True) or not."""
     calls = []
     solve = sources_module._gth
     monkeypatch.setattr(sources_module, "_gth",
@@ -1421,8 +1509,25 @@ def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
         src.burstiness
     for seed in (1, 2):
         simulate_queue(SimConfig(src, ChannelSpec(2, 0.0), 10.0, 10 ** 4, seed))
+    return calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stationary_law_is_solved_once_per_source(family, monkeypatch):
     # the law once, and the deviation system behind burstiness once
-    assert calls == [True, False]
+    assert _eliminations(_family_source(family), monkeypatch) == [True, False]
+
+
+def test_memoryless_law_is_its_row_read_once(monkeypatch):
+    # every row of the binomial chain is its law: no elimination for it,
+    # only for the deviation system behind burstiness
+    src = build_binomial_discrete_source(6, 0.3, 1.0)
+    assert _eliminations(src, monkeypatch) == [False]
+    p = src.transition_probs[0]
+    assert src._stationary.tobytes() == (p / p.sum()).tobytes()
+    assert src._stationary is src._stationary
+    with pytest.raises(ValueError):
+        src._stationary[0] = 0.5
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -428,6 +428,46 @@ def test_discrete_scale_matches_mpmath(n):
             assert abs(res.lambda_star - ref) <= 1e-13 * ref, (reversible, x, res.lambda_star, ref)
 
 
+def test_discrete_scale_matches_mpmath_at_large_theta_ce():
+    # theta C_E of 10, 30 and 100, past the sweep above, against the
+    # 80-digit balanced pencil: a binomial law of dyadic entries summing to
+    # exactly 1, which takes the memoryless route, and a reversible chain,
+    # which takes the dense secant
+    from pencil_reference import discrete_lambda_star
+
+    rng = np.random.default_rng(0)
+    dense = DiscreteMarkovSource(_uniformized(_reversible_generator(rng, 6)),
+                                 _some_zero_rates(rng, 6))
+    binomial = build_binomial_discrete_source(8, 0.25, 1.0)
+    assert isinstance(binomial._operand, sources_module._RankOne)
+    assert dense.reversible and isinstance(dense._operand, np.ndarray)
+    for src in (binomial, dense):
+        for x in (10.0, 30.0, 100.0):
+            theta = 0.7
+            ce = x / theta
+            lam = max_avg_rate_nstate(src, theta, ce).lambda_star
+            ref = discrete_lambda_star(src.transition_probs, src.rates, theta, ce, dps=80)
+            assert abs(lam - ref) <= 5e-16 * ref, (x, lam, ref)
+
+
+@pytest.mark.parametrize("n", [2, 50, 400])
+def test_memoryless_scale_matches_mpmath(n):
+    # 50-digit lambda* of the law's log-moment generating function
+    # (tests/log_mgf_reference.py) at theta C_E from 1e-11 to 100 and at
+    # C_E = 1e-300: within 4.6e-16 over 173 binomial points, where the
+    # dense pencil was up to 1.2e-15 off
+    from log_mgf_reference import lambda_star
+
+    src = build_binomial_discrete_source(n, 0.3, 1.0)
+    rng = np.random.default_rng(n)
+    for x in [*np.geomspace(1e-11, 100.0, 7), 1e-300]:
+        theta = float(rng.uniform(0.01, 5.0))
+        ce = float(x) / theta
+        lam = max_avg_rate_nstate(src, theta, ce).lambda_star
+        ref = lambda_star(src.transition_probs[0], src.rates, theta, ce)
+        assert abs(lam - ref) <= 5e-16 * ref, (x, lam, ref)
+
+
 @pytest.mark.parametrize("ce", [1e-16, 1e-20, 1e-300])
 def test_binomial_at_tiny_capacity_scales_the_mean_shape(ce):
     # a* -> lambda times the mean shape as theta C_E -> 0; a bracket search
@@ -765,7 +805,11 @@ def test_poisson_layer_past_the_float_range_is_zero_without_warnings():
         warnings.simplefilter("error")
         res = max_avg_rate(src, 1.0, 800.0)
         slope = high_snr_slope(src, 800.0)
+        # its n-state twin's lambda* is 0 too, with no kernel call, whose
+        # e^theta - 1 overflows
+        twin = max_avg_rate(as_mmpp_source(src), 1.0, 800.0)
     assert (res.r_avg_star, res.lambda_star, slope) == (0.0, 0.0, 0.0)
+    assert (twin.r_avg_star, twin.lambda_star, twin.method) == (0.0, 0.0, "pencil")
 
 
 def test_birth_death_nstate_golden():
@@ -813,9 +857,9 @@ def test_birth_death_nstate_golden():
 # lambda_star, iterations, residual), every row from the pencil; the
 # binomial lambda* are within 2.3e-16 of 25-digit mpmath
 NSTATE_FROZEN = [
-    ("binomial", 0.1, 0.5, 0.033973190934202986, 1, 5.329070518200751e-15),
-    ("binomial", 0.5, 2.0, 0.1329347801583497, 1, 0.0),
-    ("binomial", 0.01, 7.25, 0.4923482984336719, 1, 1.4700884188140004e-15),
+    ("binomial", 0.1, 0.5, 0.033973190934202986, 1, 1.1102230246251565e-16),
+    ("binomial", 0.5, 2.0, 0.13293478015834972, 1, 1.1102230246251565e-16),
+    ("binomial", 0.01, 7.25, 0.4923482984336718, 1, 0.0),
     ("fluid", 0.1, 0.5, 0.016477222811854386, 1, 1.532107773982716e-14),
     ("fluid", 0.5, 2.0, 0.04507303818362977, 1, 8.881784197001252e-16),
     ("fluid", 0.01, 7.25, 0.2184198233768613, 1, 1.6783509448126506e-14),
