@@ -201,10 +201,10 @@ def build_birth_death_fluid(n: int, alpha: float, beta: float, lam: float) -> Fl
     beta = _check_scalar("beta", beta)
     lam = _check_scalar("lam", lam, positive=False)
     G = np.zeros((n, n))
-    G[0, 0], G[0, 1] = -alpha, alpha
-    for i in range(1, n - 1):
-        G[i, i - 1], G[i, i], G[i, i + 1] = beta, -(alpha + beta), alpha
-    G[n - 1, n - 2], G[n - 1, n - 1] = beta, -beta
+    i = np.arange(n - 1)
+    G[i, i + 1], G[i + 1, i] = alpha, beta
+    np.fill_diagonal(G, -(alpha + beta))
+    G[0, 0], G[n - 1, n - 1] = -alpha, -beta
     return FluidMarkovSource(G, lam * np.arange(n))
 
 

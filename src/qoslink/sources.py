@@ -8,15 +8,18 @@ closed-form effective bandwidths; the general n-state forms take the
 Perron root of a nonnegative or Metzler matrix, each family's kernel
 (``_ebw``, a method of its source type).  Every eigenvalue, of a kernel
 or of a pencil below, is one call (``_perron_root``) whose route each
-matrix source fixes once, when it is built: whether its chain satisfies
-detailed balance (``reversible``), whether it is a memoryless discrete
-chain (every row of J the same law p, kept as that row), and whether it
-is a birth-death chain of 64 states or more (a tridiagonal matrix, kept
-as its three diagonals).  For a reversible chain that matrix is similar
-to a symmetric one, whose largest eigenvalue comes from the symmetric
-solver, faster and with a perfectly conditioned eigenvalue; other chains
-take the general dense spectrum; a birth-death chain takes O(n)
-Laguerre steps on its diagonals instead, with no n x n array per call.
+matrix source fixes once, when it is built: whether it is a memoryless
+discrete chain (every row of J the same law p, kept as that row),
+whether it is a birth-death chain of 64 states or more (a tridiagonal
+matrix, kept as its three diagonals), and whether its chain satisfies
+detailed balance (``reversible``), which memoryless and birth-death
+chains of any size show in their shape, as they do their recurrent
+class: only other chains search their support graph for both.  For a
+reversible chain that matrix is similar to a symmetric one, whose
+largest eigenvalue comes from the symmetric solver, faster and with a
+perfectly conditioned eigenvalue; other chains take the general dense
+spectrum; a birth-death chain takes O(n) Laguerre steps on its
+diagonals instead, with no n x n array per call.
 A memoryless chain needs no solver: its matrices have rank one, so its
 a*(theta) is the log-moment generating function of its law, its rate
 scale needs no resolvent and its law is the row, each in O(n).
@@ -225,13 +228,31 @@ class _RankOne(NamedTuple):
 
 
 def _band_of(M: np.ndarray):
-    """M's ``_Band``, views of its three diagonals, where M has at least
-    ``_TRIDIAGONAL_MIN_STATES`` rows and no nonzero entry off them; else
-    None."""
-    if M.shape[0] < _TRIDIAGONAL_MIN_STATES:
-        return None
+    """M's ``_Band``, views of its three diagonals, where M has no nonzero
+    entry off them; else None."""
     band = _Band(*(np.diagonal(M, k) for k in (0, 1, -1)))
     return band if np.count_nonzero(M) == sum(map(np.count_nonzero, band)) else None
+
+
+def _structure(M: np.ndarray, discrete: bool):
+    """(``_operand``, ``reversible``, ``_root``) of a source's chain M,
+    the last two read off its shape where it shows them, in O(n) with no
+    search.  A memoryless chain, J = 1 p^T, is in detailed balance
+    with pi = p / sum p, unless some p_j is not positive, which makes edges
+    one-way, and its root is the first j with p_j > 0.  A tridiagonal chain
+    whose every edge has its reverse is a forest of paths, reversible as
+    Kolmogorov's criterion has no cycle to check (Kelly 1979), with root 0
+    where it is one path, None where each of its paths is a closed class.
+    Any other chain takes its support graph (``_Support``)."""
+    if discrete and np.all(M == M[0]):  # memoryless
+        on = M[0] > 0
+        return _RankOne(np.ones(M.shape[0]), M[0]), bool(on.all()), int(np.argmax(on))
+    band = _band_of(M)
+    operand = band if band is not None and M.shape[0] >= _TRIDIAGONAL_MIN_STATES else M
+    if band is not None and np.array_equal(band.up > 0, band.down > 0):
+        return operand, True, 0 if np.all(band.up > 0) else None
+    support = _Support(M)
+    return operand, _is_reversible(M, support), support.recurrent_root
 
 
 def _perron_root(M, symmetric: bool) -> float:
@@ -489,18 +510,20 @@ def _onoff_generator(params: OnOffContinuousParams) -> np.ndarray:
 
 class _MatrixSource:
     """A chain and a rate per state, the first two fields of each family
-    (kept also as ``_matrix`` and ``_rates``).  At construction one
-    support graph (``_Support``) gives ``reversible``, whether the chain
-    satisfies detailed balance, and ``_root``, a state every state
-    reaches, None where the chain has several recurrent classes: a
-    discrete chain with several fails to build, a generator on first use
-    of its law.  The kernel reads ``_operand``: the matrix; or 1 p^T as a
-    ``_RankOne``, p a read-only view of the first row, where every row of
-    a transition matrix is exactly p (a memoryless chain), so that
+    (kept also as ``_matrix`` and ``_rates``).  At construction
+    ``_structure`` gives ``_operand`` and, from it, ``reversible``,
+    whether the chain satisfies detailed balance, and ``_root``, a state
+    every state reaches, None where the chain has several recurrent
+    classes: a discrete chain with several fails to build, a generator on
+    first use of its law.  Memoryless and birth-death chains show both in
+    their shape in O(n); only other chains search a support graph
+    (``_Support``).  The kernel reads ``_operand``: the matrix; or 1 p^T
+    as a ``_RankOne``, p a read-only view of the first row, where every
+    row of a transition matrix is exactly p (a memoryless chain), so that
     a*(theta), the rate scale and the law cost O(n); or its three
-    diagonals (read-only views) where ``_band_of`` finds it tridiagonal
-    with at least ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death
-    chain), so that a*(theta) costs O(n).  ``_operand`` and ``reversible``
+    diagonals (read-only views) where it is tridiagonal with at least
+    ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death chain), so that
+    a*(theta) costs O(n).  ``_operand`` and ``reversible``
     fix the route of every ``_perron_root`` call, so no call probes the
     structure again.  The matrix check is one for every family: square,
     finite, and rows summing to 1 in discrete time, to 0 for a generator.
@@ -539,14 +562,9 @@ class _MatrixSource:
             raise ValueError(f"{rates} must be a vector matching the chain size")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValueError(f"{rates} must be finite and >= 0")
-        support = _Support(M)
-        object.__setattr__(self, "reversible", _is_reversible(M, support))
-        object.__setattr__(self, "_root", support.recurrent_root)
-        if self._discrete and np.all(M == M[0]):  # memoryless: J = 1 p^T
-            operand = _RankOne(np.ones(M.shape[0]), M[0])
-        else:
-            band = _band_of(M)
-            operand = M if band is None else band
+        operand, reversible, root = _structure(M, self._discrete)
+        object.__setattr__(self, "reversible", reversible)
+        object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_operand", operand)
         if self._discrete:
             self._check_recurrent()
@@ -597,8 +615,10 @@ class _MatrixSource:
         if isinstance(self._operand, _RankOne):
             # J = 1 pi^T has J^2 = J, so J (t I - A) = t J and J K = J: no
             # resolvent, and diag(d) J diag(d) = d (d pi)^T has root pi.e,
-            # taken as p.e / sum p, free of the rounding of pi's entries
+            # taken as p.e / sum p, free of the rounding of pi's entries, on
+            # the law's support, as ``_pencil_scale`` gives e
             p = self._operand.v
+            p = p[p > 0]
             total = float(p.sum())
             return lambda e: self._pencil_root(_RankOne(e, p)) / total
         pi, n = self._stationary, self.n_states
@@ -726,8 +746,9 @@ class DiscreteMarkovSource(_MatrixSource):
         only rounding does; the iterate of smaller |F| is lambda* theta.
         E / t is taken with e^{max(y c) - x} scaled out, its entries in
         [0, 1 / (1 - e^{-x})], and F adds that exponent back.  A memoryless
-        chain, whose F is the log of pi.E / t, takes E / t as it is while
-        e^{max(y c)} is finite, so that F is the log of a ratio near 1,
+        chain, whose F is the log of pi.E / t, runs on its law's support,
+        the only states it visits, and takes E / t as it is while
+        e^{max(y c)} is finite there, so that F is the log of a ratio near 1,
         not a sum of terms of size x that cancel: within 4.6e-16 of
         50-digit mpmath in the tests, where the scaled F alone left
         lambda* up to 3.7 ulps off."""
@@ -735,10 +756,14 @@ class DiscreteMarkovSource(_MatrixSource):
         with np.errstate(over="ignore"):  # inf past x = ln(DBL_MAX), where K = I
             t = float(np.expm1(x))
         root = self._pencil(t)
-        c, mean, top = self._rates, self.mean_rate, float(np.max(self._rates))
+        c, mean, unscaled = self._rates, self.mean_rate, 0.0
         scale = -1.0 / math.expm1(-x)  # e^x / t
-        # e^{y c} is finite below y top = 700, with room under ln(DBL_MAX)
-        unscaled = 700.0 / top if isinstance(self._operand, _RankOne) else 0.0
+        if isinstance(self._operand, _RankOne):
+            c = c[self._operand.v > 0]
+            # e^{y c} is finite below y top = 700, with room under ln(DBL_MAX);
+            # a law on rate 0 alone has pencil root 0, which root(c) refuses
+            unscaled = 700.0 / float(np.max(c)) if np.any(c) else math.inf
+        top = float(np.max(c))
 
         def excess(y):
             if y < unscaled:
@@ -762,9 +787,9 @@ class _GeneratorSource(_MatrixSource):
 
     @staticmethod
     def _check_entries(G: np.ndarray) -> None:
-        off = G.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < -1e-15):
+        negative = G < -1e-15
+        np.fill_diagonal(negative, False)
+        if negative.any():
             raise ValueError("generator off-diagonal entries must be >= 0")
 
     def _pencil_scale(self, theta: float, ce: float) -> float:

@@ -242,6 +242,20 @@ def test_birth_death_equal_rates_is_uniform():
     assert np.allclose(src._stationary, 0.25, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 50, 200])
+def test_birth_death_builder_fills_the_generator_row_by_row(n):
+    # the generator as a loop over the states filled it; 0.1 + 0.2 rounds
+    alpha, beta = 0.1, 0.2
+    G = np.zeros((n, n))
+    G[0, 0], G[0, 1] = -alpha, alpha
+    for i in range(1, n - 1):
+        G[i, i - 1], G[i, i], G[i, i + 1] = beta, -(alpha + beta), alpha
+    G[n - 1, n - 2], G[n - 1, n - 1] = beta, -beta
+    src = build_birth_death_fluid(n, alpha, beta, 1.5)
+    assert np.array_equal(src.generator, G)
+    assert np.array_equal(src.rates, 1.5 * np.arange(n))
+
+
 def test_birth_death_saturates_at_top_rate():
     src = build_birth_death_fluid(5, 2e6, 2.0, 1.0)
     assert src.mean_rate == pytest.approx(4.0, rel=1e-3)

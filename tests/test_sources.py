@@ -322,8 +322,9 @@ def _birth_death_sources(n):
 
 def _dense_root(A, symmetric):
     """``_perron_root`` of a dense matrix A by the route a source with A
-    fixes when it is built: A's band where ``_band_of`` finds one."""
-    band = sources_module._band_of(A)
+    fixes when it is built: A's band where ``_band_of`` finds one and A
+    has at least ``_TRIDIAGONAL_MIN_STATES`` rows."""
+    band = sources_module._band_of(A) if len(A) >= sources_module._TRIDIAGONAL_MIN_STATES else None
     return sources_module._perron_root(A if band is None else band, symmetric)
 
 
@@ -1042,6 +1043,97 @@ def test_one_recurrent_class_is_read_off_the_last_reversed_tree():
     with pytest.raises(NoUniqueStationary, match="multiple recurrent classes"):
         DiscreteMarkovSource(np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                              np.ones(3))
+
+
+def _entries(rng, size, top):
+    """Positive entries log-uniform from 1e-300 to ``top``, a tenth of them
+    subnormal."""
+    x = 10.0 ** rng.uniform(-300.0, math.log10(top), size)
+    tiny = rng.random(size) < 0.1
+    x[tiny] = rng.choice([5e-324, 1e-320, 2.2e-310], np.count_nonzero(tiny))
+    return x
+
+
+def _shaped_chain(rng, n, discrete, kind, cut_share, one_way, negative):
+    """A chain whose structure its shape shows, or nearly: a memoryless law
+    (discrete only) with a ``cut_share`` of entries not positive, or a
+    tridiagonal chain with a ``cut_share`` of its edge pairs cut, both ways
+    or (``one_way``) one, plus (kind "off-band") three entries off the
+    band.  A cut entry is 0, or -1e-16 on half of them where ``negative``.
+    Off-diagonal rates reach 1e300 in continuous time, 0.3 in discrete."""
+    top = 0.3 if discrete else 1e300
+
+    def cut(size):
+        return np.where(negative & (rng.random(size) < 0.5), -1e-16, 0.0)
+
+    if kind == "memoryless":
+        w = _entries(rng, n, 1.0)
+        gone = rng.random(n) < cut_share
+        w[gone] = cut(np.count_nonzero(gone))
+        if not np.any(w > 0):
+            w[rng.integers(n)] = 1.0
+        p = np.where(w > 0, w / w[w > 0].sum(), w)
+        return np.tile(p, (n, 1))
+    up, down = _entries(rng, n - 1, top), _entries(rng, n - 1, top)
+    gone = rng.random(n - 1) < cut_share
+    side = rng.integers(0, 3 if one_way else 1, n - 1)  # 0 both ways, 1 up, 2 down
+    up[gone & (side != 2)] = cut(np.count_nonzero(gone & (side != 2)))
+    down[gone & (side != 1)] = cut(np.count_nonzero(gone & (side != 1)))
+    M = np.diag(up, 1) + np.diag(down, -1)
+    if kind == "off-band" and n > 3:
+        i = rng.integers(0, n, 3)
+        j = (i + rng.integers(2, n - 1, 3)) % n  # two or more from i, either way
+        M[i, j] = np.where(rng.random(3) < 0.5, cut(3), _entries(rng, 3, top))
+    np.fill_diagonal(M, float(discrete) - M.sum(axis=1))
+    return M
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    discrete=st.booleans(),
+    kind=st.sampled_from(["memoryless", "band", "off-band"]),
+    cut_share=st.sampled_from([0.0, 0.02, 0.3]),
+    one_way=st.booleans(),
+    negative=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_structure_read_off_the_shape_matches_the_support_search(
+        n, discrete, kind, cut_share, one_way, negative, seed):
+    discrete = discrete or kind == "memoryless"
+    M = _shaped_chain(np.random.default_rng(seed), n, discrete, kind, cut_share, one_way,
+                      negative)
+    _, reversible, root = sources_module._structure(M, discrete)
+    support = sources_module._Support(M)
+    assert reversible == sources_module._is_reversible(M, support)
+    assert root == support.recurrent_root
+
+
+def test_memoryless_and_birth_death_sources_build_without_a_support_search(monkeypatch):
+    def no_search(M):
+        raise AssertionError("the support graph was searched")
+
+    monkeypatch.setattr(sources_module, "_Support", no_search)
+    built = [as_discrete_source(OnOffDiscreteParams(0.3, 0.6, 4.0)),
+             as_fluid_source(OnOffContinuousParams(2.0, 6.0, 4.0)),
+             lazy_walk(50), build_binomial_discrete_source(50, 0.3, 1.0)]
+    for n in (50, 200):
+        fluid = build_birth_death_fluid(n, 1.0, 2.0, 1.0)
+        built += [fluid, MmppSource(fluid.generator, fluid.rates)]
+    assert all(src.reversible and src._root == 0 for src in built)
+
+
+def test_generator_entry_check_copies_no_matrix():
+    # one float matrix of 2000 states is 30.5 MiB; the builder's and the
+    # source's read-only copy are two, and a third, made to clear the
+    # diagonal before the sign check, put the peak at 95.4 MiB
+    tracemalloc.start()
+    try:
+        build_birth_death_fluid(2000, 1.0, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (95.4 - 28.0) * 2**20
 
 
 def test_fluid_stationary_accepts_raw_generator():

@@ -468,6 +468,22 @@ def test_memoryless_scale_matches_mpmath(n):
         assert abs(lam - ref) <= 5e-16 * ref, (x, lam, ref)
 
 
+@pytest.mark.parametrize("n, theta, ce", [(400, 1.0, 100.0), (400, 1.0, 300.0),
+                                         (700, 50.0, 900.0)])
+def test_memoryless_scale_runs_on_the_law_support(n, theta, ce):
+    # binomial laws with s = 0.05 round to 0 at their top rates (the top
+    # 85 of 400 states, 298 of 700): scaled by the top rate of every
+    # state, not of the states the law visits, every factor underflowed
+    # and the pencil root read 0
+    from log_mgf_reference import lambda_star
+
+    src = build_binomial_discrete_source(n, 0.05, 1.0)
+    assert src.transition_probs[0][-1] == 0.0
+    lam = max_avg_rate_nstate(src, theta, ce).lambda_star
+    ref = lambda_star(src.transition_probs[0], src.rates, theta, ce)
+    assert abs(lam - ref) <= 5e-16 * ref
+
+
 @pytest.mark.parametrize("ce", [1e-16, 1e-20, 1e-300])
 def test_binomial_at_tiny_capacity_scales_the_mean_shape(ce):
     # a* -> lambda times the mean shape as theta C_E -> 0; a bracket search
