@@ -301,8 +301,8 @@ def _cmd_energy(opts, out_dir):
     metrics_doc = {
         "kind": kind,
         "theta": theta,
-        "ebn0_min_linear": metrics.ebn0_min_linear,
-        "ebn0_min_db": round(metrics.ebn0_min_db, 4),
+        "ebn0_min_linear": _json_safe(metrics.ebn0_min_linear),
+        "ebn0_min_db": _json_safe(round(metrics.ebn0_min_db, 4)),
         "wideband_slope": metrics.wideband_slope,
         "provenance": provenance,
     }

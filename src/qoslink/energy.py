@@ -32,6 +32,7 @@ from .sources import (
     OnOffDiscreteParams,
     OnOffFluidParams,
     OnOffMmppParams,
+    _expm1,
     _typed_source,
 )
 from .throughput import max_avg_rate
@@ -115,16 +116,17 @@ def source_energy_metrics(src, spec: ChannelSpec, theta: float):
 
     Every source's metrics come from its burstiness.  Poisson arrivals
     (an MMPP) pay (e^theta - 1)/theta on the bit energy, and at theta = 0
-    they are the fluid source.  The provenance is ``closed_form`` for
-    ``None`` (constant-rate arrivals) and the two-state ON/OFF sources,
-    and ``deviation_matrix`` for a matrix source, whose kind is
-    ``nstate``.  The kind is ``source_kind(src)``.
+    they are the fluid source; past theta = ln(DBL_MAX) that is inf, and
+    the metrics their limit, E_b/N_0 = inf and slope 0.  The provenance
+    is ``closed_form`` for ``None`` (constant-rate arrivals) and the
+    two-state ON/OFF sources, and ``deviation_matrix`` for a matrix
+    source, whose kind is ``nstate``.  The kind is ``source_kind(src)``.
     """
     kind = source_kind(src)
     theta = _check_scalar("theta", theta, positive=False)
     metrics = _metrics_from_coef(spec, theta, 0.0 if src is None else src.burstiness)
     if src is not None and src._poisson and theta != 0.0:
-        penalty = math.expm1(theta) / theta
+        penalty = _expm1(theta) / theta
         ebn0 = metrics.ebn0_min_linear * penalty
         metrics = EnergyMetrics(
             ebn0, 10.0 * math.log10(ebn0), metrics.wideband_slope / penalty, theta

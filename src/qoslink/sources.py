@@ -6,23 +6,17 @@ continuous-time Markov fluid source, and a Markov-modulated Poisson
 process (MMPP).  Two-state ON/OFF parameterizations of each family have
 closed-form effective bandwidths; the general n-state forms take the
 Perron root of a nonnegative or Metzler matrix, each family's kernel
-(``_ebw``, a method of its source type).  Every eigenvalue, of a kernel
-or of a pencil below, is one call (``_perron_root``) whose route each
-matrix source fixes once, when it is built: whether it is a memoryless
-discrete chain (every row of J the same law p, kept as that row),
-whether it is a birth-death chain of 64 states or more (a tridiagonal
-matrix, kept as its three diagonals), and whether its chain satisfies
-detailed balance (``reversible``), which memoryless and birth-death
-chains of any size show in their shape, as they do their recurrent
-class: only other chains search their support graph for both.  For a
-reversible chain that matrix is similar to a symmetric one, whose
-largest eigenvalue comes from the symmetric solver, faster and with a
-perfectly conditioned eigenvalue; other chains take the general dense
-spectrum; a birth-death chain takes O(n) Laguerre steps on its
-diagonals instead, with no n x n array per call.
-A memoryless chain needs no solver: its matrices have rank one, so its
-a*(theta) is the log-moment generating function of its law, its rate
-scale needs no resolvent and its law is the row, each in O(n).
+(``_ebw``): e^{theta Lambda} J for a discrete source, and diag(u c) +
+G/s for the fluid (u = 1, s = theta) and MMPP (u = e^theta - 1, s = 1)
+sources, which share one.  A matrix source keeps its chain's matrix in
+the storage its shape allows (``_structure``), which owns the arithmetic
+done on it, so that no family branches on storage: a ``_Dense`` matrix,
+whose root comes from the symmetric solver where the chain satisfies
+detailed balance (``reversible``) and from the dense spectrum otherwise;
+a birth-death chain's three diagonals (``_Band``), O(n) Laguerre steps;
+and a memoryless discrete chain's row (``_RankOne``), whose a*(theta) is
+its law's log-moment generating function, and whose rate scale and law
+cost O(n), with no solver.  Every eigenvalue is one ``_perron_root``.
 
 A source's family is its type, decided here alone: ``_typed_source`` is
 the one check that an object is a source of a named family (its
@@ -33,21 +27,20 @@ carries its family's data: matrix, rate vector, kernel and its time
 base (``_discrete``: one step per block, else a generator in continuous
 time).  Every matrix source, reversible or not, gives the rate scale at
 a*(theta) = C_E without a bracket (``_pencil_scale``) from one deflated
-resolvent pencil (``_pencil``): a fluid or MMPP source by one eigenvalue
+resolvent pencil (``pencil``): a fluid or MMPP source by one eigenvalue
 call, a discrete source by secant steps that fall onto the root.  Its
 chain law is one subtraction-free elimination of the chain's rates for
 every family (``_gth``): the stationary law, once per source, behind
 ``mean_rate`` (a memoryless chain's is its row), and the deviation
-matrix behind ``burstiness``, its
-variance rate over its squared mean rate (eta or zeta for the two-state
-ON/OFF sources, whose ``mean_rate`` is lam p_on).  Every source
-answers ``effective_bandwidth(theta)`` (closed form where one exists)
-and ``as_matrix()``, its matrix twin (a matrix source is its own); a
-two-state source also carries its closed-form rates at a*(theta) = C_E
-(``_max_rate``), which ``throughput.max_avg_rate`` reads.
-``_poisson`` marks the MMPP types, whose Poisson layer the energy and
-low-theta formulas charge on top.  A kind string is parsed here only by
-``source_from_json``.
+matrix behind ``burstiness``, its variance rate over its squared mean
+rate (eta or zeta for the two-state ON/OFF sources, whose ``mean_rate``
+is lam p_on).  Every source answers ``effective_bandwidth(theta)``
+(closed form where one exists) and ``as_matrix()``, its matrix twin (a
+matrix source is its own); a two-state source also carries its
+closed-form rates at a*(theta) = C_E (``_max_rate``), which
+``throughput.max_avg_rate`` reads.  ``_poisson`` marks the MMPP types,
+whose Poisson layer the energy and low-theta formulas charge on top.
+A kind string is parsed here only by ``source_from_json``.
 
 The effective bandwidth a*(theta) of a source is the minimum constant
 service rate (bits/block) that sustains the source under a queue-tail
@@ -209,146 +202,184 @@ def _is_reversible(Q: np.ndarray, support: _Support) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _Band(NamedTuple):
+class _Operand:
+    """A chain's matrix M (J or G) in the storage ``_structure`` picks,
+    with the arithmetic done on it: diag(w) M (``tilted``), diag(v) + M / s
+    (``shifted``) and ``symmetrized``, in the same storage, and the Perron
+    root (``root``, for ``_perron_root``); and its chain ``src``'s law, a
+    discrete a*(theta) (``log_mgf``), the rate-scale pencil and a discrete
+    ``excess`` on it, which a memoryless chain reads off its row."""
+
+    def law(self, src) -> np.ndarray:
+        return _gth(src._matrix, src._root)
+
+    def log_mgf(self, rates: np.ndarray, theta: float, symmetric: bool) -> float:
+        """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block, at
+        ``rates``, with e^{theta*max(rates)} scaled out so that it never
+        overflows for large theta*rate products."""
+        lam_max = float(np.max(rates))
+        # an exponent past -DBL_MAX is -inf, whose factor is its limit 0
+        with np.errstate(over="ignore"):
+            w = np.exp(theta * (rates - lam_max))
+        M = self.tilted(w)
+        sp = _perron_root(M.symmetrized() if symmetric else M, symmetric)
+        if sp <= 0.0:
+            raise NonConvergence("spectral radius collapsed to zero")
+        return lam_max + math.log(sp) / theta
+
+    def pencil(self, src, t: float):
+        """The function e -> top eigenvalue of diag(d) B diag(d) at d =
+        sqrt(e), B the deflated resolvent K = t (t I - A)^-1 at t > 0 (inf
+        allowed) of a generator, or J K of a discrete chain (Elwalid and
+        Mitra 1993), in the frame where A is the chain's generator.  Its
+        value is positive for e >= 0 not all 0; else NonConvergence.
+
+        For a reversible chain the frame is the symmetrized D M D^-1 of its
+        matrix M (J or G), with r = l = sqrt(pi) = diag(D), and B is
+        symmetric; for any other chain it is M itself, with r = 1, l = pi.
+        The resolvent's pole at t = 0 is the rank-one term r l^T of A's
+        null vectors (Kemeny and Snell 1960); taking it out,
+
+            t (t I - A)^-1 = s/(t+s) r l^T + t (t I - A + s r l^T)^-1,
+
+        leaves an inverse bounded by the chain's fundamental matrix at
+        every t >= 0, so K tends to r l^T as t -> 0 and to I as t -> inf;
+        s = max |A_ii| puts both terms on A's scale.  Past t = 1 the
+        inverse is taken in w = 1/t, so t = inf gives K = I."""
+        pi, n = src._stationary, src.n_states
+        M = _Dense(src._matrix).symmetrized().m if src.reversible else src._matrix
+        r, l = (np.sqrt(pi),) * 2 if src.reversible else (np.ones(n), pi)
+        A = M - np.eye(n) if src._discrete else M
+        s = float(np.max(np.abs(np.diagonal(A)))) or 1.0  # 0 only for a one-state chain
+        P = np.outer(r, l)
+        try:
+            if t <= 1.0:
+                K = t * np.linalg.inv(t * np.eye(n) - A + s * P) + s / (t + s) * P
+            else:
+                w = 1.0 / t
+                K = np.linalg.inv(np.eye(n) - w * (A - s * P)) + s * w / (1.0 + s * w) * P
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"pencil solver failed: {exc}") from exc
+        B = M @ K if src._discrete else K
+
+        def root(e):
+            d = np.sqrt(e)
+            return _pencil_root(_Dense(d[:, None] * B * d), src.reversible)
+        return root
+
+    def excess(self, src, x: float, t: float):
+        """(t / sp(C^{1/2} J K C^{1/2}), F) of a discrete chain's rate scale
+        (``_pencil_scale``) at t = e^x - 1: a bound on its start, and F(y) =
+        log sp(E(y) J K / t), E / t with e^{max(y c) - x} scaled out, its
+        entries in [0, 1 / (1 - e^{-x})], and F with that exponent added."""
+        root, c = self.pencil(src, t), src._rates
+        top, scale = float(np.max(c)), -1.0 / math.expm1(-x)  # e^x / t
+
+        def excess(y):
+            e = np.exp(y * (c - top)) * -np.expm1(-y * c) * scale
+            return math.log(root(e)) + (y * top - x)
+        return t / root(c), excess
+
+
+@dataclass(frozen=True, eq=False)
+class _Dense(_Operand):
+    """A matrix ``m`` as it is."""
+
+    m: np.ndarray
+
+    def tilted(self, w: np.ndarray) -> _Dense:
+        return _Dense(w[:, None] * self.m)
+
+    def shifted(self, v: np.ndarray, s: float) -> _Dense:
+        return _Dense(np.diag(v) + self.m / s)
+
+    def symmetrized(self) -> _Dense:
+        """sqrt(M_ij) sqrt(M_ji) off the diagonal and M's own diagonal: for a
+        reversible chain D M D^-1, D a positive diagonal, so M's spectrum.
+        Each square root comes before the product, so tiny entries do not
+        underflow, and the product commutes, so it is exactly symmetric."""
+        root = np.sqrt(np.maximum(self.m, 0.0))
+        A = root * root.T
+        np.fill_diagonal(A, np.diagonal(self.m))
+        return _Dense(A)
+
+    def root(self, symmetric: bool) -> float:
+        if symmetric:
+            return float(np.linalg.eigvalsh(self.m)[-1])
+        return float(np.max(np.linalg.eigvals(self.m).real))
+
+
+@dataclass(frozen=True, eq=False)
+class _Band(_Operand):
     """A tridiagonal matrix M as its three diagonals: ``diag``, ``up``
-    (M[i, i+1]) and ``down`` (M[i+1, i])."""
+    (M[i, i+1]) and ``down`` (M[i+1, i]), each operation O(n)."""
 
     diag: np.ndarray
     up: np.ndarray
     down: np.ndarray
 
+    def tilted(self, w: np.ndarray) -> _Band:
+        return _Band(w * self.diag, w[:-1] * self.up, w[1:] * self.down)
 
-class _RankOne(NamedTuple):
-    """The rank-one matrix u v^T as its two vectors: a memoryless chain's
-    transition matrix 1 p^T, every row its law p, and what the kernel and
-    the pencil make of it."""
+    def shifted(self, v: np.ndarray, s: float) -> _Band:
+        return _Band(v + self.diag / s, self.up / s, self.down / s)
 
-    u: np.ndarray
-    v: np.ndarray
+    def symmetrized(self) -> _Band:
+        s = np.sqrt(np.maximum(self.up, 0.0)) * np.sqrt(np.maximum(self.down, 0.0))
+        return _Band(self.diag, s, s)
 
+    def root(self, symmetric: bool) -> float:
+        """M's roots depend only on the diagonal d and the products e_i =
+        M[i, i+1] M[i+1, i] >= 0, so are T's, all real, T being M with
+        off-diagonal sqrt(M_ij M_ji).  This runs on them scaled by a power
+        of two to ||T||inf in [0.5, 1), from T's Gershgorin bound and lo =
+        max d.
 
-def _band_of(M: np.ndarray):
-    """M's ``_Band``, views of its three diagonals, where M has no nonzero
-    entry off them; else None."""
-    band = _Band(*(np.diagonal(M, k) for k in (0, 1, -1)))
-    return band if np.count_nonzero(M) == sum(map(np.count_nonzero, band)) else None
-
-
-def _structure(M: np.ndarray, discrete: bool):
-    """(``_operand``, ``reversible``, ``_root``) of a source's chain M,
-    the last two read off its shape where it shows them, in O(n) with no
-    search.  A memoryless chain, J = 1 p^T, is in detailed balance
-    with pi = p / sum p, unless some p_j is not positive, which makes edges
-    one-way, and its root is the first j with p_j > 0.  A tridiagonal chain
-    whose every edge has its reverse is a forest of paths, reversible as
-    Kolmogorov's criterion has no cycle to check (Kelly 1979), with root 0
-    where it is one path, None where each of its paths is a closed class.
-    Any other chain takes its support graph (``_Support``)."""
-    if discrete and np.all(M == M[0]):  # memoryless
-        on = M[0] > 0
-        return _RankOne(np.ones(M.shape[0]), M[0]), bool(on.all()), int(np.argmax(on))
-    band = _band_of(M)
-    operand = band if band is not None and M.shape[0] >= _TRIDIAGONAL_MIN_STATES else M
-    if band is not None and np.array_equal(band.up > 0, band.down > 0):
-        return operand, True, 0 if np.all(band.up > 0) else None
-    support = _Support(M)
-    return operand, _is_reversible(M, support), support.recurrent_root
-
-
-def _perron_root(M, symmetric: bool) -> float:
-    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0),
-    dense, a ``_Band`` or a nonnegative ``_RankOne``: the library's one
-    eigenvalue call.
-
-    By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
-    a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
-    larger real part.  The route is the one the source fixed when it was
-    built: a ``_RankOne`` u v^T is v.u, its one nonzero eigenvalue, with no
-    solver; a ``_Band`` takes ``_tridiagonal_root``, a ``symmetric`` M the
-    symmetric solver (``eigvalsh``), whose largest eigenvalue is the root
-    and is perfectly conditioned, and any other M the largest real part of
-    the dense spectrum (``eigvals``).  Failures are NonConvergence, as are
-    a non-finite entry of M and a non-finite root on any route.
-
-    The kernels hand a reversible chain's matrix over symmetrized
-    (``_symmetrized``).  If the chain's edges meet detailed balance only
-    to a log-residual tau, so that the symmetrized entries are within a
-    factor e^{tau/2} of a diagonal similarity of M, Perron monotonicity
-    (applied to both matrices shifted by c I) bounds the change in the
-    root by (e^{tau/2} - 1)(rho + c), with c = max(0, -min diag M).
-    ``_is_reversible`` accepts tau of a few ulps of the logs involved.
-    """
-    if not all(np.isfinite(a).all() for a in ([M] if isinstance(M, np.ndarray) else M)):
-        raise NonConvergence("matrix has non-finite entries")
-    try:
-        if isinstance(M, _RankOne):
-            with np.errstate(over="ignore"):  # a root past DBL_MAX is the error below
-                root = float(M.v @ M.u)
-        elif isinstance(M, _Band):
-            root = _tridiagonal_root(M)
-        elif symmetric:
-            root = float(np.linalg.eigvalsh(M)[-1])
-        else:
-            root = float(np.max(np.linalg.eigvals(M).real))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
-    if not math.isfinite(root):
-        raise NonConvergence(f"non-finite Perron root {root}")
-    return root
-
-
-def _tridiagonal_root(band: _Band) -> float:
-    """``_perron_root``'s route for a tridiagonal M, whose roots depend only
-    on the diagonal d and the products e_i = M[i, i+1] M[i+1, i] >= 0, so
-    are T's, all real, T being M with off-diagonal sqrt(M_ij M_ji).  It
-    runs on them scaled by a power of two to ||T||inf in [0.5, 1), from
-    T's Gershgorin bound and lo = max d.
-
-    Laguerre steps from above never pass the root, each one O(n) pivot
-    pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.  Where
-    the top roots cluster they close in only linearly, so a step longer
-    than half the one before is held back for a probe at hi - step / (1 -
-    q), where steps shrinking by their last ratio q would end, but no
-    lower than the bracket's midpoint; once steps are shorter than tol,
-    the probe is tol below hi.  The passes stop when hi - lo <= tol = 4
-    eps ||T||inf or a step no longer moves hi.  A landing at or below the
-    root is checked tol above it, a probe there gives way to the landing
-    held back, and a midpoint there halves the bracket again.  The root
-    is then within tol plus the pivots' rounding (2e-14 ||T||inf of
-    ``eigvalsh`` in the tests)."""
-    d = band.diag
-    n = len(d)
-    up, down = np.maximum(band.up, 0.0), np.maximum(band.down, 0.0)
-    with np.errstate(over="ignore"):  # a norm past DBL_MAX is the error below
-        radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # sqrt(e_{i-1}) + sqrt(e_i)
-        norm = float(np.max(np.abs(d) + radius))
-    if not math.isfinite(norm):
-        raise NonConvergence("tridiagonal matrix has a non-finite norm")
-    k = math.frexp(norm)[1]
-    lo, hi = (math.ldexp(float(np.max(v)), -k) for v in (d, d + radius))
-    d, e = np.ldexp(d, -k).tolist(), [0.0, *(np.ldexp(up, -k) * np.ldexp(down, -k)).tolist()]
-    x, tol, last, then = hi, 4 * _EPS, math.inf, []  # then: next x if x is at or below the root
-    for _ in range(_LAGUERRE_MAX_STEPS):
-        sums = _pivot_sums(d, e, x)
-        lo, hi = (x, hi) if sums is None else (lo, x)
-        if hi <= lo + tol:
-            return math.ldexp(lo, k)
-        if sums is None:
-            x = then.pop() if then else 0.5 * (lo + hi)
-            continue
-        G, H = sums
-        x = hi - n / G / (1.0 + math.sqrt((n - 1) * max(n * (H / G) / G - 1.0, 0.0)))
-        if not x < hi:
-            return math.ldexp(hi, k)
-        q, last = (hi - x) / last, hi - x
-        x = max(x, lo)
-        then = [x + tol]
-        if q > 0.5:
-            aitken = hi - last / (1.0 - q) if q < 1.0 else lo
-            probe = hi - tol if last < tol else max(aitken, 0.5 * (lo + hi))
-            if lo < probe < x:
-                x, last, then = probe, math.inf, [*then, x]
-    raise NonConvergence(f"no Perron root within {_LAGUERRE_MAX_STEPS} Laguerre steps")
+        Laguerre steps from above never pass the root, each one O(n) pivot
+        pass whose signs (a Sturm count) keep a bracket [lo, hi] on it.  Where
+        the top roots cluster they close in only linearly, so a step longer
+        than half the one before is held back for a probe at hi - step / (1 -
+        q), where steps shrinking by their last ratio q would end, but no
+        lower than the bracket's midpoint; once steps are shorter than tol,
+        the probe is tol below hi.  The passes stop when hi - lo <= tol = 4
+        eps ||T||inf or a step no longer moves hi.  A landing at or below the
+        root is checked tol above it, a probe there gives way to the landing
+        held back, and a midpoint there halves the bracket again.  The root
+        is then within tol plus the pivots' rounding (2e-14 ||T||inf of
+        ``eigvalsh`` in the tests)."""
+        d = self.diag
+        n = len(d)
+        up, down = np.maximum(self.up, 0.0), np.maximum(self.down, 0.0)
+        with np.errstate(over="ignore"):  # a norm past DBL_MAX is the error below
+            radius = np.convolve(np.sqrt(up) * np.sqrt(down), (1.0, 1.0))  # e_{i-1}^.5 + e_i^.5
+            norm = float(np.max(np.abs(d) + radius))
+        if not math.isfinite(norm):
+            raise NonConvergence("tridiagonal matrix has a non-finite norm")
+        k = math.frexp(norm)[1]
+        lo, hi = (math.ldexp(float(np.max(v)), -k) for v in (d, d + radius))
+        d, e = np.ldexp(d, -k).tolist(), [0.0, *(np.ldexp(up, -k) * np.ldexp(down, -k)).tolist()]
+        x, tol, last, then = hi, 4 * _EPS, math.inf, []  # then: next x if x is at or below the root
+        for _ in range(_LAGUERRE_MAX_STEPS):
+            sums = _pivot_sums(d, e, x)
+            lo, hi = (x, hi) if sums is None else (lo, x)
+            if hi <= lo + tol:
+                return math.ldexp(lo, k)
+            if sums is None:
+                x = then.pop() if then else 0.5 * (lo + hi)
+                continue
+            G, H = sums
+            x = hi - n / G / (1.0 + math.sqrt((n - 1) * max(n * (H / G) / G - 1.0, 0.0)))
+            if not x < hi:
+                return math.ldexp(hi, k)
+            q, last = (hi - x) / last, hi - x
+            x = max(x, lo)
+            then = [x + tol]
+            if q > 0.5:
+                aitken = hi - last / (1.0 - q) if q < 1.0 else lo
+                probe = hi - tol if last < tol else max(aitken, 0.5 * (lo + hi))
+                if lo < probe < x:
+                    x, last, then = probe, math.inf, [*then, x]
+        raise NonConvergence(f"no Perron root within {_LAGUERRE_MAX_STEPS} Laguerre steps")
 
 
 def _pivot_sums(d: list, e: list, x: float):
@@ -367,50 +398,157 @@ def _pivot_sums(d: list, e: list, x: float):
     return G, H
 
 
-def _log_mgf(p: np.ndarray, rates: np.ndarray, theta: float) -> float:
-    """a*(theta) of a memoryless chain, J = 1 p^T: sp(e^{theta Lambda} J) =
-    p.e^{theta rates}, so a*(theta) = (1/theta) ln pi.e^{theta rates}, the
-    scaled log-moment generating function of its law pi = p / sum p
-    (Kelly 1996), in O(n) and with no eigenvalue solver.
+@dataclass(frozen=True, eq=False)
+class _RankOne(_Operand):
+    """The rank-one matrix u v^T as its two vectors: a memoryless chain's
+    1 p^T, every row its law p, whose law, a*(theta) and rate scale cost
+    O(n) on the law's support, the only states visited after one block."""
 
-    It runs on the law's support, the only states visited after one
-    block, with e^{theta top} scaled out, top the support's largest rate,
-    so that nothing overflows: that gives c.  It is then re-centred on c,
-    as c + log1p(pi.expm1(theta (rates - c))) / theta, which holds at any
-    c.  At this c each term is at most about 1 in size, and about theta
-    times the rates' spread where theta is small, so a*(theta) keeps the
-    digits that the log of a sum near 1 loses: within an ulp of 50-digit
-    mpmath in the tests, where the first value alone was 2400 ulps off.
-    Where a term passes DBL_MAX (an entry of pi below 1e-308 at large
-    theta) c stands.  Both sums are over p's own total, so its rounding
-    off 1 does not reach a*(theta) as theta -> 0."""
-    on = p > 0
-    p, rates = p[on], rates[on]
-    top, total = float(np.max(rates)), float(p.sum())
-    with np.errstate(over="ignore"):  # an exponent past -DBL_MAX is -inf, whose factor is 0
-        w = np.exp(theta * (rates - top))
-    c = top + math.log(_perron_root(_RankOne(w, p), True) / total) / theta
-    with np.errstate(over="ignore"):
-        s = float(p @ np.expm1(theta * (rates - c))) / total
-    return c + math.log1p(s) / theta if math.isfinite(s) else c
+    u: np.ndarray
+    v: np.ndarray
+
+    def root(self, symmetric: bool) -> float:
+        with np.errstate(over="ignore"):  # a root past DBL_MAX is _perron_root's error
+            return float(self.v @ self.u)
+
+    def law(self, src) -> np.ndarray:
+        return self.v / self.v.sum()
+
+    def log_mgf(self, rates: np.ndarray, theta: float, symmetric: bool) -> float:
+        """sp(e^{theta Lambda} J) = p.e^{theta rates}, so a*(theta) = (1/theta)
+        ln pi.e^{theta rates}, the scaled log-moment generating function of
+        the law pi = p / sum p (Kelly 1996), in O(n) and with no eigenvalue
+        solver.
+
+        On the support with e^{theta top} scaled out, top its largest rate,
+        and the largest term lifted (``_lift``) where the law is subnormal,
+        nothing overflows or underflows: that gives c.  Re-centred on c, as
+        c + log1p(pi.expm1(theta (rates - c))) / theta, which holds at any
+        c, it keeps the digits that the log of a sum near 1 loses: within
+        an ulp of 50-digit mpmath in the tests, where c was 2400 ulps off.
+        Where a term passes DBL_MAX (pi below 1e-308 at large theta) c
+        stands.  Both sums are over p's own total, so its rounding off 1
+        does not reach a*(theta) as theta -> 0."""
+        on = self.v > 0
+        p, rates = self.v[on], rates[on]
+        k, total = int(np.argmax(rates)), float(p.sum())
+        top = float(rates[k])
+        with np.errstate(over="ignore"):  # an exponent past -DBL_MAX is -inf, whose factor is 0
+            a, b = _lift(p, theta * (rates - top), k)
+        c = top + (math.log(_perron_root(_RankOne(np.exp(a), p), True) / total) - b) / theta
+        with np.errstate(over="ignore"):
+            s = float(p @ np.expm1(theta * (rates - c))) / total
+        return c + math.log1p(s) / theta if math.isfinite(s) else c
+
+    def excess(self, src, x: float, t: float):
+        """J = 1 pi^T has J^2 = J, so J K = J: no resolvent, and sp(diag(d) J
+        diag(d)) = pi.e, taken as p.e / sum p, free of pi's rounding.  F
+        takes E / t as it is while e^{max(y c)} is finite on the support, the
+        log of a ratio near 1, not a sum of terms of size x that cancel:
+        within 4.6e-16 of 50-digit mpmath in the tests, where the scaled F
+        alone left lambda* up to 3.7 ulps off.  Past that it scales as every
+        chain does, and lifts the largest term as ``log_mgf`` does."""
+        on = self.v > 0
+        p, c = self.v[on], src._rates[on]
+        k, total = int(np.argmax(c)), float(p.sum())
+        top = float(c[k])
+        scale = -1.0 / math.expm1(-x)  # e^x / t
+        # e^{y c} is finite below y top = 700; a law on rate 0 alone has pencil root 0
+        unscaled = 700.0 / top if top > 0.0 else math.inf
+
+        def excess(y):
+            if y < unscaled:
+                return math.log(_pencil_root(_RankOne(np.expm1(y * c), p), True) / total / t)
+            a, b = _lift(p, y * (c - top), k)
+            e = np.exp(a) * -np.expm1(-y * c) * scale
+            return math.log(_pencil_root(_RankOne(e, p), True) / total) - b + (y * top - x)
+        return t / (_pencil_root(_RankOne(c, p), True) / total), excess
 
 
-def _symmetrized(M):
-    """sqrt(M_ij) sqrt(M_ji) off the diagonal and M's own diagonal, for a
-    dense M or a ``_Band``.
+def _lift(p: np.ndarray, a: np.ndarray, k: int):
+    """(a + b, b) for the b >= 0 that lifts the largest term p_j e^{a_j + b}
+    (a <= 0 = a_k) to e^-700 where it is below, so that their sum does not
+    underflow: b = 0, changing no term, where p_k >= e^-700."""
+    if p[k] >= math.exp(-700.0):
+        return a, 0.0
+    b = max(0.0, -700.0 - float(np.max(np.log(p) + a)))
+    return a + b, b
 
-    For M of a reversible chain this is D M D^-1 for a positive diagonal
-    D, so it has M's spectrum.  Each square root is taken before the
-    product, so tiny entries do not underflow, and the product commutes,
-    so the result is exactly symmetric.
+
+def _band_of(M: np.ndarray):
+    """M's ``_Band``, views of its three diagonals, where M has no nonzero
+    entry off them; else None."""
+    band = [np.diagonal(M, k) for k in (0, 1, -1)]
+    return _Band(*band) if np.count_nonzero(M) == sum(map(np.count_nonzero, band)) else None
+
+
+def _structure(M: np.ndarray, discrete: bool):
+    """(``_operand``, ``reversible``, ``_root``) of a source's chain M,
+    the last two read off its shape where it shows them, in O(n) with no
+    search.  A memoryless chain, J = 1 p^T, is in detailed balance
+    with pi = p / sum p, unless some p_j is not positive, which makes edges
+    one-way, and its root is the first j with p_j > 0.  A tridiagonal chain
+    whose every edge has its reverse is a forest of paths, reversible as
+    Kolmogorov's criterion has no cycle to check (Kelly 1979), with root 0
+    where it is one path, None where each of its paths is a closed class.
+    Any other chain takes its support graph (``_Support``).  Only this
+    picks an operand's storage."""
+    if discrete and np.all(M == M[0]):  # memoryless
+        on = M[0] > 0
+        return _RankOne(np.ones(M.shape[0]), M[0]), bool(on.all()), int(np.argmax(on))
+    band = _band_of(M)
+    operand = band if band is not None and M.shape[0] >= _TRIDIAGONAL_MIN_STATES else _Dense(M)
+    if band is not None and np.array_equal(band.up > 0, band.down > 0):
+        return operand, True, 0 if np.all(band.up > 0) else None
+    support = _Support(M)
+    return operand, _is_reversible(M, support), support.recurrent_root
+
+
+def _perron_root(M: _Operand, symmetric: bool) -> float:
+    """Largest real eigenvalue of a Metzler matrix (off-diagonal >= 0) in
+    any storage: the library's one eigenvalue call.
+
+    By Perron-Frobenius no other eigenvalue of a nonnegative matrix, or of
+    a Metzler one (a nonnegative matrix shifted by a multiple of I), has a
+    larger real part.  The route is M's storage's ``root``, fixed when the
+    source was built: a ``_Dense`` M takes the symmetric solver where it
+    is ``symmetric`` and the dense spectrum otherwise, a ``_Band`` O(n)
+    Laguerre steps, a ``_RankOne`` u v^T is v.u.  Failures are
+    NonConvergence, as are a non-finite entry of M and a non-finite root.
+
+    The kernels hand a reversible chain's matrix over ``symmetrized``.
+    If the chain's edges meet detailed balance only to a log-residual
+    tau, so that the symmetrized entries are within a factor e^{tau/2} of
+    a diagonal similarity of M, Perron monotonicity (applied to both
+    matrices shifted by c I) bounds the change in the root by (e^{tau/2}
+    - 1)(rho + c), with c = max(0, -min diag M).  ``_is_reversible``
+    accepts tau of a few ulps of the logs involved.
     """
-    if isinstance(M, _Band):
-        s = np.sqrt(np.maximum(M.up, 0.0)) * np.sqrt(np.maximum(M.down, 0.0))
-        return _Band(M.diag, s, s)
-    root = np.sqrt(np.maximum(M, 0.0))
-    A = root * root.T
-    np.fill_diagonal(A, np.diagonal(M))
-    return A
+    if not all(np.isfinite(a).all() for a in vars(M).values()):
+        raise NonConvergence("matrix has non-finite entries")
+    try:
+        root = M.root(symmetric)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue solver failed: {exc}") from exc
+    if not math.isfinite(root):
+        raise NonConvergence(f"non-finite Perron root {root}")
+    return root
+
+
+def _pencil_root(M: _Operand, symmetric: bool) -> float:
+    """The pencil's value at M: its Perron root, which must be positive."""
+    mu = _perron_root(M, symmetric)
+    if not mu > 0.0:
+        raise NonConvergence(f"pencil root {mu} is not positive")
+    return mu
+
+
+def _expm1(x: float) -> float:
+    """e^x - 1 by ``math.expm1``, inf past x = ln(DBL_MAX), where it raises."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 def effective_bandwidth_onoff_discrete(
@@ -455,12 +593,13 @@ def _ebw_onoff_continuous(
 ) -> float:
     """a*(theta) = (x + sqrt(x^2 + 4 alpha t lam)) / (2 theta) with
     x = t lam - (alpha + beta): the two-state fluid source at t = theta,
-    the MMPP (``poisson``) at t = e^theta - 1."""
+    the MMPP (``poisson``) at t = e^theta - 1; inf where t lam passes
+    DBL_MAX."""
     theta = _check_scalar("theta", theta)
     a, b, lam = params.alpha, params.beta, params.lam
     if lam == 0.0:
         return 0.0
-    t = math.expm1(theta) if poisson else theta
+    t = _expm1(theta) if poisson else theta
     return _stable_quadratic_root(t * lam - (a + b), 4.0 * a * t * lam) / theta
 
 
@@ -517,22 +656,19 @@ class _MatrixSource:
     classes: a discrete chain with several fails to build, a generator on
     first use of its law.  Memoryless and birth-death chains show both in
     their shape in O(n); only other chains search a support graph
-    (``_Support``).  The kernel reads ``_operand``: the matrix; or 1 p^T
-    as a ``_RankOne``, p a read-only view of the first row, where every
-    row of a transition matrix is exactly p (a memoryless chain), so that
-    a*(theta), the rate scale and the law cost O(n); or its three
-    diagonals (read-only views) where it is tridiagonal with at least
-    ``_TRIDIAGONAL_MIN_STATES`` states (a birth-death chain), so that
-    a*(theta) costs O(n).  ``_operand`` and ``reversible``
-    fix the route of every ``_perron_root`` call, so no call probes the
-    structure again.  The matrix check is one for every family: square,
-    finite, and rows summing to 1 in discrete time, to 0 for a generator.
-    A family gives its entry rule (``_check_entries``), its kernel
-    ``_ebw``, its time base ``_discrete`` and its rate-scale solve
-    ``_pencil_scale``, on the deflated resolvent pencil every family
-    shares (``_pencil``); the chain law is one elimination (``_gth``) for
-    every family but a memoryless chain, whose law is its row over the
-    row's sum, solved on first use, once per source, and read-only.
+    (``_Support``).  ``_operand`` is the matrix in the storage its shape
+    allows: a ``_RankOne`` 1 p^T, p a read-only view of the first row,
+    where every row of a transition matrix is exactly p (a memoryless
+    chain); a ``_Band`` of three read-only diagonal views where it is
+    tridiagonal with at least ``_TRIDIAGONAL_MIN_STATES`` states (a
+    birth-death chain); else a ``_Dense``.  With ``reversible`` it fixes
+    the route of every ``_perron_root`` call.  The matrix check is one
+    for every family: square, finite, and rows summing to 1 in discrete
+    time, to 0 for a generator.  A family gives its entry rule
+    (``_check_entries``), its kernel ``_ebw``, its time base
+    ``_discrete`` and its rate-scale solve ``_pencil_scale`` on the
+    operand's pencil; the operand's law is solved on first use, once per
+    source, and read-only.
     """
 
     _kind = "nstate"
@@ -576,10 +712,7 @@ class _MatrixSource:
     @cached_property
     def _stationary(self) -> np.ndarray:
         self._check_recurrent()
-        if isinstance(self._operand, _RankOne):  # every row is the law
-            law = self._operand.v
-            return _frozen_array(self, law / law.sum())
-        return _frozen_array(self, _gth(self._matrix, self._root))
+        return _frozen_array(self, self._operand.law(self))
 
     def _check_recurrent(self):
         if self._root is None:
@@ -591,67 +724,6 @@ class _MatrixSource:
     def as_matrix(self):
         """A matrix source is its own matrix twin."""
         return self
-
-    def _pencil(self, t: float):
-        """The function e -> top eigenvalue of diag(d) B diag(d) at d =
-        sqrt(e), B the deflated resolvent K = t (t I - A)^-1 at t > 0 (inf
-        allowed) of a generator, or J K of a discrete chain (Elwalid and
-        Mitra 1993), in the frame where A is the chain's generator.  Its
-        value is positive for e >= 0 not all 0; else NonConvergence.
-
-        For a reversible chain the frame is the symmetrized D M D^-1 of its
-        matrix M (J or G), with r = l = sqrt(pi) = diag(D), and B is
-        symmetric; for any other chain it is M itself, with r = 1, l = pi.
-        The resolvent's pole at t = 0 is the rank-one term r l^T of A's
-        null vectors (Kemeny and Snell 1960); taking it out,
-
-            t (t I - A)^-1 = s/(t+s) r l^T + t (t I - A + s r l^T)^-1,
-
-        leaves an inverse bounded by the chain's fundamental matrix at
-        every t >= 0, so K tends to r l^T as t -> 0 and to I as t -> inf;
-        s = max |A_ii| puts both terms on A's scale.  Past t = 1 the
-        inverse is taken in w = 1/t, so t = inf gives K = I.  A memoryless
-        chain, J = 1 pi^T, has J K = J at every t: no resolvent."""
-        if isinstance(self._operand, _RankOne):
-            # J = 1 pi^T has J^2 = J, so J (t I - A) = t J and J K = J: no
-            # resolvent, and diag(d) J diag(d) = d (d pi)^T has root pi.e,
-            # taken as p.e / sum p, free of the rounding of pi's entries, on
-            # the law's support, as ``_pencil_scale`` gives e
-            p = self._operand.v
-            p = p[p > 0]
-            total = float(p.sum())
-            return lambda e: self._pencil_root(_RankOne(e, p)) / total
-        pi, n = self._stationary, self.n_states
-        if self.reversible:
-            M, r = _symmetrized(self._matrix), np.sqrt(pi)
-            l = r
-        else:
-            M, r, l = self._matrix, np.ones(n), pi
-        A = M - np.eye(n) if self._discrete else M
-        s = float(np.max(np.abs(np.diagonal(A)))) or 1.0  # 0 only for a one-state chain
-        P = np.outer(r, l)
-        try:
-            if t <= 1.0:
-                K = t * np.linalg.inv(t * np.eye(n) - A + s * P) + s / (t + s) * P
-            else:
-                w = 1.0 / t
-                K = np.linalg.inv(np.eye(n) - w * (A - s * P)) + s * w / (1.0 + s * w) * P
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"pencil solver failed: {exc}") from exc
-        B = M @ K if self._discrete else K
-
-        def root(e):
-            d = np.sqrt(e)
-            return self._pencil_root(d[:, None] * B * d)
-        return root
-
-    def _pencil_root(self, M) -> float:
-        """The pencil's value at M, diag(d) B diag(d) or a rank-one matrix
-        with its spectrum: its Perron root, which must be positive."""
-        mu = _perron_root(M, self.reversible)
-        if not mu > 0.0:
-            raise NonConvergence(f"pencil root {mu} is not positive")
-        return mu
 
     def effective_bandwidth(self, theta: QosExponent) -> float:
         """a*(theta) of the chain, bits/block, from its family's ``_ebw``."""
@@ -707,26 +779,8 @@ class DiscreteMarkovSource(_MatrixSource):
             raise ValueError("transition_probs entries must lie in [0, 1]")
 
     def _ebw(self, rates: np.ndarray, theta: float) -> float:
-        """a*(theta) = (1/theta) ln sp(e^{theta*Lambda} J), bits/block, at
-        ``rates``, with e^{theta*max(rates)} scaled out so that it never
-        overflows for large theta*rate products; a memoryless chain's is
-        its law's log-moment generating function (``_log_mgf``)."""
-        if isinstance(self._operand, _RankOne):
-            return _log_mgf(self._operand.v, rates, theta)
-        lam_max = float(np.max(rates))
-        # row i of e^{theta*Lambda} J is e^{theta*rates[i]} J[i, :], a band's
-        # too; an exponent past -DBL_MAX is -inf, whose factor is its limit 0
-        with np.errstate(over="ignore"):
-            w = np.exp(theta * (rates - lam_max))
-        J = self._operand
-        if isinstance(J, _Band):
-            M = _Band(w * J.diag, w[:-1] * J.up, w[1:] * J.down)
-        else:
-            M = w[:, None] * J
-        sp = _perron_root(_symmetrized(M) if self.reversible else M, self.reversible)
-        if sp <= 0.0:
-            raise NonConvergence("spectral radius collapsed to zero")
-        return lam_max + math.log(sp) / theta
+        """a*(theta) at ``rates``: J's ``log_mgf``."""
+        return self._operand.log_mgf(rates, theta, self.reversible)
 
     def _pencil_scale(self, theta: float, ce: float) -> float:
         """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
@@ -734,7 +788,7 @@ class DiscreteMarkovSource(_MatrixSource):
 
         With y = theta lambda, x = theta C_E, t = e^x - 1 and E(y) =
         diag(e^{y c} - 1), sp(e^{y C} J) = e^x is sp(E(y) J K) = t, K the
-        resolvent t (t I - G)^-1 (``_pencil``), which commutes with J.
+        resolvent t (t I - G)^-1 (``_Operand.pencil``), which commutes with J.
         Every entry of E(e^s) J K is a nonnegative sum of exponentials in
         s = log y, so F(s) = log sp(E J K / t) is convex (Kingman 1961)
         and increasing, and secant steps in s from two points above the
@@ -744,34 +798,13 @@ class DiscreteMarkovSource(_MatrixSource):
         0, the second as e^{yc} - 1 >= yc.  The steps stop once an iterate
         no longer falls, or F no longer falls and stays positive, which
         only rounding does; the iterate of smaller |F| is lambda* theta.
-        E / t is taken with e^{max(y c) - x} scaled out, its entries in
-        [0, 1 / (1 - e^{-x})], and F adds that exponent back.  A memoryless
-        chain, whose F is the log of pi.E / t, runs on its law's support,
-        the only states it visits, and takes E / t as it is while
-        e^{max(y c)} is finite there, so that F is the log of a ratio near 1,
-        not a sum of terms of size x that cancel: within 4.6e-16 of
-        50-digit mpmath in the tests, where the scaled F alone left
-        lambda* up to 3.7 ulps off."""
+        The operand gives F, in range at any y, and that second start."""
         x = theta * ce
         with np.errstate(over="ignore"):  # inf past x = ln(DBL_MAX), where K = I
             t = float(np.expm1(x))
-        root = self._pencil(t)
-        c, mean, unscaled = self._rates, self.mean_rate, 0.0
-        scale = -1.0 / math.expm1(-x)  # e^x / t
-        if isinstance(self._operand, _RankOne):
-            c = c[self._operand.v > 0]
-            # e^{y c} is finite below y top = 700, with room under ln(DBL_MAX);
-            # a law on rate 0 alone has pencil root 0, which root(c) refuses
-            unscaled = 700.0 / float(np.max(c)) if np.any(c) else math.inf
-        top = float(np.max(c))
-
-        def excess(y):
-            if y < unscaled:
-                return math.log(root(np.expm1(y * c)) / t)
-            e = np.exp(y * (c - top)) * -np.expm1(-y * c) * scale
-            return math.log(root(e)) + (y * top - x)
-
-        y = min(x / mean if mean > 0.0 else math.inf, t / root(c))
+        bound, excess = self._operand.excess(self, x, t)
+        mean = self.mean_rate
+        y = min(x / mean if mean > 0.0 else math.inf, bound)
         y_hi, f_hi, f = 2.0 * y, excess(2.0 * y), excess(y)
         while 0.0 < f < f_hi:
             # the secant step in s = log y, taken as a factor on y
@@ -792,6 +825,17 @@ class _GeneratorSource(_MatrixSource):
         if negative.any():
             raise ValueError("generator off-diagonal entries must be >= 0")
 
+    def _ebw(self, rates: np.ndarray, theta: float) -> float:
+        """a*(theta) at ``rates``: the Perron root of Lambda + G/theta, or of
+        ((e^theta - 1) Lambda + G)/theta for an MMPP, as diag(v) + G/s over
+        theta/s, x/1.0 being exact; e^theta - 1 is inf past ln(DBL_MAX)."""
+        # an overflow, or e^theta - 1 = inf times a rate 0, is _perron_root's error
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, s = (_expm1(theta) * rates, 1.0) if self._poisson else (rates, theta)
+            M = self._operand.shifted(v, s)
+        root = _perron_root(M.symmetrized() if self.reversible else M, self.reversible)
+        return root / (theta / s)
+
     def _pencil_scale(self, theta: float, ce: float) -> float:
         """lambda* with a*(theta; lambda* c) = C_E > 0, rates not all 0,
         without a search.
@@ -799,13 +843,13 @@ class _GeneratorSource(_MatrixSource):
         a*(theta; lambda c) = C_E is the pencil u lambda C v = (t I - G) v,
         with C = diag(c), t = theta C_E and u = theta (fluid) or e^theta - 1
         (MMPP), so lambda* = C_E (theta/u) / mu', mu' the Perron root of
-        K C with K the resolvent t (t I - G)^-1 (``_pencil``): the top
+        K C with K the resolvent t (t I - G)^-1 (``_Operand.pencil``): the top
         eigenvalue of C^{1/2} K C^{1/2}.  Nothing overflows for theta C_E
         up to 1e300, and mu' tends to the mean shape as C_E -> 0.  Past
         theta = ln(DBL_MAX) an MMPP's u is inf and lambda* its limit 0."""
         with np.errstate(over="ignore"):
             u = float(np.expm1(theta)) if self._poisson else theta
-        return ce * (theta / u) / self._pencil(theta * ce)(self._rates)
+        return ce * (theta / u) / self._operand.pencil(self, theta * ce)(self._rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -821,17 +865,6 @@ class FluidMarkovSource(_GeneratorSource):
     rates: np.ndarray
     reversible: bool = field(init=False)
 
-    def _ebw(self, rates: np.ndarray, theta: float) -> float:
-        """a*(theta) = max real eigenvalue of (Lambda + G/theta), bits/block,
-        at ``rates``."""
-        G = self._operand
-        with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-            if isinstance(G, _Band):
-                M = _Band(rates + G.diag / theta, G.up / theta, G.down / theta)
-            else:
-                M = np.diag(rates) + G / theta
-        return _perron_root(_symmetrized(M) if self.reversible else M, self.reversible)
-
 
 @dataclass(frozen=True, eq=False)
 class MmppSource(_GeneratorSource):
@@ -843,17 +876,6 @@ class MmppSource(_GeneratorSource):
     reversible: bool = field(init=False)
 
     _poisson = True
-
-    def _ebw(self, intensities: np.ndarray, theta: float) -> float:
-        """a*(theta) = (1/theta) * max real eigenvalue of ((e^theta - 1)
-        Lambda + G), bits/block, at ``intensities``."""
-        G = self._operand
-        with np.errstate(over="ignore"):  # an overflow is _perron_root's error
-            if isinstance(G, _Band):
-                M = G._replace(diag=math.expm1(theta) * intensities + G.diag)
-            else:
-                M = math.expm1(theta) * np.diag(intensities) + G
-        return _perron_root(_symmetrized(M) if self.reversible else M, self.reversible) / theta
 
 
 # the per-family names of the one matrix-source method

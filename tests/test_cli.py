@@ -647,21 +647,33 @@ def test_energy_curve_is_written_when_the_metrics_fail(tmp_path, capsys, monkeyp
     assert not (tmp_path / "energy_metrics.json").exists()
 
 
-@pytest.mark.parametrize("command", ["ebw", "energy"])
-@pytest.mark.parametrize("source", [
+POISSON_PAST_THE_FLOAT_RANGE = pytest.mark.parametrize("source", [
     ONOFF_MMPP,
     '{"kind": "mmpp", "transition": [[-1.0, 1.0], [1.0, -1.0]], "rates": [0.0, 2.0]}',
 ], ids=["onoff", "matrix"])
+
+
+@pytest.mark.parametrize("command", ["ebw"])
+@POISSON_PAST_THE_FLOAT_RANGE
 def test_poisson_arrivals_past_the_float_range_exit_3(tmp_path, capsys, command, source):
-    # e^theta - 1 overflows past theta = ln(DBL_MAX) ~ 709.78: a runtime
-    # failure, reported as one, not a traceback
-    argv = [command, "--source", source, "--theta", "800"]
-    if command == "energy":
-        argv += ["--channel", CHAN_IID, "--snr-db=-10"]
-    assert run(tmp_path, *argv) == 3
+    # e^theta - 1 overflows past theta = ln(DBL_MAX) ~ 709.78: the matrix
+    # kernel's a*(theta) is not finite, a runtime failure reported as one,
+    # not a traceback (the two-state closed form is inf, its twin fails)
+    assert run(tmp_path, command, "--source", source, "--theta", "800") == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: OverflowError: ") and err.endswith("math range error\n")
+    assert err == "error: NonConvergence: matrix has non-finite entries\n"
     assert not (tmp_path / f"{command}_manifest.json").exists()
+
+
+@POISSON_PAST_THE_FLOAT_RANGE
+def test_poisson_energy_past_the_float_range_is_its_limit(tmp_path, capsys, source):
+    # the Poisson layer's penalty (e^theta - 1)/theta is inf past theta =
+    # ln(DBL_MAX): the bit energy is inf (null in JSON) and the slope 0
+    assert run(tmp_path, "energy", "--source", source, "--theta", "800",
+               "--channel", CHAN_IID, "--snr-db=-10") == 0
+    metrics = json.loads((tmp_path / "energy_metrics.json").read_text())
+    assert (metrics["ebn0_min_linear"], metrics["ebn0_min_db"]) == (None, None)
+    assert metrics["wideband_slope"] == 0.0
 
 
 def test_ebw_past_the_float_range_exits_3_without_a_table(tmp_path, capsys):

@@ -175,22 +175,66 @@ def _names(node):
             yield n.value
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of each function in ``node``'s body and each
+    method of its classes; a function's nested functions are its own."""
+    for f in node.body:
+        if isinstance(f, ast.FunctionDef):
+            yield prefix + f.name, f
+        elif isinstance(f, ast.ClassDef):
+            yield from _functions(f, f"{prefix}{f.name}.")
+
+
 def test_perron_root_is_the_one_eigenvalue_call():
     # every eigenvalue comes from ``sources._perron_root``, on the route the
-    # source fixed when it was built; ``throughput`` reads a source's
-    # kernel, not the arrays and flags behind it
+    # source fixed when it was built: it calls its operand's ``root``, and
+    # one such method names the solvers, which nothing else in the package
+    # names; ``throughput`` reads a source's kernel, not the arrays and
+    # flags behind it
     import qoslink
+    from qoslink import sources
 
     solvers = {"eigvalsh", "eigvals"}
+    naming = {}
     for path in sorted(Path(qoslink.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        perron = [f for f in tree.body if path.stem == "sources"
-                  and isinstance(f, ast.FunctionDef) and f.name == "_perron_root"]
-        allowed = sorted(n for f in perron for n in _names(f) if n in solvers)
-        assert sorted(n for n in _names(tree) if n in solvers) == allowed, path.name
-        if perron:
-            assert allowed == sorted(solvers)  # the guard sees the calls where they belong
+        found = {f"{path.stem}.{name}": sorted(n for n in _names(f) if n in solvers)
+                 for name, f in _functions(tree)}
+        found = {name: names for name, names in found.items() if names}
+        # no solver is named outside a function
+        assert sorted(n for n in _names(tree) if n in solvers) == sorted(
+            n for names in found.values() for n in names), path.name
+        naming.update(found)
+    perron = dict(_functions(_tree(sources)))["_perron_root"]
+    calls = {n.func.attr for n in ast.walk(perron)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert "root" in calls
+    assert naming == {"sources._Dense.root": sorted(solvers)}
     assert not {"_kernel", "_operand", "reversible"} & set(_names(_tree(throughput)))
+
+
+# the storage types of a chain's matrix, and what a probe of one would name
+OPERAND_TYPES = {"_Operand", "_Dense", "_Band", "_RankOne", "ndarray"}
+
+
+def _operand_probes(tree):
+    """The top-level function or class around each isinstance call in
+    ``tree`` against an operand type or an ndarray."""
+    return [getattr(top, "name", None) for top in tree.body for n in ast.walk(top)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+            and len(n.args) == 2 and OPERAND_TYPES & set(_names(n.args[1]))]
+
+
+def test_no_source_method_probes_its_operand():
+    # each operand type owns the arithmetic the families use, and
+    # ``_structure`` alone picks the type: no other code asks which it is
+    from qoslink import sources
+
+    owners = {"_Operand", "_Dense", "_Band", "_RankOne", "_structure"}
+    assert [name for name in _operand_probes(_tree(sources)) if name not in owners] == []
+    # the guard sees a probe where one is written
+    probe = "def kernel(M):\n    return isinstance(M, (_Band, np.ndarray))"
+    assert _operand_probes(ast.parse(probe)) == ["kernel"]
 
 
 def test_matrix_sources_need_no_capacity_curve(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -325,7 +326,14 @@ def _dense_root(A, symmetric):
     fixes when it is built: A's band where ``_band_of`` finds one and A
     has at least ``_TRIDIAGONAL_MIN_STATES`` rows."""
     band = sources_module._band_of(A) if len(A) >= sources_module._TRIDIAGONAL_MIN_STATES else None
-    return sources_module._perron_root(A if band is None else band, symmetric)
+    operand = sources_module._Dense(A) if band is None else band
+    return sources_module._perron_root(operand, symmetric)
+
+
+def _symmetrized(M):
+    """The dense symmetrization the kernels hand a reversible chain's
+    matrix to its root."""
+    return sources_module._Dense(M).symmetrized().m
 
 
 @pytest.fixture
@@ -399,7 +407,7 @@ def _random_tridiagonal(rng, n, kind, theta):
 )
 def test_tridiagonal_route_matches_eigvalsh(n, kind, theta, seed):
     M = _random_tridiagonal(np.random.default_rng(seed), n, kind, theta)
-    T = sources_module._symmetrized(M)
+    T = _symmetrized(M)
     want = np.linalg.eigvalsh(T)[-1]
     norm = np.max(np.sum(np.abs(T), axis=1))
     for A in (M, T):
@@ -423,7 +431,7 @@ def test_tridiagonal_crossover_splits_the_sizes(pivot_passes):
     pivot_passes.clear()
     W = np.random.default_rng(0).random((n, n))
     dense = DiscreteMarkovSource((W + W.T) / (W + W.T).sum(axis=1, keepdims=True), np.arange(n))
-    assert dense.reversible and isinstance(dense._operand, np.ndarray)
+    assert dense.reversible and isinstance(dense._operand, sources_module._Dense)
     effective_bandwidth_discrete(dense, 0.5)
     assert not pivot_passes
 
@@ -445,7 +453,7 @@ def test_tridiagonal_route_takes_few_steps(pivot_passes):
 
 
 def test_tridiagonal_route_failures_are_nonconvergence(monkeypatch):
-    M = sources_module._symmetrized(lazy_walk(64).transition_probs)
+    M = _symmetrized(lazy_walk(64).transition_probs)
     M[5, 5] = np.nan
     with pytest.raises(NonConvergence, match="non-finite"):
         _dense_root(M, True)
@@ -463,7 +471,7 @@ def _dense_ebw_discrete(transition_probs, rates, theta, reversible):
     lam_max = float(np.max(rates))
     with np.errstate(over="ignore"):
         M = np.exp(theta * (rates - lam_max))[:, None] * transition_probs
-    sp = _dense_root(sources_module._symmetrized(M) if reversible else M, reversible)
+    sp = _dense_root(_symmetrized(M) if reversible else M, reversible)
     if sp <= 0.0:
         raise NonConvergence("spectral radius collapsed to zero")
     return lam_max + math.log(sp) / theta
@@ -472,13 +480,13 @@ def _dense_ebw_discrete(transition_probs, rates, theta, reversible):
 def _dense_ebw_fluid(generator, rates, theta, reversible):
     with np.errstate(over="ignore"):
         M = np.diag(rates) + generator / theta
-    return _dense_root(sources_module._symmetrized(M) if reversible else M, reversible)
+    return _dense_root(_symmetrized(M) if reversible else M, reversible)
 
 
 def _dense_ebw_mmpp(generator, intensities, theta, reversible):
     with np.errstate(over="ignore"):
         M = math.expm1(theta) * np.diag(intensities) + generator
-    return _dense_root(sources_module._symmetrized(M) if reversible else M, reversible) / theta
+    return _dense_root(_symmetrized(M) if reversible else M, reversible) / theta
 
 
 _DENSE_KERNELS = {DiscreteMarkovSource: _dense_ebw_discrete,
@@ -548,7 +556,7 @@ def test_tridiagonal_route_ends_on_clustered_roots(cls):
     # close in only linearly (each about 0.8 of the one before)
     src = _random_birth_death(np.random.default_rng(2), 64, cls, False, False, False, 1.0)
     theta = 0.01
-    T = sources_module._symmetrized(src._matrix)
+    T = _symmetrized(src._matrix)
     norm = np.max(np.sum(np.abs(T), axis=1))
     assert abs(src.effective_bandwidth(theta)) <= 2e-14 * norm / theta
 
@@ -573,7 +581,7 @@ def test_tridiagonal_route_meets_eigvalsh_on_clustered_chains():
                                   families[i % 3], i % 2 == 1, False, False,
                                   float(rng.choice([0.0, 0.3, 1.0])))
         M = _kernel_matrix(src, theta)
-        T = sources_module._symmetrized(M)
+        T = _symmetrized(M)
         want = np.linalg.eigvalsh(T)[-1]
         norm = np.max(np.sum(np.abs(T), axis=1))
         got = _dense_root(T if src.reversible else M, src.reversible)
@@ -662,9 +670,9 @@ def test_only_bitwise_equal_rows_are_memoryless():
     # one ulp off in one entry of one row is a dense chain
     J[3, 2] = np.nextafter(J[3, 2], 1.0)
     J[3, 3] = np.nextafter(J[3, 3], 0.0)
-    assert isinstance(DiscreteMarkovSource(J, np.arange(6.0))._operand, np.ndarray)
+    assert isinstance(DiscreteMarkovSource(J, np.arange(6.0))._operand, sources_module._Dense)
     # a generator's rows never take the route
-    assert isinstance(FluidMarkovSource([[0.0]], [1.0])._operand, np.ndarray)
+    assert isinstance(FluidMarkovSource([[0.0]], [1.0])._operand, sources_module._Dense)
 
 
 @pytest.mark.parametrize("u, v", [([1.0, np.inf], [0.5, 0.5]), ([1e308, 1e308], [1.0, 1.0])],
@@ -694,6 +702,27 @@ def test_kernel_overflow_is_nonconvergence(source, theta):
     # G / theta, or (e^theta - 1) * rate, past DBL_MAX: one error, not a NaN
     with pytest.raises(NonConvergence, match="non-finite"):
         source.effective_bandwidth(theta)
+
+
+def test_mmpp_past_the_float_range_raises_no_overflow_error():
+    # e^theta - 1 passes DBL_MAX past theta = ln(DBL_MAX) ~ 709.78, where
+    # math.expm1 raised a bare OverflowError on all three routes: the
+    # kernel's matrix is not finite, the closed form and the bit-energy
+    # penalty are inf
+    from qoslink.energy import source_energy_metrics
+
+    fluid = build_birth_death_fluid(64, 1.0, 2.0, 1.0)
+    for src in (MmppSource([[-1.0, 1.0], [1.0, -1.0]], [0.0, 2.0]),
+                MmppSource(fluid.generator, fluid.rates)):
+        with pytest.raises(NonConvergence, match="non-finite"):
+            src.effective_bandwidth(800.0)
+    assert OnOffMmppParams(1.0, 2.0, 1.0).effective_bandwidth(800.0) == math.inf
+    metrics = source_energy_metrics(OnOffMmppParams(1.0, 2.0, 0.0), ChannelSpec(2, 0.0), 800.0)[1]
+    assert (metrics.ebn0_min_linear, metrics.ebn0_min_db, metrics.wideband_slope) == (
+        math.inf, math.inf, 0.0)
+    # math.expm1 stands wherever it is finite
+    theta = math.log(sys.float_info.max)
+    assert sources_module._expm1(theta) == math.expm1(theta)
 
 
 def test_discrete_kernel_overflow_takes_its_limit():

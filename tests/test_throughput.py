@@ -440,7 +440,7 @@ def test_discrete_scale_matches_mpmath_at_large_theta_ce():
                                  _some_zero_rates(rng, 6))
     binomial = build_binomial_discrete_source(8, 0.25, 1.0)
     assert isinstance(binomial._operand, sources_module._RankOne)
-    assert dense.reversible and isinstance(dense._operand, np.ndarray)
+    assert dense.reversible and isinstance(dense._operand, sources_module._Dense)
     for src in (binomial, dense):
         for x in (10.0, 30.0, 100.0):
             theta = 0.7
@@ -481,6 +481,24 @@ def test_memoryless_scale_runs_on_the_law_support(n, theta, ce):
     assert src.transition_probs[0][-1] == 0.0
     lam = max_avg_rate_nstate(src, theta, ce).lambda_star
     ref = lambda_star(src.transition_probs[0], src.rates, theta, ce)
+    assert abs(lam - ref) <= 5e-16 * ref
+
+
+@pytest.mark.parametrize("n, s, theta, ce", [(700, 0.05, 50.0, 18.0), (200, 0.01, 5.0, 100.0)])
+def test_memoryless_law_with_subnormal_entries_keeps_its_digits(n, s, theta, ce):
+    # binomial n = 700, s = 0.05 has law entries down to 2e-323 (state 401,
+    # 0 above): at theta 50 the sums over the law were themselves
+    # subnormal, a*(theta) 8.6e11 ulps off and lambda* 3.5e-5 off with
+    # residual 0, the kernel and the solve sharing the error
+    from log_mgf_reference import ebw, lambda_star
+
+    src = build_binomial_discrete_source(n, s, 1.0)
+    p = src.transition_probs[0]
+    for t in (10.0, 50.0):
+        ref = float(ebw(p, src.rates, t))
+        assert abs(src.effective_bandwidth(t) - ref) <= 2 * math.ulp(ref), t
+    lam = max_avg_rate_nstate(src, theta, ce).lambda_star
+    ref = float(lambda_star(p, src.rates, theta, ce))
     assert abs(lam - ref) <= 5e-16 * ref
 
 
